@@ -9,12 +9,11 @@ open Toolkit
 let heap_push_pop =
   Test.make ~name:"event heap push+pop x64"
     (Staged.stage (fun () ->
-         let h = Sim.Heap.create () in
+         let eng = Sim.Engine.create () in
          for i = 0 to 63 do
-           Sim.Heap.push h ~time:(float_of_int ((i * 37) mod 64)) ~seq:i i
+           Sim.Engine.at eng (float_of_int ((i * 37) mod 64)) ignore
          done;
-         let rec drain () = match Sim.Heap.pop h with None -> () | Some _ -> drain () in
-         drain ()))
+         ignore (Sim.Engine.run eng)))
 
 let bench_layout = Protocol.Layout.uniform ~base:0 ~size:65536 ~block:64 ()
 

@@ -60,11 +60,21 @@ let () =
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_run [options]";
   let spec = Apps.Registry.find !app in
-  let plan = if !faults = "" then Fault.Plan.empty else Fault.Plan.of_spec !faults in
+  let plan =
+    if !faults = "" then Fault.Plan.empty else Cli.spec "--faults" Fault.Plan.of_spec !faults
+  in
   let shared_size = 8 * 1024 * 1024 in
   let regions =
     if !granularity = "" then []
-    else Protocol.Layout.specs_of_spec ~size:shared_size !granularity
+    else
+      (* Build the layout once so a spec that does not tile the segment
+         is reported here, not from inside the cluster. *)
+      Cli.spec "--granularity"
+        (fun g ->
+          let specs = Protocol.Layout.specs_of_spec ~size:shared_size g in
+          ignore (Protocol.Layout.create ~base:0 ~size:shared_size specs);
+          specs)
+        !granularity
   in
   let cfg =
     {
@@ -92,7 +102,7 @@ let () =
             | "first-touch" -> Protocol.Config.First_touch
             | "migratory" -> Protocol.Config.Migratory
             | "static" -> Protocol.Config.Static
-            | m -> raise (Arg.Bad ("unknown --migration policy " ^ m)));
+            | m -> Cli.usage_error "--migration" ("unknown policy " ^ m));
           migration_threshold = !migration_threshold;
         };
       parallel = !parallel;

@@ -49,7 +49,9 @@ let () =
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_serve [options]";
-  let plan = if !faults = "" then Fault.Plan.empty else Fault.Plan.of_spec !faults in
+  let plan =
+    if !faults = "" then Fault.Plan.empty else Cli.spec "--faults" Fault.Plan.of_spec !faults
+  in
   let cluster_cfg =
     S.cluster_config ~nodes:!nodes ~cpus_per_node:!cpus ~fault_plan:plan ()
   in
@@ -62,12 +64,12 @@ let () =
     {
       S.default_config with
       S.seed = !seed;
-      arrival = A.of_spec !arrival;
+      arrival = Cli.spec "--arrival" A.of_spec !arrival;
       clients = !clients;
       window = !window;
       duration = !duration;
       scan_share = !scan_share;
-      admission = Load.Admission.of_spec !admission;
+      admission = Cli.spec "--admission" Load.Admission.of_spec !admission;
       server_cpus = List.init !servers (fun i -> 1 + i);
     }
   in

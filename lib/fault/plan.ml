@@ -20,11 +20,11 @@ let no_faults = { drop = 0.0; dup = 0.0; corrupt = 0.0; delay = 0.0; delay_max =
 type outage = { node : int; from_t : float; until_t : float }
 
 let stall ~node ~at ~duration =
-  if at < 0.0 || duration < 0.0 then invalid_arg "Plan.stall: negative time";
+  if not (at >= 0.0 && duration >= 0.0) then invalid_arg "Plan.stall: negative or NaN time";
   { node; from_t = at; until_t = at +. duration }
 
 let crash ~node ~at =
-  if at < 0.0 then invalid_arg "Plan.crash: negative time";
+  if not (at >= 0.0) then invalid_arg "Plan.crash: negative or NaN time";
   { node; from_t = at; until_t = infinity }
 
 type action = Deliver | Drop | Duplicate | Corrupt | Delay of float
@@ -39,7 +39,7 @@ type t = {
 
 let check_faults lf =
   let p name x =
-    if x < 0.0 || x > 1.0 then
+    if not (x >= 0.0 && x <= 1.0) then
       invalid_arg (Printf.sprintf "Plan.create: %s=%g outside [0,1]" name x)
   in
   p "drop" lf.drop;
@@ -48,7 +48,8 @@ let check_faults lf =
   p "delay" lf.delay;
   if lf.drop +. lf.dup +. lf.corrupt +. lf.delay > 1.0 then
     invalid_arg "Plan.create: fault probabilities sum above 1";
-  if lf.delay_max < 0.0 then invalid_arg "Plan.create: negative delay_max"
+  if not (lf.delay_max >= 0.0 && Float.is_finite lf.delay_max) then
+    invalid_arg "Plan.create: delay_max must be finite and non-negative"
 
 let create ?(seed = 0) ?(default = no_faults) ?(links = []) ?(outages = []) () =
   check_faults default;

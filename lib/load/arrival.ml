@@ -23,11 +23,22 @@ type process =
   | Poisson of { rate : float }
   | Mmpp of { rate0 : float; dwell0 : float; rate1 : float; dwell1 : float }
 
+(* Rates (req/s) and dwell times (s) must lie in [1e-9, 1e9], which
+   excludes 0, infinities and NaN.  Then every exponential draw in
+   {!next} is a finite positive gap; an infinite rate would draw zero
+   gaps and the arrival pump would never advance simulated time.  An
+   MMPP must also expect at least 1e-6 arrivals per quiet+burst cycle,
+   or {!next} would spin through state switches between arrivals. *)
+let in_range x = x >= 1e-9 && x <= 1e9
+
 let validate = function
-  | Poisson { rate } -> if rate <= 0.0 then invalid_arg "Arrival: rate must be positive"
+  | Poisson { rate } ->
+      if not (in_range rate) then invalid_arg "Arrival: rate must be in [1e-9, 1e9] req/s"
   | Mmpp { rate0; dwell0; rate1; dwell1 } ->
-      if rate0 <= 0.0 || rate1 <= 0.0 || dwell0 <= 0.0 || dwell1 <= 0.0 then
-        invalid_arg "Arrival: MMPP rates and dwell times must be positive"
+      if not (List.for_all in_range [ rate0; dwell0; rate1; dwell1 ]) then
+        invalid_arg "Arrival: MMPP rates and dwell times must be in [1e-9, 1e9]";
+      if (rate0 *. dwell0) +. (rate1 *. dwell1) < 1e-6 then
+        invalid_arg "Arrival: MMPP must expect at least 1e-6 arrivals per state cycle"
 
 (** [mean_rate p] — the long-run arrival rate (requests/second). *)
 let mean_rate = function

@@ -182,6 +182,7 @@ let blocks_of_range t ~addr ~len =
 let size_of s ~remaining =
   match String.lowercase_ascii (String.trim s) with
   | "*" -> remaining
+  | "" -> bad "Layout.of_spec: bad size %S" s
   | t -> (
       let mult, digits =
         match t.[String.length t - 1] with

@@ -5,14 +5,18 @@
     (CPUs, processes, the network, the coherence protocol) is expressed
     as events.
 
-    The event store is a flat structure-of-arrays binary heap: an
-    unboxed [float array] of times, an [int array] of sequence numbers,
-    and parallel payload arrays for labels and run thunks.  Firing an
-    event under the default [Fifo] schedule allocates nothing; the other
-    schedules reuse one array-based tie buffer across fires instead of
-    building a list per tie-set.  Because [(time, seq)] keys are unique,
-    the pop order is independent of the heap's internal layout, so this
-    representation is bit-identical to the boxed heap it replaced.
+    The event store is a binary heap that sifts only unboxed keys: a
+    flat [float array] of times, an [int array] of sequence numbers and
+    an [int array] of payload slots.  Each event's label and run thunk
+    are written once into a slot-indexed payload table, because every
+    store of a boxed value into a major-heap array goes through OCaml's
+    write barrier: moving payloads at every sift level would pay two
+    barrier calls per level, while the slot table pays two per push and
+    one per pop whatever the heap depth.  Firing an event under the
+    default [Fifo] schedule allocates nothing; the other schedules reuse
+    one array-based tie buffer across fires instead of building a list
+    per tie-set.  Because [(time, seq)] keys are unique, the pop order
+    is independent of the heap's internal layout.
 
     The [schedule] policy chosen at [create] controls how same-time ties
     are broken.  [Fifo] (the default) fires ties in insertion order and
@@ -131,13 +135,20 @@ type sched_state =
 
 (* --- the flat event store --- *)
 
-(* A structure-of-arrays binary min-heap over (time, seq) with label and
-   run-thunk payload arrays.  Same layout and sift moves as {!Heap}, but
-   monomorphic and with the entry record split across four arrays so
-   that push/drop never allocate. *)
+(* A binary min-heap over (time, seq) whose sift moves touch only the
+   unboxed arrays [q_time], [q_seq] and [q_slot] (no [caml_modify]; see
+   the header).  An event's label and run thunk are written once, at
+   push, into the slot-indexed payload table [q_label]/[q_run].
+
+   [q_slot] is a permutation of [0 .. capacity - 1]: positions
+   [0 .. q_size - 1] hold the live entries' slots in heap order, and the
+   tail [q_size .. capacity - 1] is the stack of free slots, so a push
+   takes the slot sitting at [q_slot.(q_size)] and a pop parks the freed
+   slot at the new tail. *)
 type eheap = {
   mutable q_time : float array;
   mutable q_seq : int array;
+  mutable q_slot : int array;
   mutable q_label : label array;
   mutable q_run : (unit -> unit) array;
   mutable q_size : int;
@@ -146,28 +157,35 @@ type eheap = {
 let nop () = ()
 
 let q_create () =
-  { q_time = [||]; q_seq = [||]; q_label = [||]; q_run = [||]; q_size = 0 }
+  { q_time = [||]; q_seq = [||]; q_slot = [||]; q_label = [||]; q_run = [||]; q_size = 0 }
 
+(* Only called when full, so every slot is live and the new ones are
+   free. *)
 let q_grow h =
   let cap = Array.length h.q_time in
   let cap' = if cap = 0 then 64 else cap * 2 in
   let time' = Array.make cap' 0.0 in
   let seq' = Array.make cap' 0 in
+  let slot' = Array.init cap' (fun i -> if i < cap then h.q_slot.(i) else i) in
   let label' = Array.make cap' no_label in
   let run' = Array.make cap' nop in
-  Array.blit h.q_time 0 time' 0 h.q_size;
-  Array.blit h.q_seq 0 seq' 0 h.q_size;
-  Array.blit h.q_label 0 label' 0 h.q_size;
-  Array.blit h.q_run 0 run' 0 h.q_size;
+  Array.blit h.q_time 0 time' 0 cap;
+  Array.blit h.q_seq 0 seq' 0 cap;
+  Array.blit h.q_label 0 label' 0 cap;
+  Array.blit h.q_run 0 run' 0 cap;
   h.q_time <- time';
   h.q_seq <- seq';
+  h.q_slot <- slot';
   h.q_label <- label';
   h.q_run <- run'
 
 let q_push h ~time ~seq ~label run =
   if h.q_size = Array.length h.q_time then q_grow h;
-  let times = h.q_time and seqs = h.q_seq and labels = h.q_label and runs = h.q_run in
-  (* Sift up by moving the hole; the new entry is written exactly once. *)
+  let times = h.q_time and seqs = h.q_seq and slots = h.q_slot in
+  let slot = slots.(h.q_size) in
+  h.q_label.(slot) <- label;
+  h.q_run.(slot) <- run;
+  (* Sift up by moving the hole; the new key is written exactly once. *)
   let i = ref h.q_size in
   h.q_size <- h.q_size + 1;
   let continue = ref true in
@@ -176,28 +194,31 @@ let q_push h ~time ~seq ~label run =
     if time < times.(p) || (time = times.(p) && seq < seqs.(p)) then begin
       times.(!i) <- times.(p);
       seqs.(!i) <- seqs.(p);
-      labels.(!i) <- labels.(p);
-      runs.(!i) <- runs.(p);
+      slots.(!i) <- slots.(p);
       i := p
     end
     else continue := false
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  labels.(!i) <- label;
-  runs.(!i) <- run
+  slots.(!i) <- slot
 
-(* Remove the minimum entry; callers read the root first.  The freed
-   slot's run thunk is cleared so popped closures do not outlive their
-   firing. *)
-let q_drop h =
+(* Root accessors; callers check [q_size > 0] first. *)
+let q_top_time h = h.q_time.(0)
+let q_top_seq h = h.q_seq.(0)
+let q_top_label h = h.q_label.(h.q_slot.(0))
+
+(* Remove the minimum entry and return its run thunk.  The freed slot's
+   thunk is cleared so popped closures do not outlive their firing. *)
+let q_take h =
+  let times = h.q_time and seqs = h.q_seq and slots = h.q_slot in
+  let top = slots.(0) in
+  let run = h.q_run.(top) in
+  h.q_run.(top) <- nop;
   h.q_size <- h.q_size - 1;
   let n = h.q_size in
-  let times = h.q_time and seqs = h.q_seq and labels = h.q_label and runs = h.q_run in
   if n > 0 then begin
-    let time = times.(n) and seq = seqs.(n) in
-    let label = labels.(n) and run = runs.(n) in
-    runs.(n) <- nop;
+    let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -215,8 +236,7 @@ let q_drop h =
         if times.(c) < time || (times.(c) = time && seqs.(c) < seq) then begin
           times.(!i) <- times.(c);
           seqs.(!i) <- seqs.(c);
-          labels.(!i) <- labels.(c);
-          runs.(!i) <- runs.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else continue := false
@@ -224,10 +244,10 @@ let q_drop h =
     done;
     times.(!i) <- time;
     seqs.(!i) <- seq;
-    labels.(!i) <- label;
-    runs.(!i) <- run
-  end
-  else runs.(0) <- nop
+    slots.(!i) <- slot;
+    slots.(n) <- top
+  end;
+  run
 
 (* --- per-node lanes for the conservative parallel mode --- *)
 
@@ -438,29 +458,30 @@ let tb_ensure t n =
    FIFO.  Returns (time, count). *)
 let pop_ties t =
   let h = t.heap in
-  let time = h.q_time.(0) in
+  let time = q_top_time h in
   let n = ref 0 in
   let continue = ref true in
   while !continue do
     tb_ensure t (!n + 1);
-    t.tb_seq.(!n) <- h.q_seq.(0);
-    t.tb_label.(!n) <- h.q_label.(0);
-    t.tb_run.(!n) <- h.q_run.(0);
-    q_drop h;
+    t.tb_seq.(!n) <- q_top_seq h;
+    t.tb_label.(!n) <- q_top_label h;
+    t.tb_run.(!n) <- q_take h;
     incr n;
-    if h.q_size = 0 || h.q_time.(0) <> time then continue := false
+    if h.q_size = 0 || q_top_time h <> time then continue := false
   done;
   (time, !n)
 
 (* Fire tie [i], pushing the others back with their original [seq] so a
-   later pop sees them in unchanged relative order. *)
+   later pop sees them in unchanged relative order.  The buffer's thunks
+   are cleared, as in the heap, so fired closures are not kept alive. *)
 let fire_choice t time n i =
+  let run = t.tb_run.(i) in
   for j = 0 to n - 1 do
-    if j <> i then q_push t.heap ~time ~seq:t.tb_seq.(j) ~label:t.tb_label.(j) t.tb_run.(j)
+    if j <> i then q_push t.heap ~time ~seq:t.tb_seq.(j) ~label:t.tb_label.(j) t.tb_run.(j);
+    t.tb_run.(j) <- nop
   done;
   t.now <- time;
   t.fired <- t.fired + 1;
-  let run = t.tb_run.(i) in
   run ()
 
 (** [step t] fires one pending event — the earliest, with same-time ties
@@ -472,10 +493,9 @@ let step t =
   else begin
     (match t.sched with
     | S_fifo ->
-        t.now <- h.q_time.(0);
+        t.now <- q_top_time h;
         t.fired <- t.fired + 1;
-        let run = h.q_run.(0) in
-        q_drop h;
+        let run = q_take h in
         run ()
     | S_seeded rng | S_jittered { ties = rng; _ } ->
         let time, n = pop_ties t in
@@ -514,7 +534,7 @@ let run ?until ?max_events t =
       (* The hot loop: no allocation per event — the deadline check reads
          the root time directly and firing pops in place. *)
       while !continue do
-        if h.q_size > 0 && h.q_time.(0) > until_v then begin
+        if h.q_size > 0 && q_top_time h > until_v then begin
           t.now <- Float.max t.now until_v;
           reason := Deadline;
           continue := false
@@ -528,16 +548,15 @@ let run ?until ?max_events t =
           continue := false
         end
         else begin
-          t.now <- h.q_time.(0);
+          t.now <- q_top_time h;
           t.fired <- t.fired + 1;
-          let run = h.q_run.(0) in
-          q_drop h;
+          let run = q_take h in
           run ()
         end
       done
   | _ ->
       while !continue do
-        if h.q_size > 0 && h.q_time.(0) > until_v then begin
+        if h.q_size > 0 && q_top_time h > until_v then begin
           t.now <- Float.max t.now until_v;
           reason := Deadline;
           continue := false
@@ -554,6 +573,37 @@ let run ?until ?max_events t =
   !reason
 
 (* --- parallel-mode plumbing (driven by {!Par}) --- *)
+
+(** [lane_push l ~time ~label run] queues an event on lane [l] with the
+    lane's next sequence number (the barrier merge of cross events). *)
+let lane_push l ~time ~label run =
+  q_push l.l_heap ~time ~seq:l.l_seq ~label run;
+  l.l_seq <- l.l_seq + 1
+
+(** [lane_next_time l] is the time of lane [l]'s earliest pending event,
+    or [infinity] when the lane is empty. *)
+let lane_next_time l =
+  let h = l.l_heap in
+  if h.q_size = 0 then Float.infinity else q_top_time h
+
+(** [lane_run l ~window_end ~until] fires lane [l]'s events in
+    [(time, seq)] order while their time is below [window_end] and not
+    past [until].  The caller sets the current lane. *)
+let lane_run l ~window_end ~until =
+  let h = l.l_heap in
+  let continue = ref true in
+  while !continue do
+    if h.q_size = 0 then continue := false
+    else
+      let t0 = q_top_time h in
+      if t0 >= window_end || t0 > until then continue := false
+      else begin
+        l.l_now <- t0;
+        l.l_fired <- l.l_fired + 1;
+        let run = q_take h in
+        run ()
+      end
+  done
 
 (** [par_install t ~nodes] splits the event store into [nodes] per-node
     lanes, routing every pending event to its label's lane (unlabeled
@@ -579,12 +629,10 @@ let par_install t ~nodes =
   in
   let h = t.heap in
   while h.q_size > 0 do
-    let time = h.q_time.(0) and label = h.q_label.(0) and run = h.q_run.(0) in
-    q_drop h;
+    let time = q_top_time h and label = q_top_label h in
+    let run = q_take h in
     let dst = if label.lbl_node >= 0 && label.lbl_node < nodes then label.lbl_node else 0 in
-    let l = lanes.(dst) in
-    q_push l.l_heap ~time ~seq:l.l_seq ~label run;
-    l.l_seq <- l.l_seq + 1
+    lane_push lanes.(dst) ~time ~label run
   done;
   let p = { p_lanes = lanes; p_window_end = t.now } in
   t.par <- Some p;
@@ -606,9 +654,8 @@ let par_remove t =
           t.now <- Float.max t.now l.l_now;
           let h = l.l_heap in
           while h.q_size > 0 do
-            leftovers :=
-              (h.q_time.(0), l.l_id, h.q_seq.(0), h.q_label.(0), h.q_run.(0)) :: !leftovers;
-            q_drop h
+            let time = q_top_time h and seq = q_top_seq h and label = q_top_label h in
+            leftovers := (time, l.l_id, seq, label, q_take h) :: !leftovers
           done)
         p.p_lanes;
       List.iter

@@ -62,22 +62,7 @@ let process_lanes sh (p : Engine.par) ~worker ~workers ~until =
     (fun (l : Engine.lane) ->
       if l.Engine.l_id mod workers = worker && sh.failure = None then begin
         Engine.set_current_lane (Some l);
-        (try
-           let h = l.Engine.l_heap in
-           let continue = ref true in
-           while !continue do
-             if h.Engine.q_size = 0 then continue := false
-             else
-               let t0 = h.Engine.q_time.(0) in
-               if t0 >= we || t0 > until then continue := false
-               else begin
-                 l.Engine.l_now <- t0;
-                 l.Engine.l_fired <- l.Engine.l_fired + 1;
-                 let run = h.Engine.q_run.(0) in
-                 Engine.q_drop h;
-                 run ()
-               end
-           done
+        (try Engine.lane_run l ~window_end:we ~until
          with e ->
            let bt = Printexc.get_raw_backtrace () in
            Mutex.lock sh.m;
@@ -137,10 +122,8 @@ let merge (p : Engine.par) ~until ~we =
   in
   List.iter
     (fun (x : Engine.cross) ->
-      let l = p.Engine.p_lanes.(x.Engine.x_dst) in
-      Engine.q_push l.Engine.l_heap ~time:x.Engine.x_time ~seq:l.Engine.l_seq
-        ~label:x.Engine.x_label x.Engine.x_run;
-      l.Engine.l_seq <- l.Engine.l_seq + 1)
+      Engine.lane_push p.Engine.p_lanes.(x.Engine.x_dst) ~time:x.Engine.x_time
+        ~label:x.Engine.x_label x.Engine.x_run)
     crosses;
   let t_adv = Float.min we until in
   Array.iter
@@ -204,9 +187,7 @@ let run ?(until = Float.infinity) ?(lookahead = 4.0e-6) ~domains eng ~nodes =
       while not !finished do
         let w =
           Array.fold_left
-            (fun acc (l : Engine.lane) ->
-              let h = l.Engine.l_heap in
-              if h.Engine.q_size > 0 then Float.min acc h.Engine.q_time.(0) else acc)
+            (fun acc l -> Float.min acc (Engine.lane_next_time l))
             Float.infinity p.Engine.p_lanes
         in
         if w = Float.infinity then begin

@@ -56,7 +56,15 @@ let test_spec_parsing () =
       ignore (Plan.of_spec "drop=0.6,dup=0.6"));
   Alcotest.check_raises "garbage rejected"
     (Invalid_argument "Plan.of_spec: unknown key \"frobnicate\"") (fun () ->
-      ignore (Plan.of_spec "frobnicate=1"))
+      ignore (Plan.of_spec "frobnicate=1"));
+  (* NaN compares false with every bound, so range checks must be
+     written to fail on it. *)
+  List.iter
+    (fun spec ->
+      match Plan.of_spec spec with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%S accepted" spec)
+    [ "drop=nan"; "delay=0.1:inf"; "delay=0.1:nan"; "stall=1@nan:0.1"; "stall=1@0.1:nan"; "crash=0@nan" ]
 
 (* Exactly-once, in-order delivery through Net.send under heavy loss,
    duplication, corruption and reordering. *)

@@ -66,7 +66,20 @@ let test_arrival_scale_and_specs () =
   Alcotest.check_raises "bad spec"
     (Invalid_argument
        (Printf.sprintf "Arrival.of_spec %S; expected %s" "poison:10" A.spec_help))
-    (fun () -> ignore (A.of_spec "poison:10"))
+    (fun () -> ignore (A.of_spec "poison:10"));
+  (* A non-finite rate or dwell would draw zero or infinite gaps. *)
+  List.iter
+    (fun x ->
+      List.iter
+        (fun spec ->
+          match A.of_spec spec with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%S accepted" spec)
+        [ "poisson:" ^ x; "mmpp:" ^ x ^ ",0.01,20000,0.002"; "mmpp:1000,0.01,20000," ^ x ])
+    [ "inf"; "1e400"; "nan" ];
+  Alcotest.check_raises "an MMPP that almost never arrives"
+    (Invalid_argument "Arrival: MMPP must expect at least 1e-6 arrivals per state cycle")
+    (fun () -> ignore (A.of_spec "mmpp:1e-4,1e-4,1e-4,1e-4"))
 
 (* --- admission control --- *)
 

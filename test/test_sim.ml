@@ -1,36 +1,58 @@
-(* Unit tests for the discrete-event engine, heap, signals, processes. *)
+(* Unit tests for the discrete-event engine, its event heap, signals,
+   processes. *)
 
 open Sim
 
 let check_f = Alcotest.(check (float 1e-12))
 
+(* The event heap is tested through the engine that owns it: each event
+   is a thunk that logs its own identity, and [Engine.run] drains the
+   heap, so the log is the pop order. *)
+let fire_all entries =
+  let eng = Engine.create () in
+  let log = ref [] in
+  List.iter (fun (t, v) -> Engine.at eng t (fun () -> log := (Engine.now eng, v) :: !log)) entries;
+  ignore (Engine.run eng);
+  List.rev !log
+
 let test_heap_order () =
-  let h = Heap.create () in
-  Heap.push h ~time:3.0 ~seq:0 "c";
-  Heap.push h ~time:1.0 ~seq:1 "a";
-  Heap.push h ~time:2.0 ~seq:2 "b";
-  Heap.push h ~time:1.0 ~seq:3 "a2";
-  let popped = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some e ->
-        popped := e.Heap.value :: !popped;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list string)) "order" [ "a"; "a2"; "b"; "c" ] (List.rev !popped)
+  Alcotest.(check (list string)) "order" [ "a"; "a2"; "b"; "c" ]
+    (List.map snd (fire_all [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (1.0, "a2") ]))
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  for i = 0 to 99 do
-    Heap.push h ~time:1.0 ~seq:i i
-  done;
-  for i = 0 to 99 do
-    match Heap.pop h with
-    | None -> Alcotest.fail "heap empty too early"
-    | Some e -> Alcotest.(check int) "fifo" i e.Heap.value
-  done
+  Alcotest.(check (list int)) "fifo" (List.init 200 Fun.id)
+    (List.map snd (fire_all (List.init 200 (fun i -> (1.0, i)))))
+
+(* A fired event's closure must become garbage: the engine may not keep
+   popped thunks reachable from its heap arrays or its tie buffer.  200
+   events in ties of four each hold the only reference to their own
+   block; after 150 fire, a major collection must have freed exactly the
+   fired events' blocks. *)
+let test_heap_releases_fired_closures () =
+  List.iter
+    (fun schedule ->
+      let n = 200 and budget = 150 in
+      let eng = Engine.create ~schedule () in
+      let w = Weak.create n and fired = Array.make n false in
+      let add i =
+        let block = Bytes.make 64 'x' in
+        Weak.set w i (Some block);
+        Engine.at eng (float_of_int (i / 4)) (fun () ->
+            ignore (Sys.opaque_identity block);
+            fired.(i) <- true)
+      in
+      for i = 0 to n - 1 do
+        add i
+      done;
+      ignore (Engine.run ~max_events:budget eng);
+      Gc.full_major ();
+      for i = 0 to n - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "event %d's block alive iff unfired" i)
+          (not fired.(i)) (Weak.check w i)
+      done;
+      Alcotest.(check int) "unfired events still pending" (n - budget) (Engine.pending eng))
+    [ Engine.Fifo; Engine.Seeded 3 ]
 
 let test_engine_run () =
   let eng = Engine.create () in
@@ -429,72 +451,58 @@ let qcheck_log_quantiles_within_bucket =
           ratio <= bucket_ratio *. (1.0 +. 1e-9))
         [ 25.0; 50.0; 90.0; 99.0; 99.9 ])
 
+(* Up to 400 events, so most lists grow the heap past 64 and 128 entries. *)
+let heap_entries arb = QCheck.(list_of_size Gen.(int_range 0 400) arb)
+
 let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list (pair (float_bound_exclusive 1000.0) small_nat))
+    (heap_entries QCheck.(pair (float_bound_exclusive 1000.0) small_nat))
     (fun entries ->
-      let h = Heap.create () in
-      List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some e -> drain (e.Heap.time :: acc)
-      in
-      let times = drain [] in
-      List.sort compare times = times)
+      let times = List.map fst (fire_all entries) in
+      List.length times = List.length entries && List.sort compare times = times)
 
-(* With times drawn from a tiny set, most pops resolve ties; the heap
+(* With times drawn from a tiny set, most pops resolve ties; the engine
    must agree with a stable sort by time over (time, payload) pairs. *)
 let qcheck_heap_stable_reference =
   QCheck.Test.make ~name:"heap matches stable sort by time" ~count:200
-    QCheck.(list (pair (int_bound 5) small_nat))
+    (heap_entries QCheck.(pair (int_bound 5) small_nat))
     (fun entries ->
       let entries = List.map (fun (t, v) -> (float_of_int t, v)) entries in
-      let h = Heap.create () in
-      List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some e -> drain ((e.Heap.time, e.Heap.value) :: acc)
-      in
-      drain []
-      = List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) entries)
+      fire_all entries = List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) entries)
 
-(* Arbitrary push/pop interleavings against a sorted-list reference
-   model: every pop mid-stream must return exactly what a stable
-   (time, seq) sort of the live entries would — this catches sift
-   bugs that only manifest after interior deletions, which the
-   push-all-then-drain properties above never exercise. *)
+(* Arbitrary push/fire interleavings against a sorted-list reference
+   model: every [Engine.step] must fire exactly the event a (time, seq)
+   sort of the live entries puts first.  Pushes land at [now + d], and
+   four pushes per fire keep more than 128 events pending, so the heap
+   grows twice and reuses freed payload slots mid-stream. *)
 let qcheck_heap_interleaved =
-  QCheck.Test.make ~name:"heap push/pop interleavings match reference model" ~count:300
-    QCheck.(list (option (pair (int_bound 5) small_nat)))
+  let op = QCheck.Gen.(frequency [ (4, map Option.some (int_bound 5)); (1, return None) ]) in
+  QCheck.Test.make ~name:"heap push/pop interleavings match reference model" ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 400 700) op))
     (fun ops ->
-      let h = Heap.create () in
-      let model = ref [] in
-      let seq = ref 0 in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some (t, v) ->
-              let time = float_of_int t in
-              Heap.push h ~time ~seq:!seq v;
-              model := (time, !seq, v) :: !model;
-              incr seq;
-              true
-          | None -> (
-              let next =
-                List.fold_left
-                  (fun best ((t, s, _) as e) ->
-                    match best with
-                    | Some (bt, bs, _) when (bt, bs) <= (t, s) -> best
-                    | _ -> Some e)
-                  None !model
-              in
-              match (Heap.pop h, next) with
-              | None, None -> true
-              | Some e, Some (t, s, v) ->
-                  model := List.filter (fun (_, s', _) -> s' <> s) !model;
-                  e.Heap.time = t && e.Heap.value = v
-              | _ -> false))
-        ops)
+      let eng = Engine.create () in
+      let model = ref [] and seq = ref 0 and fired = ref (-1) and max_pending = ref 0 in
+      let ok =
+        List.for_all
+          (fun op ->
+            match op with
+            | Some d ->
+                let time = Engine.now eng +. float_of_int d and id = !seq in
+                Engine.at eng time (fun () -> fired := id);
+                model := (time, id) :: !model;
+                incr seq;
+                max_pending := max !max_pending (Engine.pending eng);
+                true
+            | None -> (
+                let first = List.fold_left min (infinity, max_int) !model in
+                match first with
+                | _, id when id = max_int -> not (Engine.step eng)
+                | time, id ->
+                    model := List.filter (fun (_, id') -> id' <> id) !model;
+                    Engine.step eng && !fired = id && Engine.now eng = time))
+          ops
+      in
+      ok && !max_pending > 128)
 
 let qcheck_summary_mean =
   QCheck.Test.make ~name:"summary mean matches direct mean" ~count:200
@@ -509,6 +517,7 @@ let suite =
   [
     Alcotest.test_case "heap order" `Quick test_heap_order;
     Alcotest.test_case "heap FIFO ties" `Quick test_heap_fifo_ties;
+    Alcotest.test_case "heap releases fired closures" `Quick test_heap_releases_fired_closures;
     Alcotest.test_case "engine run" `Quick test_engine_run;
     Alcotest.test_case "engine deadline" `Quick test_engine_deadline;
     Alcotest.test_case "engine rejects past events" `Quick test_engine_past_rejected;
