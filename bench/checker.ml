@@ -46,10 +46,10 @@ let run_checker () =
     (fun (sc : Check.Litmus.scenario) ->
       let n = 32 in
       let t0 = Unix.gettimeofday () in
-      let fails = Check.Litmus.sweep ~seeds:(n - 1) [ sc ] in
+      let r = Check.Explore.seeds ~n:(n - 1) (Check.Litmus.as_scenario sc) in
       let host = Unix.gettimeofday () -. t0 in
       Printf.printf "%-18s %4d runs in %6.2fms (%6.0f runs/s), %d failures\n"
         sc.Check.Litmus.name n (host *. 1e3)
         (float_of_int n /. host)
-        (List.length fails))
+        (List.length r.Check.Explore.failures))
     Check.Litmus.all

@@ -10,3 +10,24 @@ let usage_error flag msg =
 (** [spec flag parse s] runs a spec parser on the value of [flag],
     turning its [Invalid_argument] into a {!usage_error}. *)
 let spec flag parse s = try parse s with Invalid_argument msg -> usage_error flag msg
+
+(** [at_least flag lo v] is [v], or a {!usage_error} when [v < lo]. *)
+let at_least flag lo v =
+  if v < lo then usage_error flag (Printf.sprintf "must be at least %d, got %d" lo v) else v
+
+(** [in_range flag lo hi v] is [v], or a {!usage_error} outside
+    [\[lo, hi\]]. *)
+let in_range flag lo hi v =
+  if v < lo || v > hi then
+    usage_error flag (Printf.sprintf "must be in [%d, %d], got %d" lo hi v)
+  else v
+
+(** [choice flag options s] is the value [options] pairs with [s], or a
+    {!usage_error} naming the accepted values. *)
+let choice flag options s =
+  match List.assoc_opt s options with
+  | Some v -> v
+  | None ->
+      usage_error flag
+        (Printf.sprintf "unknown value %S (expected %s)" s
+           (String.concat " | " (List.map fst options)))

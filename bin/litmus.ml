@@ -14,10 +14,13 @@
    Under --dpor every scenario (litmus kernels plus the minidb
    two-transaction scenario) is explored to a partial-order-reduction
    fixed point, optionally under --preemption-bound; per-scenario
-   run/class statistics are appended to --out as JSON lines.  To
-   reproduce a reported seed locally:
-
-     dune exec bin/litmus.exe -- --seeds N       # covers seeds 1..N *)
+   run/class statistics of every driver are appended to --out as JSON
+   lines.  --seeds N covers FIFO plus seeds 1..N.  A failure names its
+   schedule: [seed K] (with jitter, [seed K, jitter ...]) replays in
+   OCaml as [Check.Litmus.run sc (Check.Explore.seed_schedule K)]
+   (adding [~jitter:Check.Explore.default_jitter]), and a decision
+   vector ([Exhaustive [...]] or [Dpor [...]]) as
+   [Check.Explore.schedule_of_decisions [...]]. *)
 
 let () =
   let seeds = ref 16 in
@@ -80,31 +83,19 @@ let () =
          (if !pbound >= 0 then Printf.sprintf ",\"preemption_bound\":%d" !pbound
           else ""))
   in
-
-  (* Seed sweep: FIFO default plus N seeded tie-break schedules. *)
-  Printf.printf "== litmus: FIFO + %d seeded schedules per scenario ==\n%!" !seeds;
-  List.iter
-    (fun (sc : Check.Litmus.scenario) ->
-      let fails = Check.Litmus.sweep ~seeds:!seeds [ sc ] in
-      if fails = [] then
-        Printf.printf "  ok   %-18s (%d runs clean)\n%!" sc.Check.Litmus.name (!seeds + 1)
-      else
-        List.iter
-          (fun (name, seed, violations) ->
-            List.iter
-              (fun v -> record "scenario=%s seed=%d %s" name seed v)
-              violations)
-          fails)
-    (pick Check.Litmus.all);
-
-  if !jitter then begin
-    Printf.printf "== litmus: %d jittered (delay-injection) schedules ==\n%!" !seeds;
+  (* One driver over the picked scenarios: a stats line each, then an ok
+     line (with [status] of the stats) or every failing schedule; under
+     [must_complete] a run that stops short of a fixed point fails. *)
+  let drive ~driver ~status ?(must_complete = false) scenarios explore =
     List.iter
       (fun (sc : Check.Litmus.scenario) ->
-        let r = Check.Explore.jittered ~n:!seeds (Check.Litmus.as_scenario sc) in
-        let fails = r.Check.Explore.failures in
-        if fails = [] then
-          Printf.printf "  ok   %-18s\n%!" sc.Check.Litmus.name
+        let r = explore (Check.Litmus.as_scenario sc) in
+        let st = r.Check.Explore.stats in
+        stats_line ~driver ~scenario:sc.Check.Litmus.name st;
+        if r.Check.Explore.failures = [] then
+          Printf.printf "  ok   %-18s (%d runs, %d classes%s)\n%!"
+            sc.Check.Litmus.name st.Check.Explore.s_runs
+            st.Check.Explore.s_classes (status st)
         else
           List.iter
             (fun (f : Check.Explore.failure) ->
@@ -113,38 +104,32 @@ let () =
                   record "scenario=%s schedule=%S %s" sc.Check.Litmus.name
                     f.Check.Explore.f_schedule v)
                 f.Check.Explore.f_violations)
-            fails)
-      (pick Check.Litmus.all)
+            r.Check.Explore.failures;
+        if must_complete && not st.Check.Explore.s_complete then
+          record "scenario=%s %s did not reach a fixed point in %d runs"
+            sc.Check.Litmus.name driver st.Check.Explore.s_runs)
+      (pick scenarios)
+  in
+  let sampled _ = "" in
+
+  Printf.printf "== litmus: FIFO + %d seeded schedules per scenario ==\n%!" !seeds;
+  drive ~driver:"seeds" ~status:sampled Check.Litmus.all (Check.Explore.seeds ~n:!seeds);
+
+  if !jitter then begin
+    Printf.printf "== litmus: FIFO + %d jittered (delay-injection) schedules ==\n%!" !seeds;
+    drive ~driver:"jittered" ~status:sampled Check.Litmus.all
+      (Check.Explore.seeds ~jitter:Check.Explore.default_jitter ~n:!seeds)
   end;
 
   if !explore then begin
     Printf.printf "== litmus: bounded exhaustive tie-set exploration ==\n%!";
-    List.iter
-      (fun (sc : Check.Litmus.scenario) ->
-        let r =
-          Check.Explore.exhaustive ~max_runs:100 ~max_depth:6
-            (Check.Litmus.as_scenario sc)
-        in
-        let fails = r.Check.Explore.failures in
-        let st = r.Check.Explore.stats in
-        stats_line ~driver:"exhaustive" ~scenario:sc.Check.Litmus.name st;
-        if fails = [] then
-          Printf.printf "  ok   %-18s (%d runs, %d classes%s)\n%!"
-            sc.Check.Litmus.name st.Check.Explore.s_runs
-            st.Check.Explore.s_classes
-            (if st.Check.Explore.s_complete then ", complete"
-             else if st.Check.Explore.s_truncated then ", truncated"
-             else ", budget-limited")
-        else
-          List.iter
-            (fun (f : Check.Explore.failure) ->
-              List.iter
-                (fun v ->
-                  record "scenario=%s schedule=%S %s" sc.Check.Litmus.name
-                    f.Check.Explore.f_schedule v)
-                f.Check.Explore.f_violations)
-            fails)
-      (pick Check.Litmus.all)
+    drive ~driver:"exhaustive"
+      ~status:(fun st ->
+        if st.Check.Explore.s_complete then ", complete"
+        else if st.Check.Explore.s_truncated then ", truncated"
+        else ", budget-limited")
+      Check.Litmus.all
+      (Check.Explore.exhaustive ~max_runs:100 ~max_depth:6)
   end;
 
   if !dpor then begin
@@ -153,36 +138,16 @@ let () =
       (match bound with
       | Some b -> Printf.sprintf " (preemption bound %d)" b
       | None -> "");
-    List.iter
-      (fun (sc : Check.Litmus.scenario) ->
-        let r =
-          Check.Dpor.explore ?preemption_bound:bound
-            (Check.Litmus.as_scenario sc)
-        in
-        let st = r.Check.Explore.stats in
-        stats_line ~driver:"dpor" ~scenario:sc.Check.Litmus.name st;
-        if r.Check.Explore.failures = [] then begin
-          Printf.printf "  ok   %-18s (%d runs, %d classes%s)\n%!"
-            sc.Check.Litmus.name st.Check.Explore.s_runs
-            st.Check.Explore.s_classes
-            (if st.Check.Explore.s_complete then
-               if st.Check.Explore.s_truncated then ", bounded fixed point"
-               else ", complete"
-             else ", budget-limited");
-          if not st.Check.Explore.s_complete then
-            record "scenario=%s dpor did not reach a fixed point in %d runs"
-              sc.Check.Litmus.name st.Check.Explore.s_runs
-        end
-        else
-          List.iter
-            (fun (f : Check.Explore.failure) ->
-              List.iter
-                (fun v ->
-                  record "scenario=%s schedule=%S %s" sc.Check.Litmus.name
-                    f.Check.Explore.f_schedule v)
-                f.Check.Explore.f_violations)
-            r.Check.Explore.failures)
-      (pick (Check.Litmus.all @ [ Check.Txn.scenario ]));
+    drive ~driver:"dpor"
+      ~status:(fun st ->
+        if st.Check.Explore.s_complete then
+          if st.Check.Explore.s_truncated then ", bounded fixed point" else ", complete"
+        else ", budget-limited")
+      ~must_complete:true
+      (Check.Litmus.all @ [ Check.Txn.scenario ])
+      (* The run budget covers minidb-txn2's 5,493-run fixed point at
+         preemption bound 2. *)
+      (Check.Dpor.explore ~max_runs:10_000 ?preemption_bound:bound);
 
     if !only = "" then begin
       Printf.printf "== litmus: mutation conviction under DPOR ==\n%!";

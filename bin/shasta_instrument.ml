@@ -281,7 +281,7 @@ let batch_mode ~options () =
       end)
     targets;
   out "%d metadata tables validated, %d with violations\n" (List.length targets) !failures;
-  (* Seeded batch-boundary mutation: lengthen one pure run and demand a
+  (* Batch-boundary mutation: lengthen one pure run and demand a
      conviction — a validator that cannot convict proves nothing. *)
   let convicted =
     List.exists

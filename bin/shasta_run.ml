@@ -59,7 +59,13 @@ let () =
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_run [options]";
-  let spec = Apps.Registry.find !app in
+  let spec = Cli.spec "--app" Apps.Registry.find !app in
+  let nodes = Cli.at_least "--nodes" 1 !nodes in
+  let cpus = Cli.at_least "--cpus" 1 !cpus in
+  let procs = Cli.in_range "--procs" 1 (nodes * cpus) !procs in
+  let size = Cli.at_least "--size" 0 !size in
+  let sync = Cli.choice "--sync" [ ("mp", Apps.Harness.Mp); ("sm", Apps.Harness.Sm) ] !sync in
+  let parallel = Cli.at_least "--parallel" 1 !parallel in
   let plan =
     if !faults = "" then Fault.Plan.empty else Cli.spec "--faults" Fault.Plan.of_spec !faults
   in
@@ -76,6 +82,13 @@ let () =
           specs)
         !granularity
   in
+  let line =
+    Cli.spec "--line"
+      (fun l ->
+        ignore (Protocol.Layout.uniform ~base:0 ~size:shared_size ~block:l ());
+        l)
+      !line
+  in
   let cfg =
     {
       Shasta.Config.default with
@@ -83,8 +96,8 @@ let () =
       Shasta.Config.net =
         {
           Mchan.Net.default_config with
-          Mchan.Net.nodes = !nodes;
-          cpus_per_node = !cpus;
+          Mchan.Net.nodes = nodes;
+          cpus_per_node = cpus;
           coalescing = (if !coalesce then Some Mchan.Net.default_coalesce else None);
         };
       checks_enabled = !checks;
@@ -92,31 +105,39 @@ let () =
         {
           Protocol.Config.default with
           Protocol.Config.variant =
-            (match !variant with "base" -> Protocol.Config.Base | _ -> Protocol.Config.Smp);
-          model = (match !model with "sc" -> Protocol.Config.Sc | _ -> Protocol.Config.Rc);
-          line_size = !line;
+            Cli.choice "--variant"
+              [ ("smp", Protocol.Config.Smp); ("base", Protocol.Config.Base) ]
+              !variant;
+          model = Cli.choice "--model" [ ("rc", Protocol.Config.Rc); ("sc", Protocol.Config.Sc) ] !model;
+          line_size = line;
           regions;
           shared_size;
           homing =
-            (match !migration with
-            | "first-touch" -> Protocol.Config.First_touch
-            | "migratory" -> Protocol.Config.Migratory
-            | "static" -> Protocol.Config.Static
-            | m -> Cli.usage_error "--migration" ("unknown policy " ^ m));
+            Cli.choice "--migration"
+              [
+                ("static", Protocol.Config.Static);
+                ("first-touch", Protocol.Config.First_touch);
+                ("migratory", Protocol.Config.Migratory);
+              ]
+              !migration;
           migration_threshold = !migration_threshold;
         };
-      parallel = !parallel;
+      parallel;
     }
   in
   let cl = Shasta.Cluster.create cfg in
-  let sync = match !sync with "sm" -> Apps.Harness.Sm | _ -> Apps.Harness.Mp in
-  let size = if !size = 0 then None else Some !size in
+  let size = if size = 0 then None else Some size in
   let gc_mark = Sim.Stats.gc_mark () in
   let host_t0 = Unix.gettimeofday () in
-  let elapsed, ok = Apps.Harness.run_spec cl spec ~nprocs:!procs ~sync ?size () in
+  (* The application's own setup is the size check: it allocates and
+     rejects sizes it cannot run before the cluster starts. *)
+  let run =
+    Cli.spec "--size" (fun size -> Apps.Harness.start cl spec ~nprocs:procs ~sync ?size ()) size
+  in
+  let elapsed, ok = run () in
   let host_wall = Unix.gettimeofday () -. host_t0 in
   Printf.printf "%s: %d procs, %s sync: %.3f ms simulated, validated: %b\n"
-    spec.Apps.Harness.name !procs
+    spec.Apps.Harness.name procs
     (match sync with Apps.Harness.Sm -> "LL/SC" | Apps.Harness.Mp -> "MP")
     (1000.0 *. elapsed) ok;
   Format.printf "breakdown: %a@." Shasta.Breakdown.pp
@@ -135,12 +156,12 @@ let () =
      Printf.printf "coalescing: %d messages in %d frames (%.2f msgs/frame)\n"
        (Mchan.Net.batched_messages net) batches
        (float_of_int (Mchan.Net.batched_messages net) /. float_of_int batches));
-  if !parallel > 1 || !gc_stats then begin
+  if parallel > 1 || !gc_stats then begin
     let fired = Sim.Engine.events_fired (Shasta.Cluster.sim cl) in
     Printf.printf "events: %d fired, %.0f events/sec host (%.2f s host wall, %d domains)\n"
       fired
       (float_of_int fired /. Float.max host_wall 1e-9)
-      host_wall !parallel
+      host_wall parallel
   end;
   if !gc_stats then Format.printf "gc: %a@." Sim.Stats.pp_gc_delta (Sim.Stats.gc_delta gc_mark);
   if !stats || !granularity <> "" then

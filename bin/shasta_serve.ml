@@ -52,25 +52,25 @@ let () =
   let plan =
     if !faults = "" then Fault.Plan.empty else Cli.spec "--faults" Fault.Plan.of_spec !faults
   in
-  let cluster_cfg =
-    S.cluster_config ~nodes:!nodes ~cpus_per_node:!cpus ~fault_plan:plan ()
-  in
-  let total_cpus = !nodes * !cpus in
-  if !servers < 1 || !servers > total_cpus - 1 then begin
-    Printf.eprintf "--servers must be in [1, %d]\n" (total_cpus - 1);
-    exit 2
-  end;
+  let nodes = Cli.at_least "--nodes" 1 !nodes in
+  let cpus = Cli.at_least "--cpus" 1 !cpus in
+  (* Cpu 0 hosts the root process and the database daemons; servers
+     take cpus 1.., one each. *)
+  let servers = Cli.in_range "--servers" 1 ((nodes * cpus) - 1) !servers in
+  let cluster_cfg = S.cluster_config ~nodes ~cpus_per_node:cpus ~fault_plan:plan () in
+  if not (!scan_share >= 0.0 && !scan_share <= 1.0) then
+    Cli.usage_error "--scan-share" (Printf.sprintf "must be in [0, 1], got %g" !scan_share);
   let cfg =
     {
       S.default_config with
       S.seed = !seed;
       arrival = Cli.spec "--arrival" A.of_spec !arrival;
-      clients = !clients;
-      window = !window;
+      clients = Cli.at_least "--clients" 1 !clients;
+      window = Cli.at_least "--window" 1 !window;
       duration = !duration;
       scan_share = !scan_share;
       admission = Cli.spec "--admission" Load.Admission.of_spec !admission;
-      server_cpus = List.init !servers (fun i -> 1 + i);
+      server_cpus = List.init servers (fun i -> 1 + i);
     }
   in
   let report_outcome (o : S.outcome) =

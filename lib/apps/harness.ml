@@ -171,18 +171,27 @@ type spec = {
   make : t -> size:int -> (int -> R.t -> unit) * (unit -> bool);
 }
 
-(** [run_spec cluster spec ~nprocs ~sync ~size] — instantiate and run one
-    application; returns (elapsed seconds, validated). *)
-let run_spec ?home_placement cluster spec ~nprocs ~sync ?size () =
+(** [start cluster spec ~nprocs ~sync ~size] — instantiate one
+    application and spawn its processes without running the cluster, so
+    a size the application rejects ([Invalid_argument] from [make]) is
+    reported before anything runs.  The returned thunk runs the cluster
+    and gives (elapsed seconds, validated). *)
+let start ?home_placement cluster spec ~nprocs ~sync ?size () =
   let size = Option.value size ~default:spec.default_size in
   let t = create ?home_placement cluster ~sync ~nprocs in
   let body, validate = spec.make t ~size in
   for p = 0 to nprocs - 1 do
     ignore (C.spawn cluster ~cpu:p (Printf.sprintf "%s%d" spec.name p) (fun h -> body p h))
   done;
-  let total = C.run cluster in
-  let elapsed = if t.parallel_start > 0.0 then total -. t.parallel_start else total in
-  (elapsed, validate ())
+  fun () ->
+    let total = C.run cluster in
+    let elapsed = if t.parallel_start > 0.0 then total -. t.parallel_start else total in
+    (elapsed, validate ())
+
+(** [run_spec cluster spec ~nprocs ~sync ~size] — instantiate and run one
+    application; returns (elapsed seconds, validated). *)
+let run_spec ?home_placement cluster spec ~nprocs ~sync ?size () =
+  start ?home_placement cluster spec ~nprocs ~sync ?size () ()
 
 (** Work partitioning helper: the half-open range of [p]'s share of
     [0..n). *)

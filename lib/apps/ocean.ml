@@ -31,6 +31,7 @@ let reference n =
   g
 
 let make t ~size:n =
+  if n < 2 then invalid_arg "Ocean: size must be at least 2";
   (* Pad rows to a whole number of coherence lines (as SPLASH-2 does), so
      that neighbouring processors' rows never share a line: the remaining
      communication is the true boundary-row sharing. *)

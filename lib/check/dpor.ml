@@ -33,7 +33,9 @@
     Exploration is replay-based depth-first search: each run replays the
     decision prefix on a fresh cluster (runs are deterministic given the
     decisions), extends it by default choices, then backtracks to the
-    deepest choice point with unexplored candidates. *)
+    deepest choice point with unexplored candidates.  A failing run is
+    reported as its decision vector, [Dpor [...]], which
+    {!Explore.schedule_of_decisions} replays. *)
 
 module E = Sim.Engine
 module ISet = Set.Make (Int)
@@ -102,22 +104,6 @@ let index_of_seq (cands : E.choice array) s =
   assert (!r >= 0);
   !r
 
-(** [schedule_of_decisions ds] — a single-use {!Sim.Engine.Guided}
-    schedule replaying decision vector [ds]: the [k]-th multi-candidate
-    tie-set takes index [ds.(k)] (0 past the end, and on singletons).
-    This is how a `Dpor [...]` failure from CI is replayed locally. *)
-let schedule_of_decisions ds =
-  let ds = Array.of_list ds in
-  let k = ref 0 in
-  E.Guided
-    (fun cands ->
-      if Array.length cands = 1 then 0
-      else begin
-        let i = if !k < Array.length ds then ds.(!k) else 0 in
-        incr k;
-        i
-      end)
-
 (** [explore ?max_runs ?preemption_bound ?jitter scenario] — run the
     reduction to a fixed point (or the run budget).  With no bound and a
     fixed point reached, [s_complete] certifies that every schedule of
@@ -125,8 +111,8 @@ let schedule_of_decisions ds =
     coverage is bounded-complete and [s_truncated] records whether the
     bound actually cut anything.
 
-    [jitter = (seed, prob, max_delay)] composes the search with
-    {!Sim.Engine.Guided_jittered} delay injection: some transients (a
+    [jitter = (seed, prob, max_delay)] composes the search with the
+    {!Sim.Engine.jitter} delay injection: some transients (a
     grant in flight while its owner's directory state is overwritten)
     only open when a message is delayed, and tie-break reordering alone
     cannot produce them.  Delays are drawn per scheduled event in
@@ -277,12 +263,10 @@ let explore ?(max_runs = 5000) ?preemption_bound ?jitter scenario =
     last_node := -1;
     run_labels := [];
     incr runs;
-    let schedule =
-      match jitter with
-      | None -> E.Guided chooser
-      | Some (seed, prob, max_delay) ->
-          E.Guided_jittered { seed; prob; max_delay; choose = chooser }
+    let jitter =
+      Option.map (fun (seed, prob, max_delay) -> { E.seed; prob; max_delay }) jitter
     in
+    let schedule = E.Guided { choose = chooser; jitter } in
     match scenario schedule with
     | [] -> Hashtbl.replace classes (Explore.sig_of_rev_labels !run_labels) ()
     | violations ->

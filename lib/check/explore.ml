@@ -6,8 +6,10 @@
     given the same schedule — bit-identical, which is what lets a
     violating seed from CI be replayed locally.
 
-    Every driver (seeded sampling, jitter sampling, bounded-exhaustive,
-    and {!Dpor.explore}) returns the same {!result}: the failures plus
+    All drivers (seeded sampling with optional jitter, bounded
+    exhaustive, and {!Dpor.explore}) run the scenario under
+    {!Sim.Engine.Guided} with a chooser from this module or DPOR's own,
+    and return the same {!result}: the failures plus
     {!stats} saying how many runs were spent, whether the search space
     was covered completely, and how many Mazurkiewicz equivalence
     classes ({!Vclock.class_signature}) the explored runs fell into —
@@ -30,8 +32,7 @@ type stats = {
           exhaustive driver's [max_depth], or branches pruned by the
           DPOR preemption bound *)
   s_classes : int;
-      (** distinct equivalence classes among completed runs (0 when the
-          driver cannot observe the fired-event trace, e.g. jitter) *)
+      (** distinct equivalence classes among completed runs *)
   s_choice_points : int;  (** deepest multi-candidate tie-set seen *)
 }
 
@@ -39,93 +40,115 @@ type result = { failures : failure list; stats : stats }
 
 let sig_of_rev_labels rev = Vclock.class_signature (Array.of_list (List.rev rev))
 
-(** [seeds ?base ~n scenario] — rerun under [Seeded base .. base+n-1].
-    Internally replays each seed through a {!Sim.Engine.Guided} chooser
-    that reproduces [Seeded] bit-for-bit (the tie RNG is drawn only on
-    multi-candidate sets) while also recording the fired-label trace,
-    so class statistics come for free; failures still print as
-    [Seeded k] and replay under the plain seeded schedule. *)
-let seeds ?(base = 1) ~n scenario =
+(* --- stock choosers for {!Sim.Engine.Guided} --- *)
+
+(** [seeded rng] — the stock random chooser: a uniform pick from each
+    multi-candidate tie-set, drawn from [rng].  Singletons draw nothing,
+    so over [Rng.create k] it fires ties in exactly the permutation the
+    engine's former per-seed schedule produced. *)
+let seeded rng (cands : Sim.Engine.choice array) =
+  let n = Array.length cands in
+  if n = 1 then 0 else Sim.Rng.int rng n
+
+(** [decisions ds] — a single-use chooser replaying decision vector
+    [ds]: the [k]-th multi-candidate tie-set takes index [ds.(k)] (0
+    past the end; singletons draw nothing). *)
+let decisions ds =
+  let ds = Array.of_list ds in
+  let k = ref 0 in
+  fun (cands : Sim.Engine.choice array) ->
+    if Array.length cands = 1 then 0
+    else begin
+      let i = if !k < Array.length ds then ds.(!k) else 0 in
+      incr k;
+      i
+    end
+
+(** [schedule_of_decisions ds] — a single-use schedule replaying [ds]
+    through {!decisions}.  This is how an [Exhaustive [...]] or
+    [Dpor [...]] failure line is replayed locally. *)
+let schedule_of_decisions ds =
+  Sim.Engine.Guided { choose = decisions ds; jitter = None }
+
+(** The delay injection of [litmus --jitter], as [(prob, max_delay)]:
+    a quarter of all events delayed by up to 2 us, about one Memory
+    Channel hop. *)
+let default_jitter = (0.25, 2.0e-6)
+
+(** [seed_schedule ?jitter seed] — the schedule {!seeds} runs as
+    [seed]: FIFO for seed 0, otherwise the {!seeded} chooser.  With
+    [jitter = (prob, max_delay)] the engine draws delays from
+    [Rng.create seed] and the chooser draws from a stream split off it,
+    so tie order and delays stay independent.  This is how a reported
+    seed is replayed locally. *)
+let seed_schedule ?jitter seed =
+  if seed = 0 then Sim.Engine.Fifo
+  else
+    let rng = Sim.Rng.create seed in
+    match jitter with
+    | None -> Sim.Engine.Guided { choose = seeded rng; jitter = None }
+    | Some (prob, max_delay) ->
+        Sim.Engine.Guided
+          {
+            choose = seeded (Sim.Rng.split rng);
+            jitter = Some { Sim.Engine.seed; prob; max_delay };
+          }
+
+(** [seeds ?base ?jitter ~n scenario] — the seeded driver: FIFO as seed
+    0, then seeds [base .. base+n-1] under {!seed_schedule} (so [n + 1]
+    runs).  Every run goes through a chooser that records the fired
+    labels, so class statistics are reported for jittered runs too;
+    FIFO is observed as the chooser that always fires the oldest
+    candidate, which is the same order.  Failures print their seed and
+    replay under [seed_schedule ?jitter seed]. *)
+let seeds ?(base = 1) ?jitter ~n scenario =
   let classes = Hashtbl.create 64 in
   let deepest = ref 0 in
-  let failures =
-    List.concat_map
-      (fun k ->
-        let seed = base + k in
-        let rng = Sim.Rng.create seed in
-        let labels = ref [] in
-        let depth = ref 0 in
-        let chooser (cands : Sim.Engine.choice array) =
-          let m = Array.length cands in
-          let i =
-            if m = 1 then 0
-            else begin
-              incr depth;
-              Sim.Rng.int rng m
-            end
-          in
-          labels := cands.(i).Sim.Engine.ch_label :: !labels;
-          i
-        in
-        let violations = scenario (Sim.Engine.Guided chooser) in
-        Hashtbl.replace classes (sig_of_rev_labels !labels) ();
-        if !depth > !deepest then deepest := !depth;
-        match violations with
-        | [] -> []
-        | violations ->
-            [
-              {
-                f_schedule = Printf.sprintf "Seeded %d" seed;
-                f_seed = Some seed;
-                f_violations = violations;
-              };
-            ])
-      (List.init n (fun i -> i))
+  let run seed =
+    let labels = ref [] in
+    let depth = ref 0 in
+    let observed choose (cands : Sim.Engine.choice array) =
+      let i = choose cands in
+      if Array.length cands > 1 then incr depth;
+      labels := cands.(i).Sim.Engine.ch_label :: !labels;
+      i
+    in
+    let schedule =
+      match seed_schedule ?jitter seed with
+      | Sim.Engine.Fifo -> Sim.Engine.Guided { choose = observed (fun _ -> 0); jitter = None }
+      | Sim.Engine.Guided g -> Sim.Engine.Guided { g with choose = observed g.choose }
+    in
+    let violations = scenario schedule in
+    Hashtbl.replace classes (sig_of_rev_labels !labels) ();
+    if !depth > !deepest then deepest := !depth;
+    match violations with
+    | [] -> []
+    | violations ->
+        [
+          {
+            f_schedule =
+              (if seed = 0 then "fifo"
+               else
+                 match jitter with
+                 | None -> Printf.sprintf "seed %d" seed
+                 | Some (prob, max_delay) ->
+                     Printf.sprintf "seed %d, jitter prob %g max_delay %g" seed prob
+                       max_delay);
+            f_seed = Some seed;
+            f_violations = violations;
+          };
+        ]
   in
+  let failures = List.concat_map run (0 :: List.init n (fun k -> base + k)) in
   {
     failures;
     stats =
       {
-        s_runs = n;
+        s_runs = n + 1;
         s_complete = false;
         s_truncated = false;
         s_classes = Hashtbl.length classes;
         s_choice_points = !deepest;
-      };
-  }
-
-(** [jittered ?base ?prob ?max_delay ~n scenario] — seeded tie breaking
-    plus bounded random message/event delays.  The delay RNG lives
-    inside the engine, so the fired-event trace is not observable here
-    and [s_classes] is 0. *)
-let jittered ?(base = 1) ?(prob = 0.25) ?(max_delay = 2.0e-6) ~n scenario =
-  let failures =
-    List.concat_map
-      (fun k ->
-        let seed = base + k in
-        match scenario (Sim.Engine.Jittered { seed; prob; max_delay }) with
-        | [] -> []
-        | violations ->
-            [
-              {
-                f_schedule =
-                  Printf.sprintf "Jittered { seed = %d; prob = %g; max_delay = %g }"
-                    seed prob max_delay;
-                f_seed = Some seed;
-                f_violations = violations;
-              };
-            ])
-      (List.init n (fun i -> i))
-  in
-  {
-    failures;
-    stats =
-      {
-        s_runs = n;
-        s_complete = false;
-        s_truncated = false;
-        s_classes = 0;
-        s_choice_points = 0;
       };
   }
 
@@ -150,27 +173,24 @@ let exhaustive ?(max_runs = 200) ?(max_depth = 8) scenario =
     let sizes = Hashtbl.create 32 in
     let pos = ref 0 in
     let labels = ref [] in
+    let replay = decisions p in
     let chooser (cands : Sim.Engine.choice array) =
       let n = Array.length cands in
-      let i =
-        if n = 1 then 0
-        else begin
-          let i = !pos in
-          incr pos;
-          if i < max_depth then Hashtbl.replace sizes i n else truncated := true;
-          match List.nth_opt p i with Some d -> min d (n - 1) | None -> 0
-        end
-      in
+      if n > 1 then begin
+        if !pos < max_depth then Hashtbl.replace sizes !pos n else truncated := true;
+        incr pos
+      end;
+      let i = min (replay cands) (n - 1) in
       labels := cands.(i).Sim.Engine.ch_label :: !labels;
       i
     in
-    (match scenario (Sim.Engine.Guided chooser) with
+    (match scenario (Sim.Engine.Guided { choose = chooser; jitter = None }) with
     | [] -> ()
     | violations ->
         failures :=
           {
             f_schedule =
-              Printf.sprintf "Choose [%s]"
+              Printf.sprintf "Exhaustive [%s]"
                 (String.concat ";" (List.map string_of_int p));
             f_seed = None;
             f_violations = violations;

@@ -323,23 +323,3 @@ let all = [ figure2; message_passing; dekker; atomic_increment; home_transfer ]
 
 (** [as_scenario s] — adapt to the {!Explore} driver signature. *)
 let as_scenario s schedule = (run s schedule).violations
-
-(** [sweep ?base ~seeds scenarios] — every scenario under the FIFO
-    default (reported as seed 0) plus [seeds] seeded schedules; returns
-    [(scenario, seed, violations)] per failing run. *)
-let sweep ?(base = 1) ~seeds scenarios =
-  List.concat_map
-    (fun sc ->
-      let try_one seed schedule =
-        match (run sc schedule).violations with
-        | [] -> None
-        | v -> Some (sc.name, seed, v)
-      in
-      let fifo = Option.to_list (try_one 0 Sim.Engine.Fifo) in
-      let seeded =
-        List.filter_map
-          (fun k -> try_one (base + k) (Sim.Engine.Seeded (base + k)))
-          (List.init seeds (fun i -> i))
-      in
-      fifo @ seeded)
-    scenarios

@@ -9,7 +9,9 @@ type report = {
   m_mutation : Protocol.Config.mutation;
   m_label : string;
   m_caught : (string * int) option;
-      (** [(scenario, seed)] of the first catching run; seed 0 = FIFO *)
+      (** [(scenario, run)] of the first catching run, [run] counting
+          from 0 within that scenario's exploration; under {!hunt} it is
+          the seed (0 = FIFO) *)
   m_fired : bool;  (** the mutated path executed at least once *)
   m_runs : int;  (** runs spent before the catch (or giving up) *)
 }
@@ -23,51 +25,14 @@ let all_mutations =
     (Protocol.Config.Wrong_block_extent, "wrong-block-extent");
   ]
 
-(** [hunt ?seeds ?scenarios ()] — for each mutation, try the FIFO
-    schedule then seeds [1..seeds] across all scenarios until a run
-    catches it. *)
-let hunt ?(seeds = 64) ?(scenarios = Litmus.all) () =
-  List.map
-    (fun (mutation, label) ->
-      let caught = ref None in
-      let fired = ref false in
-      let runs = ref 0 in
-      let schedules seed =
-        if seed = 0 then Sim.Engine.Fifo else Sim.Engine.Seeded seed
-      in
-      (try
-         for seed = 0 to seeds do
-           List.iter
-             (fun (sc : Litmus.scenario) ->
-               incr runs;
-               let o = Litmus.run ~mutation sc (schedules seed) in
-               if o.Litmus.mutation_fired > 0 then begin
-                 fired := true;
-                 if o.Litmus.violations <> [] then begin
-                   caught := Some (sc.Litmus.name, seed);
-                   raise Exit
-                 end
-               end)
-             scenarios
-         done
-       with Exit -> ());
-      {
-        m_mutation = mutation;
-        m_label = label;
-        m_caught = !caught;
-        m_fired = !fired;
-        m_runs = !runs;
-      })
-    all_mutations
-
 let all_caught reports = List.for_all (fun r -> r.m_caught <> None) reports
 
-(* Shared driver for the systematic hunts: [explore] runs one scenario
-   function under a systematic driver; the wrapped scenario counts runs
-   and raises [Exit] on the first convicting run (a run where the bug
-   fired {e and} a checking layer reported a violation), which aborts
-   the driver early — both drivers tolerate an exception from the
-   scenario, so [m_runs] is exactly runs-to-conviction. *)
+(* Shared driver for the hunts: [explore] runs one scenario function
+   under an exploration driver; the wrapped scenario counts runs and
+   raises [Exit] on the first convicting run (a run where the bug fired
+   {e and} a checking layer reported a violation), which aborts the
+   driver early — every driver lets an exception from the scenario
+   escape, so [m_runs] is exactly runs-to-conviction. *)
 let hunt_systematic ~explore ?(scenarios = Litmus.all) () =
   List.map
     (fun (mutation, label) ->
@@ -77,13 +42,15 @@ let hunt_systematic ~explore ?(scenarios = Litmus.all) () =
       (try
          List.iter
            (fun (sc : Litmus.scenario) ->
+             let run = ref 0 in
              let scenario schedule =
                incr runs;
+               incr run;
                let o = Litmus.run ~mutation sc schedule in
                if o.Litmus.mutation_fired > 0 then begin
                  fired := true;
                  if o.Litmus.violations <> [] then begin
-                   caught := Some (sc.Litmus.name, 0);
+                   caught := Some (sc.Litmus.name, !run - 1);
                    raise Exit
                  end
                end;
@@ -101,10 +68,15 @@ let hunt_systematic ~explore ?(scenarios = Litmus.all) () =
       })
     all_mutations
 
+(** [hunt ?seeds ?scenarios ()] — for each mutation, run every scenario
+    under {!Explore.seeds} (FIFO, then seeds [1..seeds]) until a run
+    catches it. *)
+let hunt ?(seeds = 64) ?scenarios () =
+  hunt_systematic ~explore:(Explore.seeds ~n:seeds) ?scenarios ()
+
 (** [hunt_dpor ?max_runs ?scenarios ()] — convict every protocol
     mutation under the DPOR driver.  [m_runs] is the number of runs
-    spent before the first conviction ([m_caught] reports the catching
-    scenario, with 0 standing in for the seed). *)
+    spent before the first conviction. *)
 let hunt_dpor ?(max_runs = 400) ?scenarios () =
   hunt_systematic ~explore:(fun s -> Dpor.explore ~max_runs s) ?scenarios ()
 
@@ -264,9 +236,9 @@ let pp_ireport ppf r =
 
 let pp_report ppf r =
   match r.m_caught with
-  | Some (scenario, seed) ->
-      Format.fprintf ppf "%-24s caught by %s at seed %d (%d run%s)" r.m_label
-        scenario seed r.m_runs
+  | Some (scenario, run) ->
+      Format.fprintf ppf "%-24s caught by %s at run %d (%d run%s)" r.m_label
+        scenario run r.m_runs
         (if r.m_runs = 1 then "" else "s")
   | None ->
       Format.fprintf ppf "%-24s MISSED after %d runs (bug %s)" r.m_label r.m_runs

@@ -515,7 +515,7 @@ let invalidate_block_data t d b =
   in
   if deferring = [] then begin
     Memimg.write_flags d.img ~flag32:t.cfg.Config.flag32 ~block:b;
-    (* Seeded bug: the flag writes overrun the block's layout extent by
+    (* Mutation: the flag writes overrun the block's layout extent by
        one chunk, corrupting whatever the next block holds — exactly the
        failure the per-block-extent invariants must catch. *)
     if t.cfg.Config.mutation = Some Config.Wrong_block_extent then begin
@@ -664,7 +664,7 @@ let apply_recall t d ~cur ~servicer b ~to_shared ~home_domain =
   (* Block intra-node exclusive grants while the recall is in flight. *)
   set_block_state_shared d t b Ptypes.Pending;
   if t.cfg.Config.mutation = Some Config.Keep_private_on_recall then begin
-    (* Seeded bug: skip every private-state-table downgrade — the
+    (* Mutation: skip every private-state-table downgrade — the
        members' stale Exclusive/Shared entries survive the recall
        (complete_recall is gated on the same mutation). *)
     t.mutation_fires <- t.mutation_fires + 1;
@@ -836,7 +836,7 @@ let rec handle_request t home ~cur msg =
                       List.filter (fun s -> s <> from_domain) (Directory.sharers_list entry)
                     in
                     let others =
-                      (* Seeded bug: the home forgets one sharer, which
+                      (* Mutation: the home forgets one sharer, which
                          keeps a stale Shared copy past the grant. *)
                       match t.cfg.Config.mutation with
                       | Some Config.Skip_one_invalidation when others <> [] ->

@@ -25,7 +25,7 @@ type t = {
           perfectly-reliable channel *)
   schedule : Sim.Engine.schedule;
       (** event tie-break policy; [Fifo] is the deterministic default,
-          the others drive the schedule explorer of [lib/check] *)
+          [Guided] drives the schedule explorer of [lib/check] *)
   parallel : int;
       (** event-loop domains for the conservative parallel mode; 1 (the
           default) is the exact sequential engine.  > 1 requires the

@@ -13,16 +13,19 @@
     write barrier: moving payloads at every sift level would pay two
     barrier calls per level, while the slot table pays two per push and
     one per pop whatever the heap depth.  Firing an event under the
-    default [Fifo] schedule allocates nothing; the other schedules reuse
-    one array-based tie buffer across fires instead of building a list
-    per tie-set.  Because [(time, seq)] keys are unique, the pop order
-    is independent of the heap's internal layout.
+    default [Fifo] schedule allocates nothing; a [Guided] schedule
+    reuses one array-based tie buffer across fires instead of building
+    a list per tie-set.  Because [(time, seq)] keys are unique, the pop
+    order is independent of the heap's internal layout.
 
-    The [schedule] policy chosen at [create] controls how same-time ties
-    are broken.  [Fifo] (the default) fires ties in insertion order and
-    is bit-identical to the historical behaviour; the other policies
-    exist for the model checker in [lib/check], which reruns scenarios
-    under many legal schedules.
+    The [schedule] chosen at [create] controls how same-time ties are
+    broken.  [Fifo] (the default) fires ties in insertion order and is
+    bit-identical to the historical behaviour.  [Guided] is the one
+    hook the model checker in [lib/check] uses to rerun scenarios under
+    many legal schedules: a chooser callback picks the next event of
+    every tie-set, optionally with seeded delay injection.  Random
+    permutations, exhaustive enumeration, decision-vector replay and
+    DPOR are all choosers over this hook.
 
     Every event optionally carries a {!label} — who the event belongs to
     (a node), which coherence block it touches, and what kind of thing
@@ -91,43 +94,26 @@ let dependent a b =
     successive choice points of a tie group). *)
 type choice = { ch_label : label; ch_seq : int }
 
+(** Delay injection: each [at] independently delays its event by
+    a uniform amount in [\[0, max_delay\]] with probability [prob]
+    (delays only: events never fire earlier than requested).  The
+    delays are drawn from [Rng.create seed], one draw per [at] call in
+    creation order, so replaying the same choices reproduces them. *)
+type jitter = { seed : int; prob : float; max_delay : float }
+
 type schedule =
   | Fifo  (** insertion order; the historical deterministic default *)
-  | Seeded of int
-      (** every same-time tie-set is permuted by a splitmix64 stream
-          derived from the seed; a given seed is fully reproducible *)
-  | Jittered of { seed : int; prob : float; max_delay : float }
-      (** like [Seeded], plus each [at] independently delays the event
-          by a uniform amount in [0, max_delay] with probability [prob]
-          (delays only — events never fire earlier than requested) *)
-  | Choose of (int -> int)
-      (** [f n] picks which of the [n] currently-tied events fires next
-          (entries are presented in insertion order); used for
-          exhaustive exploration of small tie-sets.  Out-of-range
-          answers fall back to index 0. *)
-  | Guided of (choice array -> int)
-      (** like [Choose], but the callback sees each candidate's identity
-          and dependency footprint, and is consulted on {e every} fire —
-          including singleton tie-sets — so an explorer can follow the
-          full fired-event trace.  Out-of-range answers fall back to
-          index 0. *)
-  | Guided_jittered of {
-      seed : int;
-      prob : float;
-      max_delay : float;
-      choose : choice array -> int;
-    }
-      (** [Guided] plus [Jittered]-style seeded delay injection: lets a
-          guided explorer search tie-break orders of runs whose message
-          timing is itself perturbed (some races only open under a
-          delay).  The delay stream is drawn per [at] call, so replaying
-          the same choice prefix reproduces the same delays. *)
+  | Guided of { choose : choice array -> int; jitter : jitter option }
+      (** [choose] picks which of the currently tied events fires next.
+          It sees each candidate's identity and dependency footprint (in
+          insertion order) and is consulted on {e every} fire, singleton
+          tie-sets included, so an explorer can follow the full
+          fired-event trace.  Out-of-range answers fall back to index 0.
+          The stock choosers (seeded permutation, decision-vector
+          replay) live in [Check.Explore]. *)
 
 type sched_state =
   | S_fifo
-  | S_seeded of Rng.t
-  | S_jittered of { ties : Rng.t; delays : Rng.t; prob : float; max_delay : float }
-  | S_choose of (int -> int)
   | S_guided of {
       choose : choice array -> int;
       delays : (Rng.t * float * float) option;  (* rng, prob, max_delay *)
@@ -341,14 +327,11 @@ let create ?(schedule = Fifo) () =
   let sched =
     match schedule with
     | Fifo -> S_fifo
-    | Seeded seed -> S_seeded (Rng.create seed)
-    | Jittered { seed; prob; max_delay } ->
-        let ties = Rng.create seed in
-        S_jittered { ties; delays = Rng.split ties; prob; max_delay }
-    | Choose f -> S_choose f
-    | Guided f -> S_guided { choose = f; delays = None }
-    | Guided_jittered { seed; prob; max_delay; choose } ->
-        S_guided { choose; delays = Some (Rng.create seed, prob, max_delay) }
+    | Guided { choose; jitter } ->
+        let delays =
+          Option.map (fun j -> (Rng.create j.seed, j.prob, j.max_delay)) jitter
+        in
+        S_guided { choose; delays }
   in
   {
     now = 0.0;
@@ -388,7 +371,6 @@ let at_seq t label time f =
          { requested = time; now = t.now; fired = t.fired; pending = t.heap.q_size });
   let time =
     match t.sched with
-    | S_jittered { delays; prob; max_delay; _ }
     | S_guided { delays = Some (delays, prob, max_delay); _ }
       when prob > 0.0 && Rng.float delays 1.0 < prob ->
         time +. Rng.float delays max_delay
@@ -437,7 +419,7 @@ let at t ?(label = no_label) time f =
     (the lane clock in parallel mode). *)
 let after t ?label dt f = at t ?label (now t +. dt) f
 
-(* --- tie-set machinery (non-Fifo schedules) --- *)
+(* --- tie-set machinery (the Guided schedule) --- *)
 
 let tb_ensure t n =
   if Array.length t.tb_seq < n then begin
@@ -497,16 +479,6 @@ let step t =
         t.fired <- t.fired + 1;
         let run = q_take h in
         run ()
-    | S_seeded rng | S_jittered { ties = rng; _ } ->
-        let time, n = pop_ties t in
-        if n = 1 then fire_choice t time 1 0
-        else fire_choice t time n (Rng.int rng n)
-    | S_choose f ->
-        let time, n = pop_ties t in
-        if n = 1 then fire_choice t time 1 0
-        else
-          let i = f n in
-          fire_choice t time n (if i < 0 || i >= n then 0 else i)
     | S_guided { choose = f; _ } ->
         let time, n = pop_ties t in
         let cands =
@@ -554,7 +526,7 @@ let run ?until ?max_events t =
           run ()
         end
       done
-  | _ ->
+  | S_guided _ ->
       while !continue do
         if h.q_size > 0 && q_top_time h > until_v then begin
           t.now <- Float.max t.now until_v;
@@ -607,8 +579,8 @@ let lane_run l ~window_end ~until =
 
 (** [par_install t ~nodes] splits the event store into [nodes] per-node
     lanes, routing every pending event to its label's lane (unlabeled
-    events go to lane 0).  Requires the [Fifo] schedule: the other
-    policies permute same-time ties globally, which has no meaning once
+    events go to lane 0).  Requires the [Fifo] schedule: a [Guided]
+    chooser orders same-time ties globally, which has no meaning once
     the tie-set is split across lanes. *)
 let par_install t ~nodes =
   (match t.par with Some _ -> invalid_arg "Engine.par_install: already parallel" | None -> ());

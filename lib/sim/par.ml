@@ -37,8 +37,8 @@
     events are independent, so simulated results must agree up to
     permutations of causally-concurrent ties (merged cross events carry
     fresh sequence numbers, so a same-time local/cross pair may resolve
-    in either order — the class of reorderings a [Seeded] schedule
-    explores).  The merge order is deterministic and independent of the
+    in either order — the class of reorderings a seeded [Guided]
+    schedule explores).  The merge order is deterministic and independent of the
     worker count, so any two parallel runs of the same configuration
     agree bit-for-bit; the test suite cross-validates both properties
     against sequential runs. *)

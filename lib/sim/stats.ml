@@ -1,4 +1,5 @@
-(** Online statistics: counters, mean/variance accumulators, histograms.
+(** Online statistics: counters, mean/variance accumulators, log-spaced
+    histograms.
 
     Used by the protocol and the benchmark harness to report message
     counts, miss latencies and time breakdowns. *)
@@ -41,69 +42,10 @@ let pp_summary ppf s =
   Format.fprintf ppf "n=%d mean=%g sd=%g min=%g max=%g" s.n (mean s) (stddev s)
     s.min s.max
 
-(** Fixed-bucket histogram over [\[lo, hi)] with [buckets] equal bins plus
-    underflow/overflow bins. *)
-type histogram = {
-  lo : float;
-  hi : float;
-  bins : int array;
-  mutable under : int;
-  mutable over : int;
-  mutable observations : int;
-}
-
-let histogram ~lo ~hi ~buckets =
-  if buckets <= 0 || hi <= lo then invalid_arg "Stats.histogram";
-  { lo; hi; bins = Array.make buckets 0; under = 0; over = 0; observations = 0 }
-
-let record h x =
-  h.observations <- h.observations + 1;
-  if x < h.lo then h.under <- h.under + 1
-  else if x >= h.hi then h.over <- h.over + 1
-  else begin
-    let width = (h.hi -. h.lo) /. float_of_int (Array.length h.bins) in
-    let i = int_of_float ((x -. h.lo) /. width) in
-    let i = if i >= Array.length h.bins then Array.length h.bins - 1 else i in
-    h.bins.(i) <- h.bins.(i) + 1
-  end
-
-let observations h = h.observations
-
-(** [percentile h p] approximates the [p]-th percentile (0-100) from the
-    bucket midpoints.  Under/overflow observations clamp to the bounds.
-
-    Linear buckets cannot resolve tail quantiles (p999) of long-tailed
-    distributions: past the knee everything lands in the overflow bin.
-    Use {!log_histogram}/{!log_percentile} wherever tail percentiles are
-    reported. *)
-let percentile h p =
-  if h.observations = 0 then 0.0
-  else begin
-    let target = int_of_float (ceil (float_of_int h.observations *. p /. 100.0)) in
-    let target = if target < 1 then 1 else target in
-    let width = (h.hi -. h.lo) /. float_of_int (Array.length h.bins) in
-    let acc = ref h.under in
-    if !acc >= target then h.lo
-    else begin
-      let result = ref h.hi in
-      (try
-         Array.iteri
-           (fun i n ->
-             acc := !acc + n;
-             if !acc >= target then begin
-               result := h.lo +. ((float_of_int i +. 0.5) *. width);
-               raise Exit
-             end)
-           h.bins
-       with Exit -> ());
-      !result
-    end
-  end
-
 (** Log-spaced (HDR-style) histogram: bucket boundaries grow
     geometrically, so relative resolution is constant across the whole
-    range and tail quantiles (p99, p999) stay accurate where a linear
-    histogram would lump everything into its overflow bin.
+    range and tail quantiles (p99, p999) stay accurate however long the
+    tail.
 
     [per_decade] buckets cover each factor of ten, so the relative width
     of one bucket is [10^(1/per_decade) - 1] (about 4.7% at the default

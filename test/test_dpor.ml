@@ -273,7 +273,7 @@ let test_dpor_finds_and_replays () =
       in
       Alcotest.(check (list string)) "decision vector reproduces the run"
         f.E.f_violations
-        (synthetic_racy (D.schedule_of_decisions ds))
+        (synthetic_racy (E.schedule_of_decisions ds))
 
 let suite =
   [

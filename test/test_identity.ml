@@ -153,7 +153,7 @@ let test_fifo_identity () =
    fresh sequence number, so a same-time local/cross pair on one lane
    can fire in the opposite order from the sequential global numbering.
    That is a permutation of causally-concurrent events (the same class
-   a [Seeded] schedule explores), so we bound the drift tightly instead
+   a seeded [Guided] schedule explores), so we bound the drift tightly instead
    of requiring equality.  The merge order itself is deterministic in
    [(time, src lane, src seq)] and independent of how lanes are dealt to
    workers, so parallel runs at different domain counts must agree

@@ -8,26 +8,31 @@ module E = Check.Explore
 module M = Check.Mutation
 module T = Check.Trace
 
-let fail_sweep fails =
-  let (name, seed, vs) = List.hd fails in
-  Alcotest.failf "%s seed %d: %s (%d failing runs total)" name seed
-    (String.concat "; " vs) (List.length fails)
+let fail_on_first (sc : L.scenario) (r : E.result) =
+  match r.E.failures with
+  | [] -> ()
+  | f :: _ ->
+      Alcotest.failf "%s under %s: %s (%d failing runs total)" sc.L.name f.E.f_schedule
+        (String.concat "; " f.E.f_violations)
+        (List.length r.E.failures)
 
 (* Satellite (a): each litmus scenario stays clean across the FIFO
    default plus 16 seeded tie-break schedules, with the per-message
    invariant checker, quiescence sweep, outcome check and trace oracle
    all armed. *)
 let test_scenario_seeds (sc : L.scenario) () =
-  match L.sweep ~seeds:16 [ sc ] with [] -> () | fails -> fail_sweep fails
+  let r = E.seeds ~n:16 (L.as_scenario sc) in
+  Alcotest.(check int) "FIFO plus 16 seeds" 17 r.E.stats.E.s_runs;
+  fail_on_first sc r
 
+(* Runs with jitter go through the same Guided hook as the seeded ones, so
+   their fired-event classes are observed too. *)
 let test_litmus_jittered () =
   List.iter
     (fun (sc : L.scenario) ->
-      match (E.jittered ~n:8 (L.as_scenario sc)).E.failures with
-      | [] -> ()
-      | f :: _ ->
-          Alcotest.failf "%s under %s: %s" sc.L.name f.E.f_schedule
-            (String.concat "; " f.E.f_violations))
+      let r = E.seeds ~jitter:E.default_jitter ~n:8 (L.as_scenario sc) in
+      Alcotest.(check bool) (sc.L.name ^ " classes observed") true (r.E.stats.E.s_classes > 0);
+      fail_on_first sc r)
     L.all
 
 (* Bounded exhaustive exploration over the first tie-sets; the small
@@ -65,6 +70,19 @@ let test_explore_exhaustive_finds () =
   Alcotest.(check int) "all 3! interleavings enumerated" 6 r.E.stats.E.s_runs;
   Alcotest.(check int) "exactly one bad schedule" 1 (List.length r.E.failures)
 
+(* An "Exhaustive [i;j;...]" failure replays through the decision-vector
+   schedule shared with DPOR. *)
+let test_explore_exhaustive_replays () =
+  match (E.exhaustive ~max_runs:20 ~max_depth:4 synthetic_scenario).E.failures with
+  | [ f ] ->
+      let s = f.E.f_schedule in
+      let lb = String.index s '[' and rb = String.index s ']' in
+      let body = String.sub s (lb + 1) (rb - lb - 1) in
+      let ds = if body = "" then [] else List.map int_of_string (String.split_on_char ';' body) in
+      Alcotest.(check (list string)) "decision vector reproduces the run" f.E.f_violations
+        (synthetic_scenario (E.schedule_of_decisions ds))
+  | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs)
+
 let test_explore_seeds_find_and_reproduce () =
   match (E.seeds ~n:64 synthetic_scenario).E.failures with
   | [] -> Alcotest.fail "no seed in 1..64 reached the reverse interleaving"
@@ -72,7 +90,7 @@ let test_explore_seeds_find_and_reproduce () =
       let seed = Option.get f.E.f_seed in
       Alcotest.(check (list string)) "replaying the seed reproduces it"
         f.E.f_violations
-        (synthetic_scenario (Sim.Engine.Seeded seed))
+        (synthetic_scenario (E.seed_schedule seed))
 
 (* --- trace oracle on hand-built traces ---------------------------- *)
 
@@ -149,7 +167,7 @@ let test_checker_zero_sim_cost () =
   Alcotest.(check int) "identical event count" ev_off ev_on
 
 (* The FIFO default is bit-identical run to run (the seed sweep covers
-   Seeded determinism; this pins the default path). *)
+   seeded determinism; this pins the default path). *)
 let test_default_schedule_deterministic () =
   let t_a, ev_a, _ = run_figure2 ~check:true ~schedule:Sim.Engine.Fifo in
   let t_b, ev_b, _ = run_figure2 ~check:true ~schedule:Sim.Engine.Fifo in
@@ -166,6 +184,8 @@ let suite =
       Alcotest.test_case "litmus exhaustive exploration" `Quick test_litmus_exhaustive;
       Alcotest.test_case "exhaustive finds the racy interleaving" `Quick
         test_explore_exhaustive_finds;
+      Alcotest.test_case "exhaustive failure replays by decision vector" `Quick
+        test_explore_exhaustive_replays;
       Alcotest.test_case "seeded explorer finds and reproduces" `Quick
         test_explore_seeds_find_and_reproduce;
       Alcotest.test_case "oracle accepts coherent trace" `Quick test_oracle_accepts_coherent;
