@@ -5,14 +5,17 @@
    or the protocol fast paths must leave sequential runs bit-identical.
    The goldens under [goldens/] record the exact Fifo outputs — raised
    to full float-bit precision, which the benches' rounded tables would
-   hide — of three slices of the evaluation:
+   hide — of four slices of the evaluation:
 
    - a Table-1 slice: cached lock-acquire latency, MP and both SM
      flavours;
    - a Figure-3 slice: LU and Water-Nsq elapsed times at 1 and 4
      processors under both synchronisation flavours;
    - the IR corpus: per-kernel interpreter step counts, check-slot
-     counts, [r0] checksums and a digest of the final shared image.
+     counts, [r0] checksums and a digest of the final shared image;
+   - homing: the mdb-sync kernel on 4 nodes under Static, First_touch
+     and Migratory homes — elapsed time, home transfers, per-thread
+     [r0]s and the hot region's coherence counters.
 
    Any engine change that perturbs event order, simulated timing, or
    interpreter behaviour shows up as a byte diff against the golden.
@@ -120,11 +123,51 @@ let render_ircorpus buf =
            (exact r.Apps.Ircorpus.elapsed)))
     Apps.Ircorpus.all
 
+(* --- Homing: mdb-sync under each home-placement policy --------------- *)
+
+(* The migratory record of the mdb-sync kernel, set up the way the
+   affinity-lint bench runs it (4 nodes, migration threshold 1, a 64B
+   hot region over a 1KiB bulk region), so that home transfers, bounces
+   and the transfer-driven grant paths are pinned as well as Static. *)
+let render_homing buf =
+  let e = Apps.Ircorpus.find_sync "mdb-sync" in
+  let prog = fst (Rewrite.Instrument.instrument e.Apps.Ircorpus.e_program) in
+  let regions =
+    [
+      { Protocol.Layout.rs_name = "hot"; rs_size = 64 * 1024; rs_block = 64 };
+      { Protocol.Layout.rs_name = "bulk"; rs_size = (1 lsl 20) - (64 * 1024); rs_block = 1024 };
+    ]
+  in
+  List.iter
+    (fun (name, homing) ->
+      let r =
+        Apps.Ircorpus.run_spmd ~nodes:4 ~cpus_per_node:2 ~nprocs:8 ~iters:50 ~regions ~homing
+          ~migration_threshold:1 prog e
+      in
+      let hot = List.assoc "hot" r.Apps.Ircorpus.s_regions in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "homing %-11s elapsed=%s migrations=%d r0s=%s hot: rd=%d st=%d inv=%d rec=%d bytes=%d\n"
+           name
+           (exact r.Apps.Ircorpus.s_elapsed)
+           r.Apps.Ircorpus.s_migrations
+           (String.concat ","
+              (Array.to_list (Array.map (Printf.sprintf "%Lx") r.Apps.Ircorpus.s_r0s)))
+           hot.Protocol.Engine.r_read_misses hot.Protocol.Engine.r_store_misses
+           hot.Protocol.Engine.r_invals hot.Protocol.Engine.r_recalls
+           hot.Protocol.Engine.r_data_bytes))
+    [
+      ("static", Protocol.Config.Static);
+      ("first-touch", Protocol.Config.First_touch);
+      ("migratory", Protocol.Config.Migratory);
+    ]
+
 let render () =
   let buf = Buffer.create 4096 in
   render_table1 buf;
   render_figure3 buf;
   render_ircorpus buf;
+  render_homing buf;
   Buffer.contents buf
 
 (* dune runtest runs in _build/default/test (where the deps glob put the
