@@ -8,17 +8,11 @@ let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
     ?(model = Protocol.Config.Rc) ?(checks = true) ?(direct_downgrade = true)
     ?(shared = 8 * 1024 * 1024) ?(homing = Protocol.Config.Static)
     ?(migration_threshold = Protocol.Config.default.Protocol.Config.migration_threshold)
-    ?(invariants = false) ?coalescing ?(plan = Fault.Plan.empty) ?(parallel = 1) () =
+    ?(invariants = false) ?(plan = Fault.Plan.empty) ?(parallel = 1) () =
   C.create
     {
       Shasta.Config.default with
-      Shasta.Config.net =
-        {
-          Mchan.Net.default_config with
-          Mchan.Net.nodes;
-          cpus_per_node = cpus;
-          coalescing;
-        };
+      Shasta.Config.net = { Mchan.Net.default_config with Mchan.Net.nodes; cpus_per_node = cpus };
       checks_enabled = checks;
       fault_plan = plan;
       parallel;

@@ -20,7 +20,6 @@ let () =
   let granularity = ref "" in
   let migration = ref "static" in
   let migration_threshold = ref Protocol.Config.default.Protocol.Config.migration_threshold in
-  let coalesce = ref false in
   let parallel = ref 1 in
   let gc_stats = ref false in
   let spec_list =
@@ -51,7 +50,6 @@ let () =
       ( "--migration-threshold",
         Arg.Set_int migration_threshold,
         " consecutive remote exclusive requests before a migratory move" );
-      ("--coalesce", Arg.Set coalesce, " batch protocol messages per network link");
       ( "--parallel",
         Arg.Set_int parallel,
         " event-loop domains (conservative parallel mode; 1 = sequential)" );
@@ -94,12 +92,7 @@ let () =
       Shasta.Config.default with
       Shasta.Config.fault_plan = plan;
       Shasta.Config.net =
-        {
-          Mchan.Net.default_config with
-          Mchan.Net.nodes = nodes;
-          cpus_per_node = cpus;
-          coalescing = (if !coalesce then Some Mchan.Net.default_coalesce else None);
-        };
+        { Mchan.Net.default_config with Mchan.Net.nodes = nodes; cpus_per_node = cpus };
       checks_enabled = !checks;
       protocol =
         {
@@ -150,12 +143,6 @@ let () =
        migrations bounces in_flight;
      Format.printf "%a" Shasta.Cluster.pp_node_report cl
    end);
-  (let net = Shasta.Cluster.protocol_engine cl |> Protocol.Engine.net in
-   let batches = Mchan.Net.batches net in
-   if batches > 0 then
-     Printf.printf "coalescing: %d messages in %d frames (%.2f msgs/frame)\n"
-       (Mchan.Net.batched_messages net) batches
-       (float_of_int (Mchan.Net.batched_messages net) /. float_of_int batches));
   if parallel > 1 || !gc_stats then begin
     let fired = Sim.Engine.events_fired (Shasta.Cluster.sim cl) in
     Printf.printf "events: %d fired, %.0f events/sec host (%.2f s host wall, %d domains)\n"

@@ -273,7 +273,6 @@ let home_transfer =
           (* Threshold 1: a burst issues one exclusive request and then
              owns the block, so a longer streak never forms here. *)
           migration_threshold = 1;
-          migration_region_min = 0;
         });
     body =
       (fun cl tr ->

@@ -9,17 +9,6 @@
     and a per-node {!Sim.Signal} pulsed on arrival so that stalled
     processes wake exactly at the arrival instant. *)
 
-type coalesce = {
-  co_window : float;  (** max time a message may wait for companions, seconds *)
-  co_max_msgs : int;  (** flush early at this many queued messages *)
-  co_max_bytes : int;  (** flush early at this many queued payload bytes *)
-}
-
-(** A window of one one-way latency trades at most one hop of added
-    delay for fewer, larger frames — at 64+ nodes the protocol drowns in
-    singleton messages otherwise. *)
-let default_coalesce = { co_window = 4.0e-6; co_max_msgs = 16; co_max_bytes = 8192 }
-
 type config = {
   nodes : int;
   cpus_per_node : int;
@@ -28,10 +17,6 @@ type config = {
   intra_node_latency : float;  (** shared-memory message between local processes *)
   quantum : float;  (** OS scheduling quantum *)
   switch_cost : float;  (** context switch cost *)
-  coalescing : coalesce option;
-      (** per-(src, dst)-link batching of remote messages; [None] (the
-          default) is the exact legacy path — every message its own
-          frame, bit-identical timing *)
 }
 
 (** Constants of the prototype cluster in Section 6.1: four AlphaServer
@@ -45,22 +30,7 @@ let default_config =
     intra_node_latency = 1.0e-6;
     quantum = 10.0e-3;
     switch_cost = 25.0e-6;
-    coalescing = None;
   }
-
-(* One open batch per directed (src, dst) link: delivers queued newest
-   first, flushed by a window timer or by size/count overflow.  The
-   generation counter invalidates a timer whose batch was already
-   flushed early (and whose slot may since hold a newer batch). *)
-type pending = {
-  mutable p_delivers : (unit -> unit) list;
-  mutable p_count : int;
-  mutable p_bytes : int;
-  mutable p_deadline : float;
-  mutable p_last_at : float;  (** latest sender cursor in the batch *)
-  mutable p_gen : int;
-  mutable p_open : bool;
-}
 
 type t = {
   engine : Sim.Engine.t;
@@ -79,9 +49,6 @@ type t = {
      each lane only ever touches its own slot; accessors sum. *)
   remote_by_src : int array;
   local_by_src : int array;
-  batches_by_src : int array;  (** coalesced frames put on the wire *)
-  batched_by_src : int array;  (** messages those frames carried *)
-  pending : (int * int, pending) Hashtbl.t;  (** open batches, by (src, dst) *)
   mutable reliable : Reliable.t option;
       (** installed only under a non-empty fault plan; [None] keeps the
           raw perfectly-reliable path with zero transport overhead *)
@@ -121,9 +88,6 @@ let create ?(plan = Fault.Plan.empty) ?(reliable_cfg = Reliable.default_config)
         Array.init config.nodes (fun n -> fun () -> Sim.Signal.pulse node_signal.(n));
       remote_by_src = Array.make config.nodes 0;
       local_by_src = Array.make config.nodes 0;
-      batches_by_src = Array.make config.nodes 0;
-      batched_by_src = Array.make config.nodes 0;
-      pending = Hashtbl.create 64;
       reliable = None;
     }
   in
@@ -157,6 +121,12 @@ let nth_cpu t i =
   let per = t.config.cpus_per_node in
   t.cpus.(i / per).(i mod per)
 
+(* Per-block labels carry the block for the Guided explorer; the common
+   blockless case reuses the preallocated per-destination label. *)
+let delivery_label t ~dst_node ~block =
+  if block < 0 then t.msg_label.(dst_node)
+  else { Sim.Engine.lbl_node = dst_node; lbl_block = block; lbl_kind = Sim.Engine.Message }
+
 (** [send t ?at ?block ~src_node ~dst_node ~size deliver] transmits a
     message; [deliver] runs at the arrival time (it should enqueue into
     the right mailbox), after which the destination node's signal is
@@ -166,82 +136,6 @@ let nth_cpu t i =
     none): the delivery event is labeled with it plus the destination
     node, so a {!Sim.Engine.Guided} explorer can tell which same-time
     deliveries commute. *)
-(* Put one frame on the wire: through the reliable transport when a
-   fault plan is active, raw link + latency otherwise. *)
-let wire_send t ~at ~src_node ~dst_node ~size deliver =
-  match t.reliable with
-  | Some r -> Reliable.send r ~at ~src_node ~dst_node ~size deliver
-  | None ->
-      let leaves = Link.transmit t.tx.(src_node) ~now:at ~size in
-      let arrival = leaves +. t.config.one_way_latency in
-      let pulse = t.pulse_dst.(dst_node) in
-      Sim.Engine.at t.engine ~label:t.msg_label.(dst_node) arrival (fun () ->
-          deliver ();
-          pulse ())
-
-(* Close the batch and transmit it as a single frame; the carried
-   delivers run back-to-back in FIFO order at the frame's arrival, with
-   one pulse for the lot. *)
-let flush_batch t ~src_node ~dst_node ~at p =
-  p.p_open <- false;
-  let delivers = List.rev p.p_delivers in
-  p.p_delivers <- [];
-  t.batches_by_src.(src_node) <- t.batches_by_src.(src_node) + 1;
-  t.batched_by_src.(src_node) <- t.batched_by_src.(src_node) + p.p_count;
-  wire_send t ~at ~src_node ~dst_node ~size:p.p_bytes (fun () ->
-      List.iter (fun d -> d ()) delivers)
-
-let coalesced_send t co ~now ~src_node ~dst_node ~size deliver =
-  let key = (src_node, dst_node) in
-  let p =
-    match Hashtbl.find_opt t.pending key with
-    | Some p -> p
-    | None ->
-        let p =
-          {
-            p_delivers = [];
-            p_count = 0;
-            p_bytes = 0;
-            p_deadline = 0.0;
-            p_last_at = 0.0;
-            p_gen = 0;
-            p_open = false;
-          }
-        in
-        Hashtbl.replace t.pending key p;
-        p
-  in
-  if not p.p_open then begin
-    p.p_open <- true;
-    p.p_delivers <- [ deliver ];
-    p.p_count <- 1;
-    p.p_bytes <- size;
-    p.p_deadline <- now +. co.co_window;
-    p.p_last_at <- now;
-    p.p_gen <- p.p_gen + 1;
-    let gen = p.p_gen in
-    Sim.Engine.at t.engine ~label:t.msg_label.(dst_node) p.p_deadline (fun () ->
-        (* A handler's time cursor may have carried a queued message past
-           the window deadline; the frame cannot leave before its last
-           message was sent. *)
-        if p.p_open && p.p_gen = gen then
-          flush_batch t ~src_node ~dst_node ~at:(Float.max p.p_deadline p.p_last_at) p)
-  end
-  else begin
-    p.p_delivers <- deliver :: p.p_delivers;
-    p.p_count <- p.p_count + 1;
-    p.p_bytes <- p.p_bytes + size;
-    p.p_last_at <- Float.max p.p_last_at now;
-    if p.p_count >= co.co_max_msgs || p.p_bytes >= co.co_max_bytes then
-      flush_batch t ~src_node ~dst_node ~at:p.p_last_at p
-  end
-
-(* Per-block labels carry the block for the Guided explorer; the common
-   blockless case reuses the preallocated per-destination label. *)
-let delivery_label t ~dst_node ~block =
-  if block < 0 then t.msg_label.(dst_node)
-  else { Sim.Engine.lbl_node = dst_node; lbl_block = block; lbl_kind = Sim.Engine.Message }
-
 let send t ?at ?(block = -1) ~src_node ~dst_node ~size deliver =
   let now = match at with Some x -> x | None -> Sim.Engine.now t.engine in
   if src_node = dst_node then begin
@@ -257,23 +151,18 @@ let send t ?at ?(block = -1) ~src_node ~dst_node ~size deliver =
   end
   else begin
     t.remote_by_src.(src_node) <- t.remote_by_src.(src_node) + 1;
-    match t.config.coalescing with
-    | Some co -> coalesced_send t co ~now ~src_node ~dst_node ~size deliver
-    | None -> (
-        match t.reliable with
-        | Some r -> Reliable.send r ~at:now ~src_node ~dst_node ~size deliver
-        | None ->
-            let label = delivery_label t ~dst_node ~block in
-            let leaves = Link.transmit t.tx.(src_node) ~now ~size in
-            let arrival = leaves +. t.config.one_way_latency in
-            let pulse = t.pulse_dst.(dst_node) in
-            Sim.Engine.at t.engine ~label arrival (fun () ->
-                deliver ();
-                pulse ()))
+    match t.reliable with
+    | Some r -> Reliable.send r ~at:now ~src_node ~dst_node ~size deliver
+    | None ->
+        let label = delivery_label t ~dst_node ~block in
+        let leaves = Link.transmit t.tx.(src_node) ~now ~size in
+        let arrival = leaves +. t.config.one_way_latency in
+        let pulse = t.pulse_dst.(dst_node) in
+        Sim.Engine.at t.engine ~label arrival (fun () ->
+            deliver ();
+            pulse ())
   end
 
 let sum = Array.fold_left ( + ) 0
 let remote_messages t = sum t.remote_by_src
 let local_messages t = sum t.local_by_src
-let batches t = sum t.batches_by_src
-let batched_messages t = sum t.batched_by_src

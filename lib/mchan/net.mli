@@ -9,20 +9,6 @@
     callback, and a per-node {!Sim.Signal} pulsed on arrival so that
     stalled processes wake exactly at the arrival instant. *)
 
-(** Per-link message batching: a remote message waits up to [co_window]
-    for companions headed down the same (src, dst) link; the batch is
-    flushed early at [co_max_msgs] messages or [co_max_bytes] payload
-    bytes and travels as one frame (one link occupancy, one arrival
-    event, one wakeup pulse), with the carried deliveries applied in
-    FIFO order. *)
-type coalesce = {
-  co_window : float;  (** max time a message may wait for companions, seconds *)
-  co_max_msgs : int;  (** flush early at this many queued messages *)
-  co_max_bytes : int;  (** flush early at this many queued payload bytes *)
-}
-
-val default_coalesce : coalesce
-
 type config = {
   nodes : int;
   cpus_per_node : int;
@@ -31,10 +17,6 @@ type config = {
   intra_node_latency : float;  (** shared-memory message between local processes *)
   quantum : float;  (** OS scheduling quantum *)
   switch_cost : float;  (** context switch cost *)
-  coalescing : coalesce option;
-      (** per-(src, dst)-link batching of remote messages; [None] (the
-          default) is the exact legacy path — every message its own
-          frame, bit-identical timing *)
 }
 
 (** Constants of the prototype cluster in Section 6.1: four AlphaServer
@@ -73,9 +55,7 @@ val nth_cpu : t -> int -> Sim.Proc.cpu
     [block] declares the coherence block the message concerns (default
     none): the delivery event is labeled with it plus the destination
     node, so a {!Sim.Engine.Guided} explorer can tell which same-time
-    deliveries commute.  With [config.coalescing] set, remote messages
-    may be held briefly and delivered together; intra-node messages are
-    never coalesced. *)
+    deliveries commute. *)
 val send :
   t ->
   ?at:float ->
@@ -88,9 +68,3 @@ val send :
 
 val remote_messages : t -> int
 val local_messages : t -> int
-
-(** Coalesced frames put on the wire, and the messages they carried;
-    both 0 when [config.coalescing] is [None]. *)
-val batches : t -> int
-
-val batched_messages : t -> int

@@ -91,9 +91,6 @@ type t = {
   migration_threshold : int;
       (** [Migratory]: consecutive exclusive requests from one remote
           domain before the home follows it *)
-  migration_region_min : int;
-      (** gate: a block's region must have seen at least this many misses
-          (its {!Layout} counters) before its blocks may migrate *)
 }
 
 let default =
@@ -112,7 +109,6 @@ let default =
     mutation = None;
     homing = Static;
     migration_threshold = 3;
-    migration_region_min = 0;
   }
 
 (** [layout t] compiles the region list into the per-chunk lookup

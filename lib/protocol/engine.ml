@@ -179,19 +179,6 @@ let st_of_char = function
 let tab_get tab block = st_of_char (Bytes.get tab block)
 let tab_set tab block s = Bytes.set tab block (st_char s)
 
-(* Block-level event tracing for protocol debugging: set
-   SHASTA_DEBUG_BLOCK=<block id> to dump every transition of that block. *)
-let debug_block =
-  match Sys.getenv_opt "SHASTA_DEBUG_BLOCK" with Some s -> int_of_string s | None -> -1
-
-(* Call sites guard with [if dbg_on then dbg ...]: [Format.ifprintf]
-   still interprets the format string and the arguments are evaluated
-   either way, which is far too expensive for per-access paths. *)
-let dbg_on = debug_block >= 0
-
-let dbg b fmt =
-  if b = debug_block then Format.eprintf (fmt ^^ "@.") else Format.ifprintf Format.err_formatter fmt
-
 (* Per-(block, domain) ordering of home-originated messages. *)
 let msg_block_seq = function
   | Ptypes.Data_reply { block; seq; _ }
@@ -216,6 +203,28 @@ let in_seq_order d msg =
 let consume_seq d msg =
   match msg_block_seq msg with Some (b, _) -> seq_mark d b | None -> ()
 
+let fresh_domain t ~node ~id =
+  let d =
+    {
+      dom_id = id;
+      dom_node = node;
+      img = Memimg.create ~layout:t.layout;
+      shared_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
+      members = [];
+      dom_mailbox = Mchan.Mailbox.create ~owner:id;
+      dir = Directory.create ~home_domain:id;
+      pending_local = Hashtbl.create 16;
+      applied_seq = Hashtbl.create 64;
+      parked_dom = [];
+      home_hint = Hashtbl.create 16;
+      homes_in = 0;
+      homes_out = 0;
+      dom_bounces = 0;
+    }
+  in
+  t.domains <- d :: t.domains;
+  Hashtbl.replace t.domain_tbl id d;
+  d
 
 let create ~cfg ~net =
   let layout = Config.layout cfg in
@@ -255,54 +264,12 @@ let create ~cfg ~net =
   | Config.Smp ->
       (* One domain per node, eagerly. *)
       for node = 0 to (Mchan.Net.config net).Mchan.Net.nodes - 1 do
-        let d =
-          {
-            dom_id = node;
-            dom_node = node;
-            img = Memimg.create ~layout;
-            shared_tab = Bytes.make n_blocks 'I';
-            members = [];
-            dom_mailbox = Mchan.Mailbox.create ~owner:(-1);
-            dir = Directory.create ~home_domain:node;
-            pending_local = Hashtbl.create 16;
-            applied_seq = Hashtbl.create 64;
-            parked_dom = [];
-            home_hint = Hashtbl.create 16;
-            homes_in = 0;
-            homes_out = 0;
-            dom_bounces = 0;
-          }
-        in
-        t.domains <- d :: t.domains;
-        Hashtbl.replace t.domain_tbl node d
+        ignore (fresh_domain t ~node ~id:node)
       done
   | Config.Base -> ());
   t
 
 let domain_by_id t id = Hashtbl.find t.domain_tbl id
-
-let fresh_domain t ~node ~id =
-  let d =
-    {
-      dom_id = id;
-      dom_node = node;
-      img = Memimg.create ~layout:t.layout;
-      shared_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
-      members = [];
-      dom_mailbox = Mchan.Mailbox.create ~owner:id;
-      dir = Directory.create ~home_domain:id;
-      pending_local = Hashtbl.create 16;
-      applied_seq = Hashtbl.create 64;
-      parked_dom = [];
-      home_hint = Hashtbl.create 16;
-      homes_in = 0;
-      homes_out = 0;
-      dom_bounces = 0;
-    }
-  in
-  t.domains <- d :: t.domains;
-  Hashtbl.replace t.domain_tbl id d;
-  d
 
 (** [attach t proc] registers a simulated process with the protocol and
     returns its control block.  In Base-Shasta this creates a new
@@ -462,30 +429,28 @@ let msg_block = function
   | Ptypes.Home_hint { block; _ } ->
       block
 
-let send_to_domain t ~cur ~from_node dst_domain msg =
+(* Every protocol message leaves through here, at the sender's time
+   cursor; [deliver] runs at the destination on arrival. *)
+let send_msg t ~cur ~from_node ~dst_node msg deliver =
   count_data t ~node:from_node msg;
+  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node ~dst_node
+    ~size:(Ptypes.msg_size msg) deliver
+
+let send_to_domain t ~cur ~from_node dst_domain msg =
   let dst = domain_by_id t dst_domain in
-  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
-    ~dst_node:dst.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
+  send_msg t ~cur ~from_node ~dst_node:dst.dom_node msg (fun () ->
       Mchan.Mailbox.push dst.dom_mailbox msg)
 
 let send_to_pid t ~cur ~from_node dst_pid msg =
-  count_data t ~node:from_node msg;
   let pcb = Hashtbl.find t.pcbs dst_pid in
-  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
-    ~dst_node:pcb.dom.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
+  send_msg t ~cur ~from_node ~dst_node:pcb.dom.dom_node msg (fun () ->
       Mchan.Mailbox.push pcb.mailbox msg)
 
 (* --- state transitions applied at a domain --- *)
 
-let set_block_state_shared d t b s =
-  ignore t;
-  tab_set d.shared_tab b s
+let set_block_state_shared d b s = tab_set d.shared_tab b s
 
-let set_block_state_private ?(why = "?") pcb t b s =
-  if dbg_on then dbg b "[%.9f] PRIV pid%d blk=%d <- %c @ %s" (Sim.Engine.now (Mchan.Net.engine t.net)) pcb.pid b
-    (Ptypes.state_to_char s) why;
-  tab_set pcb.private_tab b s
+let set_block_state_private pcb b s = tab_set pcb.private_tab b s
 
 let batch_contains pcb b = List.mem b pcb.batch_blocks
 
@@ -494,8 +459,7 @@ let batch_contains pcb b = List.mem b pcb.batch_blocks
    the home's version and would otherwise clobber locally-performed
    non-blocking stores that are still waiting for their own grant —
    the software analogue of merging dirty words on a cache fill. *)
-let replay_recorded_stores t d b =
-  ignore t;
+let replay_recorded_stores d b =
   List.iter
     (fun m ->
       match Hashtbl.find_opt m.outstanding b with
@@ -528,644 +492,6 @@ let invalidate_block_data t d b =
     end
   end
   else List.iter (fun m -> m.deferred_flags <- b :: m.deferred_flags) deferring
-
-(* --- sharded-directory home transfers ---
-
-   A directory entry moves homes through a [Home_transfer] /
-   [Home_transfer_ack] exchange; a request that races the move is bounced
-   back with a [Home_hint].  Between send and receive the entry lives in
-   the transport (the IronFleet delegation idiom): [t.transfers] names
-   such blocks and both the old and the new home bounce requests for
-   them.  Transfer traffic is applied directly at the network interface
-   on arrival — Memory-Channel remote-write semantics — never through a
-   domain mailbox, so a transfer completes even after every process of
-   the destination node has stopped polling. *)
-
-(* Per-message invariant sweep for transfer arrivals; wired to the real
-   checker (defined with the rest of the checking machinery, below) once
-   it exists. *)
-let transfer_check : (t -> Ptypes.msg -> unit) ref = ref (fun _ _ -> ())
-
-let rec apply_transport t ~at msg =
-  match msg with
-  | Ptypes.Home_transfer { block = b; owner; sharers; seqs; data; from_domain } ->
-      let tr =
-        match Hashtbl.find_opt t.transfers b with
-        | Some tr -> tr
-        | None -> invalid_arg "Home_transfer for a block not in flight"
-      in
-      let d = domain_by_id t tr.tr_to in
-      let e = Directory.install d.dir ~block:b ~owner ~sharers ~seqs in
-      (match data with
-      | Some bytes -> (
-          (* The new home must be able to serve data replies from its own
-             image.  If it already holds the block S/E the image is
-             current; otherwise (I, or P with its own miss still in
-             flight) the carried copy is installed and the domain joins
-             the sharer set. *)
-          match tab_get d.shared_tab b with
-          | Ptypes.Shared | Ptypes.Exclusive -> ()
-          | Ptypes.Invalid | Ptypes.Pending ->
-              Memimg.write_block d.img ~block:b bytes;
-              replay_recorded_stores t d b;
-              tab_set d.shared_tab b Ptypes.Shared;
-              if not (Directory.is_sharer e d.dom_id) then Directory.add_sharer e d.dom_id)
-      | None -> ());
-      Hashtbl.remove t.transfers b;
-      Hashtbl.replace d.home_hint b d.dom_id;
-      d.homes_in <- d.homes_in + 1;
-      t.migrations <- t.migrations + 1;
-      if dbg_on then dbg b "[%.9f] XFER install blk=%d at dom%d (from dom%d)" at b d.dom_id from_domain;
-      let cur = ref (at +. t.cfg.Config.costs.Config.handler) in
-      send_transport t ~cur ~from_node:d.dom_node from_domain
-        (Ptypes.Home_transfer_ack { block = b; from_domain = d.dom_id });
-      !transfer_check t msg
-  | Ptypes.Home_transfer_ack { block = b; from_domain } ->
-      if dbg_on then dbg b "[%.9f] XFER ack blk=%d from dom%d" at b from_domain;
-      t.transfer_acks <- t.transfer_acks + 1
-  | Ptypes.Home_hint { block = b; home = h; to_pid } -> (
-      let pcb = Hashtbl.find t.pcbs to_pid in
-      Hashtbl.replace pcb.dom.home_hint b h;
-      pcb.dom.dom_bounces <- pcb.dom.dom_bounces + 1;
-      pcb.stats.bounces <- pcb.stats.bounces + 1;
-      if dbg_on then dbg b "[%.9f] BOUNCE pid%d blk=%d -> dom%d" at to_pid b h;
-      match Hashtbl.find_opt pcb.outstanding b with
-      | Some miss when not miss.m_done ->
-          (* Re-issue the bounced request to the hinted home.  The hinted
-             home may itself still see the entry in flight and bounce
-             again; the chase terminates because the transfer's arrival
-             is a fixed, already-scheduled event and every bounce costs a
-             round trip. *)
-          let cur = ref (at +. t.cfg.Config.costs.Config.send) in
-          send_to_domain t ~cur ~from_node:pcb.dom.dom_node h
-            (Ptypes.Request
-               { kind = miss.m_req; block = b; from_domain = pcb.dom.dom_id; from_pid = pcb.pid })
-      | _ -> ())
-  | _ -> invalid_arg "apply_transport: not transfer traffic"
-
-and send_transport t ~cur ~from_node dst_domain msg =
-  count_data t ~node:from_node msg;
-  let dst = domain_by_id t dst_domain in
-  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
-    ~dst_node:dst.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
-      apply_transport t ~at:(Sim.Engine.now (Mchan.Net.engine t.net)) msg)
-
-(* Invalidate (shared -> invalid) at a domain; acks back to the home.
-   Two of the seeded mutations live here: [Skip_invalidate] acknowledges
-   without touching any state (a stale copy survives), [Skip_inval_ack]
-   invalidates but never acknowledges (the home's transaction hangs). *)
-let apply_invalidate t d ~cur ~home_domain b =
-  if dbg_on then dbg b "[%.9f] INVAL at dom%d blk=%d" !cur d.dom_id b;
-  let skip_apply = t.cfg.Config.mutation = Some Config.Skip_invalidate in
-  let skip_ack = t.cfg.Config.mutation = Some Config.Skip_inval_ack in
-  if skip_apply || skip_ack then t.mutation_fires <- t.mutation_fires + 1;
-  let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
-  r.r_invals <- r.r_invals + 1;
-  if not skip_apply then begin
-    invalidate_block_data t d b;
-    set_block_state_shared d t b Ptypes.Invalid;
-    List.iter (fun m -> set_block_state_private ~why:"inval" m t b Ptypes.Invalid) d.members
-  end;
-  cur := !cur +. t.cfg.Config.costs.Config.inval_apply;
-  if not skip_ack then
-    send_to_domain t ~cur ~from_node:d.dom_node home_domain
-      (Ptypes.Inval_ack { block = b; from_domain = d.dom_id })
-
-(* Complete a recall once all private-table downgrades are done. *)
-let complete_recall t d ~cur b ~to_shared ~home_domain =
-  if dbg_on then dbg b "[%.9f] RECALL-DONE at dom%d blk=%d to_shared=%b" !cur d.dom_id b to_shared;
-  let keep_private = t.cfg.Config.mutation = Some Config.Keep_private_on_recall in
-  let data = Memimg.read_block d.img ~block:b in
-  if to_shared then begin
-    set_block_state_shared d t b Ptypes.Shared;
-    if not keep_private then
-      List.iter
-        (fun m ->
-          if tab_get m.private_tab b = Ptypes.Exclusive then tab_set m.private_tab b Ptypes.Shared)
-        d.members
-  end
-  else begin
-    invalidate_block_data t d b;
-    set_block_state_shared d t b Ptypes.Invalid;
-    if not keep_private then
-      List.iter (fun m -> set_block_state_private ~why:"recall-inval" m t b Ptypes.Invalid) d.members
-  end;
-  send_to_domain t ~cur ~from_node:d.dom_node home_domain
-    (Ptypes.Writeback { block = b; data; from_domain = d.dom_id })
-
-(* Recall (exclusive -> shared/invalid) at the owning domain.  Private
-   state tables holding the block exclusive must be downgraded first:
-   directly when the holder is not in application code (Section 4.3.4),
-   via an explicit message otherwise (Section 2.3). *)
-let apply_recall t d ~cur ~servicer b ~to_shared ~home_domain =
-  if dbg_on then dbg b "[%.9f] RECALL at dom%d blk=%d to_shared=%b" !cur d.dom_id b to_shared;
-  let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
-  r.r_recalls <- r.r_recalls + 1;
-  (* Block intra-node exclusive grants while the recall is in flight. *)
-  set_block_state_shared d t b Ptypes.Pending;
-  if t.cfg.Config.mutation = Some Config.Keep_private_on_recall then begin
-    (* Mutation: skip every private-state-table downgrade — the
-       members' stale Exclusive/Shared entries survive the recall
-       (complete_recall is gated on the same mutation). *)
-    t.mutation_fires <- t.mutation_fires + 1;
-    complete_recall t d ~cur b ~to_shared ~home_domain
-  end
-  else
-  let needs_downgrade m = m.pid <> servicer && tab_get m.private_tab b = Ptypes.Exclusive in
-  let pending = ref 0 in
-  List.iter
-    (fun m ->
-      if m.pid = servicer then
-        set_block_state_private ~why:"recall-self" m t b (if to_shared then Ptypes.Shared else Ptypes.Invalid)
-      else if needs_downgrade m then begin
-        if t.cfg.Config.direct_downgrade && not !(m.in_app) then begin
-          set_block_state_private ~why:"direct-downgrade" m t b (if to_shared then Ptypes.Shared else Ptypes.Invalid);
-          m.stats.downgrades_direct <- m.stats.downgrades_direct + 1;
-          cur := !cur +. t.cfg.Config.costs.Config.downgrade_apply
-        end
-        else begin
-          m.stats.downgrades_msg <- m.stats.downgrades_msg + 1;
-          incr pending;
-          send_to_pid t ~cur ~from_node:d.dom_node m.pid
-            (Ptypes.Downgrade
-               {
-                 block = b;
-                 to_state = (if to_shared then Ptypes.Shared else Ptypes.Invalid);
-                 to_pid = m.pid;
-                 from_domain = d.dom_id;
-               })
-        end
-      end)
-    d.members;
-  if !pending = 0 then complete_recall t d ~cur b ~to_shared ~home_domain
-  else
-    Hashtbl.replace d.pending_local b { lt_awaiting = !pending; lt_to_shared = to_shared }
-
-(* --- the home side --- *)
-
-let rec handle_request t home ~cur msg =
-  match msg with
-  | Ptypes.Request { kind = _; block = b; from_domain = _; from_pid }
-    when t.home.(b) <> home.dom_id || Hashtbl.mem t.transfers b ->
-      (* Stale or in-flight home: bounce with a forwarding hint, before
-         any directory lookup — allocating an entry here would duplicate
-         state the real home holds.  Unreachable under [Static] homing:
-         hints then always equal the static map and nothing is ever in
-         flight. *)
-      cur := !cur +. t.cfg.Config.costs.Config.handler;
-      t.bounces <- t.bounces + 1;
-      (* Hint the authoritative home, not this domain's own stale
-         forwarding note: a block that has moved on several times since
-         we gave it away would otherwise send the requester on a walk
-         down the whole chain of past homes, one bounce per hop. *)
-      let hint =
-        match Hashtbl.find_opt t.transfers b with
-        | Some tr -> tr.tr_to  (* in flight: point at where it will land *)
-        | None -> t.home.(b)
-      in
-      if dbg_on then dbg b "[%.9f] HOME bounce blk=%d at dom%d -> dom%d" !cur b home.dom_id hint;
-      let rdom = (Hashtbl.find t.pcbs from_pid).dom in
-      send_transport t ~cur ~from_node:home.dom_node rdom.dom_id
-        (Ptypes.Home_hint { block = b; home = hint; to_pid = from_pid })
-  | Ptypes.Request { kind; block = b; from_domain; from_pid } -> (
-      let entry = Directory.entry home.dir b in
-      match entry.Directory.busy with
-      | Some _ ->
-          if dbg_on then dbg b "[%.9f] HOME defer blk=%d" !cur b;
-          Queue.push msg entry.Directory.deferred
-      | None -> (
-          cur := !cur +. t.cfg.Config.costs.Config.handler;
-          if dbg_on then dbg b "[%.9f] HOME req %s blk=%d from dom%d pid%d owner=%s sharers=[%s]" !cur
-            (Format.asprintf "%a" Ptypes.pp_kind kind) b from_domain from_pid
-            (match entry.Directory.owner with Some o -> string_of_int o | None -> "-")
-            (String.concat "," (List.map string_of_int (Directory.sharers_list entry)));
-          observe_request t home entry ~kind ~from_domain;
-          let reply_data ~exclusive =
-            let data = Memimg.read_block home.img ~block:b in
-            send_to_pid t ~cur ~from_node:home.dom_node from_pid
-              (Ptypes.Data_reply
-                 {
-                   block = b;
-                   data;
-                   exclusive;
-                   to_pid = from_pid;
-                   seq = Directory.stamp entry from_domain;
-                 })
-          in
-          (match kind with
-          | Ptypes.Read -> (
-              match entry.Directory.owner with
-              | Some o when o <> from_domain ->
-                  entry.Directory.busy <-
-                    Some
-                      {
-                        Directory.t_kind = Ptypes.Read;
-                        t_requester_domain = from_domain;
-                        t_requester_pid = from_pid;
-                        t_awaiting = 1;
-                        t_data = None;
-                      };
-                  send_to_domain t ~cur ~from_node:home.dom_node o
-                    (Ptypes.Recall
-                       {
-                         block = b;
-                         to_shared = true;
-                         home_domain = home.dom_id;
-                         seq = Directory.stamp entry o;
-                       })
-              | Some _ ->
-                  (* The requester's domain already owns the block (a stale
-                     request); grant exclusivity again. *)
-                  send_to_pid t ~cur ~from_node:home.dom_node from_pid
-                    (Ptypes.Ack_exclusive
-                       { block = b; to_pid = from_pid; seq = Directory.stamp entry from_domain })
-              | None ->
-                  Directory.add_sharer entry from_domain;
-                  reply_data ~exclusive:false)
-          | Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade -> (
-              let still_sharer = Directory.is_sharer entry from_domain in
-              if kind = Ptypes.Sc_upgrade && (entry.Directory.owner <> None || not still_sharer)
-              then
-                (* A failed SC must not send invalidations (livelock
-                   avoidance, Section 3.1.1). *)
-                send_to_pid t ~cur ~from_node:home.dom_node from_pid
-                  (Ptypes.Sc_result
-                     {
-                       block = b;
-                       ok = false;
-                       to_pid = from_pid;
-                       seq = Directory.stamp entry from_domain;
-                     })
-              else
-                match entry.Directory.owner with
-                | Some o when o <> from_domain ->
-                    entry.Directory.busy <-
-                      Some
-                        {
-                          Directory.t_kind = Ptypes.Read_ex;
-                          t_requester_domain = from_domain;
-                          t_requester_pid = from_pid;
-                          t_awaiting = 1;
-                          t_data = None;
-                        };
-                    send_to_domain t ~cur ~from_node:home.dom_node o
-                      (Ptypes.Recall
-                         {
-                           block = b;
-                           to_shared = false;
-                           home_domain = home.dom_id;
-                           seq = Directory.stamp entry o;
-                         })
-                | Some _ ->
-                    send_to_pid t ~cur ~from_node:home.dom_node from_pid
-                      (Ptypes.Ack_exclusive
-                         { block = b; to_pid = from_pid; seq = Directory.stamp entry from_domain })
-                | None ->
-                    (* Upgrades from a domain that lost its copy are
-                       promoted to full read-exclusives. *)
-                    let kind =
-                      if kind = Ptypes.Upgrade && not still_sharer then Ptypes.Read_ex else kind
-                    in
-                    (* Snapshot data before invalidating anyone (the home
-                       itself may be a sharer). *)
-                    let data =
-                      if kind = Ptypes.Read_ex then Some (Memimg.read_block home.img ~block:b)
-                      else None
-                    in
-                    let others =
-                      List.filter (fun s -> s <> from_domain) (Directory.sharers_list entry)
-                    in
-                    let others =
-                      (* Mutation: the home forgets one sharer, which
-                         keeps a stale Shared copy past the grant. *)
-                      match t.cfg.Config.mutation with
-                      | Some Config.Skip_one_invalidation when others <> [] ->
-                          t.mutation_fires <- t.mutation_fires + 1;
-                          List.tl others
-                      | _ -> others
-                    in
-                    let awaiting = ref 0 in
-                    List.iter
-                      (fun s ->
-                        incr awaiting;
-                        let msg =
-                          Ptypes.Invalidate
-                            { block = b; home_domain = home.dom_id; seq = Directory.stamp entry s }
-                        in
-                        if s = home.dom_id then
-                          (* Self-invalidation goes through the ordered
-                             local mailbox so that a pending reply to a
-                             local process is applied first. *)
-                          Mchan.Mailbox.push home.dom_mailbox msg
-                        else send_to_domain t ~cur ~from_node:home.dom_node s msg)
-                      others;
-                    let txn =
-                      {
-                        Directory.t_kind = kind;
-                        t_requester_domain = from_domain;
-                        t_requester_pid = from_pid;
-                        t_awaiting = !awaiting;
-                        t_data = data;
-                      }
-                    in
-                    if !awaiting = 0 then grant t home ~cur entry txn
-                    else entry.Directory.busy <- Some txn));
-          (* A request that completed without a transaction may leave the
-             entry quiescent with a fresh policy verdict. *)
-          maybe_migrate t home ~cur b))
-  | _ -> invalid_arg "handle_request: not a request"
-
-(* Grant the pending exclusive transaction: all invalidations are done. *)
-and grant t home ~cur entry txn =
-  let b = entry.Directory.block in
-  let pid = txn.Directory.t_requester_pid in
-  if dbg_on then dbg b "[%.9f] HOME grant blk=%d kind=%s to dom%d pid%d" !cur b
-    (Format.asprintf "%a" Ptypes.pp_kind txn.Directory.t_kind)
-    txn.Directory.t_requester_domain pid;
-  let rdom = txn.Directory.t_requester_domain in
-  (match txn.Directory.t_kind with
-  | Ptypes.Read_ex ->
-      let data =
-        match txn.Directory.t_data with
-        | Some d -> d
-        | None -> Memimg.read_block home.img ~block:b
-      in
-      send_to_pid t ~cur ~from_node:home.dom_node pid
-        (Ptypes.Data_reply
-           { block = b; data; exclusive = true; to_pid = pid; seq = Directory.stamp entry rdom })
-  | Ptypes.Upgrade ->
-      send_to_pid t ~cur ~from_node:home.dom_node pid
-        (Ptypes.Ack_exclusive { block = b; to_pid = pid; seq = Directory.stamp entry rdom })
-  | Ptypes.Sc_upgrade ->
-      send_to_pid t ~cur ~from_node:home.dom_node pid
-        (Ptypes.Sc_result { block = b; ok = true; to_pid = pid; seq = Directory.stamp entry rdom })
-  | Ptypes.Read -> invalid_arg "grant: read transactions complete via writeback");
-  entry.Directory.owner <- Some txn.Directory.t_requester_domain;
-  Directory.clear_sharers entry;
-  finish_txn t home ~cur entry
-
-and finish_txn t home ~cur entry =
-  entry.Directory.busy <- None;
-  (* Drain deferred requests until one starts a new transaction (which
-     re-busies the entry) or the queue empties: a request that completes
-     immediately must not strand those queued behind it. *)
-  let rec drain () =
-    if entry.Directory.busy = None then
-      match Queue.take_opt entry.Directory.deferred with
-      | None -> ()
-      | Some msg ->
-          handle_request t home ~cur msg;
-          drain ()
-  in
-  drain ();
-  maybe_migrate t home ~cur entry.Directory.block
-
-(* Feed the home-reassignment policy one served request.  Pure
-   observation: the verdict ([want_home]) is consumed by [maybe_migrate]
-   the next time the entry is quiescent. *)
-and observe_request t home entry ~kind ~from_domain =
-  (match t.cfg.Config.homing with
-  | Config.Static -> ()
-  | Config.First_touch ->
-      if (not entry.Directory.touched) && from_domain <> home.dom_id then
-        entry.Directory.want_home <- Some from_domain
-  | Config.Migratory -> (
-      match kind with
-      | Ptypes.Read -> ()
-      | Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
-          if from_domain = entry.Directory.last_excl then
-            entry.Directory.excl_streak <- entry.Directory.excl_streak + 1
-          else begin
-            entry.Directory.last_excl <- from_domain;
-            entry.Directory.excl_streak <- 1
-          end;
-          (* Gate on the block's region being hot enough, per the
-             region-level miss counters — cold regions never migrate. *)
-          let ri = Layout.block_region t.layout entry.Directory.block in
-          let region_misses =
-            Array.fold_left
-              (fun acc per_node ->
-                acc + per_node.(ri).r_read_misses + per_node.(ri).r_store_misses)
-              0 t.rstats
-          in
-          if
-            from_domain <> home.dom_id
-            && entry.Directory.excl_streak >= t.cfg.Config.migration_threshold
-            && region_misses >= t.cfg.Config.migration_region_min
-          then entry.Directory.want_home <- Some from_domain));
-  entry.Directory.touched <- true
-
-(* Consume a policy verdict: start the transfer if the entry is
-   quiescent.  A verdict set while a transaction or deferred work is
-   pending simply waits for the next quiescent moment. *)
-and maybe_migrate t home ~cur b =
-  if t.cfg.Config.homing <> Config.Static then
-    match Directory.find home.dir b with
-    | None -> ()
-    | Some e -> (
-        match e.Directory.want_home with
-        | Some dst when dst = home.dom_id -> e.Directory.want_home <- None
-        | Some dst
-          when e.Directory.busy = None
-               && Queue.is_empty e.Directory.deferred
-               && t.home.(b) = home.dom_id
-               && not (Hashtbl.mem t.transfers b) ->
-            e.Directory.want_home <- None;
-            initiate_transfer t home ~cur b ~dst
-        | _ -> ())
-
-and initiate_transfer t home ~cur b ~dst =
-  let e = Directory.entry home.dir b in
-  let owner, sharers, seqs = Directory.export e in
-  (* With no owner the home's copy is the authoritative data and must
-     travel with the entry (the home is always a sharer then). *)
-  let data = if owner = None then Some (Memimg.read_block home.img ~block:b) else None in
-  Directory.remove home.dir b;
-  Hashtbl.replace t.transfers b { tr_from = home.dom_id; tr_to = dst };
-  t.home.(b) <- dst;
-  (* Leave this domain's own routing hint pointing at itself: once the
-     entry has moved on several times, "ask me and get bounced locally"
-     is a cheaper start than chasing the one-hop-forward note a
-     give-away could record here. *)
-  home.homes_out <- home.homes_out + 1;
-  if dbg_on then dbg b "[%.9f] XFER blk=%d dom%d -> dom%d owner=%s" !cur b home.dom_id dst
-    (match owner with Some o -> string_of_int o | None -> "-");
-  cur := !cur +. t.cfg.Config.costs.Config.send;
-  send_transport t ~cur ~from_node:home.dom_node dst
-    (Ptypes.Home_transfer { block = b; owner; sharers; seqs; data; from_domain = home.dom_id })
-
-let handle_writeback t home ~cur b data ~from_domain =
-  let entry = Directory.entry home.dir b in
-  match entry.Directory.busy with
-  | None -> invalid_arg "writeback with no transaction"
-  | Some txn -> (
-      cur := !cur +. t.cfg.Config.costs.Config.handler;
-      if dbg_on then dbg b "[%.9f] HOME writeback blk=%d txn=%s from dom%d" !cur b
-        (Format.asprintf "%a" Ptypes.pp_kind txn.Directory.t_kind) from_domain;
-      match txn.Directory.t_kind with
-      | Ptypes.Read ->
-          (* Downgrade-to-shared recall: the home takes a valid copy.
-             When the recalled owner *is* the home domain the data is
-             already in this image — and possibly newer than the
-             snapshot (a local store may have landed since), so writing
-             the snapshot back would lose it. *)
-          let data =
-            if from_domain = home.dom_id then Memimg.read_block home.img ~block:b
-            else begin
-              Memimg.write_block home.img ~block:b data;
-              replay_recorded_stores t home b;
-              data
-            end
-          in
-          set_block_state_shared home t b Ptypes.Shared;
-          entry.Directory.owner <- None;
-          Directory.clear_sharers entry;
-          List.iter (Directory.add_sharer entry)
-            [ from_domain; home.dom_id; txn.Directory.t_requester_domain ];
-          send_to_pid t ~cur ~from_node:home.dom_node txn.Directory.t_requester_pid
-            (Ptypes.Data_reply
-               {
-                 block = b;
-                 data;
-                 exclusive = false;
-                 to_pid = txn.Directory.t_requester_pid;
-                 seq = Directory.stamp entry txn.Directory.t_requester_domain;
-               });
-          finish_txn t home ~cur entry
-      | Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
-          (* Recall-invalidate: ownership moves; the home image stays
-             invalid (flags already there or written by apply_recall at
-             the old owner; the home was not a sharer). *)
-          entry.Directory.owner <- Some txn.Directory.t_requester_domain;
-          Directory.clear_sharers entry;
-          (match txn.Directory.t_kind with
-          | Ptypes.Sc_upgrade ->
-              send_to_pid t ~cur ~from_node:home.dom_node txn.Directory.t_requester_pid
-                (Ptypes.Sc_result
-                   {
-                     block = b;
-                     ok = true;
-                     to_pid = txn.Directory.t_requester_pid;
-                     seq = Directory.stamp entry txn.Directory.t_requester_domain;
-                   })
-          | _ ->
-              send_to_pid t ~cur ~from_node:home.dom_node txn.Directory.t_requester_pid
-                (Ptypes.Data_reply
-                   {
-                     block = b;
-                     data;
-                     exclusive = true;
-                     to_pid = txn.Directory.t_requester_pid;
-                     seq = Directory.stamp entry txn.Directory.t_requester_domain;
-                   }));
-          finish_txn t home ~cur entry)
-
-let handle_inval_ack t home ~cur b =
-  let entry = Directory.entry home.dir b in
-  match entry.Directory.busy with
-  | None -> invalid_arg "inval ack with no transaction"
-  | Some txn ->
-      txn.Directory.t_awaiting <- txn.Directory.t_awaiting - 1;
-      if txn.Directory.t_awaiting = 0 then grant t home ~cur entry txn
-
-(* --- the requester side --- *)
-
-let apply_reply t pcb ~cur msg =
-  let d = pcb.dom in
-  match msg with
-  | Ptypes.Data_reply { block = b; data; exclusive; _ } ->
-      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
-      if dbg_on then dbg b "[%.9f] REPLY data blk=%d excl=%b at pid%d dom%d (outstanding=%b)" !cur b exclusive
-        pcb.pid d.dom_id (Hashtbl.mem pcb.outstanding b);
-      Memimg.write_block d.img ~block:b data;
-      replay_recorded_stores t d b;
-      (match Hashtbl.find_opt pcb.outstanding b with
-      | None -> () (* e.g. a prefetch raced with an invalidation *)
-      | Some miss ->
-          ignore miss.m_stores (* replayed above, together with siblings' *);
-          let s = if exclusive then Ptypes.Exclusive else Ptypes.Shared in
-          set_block_state_shared d t b s;
-          set_block_state_private ~why:"data-reply" pcb t b s;
-          miss.m_done <- true;
-          Hashtbl.remove pcb.outstanding b;
-          if miss.m_kind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores - 1)
-  | Ptypes.Ack_exclusive { block = b; _ } ->
-      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
-      if dbg_on then dbg b "[%.9f] REPLY ack_excl blk=%d at pid%d dom%d" !cur b pcb.pid d.dom_id;
-      (match Hashtbl.find_opt pcb.outstanding b with
-      | None -> ()
-      | Some miss ->
-          (* A sibling's fetch may have overwritten our early-visible
-             stores; put them back now that we own the block. *)
-          replay_recorded_stores t d b;
-          set_block_state_shared d t b Ptypes.Exclusive;
-          set_block_state_private ~why:"ack-excl" pcb t b Ptypes.Exclusive;
-          miss.m_done <- true;
-          Hashtbl.remove pcb.outstanding b;
-          if miss.m_kind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores - 1)
-  | Ptypes.Sc_result { block = b; ok; _ } ->
-      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
-      (match Hashtbl.find_opt pcb.outstanding b with
-      | None -> ()
-      | Some miss ->
-          let really_ok = ref ok in
-          if dbg_on then dbg b "[%.9f] SC_RESULT pid%d ok=%b armed=%b" !cur pcb.pid ok
-            (match miss.m_sc_store with
-             | Some (a, _, _) -> Memimg.monitor_armed d.img ~pid:pcb.pid a
-             | None -> false);
-          if ok then begin
-            (* The home granted exclusivity either way. *)
-            set_block_state_shared d t b Ptypes.Exclusive;
-            set_block_state_private ~why:"sc-ok" pcb t b Ptypes.Exclusive;
-            match miss.m_sc_store with
-            | Some (addr, w, v) ->
-                (* The grant proves no *remote* write intervened, but a
-                   sibling's store or a newly fetched copy of the block
-                   since our LL shows as a broken hardware monitor: the
-                   SC must then fail (spuriously, which Alpha allows)
-                   rather than complete against a stale LL value. *)
-                if Memimg.monitor_armed d.img ~pid:pcb.pid addr then
-                  Memimg.write ~pid:pcb.pid d.img addr w v
-                else really_ok := false
-            | None -> ()
-          end;
-          miss.m_sc_ok <- !really_ok;
-          miss.m_done <- true;
-          Hashtbl.remove pcb.outstanding b)
-  | Ptypes.Downgrade { block = b; to_state; from_domain; _ } ->
-      cur := !cur +. t.cfg.Config.costs.Config.downgrade_apply;
-      set_block_state_private ~why:"downgrade-msg" pcb t b to_state;
-      send_to_domain t ~cur ~from_node:d.dom_node from_domain
-        (Ptypes.Downgrade_ack { block = b; from_pid = pcb.pid })
-  | _ -> invalid_arg "apply_reply: unexpected message"
-
-let handle_domain_msg t d ~cur ~servicer msg =
-  match msg with
-  | Ptypes.Request _ -> handle_request t d ~cur msg
-  | Ptypes.Invalidate { block = b; home_domain; seq = _ } ->
-      apply_invalidate t d ~cur ~home_domain b
-  | Ptypes.Recall { block = b; to_shared; home_domain; seq = _ } ->
-      cur := !cur +. t.cfg.Config.costs.Config.handler;
-      apply_recall t d ~cur ~servicer b ~to_shared ~home_domain
-  | Ptypes.Writeback { block = b; data; from_domain } ->
-      handle_writeback t d ~cur b data ~from_domain
-  | Ptypes.Inval_ack { block = b; _ } ->
-      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
-      handle_inval_ack t d ~cur b
-  | Ptypes.Downgrade_ack { block = b; _ } -> (
-      match Hashtbl.find_opt d.pending_local b with
-      | None -> ()
-      | Some lt ->
-          lt.lt_awaiting <- lt.lt_awaiting - 1;
-          if lt.lt_awaiting = 0 then begin
-            Hashtbl.remove d.pending_local b;
-            let home_domain = home_domain_of_block t b in
-            complete_recall t d ~cur b ~to_shared:lt.lt_to_shared ~home_domain
-          end)
-  | Ptypes.Data_reply _ | Ptypes.Ack_exclusive _ | Ptypes.Sc_result _ | Ptypes.Downgrade _ ->
-      invalid_arg "handle_domain_msg: process-addressed message in domain mailbox"
-  | Ptypes.Home_transfer _ | Ptypes.Home_transfer_ack _ | Ptypes.Home_hint _ ->
-      invalid_arg "handle_domain_msg: transfer traffic is applied at the network interface"
 
 (* --- coherence invariant checker (the probe of lib/check) ---
 
@@ -1353,7 +679,6 @@ let check_block t b =
                 domains)));
   List.rev !errs
 
-
 (* Run after a message is applied, scoped to that message's block and
    its immediate neighbours: a flag write overrunning the block's layout
    extent can only land in an adjacent block. *)
@@ -1441,10 +766,531 @@ let check_quiescent t =
   done;
   List.rev !errs
 
-(* Transfer application happens at the network interface, lexically
-   before the checker exists; hand it the per-message sweep now. *)
-let () =
-  transfer_check := fun t msg -> if t.cfg.Config.check_invariants then check_msg t msg
+(* --- sharded-directory home transfers ---
+
+   A directory entry moves homes through a [Home_transfer] /
+   [Home_transfer_ack] exchange; a request that races the move is bounced
+   back with a [Home_hint].  Between send and receive the entry lives in
+   the transport (the IronFleet delegation idiom): [t.transfers] names
+   such blocks and both the old and the new home bounce requests for
+   them.  Transfer traffic is applied directly at the network interface
+   on arrival — Memory-Channel remote-write semantics — never through a
+   domain mailbox, so a transfer completes even after every process of
+   the destination node has stopped polling. *)
+
+let rec apply_transport t ~at msg =
+  match msg with
+  | Ptypes.Home_transfer { block = b; owner; sharers; seqs; data; from_domain } ->
+      let tr =
+        match Hashtbl.find_opt t.transfers b with
+        | Some tr -> tr
+        | None -> invalid_arg "Home_transfer for a block not in flight"
+      in
+      let d = domain_by_id t tr.tr_to in
+      let e = Directory.install d.dir ~block:b ~owner ~sharers ~seqs in
+      (match data with
+      | Some bytes -> (
+          (* The new home must be able to serve data replies from its own
+             image.  If it already holds the block S/E the image is
+             current; otherwise (I, or P with its own miss still in
+             flight) the carried copy is installed and the domain joins
+             the sharer set. *)
+          match tab_get d.shared_tab b with
+          | Ptypes.Shared | Ptypes.Exclusive -> ()
+          | Ptypes.Invalid | Ptypes.Pending ->
+              Memimg.write_block d.img ~block:b bytes;
+              replay_recorded_stores d b;
+              tab_set d.shared_tab b Ptypes.Shared;
+              if not (Directory.is_sharer e d.dom_id) then Directory.add_sharer e d.dom_id)
+      | None -> ());
+      Hashtbl.remove t.transfers b;
+      Hashtbl.replace d.home_hint b d.dom_id;
+      d.homes_in <- d.homes_in + 1;
+      t.migrations <- t.migrations + 1;
+      let cur = ref (at +. t.cfg.Config.costs.Config.handler) in
+      send_transport t ~cur ~from_node:d.dom_node from_domain
+        (Ptypes.Home_transfer_ack { block = b; from_domain = d.dom_id });
+      if t.cfg.Config.check_invariants then check_msg t msg
+  | Ptypes.Home_transfer_ack _ ->
+      t.transfer_acks <- t.transfer_acks + 1
+  | Ptypes.Home_hint { block = b; home = h; to_pid } -> (
+      let pcb = Hashtbl.find t.pcbs to_pid in
+      Hashtbl.replace pcb.dom.home_hint b h;
+      pcb.dom.dom_bounces <- pcb.dom.dom_bounces + 1;
+      pcb.stats.bounces <- pcb.stats.bounces + 1;
+      match Hashtbl.find_opt pcb.outstanding b with
+      | Some miss when not miss.m_done ->
+          (* Re-issue the bounced request to the hinted home.  The hinted
+             home may itself still see the entry in flight and bounce
+             again; the chase terminates because the transfer's arrival
+             is a fixed, already-scheduled event and every bounce costs a
+             round trip. *)
+          let cur = ref (at +. t.cfg.Config.costs.Config.send) in
+          send_to_domain t ~cur ~from_node:pcb.dom.dom_node h
+            (Ptypes.Request
+               { kind = miss.m_req; block = b; from_domain = pcb.dom.dom_id; from_pid = pcb.pid })
+      | _ -> ())
+  | _ -> invalid_arg "apply_transport: not transfer traffic"
+
+and send_transport t ~cur ~from_node dst_domain msg =
+  send_msg t ~cur ~from_node ~dst_node:(domain_by_id t dst_domain).dom_node msg (fun () ->
+      apply_transport t ~at:(Sim.Engine.now (Mchan.Net.engine t.net)) msg)
+
+(* Invalidate (shared -> invalid) at a domain; acks back to the home.
+   Two of the seeded mutations live here: [Skip_invalidate] acknowledges
+   without touching any state (a stale copy survives), [Skip_inval_ack]
+   invalidates but never acknowledges (the home's transaction hangs). *)
+let apply_invalidate t d ~cur ~home_domain b =
+  let skip_apply = t.cfg.Config.mutation = Some Config.Skip_invalidate in
+  let skip_ack = t.cfg.Config.mutation = Some Config.Skip_inval_ack in
+  if skip_apply || skip_ack then t.mutation_fires <- t.mutation_fires + 1;
+  let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
+  r.r_invals <- r.r_invals + 1;
+  if not skip_apply then begin
+    invalidate_block_data t d b;
+    set_block_state_shared d b Ptypes.Invalid;
+    List.iter (fun m -> set_block_state_private m b Ptypes.Invalid) d.members
+  end;
+  cur := !cur +. t.cfg.Config.costs.Config.inval_apply;
+  if not skip_ack then
+    send_to_domain t ~cur ~from_node:d.dom_node home_domain
+      (Ptypes.Inval_ack { block = b; from_domain = d.dom_id })
+
+(* Complete a recall once all private-table downgrades are done. *)
+let complete_recall t d ~cur b ~to_shared ~home_domain =
+  let keep_private = t.cfg.Config.mutation = Some Config.Keep_private_on_recall in
+  let data = Memimg.read_block d.img ~block:b in
+  if to_shared then begin
+    set_block_state_shared d b Ptypes.Shared;
+    if not keep_private then
+      List.iter
+        (fun m ->
+          if tab_get m.private_tab b = Ptypes.Exclusive then tab_set m.private_tab b Ptypes.Shared)
+        d.members
+  end
+  else begin
+    invalidate_block_data t d b;
+    set_block_state_shared d b Ptypes.Invalid;
+    if not keep_private then
+      List.iter (fun m -> set_block_state_private m b Ptypes.Invalid) d.members
+  end;
+  send_to_domain t ~cur ~from_node:d.dom_node home_domain
+    (Ptypes.Writeback { block = b; data; from_domain = d.dom_id })
+
+(* Recall (exclusive -> shared/invalid) at the owning domain.  Private
+   state tables holding the block exclusive must be downgraded first:
+   directly when the holder is not in application code (Section 4.3.4),
+   via an explicit message otherwise (Section 2.3). *)
+let apply_recall t d ~cur ~servicer b ~to_shared ~home_domain =
+  let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
+  r.r_recalls <- r.r_recalls + 1;
+  (* Block intra-node exclusive grants while the recall is in flight. *)
+  set_block_state_shared d b Ptypes.Pending;
+  if t.cfg.Config.mutation = Some Config.Keep_private_on_recall then begin
+    (* Mutation: skip every private-state-table downgrade — the
+       members' stale Exclusive/Shared entries survive the recall
+       (complete_recall is gated on the same mutation). *)
+    t.mutation_fires <- t.mutation_fires + 1;
+    complete_recall t d ~cur b ~to_shared ~home_domain
+  end
+  else
+  let needs_downgrade m = m.pid <> servicer && tab_get m.private_tab b = Ptypes.Exclusive in
+  let pending = ref 0 in
+  List.iter
+    (fun m ->
+      if m.pid = servicer then
+        set_block_state_private m b (if to_shared then Ptypes.Shared else Ptypes.Invalid)
+      else if needs_downgrade m then begin
+        if t.cfg.Config.direct_downgrade && not !(m.in_app) then begin
+          set_block_state_private m b (if to_shared then Ptypes.Shared else Ptypes.Invalid);
+          m.stats.downgrades_direct <- m.stats.downgrades_direct + 1;
+          cur := !cur +. t.cfg.Config.costs.Config.downgrade_apply
+        end
+        else begin
+          m.stats.downgrades_msg <- m.stats.downgrades_msg + 1;
+          incr pending;
+          send_to_pid t ~cur ~from_node:d.dom_node m.pid
+            (Ptypes.Downgrade
+               {
+                 block = b;
+                 to_state = (if to_shared then Ptypes.Shared else Ptypes.Invalid);
+                 to_pid = m.pid;
+                 from_domain = d.dom_id;
+               })
+        end
+      end)
+    d.members;
+  if !pending = 0 then complete_recall t d ~cur b ~to_shared ~home_domain
+  else
+    Hashtbl.replace d.pending_local b { lt_awaiting = !pending; lt_to_shared = to_shared }
+
+(* --- the home side --- *)
+
+let rec handle_request t home ~cur msg =
+  match msg with
+  | Ptypes.Request { kind = _; block = b; from_domain = _; from_pid }
+    when t.home.(b) <> home.dom_id || Hashtbl.mem t.transfers b ->
+      (* Stale or in-flight home: bounce with a forwarding hint, before
+         any directory lookup — allocating an entry here would duplicate
+         state the real home holds.  Unreachable under [Static] homing:
+         hints then always equal the static map and nothing is ever in
+         flight. *)
+      cur := !cur +. t.cfg.Config.costs.Config.handler;
+      t.bounces <- t.bounces + 1;
+      (* Hint the authoritative home, not this domain's own stale
+         forwarding note: a block that has moved on several times since
+         we gave it away would otherwise send the requester on a walk
+         down the whole chain of past homes, one bounce per hop. *)
+      let hint =
+        match Hashtbl.find_opt t.transfers b with
+        | Some tr -> tr.tr_to  (* in flight: point at where it will land *)
+        | None -> t.home.(b)
+      in
+      let rdom = (Hashtbl.find t.pcbs from_pid).dom in
+      send_transport t ~cur ~from_node:home.dom_node rdom.dom_id
+        (Ptypes.Home_hint { block = b; home = hint; to_pid = from_pid })
+  | Ptypes.Request { kind; block = b; from_domain; from_pid } -> (
+      let entry = Directory.entry home.dir b in
+      match entry.Directory.busy with
+      | Some _ ->
+          Queue.push msg entry.Directory.deferred
+      | None -> (
+          cur := !cur +. t.cfg.Config.costs.Config.handler;
+          observe_request t home entry ~kind ~from_domain;
+          let reply msg = send_to_pid t ~cur ~from_node:home.dom_node from_pid msg in
+          (match (kind, entry.Directory.owner) with
+          | Ptypes.Sc_upgrade, owner
+            when owner <> None || not (Directory.is_sharer entry from_domain) ->
+              (* A failed SC must not send invalidations (livelock
+                 avoidance, Section 3.1.1). *)
+              reply
+                (Ptypes.Sc_result
+                   { block = b; ok = false; to_pid = from_pid; seq = Directory.stamp entry from_domain })
+          | _, Some o when o <> from_domain ->
+              (* Another domain owns the block: recall it (to Shared for a
+                 read); the writeback completes the transaction. *)
+              let to_shared = kind = Ptypes.Read in
+              entry.Directory.busy <-
+                Some
+                  {
+                    Directory.t_kind = (if to_shared then Ptypes.Read else Ptypes.Read_ex);
+                    t_requester_domain = from_domain;
+                    t_requester_pid = from_pid;
+                    t_awaiting = 1;
+                    t_data = None;
+                  };
+              send_to_domain t ~cur ~from_node:home.dom_node o
+                (Ptypes.Recall
+                   { block = b; to_shared; home_domain = home.dom_id; seq = Directory.stamp entry o })
+          | _, Some _ ->
+              (* The requester's domain already owns the block (a stale
+                 request); grant exclusivity again. *)
+              reply
+                (Ptypes.Ack_exclusive
+                   { block = b; to_pid = from_pid; seq = Directory.stamp entry from_domain })
+          | Ptypes.Read, None ->
+              Directory.add_sharer entry from_domain;
+              let data = Memimg.read_block home.img ~block:b in
+              reply
+                (Ptypes.Data_reply
+                   {
+                     block = b;
+                     data;
+                     exclusive = false;
+                     to_pid = from_pid;
+                     seq = Directory.stamp entry from_domain;
+                   })
+          | (Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade), None ->
+              let still_sharer = Directory.is_sharer entry from_domain in
+              (* Upgrades from a domain that lost its copy are
+                 promoted to full read-exclusives. *)
+              let kind =
+                if kind = Ptypes.Upgrade && not still_sharer then Ptypes.Read_ex else kind
+              in
+              (* Snapshot data before invalidating anyone (the home
+                 itself may be a sharer). *)
+              let data =
+                if kind = Ptypes.Read_ex then Some (Memimg.read_block home.img ~block:b)
+                else None
+              in
+              let others =
+                List.filter (fun s -> s <> from_domain) (Directory.sharers_list entry)
+              in
+              let others =
+                (* Mutation: the home forgets one sharer, which
+                   keeps a stale Shared copy past the grant. *)
+                match t.cfg.Config.mutation with
+                | Some Config.Skip_one_invalidation when others <> [] ->
+                    t.mutation_fires <- t.mutation_fires + 1;
+                    List.tl others
+                | _ -> others
+              in
+              let awaiting = ref 0 in
+              List.iter
+                (fun s ->
+                  incr awaiting;
+                  let msg =
+                    Ptypes.Invalidate
+                      { block = b; home_domain = home.dom_id; seq = Directory.stamp entry s }
+                  in
+                  if s = home.dom_id then
+                    (* Self-invalidation goes through the ordered
+                       local mailbox so that a pending reply to a
+                       local process is applied first. *)
+                    Mchan.Mailbox.push home.dom_mailbox msg
+                  else send_to_domain t ~cur ~from_node:home.dom_node s msg)
+                others;
+              let txn =
+                {
+                  Directory.t_kind = kind;
+                  t_requester_domain = from_domain;
+                  t_requester_pid = from_pid;
+                  t_awaiting = !awaiting;
+                  t_data = data;
+                }
+              in
+              if !awaiting = 0 then grant t home ~cur entry txn ~data
+              else entry.Directory.busy <- Some txn);
+          (* A request that completed without a transaction may leave the
+             entry quiescent with a fresh policy verdict. *)
+          maybe_migrate t home ~cur b))
+  | _ -> invalid_arg "handle_request: not a request"
+
+(* Grant the pending exclusive transaction — all invalidations are done,
+   or the recalled owner has written back — and make the requester's
+   domain the owner.  [data] is the block's contents when the requester
+   needs them; an upgrade of a copy it still holds gets a bare ack. *)
+and grant t home ~cur entry txn ~data =
+  let b = entry.Directory.block in
+  let pid = txn.Directory.t_requester_pid in
+  let seq = Directory.stamp entry txn.Directory.t_requester_domain in
+  send_to_pid t ~cur ~from_node:home.dom_node pid
+    (match (txn.Directory.t_kind, data) with
+    | Ptypes.Sc_upgrade, _ -> Ptypes.Sc_result { block = b; ok = true; to_pid = pid; seq }
+    | _, Some data -> Ptypes.Data_reply { block = b; data; exclusive = true; to_pid = pid; seq }
+    | Ptypes.Upgrade, None -> Ptypes.Ack_exclusive { block = b; to_pid = pid; seq }
+    | (Ptypes.Read | Ptypes.Read_ex), None -> invalid_arg "grant: no data for a fetch");
+  entry.Directory.owner <- Some txn.Directory.t_requester_domain;
+  Directory.clear_sharers entry;
+  finish_txn t home ~cur entry
+
+and finish_txn t home ~cur entry =
+  entry.Directory.busy <- None;
+  (* Drain deferred requests until one starts a new transaction (which
+     re-busies the entry) or the queue empties: a request that completes
+     immediately must not strand those queued behind it. *)
+  let rec drain () =
+    if entry.Directory.busy = None then
+      match Queue.take_opt entry.Directory.deferred with
+      | None -> ()
+      | Some msg ->
+          handle_request t home ~cur msg;
+          drain ()
+  in
+  drain ();
+  maybe_migrate t home ~cur entry.Directory.block
+
+(* Feed the home-reassignment policy one served request.  Pure
+   observation: the verdict ([want_home]) is consumed by [maybe_migrate]
+   the next time the entry is quiescent. *)
+and observe_request t home entry ~kind ~from_domain =
+  (match t.cfg.Config.homing with
+  | Config.Static -> ()
+  | Config.First_touch ->
+      if (not entry.Directory.touched) && from_domain <> home.dom_id then
+        entry.Directory.want_home <- Some from_domain
+  | Config.Migratory -> (
+      match kind with
+      | Ptypes.Read -> ()
+      | Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
+          if from_domain = entry.Directory.last_excl then
+            entry.Directory.excl_streak <- entry.Directory.excl_streak + 1
+          else begin
+            entry.Directory.last_excl <- from_domain;
+            entry.Directory.excl_streak <- 1
+          end;
+          if
+            from_domain <> home.dom_id
+            && entry.Directory.excl_streak >= t.cfg.Config.migration_threshold
+          then entry.Directory.want_home <- Some from_domain));
+  entry.Directory.touched <- true
+
+(* Consume a policy verdict: start the transfer if the entry is
+   quiescent.  A verdict set while a transaction or deferred work is
+   pending simply waits for the next quiescent moment. *)
+and maybe_migrate t home ~cur b =
+  if t.cfg.Config.homing <> Config.Static then
+    match Directory.find home.dir b with
+    | None -> ()
+    | Some e -> (
+        match e.Directory.want_home with
+        | Some dst when dst = home.dom_id -> e.Directory.want_home <- None
+        | Some dst
+          when e.Directory.busy = None
+               && Queue.is_empty e.Directory.deferred
+               && t.home.(b) = home.dom_id
+               && not (Hashtbl.mem t.transfers b) ->
+            e.Directory.want_home <- None;
+            initiate_transfer t home ~cur b ~dst
+        | _ -> ())
+
+and initiate_transfer t home ~cur b ~dst =
+  let e = Directory.entry home.dir b in
+  let owner, sharers, seqs = Directory.export e in
+  (* With no owner the home's copy is the authoritative data and must
+     travel with the entry (the home is always a sharer then). *)
+  let data = if owner = None then Some (Memimg.read_block home.img ~block:b) else None in
+  Directory.remove home.dir b;
+  Hashtbl.replace t.transfers b { tr_from = home.dom_id; tr_to = dst };
+  t.home.(b) <- dst;
+  (* Leave this domain's own routing hint pointing at itself: once the
+     entry has moved on several times, "ask me and get bounced locally"
+     is a cheaper start than chasing the one-hop-forward note a
+     give-away could record here. *)
+  home.homes_out <- home.homes_out + 1;
+  cur := !cur +. t.cfg.Config.costs.Config.send;
+  send_transport t ~cur ~from_node:home.dom_node dst
+    (Ptypes.Home_transfer { block = b; owner; sharers; seqs; data; from_domain = home.dom_id })
+
+let handle_writeback t home ~cur b data ~from_domain =
+  let entry = Directory.entry home.dir b in
+  match entry.Directory.busy with
+  | None -> invalid_arg "writeback with no transaction"
+  | Some txn -> (
+      cur := !cur +. t.cfg.Config.costs.Config.handler;
+      match txn.Directory.t_kind with
+      | Ptypes.Read ->
+          (* Downgrade-to-shared recall: the home takes a valid copy.
+             When the recalled owner *is* the home domain the data is
+             already in this image — and possibly newer than the
+             snapshot (a local store may have landed since), so writing
+             the snapshot back would lose it. *)
+          let data =
+            if from_domain = home.dom_id then Memimg.read_block home.img ~block:b
+            else begin
+              Memimg.write_block home.img ~block:b data;
+              replay_recorded_stores home b;
+              data
+            end
+          in
+          set_block_state_shared home b Ptypes.Shared;
+          entry.Directory.owner <- None;
+          Directory.clear_sharers entry;
+          List.iter (Directory.add_sharer entry)
+            [ from_domain; home.dom_id; txn.Directory.t_requester_domain ];
+          send_to_pid t ~cur ~from_node:home.dom_node txn.Directory.t_requester_pid
+            (Ptypes.Data_reply
+               {
+                 block = b;
+                 data;
+                 exclusive = false;
+                 to_pid = txn.Directory.t_requester_pid;
+                 seq = Directory.stamp entry txn.Directory.t_requester_domain;
+               });
+          finish_txn t home ~cur entry
+      | Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
+          (* Recall-invalidate: ownership moves; the home image stays
+             invalid (flags already there or written by apply_recall at
+             the old owner; the home was not a sharer). *)
+          grant t home ~cur entry txn ~data:(Some data))
+
+let handle_inval_ack t home ~cur b =
+  let entry = Directory.entry home.dir b in
+  match entry.Directory.busy with
+  | None -> invalid_arg "inval ack with no transaction"
+  | Some txn ->
+      txn.Directory.t_awaiting <- txn.Directory.t_awaiting - 1;
+      if txn.Directory.t_awaiting = 0 then grant t home ~cur entry txn ~data:txn.Directory.t_data
+
+(* --- the requester side --- *)
+
+let apply_reply t pcb ~cur msg =
+  let d = pcb.dom in
+  (* The miss is satisfied: both state tables take the granted state. *)
+  let complete miss b s =
+    set_block_state_shared d b s;
+    set_block_state_private pcb b s;
+    miss.m_done <- true;
+    Hashtbl.remove pcb.outstanding b;
+    if miss.m_kind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores - 1
+  in
+  match msg with
+  | Ptypes.Data_reply { block = b; data; exclusive; _ } ->
+      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
+      Memimg.write_block d.img ~block:b data;
+      (* Our own recorded stores are replayed here, with the siblings'. *)
+      replay_recorded_stores d b;
+      (match Hashtbl.find_opt pcb.outstanding b with
+      | None -> () (* e.g. a prefetch raced with an invalidation *)
+      | Some miss -> complete miss b (if exclusive then Ptypes.Exclusive else Ptypes.Shared))
+  | Ptypes.Ack_exclusive { block = b; _ } ->
+      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
+      (match Hashtbl.find_opt pcb.outstanding b with
+      | None -> ()
+      | Some miss ->
+          (* A sibling's fetch may have overwritten our early-visible
+             stores; put them back now that we own the block. *)
+          replay_recorded_stores d b;
+          complete miss b Ptypes.Exclusive)
+  | Ptypes.Sc_result { block = b; ok; _ } ->
+      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
+      (match Hashtbl.find_opt pcb.outstanding b with
+      | None -> ()
+      | Some miss ->
+          let really_ok = ref ok in
+          if ok then begin
+            (* The home granted exclusivity either way. *)
+            set_block_state_shared d b Ptypes.Exclusive;
+            set_block_state_private pcb b Ptypes.Exclusive;
+            match miss.m_sc_store with
+            | Some (addr, w, v) ->
+                (* The grant proves no *remote* write intervened, but a
+                   sibling's store or a newly fetched copy of the block
+                   since our LL shows as a broken hardware monitor: the
+                   SC must then fail (spuriously, which Alpha allows)
+                   rather than complete against a stale LL value. *)
+                if Memimg.monitor_armed d.img ~pid:pcb.pid addr then
+                  Memimg.write ~pid:pcb.pid d.img addr w v
+                else really_ok := false
+            | None -> ()
+          end;
+          miss.m_sc_ok <- !really_ok;
+          miss.m_done <- true;
+          Hashtbl.remove pcb.outstanding b)
+  | Ptypes.Downgrade { block = b; to_state; from_domain; _ } ->
+      cur := !cur +. t.cfg.Config.costs.Config.downgrade_apply;
+      set_block_state_private pcb b to_state;
+      send_to_domain t ~cur ~from_node:d.dom_node from_domain
+        (Ptypes.Downgrade_ack { block = b; from_pid = pcb.pid })
+  | _ -> invalid_arg "apply_reply: unexpected message"
+
+let handle_domain_msg t d ~cur ~servicer msg =
+  match msg with
+  | Ptypes.Request _ -> handle_request t d ~cur msg
+  | Ptypes.Invalidate { block = b; home_domain; seq = _ } ->
+      apply_invalidate t d ~cur ~home_domain b
+  | Ptypes.Recall { block = b; to_shared; home_domain; seq = _ } ->
+      cur := !cur +. t.cfg.Config.costs.Config.handler;
+      apply_recall t d ~cur ~servicer b ~to_shared ~home_domain
+  | Ptypes.Writeback { block = b; data; from_domain } ->
+      handle_writeback t d ~cur b data ~from_domain
+  | Ptypes.Inval_ack { block = b; _ } ->
+      cur := !cur +. t.cfg.Config.costs.Config.reply_process;
+      handle_inval_ack t d ~cur b
+  | Ptypes.Downgrade_ack { block = b; _ } -> (
+      match Hashtbl.find_opt d.pending_local b with
+      | None -> ()
+      | Some lt ->
+          lt.lt_awaiting <- lt.lt_awaiting - 1;
+          if lt.lt_awaiting = 0 then begin
+            Hashtbl.remove d.pending_local b;
+            let home_domain = home_domain_of_block t b in
+            complete_recall t d ~cur b ~to_shared:lt.lt_to_shared ~home_domain
+          end)
+  | Ptypes.Data_reply _ | Ptypes.Ack_exclusive _ | Ptypes.Sc_result _ | Ptypes.Downgrade _ ->
+      invalid_arg "handle_domain_msg: process-addressed message in domain mailbox"
+  | Ptypes.Home_transfer _ | Ptypes.Home_transfer_ack _ | Ptypes.Home_hint _ ->
+      invalid_arg "handle_domain_msg: transfer traffic is applied at the network interface"
 
 (** [service pcb] is the poll hook: drains this process's own mailbox
     (replies may only be handled by the requester — the limitation noted
@@ -1543,7 +1389,7 @@ let service pcb =
 
 (* --- fiber-side entry points --- *)
 
-let charge _pcb dt = if dt > 0.0 then Sim.Proc.work dt
+let charge dt = if dt > 0.0 then Sim.Proc.work dt
 
 let stall_until pcb ~bucket pred =
   let eng = Mchan.Net.engine pcb.eng.net in
@@ -1583,37 +1429,30 @@ let issue pcb b kind mkind ?(sc_store = None) () =
       m_stores = [];
     }
   in
-  (match Hashtbl.find_opt pcb.outstanding b with
-  | Some old ->
-      Format.eprintf "ISSUE COLLISION pid%d blk=%d new=%s old=%s old_done=%b@." pcb.pid b
-        (match mkind with MRead -> "read" | MStore -> "store" | MSc -> "sc" | MPrefetch -> "pf")
-        (match old.m_kind with MRead -> "read" | MStore -> "store" | MSc -> "sc" | MPrefetch -> "pf")
-        old.m_done
-  | None -> ());
+  (* Every caller checks [outstanding] first: a second miss on the block
+     would orphan the first one's waiter. *)
+  assert (not (Hashtbl.mem pcb.outstanding b));
   Hashtbl.replace pcb.outstanding b miss;
   (let r = t.rstats.(pcb.dom.dom_node).(Layout.block_region t.layout b) in
    match mkind with
    | MRead -> r.r_read_misses <- r.r_read_misses + 1
    | MStore | MSc | MPrefetch -> r.r_store_misses <- r.r_store_misses + 1);
   if mkind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores + 1;
-  (match kind with
-  | Ptypes.Read | Ptypes.Read_ex ->
-      set_block_state_shared pcb.dom t b Ptypes.Pending;
-      set_block_state_private ~why:"issue" pcb t b Ptypes.Pending
-  | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
-      (* Keep the data readable while upgrading: only mark pending in the
-         tables, the image still holds valid data. *)
-      set_block_state_shared pcb.dom t b Ptypes.Pending;
-      set_block_state_private ~why:"issue" pcb t b Ptypes.Pending);
+  (* Only the tables go Pending: the image keeps its contents, so an
+     upgrading copy stays readable. *)
+  set_block_state_shared pcb.dom b Ptypes.Pending;
+  set_block_state_private pcb b Ptypes.Pending;
   let cur = ref (Sim.Engine.now (Mchan.Net.engine t.net)) in
-  if dbg_on then dbg b "[%.9f] ISSUE %s blk=%d by pid%d dom%d" !cur
-    (Format.asprintf "%a" Ptypes.pp_kind kind) b pcb.pid pcb.dom.dom_id;
   (* Route by this domain's own (possibly stale) view of the home map;
      a wrong guess comes back as a bounce with a fresh hint. *)
   send_to_domain t ~cur ~from_node:pcb.dom.dom_node (hinted_home t pcb.dom b)
     (Ptypes.Request { kind; block = b; from_domain = pcb.dom.dom_id; from_pid = pcb.pid });
-  charge pcb t.cfg.Config.costs.Config.send;
+  charge t.cfg.Config.costs.Config.send;
   miss
+
+(* The request that makes a non-exclusive block writable: a Shared copy
+   only needs upgrading, anything else needs the data too. *)
+let store_request shared = if shared = Ptypes.Shared then Ptypes.Upgrade else Ptypes.Read_ex
 
 (* Reissue stores that executed after a batch while their line had been
    downgraded (Section 4.1), and apply deferred flag writes.  Runs at
@@ -1649,14 +1488,13 @@ and reissue_store pcb addr w v =
   let _, shared = block_state pcb addr in
   match shared with
   | Ptypes.Exclusive ->
-      set_block_state_private ~why:"reissue-E" pcb t b Ptypes.Exclusive;
+      set_block_state_private pcb b Ptypes.Exclusive;
       Memimg.write ~pid:pcb.pid pcb.dom.img addr w v
   | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending -> (
       match Hashtbl.find_opt pcb.outstanding b with
       | Some miss -> miss.m_stores <- (addr, w, v) :: miss.m_stores
       | None ->
-          let kind = if shared = Ptypes.Shared then Ptypes.Upgrade else Ptypes.Read_ex in
-          let miss = issue pcb b kind MStore () in
+          let miss = issue pcb b (store_request shared) MStore () in
           miss.m_stores <- [ (addr, w, v) ])
 
 (* Ensure the block is readable; blocking.
@@ -1668,7 +1506,7 @@ and reissue_store pcb addr w v =
 let ensure_read pcb addr =
   let t = pcb.eng in
   let b = block_of_addr t addr in
-  charge pcb t.cfg.Config.costs.Config.intra_node_hit;
+  charge t.cfg.Config.costs.Config.intra_node_hit;
   let rec go () =
     match Hashtbl.find_opt pcb.outstanding b with
     | Some miss ->
@@ -1681,7 +1519,7 @@ let ensure_read pcb addr =
             (* Intra-node resolution: another process of the domain holds
                the data; just refresh the private table. *)
             pcb.stats.intra_hits <- pcb.stats.intra_hits + 1;
-            set_block_state_private ~why:"intra-read" pcb t b
+            set_block_state_private pcb b
               (if shared = Ptypes.Exclusive then Ptypes.Exclusive else Ptypes.Shared)
         | Ptypes.Invalid | Ptypes.Pending ->
             pcb.stats.read_misses <- pcb.stats.read_misses + 1;
@@ -1707,7 +1545,7 @@ let flag_value t (w : Alpha.Insn.width) =
     back-to-back, in order). *)
 let rec load_miss pcb addr w =
   let t = pcb.eng in
-  charge pcb t.cfg.Config.costs.Config.miss_entry;
+  charge t.cfg.Config.costs.Config.miss_entry;
   apply_deferred pcb;
   let _, shared = block_state pcb addr in
   match shared with
@@ -1729,45 +1567,28 @@ let rec load_miss pcb addr w =
 let ensure_write pcb addr ~blocking =
   let t = pcb.eng in
   let b = block_of_addr t addr in
-  charge pcb t.cfg.Config.costs.Config.intra_node_hit;
-  let rec go () =
+  charge t.cfg.Config.costs.Config.intra_node_hit;
+  (* A blocking store stalls on the miss and re-inspects; a non-blocking
+     one is recorded against the outstanding miss by [raw_write]. *)
+  let rec wait miss =
+    if blocking then begin
+      ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
+      go ()
+    end
+  and go () =
     match Hashtbl.find_opt pcb.outstanding b with
-    | Some miss ->
-        if blocking then begin
-          ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
-          go ()
-        end
-        (* Non-blocking: the store will be recorded against the
-           outstanding miss by [raw_write]. *)
+    | Some miss -> wait miss
     | None -> (
         let _, shared = block_state pcb addr in
         match shared with
         | Ptypes.Exclusive ->
             pcb.stats.intra_hits <- pcb.stats.intra_hits + 1;
-            set_block_state_private ~why:"intra-write" pcb t b Ptypes.Exclusive
-        | Ptypes.Shared ->
+            set_block_state_private pcb b Ptypes.Exclusive
+        | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
+            (* Pending means a recall of our exclusive copy, or a
+               sibling's miss, is in flight: go through the home. *)
             pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-            let miss = issue pcb b Ptypes.Upgrade MStore () in
-            if blocking then begin
-              ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
-              go ()
-            end
-        | Ptypes.Invalid ->
-            pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-            let miss = issue pcb b Ptypes.Read_ex MStore () in
-            if blocking then begin
-              ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
-              go ()
-            end
-        | Ptypes.Pending ->
-            (* A recall of our exclusive copy, or a sibling's miss, is in
-               flight: go through the home. *)
-            pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-            let miss = issue pcb b Ptypes.Read_ex MStore () in
-            if blocking then begin
-              ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
-              go ()
-            end)
+            wait (issue pcb b (store_request shared) MStore ()))
   in
   go ()
 
@@ -1776,7 +1597,7 @@ let ensure_write pcb addr ~blocking =
     [Rc] it is non-blocking, bounded by [max_outstanding_stores]. *)
 let store_miss pcb addr =
   let t = pcb.eng in
-  charge pcb t.cfg.Config.costs.Config.miss_entry;
+  charge t.cfg.Config.costs.Config.miss_entry;
   apply_deferred pcb;
   let blocking = t.cfg.Config.model = Config.Sc in
   if (not blocking) && pcb.n_outstanding_stores >= t.cfg.Config.max_outstanding_stores then
@@ -1809,11 +1630,6 @@ let raw_sc pcb addr w v = Memimg.sc pcb.dom.img ~pid:pcb.pid addr w v
 let raw_write pcb addr w v =
   let t = pcb.eng in
   let b = block_of_addr t addr in
-  if dbg_on then dbg b "[%.9f] WRITE 0x%x=%Ld pid%d dom%d (outstanding=%b st=%c/%c)"
-    (Sim.Engine.now (Mchan.Net.engine t.net)) addr v pcb.pid pcb.dom.dom_id
-    (Hashtbl.mem pcb.outstanding b)
-    (Ptypes.state_to_char (tab_get pcb.private_tab b))
-    (Ptypes.state_to_char (tab_get pcb.dom.shared_tab b));
   (* The dominant case — no miss outstanding, no watched blocks — must
      not hash or allocate. *)
   (if Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
@@ -1833,7 +1649,7 @@ let raw_write pcb addr w v =
     [raw_write pcb addr W64 v], skipping the block lookup and hashing
     when no miss is outstanding and nothing is watched or traced. *)
 let raw_write64 pcb addr v =
-  if dbg_on || Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
+  if Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
     raw_write pcb addr Alpha.Insn.W64 v
   else Memimg.write64 ~pid:pcb.pid pcb.dom.img addr v
 
@@ -1841,7 +1657,7 @@ let raw_write64 pcb addr v =
     outstanding (non-blocking) stores and service pending invalidations. *)
 let mb pcb =
   let t = pcb.eng in
-  charge pcb (Config.mb_cost t.cfg);
+  charge (Config.mb_cost t.cfg);
   apply_deferred pcb;
   if pcb.n_outstanding_stores > 0 then
     ignore (stall_until pcb ~bucket:`Mb (fun () -> pcb.n_outstanding_stores = 0))
@@ -1859,7 +1675,7 @@ let poll pcb = apply_deferred pcb
     handled by deferred flag writes and store reissues. *)
 let batch pcb accesses =
   let t = pcb.eng in
-  charge pcb t.cfg.Config.costs.Config.miss_entry;
+  charge t.cfg.Config.costs.Config.miss_entry;
   apply_deferred pcb;
   let blocks_of (addr, w, _) =
     (* An access can straddle a block boundary only if misaligned, which
@@ -1879,18 +1695,15 @@ let batch pcb accesses =
           let _, shared = block_state pcb addr in
           match (kind, shared) with
           | _, Ptypes.Exclusive ->
-              set_block_state_private pcb t b Ptypes.Exclusive
+              set_block_state_private pcb b Ptypes.Exclusive
           | Alpha.Insn.Load_acc, Ptypes.Shared ->
-              set_block_state_private pcb t b Ptypes.Shared
+              set_block_state_private pcb b Ptypes.Shared
           | Alpha.Insn.Load_acc, (Ptypes.Invalid | Ptypes.Pending) ->
               pcb.stats.read_misses <- pcb.stats.read_misses + 1;
               misses := issue pcb b Ptypes.Read MRead () :: !misses
-          | Alpha.Insn.Store_acc, Ptypes.Shared ->
+          | Alpha.Insn.Store_acc, (Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending) ->
               pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-              misses := issue pcb b Ptypes.Upgrade MStore () :: !misses
-          | Alpha.Insn.Store_acc, (Ptypes.Invalid | Ptypes.Pending) ->
-              pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-              misses := issue pcb b Ptypes.Read_ex MStore () :: !misses))
+              misses := issue pcb b (store_request shared) MStore () :: !misses))
     accesses;
   (match !misses with
   | [] -> ()
@@ -1923,12 +1736,12 @@ let rec ll_ensure pcb addr =
   let private_s, shared = block_state pcb addr in
   (match shared with
   | Ptypes.Invalid | Ptypes.Pending ->
-      charge pcb t.cfg.Config.costs.Config.miss_entry;
+      charge t.cfg.Config.costs.Config.miss_entry;
       ensure_read pcb addr
   | Ptypes.Shared | Ptypes.Exclusive -> (
       match private_s with
       | Ptypes.Invalid | Ptypes.Pending ->
-          set_block_state_private ~why:"ll-fix" pcb t (block_of_addr t addr)
+          set_block_state_private pcb (block_of_addr t addr)
             (if shared = Ptypes.Exclusive then Ptypes.Exclusive else Ptypes.Shared)
       | Ptypes.Shared | Ptypes.Exclusive -> ()));
   let private_s, _ = block_state pcb addr in
@@ -1946,20 +1759,17 @@ let rec sc_check pcb addr w v =
       sc_check pcb addr w v
   | None ->
   let private_s, shared = block_state pcb addr in
-  if dbg_on then dbg b "[%.9f] SC_CHECK pid%d private=%c shared=%c last_ll=%b"
-    (Sim.Engine.now (Mchan.Net.engine t.net)) pcb.pid (Ptypes.state_to_char private_s)
-    (Ptypes.state_to_char shared) (pcb.last_ll = Some b);
   match (private_s, shared) with
   | Ptypes.Exclusive, _ when pcb.last_ll = Some b ->
       (* Fast path: run the SC in hardware; the memory-image monitor
          decides success. *)
       Alpha.Runtime.Run_in_hardware
   | _, Ptypes.Exclusive ->
-      set_block_state_private ~why:"sc-intra" pcb t b Ptypes.Exclusive;
+      set_block_state_private pcb b Ptypes.Exclusive;
       Alpha.Runtime.Run_in_hardware
   | _, Ptypes.Shared ->
       pcb.stats.sc_misses <- pcb.stats.sc_misses + 1;
-      charge pcb t.cfg.Config.costs.Config.miss_entry;
+      charge t.cfg.Config.costs.Config.miss_entry;
       let miss = issue pcb b Ptypes.Sc_upgrade MSc ~sc_store:(Some (addr, w, v)) () in
       ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
       Alpha.Runtime.Handled miss.m_sc_ok
@@ -1978,8 +1788,7 @@ let prefetch_excl pcb addr =
     let _, shared = block_state pcb addr in
     match shared with
     | Ptypes.Exclusive | Ptypes.Pending -> ()
-    | Ptypes.Shared -> ignore (issue pcb b Ptypes.Upgrade MPrefetch ())
-    | Ptypes.Invalid -> ignore (issue pcb b Ptypes.Read_ex MPrefetch ())
+    | Ptypes.Shared | Ptypes.Invalid -> ignore (issue pcb b (store_request shared) MPrefetch ())
   end
 
 (** [word_is_flag pcb addr] — used by the API-mode runtime to emulate the

@@ -28,14 +28,6 @@ let create ~layout =
     monitors = [];
   }
 
-(* Word-level write tracing: set SHASTA_DEBUG_ADDR=<hex or dec address>. *)
-let debug_addr =
-  match Sys.getenv_opt "SHASTA_DEBUG_ADDR" with Some a -> int_of_string a | None -> -1
-
-let dbg_write t addr what v =
-  if debug_addr >= 0 && addr <= debug_addr && debug_addr < addr + 8 then
-    Format.eprintf "  [img %x] %s 0x%x <- %Ld@." (Hashtbl.hash t) what addr v
-
 let block_of t addr = Layout.block_of_addr t.layout addr
 
 let in_range t addr width =
@@ -61,7 +53,6 @@ let break_monitors t ~block ~pid =
 
 let write ?(pid = -1) t addr (w : Alpha.Insn.width) v =
   check t addr (Alpha.Insn.bytes_of_width w);
-  if debug_addr >= 0 then dbg_write t addr (Printf.sprintf "write(pid%d)" pid) v;
   let off = addr - t.base in
   (* [block_of] is only needed when a monitor could break. *)
   (match t.monitors with [] -> () | _ -> break_monitors t ~block:(block_of t addr) ~pid);
@@ -78,7 +69,6 @@ let read64 t addr =
 
 let write64 t ~pid addr v =
   check t addr 8;
-  if debug_addr >= 0 then dbg_write t addr (Printf.sprintf "write(pid%d)" pid) v;
   (match t.monitors with [] -> () | _ -> break_monitors t ~block:(block_of t addr) ~pid);
   Bytes.set_int64_le t.data (addr - t.base) v
 
@@ -113,9 +103,6 @@ let sc t ~pid addr w v =
     on every touched block.  The extent need not respect block
     boundaries — the [Wrong_block_extent] mutation relies on that. *)
 let write_flags_range t ~flag32 ~addr ~len =
-  (if debug_addr >= 0 then
-     if debug_addr >= addr && debug_addr < addr + len then
-       dbg_write t debug_addr "write_flags" 0L);
   check t addr len;
   let off = addr - t.base in
   for w = 0 to (len / 4) - 1 do
@@ -146,10 +133,6 @@ let write_block t ~block data =
     invalid_arg
       (Printf.sprintf "Memimg.write_block: %d bytes for a %d-byte block" (Bytes.length data) len);
   let dst_off = Layout.block_base t.layout block - t.base in
-  (if debug_addr >= 0 then
-     let off = debug_addr - t.base in
-     if off >= dst_off && off < dst_off + len then
-       dbg_write t debug_addr "write_block" (Bytes.get_int64_le data (off - dst_off)));
   let changed = not (Bytes.equal data (Bytes.sub t.data dst_off len)) in
   Bytes.blit data 0 t.data dst_off len;
   if changed then break_monitors t ~block ~pid:(-1)

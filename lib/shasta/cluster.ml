@@ -148,15 +148,14 @@ exception Worker_failed of string * exn
 
 (* The conservative parallel mode only covers the exact, perfectly
    reliable, statically homed configuration — every excluded feature
-   either shares mutable state across nodes (coalescing batches,
-   per-message invariant sweeps, migrating directory entries) or has no
-   meaning once the global tie-set is split across lanes (non-Fifo
-   schedules, fault plans with their retransmit timers). *)
+   either shares mutable state across nodes (per-message invariant
+   sweeps, migrating directory entries) or has no meaning once the
+   global tie-set is split across lanes (non-Fifo schedules, fault
+   plans with their retransmit timers). *)
 let check_parallel_config cfg =
   let bad what = invalid_arg ("Shasta.Cluster.run: parallel mode excludes " ^ what) in
   (match cfg.Config.schedule with Sim.Engine.Fifo -> () | _ -> bad "non-Fifo schedules");
   if not (Fault.Plan.is_empty cfg.Config.fault_plan) then bad "fault plans";
-  if cfg.Config.net.Mchan.Net.coalescing <> None then bad "message coalescing";
   if cfg.Config.protocol.Protocol.Config.homing <> Protocol.Config.Static then
     bad "home migration";
   if cfg.Config.protocol.Protocol.Config.check_invariants then

@@ -29,8 +29,8 @@ type t = {
   parallel : int;
       (** event-loop domains for the conservative parallel mode; 1 (the
           default) is the exact sequential engine.  > 1 requires the
-          [Fifo] schedule, an empty fault plan, no coalescing, static
-          homing and per-message invariant checks off *)
+          [Fifo] schedule, an empty fault plan, static homing and
+          per-message invariant checks off *)
 }
 
 let default =

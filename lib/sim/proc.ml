@@ -102,8 +102,6 @@ let exists_ready ?(below = priority_levels) cpu =
   let rec go i = i < below && (not (Queue.is_empty cpu.ready.(i)) || go (i + 1)) in
   go 0
 
-let debug_sched = Sys.getenv_opt "SHASTA_DEBUG_SCHED" <> None
-
 let rec dispatch cpu =
   match cpu.current with
   | Some _ -> ()
@@ -111,9 +109,6 @@ let rec dispatch cpu =
       match pick_ready cpu with
       | None -> ()
       | Some p ->
-          if debug_sched then
-            Format.eprintf "[%.9f] dispatch cpu%d -> %s(pid%d)@." (Engine.now cpu.engine)
-              cpu.cpu_global_id p.name p.pid;
           cpu.current <- Some p;
           p.state <- Running;
           cpu.switches <- cpu.switches + 1;

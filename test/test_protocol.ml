@@ -18,10 +18,8 @@ type world = {
 
 let setup ?(variant = P.Config.Smp) ?(model = P.Config.Rc) ?(direct_downgrade = true)
     ?(nodes = 2) ?(cpus = 2) ?(regions = []) ?mutation
-    ?(homing = P.Config.Static) ?(migration_threshold = 1) ?coalescing () =
-  let netcfg =
-    { Mchan.Net.default_config with Mchan.Net.nodes; cpus_per_node = cpus; coalescing }
-  in
+    ?(homing = P.Config.Static) ?(migration_threshold = 1) () =
+  let netcfg = { Mchan.Net.default_config with Mchan.Net.nodes; cpus_per_node = cpus } in
   let net = Mchan.Net.create netcfg in
   let cfg =
     {
@@ -712,7 +710,7 @@ let test_batch_store_reissue () =
       Alcotest.(check int64) "reissued store wins (home-serialised last)" 42L v
   | [] -> Alcotest.fail "no valid copy after quiescence")
 
-(* --- sharded home map: placement edge cases, migration, coalescing --- *)
+(* --- sharded home map: placement edge cases and migration --- *)
 
 let test_set_home_overlap_later_wins () =
   (* Overlapping override ranges: the later call wins on the overlap,
@@ -808,41 +806,6 @@ let test_stale_home_bounce () =
   Alcotest.(check bool) "request bounced off the stale home" true (!bounced >= 1);
   Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
 
-let test_coalescing_preserves_protocol () =
-  (* A burst of non-blocking store misses to distinct remote-homed
-     blocks coalesces into shared frames on the node0 -> node1 link
-     without changing what the protocol delivers. *)
-  let w = setup ~coalescing:Mchan.Net.default_coalesce () in
-  let a = base + 16384 in
-  let nblk = 8 in
-  let flag = a + (nblk * 64) in
-  let got = ref 0L in
-  let _ =
-    worker w ~cpu_i:0 (fun pcb ->
-        for i = 0 to nblk - 1 do
-          sstore pcb (a + (i * 64)) (Int64.of_int (100 + i))
-        done;
-        E.mb pcb;
-        sstore pcb flag 1L)
-  in
-  let _ =
-    worker w ~cpu_i:2 (fun pcb ->
-        (* Spin with protocol entries so the writer's invalidations are
-           serviced (raw reads alone never enter the protocol). *)
-        while sload pcb flag <> 1L do
-          E.poll pcb;
-          Sim.Proc.work 1e-6
-        done;
-        got := sload pcb (a + (3 * 64)))
-  in
-  E.set_home w.eng ~addr:a ~len:((nblk + 1) * 64) ~domain:1;
-  E.init w.eng;
-  run w;
-  Alcotest.(check int64) "value survives coalescing" 103L !got;
-  Alcotest.(check bool) "messages were batched" true (Mchan.Net.batches w.net >= 1);
-  Alcotest.(check bool) "frames carry their messages" true
-    (Mchan.Net.batched_messages w.net >= Mchan.Net.batches w.net)
-
 let suite =
   [
     Alcotest.test_case "read migration" `Quick test_read_migration;
@@ -873,5 +836,4 @@ let suite =
     Alcotest.test_case "migratory home transfer" `Quick test_migratory_home_transfer;
     Alcotest.test_case "first-touch home" `Quick test_first_touch_home;
     Alcotest.test_case "stale home bounce" `Quick test_stale_home_bounce;
-    Alcotest.test_case "coalescing preserves protocol" `Quick test_coalescing_preserves_protocol;
   ]
