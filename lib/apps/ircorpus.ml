@@ -548,7 +548,17 @@ type run_result = {
   steps : int;
   check_slots : int;  (** executed miss-check slots ({!Alpha.Interp.stats}) *)
   elapsed : float;  (** simulated seconds *)
+  events : int;  (** engine events fired *)
+  proc_times : (float * float) array;  (** per process, in spawn order: (work, msg) seconds *)
 }
+
+let proc_times cl =
+  Array.of_list
+    (List.map
+       (fun h ->
+         let p = h.R.proc in
+         (p.Sim.Proc.work_time, p.Sim.Proc.msg_time))
+       (C.runtimes cl))
 
 (** [run instrumented entry] — execute an instrumented version of
     [entry]'s program on a 1-node, 1-processor cluster and capture
@@ -591,6 +601,8 @@ let run ?(max_steps = 20_000_000) ?iters (instrumented : Alpha.Program.t) (e : e
         steps = o.Alpha.Interp.stats.Alpha.Interp.steps;
         check_slots = o.Alpha.Interp.stats.Alpha.Interp.check_slots;
         elapsed = C.now cl;
+        events = Sim.Engine.events_fired (C.sim cl);
+        proc_times = proc_times cl;
       }
 
 (* --- SPMD multi-thread runner --- *)
@@ -601,6 +613,8 @@ type spmd_result = {
   s_regions : (string * Protocol.Engine.rstat) list;
       (** cluster-wide per-region coherence counters, in layout order *)
   s_migrations : int;  (** home-map entries migrated (0 under [Static]) *)
+  s_events : int;  (** engine events fired *)
+  s_proc_times : (float * float) array;  (** per thread, by tid: (work, msg) seconds *)
 }
 
 (** [run_spmd instrumented entry] — execute an instrumented sync-corpus
@@ -683,4 +697,11 @@ let run_spmd ?(max_steps = 20_000_000) ?(nodes = 1) ?(cpus_per_node = 8) ?(nproc
          (Protocol.Engine.region_stats peng))
   in
   let migrations, _, _ = C.migration_stats cl in
-  { s_r0s = r0s; s_elapsed = elapsed; s_regions = regions; s_migrations = migrations }
+  {
+    s_r0s = r0s;
+    s_elapsed = elapsed;
+    s_regions = regions;
+    s_migrations = migrations;
+    s_events = Sim.Engine.events_fired (C.sim cl);
+    s_proc_times = proc_times cl;
+  }
