@@ -188,18 +188,21 @@ let run_speed () =
    after the flat-heap rewrite, roughly 2x the pre-rewrite engine.
    The floor is baseline/3 to absorb slower CI hosts; a regression that
    undoes the rewrite's win (a ~2x drop to pre-rewrite speed on the
-   same host) still lands well under it. *)
-let smoke_floor = [ ("LU@4", 300_000.0); ("Water-Nsq@4", 530_000.0) ]
+   same host) still lands well under it.  LU@1 (baseline 0.98M) is one
+   process on one CPU, where 91% of the events are that process's own
+   work slices fired inline: its floor guards the single-process shape
+   those inline fires serve. *)
+let smoke_floor = [ ("LU@1", 327_000.0); ("LU@4", 300_000.0); ("Water-Nsq@4", 530_000.0) ]
 
 let run_speed_smoke () =
   Support.print_header "simulator throughput smoke (CI regression gate)";
   let points =
     List.map
-      (fun app ->
+      (fun (app, nprocs) ->
         let spec = Apps.Registry.find app in
-        let nodes, cpus = shape 4 in
-        run_app spec ~nprocs:4 ~nodes ~cpus)
-      [ "LU"; "Water-Nsq" ]
+        let nodes, cpus = shape nprocs in
+        run_app spec ~nprocs ~nodes ~cpus)
+      [ ("LU", 1); ("LU", 4); ("Water-Nsq", 4) ]
   in
   let interp = run_interp () in
   let points = points @ [ interp ] in

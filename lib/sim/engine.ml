@@ -18,6 +18,14 @@
     a list per tie-set.  Because [(time, seq)] keys are unique, the pop
     order is independent of the heap's internal layout.
 
+    {!fire_inline} lets the code that is running an event fire the next
+    one in place, skipping the heap, when that event would be popped
+    next anyway: inside a sequential [Fifo] {!run}, within its deadline
+    and event budget, and strictly before every pending event.  The
+    clock, the sequence counter and the fired count advance as for a
+    pop, so an inline fire is indistinguishable from a heap fire.
+    [Proc.work] uses it for a process's own work slices.
+
     The [schedule] chosen at [create] controls how same-time ties are
     broken.  [Fifo] (the default) fires ties in insertion order and is
     bit-identical to the historical behaviour.  [Guided] is the one
@@ -283,6 +291,11 @@ type t = {
   mutable tb_label : label array;
   mutable tb_run : (unit -> unit) array;
   mutable par : par option;  (** [None] = sequential (the default) *)
+  (* Inside a sequential [Fifo] {!run}: its deadline, and the [fired]
+     count at which its event budget is spent.  [inline_end = 0] outside
+     such a run, which turns {!fire_inline} off. *)
+  mutable inline_until : float;
+  mutable inline_end : int;
 }
 
 (* The lane currently being driven by this domain (set by {!Par.run}
@@ -343,6 +356,8 @@ let create ?(schedule = Fifo) () =
     tb_label = [||];
     tb_run = [||];
     par = None;
+    inline_until = Float.infinity;
+    inline_end = 0;
   }
 
 let now t =
@@ -418,6 +433,25 @@ let at t ?(label = no_label) time f =
 (** [after t ?label dt f] schedules [f] to fire [dt] seconds from now
     (the lane clock in parallel mode). *)
 let after t ?label dt f = at t ?label (now t +. dt) f
+
+(** [fire_inline t time] fires, in place, an event at [time] whose
+    action the caller is about to run itself — provided it would be the
+    very next event to fire anyway: inside a sequential [Fifo] {!run},
+    not past its deadline or event budget, and strictly before every
+    pending event.  The clock, the sequence counter and [events_fired]
+    advance exactly as a push and a pop would advance them.  Returns
+    [false], changing nothing, when the caller must schedule the event
+    instead. *)
+let fire_inline t time =
+  t.fired < t.inline_end
+  && time <= t.inline_until
+  && (t.heap.q_size = 0 || q_top_time t.heap > time)
+  && begin
+       t.now <- time;
+       t.seq <- t.seq + 1;
+       t.fired <- t.fired + 1;
+       true
+     end
 
 (* --- tie-set machinery (the Guided schedule) --- *)
 
@@ -503,29 +537,36 @@ let run ?until ?max_events t =
   let continue = ref true in
   (match t.sched with
   | S_fifo ->
+      t.inline_until <- until_v;
+      t.inline_end <- (if budget > max_int - fired0 then max_int else fired0 + budget);
       (* The hot loop: no allocation per event — the deadline check reads
          the root time directly and firing pops in place. *)
-      while !continue do
-        if h.q_size > 0 && q_top_time h > until_v then begin
-          t.now <- Float.max t.now until_v;
-          reason := Deadline;
-          continue := false
-        end
-        else if t.fired - fired0 >= budget then begin
-          reason := Event_budget;
-          continue := false
-        end
-        else if h.q_size = 0 then begin
-          reason := Quiescent;
-          continue := false
-        end
-        else begin
-          t.now <- q_top_time h;
-          t.fired <- t.fired + 1;
-          let run = q_take h in
-          run ()
-        end
-      done
+      (try
+         while !continue do
+           if h.q_size > 0 && q_top_time h > until_v then begin
+             t.now <- Float.max t.now until_v;
+             reason := Deadline;
+             continue := false
+           end
+           else if t.fired - fired0 >= budget then begin
+             reason := Event_budget;
+             continue := false
+           end
+           else if h.q_size = 0 then begin
+             reason := Quiescent;
+             continue := false
+           end
+           else begin
+             t.now <- q_top_time h;
+             t.fired <- t.fired + 1;
+             let run = q_take h in
+             run ()
+           end
+         done
+       with e ->
+         t.inline_end <- 0;
+         raise e);
+      t.inline_end <- 0
   | S_guided _ ->
       while !continue do
         if h.q_size > 0 && q_top_time h > until_v then begin

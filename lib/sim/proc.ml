@@ -7,7 +7,7 @@
     latencies of Section 4.3 of the paper when a request targets a process
     that is not currently scheduled.
 
-    Effects available to process bodies:
+    Operations available to process bodies:
     - [work dt]: consume [dt] seconds of CPU, polling for incoming
       messages every [poll_interval] (the inserted loop-backedge polls);
     - [stall pred]: spin, servicing incoming messages, until [pred ()]
@@ -21,13 +21,23 @@
     Application processes run at priority 0; "protocol processes"
     (Section 4.3.2) run at priority 1 so that they execute only when no
     application process is runnable, and are preempted immediately when
-    one becomes runnable. *)
+    one becomes runnable.
+
+    [work] starts its slice loop on the process's own fiber.  Each wait
+    in it — the zero-delay step, every slice, every message-service
+    delay — fires inline through {!Engine.fire_inline} when it would be
+    the engine's next event anyway.  At the first wait that cannot, the
+    fiber parks and the loop carries on in that wait's real event (the
+    CPU's scheduler label, the process's version guard) and the ones
+    after it, still firing inline where it can, until the work is done
+    and the fiber resumes.  Either way the clock, the event order and
+    the event count are the same; only the host cost differs: no fiber
+    switch at all when every wait fires inline, one otherwise. *)
 
 type pstate = Ready | Running | Blocked | Waiting | Finished
 
 type activity =
   | Thunk of (unit -> unit)
-  | Work_left of float * (unit -> unit)
   | Stalling of (unit -> bool) * (unit -> unit)
 
 type t = {
@@ -50,9 +60,10 @@ type t = {
   mutable work_time : float;
   mutable msg_time : float;
   mutable finished_at : float;
-  mutable n_steps : int;  (** scheduler steps, for diagnostics *)
   mutable on_exit : (unit -> unit) list;
   mutable failure : exn option;
+  mutable parked : (unit, unit) Effect.Deep.continuation option;
+      (** the fiber, while its [work] slice loop runs in engine events *)
 }
 
 and cpu = {
@@ -150,44 +161,9 @@ and preempt p =
   dispatch cpu
 
 and step p =
-  p.n_steps <- p.n_steps + 1;
   match p.activity with
   | Thunk f -> f ()
-  | Work_left (rem, cont) -> work_step p rem cont
   | Stalling (pred, cont) -> stall_step p pred cont
-
-and work_step p rem cont =
-  let cpu = p.cpu in
-  let eng = cpu.engine in
-  if rem <= 1e-15 then begin
-    p.activity <- Thunk cont;
-    cont ()
-  end
-  else begin
-    let until_quantum = cpu.quantum_deadline -. Engine.now eng in
-    if until_quantum <= 0.0 && exists_ready cpu then begin
-      p.activity <- Work_left (rem, cont);
-      preempt p
-    end
-    else begin
-      (* When the quantum has expired but nothing else is runnable, keep
-         working in normal poll-sized slices. *)
-      let quantum_cap = if until_quantum > 0.0 then until_quantum else p.poll_interval in
-      let slice = Float.min rem (Float.min p.poll_interval quantum_cap) in
-      let v = p.version in
-      Engine.after eng ~label:cpu.label slice (fun () ->
-          if p.version = v then begin
-            p.work_time <- p.work_time +. slice;
-            p.activity <- Work_left (rem -. slice, cont);
-            let service = p.on_poll p in
-            if service > 0.0 then begin
-              p.msg_time <- p.msg_time +. service;
-              Engine.after eng ~label:cpu.label service (fun () -> if p.version = v then step p)
-            end
-            else step p
-          end)
-    end
-  end
 
 and stall_step p pred cont =
   let cpu = p.cpu in
@@ -247,17 +223,118 @@ and stall_step p pred cont =
 (* Effects performed by process bodies. *)
 
 type _ Effect.t +=
-  | Work : float -> unit Effect.t
+  | Suspend : (unit -> unit) -> unit Effect.t
   | Stall : (unit -> bool) -> unit Effect.t
   | Block : unit Effect.t
   | Yield : unit Effect.t
-  | Self : t Effect.t
 
-let work dt = if dt > 0.0 then Effect.perform (Work dt)
 let stall pred = Effect.perform (Stall pred)
 let block () = Effect.perform Block
 let yield () = Effect.perform Yield
-let self () = Effect.perform Self
+
+(* The process whose fiber this domain is running, written at every
+   resume.  Domain-local: parallel lanes run fibers on several domains
+   at once. *)
+let running : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let self () =
+  match !(Domain.DLS.get running) with
+  | Some p -> p
+  | None -> invalid_arg "Proc.self: not inside a process"
+
+let resume p k x =
+  Domain.DLS.get running := Some p;
+  Effect.Deep.continue k x
+
+(* The [work] slice loop starts on the process's fiber.  [leave p
+   action] runs [action] in engine context: from the fiber it parks the
+   fiber first ([Suspend]), and the loop carries on in engine events
+   until [work_done] resumes it; once parked, it just runs [action]. *)
+let leave p action =
+  match p.parked with None -> Effect.perform (Suspend action) | Some _ -> action ()
+
+let work_done p =
+  match p.parked with
+  | None -> ()
+  | Some k ->
+      p.parked <- None;
+      resume p k ()
+
+(* A scheduler wait of [delay] seconds, guarded by version [v], fired in
+   place when it would be the engine's very next event anyway. *)
+let inline p v delay =
+  let eng = p.cpu.engine in
+  p.version = v && Engine.fire_inline eng (Engine.now eng +. delay)
+
+(* The same wait as a real event, [fire] (which checks the version);
+   from the fiber, park it first and come back here parked.  Should [p]
+   be descheduled meanwhile, a later dispatch picks the loop up at
+   [redo]. *)
+let rec schedule p delay fire ~redo =
+  match p.parked with
+  | None -> Effect.perform (Suspend (fun () -> schedule p delay fire ~redo))
+  | Some _ ->
+      p.activity <- Thunk redo;
+      Engine.after p.cpu.engine ~label:p.cpu.label delay fire
+
+(* [on_poll] may run on the fiber, but its exceptions belong to the
+   engine run (an invariant violation aborts it), not to [p.failure]. *)
+let poll p =
+  try p.on_poll p
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    leave p (fun () -> Printexc.raise_with_backtrace e bt);
+    assert false (* [leave] ran the raise *)
+
+(* Work [rem] seconds in slices of at most [poll_interval], polling for
+   messages after each one and charging the service time; cede the CPU
+   at the end of the quantum when another process is runnable.  A slice
+   the process was descheduled in is lost and worked again. *)
+let rec slices p rem =
+  if rem <= 1e-15 then work_done p
+  else begin
+    let cpu = p.cpu in
+    let until_quantum = cpu.quantum_deadline -. Engine.now cpu.engine in
+    if until_quantum <= 0.0 && exists_ready cpu then
+      leave p (fun () ->
+          p.activity <- Thunk (fun () -> slices p rem);
+          preempt p)
+    else begin
+      (* When the quantum has expired but nothing else is runnable, keep
+         working in normal poll-sized slices. *)
+      let quantum_cap = if until_quantum > 0.0 then until_quantum else p.poll_interval in
+      let slice = Float.min rem (Float.min p.poll_interval quantum_cap) in
+      let v = p.version in
+      if inline p v slice then sliced p v slice rem
+      else
+        schedule p slice
+          (fun () -> if p.version = v then sliced p v slice rem)
+          ~redo:(fun () -> slices p rem)
+    end
+  end
+
+and sliced p v slice rem =
+  p.work_time <- p.work_time +. slice;
+  let rem = rem -. slice in
+  let service = poll p in
+  if service > 0.0 then begin
+    p.msg_time <- p.msg_time +. service;
+    wait_then p v service rem
+  end
+  else slices p rem
+
+(* Wait [delay] seconds, then go on working [rem]. *)
+and wait_then p v delay rem =
+  if inline p v delay then slices p rem
+  else
+    let redo () = slices p rem in
+    schedule p delay (fun () -> if p.version = v then redo ()) ~redo
+
+let work dt =
+  if dt > 0.0 then begin
+    let p = self () in
+    wait_then p p.version 0.0 dt
+  end
 
 let wakeup p =
   match p.state with
@@ -286,6 +363,7 @@ let schedule_step p =
 
 let run_fiber p body =
   let open Effect.Deep in
+  Domain.DLS.get running := Some p;
   match_with body ()
     {
       retc = (fun () -> finish p);
@@ -293,20 +371,20 @@ let run_fiber p body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Work d ->
+          | Suspend action ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  p.activity <- Work_left (d, fun () -> continue k ());
-                  schedule_step p)
+                  p.parked <- Some k;
+                  action ())
           | Stall pred ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  p.activity <- Stalling (pred, fun () -> continue k ());
+                  p.activity <- Stalling (pred, fun () -> resume p k ());
                   schedule_step p)
           | Block ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  p.activity <- Thunk (fun () -> continue k ());
+                  p.activity <- Thunk (fun () -> resume p k ());
                   p.version <- p.version + 1;
                   p.state <- Blocked;
                   let cpu = p.cpu in
@@ -317,9 +395,8 @@ let run_fiber p body =
           | Yield ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  p.activity <- Thunk (fun () -> continue k ());
+                  p.activity <- Thunk (fun () -> resume p k ());
                   preempt p)
-          | Self -> Some (fun (k : (a, unit) continuation) -> continue k p)
           | _ -> None);
     }
 
@@ -345,9 +422,9 @@ let spawn ?(priority = 0) ?(name = "proc") ?(poll_interval = default_poll_interv
       work_time = 0.0;
       msg_time = 0.0;
       finished_at = Float.nan;
-      n_steps = 0;
       on_exit = [];
       failure = None;
+      parked = None;
     }
   in
   enqueue_ready p;

@@ -173,6 +173,43 @@ let test_engine_jittered_bounds () =
   Alcotest.(check bool) "some event delayed" true (List.exists (fun t -> t > 1.0) ts);
   Alcotest.(check (list (float 0.0))) "same seed, same jitter" ts (times ())
 
+(* [fire_inline] fires in place only what would pop next anyway: inside
+   a Fifo [run], within its deadline and budget, strictly before the
+   heap root.  A successful fire advances the clock and the fired count
+   as the pop would. *)
+let test_engine_fire_inline_rule () =
+  let eng = Engine.create () in
+  Alcotest.(check bool) "not outside a run" false (Engine.fire_inline eng 0.0);
+  let got = ref [] in
+  let note name b = got := (name, b) :: !got in
+  Engine.at eng 1.0 (fun () ->
+      Engine.at eng 2.0 ignore;
+      note "tie with the root" (Engine.fire_inline eng 2.0);
+      note "before the root" (Engine.fire_inline eng 1.5);
+      note "clock advanced" (Engine.now eng = 1.5);
+      note "counted" (Engine.events_fired eng = 2));
+  Engine.at eng 3.0 (fun () -> note "past the deadline" (Engine.fire_inline eng 3.5));
+  ignore (Engine.run ~until:3.2 eng);
+  Engine.at eng 4.0 (fun () -> note "past the event budget" (Engine.fire_inline eng 4.0));
+  ignore (Engine.run ~max_events:1 eng);
+  Alcotest.(check (list (pair string bool)))
+    "inside a Fifo run"
+    [
+      ("tie with the root", false);
+      ("before the root", true);
+      ("clock advanced", true);
+      ("counted", true);
+      ("past the deadline", false);
+      ("past the event budget", false);
+    ]
+    (List.rev !got);
+  Alcotest.(check bool) "off again after the run" false (Engine.fire_inline eng 4.0);
+  let eng = Engine.create ~schedule:(guided (fun _ -> 0)) () in
+  let inline = ref true in
+  Engine.at eng 1.0 (fun () -> inline := Engine.fire_inline eng 1.0);
+  ignore (Engine.run eng);
+  Alcotest.(check bool) "never under Guided" false !inline
+
 let make_cpu ?(quantum = 0.010) ?(switch_cost = 0.0) eng =
   Proc.make_cpu ~engine:eng ~node_id:0 ~cpu_global_id:0 ~quantum ~switch_cost (ref 0)
 
@@ -320,6 +357,48 @@ let test_proc_join_propagates_failure () =
   in
   ignore (Engine.run eng);
   Alcotest.(check bool) "failure propagated via join" true !caught
+
+(* A lone process's work slices are each the engine's next event, so
+   under Fifo they fire inline, with no event closure and no fiber
+   switch.  Allocation is deterministic, so a bound on words per slice
+   catches a change that silently loses the inline path: about 6 words
+   a slice inline, 26 or more through the heap. *)
+let test_proc_lone_slices_fire_inline () =
+  let eng = Engine.create () in
+  let cpu = make_cpu eng in
+  let words = ref 0.0 in
+  let _p =
+    Proc.spawn cpu (fun () ->
+        let w0 = Gc.minor_words () in
+        Proc.work (1000.0 *. Proc.default_poll_interval);
+        words := Gc.minor_words () -. w0)
+  in
+  ignore (Engine.run eng);
+  Alcotest.(check bool) "under 16 words per slice" true (!words /. 1000.0 < 16.0)
+
+(* An exception raised by [on_poll] during a work slice aborts the
+   engine run; it is not the process's failure.  Under Fifo the lone
+   process's slices fire inline, so the poll runs on its fiber; under
+   Guided they run in engine events. *)
+exception Poll_failed
+
+let test_proc_poll_exception_escapes () =
+  List.iter
+    (fun schedule ->
+      let eng = Engine.create ~schedule () in
+      let cpu = make_cpu eng in
+      let p = Proc.spawn cpu (fun () -> Proc.work 0.001) in
+      let polls = ref 0 in
+      p.Proc.on_poll <-
+        (fun _ ->
+          incr polls;
+          if !polls = 3 then raise Poll_failed else 0.0);
+      Alcotest.check_raises "escapes Engine.run" Poll_failed (fun () ->
+          ignore (Engine.run eng));
+      Alcotest.(check bool) "not a process failure" true (p.Proc.failure = None);
+      check_f "raised after the third slice" (3.0 *. Proc.default_poll_interval)
+        (Engine.now eng))
+    [ Engine.Fifo; guided (fun _ -> 0) ]
 
 let test_quantum_wait_preemption () =
   (* A process waiting on a signal that never fires must lose the CPU to a
@@ -537,6 +616,7 @@ let suite =
     Alcotest.test_case "engine seeded tie-break" `Quick test_engine_seeded_deterministic;
     Alcotest.test_case "engine choose tie-break" `Quick test_engine_choose_ties;
     Alcotest.test_case "engine jittered delays" `Quick test_engine_jittered_bounds;
+    Alcotest.test_case "engine fire-inline rule" `Quick test_engine_fire_inline_rule;
     Alcotest.test_case "work advances time" `Quick test_proc_work_advances_time;
     Alcotest.test_case "round robin" `Quick test_proc_round_robin;
     Alcotest.test_case "block/wakeup" `Quick test_proc_block_wakeup;
@@ -548,6 +628,8 @@ let suite =
     Alcotest.test_case "join" `Quick test_proc_join;
     Alcotest.test_case "join propagates failure" `Quick test_proc_join_propagates_failure;
     Alcotest.test_case "quantum preempts waiting proc" `Quick test_quantum_wait_preemption;
+    Alcotest.test_case "lone work slices fire inline" `Quick test_proc_lone_slices_fire_inline;
+    Alcotest.test_case "poll exception escapes the run" `Quick test_proc_poll_exception_escapes;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng keyed link streams" `Quick test_rng_keyed_link_streams;
