@@ -46,7 +46,7 @@ let () =
         " coherence granularity: " ^ Protocol.Layout.spec_help );
       ( "--migration",
         Arg.Set_string migration,
-        " home placement: static | first-touch | migratory" );
+        " home placement: static | migratory" );
       ( "--migration-threshold",
         Arg.Set_int migration_threshold,
         " consecutive remote exclusive requests before a migratory move" );
@@ -109,7 +109,6 @@ let () =
             Cli.choice "--migration"
               [
                 ("static", Protocol.Config.Static);
-                ("first-touch", Protocol.Config.First_touch);
                 ("migratory", Protocol.Config.Migratory);
               ]
               !migration;

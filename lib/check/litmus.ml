@@ -39,7 +39,7 @@ type scenario = {
 
 let no_tweak (p : Protocol.Config.t) = p
 
-let config ?mutation ?(tweak = no_tweak) ~model ~schedule () =
+let config ?(tweak = no_tweak) ~model ~schedule () =
   {
     Shasta.Config.default with
     Shasta.Config.net =
@@ -52,7 +52,6 @@ let config ?mutation ?(tweak = no_tweak) ~model ~schedule () =
           Protocol.Config.shared_size = 256 * 1024;
           model;
           check_invariants = true;
-          mutation;
         };
   }
 
@@ -76,11 +75,11 @@ type outcome = {
           grant still in flight *)
 }
 
-(** [run ?mutation scenario schedule] — one fresh, fully-checked run. *)
+(** [run ?mutation scenario schedule] — one fresh, fully-checked run,
+    with [mutation] seeded into its protocol engine. *)
 let run ?mutation scenario schedule =
-  let cl =
-    C.create (config ?mutation ~tweak:scenario.tweak ~model:scenario.model ~schedule ())
-  in
+  let cl = C.create (config ~tweak:scenario.tweak ~model:scenario.model ~schedule ()) in
+  Option.iter (Protocol.Engine.seed_mutation (C.protocol_engine cl)) mutation;
   let tr = Trace.create () in
   let outcome_check = scenario.body cl tr in
   let violations = ref [] in

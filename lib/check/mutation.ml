@@ -1,12 +1,12 @@
 (** Mutation harness: seed each deliberate protocol bug
-    ({!Protocol.Config.mutation}) and prove the checking layers catch
+    ({!Protocol.Engine.mutation}) and prove the checking layers catch
     it.  A mutation counts as caught only when a run both {e fired} the
     bug (the mutated code path executed) and reported a violation —
     a violation in a run where the bug never triggered would be a false
     alarm, not a catch. *)
 
 type report = {
-  m_mutation : Protocol.Config.mutation;
+  m_mutation : Protocol.Engine.mutation;
   m_label : string;
   m_caught : (string * int) option;
       (** [(scenario, run)] of the first catching run, [run] counting
@@ -18,11 +18,11 @@ type report = {
 
 let all_mutations =
   [
-    (Protocol.Config.Skip_invalidate, "skip-invalidate");
-    (Protocol.Config.Skip_inval_ack, "skip-inval-ack");
-    (Protocol.Config.Keep_private_on_recall, "keep-private-on-recall");
-    (Protocol.Config.Skip_one_invalidation, "skip-one-invalidation");
-    (Protocol.Config.Wrong_block_extent, "wrong-block-extent");
+    (Protocol.Engine.Skip_invalidate, "skip-invalidate");
+    (Protocol.Engine.Skip_inval_ack, "skip-inval-ack");
+    (Protocol.Engine.Keep_private_on_recall, "keep-private-on-recall");
+    (Protocol.Engine.Skip_one_invalidation, "skip-one-invalidation");
+    (Protocol.Engine.Wrong_block_extent, "wrong-block-extent");
   ]
 
 let all_caught reports = List.for_all (fun r -> r.m_caught <> None) reports

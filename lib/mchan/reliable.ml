@@ -131,22 +131,18 @@ let faulted_phys t ~at ~src ~dst ~size st k =
   match Fault.Plan.decide t.plan ~src ~dst with
   | Fault.Plan.Drop ->
       Sim.Stats.incr_counter st.s_inj_dropped;
-      Sim.Trace.f t.engine "fault %d->%d: drop (%d B)" src dst size;
       t.phys ~at ~src_node:src ~dst_node:dst ~size (fun _ -> ())
   | Fault.Plan.Corrupt ->
       (* The checksum in the frame header catches the damage at the
          receiver, which discards the frame; retransmission repairs it. *)
       Sim.Stats.incr_counter st.s_inj_corrupted;
-      Sim.Trace.f t.engine "fault %d->%d: corrupt (%d B)" src dst size;
       t.phys ~at ~src_node:src ~dst_node:dst ~size (fun _ -> ())
   | Fault.Plan.Duplicate ->
       Sim.Stats.incr_counter st.s_inj_duplicated;
-      Sim.Trace.f t.engine "fault %d->%d: duplicate (%d B)" src dst size;
       t.phys ~at ~src_node:src ~dst_node:dst ~size k;
       t.phys ~at ~src_node:src ~dst_node:dst ~size k
   | Fault.Plan.Delay extra ->
       Sim.Stats.incr_counter st.s_inj_delayed;
-      Sim.Trace.f t.engine "fault %d->%d: delay +%.1e s (%d B)" src dst extra size;
       t.phys ~at ~src_node:src ~dst_node:dst ~size (fun arr ->
           let label =
             { Sim.Engine.lbl_node = dst; lbl_block = -1; lbl_kind = Sim.Engine.Message }
@@ -173,11 +169,7 @@ let send_ack t ch seq ~at =
 let rec transmit t ch fr ~at =
   let st = lstats t ch.c_src ch.c_dst in
   if fr.f_attempts = 0 then Sim.Stats.incr_counter st.s_data_sent
-  else begin
-    Sim.Stats.incr_counter st.s_retransmits;
-    Sim.Trace.f t.engine "reliable %d->%d: retransmit seq %d (attempt %d)" ch.c_src ch.c_dst
-      fr.f_seq (fr.f_attempts + 1)
-  end;
+  else Sim.Stats.incr_counter st.s_retransmits;
   fr.f_attempts <- fr.f_attempts + 1;
   fr.f_last_tx <- at;
   if Fault.Plan.node_down t.plan ~node:ch.c_src ~at then
@@ -195,11 +187,8 @@ and rx t ch fr arrival =
     Sim.Stats.incr_counter st.s_outage_dropped
   else begin
     send_ack t ch fr.f_seq ~at:arrival;
-    if fr.f_seq < ch.rx_expected || Hashtbl.mem ch.rx_buffer fr.f_seq then begin
-      Sim.Stats.incr_counter st.s_dup_suppressed;
-      Sim.Trace.f t.engine "reliable %d->%d: duplicate seq %d suppressed" ch.c_src ch.c_dst
-        fr.f_seq
-    end
+    if fr.f_seq < ch.rx_expected || Hashtbl.mem ch.rx_buffer fr.f_seq then
+      Sim.Stats.incr_counter st.s_dup_suppressed
     else begin
       Hashtbl.replace ch.rx_buffer fr.f_seq fr;
       let delivered = ref false in

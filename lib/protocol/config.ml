@@ -47,29 +47,14 @@ let default_costs =
 
 (** Home-reassignment policy for the sharded directory.  [Static] keeps
     every block at the home chosen at [init] (the paper's protocol, and
-    the bit-identical default).  [First_touch] moves a block's directory
-    entry to the first remote domain that requests it; [Migratory] moves
-    it to a domain that has issued [migration_threshold] consecutive
+    the bit-identical default).  [Migratory] moves a block's directory
+    entry to a domain that has issued [migration_threshold] consecutive
     exclusive requests — the owner-predicts-next pattern, so recalls for
-    migrating data collapse from 4 network hops to an intra-domain
-    round trip.  Both policies transfer an entry only while it is
-    quiescent (no transaction in flight, no deferred requests); requests
-    racing the move are bounced back with a forwarding hint. *)
-type homing = Static | First_touch | Migratory
-
-(** Deliberately seeded protocol bugs, consumed by the mutation harness
-    in [lib/check] to prove the invariant checker actually fails.  Each
-    one disables a step the protocol needs for coherence; [None] is the
-    correct protocol. *)
-type mutation =
-  | Skip_invalidate  (** acknowledge an invalidation without applying it *)
-  | Skip_inval_ack  (** apply an invalidation but never acknowledge it *)
-  | Keep_private_on_recall
-      (** leave members' private state tables untouched by a recall *)
-  | Skip_one_invalidation
-      (** the home forgets the first sharer when collecting invalidations *)
-  | Wrong_block_extent
-      (** an invalidation writes flag words one chunk past its block *)
+    migrating data collapse from 4 network hops to an intra-domain round
+    trip.  An entry moves only while it is quiescent (no transaction in
+    flight, no deferred requests); requests racing the move are bounced
+    back with a forwarding hint. *)
+type homing = Static | Migratory
 
 type t = {
   variant : variant;
@@ -86,7 +71,6 @@ type t = {
   max_outstanding_stores : int;  (** RC store buffer depth before stalling *)
   check_invariants : bool;
       (** cross-check directory vs state tables after every message *)
-  mutation : mutation option;  (** seeded protocol bug, [None] = correct *)
   homing : homing;  (** dynamic home-reassignment policy *)
   migration_threshold : int;
       (** [Migratory]: consecutive exclusive requests from one remote
@@ -106,7 +90,6 @@ let default =
     direct_downgrade = true;
     max_outstanding_stores = 16;
     check_invariants = false;
-    mutation = None;
     homing = Static;
     migration_threshold = 3;
   }
@@ -119,6 +102,16 @@ let layout t =
   | specs -> Layout.create ~base:t.shared_base ~size:t.shared_size specs
 
 let is_shared t addr = addr >= t.shared_base && addr < t.shared_base + t.shared_size
+
+(** [flag_value t w] — what a load of width [w] returns from a word
+    holding the invalid flag: the 32-bit flag sign-extended, or the flag
+    in both halves of a 64-bit word. *)
+let flag_value t (w : Alpha.Insn.width) =
+  match w with
+  | Alpha.Insn.W32 -> Int64.of_int32 t.flag32
+  | Alpha.Insn.W64 ->
+      let lo = Int64.logand (Int64.of_int32 t.flag32) 0xFFFFFFFFL in
+      Int64.logor (Int64.shift_left lo 32) lo
 
 let mb_cost t =
   match t.variant with Base -> t.costs.mb_base | Smp -> t.costs.mb_smp

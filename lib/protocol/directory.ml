@@ -34,7 +34,6 @@ type entry = {
   next_seq : (Ptypes.domain_id, int) Hashtbl.t;
       (** next sequence number per destination domain (see {!Ptypes.msg}) *)
   (* Home-reassignment policy observations (Config.homing): *)
-  mutable touched : bool;  (** a request has been served for this block *)
   mutable last_excl : Ptypes.domain_id;  (** last exclusive requester, -1 = none *)
   mutable excl_streak : int;  (** consecutive exclusive requests from [last_excl] *)
   mutable want_home : Ptypes.domain_id option;
@@ -87,7 +86,6 @@ let entry t block =
           busy = None;
           deferred = Queue.create ();
           next_seq = Hashtbl.create 4;
-          touched = false;
           last_excl = -1;
           excl_streak = 0;
           want_home = None;
@@ -178,7 +176,6 @@ let install t ~block ~owner ~sharers ~seqs =
       busy = None;
       deferred = Queue.create ();
       next_seq = Hashtbl.create (max 4 (List.length seqs));
-      touched = true;
       last_excl = -1;
       excl_streak = 0;
       want_home = None;

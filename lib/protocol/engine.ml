@@ -23,6 +23,20 @@
 
 type miss_kind = MRead | MStore | MSc | MPrefetch
 
+(** Deliberately seeded protocol bugs, consumed by the mutation harness
+    in [lib/check] to prove the invariant checker actually fails.  Each
+    one disables a step the protocol needs for coherence; an engine runs
+    the correct protocol unless {!seed_mutation} plants one. *)
+type mutation =
+  | Skip_invalidate  (** acknowledge an invalidation without applying it *)
+  | Skip_inval_ack  (** apply an invalidation but never acknowledge it *)
+  | Keep_private_on_recall
+      (** leave members' private state tables untouched by a recall *)
+  | Skip_one_invalidation
+      (** the home forgets the first sharer when collecting invalidations *)
+  | Wrong_block_extent
+      (** an invalidation writes flag words one chunk past its block *)
+
 type miss = {
   m_block : int;
   m_kind : miss_kind;
@@ -135,8 +149,9 @@ and t = {
   mutable domains : domain list;  (** most-recent first; use [domain_by_id] *)
   domain_tbl : (int, domain) Hashtbl.t;
   pcbs : (int, pcb) Hashtbl.t;
-  mutable home_domains : int array;
-  home_override : int array;  (** per block: forced home domain, or -1 *)
+  static_home : int array;
+      (** per block: where it starts — a {!set_home} override, or -1
+          until [init] stripes it over the home domains *)
   home : int array;
       (** authoritative per-block home — the sharded directory map.
           Filled at [init] from the static placement; updated the moment
@@ -153,6 +168,7 @@ and t = {
   mutable transfer_acks : int;  (** transfer acks received by old homes *)
   mutable bounces : int;  (** requests bounced off a stale or in-flight home *)
   mutable initialized : bool;
+  mutable mutation : mutation option;  (** seeded protocol bug, [None] = correct *)
   mutable mutation_fires : int;  (** times the seeded bug was exercised *)
   mutable invariant_checks : int;  (** per-message invariant sweeps run *)
   mutable legal_transients : int;
@@ -237,8 +253,7 @@ let create ~cfg ~net =
       domains = [];
       domain_tbl = Hashtbl.create 32;
       pcbs = Hashtbl.create 64;
-      home_domains = [||];
-      home_override = Array.make n_blocks (-1);
+      static_home = Array.make n_blocks (-1);
       home = Array.make n_blocks (-1);
       transfers = Hashtbl.create 16;
       migrations = 0;
@@ -255,6 +270,7 @@ let create ~cfg ~net =
                   r_data_bytes = 0;
                 }));
       initialized = false;
+      mutation = None;
       mutation_fires = 0;
       invariant_checks = 0;
       legal_transients = 0;
@@ -316,15 +332,6 @@ let layout t = t.layout
 let block_of_addr t addr = Layout.block_of_addr t.layout addr
 let block_bytes t b = Layout.block_len t.layout b
 
-(* The static placement chosen at [init]: override if any, else blocks
-   striped round-robin over the home domains.  This is where every block
-   starts; migration moves it in [t.home] afterwards. *)
-let static_home t b =
-  if t.home_override.(b) >= 0 then t.home_override.(b)
-  else
-    let n = Array.length t.home_domains in
-    t.home_domains.(b mod n)
-
 (** [home_domain_of_block t b] — the block's current home: where its
     directory entry lives, or (if a transfer is in flight) where it will
     land.  Authoritative — an omniscient view only arrival-side checks
@@ -335,7 +342,7 @@ let home_domain_of_block t b = t.home.(b)
 (* A domain's own view of the home map: its sparse hint table over the
    static placement.  May be stale — a request routed here can bounce. *)
 let hinted_home t d b =
-  match Hashtbl.find_opt d.home_hint b with Some h -> h | None -> static_home t b
+  match Hashtbl.find_opt d.home_hint b with Some h -> h | None -> t.static_home.(b)
 
 (** [set_home t ~addr ~len ~domain] — the "home placement optimisation"
     used for FMM, LU-Contiguous and Ocean (Section 6.4): blocks in
@@ -346,7 +353,13 @@ let set_home t ~addr ~len ~domain =
   if t.initialized then invalid_arg "set_home after init";
   if domain < 0 || domain >= Directory.max_domains then
     invalid_arg (Printf.sprintf "set_home: domain %d outside 0..%d" domain (Directory.max_domains - 1));
-  Layout.iter_range t.layout ~addr ~len (fun b -> t.home_override.(b) <- domain)
+  Layout.iter_range t.layout ~addr ~len (fun b -> t.static_home.(b) <- domain)
+
+(** [seed_mutation t m] plants the seeded bug [m] in this engine, for the
+    mutation harness.  Must precede [init]. *)
+let seed_mutation t m =
+  if t.initialized then invalid_arg "seed_mutation after init";
+  t.mutation <- Some m
 
 (** [init t ?homes ()] finalises setup: picks the home domains (default:
     every domain), fills every image with the invalid-flag value, then
@@ -355,8 +368,8 @@ let init ?homes t =
   if t.initialized then invalid_arg "Engine.init: already initialized";
   t.initialized <- true;
   let domains = List.rev t.domains in
-  t.home_domains <-
-    (match homes with
+  let stripe =
+    match homes with
     | Some hs -> Array.of_list hs
     | None ->
         (* Only domains with attached application processes can serve
@@ -372,22 +385,25 @@ let init ?homes t =
           else List.filter (fun d -> d.members <> []) domains
         in
         let candidates = if candidates = [] then domains else candidates in
-        Array.of_list (List.map (fun d -> d.dom_id) candidates));
-  if Array.length t.home_domains = 0 then invalid_arg "Engine.init: no home domains";
+        Array.of_list (List.map (fun d -> d.dom_id) candidates)
+  in
+  let n = Array.length stripe in
+  if n = 0 then invalid_arg "Engine.init: no home domains";
   Array.iter
     (fun d ->
       if not (Hashtbl.mem t.domain_tbl d) then
         invalid_arg (Printf.sprintf "Engine.init: home domain %d does not exist" d))
-    t.home_domains;
+    stripe;
   let n_blocks = Layout.n_blocks t.layout in
   (* The shard map starts as the static placement; any home override
      naming a non-existent domain is caught here, before first use. *)
   for b = 0 to n_blocks - 1 do
-    let h = static_home t b in
+    if t.static_home.(b) < 0 then t.static_home.(b) <- stripe.(b mod n);
+    let h = t.static_home.(b) in
     if not (Hashtbl.mem t.domain_tbl h) then
-      invalid_arg (Printf.sprintf "Engine.init: block %d homed at non-existent domain %d" b h);
-    t.home.(b) <- h
+      invalid_arg (Printf.sprintf "Engine.init: block %d homed at non-existent domain %d" b h)
   done;
+  Array.blit t.static_home 0 t.home 0 n_blocks;
   List.iter
     (fun d ->
       for b = 0 to n_blocks - 1 do
@@ -482,7 +498,7 @@ let invalidate_block_data t d b =
     (* Mutation: the flag writes overrun the block's layout extent by
        one chunk, corrupting whatever the next block holds — exactly the
        failure the per-block-extent invariants must catch. *)
-    if t.cfg.Config.mutation = Some Config.Wrong_block_extent then begin
+    if t.mutation = Some Wrong_block_extent then begin
       let spill_addr = Layout.block_base t.layout b + Layout.block_len t.layout b in
       if Layout.contains t.layout spill_addr then begin
         t.mutation_fires <- t.mutation_fires + 1;
@@ -841,8 +857,8 @@ and send_transport t ~cur ~from_node dst_domain msg =
    without touching any state (a stale copy survives), [Skip_inval_ack]
    invalidates but never acknowledges (the home's transaction hangs). *)
 let apply_invalidate t d ~cur ~home_domain b =
-  let skip_apply = t.cfg.Config.mutation = Some Config.Skip_invalidate in
-  let skip_ack = t.cfg.Config.mutation = Some Config.Skip_inval_ack in
+  let skip_apply = t.mutation = Some Skip_invalidate in
+  let skip_ack = t.mutation = Some Skip_inval_ack in
   if skip_apply || skip_ack then t.mutation_fires <- t.mutation_fires + 1;
   let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
   r.r_invals <- r.r_invals + 1;
@@ -858,7 +874,7 @@ let apply_invalidate t d ~cur ~home_domain b =
 
 (* Complete a recall once all private-table downgrades are done. *)
 let complete_recall t d ~cur b ~to_shared ~home_domain =
-  let keep_private = t.cfg.Config.mutation = Some Config.Keep_private_on_recall in
+  let keep_private = t.mutation = Some Keep_private_on_recall in
   let data = Memimg.read_block d.img ~block:b in
   if to_shared then begin
     set_block_state_shared d b Ptypes.Shared;
@@ -886,7 +902,7 @@ let apply_recall t d ~cur ~servicer b ~to_shared ~home_domain =
   r.r_recalls <- r.r_recalls + 1;
   (* Block intra-node exclusive grants while the recall is in flight. *)
   set_block_state_shared d b Ptypes.Pending;
-  if t.cfg.Config.mutation = Some Config.Keep_private_on_recall then begin
+  if t.mutation = Some Keep_private_on_recall then begin
     (* Mutation: skip every private-state-table downgrade — the
        members' stale Exclusive/Shared entries survive the recall
        (complete_recall is gated on the same mutation). *)
@@ -1019,8 +1035,8 @@ let rec handle_request t home ~cur msg =
               let others =
                 (* Mutation: the home forgets one sharer, which
                    keeps a stale Shared copy past the grant. *)
-                match t.cfg.Config.mutation with
-                | Some Config.Skip_one_invalidation when others <> [] ->
+                match t.mutation with
+                | Some Skip_one_invalidation when others <> [] ->
                     t.mutation_fires <- t.mutation_fires + 1;
                     List.tl others
                 | _ -> others
@@ -1094,11 +1110,8 @@ and finish_txn t home ~cur entry =
    observation: the verdict ([want_home]) is consumed by [maybe_migrate]
    the next time the entry is quiescent. *)
 and observe_request t home entry ~kind ~from_domain =
-  (match t.cfg.Config.homing with
+  match t.cfg.Config.homing with
   | Config.Static -> ()
-  | Config.First_touch ->
-      if (not entry.Directory.touched) && from_domain <> home.dom_id then
-        entry.Directory.want_home <- Some from_domain
   | Config.Migratory -> (
       match kind with
       | Ptypes.Read -> ()
@@ -1112,8 +1125,7 @@ and observe_request t home entry ~kind ~from_domain =
           if
             from_domain <> home.dom_id
             && entry.Directory.excl_streak >= t.cfg.Config.migration_threshold
-          then entry.Directory.want_home <- Some from_domain));
-  entry.Directory.touched <- true
+          then entry.Directory.want_home <- Some from_domain)
 
 (* Consume a policy verdict: start the transfer if the entry is
    quiescent.  A verdict set while a transaction or deferred work is
@@ -1529,14 +1541,6 @@ let ensure_read pcb addr =
   in
   go ()
 
-let flag_value t (w : Alpha.Insn.width) =
-  let f32 = t.cfg.Config.flag32 in
-  match w with
-  | Alpha.Insn.W32 -> Int64.of_int32 f32
-  | Alpha.Insn.W64 ->
-      let lo = Int64.logand (Int64.of_int32 f32) 0xFFFFFFFFL in
-      Int64.logor (Int64.shift_left lo 32) lo
-
 (** [load_miss pcb value addr w] — the slow path of the inline load check:
     the loaded [value] equalled the flag.  Distinguishes false misses from
     real ones; returns the definitive value.  Loops like the re-executed
@@ -1556,7 +1560,7 @@ let rec load_miss pcb addr w =
   | Ptypes.Invalid | Ptypes.Pending ->
       ensure_read pcb addr;
       let v = Memimg.read pcb.dom.img addr w in
-      if v = flag_value t w then load_miss pcb addr w else v
+      if v = Config.flag_value t.cfg w then load_miss pcb addr w else v
 
 (* Ensure the block is writable.  Like [ensure_read], all costs are
    charged before the final state inspection: the caller's store follows
@@ -1799,7 +1803,7 @@ let stats pcb = pcb.stats
 let config t = t.cfg
 let net t = t.net
 
-(** Times the seeded [Config.mutation] bug was exercised. *)
+(** Times the seeded {!mutation} bug was exercised. *)
 let mutation_fires t = t.mutation_fires
 
 (** Per-message invariant sweeps run so far (0 unless [check_invariants]). *)

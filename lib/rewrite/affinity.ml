@@ -138,7 +138,6 @@ let suggested_specs hints =
 
 let homing_name = function
   | Protocol.Config.Static -> "static"
-  | Protocol.Config.First_touch -> "first-touch"
   | Protocol.Config.Migratory -> "migratory"
 
 let pp_hint ppf h =

@@ -34,8 +34,8 @@ type t = {
   sync : Sync.t;
   peng : E.t;
   private_mem : Bytes.t;
-  flag_w32 : int64;  (** [Config.flag_value cfg W32], precomputed *)
-  flag_w64 : int64;  (** [Config.flag_value cfg W64], precomputed *)
+  flag_w32 : int64;  (** [Protocol.Config.flag_value _ W32], precomputed *)
+  flag_w64 : int64;  (** [Protocol.Config.flag_value _ W64], precomputed *)
   img : Protocol.Memimg.t;  (** this process's domain image, cached *)
   shared_lo : int;  (** shared-range bounds, cached as immediates *)
   shared_hi : int;
@@ -88,8 +88,8 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       sync;
       peng;
       private_mem = Bytes.make cfg.Config.private_mem_size '\000';
-      flag_w32 = Config.flag_value cfg Alpha.Insn.W32;
-      flag_w64 = Config.flag_value cfg Alpha.Insn.W64;
+      flag_w32 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W32;
+      flag_w64 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W64;
       img = pcb.E.dom.E.img;
       shared_lo = cfg.Config.protocol.Protocol.Config.shared_base;
       shared_hi =
@@ -191,40 +191,6 @@ let store h addr w v =
       charge_cycles h
         (h.cfg.Config.checks.Config.access_cycles + h.cfg.Config.checks.Config.store_check_cycles)
     else charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write h.pcb addr w v;
-    trace_access h ~store:true addr w v
-  end
-
-(** [load_batched h addr w] — a load whose check was covered by a
-    preceding batched check (Section 2.2): the amortised inline cost is
-    about one cycle, but the flag comparison is still performed so a
-    line invalidated after the batch is refetched rather than misread. *)
-let load_batched h addr w =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h (h.cfg.Config.checks.Config.access_cycles + if h.cfg.Config.checks_enabled then 1 else 0);
-  if not (is_shared h addr) then private_read h addr w
-  else begin
-    let v0 = E.raw_read h.pcb addr w in
-    let v =
-      if v0 = flag h w then
-        in_protocol h (fun () -> E.load_miss h.pcb addr w)
-      else v0
-    in
-    trace_access h ~store:false addr w v;
-    v
-  end
-
-(** [store_batched h addr w v] — a store whose check was covered by a
-    preceding batched check; same coherence actions, amortised cost. *)
-let store_batched h addr w v =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h (h.cfg.Config.checks.Config.access_cycles + if h.cfg.Config.checks_enabled then 1 else 0);
-  if not (is_shared h addr) then private_write h addr w v
-  else begin
     (match E.private_state h.pcb addr with
     | Protocol.Ptypes.Exclusive -> ()
     | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
@@ -513,14 +479,6 @@ let pstats h = E.stats h.pcb
 
 (** Shared loads+stores this process issued in API mode. *)
 let accesses h = h.accesses
-
-(** [home_of h addr] — the current home domain of the block covering
-    [addr]: the static placement until a migration policy moves it. *)
-let home_of h addr =
-  E.home_domain_of_block h.peng (Protocol.Layout.block_of_addr (E.layout h.peng) addr)
-
-(** Requests this process re-issued after a bounce off a stale home. *)
-let bounces h = (E.stats h.pcb).E.bounces
 
 (* --- IR mode --- *)
 

@@ -68,17 +68,6 @@ and kind =
 
 let no_label = { lbl_node = -1; lbl_block = -1; lbl_kind = Generic }
 
-let kind_to_string = function
-  | Generic -> "generic"
-  | Proc_step -> "proc"
-  | Message -> "msg"
-  | Wakeup -> "wakeup"
-  | Timer -> "timer"
-
-let pp_label ppf l =
-  Format.fprintf ppf "%s@n%d" (kind_to_string l.lbl_kind) l.lbl_node;
-  if l.lbl_block >= 0 then Format.fprintf ppf "/b%d" l.lbl_block
-
 (** [dependent a b] — may the firing order of two {e same-time} events
     affect the simulation?  Conservative: unknown labels conflict with
     everything; otherwise events conflict when they share a node (both

@@ -8,7 +8,6 @@ type counter = { mutable count : int }
 
 let counter () = { count = 0 }
 let incr_counter c = c.count <- c.count + 1
-let add_counter c n = c.count <- c.count + n
 let counter_value c = c.count
 
 (** Welford's online mean/variance, plus min/max. *)
@@ -37,10 +36,6 @@ let stddev s = sqrt (variance s)
 let minimum s = s.min
 let maximum s = s.max
 let total s = s.mean *. float_of_int s.n
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%g sd=%g min=%g max=%g" s.n (mean s) (stddev s)
-    s.min s.max
 
 (** Log-spaced (HDR-style) histogram: bucket boundaries grow
     geometrically, so relative resolution is constant across the whole

@@ -14,9 +14,9 @@
      processors under both synchronisation flavours;
    - the IR corpus: per-kernel interpreter step counts, check-slot
      counts, [r0] checksums and a digest of the final shared image;
-   - homing: the mdb-sync kernel on 4 nodes under Static, First_touch
-     and Migratory homes — elapsed time, home transfers, per-thread
-     [r0]s and the hot region's coherence counters;
+   - homing: the mdb-sync kernel on 4 nodes under Static and Migratory
+     homes — elapsed time, home transfers, per-thread [r0]s and the hot
+     region's coherence counters;
    - work: the IR corpus at 100x its default iterations and the sync
      kernels on 4x2, where long CPU work dominates — elapsed time and
      per-process work and message-service time bits.
@@ -168,7 +168,6 @@ let render_homing buf =
            hot.Protocol.Engine.r_data_bytes))
     [
       ("static", Protocol.Config.Static);
-      ("first-touch", Protocol.Config.First_touch);
       ("migratory", Protocol.Config.Migratory);
     ]
 

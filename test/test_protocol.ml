@@ -28,7 +28,6 @@ let setup ?(variant = P.Config.Smp) ?(model = P.Config.Rc) ?(direct_downgrade = 
       model;
       direct_downgrade;
       regions;
-      mutation;
       homing;
       migration_threshold;
       check_invariants = homing <> P.Config.Static;
@@ -36,6 +35,7 @@ let setup ?(variant = P.Config.Smp) ?(model = P.Config.Rc) ?(direct_downgrade = 
     }
   in
   let eng = E.create ~cfg ~net in
+  Option.iter (E.seed_mutation eng) mutation;
   { net; eng; sim = Mchan.Net.engine net; n_workers = 0; done_count = ref 0; procs = [] }
 
 let pulse_all_nodes w =
@@ -470,7 +470,7 @@ let test_wrong_block_extent_mutation_caught () =
   (* The seeded bug writes flag words one chunk past the invalidated
      block, corrupting the reader's Shared copy of the *next* block; the
      per-block-extent invariants (family 4) must flag the divergence. *)
-  let w = setup ~mutation:P.Config.Wrong_block_extent () in
+  let w = setup ~mutation:E.Wrong_block_extent () in
   let a = base + 4096 in
   let _ =
     worker w ~cpu_i:2 (fun pcb ->
@@ -735,6 +735,9 @@ let test_set_home_after_init_raises () =
   E.init w.eng;
   Alcotest.check_raises "set_home after init" (Invalid_argument "set_home after init")
     (fun () -> E.set_home w.eng ~addr:base ~len:64 ~domain:0);
+  Alcotest.check_raises "seed_mutation after init"
+    (Invalid_argument "seed_mutation after init") (fun () ->
+      E.seed_mutation w.eng E.Skip_invalidate);
   run w
 
 let test_set_home_domain_out_of_range () =
@@ -764,23 +767,57 @@ let test_migratory_home_transfer () =
     (E.home_domain_of_block w.eng (E.block_of_addr w.eng a));
   Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
 
-let test_first_touch_home () =
-  (* First_touch: the first remote requester takes the entry, reads
-     included. *)
-  let w = setup ~homing:P.Config.First_touch ~nodes:2 ~cpus:1 () in
-  let a = base + 8192 in
-  let got = ref 1L in
-  let _ = worker w ~cpu_i:0 (fun _ -> ()) in
-  let _ = worker w ~cpu_i:1 (fun pcb -> got := sload pcb a) in
+let test_migratory_transfer_carries_data () =
+  (* Requests deferred behind a migratory write keep the entry busy past
+     the writer's grant, so its verdict is consumed only when the
+     entry's last owner has been recalled to Shared.  Then the home's
+     copy is the only authoritative data, and it travels with the entry
+     to the writer, which by then holds the block Invalid and must
+     install the carried copy to serve from it.  Home 0; a reader on
+     node 3 makes the writer's grant wait for a remote invalidation; the
+     home's own store and a read from node 2 queue behind it. *)
+  let w = setup ~homing:P.Config.Migratory ~nodes:4 ~cpus:1 () in
+  let a = base + 4096 in
+  let b = E.block_of_addr w.eng a in
+  let entry () = P.Directory.find (E.domain_by_id w.eng 0).E.dir b in
+  let busy () = match entry () with Some e -> e.P.Directory.busy <> None | None -> false in
+  let deferred () =
+    match entry () with Some e -> not (Queue.is_empty e.P.Directory.deferred) | None -> false
+  in
+  let migrated () =
+    let migrations, _, _ = E.migration_stats w.eng in
+    migrations > 0
+  in
+  (* Poll (serving protocol messages) until [cond] holds. *)
+  let wait_until cond = while not (cond ()) do Sim.Proc.work 1e-7 done in
+  let shared_at_3 = ref false in
+  let got_reader = ref 0L and got_writer = ref 0L in
+  let _ = worker w ~cpu_i:0 (fun pcb -> wait_until busy; sstore pcb a 5L) in
+  let _, writer =
+    worker w ~cpu_i:1 (fun pcb ->
+        wait_until (fun () -> !shared_at_3);
+        sstore pcb a 9L;
+        wait_until migrated;
+        got_writer := sload pcb a)
+  in
+  let _ = worker w ~cpu_i:2 (fun pcb -> wait_until deferred; got_reader := sload pcb a) in
+  let _ =
+    worker w ~cpu_i:3 (fun pcb ->
+        ignore (sload pcb a);
+        shared_at_3 := true)
+  in
   E.set_home w.eng ~addr:a ~len:64 ~domain:0;
   E.init w.eng;
   run w;
   let migrations, _, in_flight = E.migration_stats w.eng in
-  Alcotest.(check int64) "read sees the zero-filled block" 0L !got;
-  Alcotest.(check bool) "first touch migrated the entry" true (migrations >= 1);
+  Alcotest.(check int64) "deferred read sees the home's write" 5L !got_reader;
+  Alcotest.(check int) "one home transfer" 1 migrations;
   Alcotest.(check int) "no transfer in flight" 0 in_flight;
-  Alcotest.(check int) "home moved to the first toucher" 1
-    (E.home_domain_of_block w.eng (E.block_of_addr w.eng a));
+  Alcotest.(check int) "home followed the writer" 1 (E.home_domain_of_block w.eng b);
+  Alcotest.(check int64) "new home reads the carried copy" 5L !got_writer;
+  Alcotest.(check int) "without a read miss" 0 (E.stats writer).E.read_misses;
+  Alcotest.(check bool) "new home holds the block Shared" true
+    (snd (E.block_state writer a) = P.Ptypes.Shared);
   Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
 
 let test_stale_home_bounce () =
@@ -834,6 +871,7 @@ let suite =
     Alcotest.test_case "set_home after init raises" `Quick test_set_home_after_init_raises;
     Alcotest.test_case "set_home rejects bad domain" `Quick test_set_home_domain_out_of_range;
     Alcotest.test_case "migratory home transfer" `Quick test_migratory_home_transfer;
-    Alcotest.test_case "first-touch home" `Quick test_first_touch_home;
+    Alcotest.test_case "migratory transfer carries data" `Quick
+      test_migratory_transfer_carries_data;
     Alcotest.test_case "stale home bounce" `Quick test_stale_home_bounce;
   ]

@@ -274,7 +274,9 @@ let test_uninstrumented_binary_reads_flags () =
   (* Make node 1's copy invalid: home everything at node 0. *)
   C.init ~homes:[ 0 ] cl;
   ignore (C.run cl);
-  Alcotest.(check int64) "flag value observed" (Cfg.flag64 Cfg.default) !seen
+  Alcotest.(check int64) "flag value observed"
+    (Protocol.Config.flag_value Cfg.default.Cfg.protocol Alpha.Insn.W64)
+    !seen
 
 let test_instrumented_same_program_reads_correctly () =
   let prog =
