@@ -19,7 +19,11 @@
      region's coherence counters;
    - work: the IR corpus at 100x its default iterations and the sync
      kernels on 4x2, where long CPU work dominates — elapsed time and
-     per-process work and message-service time bits.
+     per-process work and message-service time bits;
+   - serve: minidb behind [Load.Serve] at an overloaded 40k req/s for
+     30 ms, where idle server workers spin-wait beside runnable
+     competitors and the CPU quantum timer decides who runs — elapsed
+     time, offered/completed/shed counts and p50/p99 bits.
 
    Any engine change that perturbs event order, simulated timing, or
    interpreter behaviour shows up as a byte diff against the golden.
@@ -209,6 +213,31 @@ let render_work buf =
            (proc_time_bits r.Apps.Ircorpus.s_proc_times)))
     Apps.Ircorpus.sync
 
+(* --- Serve: an overloaded open-loop run -------------------------------- *)
+
+let render_serve buf =
+  let rate = 40_000.0 in
+  let o =
+    Load.Serve.run
+      {
+        Load.Serve.default_config with
+        Load.Serve.seed = 42;
+        arrival = Load.Arrival.Poisson { rate };
+        duration = 0.03;
+      }
+  in
+  let rc = o.Load.Serve.recorder in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "serve poisson:%.0f elapsed=%s offered=%d completed=%d shed=%d p50=%Lx p99=%Lx ok=%b \
+        events=%d\n"
+       rate (exact o.Load.Serve.elapsed) rc.Load.Recorder.offered rc.Load.Recorder.completed
+       rc.Load.Recorder.shed
+       (Int64.bits_of_float (Load.Recorder.percentile rc 50.0))
+       (Int64.bits_of_float (Load.Recorder.percentile rc 99.0))
+       (o.Load.Serve.ok && o.Load.Serve.drained)
+       (Sim.Engine.events_fired (C.sim o.Load.Serve.cluster)))
+
 let render () =
   let buf = Buffer.create 4096 in
   render_table1 buf;
@@ -216,6 +245,7 @@ let render () =
   render_ircorpus buf;
   render_homing buf;
   render_work buf;
+  render_serve buf;
   Buffer.contents buf
 
 (* dune runtest runs in _build/default/test (where the deps glob put the
