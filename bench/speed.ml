@@ -7,8 +7,9 @@
 
    Results land in BENCH_speed.json; [run_speed_smoke] is the CI
    regression gate — it fails the build if single-threaded events/sec on
-   the LU and Water-Nsq smokes drops below a floor derived from the
-   committed baseline. *)
+   the LU and Water-Nsq smokes, or completed requests per host second on
+   a short serving run, drops below a floor derived from a recorded
+   baseline. *)
 
 module C = Shasta.Cluster
 module E = Protocol.Engine
@@ -115,6 +116,36 @@ let run_interp () =
     s_gc = Sim.Stats.gc_delta gc0;
   }
 
+(* A short overloaded serving run, shaped like perfbench's serve
+   workload at its 40k req/s rate: minidb behind [Load.Serve], where
+   idle server workers spin-wait beside runnable processes and the CPU
+   quantum timer decides who runs.  The point's "events" are completed
+   requests, so events_per_sec is requests per host second. *)
+let run_serve () =
+  let cfg =
+    {
+      Load.Serve.default_config with
+      Load.Serve.seed = 42;
+      arrival = Load.Arrival.Poisson { rate = 40_000.0 };
+      duration = 0.1;
+    }
+  in
+  let gc0 = Sim.Stats.gc_mark () in
+  let t0 = Unix.gettimeofday () in
+  let o = Load.Serve.run cfg in
+  let wall = Unix.gettimeofday () -. t0 in
+  {
+    s_name = "serve@40k";
+    s_procs = List.length cfg.Load.Serve.server_cpus;
+    s_nodes = 2;
+    s_domains = 1;
+    s_elapsed = o.Load.Serve.elapsed;
+    s_events = o.Load.Serve.recorder.Load.Recorder.completed;
+    s_wall = wall;
+    s_ok = o.Load.Serve.ok && o.Load.Serve.drained;
+    s_gc = Sim.Stats.gc_delta gc0;
+  }
+
 let print_points points =
   Support.print_table
     ~headers:
@@ -191,8 +222,13 @@ let run_speed () =
    same host) still lands well under it.  LU@1 (baseline 0.98M) is one
    process on one CPU, where 91% of the events are that process's own
    work slices fired inline: its floor guards the single-process shape
-   those inline fires serve. *)
-let smoke_floor = [ ("LU@1", 327_000.0); ("LU@4", 300_000.0); ("Water-Nsq@4", 530_000.0) ]
+   those inline fires serve.  serve@40k is floored on completed
+   requests per host second, not events: how many events a request
+   costs depends on how the scheduler's timers are counted.  Its
+   baseline is ~15,500 on a shared 2-core host (EXPERIMENTS "Simulator
+   throughput"). *)
+let smoke_floor =
+  [ ("LU@1", 327_000.0); ("LU@4", 300_000.0); ("Water-Nsq@4", 530_000.0); ("serve@40k", 5_100.0) ]
 
 let run_speed_smoke () =
   Support.print_header "simulator throughput smoke (CI regression gate)";
@@ -204,8 +240,9 @@ let run_speed_smoke () =
         run_app spec ~nprocs ~nodes ~cpus)
       [ ("LU", 1); ("LU", 4); ("Water-Nsq", 4) ]
   in
+  let serve = run_serve () in
   let interp = run_interp () in
-  let points = points @ [ interp ] in
+  let points = points @ [ serve; interp ] in
   print_points points;
   emit ~file:"BENCH_speed_smoke.json" ~bench:"speed_smoke" points;
   let failed = ref false in
@@ -214,7 +251,7 @@ let run_speed_smoke () =
       let p = find name points in
       let eps = events_per_sec p in
       if (not p.s_ok) || eps < floor then begin
-        Printf.eprintf "speed regression: %s at %.0f events/sec (floor %.0f, ok=%b)\n"
+        Printf.eprintf "speed regression: %s at %.0f per host second (floor %.0f, ok=%b)\n"
           name eps floor p.s_ok;
         failed := true
       end)

@@ -145,8 +145,8 @@ let () =
         else ", budget-limited")
       ~must_complete:true
       (Check.Litmus.all @ [ Check.Txn.scenario ])
-      (* The run budget covers minidb-txn2's 5,493-run fixed point at
-         preemption bound 2. *)
+      (* The run budget leaves room above minidb-txn2's fixed point at
+         preemption bound 2 (80 runs). *)
       (Check.Dpor.explore ~max_runs:10_000 ?preemption_bound:bound);
 
     if !only = "" then begin

@@ -364,11 +364,9 @@ let pending t =
   | None -> t.heap.q_size
   | Some p -> Array.fold_left (fun acc l -> acc + l.l_heap.q_size) t.heap.q_size p.p_lanes
 
-(** [at t ?label time f] schedules [f] to fire at absolute [time].
-    Requires [time >= now t].  [label] (default: unknown) declares the
-    event's dependency footprint for {!Guided} exploration and names the
-    owning lane in parallel mode. *)
-let at_seq t label time f =
+(* The sequential push at [(time, seq)]; [jitter] lets a [Guided]
+   schedule's delay injection draw for it. *)
+let push_seq t label ~jitter ~seq time f =
   if time < t.now then
     raise
       (Past_event
@@ -376,19 +374,18 @@ let at_seq t label time f =
   let time =
     match t.sched with
     | S_guided { delays = Some (delays, prob, max_delay); _ }
-      when prob > 0.0 && Rng.float delays 1.0 < prob ->
+      when jitter && prob > 0.0 && Rng.float delays 1.0 < prob ->
         time +. Rng.float delays max_delay
     | _ -> time
   in
-  q_push t.heap ~time ~seq:t.seq ~label f;
-  t.seq <- t.seq + 1
+  q_push t.heap ~time ~seq ~label f
 
 (* Lane-side scheduling: an event for this lane's own node goes straight
    into the lane heap; one for another node is buffered for the barrier
    merge (and must land at or beyond the window end — the lookahead
    guarantee).  Unlabeled events stay on the scheduling lane.  Parallel
    mode is Fifo-only, so there is no jitter path here. *)
-let at_lane p l label time f =
+let at_lane p l label ~seq time f =
   if time < l.l_now then
     raise
       (Past_event
@@ -398,26 +395,52 @@ let at_lane p l label time f =
       label.lbl_node
     else l.l_id
   in
-  if dst = l.l_id then begin
-    q_push l.l_heap ~time ~seq:l.l_seq ~label f;
-    l.l_seq <- l.l_seq + 1
-  end
+  if dst = l.l_id then q_push l.l_heap ~time ~seq ~label f
   else begin
     if time < p.p_window_end then
       raise (Cross_window { dst; time; window_end = p.p_window_end });
     l.l_out <-
-      { x_dst = dst; x_time = time; x_src = l.l_id; x_src_seq = l.l_seq; x_label = label; x_run = f }
-      :: l.l_out;
-    l.l_seq <- l.l_seq + 1
+      { x_dst = dst; x_time = time; x_src = l.l_id; x_src_seq = seq; x_label = label; x_run = f }
+      :: l.l_out
   end
 
-let at t ?(label = no_label) time f =
+(** [take_seq t] takes the next insertion sequence number (the current
+    lane's in parallel mode) and schedules nothing.  An event pushed
+    with it later by {!at_seq} ties with same-time events as if it had
+    been scheduled when the number was taken. *)
+let take_seq t =
+  match (match t.par with None -> None | Some _ -> current_lane ()) with
+  | Some l ->
+      let s = l.l_seq in
+      l.l_seq <- s + 1;
+      s
+  | None ->
+      let s = t.seq in
+      t.seq <- s + 1;
+      s
+
+(** [at_seq t ?label ?jitter ~seq time f] schedules [f] at [time] with
+    the sequence number [seq] from {!take_seq}.  [jitter] (default
+    [true]) lets a {!Guided} schedule delay it as it would an {!at};
+    [false] pushes it at exactly [(time, seq)]. *)
+let at_seq t ?(label = no_label) ?(jitter = true) ~seq time f =
   match t.par with
-  | None -> at_seq t label time f
+  | None -> push_seq t label ~jitter ~seq time f
   | Some p -> (
       match current_lane () with
-      | Some l -> at_lane p l label time f
-      | None -> at_seq t label time f)
+      | Some l -> at_lane p l label ~seq time f
+      | None -> push_seq t label ~jitter ~seq time f)
+
+(** [at t ?label time f] schedules [f] to fire at absolute [time].
+    Requires [time >= now t].  [label] (default: unknown) declares the
+    event's dependency footprint for {!Guided} exploration and names the
+    owning lane in parallel mode. *)
+let at t ?(label = no_label) time f =
+  match t.par with
+  | None ->
+      push_seq t label ~jitter:true ~seq:t.seq time f;
+      t.seq <- t.seq + 1
+  | Some _ -> at_seq t ~label ~seq:(take_seq t) time f
 
 (** [after t ?label dt f] schedules [f] to fire [dt] seconds from now
     (the lane clock in parallel mode). *)

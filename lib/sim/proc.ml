@@ -17,6 +17,18 @@
     - [sleep dt]: release the CPU for [dt] seconds;
     - [yield ()]: requeue behind other runnable processes.
 
+    A process spin-waiting in [stall] beside a runnable competitor keeps
+    the CPU until its quantum ends.  Each CPU has one quantum timer for
+    this.  Every wait that finds a competitor arms it for
+    [max now quantum_deadline], which is the same time for every arm
+    within one quantum, so only the first arm pushes an event; a later
+    one records which waiting stint (process and version) the timer now
+    preempts.  Each arm still takes the sequence number a push of its
+    own would have used, and the timer fires at its owner's first one,
+    so same-time ties, and with them the whole [Fifo] run, come out as
+    if every arm had pushed its own version-guarded timer.  A timer
+    left from an earlier deadline after a re-dispatch does nothing.
+
     Scheduling priorities: a lower [priority] number is more urgent.
     Application processes run at priority 0; "protocol processes"
     (Section 4.3.2) run at priority 1 so that they execute only when no
@@ -79,6 +91,11 @@ and cpu = {
   mutable quantum_deadline : float;
   mutable switches : int;
   mutable next_pid : int ref;
+  mutable timer_at : float;
+      (** firing time of the armed quantum timer; [nan] when none is armed *)
+  mutable timer_owner : t option;  (** the waiting stint it preempts: the process, *)
+  mutable timer_version : int;  (** at this version, *)
+  mutable timer_first_seq : int;  (** and the sequence number of its first arm *)
 }
 
 let priority_levels = 2
@@ -97,6 +114,10 @@ let make_cpu ~engine ~node_id ~cpu_global_id ~quantum ~switch_cost next_pid =
     quantum_deadline = 0.0;
     switches = 0;
     next_pid;
+    timer_at = Float.nan;
+    timer_owner = None;
+    timer_version = 0;
+    timer_first_seq = 0;
   }
 
 let now p = Engine.now p.cpu.engine
@@ -138,16 +159,56 @@ and enqueue_ready p =
   | Some c ->
       if c.priority > p.priority then preempt c
       else if c.state = Waiting then
-        if c.yield_waiting then preempt c
-        else begin
-          (* The current process is idly waiting on a signal; it keeps the
-             CPU only until its quantum expires. *)
-          let eng = cpu.engine in
-          let fire_at = max (Engine.now eng) cpu.quantum_deadline in
-          let v = c.version in
-          Engine.at eng ~label:cpu.label fire_at (fun () ->
-              if c.version = v && c.state = Waiting then preempt c)
-        end
+        (* The current process is idly waiting on a signal; it keeps the
+           CPU only until its quantum expires. *)
+        if c.yield_waiting then preempt c else arm_quantum_timer cpu c
+
+(* Arm [cpu]'s quantum timer for the present waiting stint of [p], the
+   current process (see the header).  An arm for the time the timer is
+   already armed for pushes nothing: it takes its sequence number and,
+   for a new stint, becomes the owner. *)
+and arm_quantum_timer cpu p =
+  let eng = cpu.engine in
+  let at = Float.max (Engine.now eng) cpu.quantum_deadline in
+  let seq = Engine.take_seq eng in
+  let armed = cpu.timer_at = at in
+  if not armed then begin
+    cpu.timer_at <- at;
+    Engine.at_seq eng ~label:cpu.label ~seq at (fun () -> quantum_timer cpu at seq)
+  end;
+  let owned =
+    armed
+    &&
+    match cpu.timer_owner with
+    | Some o -> o == p && cpu.timer_version = p.version
+    | None -> false
+  in
+  if not owned then begin
+    cpu.timer_owner <- Some p;
+    cpu.timer_version <- p.version;
+    cpu.timer_first_seq <- seq
+  end
+
+(* The timer armed for [at], firing with sequence number [seq].  One
+   left from an earlier time is stale and does nothing.  Ahead of its
+   owner's first arm it steps back into the queue at that arm's number;
+   there it preempts the owner if it is still waiting. *)
+and quantum_timer cpu at seq =
+  if cpu.timer_at = at then
+    if cpu.timer_first_seq > seq then begin
+      let first = cpu.timer_first_seq in
+      let eng = cpu.engine in
+      Engine.at_seq eng ~label:cpu.label ~jitter:false ~seq:first (Engine.now eng) (fun () ->
+          quantum_timer cpu at first)
+    end
+    else begin
+      let owner = cpu.timer_owner in
+      cpu.timer_at <- Float.nan;
+      cpu.timer_owner <- None;
+      match owner with
+      | Some p when p.version = cpu.timer_version && p.state = Waiting -> preempt p
+      | Some _ | None -> ()
+    end
 
 and preempt p =
   let cpu = p.cpu in
@@ -213,10 +274,7 @@ and stall_step p pred cont =
       (match p.stall_signal with
       | Some s -> Signal.wait s (fun () -> if p.version = v && p.state = Waiting then step p)
       | None -> ());
-      if exists_ready cpu then
-        Engine.at eng ~label:cpu.label
-          (max (Engine.now eng) cpu.quantum_deadline)
-          (fun () -> if p.version = v && p.state = Waiting then preempt p)
+      if exists_ready cpu then arm_quantum_timer cpu p
     end
   end
 

@@ -422,6 +422,74 @@ let test_quantum_wait_preemption () =
   Alcotest.(check bool) "other ran after quantum expiry" true
     (!other_done > 0.009 && !other_done < 0.10)
 
+(* A process spin-waiting on [s] from time 0 on a fresh CPU, released
+   by a pulse at 1 s, and a competitor made runnable at 1 ms with 1 ms
+   of work.  The waiter's first quantum ends at 10 ms; [started] is when
+   the competitor first ran. *)
+let waiter_with_competitor eng cpu s =
+  let flag = ref false in
+  let started = ref Float.nan in
+  let w = Proc.spawn cpu (fun () -> Proc.stall (fun () -> !flag)) in
+  w.Proc.stall_signal <- Some s;
+  Engine.at eng 0.001 (fun () ->
+      ignore
+        (Proc.spawn cpu (fun () ->
+             started := Engine.now eng;
+             Proc.work 0.001)));
+  Engine.at eng 1.0 (fun () ->
+      flag := true;
+      Signal.pulse s);
+  (w, started)
+
+let test_quantum_timer_rearms_in_place () =
+  (* The waiter wakes and waits again k times within its quantum while
+     the competitor is ready: every wait arms the quantum timer, but the
+     CPU keeps one timer event, and it preempts at the deadline. *)
+  let eng = Engine.create () in
+  let cpu = make_cpu ~quantum:0.010 eng in
+  let s = Signal.create eng in
+  let w, started = waiter_with_competitor eng cpu s in
+  let k = 8 in
+  let pending = ref [] in
+  (* Pulse at 2, 3, ... ms; half a millisecond after each, only the
+     timer is pending (the 1 s release comes later in the chain). *)
+  let rec wake i =
+    if i < k then
+      Engine.at eng (0.002 +. (0.001 *. float_of_int i)) (fun () ->
+          Signal.pulse s;
+          Engine.after eng 0.0005 (fun () ->
+              pending := (Engine.pending eng, w.Proc.state = Proc.Waiting) :: !pending;
+              wake (i + 1)))
+  in
+  wake 0;
+  ignore (Engine.run eng);
+  Alcotest.(check int) "every re-wait checked" k (List.length !pending);
+  List.iter
+    (fun (n, waiting) ->
+      Alcotest.(check bool) "waiting again" true waiting;
+      (* the one timer, plus the 1 s release *)
+      Alcotest.(check int) "one quantum timer pending" 2 n)
+    !pending;
+  Alcotest.(check (float 0.0)) "competitor ran at the quantum deadline" 0.010 !started;
+  Alcotest.(check bool) "waiter finished" true (Proc.finished w)
+
+let test_quantum_timer_tie_order () =
+  (* An event scheduled for the deadline between the arms of two
+     waiting stints fires before the preemption, as it would if each
+     arm had pushed its own timer: the first stint's timer is dead by
+     then, the second's was pushed after the event. *)
+  let eng = Engine.create () in
+  let cpu = make_cpu ~quantum:0.010 eng in
+  let s = Signal.create eng in
+  let w, started = waiter_with_competitor eng cpu s in
+  let seen = ref None in
+  Engine.at eng 0.002 (fun () ->
+      Engine.at eng 0.010 (fun () -> seen := Some (w.Proc.state = Proc.Waiting)));
+  Engine.at eng 0.003 (fun () -> Signal.pulse s);
+  ignore (Engine.run eng);
+  Alcotest.(check (option bool)) "deadline event ran before the preemption" (Some true) !seen;
+  Alcotest.(check (float 0.0)) "competitor ran at the quantum deadline" 0.010 !started
+
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
@@ -628,6 +696,8 @@ let suite =
     Alcotest.test_case "join" `Quick test_proc_join;
     Alcotest.test_case "join propagates failure" `Quick test_proc_join_propagates_failure;
     Alcotest.test_case "quantum preempts waiting proc" `Quick test_quantum_wait_preemption;
+    Alcotest.test_case "quantum timer re-arms in place" `Quick test_quantum_timer_rearms_in_place;
+    Alcotest.test_case "quantum timer tie order" `Quick test_quantum_timer_tie_order;
     Alcotest.test_case "lone work slices fire inline" `Quick test_proc_lone_slices_fire_inline;
     Alcotest.test_case "poll exception escapes the run" `Quick test_proc_poll_exception_escapes;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
