@@ -7,11 +7,12 @@
 
    Results land in BENCH_speed.json; [run_speed_smoke] is the CI
    regression gate — it fails the build if single-threaded events/sec on
-   the LU and Water-Nsq smokes, or completed requests per host second on
-   a short serving run, drops below a floor derived from a recorded
-   baseline. *)
+   the LU and Water-Nsq smokes, completed requests per host second on a
+   short serving run, or API-mode hit accesses per host second drops
+   below a floor derived from a recorded baseline. *)
 
 module C = Shasta.Cluster
+module R = Shasta.Runtime
 module E = Protocol.Engine
 module J = Load.Json
 
@@ -146,6 +147,47 @@ let run_serve () =
     s_gc = Sim.Stats.gc_delta gc0;
   }
 
+(* The API-mode inline check on hits, shaped like perfbench's runtime
+   probe: one process holds 1,024 words exclusive and runs
+   [load64]+[store64] rounds over them.  Only the rounds are timed; the
+   point's "events" are accesses, so events_per_sec is accesses per host
+   second. *)
+let run_api_hits () =
+  let cl = Support.cluster ~nodes:1 ~cpus:1 () in
+  let words = 1024 and rounds = 2000 in
+  let base = C.alloc cl (8 * words) in
+  let timed = ref None and ok = ref true in
+  ignore
+    (C.spawn cl ~cpu:0 "hits" (fun h ->
+         for i = 0 to words - 1 do
+           R.store64 h (base + (8 * i)) 0L
+         done;
+         let gc0 = Sim.Stats.gc_mark () in
+         let t0 = Unix.gettimeofday () in
+         for _ = 1 to rounds do
+           for i = 0 to words - 1 do
+             let a = base + (8 * i) in
+             R.store64 h a (Int64.succ (R.load64 h a))
+           done
+         done;
+         timed := Some (Unix.gettimeofday () -. t0, Sim.Stats.gc_delta gc0);
+         for i = 0 to words - 1 do
+           if R.load64 h (base + (8 * i)) <> Int64.of_int rounds then ok := false
+         done));
+  let elapsed = C.run cl in
+  let wall, gc = Option.get !timed in
+  {
+    s_name = "api-hits@1";
+    s_procs = 1;
+    s_nodes = 1;
+    s_domains = 1;
+    s_elapsed = elapsed;
+    s_events = 2 * words * rounds;
+    s_wall = wall;
+    s_ok = !ok;
+    s_gc = gc;
+  }
+
 let print_points points =
   Support.print_table
     ~headers:
@@ -226,9 +268,17 @@ let run_speed () =
    requests per host second, not events: how many events a request
    costs depends on how the scheduler's timers are counted.  Its
    baseline is ~15,500 on a shared 2-core host (EXPERIMENTS "Simulator
-   throughput"). *)
+   throughput").  api-hits@1 is floored on accesses per host second:
+   baseline ~120M on the same host (83M-156M over seven runs; the code
+   before the module-local inline check read 40M-67M). *)
 let smoke_floor =
-  [ ("LU@1", 327_000.0); ("LU@4", 300_000.0); ("Water-Nsq@4", 530_000.0); ("serve@40k", 5_100.0) ]
+  [
+    ("LU@1", 327_000.0);
+    ("LU@4", 300_000.0);
+    ("Water-Nsq@4", 530_000.0);
+    ("serve@40k", 5_100.0);
+    ("api-hits@1", 40_000_000.0);
+  ]
 
 let run_speed_smoke () =
   Support.print_header "simulator throughput smoke (CI regression gate)";
@@ -241,8 +291,9 @@ let run_speed_smoke () =
       [ ("LU", 1); ("LU", 4); ("Water-Nsq", 4) ]
   in
   let serve = run_serve () in
+  let hits = run_api_hits () in
   let interp = run_interp () in
-  let points = points @ [ serve; interp ] in
+  let points = points @ [ serve; hits; interp ] in
   print_points points;
   emit ~file:"BENCH_speed_smoke.json" ~bench:"speed_smoke" points;
   let failed = ref false in

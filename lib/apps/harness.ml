@@ -94,9 +94,9 @@ let fget h a i = R.load_float h (a.base + (8 * i))
 
 (** Batched-sequence load: the rewriter would have covered this access
     with a combined check (streaming inner loops). *)
-let fget_b h a i = Int64.float_of_bits (R.load64_batched h (a.base + (8 * i)))
+let fget_b h a i = R.load_float_batched h (a.base + (8 * i))
 
-let fset_b h a i v = R.store64_batched h (a.base + (8 * i)) (Int64.bits_of_float v)
+let fset_b h a i v = R.store_float_batched h (a.base + (8 * i)) v
 let fset h a i v = R.store_float h (a.base + (8 * i)) v
 let iget h a i = R.load_int h (a.base + (8 * i))
 let iset h a i v = R.store_int h (a.base + (8 * i)) v

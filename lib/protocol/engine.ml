@@ -1617,10 +1617,6 @@ let store_miss pcb addr =
     reissue (Section 4.1). *)
 let raw_read pcb addr w = Memimg.read pcb.dom.img addr w
 
-(** [raw_read64 pcb addr] — width-free 8-byte read for the API-mode fast
-    paths; behaviourally [raw_read pcb addr W64]. *)
-let raw_read64 pcb addr = Memimg.read64 pcb.dom.img addr
-
 (** Region copies for OS syscall buffers (post-validation DMA). *)
 let raw_blit_out pcb ~addr ~len buf off = Memimg.blit_out pcb.dom.img ~addr ~len buf off
 
@@ -1648,14 +1644,6 @@ let raw_write pcb addr w v =
                pcb.reissue <- (addr, w, v) :: pcb.reissue
          end);
   Memimg.write ~pid:pcb.pid pcb.dom.img addr w v
-
-(** [raw_write64 pcb addr v] — 8-byte store fast path: behaviourally
-    [raw_write pcb addr W64 v], skipping the block lookup and hashing
-    when no miss is outstanding and nothing is watched or traced. *)
-let raw_write64 pcb addr v =
-  if Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
-    raw_write pcb addr Alpha.Insn.W64 v
-  else Memimg.write64 ~pid:pcb.pid pcb.dom.img addr v
 
 (** [mb pcb] — the protocol part of a memory barrier: complete all
     outstanding (non-blocking) stores and service pending invalidations. *)

@@ -60,18 +60,6 @@ let write ?(pid = -1) t addr (w : Alpha.Insn.width) v =
   | Alpha.Insn.W32 -> Bytes.set_int32_le t.data off (Int64.to_int32 v)
   | Alpha.Insn.W64 -> Bytes.set_int64_le t.data off v
 
-(** [read64 t addr] / [write64 t ~pid addr v] — the 8-byte access path
-    without width dispatch, for the API-mode inline-check fast paths
-    (64-bit is the only width the array-based workloads use). *)
-let read64 t addr =
-  check t addr 8;
-  Bytes.get_int64_le t.data (addr - t.base)
-
-let write64 t ~pid addr v =
-  check t addr 8;
-  (match t.monitors with [] -> () | _ -> break_monitors t ~block:(block_of t addr) ~pid);
-  Bytes.set_int64_le t.data (addr - t.base) v
-
 (** [ll t ~pid addr w] performs a load-locked: reads and arms [pid]'s
     monitor on the block. *)
 let ll t ~pid addr w =

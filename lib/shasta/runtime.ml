@@ -3,7 +3,7 @@
     Ties together a simulated process, its protocol control block, its
     synchronisation endpoint and its private memory, and exposes:
 
-    - the {e API mode}: [load]/[store]/[work]/[lock]/[barrier]/... used by
+    - the {e API mode}: [load64]/[store64]/[work]/[lock]/[barrier]/... used by
       the larger workloads (SPLASH kernels, the database).  Each access
       runs the same inline-check state machine the rewriter would insert,
       with its cycle cost charged (batched and flushed like the inline
@@ -37,8 +37,14 @@ type t = {
   flag_w32 : int64;  (** [Protocol.Config.flag_value _ W32], precomputed *)
   flag_w64 : int64;  (** [Protocol.Config.flag_value _ W64], precomputed *)
   img : Protocol.Memimg.t;  (** this process's domain image, cached *)
+  data : Bytes.t;  (** [img]'s bytes, indexed from [shared_lo] *)
+  private_tab : Bytes.t;  (** [pcb]'s private state table *)
+  chunk_block : int array;  (** the layout's chunk -> block table *)
+  chunk_shift : int;
   shared_lo : int;  (** shared-range bounds, cached as immediates *)
   shared_hi : int;
+  last64 : int;  (** the highest address an 8-byte image access may start at *)
+  c_access : int;  (** cycles charged per unchecked access *)
   c_load : int;  (** cycles charged per checked load, precomputed *)
   c_store : int;  (** cycles charged per checked store *)
   c_batched : int;  (** cycles charged per batch-covered access *)
@@ -58,7 +64,7 @@ let flush h =
     h.acc_cycles <- 0
   end
 
-let charge_cycles h n =
+let[@inline] charge_cycles h n =
   h.acc_cycles <- h.acc_cycles + n;
   if h.acc_cycles >= flush_threshold then flush h
 
@@ -79,6 +85,8 @@ let in_protocol h f =
 let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
   let pcb = E.attach peng proc in
   let ep = Sync.register sync ~pid:proc.Sim.Proc.pid ~node:proc.Sim.Proc.cpu.Sim.Proc.node_id in
+  let layout = E.layout peng and img = pcb.E.dom.E.img in
+  let ck = cfg.Config.checks and on = cfg.Config.checks_enabled in
   let h =
     {
       proc;
@@ -90,21 +98,20 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       private_mem = Bytes.make cfg.Config.private_mem_size '\000';
       flag_w32 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W32;
       flag_w64 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W64;
-      img = pcb.E.dom.E.img;
+      img;
+      data = img.Protocol.Memimg.data;
+      private_tab = pcb.E.private_tab;
+      chunk_block = layout.Protocol.Layout.chunk_block;
+      chunk_shift = layout.Protocol.Layout.chunk_shift;
       shared_lo = cfg.Config.protocol.Protocol.Config.shared_base;
       shared_hi =
         cfg.Config.protocol.Protocol.Config.shared_base
         + cfg.Config.protocol.Protocol.Config.shared_size;
-      c_load =
-        (if cfg.Config.checks_enabled then
-           cfg.Config.checks.Config.access_cycles + cfg.Config.checks.Config.load_check_cycles
-         else cfg.Config.checks.Config.access_cycles);
-      c_store =
-        (if cfg.Config.checks_enabled then
-           cfg.Config.checks.Config.access_cycles + cfg.Config.checks.Config.store_check_cycles
-         else cfg.Config.checks.Config.access_cycles);
-      c_batched =
-        cfg.Config.checks.Config.access_cycles + (if cfg.Config.checks_enabled then 1 else 0);
+      last64 = img.Protocol.Memimg.base + Bytes.length img.Protocol.Memimg.data - 8;
+      c_access = ck.Config.access_cycles;
+      c_load = ck.Config.access_cycles + (if on then ck.Config.load_check_cycles else 0);
+      c_store = ck.Config.access_cycles + (if on then ck.Config.store_check_cycles else 0);
+      c_batched = ck.Config.access_cycles + (if on then 1 else 0);
       acc_cycles = 0;
       blocked_time = 0.0;
       accesses = 0;
@@ -156,120 +163,103 @@ let private_write h addr (w : Alpha.Insn.width) v =
 
 (* --- API mode: the inline-check state machine, in function form --- *)
 
-(** [load h addr w] — a checked shared load: raw access, flag comparison,
-    protocol slow path on a (possibly false) miss. *)
-let load h addr w =
-  h.accesses <- h.accesses + 1;
-  if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    private_read h addr w
-  end
-  else begin
-    if h.cfg.Config.checks_enabled then
-      charge_cycles h
-        (h.cfg.Config.checks.Config.access_cycles + h.cfg.Config.checks.Config.load_check_cycles)
-    else charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    let v0 = E.raw_read h.pcb addr w in
-    let v =
-      if v0 = flag h w then
-        in_protocol h (fun () -> E.load_miss h.pcb addr w)
-      else v0
-    in
-    trace_access h ~store:false addr w v;
-    v
-  end
+(* A shared store after its charge: the protocol when the line is not
+   exclusive, then the raw write the engine may intercept. *)
+let[@inline never] store_shared h addr w v =
+  (match E.private_state h.pcb addr with
+  | Protocol.Ptypes.Exclusive -> ()
+  | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
+      in_protocol h (fun () -> E.store_miss h.pcb addr));
+  E.raw_write h.pcb addr w v;
+  trace_access h ~store:true addr w v
 
-(** [store h addr w v] — a checked shared store. *)
+(** [store h addr w v] — a checked shared store of either width. *)
 let store h addr w v =
   h.accesses <- h.accesses + 1;
   if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
+    charge_cycles h h.c_access;
     private_write h addr w v
   end
   else begin
-    if h.cfg.Config.checks_enabled then
-      charge_cycles h
-        (h.cfg.Config.checks.Config.access_cycles + h.cfg.Config.checks.Config.store_check_cycles)
-    else charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write h.pcb addr w v;
-    trace_access h ~store:true addr w v
+    charge_cycles h h.c_store;
+    store_shared h addr w v
   end
 
-(* --- width-specialised 64-bit paths ---
+(* --- the 64-bit paths ---
 
-   Behaviourally identical to the generic functions at [W64]; they skip
-   the width dispatch, read/write the image without the boxed-width
-   detour, and avoid the block lookup on the raw store.  The array-based
-   workloads do almost all their shared traffic through these. *)
+   The array-based workloads do almost all their shared traffic through
+   these, so a hit must stay inside this module and never box the word
+   (DESIGN §16): the two primitives below read the image, the private
+   state table and the block lookup from fields cached at [create], and
+   hand everything else (a miss, a store that needs the protocol or the
+   engine's store interception, a traced access) to the out-of-line
+   slow paths.  A [store64] does what [store] does at [W64], and shares
+   its slow path. *)
 
-let load64 h addr =
+let[@inline never] out_of_image addr =
+  invalid_arg (Printf.sprintf "Runtime: access at 0x%x outside the image" addr)
+
+let[@inline never] load64_slow h addr v0 =
+  let v =
+    if v0 = h.flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
+    else v0
+  in
+  trace_access h ~store:false addr Alpha.Insn.W64 v;
+  v
+
+(* [priv]/[shared]: the cycles charged for a private and a shared
+   access. *)
+let[@inline] load_word h ~priv ~shared addr =
   h.accesses <- h.accesses + 1;
   if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
+    charge_cycles h priv;
     Bytes.get_int64_le h.private_mem addr
   end
   else begin
-    charge_cycles h h.c_load;
-    let v0 = Protocol.Memimg.read64 h.img addr in
-    let v =
-      if v0 = h.flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
-      else v0
-    in
-    trace_access h ~store:false addr Alpha.Insn.W64 v;
-    v
+    charge_cycles h shared;
+    if addr > h.last64 then out_of_image addr;
+    let off = addr - h.shared_lo in
+    let v = Bytes.get_int64_le h.data off in
+    match h.on_access with
+    | None when v <> h.flag_w64 -> v
+    | None | Some _ -> load64_slow h addr v
   end
 
-let store64 h addr v =
+(* A hit needs the line exclusive in the private table ('E' is
+   [E.st_char Exclusive]; any other byte, a corrupt one included, takes
+   the slow path, which decodes it), and the raw write must be one the
+   engine would not intercept: no miss outstanding, no block watched, no
+   LL monitor armed. *)
+let[@inline] store_word h ~priv ~shared addr v =
   h.accesses <- h.accesses + 1;
   if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
+    charge_cycles h priv;
     Bytes.set_int64_le h.private_mem addr v
   end
   else begin
-    charge_cycles h h.c_store;
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write64 h.pcb addr v;
-    trace_access h ~store:true addr Alpha.Insn.W64 v
+    charge_cycles h shared;
+    if addr > h.last64 then out_of_image addr;
+    let off = addr - h.shared_lo in
+    if
+      Bytes.get h.private_tab h.chunk_block.(off lsr h.chunk_shift) = 'E'
+      && Hashtbl.length h.pcb.E.outstanding = 0
+      && h.pcb.E.watch_blocks == []
+      && h.img.Protocol.Memimg.monitors == []
+      && h.on_access == None
+    then Bytes.set_int64_le h.data off v
+    else store_shared h addr Alpha.Insn.W64 v
   end
 
-let load64_batched h addr =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h h.c_batched;
-  if not (is_shared h addr) then Bytes.get_int64_le h.private_mem addr
-  else begin
-    let v0 = Protocol.Memimg.read64 h.img addr in
-    let v =
-      if v0 = h.flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
-      else v0
-    in
-    trace_access h ~store:false addr Alpha.Insn.W64 v;
-    v
-  end
-
-let store64_batched h addr v =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h h.c_batched;
-  if not (is_shared h addr) then Bytes.set_int64_le h.private_mem addr v
-  else begin
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write64 h.pcb addr v;
-    trace_access h ~store:true addr Alpha.Insn.W64 v
-  end
-
+let[@inline] load64 h addr = load_word h ~priv:h.c_access ~shared:h.c_load addr
+let[@inline] store64 h addr v = store_word h ~priv:h.c_access ~shared:h.c_store addr v
+let[@inline] load64_batched h addr = load_word h ~priv:h.c_batched ~shared:h.c_batched addr
+let[@inline] store64_batched h addr v = store_word h ~priv:h.c_batched ~shared:h.c_batched addr v
 let load_int h addr = Int64.to_int (load64 h addr)
 let store_int h addr v = store64 h addr (Int64.of_int v)
 let load_float h addr = Int64.float_of_bits (load64 h addr)
 let store_float h addr v = store64 h addr (Int64.bits_of_float v)
+let load_float_batched h addr = Int64.float_of_bits (load64_batched h addr)
+let store_float_batched h addr v = store64_batched h addr (Int64.bits_of_float v)
 
 (** [work h seconds] — application compute time (polls run inside). *)
 let work h seconds =
@@ -419,18 +409,18 @@ let sm_unlock h addr =
 let sm_barrier h ~addr ~parties =
   as_sync h (fun () ->
       let gen_addr = addr + 8 in
-      let my_gen = load h gen_addr Alpha.Insn.W64 in
+      let my_gen = load64 h gen_addr in
       let c = atomic_add h addr 1 in
       if c + 1 = parties then begin
-        store h addr Alpha.Insn.W64 0L;
+        store64 h addr 0L;
         mb h;
-        store h gen_addr Alpha.Insn.W64 (Int64.add my_gen 1L);
+        store64 h gen_addr (Int64.add my_gen 1L);
         mb h
       end
       else begin
         let pause = ref 3.0e-7 in
         let rec spin () =
-          if load h gen_addr Alpha.Insn.W64 = my_gen then begin
+          if load64 h gen_addr = my_gen then begin
             charge_cycles h h.cfg.Config.checks.Config.poll_cycles;
             flush h;
             Sim.Proc.work !pause;

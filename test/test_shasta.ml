@@ -297,6 +297,112 @@ let test_instrumented_same_program_reads_correctly () =
   ignore (C.run cl);
   Alcotest.(check int64) "instrumented binary sees the real value" 77L !seen
 
+(* The API-mode hit path is the inline check itself: on a line already
+   held exclusive, a load/store pair must not allocate.  The bound
+   leaves room for the periodic flush of batched cycles into
+   [Sim.Proc.work]. *)
+let test_api_hits_allocate_nothing () =
+  let cl = C.create (small_cfg ~nodes:1 ~cpus:1 ()) in
+  let a = C.alloc cl 64 in
+  let n = 10_000 in
+  let words = ref Float.nan and sum = ref 0 in
+  let _ =
+    C.spawn cl ~cpu:0 "app" (fun h ->
+        R.store_int h a 0;
+        let w0 = Gc.minor_words () in
+        for i = 1 to n do
+          R.store_int h a (R.load_int h a + i)
+        done;
+        words := Gc.minor_words () -. w0;
+        sum := R.load_int h a)
+  in
+  ignore (C.run cl);
+  Alcotest.(check int) "values" (n * (n + 1) / 2) !sum;
+  let per_access = !words /. float_of_int (2 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per access" per_access)
+    true (per_access < 1.0)
+
+(* What the hit path must not skip: the image bounds, the protocol on a
+   store to a line held only [Shared], and the trace hook. *)
+let test_api_bounds_and_slow_paths () =
+  let cfg = small_cfg ~nodes:2 ~cpus:1 () in
+  let pc = cfg.Cfg.protocol in
+  let hi = pc.Protocol.Config.shared_base + pc.Protocol.Config.shared_size in
+  let cl = C.create cfg in
+  let a = C.alloc cl 64 in
+  let seen = ref [] and issued = ref 0 and state = ref Protocol.Ptypes.Invalid in
+  let misses = ref (0, 0) and raised = ref [] in
+  let loaded = ref [] in
+  (* Spawned first, so its node's domain is domain 0, the home. *)
+  let _ = C.spawn cl ~cpu:0 "home" ignore in
+  let _ =
+    C.spawn cl ~cpu:1 "reader" (fun h ->
+        ignore (R.load_int h a);
+        state := fst (Protocol.Engine.block_state h.R.pcb a);
+        let before = (R.pstats h).Protocol.Engine.store_misses in
+        R.store_int h a 7;
+        misses := (before, (R.pstats h).Protocol.Engine.store_misses);
+        h.R.on_access <-
+          Some (fun acc -> seen := (acc.R.acc_store, acc.R.acc_addr, acc.R.acc_value) :: !seen);
+        let n0 = R.accesses h in
+        let v0 = R.load_int h a in
+        R.store_int h a 8;
+        let v1 = R.load64 h a in
+        R.store64 h (a + 8) 9L;
+        R.store_float h (a + 16) 1.5;
+        let f = R.load_float h (a + 16) in
+        R.store64_batched h (a + 24) 11L;
+        let v2 = R.load64_batched h (a + 24) in
+        loaded := [ Int64.of_int v0; v1; Int64.bits_of_float f; v2 ];
+        issued := R.accesses h - n0;
+        h.R.on_access <- None;
+        let raises name f =
+          let ok = try ignore (f ()); false with Invalid_argument _ -> true in
+          raised := (name, ok) :: !raised
+        in
+        (* Take the last line exclusive, so the accesses below fail on
+           the bound alone. *)
+        R.store64 h (hi - 8) 1L;
+        R.mb h;
+        let edge = hi - 4 in
+        raises "load64 across the image end" (fun () -> R.load64 h edge);
+        raises "store64 across the image end" (fun () -> R.store64 h edge 1L);
+        raises "load_int across the image end" (fun () -> R.load_int h edge);
+        (* A corrupt private-table byte fails loudly, not as a miss. *)
+        let tab = h.R.pcb.Protocol.Engine.private_tab in
+        let b = Protocol.Layout.block_of_addr (R.layout h) a in
+        let saved = Bytes.get tab b in
+        Bytes.set tab b 'X';
+        raises "store64 on a corrupt state" (fun () -> R.store64 h a 1L);
+        Bytes.set tab b saved)
+  in
+  C.init ~homes:[ 0 ] cl;
+  ignore (C.run cl);
+  Alcotest.(check bool) "first load leaves the line shared" true (!state = Protocol.Ptypes.Shared);
+  let before, after = !misses in
+  Alcotest.(check int) "store to a shared line enters the protocol" (before + 1) after;
+  Alcotest.(check int) "hook saw every access" !issued (List.length !seen);
+  Alcotest.(check int) "hook saw the accesses" 8 !issued;
+  let f15 = Int64.bits_of_float 1.5 in
+  Alcotest.(check (list int64)) "loads return the stored values" [ 7L; 8L; f15; 11L ] !loaded;
+  Alcotest.(check bool)
+    "hook saw the values" true
+    (List.rev !seen
+    = [
+        (false, a, 7L);
+        (true, a, 8L);
+        (false, a, 8L);
+        (true, a + 8, 9L);
+        (true, a + 16, f15);
+        (false, a + 16, f15);
+        (true, a + 24, 11L);
+        (false, a + 24, 11L);
+      ]);
+  List.iter
+    (fun (name, ok) -> Alcotest.(check bool) (name ^ " raises Invalid_argument") true ok)
+    (List.rev !raised)
+
 let suite =
   [
     Alcotest.test_case "cross-node store/load" `Quick test_cross_node_store_load;
@@ -307,6 +413,8 @@ let suite =
     Alcotest.test_case "SM barrier" `Quick test_sm_barrier;
     Alcotest.test_case "checking overhead" `Quick test_checking_overhead;
     Alcotest.test_case "breakdown sane" `Quick test_breakdown_sane;
+    Alcotest.test_case "API-mode hits allocate nothing" `Quick test_api_hits_allocate_nothing;
+    Alcotest.test_case "API-mode bounds and slow paths" `Quick test_api_bounds_and_slow_paths;
     Alcotest.test_case "instrumented binary transparent" `Quick
       test_instrumented_binary_runs_transparently;
     Alcotest.test_case "uninstrumented binary reads flags" `Quick
