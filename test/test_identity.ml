@@ -25,6 +25,10 @@
      competitors and the CPU quantum timer decides who runs — elapsed
      time, offered/completed/shed counts and p50/p99 bits.
 
+   A second golden, [rewrite_identity.txt], pins the static side: what
+   the rewriter and its analyses ([Instrument], [Verify], [Races],
+   [Affinity], [Batch]) say about every IR-corpus and sync kernel.
+
    Any engine change that perturbs event order, simulated timing, or
    interpreter behaviour shows up as a byte diff against the golden.
    After auditing an intentional behaviour change, regenerate with
@@ -248,22 +252,135 @@ let render () =
   render_serve buf;
   Buffer.contents buf
 
-(* dune runtest runs in _build/default/test (where the deps glob put the
-   golden); dune exec runs from the workspace root. *)
-let golden_file =
-  if Sys.file_exists "goldens/fifo_identity.txt" then "goldens/fifo_identity.txt"
-  else "test/goldens/fifo_identity.txt"
+(* --- Rewrite: the static analyses over the IR corpus ------------------ *)
 
-let test_fifo_identity () =
-  let got = render () in
+(* Every instruction of every procedure, batch entries and literals
+   included, folded into one hex digest. *)
+let program_digest prog =
+  let code =
+    List.map
+      (fun (p : Alpha.Program.procedure) -> (p.Alpha.Program.name, p.Alpha.Program.code))
+      (Alpha.Program.procedures prog)
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string code [ Marshal.No_sharing ]))
+
+let stats_line (s : Rewrite.Instrument.stats) =
+  let open Rewrite.Instrument in
+  Printf.sprintf
+    "procs=%d slots=%d->%d ld=%d st=%d priv=%d batches=%d/%d polls=%d mb=%d llsc=%d pf=%d \
+     gran=%d elim=%d hoist=%d"
+    s.procedures s.orig_slots s.new_slots s.loads_checked s.stores_checked s.accesses_private
+    s.batches s.batched_accesses s.polls_inserted s.mb_checks_inserted s.llsc_pairs s.prefetches
+    s.gran_lookups s.checks_eliminated s.checks_hoisted
+
+(* The reference layout of [shasta_instrument --affinity]. *)
+let affinity_bindings =
+  [
+    { Rewrite.Affinity.bd_arg = 0; bd_region = "hot"; bd_block = 512; bd_size = 64 * 1024 };
+    { Rewrite.Affinity.bd_arg = 1; bd_region = "bulk"; bd_block = 512; bd_size = 64 * 1024 };
+  ]
+
+let render_races buf name ~nprocs prog =
+  let r = Rewrite.Races.analyze ~nprocs ~name prog in
+  Buffer.add_string buf
+    (Printf.sprintf "  races@%d atoms=%d unresolved=%d races=%d\n" nprocs
+       (List.length r.Rewrite.Races.rep_atoms)
+       r.Rewrite.Races.rep_unresolved
+       (List.length r.Rewrite.Races.rep_races));
+  List.iter
+    (fun rc -> Buffer.add_string buf (Format.asprintf "    @[<v>%a@]\n" Rewrite.Races.pp_race rc))
+    r.Rewrite.Races.rep_races;
+  r
+
+(* Per kernel: the instrumented program and its stats under default and
+   redundant-elimination options, the validator's diagnostic count and
+   the batch validator's violation count on each, the race detector's
+   counts at the thread counts [shasta_instrument --races] uses (1 for
+   the single-process corpus, 4 for the sync corpus) and the affinity
+   hints.  Every seeded instrumenter mutation of a corpus kernel is
+   validated (how many sites the validator convicts, and the first
+   site's diagnostics), and every seeded sync mutation of a sync kernel
+   is raced, so that printed races — where the detector's widening
+   order shows — are pinned too. *)
+let render_rewrite () =
+  let buf = Buffer.create 4096 in
+  let kernel ~nprocs (e : Apps.Ircorpus.entry) =
+    let name = e.Apps.Ircorpus.e_name and prog = e.Apps.Ircorpus.e_program in
+    Buffer.add_string buf
+      (Printf.sprintf "rewrite %s raw batch=%d\n" name
+         (List.length (Rewrite.Batch.validate_program prog)));
+    List.iter
+      (fun (oname, options) ->
+        let p, stats = Rewrite.Instrument.instrument ~options prog in
+        Buffer.add_string buf
+          (Printf.sprintf "  %s digest=%s verify=%d batch=%d %s\n" oname (program_digest p)
+             (List.length (Rewrite.Verify.diags (Rewrite.Verify.verify p)))
+             (List.length (Rewrite.Batch.validate_program p))
+             (stats_line stats)))
+      [
+        ("default", Rewrite.Instrument.default_options);
+        ("rce", { Rewrite.Instrument.default_options with Rewrite.Instrument.redundant_elim = true });
+      ];
+    let r = render_races buf name ~nprocs prog in
+    List.iter
+      (fun h -> Buffer.add_string buf (Format.asprintf "  hint %a\n" Rewrite.Affinity.pp_hint h))
+      (Rewrite.Affinity.report ~bindings:affinity_bindings r)
+  in
+  List.iter (kernel ~nprocs:1) Apps.Ircorpus.all;
+  List.iter (kernel ~nprocs:4) Apps.Ircorpus.sync;
+  List.iter
+    (fun (e : Apps.Ircorpus.entry) ->
+      let inst = fst (Rewrite.Instrument.instrument e.Apps.Ircorpus.e_program) in
+      List.iter
+        (fun (m, label) ->
+          let _, _, nsites = Check.Mutation.apply_imutation m ~site:(-1) inst in
+          let diags site =
+            let prog, _, _ = Check.Mutation.apply_imutation m ~site inst in
+            Rewrite.Verify.diags (Rewrite.Verify.verify prog)
+          in
+          let convicted = List.length (List.filter (fun s -> diags s <> []) (List.init nsites Fun.id)) in
+          Buffer.add_string buf
+            (Printf.sprintf "imutant %s %s sites=%d convicted=%d\n" e.Apps.Ircorpus.e_name label
+               nsites convicted);
+          if nsites > 0 then
+            List.iter
+              (fun d -> Buffer.add_string buf (Format.asprintf "  %a\n" Rewrite.Verify.pp_diag d))
+              (diags 0))
+        Check.Mutation.all_imutations)
+    Apps.Ircorpus.all;
+  List.iter
+    (fun (e : Apps.Ircorpus.entry) ->
+      List.iter
+        (fun (m, label) ->
+          let _, _, nsites = Check.Mutation.apply_smutation m ~site:(-1) e.Apps.Ircorpus.e_program in
+          for site = 0 to nsites - 1 do
+            let prog, _, _ = Check.Mutation.apply_smutation m ~site e.Apps.Ircorpus.e_program in
+            Buffer.add_string buf
+              (Printf.sprintf "mutant %s %s site %d\n" e.Apps.Ircorpus.e_name label site);
+            ignore (render_races buf e.Apps.Ircorpus.e_name ~nprocs:4 prog)
+          done)
+        Check.Mutation.all_smutations)
+    Apps.Ircorpus.sync;
+  Buffer.contents buf
+
+(* dune runtest runs in _build/default/test (where the deps glob put the
+   goldens); dune exec runs from the workspace root. *)
+let check_golden file ~what got =
+  let golden = Filename.concat "goldens" file in
+  let golden = if Sys.file_exists golden then golden else Filename.concat "test/goldens" file in
   match Sys.getenv_opt "SHASTA_UPDATE_GOLDENS" with
   | Some dir ->
-      let path = Filename.concat dir (Filename.basename golden_file) in
+      let path = Filename.concat dir file in
       Out_channel.with_open_bin path (fun oc -> output_string oc got);
       Printf.printf "wrote %s\n" path
   | None ->
-      let want = In_channel.with_open_bin golden_file In_channel.input_all in
-      Alcotest.(check string) "Fifo output matches committed golden byte-for-byte" want got
+      let want = In_channel.with_open_bin golden In_channel.input_all in
+      Alcotest.(check string) (what ^ " matches committed golden byte-for-byte") want got
+
+let test_fifo_identity () = check_golden "fifo_identity.txt" ~what:"Fifo output" (render ())
+
+let test_rewrite_identity () =
+  check_golden "rewrite_identity.txt" ~what:"Rewrite analyses" (render_rewrite ())
 
 (* --- Parallel cross-validation --------------------------------------- *)
 
@@ -392,6 +509,7 @@ let test_guided_sees_every_event () =
 let suite =
   [
     Alcotest.test_case "Fifo bit-identity vs golden" `Slow test_fifo_identity;
+    Alcotest.test_case "rewrite analyses vs golden" `Quick test_rewrite_identity;
     Alcotest.test_case "parallel agrees with sequential" `Slow test_parallel_cross_validation;
     Alcotest.test_case "inline slices agree with the heap" `Slow test_inline_matches_heap;
     Alcotest.test_case "Guided sees every event" `Slow test_guided_sees_every_event;
