@@ -1631,8 +1631,11 @@ let raw_write pcb addr w v =
   let t = pcb.eng in
   let b = block_of_addr t addr in
   (* The dominant case — no miss outstanding, no watched blocks — must
-     not hash or allocate. *)
-  (if Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
+     not hash or allocate.  A store is bound-checked before it is
+     recorded: a recorded store that does not fit the image would be
+     replayed, and fail again, when the reply arrives. *)
+  (if Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then begin
+     Memimg.check pcb.dom.img addr (Alpha.Insn.bytes_of_width w);
      match Hashtbl.find_opt pcb.outstanding b with
      | Some miss -> miss.m_stores <- (addr, w, v) :: miss.m_stores
      | None ->
@@ -1642,7 +1645,8 @@ let raw_write pcb addr w v =
            | Ptypes.Exclusive -> ()
            | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
                pcb.reissue <- (addr, w, v) :: pcb.reissue
-         end);
+         end
+   end);
   Memimg.write ~pid:pcb.pid pcb.dom.img addr w v
 
 (** [mb pcb] — the protocol part of a memory barrier: complete all

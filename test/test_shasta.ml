@@ -403,6 +403,31 @@ let test_api_bounds_and_slow_paths () =
     (fun (name, ok) -> Alcotest.(check bool) (name ^ " raises Invalid_argument") true ok)
     (List.rev !raised)
 
+(* A width-generic store that straddles the image end on a line it does
+   not hold exclusive enters the protocol first, so a miss is
+   outstanding when the raw write fails the bound.  The failed store
+   must not be left recorded against that miss: the reply would replay
+   it and raise again, inside the poll handler. *)
+let test_straddling_store_miss_leaves_no_replay () =
+  let cfg = small_cfg ~nodes:2 ~cpus:1 () in
+  let pc = cfg.Cfg.protocol in
+  let hi = pc.Protocol.Config.shared_base + pc.Protocol.Config.shared_size in
+  let cl = C.create cfg in
+  let raised = ref false and done_ = ref false in
+  let _ = C.spawn cl ~cpu:0 "home" ignore in
+  let _ =
+    C.spawn cl ~cpu:1 "writer" (fun h ->
+        (try R.store h (hi - 4) Alpha.Insn.W64 1L with Invalid_argument _ -> raised := true);
+        R.mb h;
+        done_ := true)
+  in
+  C.init ~homes:[ 0 ] cl;
+  ignore (C.run cl);
+  Alcotest.(check bool) "the straddling store raised" true !raised;
+  Alcotest.(check bool) "the writer ran past its mb" true !done_;
+  Alcotest.(check (list string)) "quiescent" []
+    (Protocol.Engine.check_quiescent (C.protocol_engine cl))
+
 let suite =
   [
     Alcotest.test_case "cross-node store/load" `Quick test_cross_node_store_load;
@@ -415,6 +440,8 @@ let suite =
     Alcotest.test_case "breakdown sane" `Quick test_breakdown_sane;
     Alcotest.test_case "API-mode hits allocate nothing" `Quick test_api_hits_allocate_nothing;
     Alcotest.test_case "API-mode bounds and slow paths" `Quick test_api_bounds_and_slow_paths;
+    Alcotest.test_case "straddling store miss leaves no replay" `Quick
+      test_straddling_store_miss_leaves_no_replay;
     Alcotest.test_case "instrumented binary transparent" `Quick
       test_instrumented_binary_runs_transparently;
     Alcotest.test_case "uninstrumented binary reads flags" `Quick
