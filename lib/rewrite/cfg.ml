@@ -105,3 +105,35 @@ let preds t =
   let p = Array.make (Array.length t.blocks) [] in
   Array.iter (fun blk -> List.iter (fun s -> p.(s) <- blk.id :: p.(s)) blk.succs) t.blocks;
   Array.map List.rev p
+
+(** [forward t ~entry ~flow ~merge] — the worklist solver every forward
+    dataflow analysis of the rewriter runs on.  Block 0 starts from
+    [entry]; [flow b s]
+    walks block [b] from in-state [s] (without mutating it) and returns
+    the [(successor, state)] edges leaving it; [merge cur s] folds an
+    edge's state into a block's current in-state ([None] before the
+    first arrival) and returns the new in-state, or [None] when nothing
+    changed.  On first arrival [merge] returns a copy of a mutable [s]:
+    a flow may hand one state to several successors.  A block is queued
+    (FIFO, duplicates allowed) on first arrival and on every change;
+    {!Races} widens, so its results may depend on that order.  The
+    result is the block-in states, [None] for unreachable blocks. *)
+let forward t ~entry ~flow ~merge =
+  let block_in = Array.make (n_blocks t) None in
+  if n_blocks t > 0 then begin
+    block_in.(0) <- Some entry;
+    let work = Queue.create () in
+    Queue.push 0 work;
+    while not (Queue.is_empty work) do
+      let b = Queue.pop work in
+      List.iter
+        (fun (succ, s) ->
+          match merge block_in.(succ) s with
+          | Some s' ->
+              block_in.(succ) <- Some s';
+              Queue.push succ work
+          | None -> ())
+        (flow b (Option.get block_in.(b)))
+    done
+  end;
+  block_in

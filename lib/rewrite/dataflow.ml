@@ -118,44 +118,33 @@ let transfer ~shared_base (s : state) (insn : Alpha.Insn.t) =
       ()
 
 (** [analyze ~shared_base cfg] computes, for every instruction index, the
-    register-class state {e before} that instruction. *)
+    register-class state {e before} that instruction.  Unreachable blocks
+    expand from [bottom ()] (all [Private]), so dead code gets no checks. *)
 let analyze ~shared_base (cfg : Cfg.t) =
   let code = cfg.Cfg.proc.Alpha.Program.code in
-  let n = Array.length code in
-  let nb = Cfg.n_blocks cfg in
-  let block_in = Array.init nb (fun i -> if i = 0 then entry_state () else bottom ()) in
-  (* Unvisited blocks start at bottom (all Private) so the first join
-     copies the incoming state; track visited to seed correctly. *)
-  let visited = Array.make nb false in
-  visited.(0) <- true;
-  let worklist = Queue.create () in
-  Queue.push 0 worklist;
-  while not (Queue.is_empty worklist) do
-    let b = Queue.pop worklist in
-    let blk = Cfg.block cfg b in
-    let s = copy block_in.(b) in
-    for i = blk.Cfg.first to blk.Cfg.last do
-      transfer ~shared_base s code.(i)
-    done;
-    List.iter
-      (fun succ ->
-        if not visited.(succ) then begin
-          visited.(succ) <- true;
-          Array.blit s.ints 0 block_in.(succ).ints 0 32;
-          Array.blit s.floats 0 block_in.(succ).floats 0 32;
-          Queue.push succ worklist
-        end
-        else if join_state block_in.(succ) s then Queue.push succ worklist)
-      blk.Cfg.succs
-  done;
+  let block_in =
+    Cfg.forward cfg ~entry:(entry_state ())
+      ~flow:(fun b sin ->
+        let blk = Cfg.block cfg b in
+        let s = copy sin in
+        for i = blk.Cfg.first to blk.Cfg.last do
+          transfer ~shared_base s code.(i)
+        done;
+        List.map (fun succ -> (succ, s)) blk.Cfg.succs)
+      ~merge:(fun cur s ->
+        match cur with
+        | None -> Some (copy s)
+        | Some dst -> if join_state dst s then Some dst else None)
+  in
   (* Expand to per-instruction "before" states. *)
-  let before = Array.make n (entry_state ()) in
-  for b = 0 to nb - 1 do
-    let blk = Cfg.block cfg b in
-    let s = copy block_in.(b) in
-    for i = blk.Cfg.first to blk.Cfg.last do
-      before.(i) <- copy s;
-      transfer ~shared_base s code.(i)
-    done
-  done;
+  let before = Array.make (Array.length code) (entry_state ()) in
+  Array.iteri
+    (fun b sin ->
+      let blk = Cfg.block cfg b in
+      let s = match sin with Some sin -> copy sin | None -> bottom () in
+      for i = blk.Cfg.first to blk.Cfg.last do
+        before.(i) <- copy s;
+        transfer ~shared_base s code.(i)
+      done)
+    block_in;
   before

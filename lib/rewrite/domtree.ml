@@ -1,20 +1,15 @@
-(** Dominator trees and dominance frontiers over {!Cfg} block graphs.
+(** Dominator trees over {!Cfg} block graphs.
 
     The iterative algorithm of Cooper, Harvey and Kennedy ("A simple,
     fast dominance algorithm"): immediate dominators by repeated
-    intersection in reverse postorder, then dominance frontiers by
-    walking up from each join point's predecessors.  Small procedure
-    CFGs make the quadratic worst case irrelevant.
+    intersection in reverse postorder.  Small procedure CFGs make the
+    quadratic worst case irrelevant.
 
-    Used by {!Verify} to explain non-dominating checks and by
-    {!Optimize} to find natural loops for check hoisting. *)
+    Used by {!Optimize} to find natural loops for check hoisting. *)
 
 type t = {
-  cfg : Cfg.t;
   preds : int list array;  (** predecessor block ids *)
   idom : int array;  (** immediate dominator per block; entry maps to itself, unreachable to -1 *)
-  frontiers : int list array;  (** dominance frontier per block *)
-  rpo : int array;  (** reverse-postorder number per block (-1 if unreachable) *)
 }
 
 let build (cfg : Cfg.t) =
@@ -57,39 +52,10 @@ let build (cfg : Cfg.t) =
               end)
       rpo_order
   done;
-  let frontiers = Array.make nb [] in
-  let add n v = if not (List.mem v frontiers.(n)) then frontiers.(n) <- v :: frontiers.(n) in
-  for b = 0 to nb - 1 do
-    if idom.(b) <> -1 && (b = 0 || List.length preds.(b) >= 2) then
-      List.iter
-        (fun p ->
-          if idom.(p) <> -1 then
-            if b = 0 then begin
-              (* Nothing strictly dominates the entry, so a backedge
-                 into it puts the whole dominator chain of [p] — entry
-                 included — in the frontier; the usual walk would stop
-                 at idom(entry) = entry and drop that last element. *)
-              let runner = ref p in
-              while !runner <> 0 do
-                add !runner b;
-                runner := idom.(!runner)
-              done;
-              add 0 b
-            end
-            else begin
-              let runner = ref p in
-              while !runner <> idom.(b) do
-                add !runner b;
-                runner := idom.(!runner)
-              done
-            end)
-        preds.(b)
-  done;
-  { cfg; preds; idom; frontiers; rpo }
+  { preds; idom }
 
 let reachable t b = t.idom.(b) <> -1
 let idom t b = if b = 0 || t.idom.(b) = -1 then None else Some t.idom.(b)
-let frontier t b = t.frontiers.(b)
 
 (** [dominates t a b] — every path from entry to block [b] passes
     through block [a] (reflexive). *)

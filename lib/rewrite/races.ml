@@ -589,46 +589,34 @@ let analyze_proc ctx cfgs ~record name =
   | None -> ()
   | Some e ->
       let cfg : Cfg.t = List.assoc name cfgs in
-      let nb = Cfg.n_blocks cfg in
-      if nb > 0 then begin
-        let block_in : rstate option array = Array.make nb None in
-        block_in.(0) <- Some (copy_rstate e);
-        let work = Queue.create () in
-        Queue.push 0 work;
-        while not (Queue.is_empty work) do
-          let b = Queue.pop work in
-          match block_in.(b) with
-          | None -> ()
-          | Some sin ->
-              let blk = Cfg.block cfg b in
-              let edges, out = walk_block ctx cfg blk sin in
-              (match out with
-              | Some s when is_exit_block cfg blk -> (
-                  match Hashtbl.find_opt ctx.exit_states name with
-                  | Some ex -> if join_rstate ex s then ctx.dirty <- true
-                  | None ->
-                      Hashtbl.replace ctx.exit_states name (copy_rstate s);
-                      ctx.dirty <- true)
-              | _ -> ());
-              List.iter
-                (fun (succ, s) ->
-                  match block_in.(succ) with
-                  | None ->
-                      block_in.(succ) <- Some (copy_rstate s);
-                      Queue.push succ work
-                  | Some dst -> if join_rstate dst s then Queue.push succ work)
-                edges
-        done;
-        if record then begin
-          ctx.collect <- true;
-          Array.iteri
-            (fun b sin ->
-              match sin with
-              | Some sin -> ignore (walk_block ctx cfg (Cfg.block cfg b) sin)
-              | None -> ())
-            block_in;
-          ctx.collect <- false
-        end
+      let block_in =
+        Cfg.forward cfg ~entry:(copy_rstate e)
+          ~flow:(fun b sin ->
+            let blk = Cfg.block cfg b in
+            let edges, out = walk_block ctx cfg blk sin in
+            (match out with
+            | Some s when is_exit_block cfg blk -> (
+                match Hashtbl.find_opt ctx.exit_states name with
+                | Some ex -> if join_rstate ex s then ctx.dirty <- true
+                | None ->
+                    Hashtbl.replace ctx.exit_states name (copy_rstate s);
+                    ctx.dirty <- true)
+            | _ -> ());
+            edges)
+          ~merge:(fun cur s ->
+            match cur with
+            | None -> Some (copy_rstate s)
+            | Some dst -> if join_rstate dst s then Some dst else None)
+      in
+      if record then begin
+        ctx.collect <- true;
+        Array.iteri
+          (fun b sin ->
+            match sin with
+            | Some sin -> ignore (walk_block ctx cfg (Cfg.block cfg b) sin)
+            | None -> ())
+          block_in;
+        ctx.collect <- false
       end
 
 let analyze ?(shared_args = [ 0; 1 ]) ?(entry = "main") ~nprocs ~name

@@ -108,47 +108,38 @@ let transfer fs insn =
 let analyze_avail (cfg : Cfg.t) =
   let code = cfg.Cfg.proc.Alpha.Program.code in
   let n = Array.length code in
-  let nb = Cfg.n_blocks cfg in
-  let block_in : FS.t option array = Array.make nb None in
-  (* [None] is top (unvisited): intersection with anything is identity. *)
-  if nb > 0 then block_in.(0) <- Some FS.empty;
-  let wl = Queue.create () in
-  if nb > 0 then Queue.push 0 wl;
-  while not (Queue.is_empty wl) do
-    let b = Queue.pop wl in
-    let blk = Cfg.block cfg b in
-    let s = ref (Option.get block_in.(b)) in
-    for i = blk.Cfg.first to blk.Cfg.last do
-      s := transfer !s code.(i)
-    done;
-    List.iter
-      (fun succ ->
-        match block_in.(succ) with
-        | None ->
-            block_in.(succ) <- Some !s;
-            Queue.push succ wl
-        | Some cur ->
-            let inter = FS.inter cur !s in
-            if not (FS.equal inter cur) then begin
-              block_in.(succ) <- Some inter;
-              Queue.push succ wl
-            end)
-      blk.Cfg.succs
-  done;
-  let before = Array.make n FS.empty in
-  let reach = Array.make n false in
-  for b = 0 to nb - 1 do
-    match block_in.(b) with
-    | None -> ()
-    | Some s0 ->
+  let block_in =
+    Cfg.forward cfg ~entry:FS.empty
+      ~flow:(fun b s0 ->
         let blk = Cfg.block cfg b in
         let s = ref s0 in
         for i = blk.Cfg.first to blk.Cfg.last do
-          before.(i) <- !s;
-          reach.(i) <- true;
           s := transfer !s code.(i)
-        done
-  done;
+        done;
+        List.map (fun succ -> (succ, !s)) blk.Cfg.succs)
+      ~merge:(fun cur s ->
+        (* An unvisited block is top: its first state is taken as is. *)
+        match cur with
+        | None -> Some s
+        | Some cur ->
+            let inter = FS.inter cur s in
+            if FS.equal inter cur then None else Some inter)
+  in
+  let before = Array.make n FS.empty in
+  let reach = Array.make n false in
+  Array.iteri
+    (fun b sin ->
+      match sin with
+      | None -> ()
+      | Some s0 ->
+          let blk = Cfg.block cfg b in
+          let s = ref s0 in
+          for i = blk.Cfg.first to blk.Cfg.last do
+            before.(i) <- !s;
+            reach.(i) <- true;
+            s := transfer !s code.(i)
+          done)
+    block_in;
   (before, reach)
 
 (* --- coverage predicates --- *)

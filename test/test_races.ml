@@ -1,7 +1,6 @@
 (* Tests for the whole-program static analyzer (PR 10): the Eraser-style
-   race detector, the batch-safety validator, the affinity lint, and the
-   interprocedural callgraph layer — plus the SPMD sync corpus they are
-   calibrated against.
+   race detector, the batch-safety validator and the affinity lint —
+   plus the SPMD sync corpus they are calibrated against.
 
    Structure mirrors the analyzer's claims:
    - the sync kernels really are correctly synchronised (they run to
@@ -286,54 +285,6 @@ let test_affinity_specs_feed_config () =
   let layout = Protocol.Layout.create ~base:0x4000_0000 ~size:(128 * 1024) specs in
   Alcotest.(check int) "two regions" 2 (Protocol.Layout.n_regions layout)
 
-(* --- interprocedural callgraph --- *)
-
-let test_callgraph_shape () =
-  let e = I.find_sync "mdb-sync" in
-  let cg = Rewrite.Callgraph.build e.I.e_program in
-  Alcotest.(check (list string)) "roots" [ "main" ] cg.Rewrite.Callgraph.roots;
-  Alcotest.(check bool)
-    "bump is an internal callee"
-    true
-    (List.exists
-       (fun s -> s.Rewrite.Callgraph.cs_callee = "bump" && not s.Rewrite.Callgraph.cs_external)
-       cg.Rewrite.Callgraph.sites);
-  Alcotest.(check bool)
-    "sync calls are external"
-    true
-    (List.for_all
-       (fun s -> s.Rewrite.Callgraph.cs_external)
-       (Rewrite.Callgraph.sites_of cg Alpha.Runtime.sync_lock_proc));
-  Alcotest.(check (list string)) "main's callees include bump" [ "bump" ]
-    (List.sort_uniq compare
-       (List.filter (fun c -> c = "bump") (Rewrite.Callgraph.callees_of cg "main")))
-
-let test_callgraph_classes_cross_call () =
-  (* A shared pointer handed to a helper that dereferences it: the
-     interprocedural analysis must class the helper's base register
-     Shared at its entry (the per-procedure analysis cannot). *)
-  let shared_base = Rewrite.Instrument.default_options.Rewrite.Instrument.shared_base in
-  let prog =
-    Alpha.Asm.(
-      program
-        [
-          proc "main" [ li s0 (Int64.of_int shared_base); call "deref"; halt ];
-          proc "deref" [ ldq t0 0 s0; ret ];
-        ])
-  in
-  let c = Rewrite.Callgraph.analyze_classes prog in
-  (match Rewrite.Callgraph.class_before c ~proc:"deref" ~idx:0 Alpha.Asm.s0 with
-  | Rewrite.Dataflow.Shared -> ()
-  | _ -> Alcotest.fail "s0 should be Shared at deref entry")
-
-let test_callgraph_escapes () =
-  (* barnes' arr[8] = &arr pattern: a shared pointer stored to memory
-     must appear in the escape report. *)
-  let e = I.find "barnes" in
-  let c = Rewrite.Callgraph.analyze_classes e.I.e_program in
-  let escs = Rewrite.Callgraph.escapes c in
-  Alcotest.(check bool) "barnes has a pointer escape" true (escs <> [])
-
 let suite =
   [
     Alcotest.test_case "sync kernels run to predicted r0s" `Slow test_sync_kernels_run;
@@ -350,7 +301,4 @@ let suite =
     Alcotest.test_case "affinity: migratory" `Quick test_affinity_migratory;
     Alcotest.test_case "affinity: stencil fine stride" `Quick test_affinity_fine_stencil;
     Alcotest.test_case "affinity: specs feed a layout" `Quick test_affinity_specs_feed_config;
-    Alcotest.test_case "callgraph shape" `Quick test_callgraph_shape;
-    Alcotest.test_case "callgraph classes cross calls" `Quick test_callgraph_classes_cross_call;
-    Alcotest.test_case "callgraph escape report" `Quick test_callgraph_escapes;
   ]

@@ -421,8 +421,9 @@ let test_private_float_roundtrip_unchecked () =
    ending in an unconditional branch, a conditional branch (falls
    through), a halt, or plain fall-through, with targets drawn freely —
    so the CFGs include unreachable blocks, self loops, multiple
-   backedges and irreducible shapes.  Domtree's idom/frontier answers
-   are checked against direct-from-definition references. *)
+   backedges and irreducible shapes.  Domtree's idom and natural-loop
+   answers, and the fixed points of Cfg's forward solver, are checked
+   against direct-from-definition references. *)
 
 module Cfg = Rewrite.Cfg
 module Domtree = Rewrite.Domtree
@@ -505,29 +506,60 @@ let qcheck_idom_is_dominator =
                    | Some d -> d <> b && List.mem d dom.(b))))
         blocks)
 
-let qcheck_frontier_definition =
-  (* v ∈ DF(n) iff n dominates one of v's reachable predecessors and n
-     does not strictly dominate v — no more, no less. *)
-  QCheck.Test.make ~name:"dominance frontier matches its definition" ~count:200
+(* A trivial lattice: the solver's [Some] blocks are its reachable set. *)
+let qcheck_forward_reaches =
+  QCheck.Test.make ~name:"forward solver reaches exactly the DFS-reachable blocks" ~count:200
     (QCheck.make gen_branchy_proc) (fun prog ->
       let cfg = Cfg.build (Program.find prog "main") in
-      let t = Domtree.build cfg in
-      let preds = Cfg.preds cfg in
-      let nb = Cfg.n_blocks cfg in
-      let blocks = List.init nb Fun.id in
-      let expected n =
-        List.filter
-          (fun v ->
-            Domtree.reachable t v
-            && List.exists (fun p -> Domtree.reachable t p && Domtree.dominates t n p) preds.(v)
-            && not (n <> v && Domtree.dominates t n v))
-          blocks
+      let reach, _ = reach_and_doms cfg in
+      let block_in =
+        Cfg.forward cfg ~entry:()
+          ~flow:(fun b () -> List.map (fun s -> (s, ())) (Cfg.block cfg b).Cfg.succs)
+          ~merge:(fun cur () -> match cur with None -> Some () | Some () -> None)
       in
-      List.for_all
-        (fun n ->
-          (not (Domtree.reachable t n))
-          || List.sort compare (Domtree.frontier t n) = expected n)
-        blocks)
+      Array.for_all2 (fun r sin -> r = Option.is_some sin) reach block_in)
+
+(* A monotone lattice without widening — the blocks on some path into
+   [b] — has one least fixed point, so the worklist must land on what
+   naive round-robin iteration over every block computes. *)
+module IS = Set.Make (Int)
+
+let qcheck_forward_matches_round_robin =
+  QCheck.Test.make ~name:"forward solver matches round-robin iteration" ~count:200
+    (QCheck.make gen_branchy_proc) (fun prog ->
+      let cfg = Cfg.build (Program.find prog "main") in
+      let nb = Cfg.n_blocks cfg in
+      let out b s = IS.add b s in
+      let join cur s =
+        match cur with
+        | None -> Some s
+        | Some c -> if IS.subset s c then None else Some (IS.union c s)
+      in
+      let solved =
+        Cfg.forward cfg ~entry:IS.empty
+          ~flow:(fun b s -> List.map (fun succ -> (succ, out b s)) (Cfg.block cfg b).Cfg.succs)
+          ~merge:join
+      in
+      let naive = Array.make nb None in
+      if nb > 0 then naive.(0) <- Some IS.empty;
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for b = 0 to nb - 1 do
+          match naive.(b) with
+          | None -> ()
+          | Some s ->
+              List.iter
+                (fun succ ->
+                  match join naive.(succ) (out b s) with
+                  | Some s' ->
+                      naive.(succ) <- Some s';
+                      changed := true
+                  | None -> ())
+                (Cfg.block cfg b).Cfg.succs
+        done
+      done;
+      Array.for_all2 (Option.equal IS.equal) naive solved)
 
 let qcheck_loop_header_dominates =
   QCheck.Test.make ~name:"natural-loop headers dominate their bodies" ~count:200
@@ -570,6 +602,7 @@ let suite =
       test_private_float_roundtrip_unchecked;
     QCheck_alcotest.to_alcotest qcheck_semantics_preserved;
     QCheck_alcotest.to_alcotest qcheck_idom_is_dominator;
-    QCheck_alcotest.to_alcotest qcheck_frontier_definition;
+    QCheck_alcotest.to_alcotest qcheck_forward_reaches;
+    QCheck_alcotest.to_alcotest qcheck_forward_matches_round_robin;
     QCheck_alcotest.to_alcotest qcheck_loop_header_dominates;
   ]
