@@ -111,6 +111,17 @@ let () =
       (pick scenarios)
   in
   let sampled _ = "" in
+  (* One protocol-mutation hunt: a report line per seeded bug, and a
+     failure for every bug it missed. *)
+  let convict ~under family =
+    List.iter
+      (fun (r : Check.Mutation.report) ->
+        Format.printf "  %a@." (Check.Mutation.pp_report family) r;
+        if r.Check.Mutation.caught = None then
+          record "mutation=%s missed%s after %d runs" r.Check.Mutation.label under
+            r.Check.Mutation.spent)
+      (Check.Mutation.sweep family)
+  in
 
   Printf.printf "== litmus: FIFO + %d seeded schedules per scenario ==\n%!" !seeds;
   drive ~driver:"seeds" ~status:sampled Check.Litmus.all (Check.Explore.seeds ~n:!seeds);
@@ -151,27 +162,14 @@ let () =
 
     if !only = "" then begin
       Printf.printf "== litmus: mutation conviction under DPOR ==\n%!";
-      let reports = Check.Mutation.hunt_dpor () in
-      List.iter
-        (fun (r : Check.Mutation.report) ->
-          Format.printf "  %a@." Check.Mutation.pp_report r;
-          if r.Check.Mutation.m_caught = None then
-            record "mutation=%s missed under dpor after %d runs"
-              r.Check.Mutation.m_label r.Check.Mutation.m_runs)
-        reports
+      convict ~under:" under dpor"
+        (Check.Mutation.protocol ~explore:(Check.Dpor.explore ~max_runs:400) ())
     end
   end;
 
   if !mutate then begin
     Printf.printf "== litmus: mutation harness (%d seeds per bug) ==\n%!" !seeds;
-    let reports = Check.Mutation.hunt ~seeds:!seeds () in
-    List.iter
-      (fun (r : Check.Mutation.report) ->
-        Format.printf "  %a@." Check.Mutation.pp_report r;
-        if r.Check.Mutation.m_caught = None then
-          record "mutation=%s missed after %d runs" r.Check.Mutation.m_label
-            r.Check.Mutation.m_runs)
-      reports
+    convict ~under:"" (Check.Mutation.protocol ~explore:(Check.Explore.seeds ~n:!seeds) ())
   end;
 
   if !out <> "" && Buffer.length artifact > 0 then begin

@@ -144,29 +144,35 @@ let verify_mode ~options () =
   add_json ("verify_" ^ mode) (Load.Json.List (List.rev !rows));
   !failures
 
-let mutants_mode () =
-  out "instrumenter-mutation sweep (validator must convict each family)\n\n";
-  let reports = Check.Mutation.hunt_instrumenter () in
-  List.iter (fun r -> out "%s\n" (Format.asprintf "%a" Check.Mutation.pp_ireport r)) reports;
-  add_json "imutants"
+(* One seeded-mutation family through the conviction sweep: a report
+   line and a JSON row (under [key]) per mutation, then the pass/fail
+   tail naming the family by [noun].  Returns the failure count. *)
+let conviction ~key ~noun family =
+  let reports = Check.Mutation.sweep family in
+  List.iter (fun r -> out "%s\n" (Format.asprintf "%a" (Check.Mutation.pp_report family) r)) reports;
+  add_json key
     (Load.Json.List
        (List.map
-          (fun (r : Check.Mutation.ireport) ->
+          (fun (r : Check.Mutation.report) ->
             Load.Json.Obj
               [
-                ("mutation", Load.Json.Str r.Check.Mutation.i_label);
-                ("caught", Load.Json.Bool (r.Check.Mutation.i_caught <> None));
-                ("sites", Load.Json.Int r.Check.Mutation.i_sites);
+                ("mutation", Load.Json.Str r.Check.Mutation.label);
+                ("caught", Load.Json.Bool (r.Check.Mutation.caught <> None));
+                ("sites", Load.Json.Int r.Check.Mutation.spent);
               ])
           reports));
-  if Check.Mutation.all_icaught reports then begin
-    out "\nall %d instrumenter mutations caught\n" (List.length reports);
+  if Check.Mutation.all_caught reports then begin
+    out "\nall %d %s mutations caught\n" (List.length reports) noun;
     0
   end
   else begin
-    out "\nsome instrumenter mutations were MISSED\n";
+    out "\nsome %s mutations were MISSED\n" noun;
     1
   end
+
+let mutants_mode () =
+  out "instrumenter-mutation sweep (validator must convict each family)\n\n";
+  conviction ~key:"imutants" ~noun:"instrumenter" (Check.Mutation.instrumenter ())
 
 (* --- whole-program static analysis modes (PR 10) --- *)
 
@@ -215,25 +221,7 @@ let races_mode ~nprocs () =
     Apps.Ircorpus.all;
   add_json "races" (Load.Json.List (List.rev !rows));
   out "\nsync-mutation sweep (race detector must convict each family)\n\n";
-  let reports = Check.Mutation.hunt_sync ~nprocs () in
-  List.iter (fun r -> out "%s\n" (Format.asprintf "%a" Check.Mutation.pp_sreport r)) reports;
-  add_json "smutants"
-    (Load.Json.List
-       (List.map
-          (fun (r : Check.Mutation.sreport) ->
-            Load.Json.Obj
-              [
-                ("mutation", Load.Json.Str r.Check.Mutation.s_label);
-                ("caught", Load.Json.Bool (r.Check.Mutation.s_caught <> None));
-                ("sites", Load.Json.Int r.Check.Mutation.s_sites);
-              ])
-          reports));
-  if Check.Mutation.all_scaught reports then
-    out "\nall %d sync mutations caught\n" (List.length reports)
-  else begin
-    incr failures;
-    out "\nsome sync mutations were MISSED\n"
-  end;
+  failures := !failures + conviction ~key:"smutants" ~noun:"sync" (Check.Mutation.sync ~nprocs ());
   !failures
 
 (* Validate every dispatch-metadata table the interpreter would build —
@@ -283,17 +271,7 @@ let batch_mode ~options () =
   out "%d metadata tables validated, %d with violations\n" (List.length targets) !failures;
   (* Batch-boundary mutation: lengthen one pure run and demand a
      conviction — a validator that cannot convict proves nothing. *)
-  let convicted =
-    List.exists
-      (fun (_, prog) ->
-        List.exists
-          (fun (p : Alpha.Program.procedure) ->
-            match Check.Mutation.swallow_dispatch p with
-            | Some (_, meta) -> Rewrite.Batch.validate_meta p meta <> []
-            | None -> false)
-          (Alpha.Program.procedures prog))
-      targets
-  in
+  let convicted = Check.Mutation.(all_caught (sweep (batch targets))) in
   if convicted then out "seeded batch-boundary mutation convicted\n"
   else begin
     incr failures;

@@ -38,7 +38,44 @@ type stats = {
 
 type result = { failures : failure list; stats : stats }
 
-let sig_of_rev_labels rev = Vclock.class_signature (Array.of_list (List.rev rev))
+(* --- the result tally every driver keeps --- *)
+
+(* Runs started, the deepest multi-candidate tie-set seen, the classes
+   of the runs that completed and their failures (newest first).  A
+   driver bumps [t_runs] as it starts a run and hands a completed run to
+   {!settle}; {!result_of} turns the tally into the common {!result}. *)
+type tally = {
+  mutable t_runs : int;
+  mutable t_deepest : int;
+  mutable t_failures : failure list;
+  t_classes : (int, unit) Hashtbl.t;
+}
+
+let tally () = { t_runs = 0; t_deepest = 0; t_failures = []; t_classes = Hashtbl.create 64 }
+
+(** [settle t ~depth ~labels ?seed ~schedule violations] — account one
+    completed run: [depth] multi-candidate tie-sets, [labels] fired
+    (newest first) and its violations; [schedule ()] names a failing
+    run. *)
+let settle t ~depth ~labels ?seed ~schedule violations =
+  Hashtbl.replace t.t_classes (Vclock.class_signature (Array.of_list (List.rev labels))) ();
+  if depth > t.t_deepest then t.t_deepest <- depth;
+  if violations <> [] then
+    t.t_failures <-
+      { f_schedule = schedule (); f_seed = seed; f_violations = violations } :: t.t_failures
+
+let result_of t ~complete ~truncated =
+  {
+    failures = List.rev t.t_failures;
+    stats =
+      {
+        s_runs = t.t_runs;
+        s_complete = complete;
+        s_truncated = truncated;
+        s_classes = Hashtbl.length t.t_classes;
+        s_choice_points = t.t_deepest;
+      };
+  }
 
 (* --- stock choosers for {!Sim.Engine.Guided} --- *)
 
@@ -102,9 +139,9 @@ let seed_schedule ?jitter seed =
     candidate, which is the same order.  Failures print their seed and
     replay under [seed_schedule ?jitter seed]. *)
 let seeds ?(base = 1) ?jitter ~n scenario =
-  let classes = Hashtbl.create 64 in
-  let deepest = ref 0 in
+  let t = tally () in
   let run seed =
+    t.t_runs <- t.t_runs + 1;
     let labels = ref [] in
     let depth = ref 0 in
     let observed choose (cands : Sim.Engine.choice array) =
@@ -119,38 +156,16 @@ let seeds ?(base = 1) ?jitter ~n scenario =
       | Sim.Engine.Guided g -> Sim.Engine.Guided { g with choose = observed g.choose }
     in
     let violations = scenario schedule in
-    Hashtbl.replace classes (sig_of_rev_labels !labels) ();
-    if !depth > !deepest then deepest := !depth;
-    match violations with
-    | [] -> []
-    | violations ->
-        [
-          {
-            f_schedule =
-              (if seed = 0 then "fifo"
-               else
-                 match jitter with
-                 | None -> Printf.sprintf "seed %d" seed
-                 | Some (prob, max_delay) ->
-                     Printf.sprintf "seed %d, jitter prob %g max_delay %g" seed prob
-                       max_delay);
-            f_seed = Some seed;
-            f_violations = violations;
-          };
-        ]
+    settle t ~depth:!depth ~labels:!labels ~seed violations ~schedule:(fun () ->
+        if seed = 0 then "fifo"
+        else
+          match jitter with
+          | None -> Printf.sprintf "seed %d" seed
+          | Some (prob, max_delay) ->
+              Printf.sprintf "seed %d, jitter prob %g max_delay %g" seed prob max_delay)
   in
-  let failures = List.concat_map run (0 :: List.init n (fun k -> base + k)) in
-  {
-    failures;
-    stats =
-      {
-        s_runs = n + 1;
-        s_complete = false;
-        s_truncated = false;
-        s_classes = Hashtbl.length classes;
-        s_choice_points = !deepest;
-      };
-  }
+  List.iter run (0 :: List.init n (fun k -> base + k));
+  result_of t ~complete:false ~truncated:false
 
 (** [exhaustive ?max_runs ?max_depth scenario] — bounded DFS over
     tie-break decision vectors.  The first [max_depth] multi-candidate
@@ -161,15 +176,12 @@ let seeds ?(base = 1) ?jitter ~n scenario =
     [max_runs]) is then {e not} full coverage, and [s_complete] stays
     false. *)
 let exhaustive ?(max_runs = 200) ?(max_depth = 8) scenario =
-  let failures = ref [] in
-  let runs = ref 0 in
+  let t = tally () in
   let truncated = ref false in
-  let deepest = ref 0 in
-  let classes = Hashtbl.create 64 in
   let prefix = ref (Some []) in
-  while !prefix <> None && !runs < max_runs do
+  while !prefix <> None && t.t_runs < max_runs do
     let p = Option.get !prefix in
-    incr runs;
+    t.t_runs <- t.t_runs + 1;
     let sizes = Hashtbl.create 32 in
     let pos = ref 0 in
     let labels = ref [] in
@@ -184,20 +196,9 @@ let exhaustive ?(max_runs = 200) ?(max_depth = 8) scenario =
       labels := cands.(i).Sim.Engine.ch_label :: !labels;
       i
     in
-    (match scenario (Sim.Engine.Guided { choose = chooser; jitter = None }) with
-    | [] -> ()
-    | violations ->
-        failures :=
-          {
-            f_schedule =
-              Printf.sprintf "Exhaustive [%s]"
-                (String.concat ";" (List.map string_of_int p));
-            f_seed = None;
-            f_violations = violations;
-          }
-          :: !failures);
-    Hashtbl.replace classes (sig_of_rev_labels !labels) ();
-    if !pos > !deepest then deepest := !pos;
+    let violations = scenario (Sim.Engine.Guided { choose = chooser; jitter = None }) in
+    settle t ~depth:!pos ~labels:!labels violations ~schedule:(fun () ->
+        Printf.sprintf "Exhaustive [%s]" (String.concat ";" (List.map string_of_int p)));
     (* Lexicographic successor of the decision vector actually used. *)
     let depth = min !pos max_depth in
     let d_at i = Option.value (List.nth_opt p i) ~default:0 in
@@ -210,23 +211,7 @@ let exhaustive ?(max_runs = 200) ?(max_depth = 8) scenario =
     in
     prefix := next (depth - 1)
   done;
-  let exhausted = !prefix = None in
-  {
-    failures = List.rev !failures;
-    stats =
-      {
-        s_runs = !runs;
-        s_complete = exhausted && not !truncated;
-        s_truncated = !truncated;
-        s_classes = Hashtbl.length classes;
-        s_choice_points = !deepest;
-      };
-  }
-
-let pp_failure ppf f =
-  Format.fprintf ppf "@[<v 2>%s:@ %a@]" f.f_schedule
-    (Format.pp_print_list Format.pp_print_string)
-    f.f_violations
+  result_of t ~complete:(!prefix = None && not !truncated) ~truncated:!truncated
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -1,102 +1,176 @@
-(** Mutation harness: seed each deliberate protocol bug
-    ({!Protocol.Engine.mutation}) and prove the checking layers catch
-    it.  A mutation counts as caught only when a run both {e fired} the
-    bug (the mutated code path executed) and reported a violation —
-    a violation in a run where the bug never triggered would be a false
-    alarm, not a catch. *)
+(** Mutation harness: seed deliberate bugs and prove the checking
+    layers convict them.
 
-type report = {
-  m_mutation : Protocol.Engine.mutation;
-  m_label : string;
-  m_caught : (string * int) option;
-      (** [(scenario, run)] of the first catching run, [run] counting
-          from 0 within that scenario's exploration; under {!hunt} it is
-          the seed (0 = FIFO) *)
-  m_fired : bool;  (** the mutated path executed at least once *)
-  m_runs : int;  (** runs spent before the catch (or giving up) *)
+    Every family of seeded bugs goes through one conviction sweep,
+    {!sweep}.  A family is data: its mutations, the targets it seeds
+    them into, how a target yields trials, and the checker that judges a
+    trial.  A mutation counts as caught only by a trial that both
+    {e fired} the bug (the mutated code path executed, or a site
+    matched) and was convicted — a conviction where the bug never
+    triggered would be a false alarm, not a catch. *)
+
+(* --- the one conviction sweep --- *)
+
+(** How a family's report lines read. *)
+type wording = {
+  checker : string;  (** what convicts, printed before the target *)
+  noun : string;  (** what a trial is: ["run"], ["site"] *)
+  width : int;  (** label column *)
+  missed_fired : string;  (** why a miss that fired was a miss *)
+  missed_unfired : string;  (** ... and one that never fired *)
 }
 
-let all_mutations =
-  [
-    (Protocol.Engine.Skip_invalidate, "skip-invalidate");
-    (Protocol.Engine.Skip_inval_ack, "skip-inval-ack");
-    (Protocol.Engine.Keep_private_on_recall, "keep-private-on-recall");
-    (Protocol.Engine.Skip_one_invalidation, "skip-one-invalidation");
-    (Protocol.Engine.Wrong_block_extent, "wrong-block-extent");
-  ]
+(** A family of seeded mutations.  [trials m target k] hands [k] every
+    trial of mutation [m] on [target], in order: [Some o] when the
+    mutation fired in that trial, [o] being what [convicts] judges, and
+    [None] when it did not.  [convicts] is a field so a test can
+    substitute its own checker. *)
+type ('m, 't, 'o) family = {
+  mutations : ('m * string) list;
+  targets : (string * 't) list;
+  trials : 'm -> 't -> ('o option -> unit) -> unit;
+  convicts : 'o -> bool;
+  wording : wording;
+}
 
-let all_caught reports = List.for_all (fun r -> r.m_caught <> None) reports
+type report = {
+  label : string;
+  caught : (string * int) option;
+      (** [(target, trial)] of the first conviction, [trial] counting
+          from 0 within that target: the site index for program
+          rewrites, the run of the explorer (0 = FIFO under
+          {!Explore.seeds}) for protocol bugs *)
+  fired : bool;  (** the mutation fired in at least one trial *)
+  spent : int;  (** trials run before the conviction (or giving up) *)
+}
 
-(* Shared driver for the hunts: [explore] runs one scenario function
-   under an exploration driver; the wrapped scenario counts runs and
-   raises [Exit] on the first convicting run (a run where the bug fired
-   {e and} a checking layer reported a violation), which aborts the
-   driver early — every driver lets an exception from the scenario
-   escape, so [m_runs] is exactly runs-to-conviction. *)
-let hunt_systematic ~explore ?(scenarios = Litmus.all) () =
+(** [sweep family] — for each mutation, walk the targets in order and
+    stop at the first trial that fired and was convicted.  The stop is
+    an exception raised from inside [trials], which every trial source
+    (the site loop, each explorer) lets escape, so [spent] is exactly
+    the trials run to conviction. *)
+let sweep f =
   List.map
-    (fun (mutation, label) ->
+    (fun (m, label) ->
       let caught = ref None in
       let fired = ref false in
-      let runs = ref 0 in
+      let spent = ref 0 in
+      let exception Convicted in
       (try
          List.iter
-           (fun (sc : Litmus.scenario) ->
-             let run = ref 0 in
-             let scenario schedule =
-               incr runs;
-               incr run;
+           (fun (name, target) ->
+             let trial = ref 0 in
+             f.trials m target (fun o ->
+                 incr spent;
+                 (match o with
+                 | Some o ->
+                     fired := true;
+                     if f.convicts o then begin
+                       caught := Some (name, !trial);
+                       raise Convicted
+                     end
+                 | None -> ());
+                 incr trial))
+           f.targets
+       with Convicted -> ());
+      { label; caught = !caught; fired = !fired; spent = !spent })
+    f.mutations
+
+let all_caught reports = List.for_all (fun r -> r.caught <> None) reports
+
+let pp_report f ppf r =
+  let w = f.wording in
+  match r.caught with
+  | Some (target, trial) ->
+      Format.fprintf ppf "%-*s caught by %s%s at %s %d (%d %s%s)" w.width r.label w.checker
+        target w.noun trial r.spent w.noun
+        (if r.spent = 1 then "" else "s")
+  | None ->
+      Format.fprintf ppf "%-*s MISSED after %d %ss (%s)" w.width r.label r.spent w.noun
+        (if r.fired then w.missed_fired else w.missed_unfired)
+
+(* --- protocol mutations ---
+
+   The seeded coherence-engine bugs ({!Protocol.Engine.mutation}),
+   convicted by the checking layers of {!Litmus.run}: the invariant
+   checker, the quiescence sweep, the outcome check and the SC oracle. *)
+
+(** [protocol ~explore ?scenarios ()] — every seeded protocol bug over
+    the litmus [scenarios] (default {!Litmus.all}); a scenario's trials
+    are the runs [explore] drives it through ({!Explore.seeds},
+    {!Explore.exhaustive} or {!Dpor.explore}), and a run convicts when
+    any layer reported a violation. *)
+let protocol ~explore ?(scenarios = Litmus.all) () =
+  {
+    mutations =
+      [
+        (Protocol.Engine.Skip_invalidate, "skip-invalidate");
+        (Protocol.Engine.Skip_inval_ack, "skip-inval-ack");
+        (Protocol.Engine.Keep_private_on_recall, "keep-private-on-recall");
+        (Protocol.Engine.Skip_one_invalidation, "skip-one-invalidation");
+        (Protocol.Engine.Wrong_block_extent, "wrong-block-extent");
+      ];
+    targets = List.map (fun (sc : Litmus.scenario) -> (sc.Litmus.name, sc)) scenarios;
+    trials =
+      (fun mutation sc k ->
+        ignore
+          (explore (fun schedule ->
                let o = Litmus.run ~mutation sc schedule in
-               if o.Litmus.mutation_fired > 0 then begin
-                 fired := true;
-                 if o.Litmus.violations <> [] then begin
-                   caught := Some (sc.Litmus.name, !run - 1);
-                   raise Exit
-                 end
-               end;
-               o.Litmus.violations
-             in
-             ignore (explore scenario))
-           scenarios
-       with Exit -> ());
+               k (if o.Litmus.mutation_fired > 0 then Some o else None);
+               o.Litmus.violations)));
+    convicts = (fun o -> o.Litmus.violations <> []);
+    wording =
       {
-        m_mutation = mutation;
-        m_label = label;
-        m_caught = !caught;
-        m_fired = !fired;
-        m_runs = !runs;
-      })
-    all_mutations
+        checker = "";
+        noun = "run";
+        width = 24;
+        missed_fired = "bug fired but was never detected";
+        missed_unfired = "bug never even fired";
+      };
+  }
 
-(** [hunt ?seeds ?scenarios ()] — for each mutation, run every scenario
-    under {!Explore.seeds} (FIFO, then seeds [1..seeds]) until a run
-    catches it. *)
-let hunt ?(seeds = 64) ?scenarios () =
-  hunt_systematic ~explore:(Explore.seeds ~n:seeds) ?scenarios ()
+(* --- program-rewrite mutations ---
 
-(** [hunt_dpor ?max_runs ?scenarios ()] — convict every protocol
-    mutation under the DPOR driver.  [m_runs] is the number of runs
-    spent before the first conviction. *)
-let hunt_dpor ?(max_runs = 400) ?scenarios () =
-  hunt_systematic ~explore:(fun s -> Dpor.explore ~max_runs s) ?scenarios ()
+   The instrumenter and sync families seed bugs into programs; the site
+   index plays the role of the seed.  Both walk a program with the same
+   site walker and differ only in which instruction patterns are sites
+   and how a site is rewritten. *)
 
-(** [hunt_exhaustive ?max_runs ?max_depth ?scenarios ()] — the same
-    conviction sweep under the bounded-exhaustive driver, for run-count
-    comparisons against {!hunt_dpor}. *)
-let hunt_exhaustive ?(max_runs = 400) ?(max_depth = 8) ?scenarios () =
-  hunt_systematic
-    ~explore:(fun s -> Explore.exhaustive ~max_runs ~max_depth s)
-    ?scenarios ()
+(* [rewrite_site rule ~site prog]: [rule insns] is
+   [Some (replacement, rest)] when the head of [insns] is an applicable
+   site — rewriting it emits [replacement] and resumes at [rest] — and
+   [None] otherwise.  Rewrites the [site]-th applicable site and returns
+   the program, whether that site exists (the mutation fired), and the
+   number of applicable sites, so callers can sweep them all. *)
+let rewrite_site rule ~site prog =
+  let sites = ref 0 in
+  let rec go = function
+    | [] -> []
+    | x :: rest as insns -> (
+        match rule insns with
+        | Some (replacement, resume) when !sites = site ->
+            incr sites;
+            replacement @ go resume
+        | Some _ ->
+            incr sites;
+            x :: go rest
+        | None -> x :: go rest)
+  in
+  let prog' = Alpha.Program.map_procedures prog (fun p -> go (Alpha.Program.to_insn_list p)) in
+  (prog', site >= 0 && site < !sites, !sites)
+
+(* Every applicable site of [m] in [prog], in order. *)
+let site_trials apply m prog k =
+  let _, _, nsites = apply m ~site:(-1) prog in
+  for site = 0 to nsites - 1 do
+    let prog', fired, _ = apply m ~site prog in
+    k (if fired then Some prog' else None)
+  done
 
 (* --- instrumenter mutations ---
 
-   The protocol mutations above seed bugs in the coherence engine; these
-   seed bugs in the {e rewriter} output and ask the translation
-   validator ({!Rewrite.Verify}) to convict them statically — no run
-   needed.  Each mutation family has many possible sites per program;
-   the site index plays the role of the seed, and a family counts as
-   caught only when a site that actually changed the code (fired) draws
-   a diagnostic. *)
+   Bugs in the {e rewriter} output, convicted statically by the
+   translation validator ({!Rewrite.Verify}) — no run needed. *)
 
 type imutation =
   | Drop_check  (** delete one check pseudo-instruction *)
@@ -118,142 +192,64 @@ let is_check = function
       true
   | _ -> false
 
+let imutation_site m insns =
+  let module I = Alpha.Insn in
+  let rec narrow_first = function
+    | [] -> []
+    | e :: es when e.I.b_width = I.W64 -> { e with I.b_width = I.W32 } :: es
+    | e :: es -> e :: narrow_first es
+  in
+  match (m, insns) with
+  | Drop_check, x :: rest when is_check x -> Some ([], rest)
+  | Wrong_width, I.Load_check (I.W64, d, off, b) :: rest ->
+      Some ([ I.Load_check (I.W32, d, off, b) ], rest)
+  | Wrong_width, I.Store_check (I.W64, off, b) :: rest -> Some ([ I.Store_check (I.W32, off, b) ], rest)
+  | Wrong_width, I.Sc_check (I.W64, r, off, b) :: rest ->
+      Some ([ I.Sc_check (I.W32, r, off, b) ], rest)
+  | Wrong_width, I.Batch_check es :: rest when List.exists (fun e -> e.I.b_width = I.W64) es ->
+      Some ([ I.Batch_check (narrow_first es) ], rest)
+  | Check_after_poll, I.Poll :: c :: rest when is_check c -> Some ([ c; I.Poll ], rest)
+  | Wrong_batch_base, I.Batch_check (e :: es) :: rest ->
+      let wrong = if e.I.b_base <> 1 then 1 else 2 in
+      Some ([ I.Batch_check ({ e with I.b_base = wrong } :: es) ], rest)
+  | _ -> None
+
 (** [apply_imutation m ~site program] — rewrite the [site]-th applicable
     site of an {e instrumented} program.  Returns the mutated program,
     whether the mutation fired (a site matched), and the total number of
     applicable sites (so callers can sweep them all). *)
-let apply_imutation m ~site (prog : Alpha.Program.t) =
-  let counter = ref (-1) in
-  let fired = ref false in
-  let hit () =
-    incr counter;
-    if !counter = site then begin
-      fired := true;
-      true
-    end
-    else false
-  in
-  let module I = Alpha.Insn in
-  let rec go insns =
-    match insns with
-    | [] -> []
-    | x :: rest -> (
-        match (m, x, rest) with
-        | Drop_check, x, _ when is_check x -> if hit () then go rest else x :: go rest
-        | Wrong_width, I.Load_check (I.W64, d, off, b), _ ->
-            if hit () then I.Load_check (I.W32, d, off, b) :: go rest else x :: go rest
-        | Wrong_width, I.Store_check (I.W64, off, b), _ ->
-            if hit () then I.Store_check (I.W32, off, b) :: go rest else x :: go rest
-        | Wrong_width, I.Sc_check (I.W64, r, off, b), _ ->
-            if hit () then I.Sc_check (I.W32, r, off, b) :: go rest else x :: go rest
-        | Wrong_width, I.Batch_check es, _
-          when List.exists (fun e -> e.I.b_width = I.W64) es ->
-            if hit () then begin
-              let narrowed = ref false in
-              let es' =
-                List.map
-                  (fun e ->
-                    if (not !narrowed) && e.I.b_width = I.W64 then begin
-                      narrowed := true;
-                      { e with I.b_width = I.W32 }
-                    end
-                    else e)
-                  es
-              in
-              I.Batch_check es' :: go rest
-            end
-            else x :: go rest
-        | Check_after_poll, I.Poll, c :: r2 when is_check c ->
-            if hit () then c :: I.Poll :: go r2 else x :: go rest
-        | Wrong_batch_base, I.Batch_check (e :: es), _ ->
-            if hit () then begin
-              let wrong = if e.I.b_base <> 1 then 1 else 2 in
-              I.Batch_check ({ e with I.b_base = wrong } :: es) :: go rest
-            end
-            else x :: go rest
-        | _ -> x :: go rest)
-  in
-  let prog' =
-    Alpha.Program.map_procedures prog (fun p -> go (Alpha.Program.to_insn_list p))
-  in
-  (prog', !fired, !counter + 1)
+let apply_imutation m ~site prog = rewrite_site (imutation_site m) ~site prog
 
-type ireport = {
-  i_mutation : imutation;
-  i_label : string;
-  i_caught : (string * int) option;  (** [(kernel, site)] of the first conviction *)
-  i_fired : bool;
-  i_sites : int;  (** fired sites examined before the catch (or giving up) *)
-}
-
-(** [hunt_instrumenter ()] — for each instrumenter-mutation family,
-    sweep every applicable site of every instrumented corpus kernel
-    until the validator convicts one. *)
-let hunt_instrumenter ?(options = Rewrite.Instrument.default_options) () =
-  let corpus =
-    List.map
-      (fun (e : Apps.Ircorpus.entry) ->
-        let instrumented, _ = Rewrite.Instrument.instrument ~options e.Apps.Ircorpus.e_program in
-        (e.Apps.Ircorpus.e_name, instrumented))
-      Apps.Ircorpus.all
-  in
-  List.map
-    (fun (m, label) ->
-      let caught = ref None in
-      let fired = ref false in
-      let examined = ref 0 in
-      (try
-         List.iter
-           (fun (name, instrumented) ->
-             let _, _, nsites = apply_imutation m ~site:(-1) instrumented in
-             for site = 0 to nsites - 1 do
-               let prog', f, _ = apply_imutation m ~site instrumented in
-               if f then begin
-                 fired := true;
-                 incr examined;
-                 if not (Rewrite.Verify.ok (Rewrite.Verify.verify prog')) then begin
-                   caught := Some (name, site);
-                   raise Exit
-                 end
-               end
-             done)
-           corpus
-       with Exit -> ());
-      { i_mutation = m; i_label = label; i_caught = !caught; i_fired = !fired; i_sites = !examined })
-    all_imutations
-
-let all_icaught reports = List.for_all (fun r -> r.i_caught <> None) reports
-
-let pp_ireport ppf r =
-  match r.i_caught with
-  | Some (kernel, site) ->
-      Format.fprintf ppf "%-18s caught by the validator in %s at site %d (%d site%s)" r.i_label
-        kernel site r.i_sites
-        (if r.i_sites = 1 then "" else "s")
-  | None ->
-      Format.fprintf ppf "%-18s MISSED after %d sites (mutation %s)" r.i_label r.i_sites
-        (if r.i_fired then "fired but drew no diagnostic" else "never fired")
-
-let pp_report ppf r =
-  match r.m_caught with
-  | Some (scenario, run) ->
-      Format.fprintf ppf "%-24s caught by %s at run %d (%d run%s)" r.m_label
-        scenario run r.m_runs
-        (if r.m_runs = 1 then "" else "s")
-  | None ->
-      Format.fprintf ppf "%-24s MISSED after %d runs (bug %s)" r.m_label r.m_runs
-        (if r.m_fired then "fired but was never detected" else "never even fired")
+(** [instrumenter ?options ()] — every instrumenter mutation over the IR
+    corpus instrumented under [options]; the trials are every applicable
+    site, and a site convicts when the validator draws a diagnostic. *)
+let instrumenter ?(options = Rewrite.Instrument.default_options) () =
+  {
+    mutations = all_imutations;
+    targets =
+      List.map
+        (fun (e : Apps.Ircorpus.entry) ->
+          (e.Apps.Ircorpus.e_name, fst (Rewrite.Instrument.instrument ~options e.Apps.Ircorpus.e_program)))
+        Apps.Ircorpus.all;
+    trials = site_trials apply_imutation;
+    convicts = (fun prog -> not (Rewrite.Verify.ok (Rewrite.Verify.verify prog)));
+    wording =
+      {
+        checker = "the validator in ";
+        noun = "site";
+        width = 18;
+        missed_fired = "mutation fired but drew no diagnostic";
+        missed_unfired = "mutation never fired";
+      };
+  }
 
 (* --- sync (race) mutations ---
 
-   The protocol and instrumenter mutations seed bugs under and around
-   the application; these seed {e synchronisation} bugs in the
-   application itself — the four classic ways properly-synchronised
-   SPMD code goes wrong — and ask the static race detector
-   ({!Rewrite.Races}) to convict them, again with the site index as the
-   seed.  The substrate is the sync corpus ({!Apps.Ircorpus.sync}),
-   whose kernels are race-free as written, so any conviction is
-   attributable to the mutation. *)
+   Synchronisation bugs in the application itself — the four classic
+   ways properly-synchronised SPMD code goes wrong — convicted by the
+   static race detector ({!Rewrite.Races}).  The substrate is the sync
+   corpus ({!Apps.Ircorpus.sync}), whose kernels are race-free as
+   written, so any conviction is attributable to the mutation. *)
 
 type smutation =
   | Drop_lock  (** delete one [sync_lock] call: its critical section runs bare *)
@@ -272,110 +268,56 @@ let all_smutations =
     (Publish_after_barrier, "phase-skewed-publish");
   ]
 
-(** [apply_smutation m ~site program] — rewrite the [site]-th applicable
-    site, on the same (mutated program, fired, sites) contract as
-    {!apply_imutation}.  Works on uninstrumented programs: the sync
-    calls are in the source kernel, not inserted by the rewriter. *)
-let apply_smutation m ~site (prog : Alpha.Program.t) =
-  let counter = ref (-1) in
-  let fired = ref false in
-  let hit () =
-    incr counter;
-    if !counter = site then begin
-      fired := true;
-      true
-    end
-    else false
-  in
+let smutation_site m insns =
   let module I = Alpha.Insn in
+  let lock = Alpha.Runtime.sync_lock_proc and barrier = Alpha.Runtime.sync_barrier_proc in
   (* Straight-line separators a publish may be carried across: constant
      loads, register moves/arithmetic, and labels (the store must stay
      on its own side of any branch, so control flow ends the search). *)
   let rec split_to_barrier acc = function
     | ((I.Li _ | I.Binop _ | I.Label _) as x) :: rest -> split_to_barrier (x :: acc) rest
-    | I.Call n :: rest when n = Alpha.Runtime.sync_barrier_proc ->
-        Some (List.rev acc, rest)
+    | I.Call n :: rest when n = barrier -> Some (List.rev acc, rest)
     | _ -> None
   in
-  let rec go insns =
-    match insns with
-    | [] -> []
-    | x :: rest -> (
-        match (m, x, rest) with
-        | Drop_lock, I.Call n, _ when n = Alpha.Runtime.sync_lock_proc ->
-            if hit () then go rest else x :: go rest
-        | Wrong_lock_id, I.Li (r, v), I.Call n :: _
-          when r = 16 (* a0 *) && n = Alpha.Runtime.sync_lock_proc ->
-            if hit () then I.Li (r, Int64.add v 1L) :: go rest else x :: go rest
-        | Drop_barrier, I.Call n, _ when n = Alpha.Runtime.sync_barrier_proc ->
-            if hit () then go rest else x :: go rest
-        | Publish_after_barrier, (I.St _ as st), _ -> (
-            match split_to_barrier [] rest with
-            | Some (sep, tail) ->
-                if hit () then
-                  sep @ (I.Call Alpha.Runtime.sync_barrier_proc :: st :: go tail)
-                else st :: go rest
-            | None -> st :: go rest)
-        | _ -> x :: go rest)
-  in
-  let prog' =
-    Alpha.Program.map_procedures prog (fun p -> go (Alpha.Program.to_insn_list p))
-  in
-  (prog', !fired, !counter + 1)
+  match (m, insns) with
+  | Drop_lock, I.Call n :: rest when n = lock -> Some ([], rest)
+  | Wrong_lock_id, I.Li (r, v) :: (I.Call n :: _ as rest) when r = 16 (* a0 *) && n = lock ->
+      Some ([ I.Li (r, Int64.add v 1L) ], rest)
+  | Drop_barrier, I.Call n :: rest when n = barrier -> Some ([], rest)
+  | Publish_after_barrier, (I.St _ as st) :: rest ->
+      Option.map (fun (sep, tail) -> (sep @ [ I.Call barrier; st ], tail)) (split_to_barrier [] rest)
+  | _ -> None
 
-type sreport = {
-  s_mutation : smutation;
-  s_label : string;
-  s_caught : (string * int) option;  (** [(kernel, site)] of the first conviction *)
-  s_fired : bool;
-  s_sites : int;  (** fired sites examined before the catch (or giving up) *)
-}
+(** [apply_smutation m ~site program] — rewrite the [site]-th applicable
+    site, on the same (mutated program, fired, sites) contract as
+    {!apply_imutation}.  Works on uninstrumented programs: the sync
+    calls are in the source kernel, not inserted by the rewriter. *)
+let apply_smutation m ~site prog = rewrite_site (smutation_site m) ~site prog
 
-(** [hunt_sync ()] — for each sync-mutation family, sweep every
-    applicable site of every sync-corpus kernel until the static race
-    detector convicts one.  [nprocs] is the thread count the detector
-    reasons about (any count >= 2 should convict). *)
-let hunt_sync ?(nprocs = 4) () =
-  let corpus =
-    List.map (fun (e : Apps.Ircorpus.entry) -> (e.Apps.Ircorpus.e_name, e.Apps.Ircorpus.e_program)) Apps.Ircorpus.sync
-  in
-  List.map
-    (fun (m, label) ->
-      let caught = ref None in
-      let fired = ref false in
-      let examined = ref 0 in
-      (try
-         List.iter
-           (fun (name, prog) ->
-             let _, _, nsites = apply_smutation m ~site:(-1) prog in
-             for site = 0 to nsites - 1 do
-               let prog', f, _ = apply_smutation m ~site prog in
-               if f then begin
-                 fired := true;
-                 incr examined;
-                 let r = Rewrite.Races.analyze ~nprocs ~name prog' in
-                 if r.Rewrite.Races.rep_races <> [] then begin
-                   caught := Some (name, site);
-                   raise Exit
-                 end
-               end
-             done)
-           corpus
-       with Exit -> ());
-      { s_mutation = m; s_label = label; s_caught = !caught; s_fired = !fired; s_sites = !examined })
-    all_smutations
-
-let all_scaught reports = List.for_all (fun r -> r.s_caught <> None) reports
-
-let pp_sreport ppf r =
-  match r.s_caught with
-  | Some (kernel, site) ->
-      Format.fprintf ppf "%-20s caught by the race detector in %s at site %d (%d site%s)"
-        r.s_label kernel site r.s_sites
-        (if r.s_sites = 1 then "" else "s")
-  | None ->
-      Format.fprintf ppf "%-20s MISSED after %d sites (mutation %s)" r.s_label r.s_sites
-        (if r.s_fired then "fired but drew no race report" else "never fired")
+(** [sync ?nprocs ()] — every sync mutation over the sync corpus; the
+    trials are every applicable site, and a site convicts when the race
+    detector, reasoning about [nprocs] threads (any count >= 2 should
+    convict), reports a race. *)
+let sync ?(nprocs = 4) () =
+  {
+    mutations = all_smutations;
+    targets =
+      List.map
+        (fun (e : Apps.Ircorpus.entry) -> (e.Apps.Ircorpus.e_name, e.Apps.Ircorpus.e_program))
+        Apps.Ircorpus.sync;
+    trials = site_trials apply_smutation;
+    (* The name only labels the detector's report. *)
+    convicts =
+      (fun prog -> (Rewrite.Races.analyze ~nprocs ~name:"mutant" prog).Rewrite.Races.rep_races <> []);
+    wording =
+      {
+        checker = "the race detector in ";
+        noun = "site";
+        width = 20;
+        missed_fired = "mutation fired but drew no race report";
+        missed_unfired = "mutation never fired";
+      };
+  }
 
 (* --- batch-boundary mutation ---
 
@@ -405,3 +347,27 @@ let swallow_dispatch (proc : Alpha.Program.procedure) =
   match !site with
   | None -> None
   | Some pc -> Some (pc, { m with Alpha.Interp.m_pure = pure })
+
+(** [batch targets] — the batch-boundary mutation over named programs;
+    a program's trials are its procedures, one firing where
+    {!swallow_dispatch} finds a run to grow, and convicting when the
+    validator reports a violation of the grown metadata. *)
+let batch targets =
+  {
+    mutations = [ ((), "batch-boundary") ];
+    targets;
+    trials =
+      (fun () prog k ->
+        List.iter
+          (fun p -> k (Option.map (fun (_, meta) -> (p, meta)) (swallow_dispatch p)))
+          (Alpha.Program.procedures prog));
+    convicts = (fun (p, meta) -> Rewrite.Batch.validate_meta p meta <> []);
+    wording =
+      {
+        checker = "the batch validator in ";
+        noun = "procedure";
+        width = 18;
+        missed_fired = "mutation fired but drew no violation";
+        missed_unfired = "mutation never fired";
+      };
+  }

@@ -29,7 +29,6 @@ type t = int array
 let make n = Array.make n 0
 let copy = Array.copy
 let get (v : t) i = v.(i)
-let dim (v : t) = Array.length v
 
 (** Pointwise maximum (a fresh clock). *)
 let join (a : t) (b : t) = Array.init (Array.length a) (fun i -> max a.(i) b.(i))

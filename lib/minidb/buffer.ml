@@ -17,8 +17,6 @@ type t = {
   page_bytes : int;
   latch0 : int;  (** first of [nframes] MP lock ids *)
   file : string;
-  mutable lookups : int;
-  mutable misses : int;
 }
 
 let header_bytes = 64
@@ -34,8 +32,6 @@ let create ~sga_base ~nframes ~page_bytes ~latch0 ~file =
     page_bytes;
     latch0;
     file;
-    lookups = 0;
-    misses = 0;
   }
 
 let header t i = t.base + (i * header_bytes)
@@ -46,12 +42,10 @@ let frame t i = t.frames + (i * t.page_bytes)
     read into the (shared, validated) frame. *)
 let pin (ctx : Osim.Kernel.ctx) t ~page f =
   let h = ctx.Osim.Kernel.h in
-  t.lookups <- t.lookups + 1;
   let i = page mod t.nframes in
   R.lock h (t.latch0 + i);
   let tag = R.load_int h (header t i) in
   if tag <> page + 1 then begin
-    t.misses <- t.misses + 1;
     (* Replacement: fetch the page from the file into the frame. *)
     let fd = Osim.Kernel.open_file ctx t.file in
     Osim.Kernel.lseek ctx fd (page * t.page_bytes);
@@ -70,7 +64,3 @@ let warm ctx t ~pages =
   for p = 0 to min pages t.nframes - 1 do
     pin ctx t ~page:p (fun _ -> ())
   done
-
-let hit_rate t =
-  if t.lookups = 0 then 1.0
-  else 1.0 -. (float_of_int t.misses /. float_of_int t.lookups)

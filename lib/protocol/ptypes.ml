@@ -6,8 +6,6 @@
 
 type state = Invalid | Shared | Exclusive | Pending
 
-let state_to_char = function Invalid -> 'I' | Shared -> 'S' | Exclusive -> 'E' | Pending -> 'P'
-
 (** Request kinds (Section 2.1 plus the store-conditional upgrade of
     Section 3.1.2). *)
 type req_kind =
@@ -97,34 +95,3 @@ let pp_kind ppf k =
   Format.pp_print_string ppf
     (match k with Read -> "read" | Read_ex -> "read_ex" | Upgrade -> "upgrade" | Sc_upgrade -> "sc_upgrade")
 
-let pp_msg ppf = function
-  | Request { kind; block; from_domain; from_pid } ->
-      Format.fprintf ppf "Request(%a, blk=%d, dom=%d, pid=%d)" pp_kind kind block from_domain
-        from_pid
-  | Data_reply { block; exclusive; to_pid; seq; _ } ->
-      Format.fprintf ppf "Data(blk=%d, excl=%b, pid=%d, seq=%d)" block exclusive to_pid seq
-  | Ack_exclusive { block; to_pid; seq } ->
-      Format.fprintf ppf "AckEx(blk=%d, pid=%d, seq=%d)" block to_pid seq
-  | Sc_result { block; ok; to_pid; seq } ->
-      Format.fprintf ppf "ScResult(blk=%d, ok=%b, pid=%d, seq=%d)" block ok to_pid seq
-  | Invalidate { block; home_domain; seq } ->
-      Format.fprintf ppf "Inval(blk=%d, home=%d, seq=%d)" block home_domain seq
-  | Recall { block; to_shared; home_domain; seq } ->
-      Format.fprintf ppf "Recall(blk=%d, to_shared=%b, home=%d, seq=%d)" block to_shared home_domain seq
-  | Writeback { block; from_domain; _ } ->
-      Format.fprintf ppf "Writeback(blk=%d, dom=%d)" block from_domain
-  | Inval_ack { block; from_domain } ->
-      Format.fprintf ppf "InvalAck(blk=%d, dom=%d)" block from_domain
-  | Downgrade { block; to_state; to_pid; _ } ->
-      Format.fprintf ppf "Downgrade(blk=%d, to=%c, pid=%d)" block (state_to_char to_state) to_pid
-  | Downgrade_ack { block; from_pid } ->
-      Format.fprintf ppf "DowngradeAck(blk=%d, pid=%d)" block from_pid
-  | Home_transfer { block; owner; sharers; from_domain; _ } ->
-      Format.fprintf ppf "HomeTransfer(blk=%d, owner=%s, sharers=[%s], from=%d)" block
-        (match owner with Some o -> string_of_int o | None -> "-")
-        (String.concat "," (List.map string_of_int sharers))
-        from_domain
-  | Home_transfer_ack { block; from_domain } ->
-      Format.fprintf ppf "HomeTransferAck(blk=%d, dom=%d)" block from_domain
-  | Home_hint { block; home; to_pid } ->
-      Format.fprintf ppf "HomeHint(blk=%d, home=%d, pid=%d)" block home to_pid

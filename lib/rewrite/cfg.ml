@@ -21,10 +21,6 @@ type t = {
 
 let target_index proc l = Alpha.Program.label_index proc l
 
-let is_terminator = function
-  | Alpha.Insn.Br _ | Alpha.Insn.Bcond _ | Alpha.Insn.Ret | Alpha.Insn.Halt -> true
-  | _ -> false
-
 let build (proc : Alpha.Program.procedure) =
   let code = proc.Alpha.Program.code in
   let n = Array.length code in

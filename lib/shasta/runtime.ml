@@ -334,26 +334,37 @@ let as_sync h f =
   h.ep.Sync.sync_stall <- h.ep.Sync.sync_stall +. dr +. dw;
   r
 
+(* One LL/SC attempt through the inline checks, in the order the
+   inserted code runs it.  [load_locked] charges [ll_check + ll], makes
+   the line readable through the protocol and loads with a reservation;
+   [store_conditional] charges [sc_check + sc] and stores when the check
+   lets the SC run in hardware or the protocol grants it.  Both trace
+   the access that took effect. *)
+let load_locked h addr w =
+  charge_cycles h (3 + 2) (* ll_check + ll *);
+  in_protocol h (fun () -> E.ll_ensure h.pcb addr);
+  let v = E.raw_ll h.pcb addr w in
+  trace_access h ~store:false addr w v;
+  v
+
+let store_conditional h addr w v =
+  charge_cycles h (4 + 2) (* sc_check + sc *);
+  let ok =
+    match in_protocol h (fun () -> E.sc_check h.pcb addr w v) with
+    | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr w v
+    | Alpha.Runtime.Handled ok -> ok
+  in
+  if ok then trace_access h ~store:true addr w v;
+  ok
+
 (** [atomic_add h addr delta] — LL/SC fetch-and-add through the full
     transparent path (inline checks, prefetch-free).  Returns the old
     value. *)
 let atomic_add h addr delta =
   let rec attempt () =
-    charge_cycles h (3 + 2) (* ll_check + ll *);
-    in_protocol h (fun () -> E.ll_ensure h.pcb addr);
-    let v = E.raw_ll h.pcb addr Alpha.Insn.W64 in
-    trace_access h ~store:false addr Alpha.Insn.W64 v;
-    let v' = Int64.add v (Int64.of_int delta) in
-    charge_cycles h (4 + 2) (* sc_check + sc *);
-    let ok =
-      match in_protocol h (fun () -> E.sc_check h.pcb addr Alpha.Insn.W64 v') with
-      | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr Alpha.Insn.W64 v'
-      | Alpha.Runtime.Handled ok -> ok
-    in
-    if ok then begin
-      trace_access h ~store:true addr Alpha.Insn.W64 v';
+    let v = load_locked h addr Alpha.Insn.W64 in
+    if store_conditional h addr Alpha.Insn.W64 (Int64.add v (Int64.of_int delta)) then
       Int64.to_int v
-    end
     else attempt ()
   in
   attempt ()
@@ -370,11 +381,7 @@ let sm_lock ?(prefetch = false) h addr =
       end;
       let pause = ref 2.0e-7 in
       let rec try_again () =
-        charge_cycles h (3 + 2);
-        in_protocol h (fun () -> E.ll_ensure h.pcb addr);
-        let v = E.raw_ll h.pcb addr Alpha.Insn.W32 in
-        trace_access h ~store:false addr Alpha.Insn.W32 v;
-        if v <> 0L then begin
+        if load_locked h addr Alpha.Insn.W32 <> 0L then begin
           (* Lock taken: spin, polling (the loop's inserted poll).  The
              pause backs off to bound the simulator's event rate; the
              added wake latency is well under the protocol round trip. *)
@@ -384,16 +391,7 @@ let sm_lock ?(prefetch = false) h addr =
           pause := Float.min (2.0 *. !pause) 2.0e-6;
           try_again ()
         end
-        else begin
-          charge_cycles h (4 + 2);
-          let ok =
-            match in_protocol h (fun () -> E.sc_check h.pcb addr Alpha.Insn.W32 1L) with
-            | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr Alpha.Insn.W32 1L
-            | Alpha.Runtime.Handled ok -> ok
-          in
-          if ok then trace_access h ~store:true addr Alpha.Insn.W32 1L
-          else try_again ()
-        end
+        else if not (store_conditional h addr Alpha.Insn.W32 1L) then try_again ()
       in
       try_again ();
       mb h)

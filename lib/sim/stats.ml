@@ -1,41 +1,14 @@
-(** Online statistics: counters, mean/variance accumulators, log-spaced
-    histograms.
+(** Online statistics: counters, log-spaced histograms, host GC deltas.
 
-    Used by the protocol and the benchmark harness to report message
-    counts, miss latencies and time breakdowns. *)
+    Used by the reliable transport to count its traffic, by the load
+    recorder for per-request latency percentiles, and by the benchmark
+    harnesses to report host allocation. *)
 
 type counter = { mutable count : int }
 
 let counter () = { count = 0 }
 let incr_counter c = c.count <- c.count + 1
 let counter_value c = c.count
-
-(** Welford's online mean/variance, plus min/max. *)
-type summary = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-}
-
-let summary () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
-
-let observe s x =
-  s.n <- s.n + 1;
-  let delta = x -. s.mean in
-  s.mean <- s.mean +. (delta /. float_of_int s.n);
-  s.m2 <- s.m2 +. (delta *. (x -. s.mean));
-  if x < s.min then s.min <- x;
-  if x > s.max then s.max <- x
-
-let count s = s.n
-let mean s = if s.n = 0 then 0.0 else s.mean
-let variance s = if s.n < 2 then 0.0 else s.m2 /. float_of_int (s.n - 1)
-let stddev s = sqrt (variance s)
-let minimum s = s.min
-let maximum s = s.max
-let total s = s.mean *. float_of_int s.n
 
 (** Log-spaced (HDR-style) histogram: bucket boundaries grow
     geometrically, so relative resolution is constant across the whole

@@ -228,21 +228,20 @@ let test_exhaustive_truncation_flag () =
 (* Satellite: every seeded protocol bug is convicted under the DPOR
    driver, spending no more runs than the bounded-exhaustive driver. *)
 let test_mutations_convicted_under_dpor () =
-  let d = M.hunt_dpor ~max_runs:50 () in
+  let d = M.sweep (M.protocol ~explore:(D.explore ~max_runs:50) ()) in
   List.iter
     (fun (r : M.report) ->
-      Alcotest.(check bool) (r.M.m_label ^ " fired") true r.M.m_fired;
-      if r.M.m_caught = None then
-        Alcotest.failf "mutation %s escaped DPOR after %d runs" r.M.m_label
-          r.M.m_runs)
+      Alcotest.(check bool) (r.M.label ^ " fired") true r.M.fired;
+      if r.M.caught = None then
+        Alcotest.failf "mutation %s escaped DPOR after %d runs" r.M.label r.M.spent)
     d;
   Alcotest.(check bool) "all mutations convicted under DPOR" true (M.all_caught d);
-  let x = M.hunt_exhaustive ~max_runs:50 () in
+  let x = M.sweep (M.protocol ~explore:(E.exhaustive ~max_runs:50 ~max_depth:8) ()) in
   List.iter2
     (fun (dr : M.report) (xr : M.report) ->
-      if dr.M.m_runs > xr.M.m_runs then
-        Alcotest.failf "%s: DPOR needed %d runs, exhaustive %d" dr.M.m_label
-          dr.M.m_runs xr.M.m_runs)
+      if dr.M.spent > xr.M.spent then
+        Alcotest.failf "%s: DPOR needed %d runs, exhaustive %d" dr.M.label dr.M.spent
+          xr.M.spent)
     d x
 
 (* --- decision-vector replay ---------------------------------------- *)

@@ -129,15 +129,31 @@ let test_oracle_store_buffering () =
 (* Satellite: every seeded protocol bug must fire and be caught, well
    within the 64-seed CI budget. *)
 let test_mutations_caught () =
-  let reports = M.hunt ~seeds:8 () in
+  let reports = M.sweep (M.protocol ~explore:(E.seeds ~n:8) ()) in
   List.iter
     (fun (r : M.report) ->
-      Alcotest.(check bool) (r.M.m_label ^ " fired") true r.M.m_fired;
-      if r.M.m_caught = None then
-        Alcotest.failf "mutation %s escaped %d runs" r.M.m_label r.M.m_runs)
+      Alcotest.(check bool) (r.M.label ^ " fired") true r.M.fired;
+      if r.M.caught = None then Alcotest.failf "mutation %s escaped %d runs" r.M.label r.M.spent)
     reports;
   Alcotest.(check bool) "all mutations caught" true (M.all_caught reports);
   Alcotest.(check int) "all five mutations exercised" 5 (List.length reports)
+
+(* A hunt over no scenarios runs nothing: every bug is missed without
+   ever firing, and says so. *)
+let test_hunt_without_scenarios () =
+  let family = M.protocol ~explore:(E.seeds ~n:8) ~scenarios:[] () in
+  let reports = M.sweep family in
+  Alcotest.(check int) "all five mutations reported" 5 (List.length reports);
+  List.iter
+    (fun (r : M.report) ->
+      Alcotest.(check bool) (r.M.label ^ " not caught") true (r.M.caught = None);
+      Alcotest.(check bool) (r.M.label ^ " never fired") false r.M.fired;
+      Alcotest.(check int) (r.M.label ^ " no runs") 0 r.M.spent;
+      Alcotest.(check string)
+        (r.M.label ^ " report line")
+        (Printf.sprintf "%-24s MISSED after 0 runs (bug never even fired)" r.M.label)
+        (Format.asprintf "%a" (M.pp_report family) r))
+    reports
 
 (* --- the checking layers must not perturb the simulation ---------- *)
 
@@ -193,6 +209,7 @@ let suite =
       Alcotest.test_case "oracle separates SB from coherence" `Quick
         test_oracle_store_buffering;
       Alcotest.test_case "mutations are caught" `Quick test_mutations_caught;
+      Alcotest.test_case "hunt over no scenarios never fires" `Quick test_hunt_without_scenarios;
       Alcotest.test_case "checker has zero simulation cost" `Quick test_checker_zero_sim_cost;
       Alcotest.test_case "default schedule deterministic" `Quick
         test_default_schedule_deterministic;

@@ -138,16 +138,14 @@ let test_unprotected_counter_convicted () =
 (* --- conviction: every seeded sync mutation draws a race report --- *)
 
 let test_sync_mutations_convicted () =
-  let reports = Check.Mutation.hunt_sync () in
+  let reports = Check.Mutation.(sweep (sync ())) in
   List.iter
-    (fun (r : Check.Mutation.sreport) ->
+    (fun (r : Check.Mutation.report) ->
+      Alcotest.(check bool) (r.Check.Mutation.label ^ " fired") true r.Check.Mutation.fired;
       Alcotest.(check bool)
-        (r.Check.Mutation.s_label ^ " fired")
-        true r.Check.Mutation.s_fired;
-      Alcotest.(check bool)
-        (r.Check.Mutation.s_label ^ " convicted")
+        (r.Check.Mutation.label ^ " convicted")
         true
-        (r.Check.Mutation.s_caught <> None))
+        (r.Check.Mutation.caught <> None))
     reports;
   Alcotest.(check int) "four families" 4 (List.length reports)
 

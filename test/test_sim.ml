@@ -530,14 +530,6 @@ let test_rng_keyed_link_streams () =
     (take 64 (Rng.create (link_stream_key 42 0 1))
     <> take 64 (Rng.create (link_stream_key 43 0 1)))
 
-let test_stats_summary () =
-  let s = Stats.summary () in
-  List.iter (Stats.observe s) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_f "mean" 2.5 (Stats.mean s);
-  check_f "min" 1.0 (Stats.minimum s);
-  check_f "max" 4.0 (Stats.maximum s);
-  Alcotest.(check (float 1e-9)) "variance" (5.0 /. 3.0) (Stats.variance s)
-
 (* Exact quantile of a sample, for checking the log histogram against:
    the smallest element with rank >= ceil(n * p / 100). *)
 let exact_quantile xs p =
@@ -663,15 +655,6 @@ let qcheck_heap_interleaved =
       in
       ok && !max_pending > 128)
 
-let qcheck_summary_mean =
-  QCheck.Test.make ~name:"summary mean matches direct mean" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 100.0))
-    (fun xs ->
-      let s = Stats.summary () in
-      List.iter (Stats.observe s) xs;
-      let direct = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-      abs_float (Stats.mean s -. direct) < 1e-9)
-
 let suite =
   [
     Alcotest.test_case "heap order" `Quick test_heap_order;
@@ -703,12 +686,10 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng keyed link streams" `Quick test_rng_keyed_link_streams;
-    Alcotest.test_case "stats summary" `Quick test_stats_summary;
     Alcotest.test_case "log histogram tail accuracy" `Quick test_log_histogram_tail;
     Alcotest.test_case "log histogram merge" `Quick test_log_histogram_merge;
     QCheck_alcotest.to_alcotest qcheck_log_quantiles_within_bucket;
     QCheck_alcotest.to_alcotest qcheck_heap_sorted;
     QCheck_alcotest.to_alcotest qcheck_heap_stable_reference;
     QCheck_alcotest.to_alcotest qcheck_heap_interleaved;
-    QCheck_alcotest.to_alcotest qcheck_summary_mean;
   ]
