@@ -6,7 +6,7 @@
     returns the violations found by {e any} layer:
 
     - the per-message coherence invariant checker
-      ({!Protocol.Engine.check_msg} via [check_invariants]);
+      ({!Protocol.Invariants.check_msg} via [check_invariants]);
     - the quiescence sweep ({!Protocol.Engine.check_quiescent});
     - the scenario's own outcome check (e.g. Figure 2 legality);
     - the trace oracle ({!Trace.check}), with a full-SC witness demanded
@@ -89,7 +89,7 @@ let run ?mutation scenario schedule =
      ignore (C.run ~until:scenario.deadline cl);
      completed := true
    with
-  | Protocol.Engine.Coherence_violation { block; time; violations = v } ->
+  | Protocol.Invariants.Coherence_violation { block; time; violations = v } ->
       note
         (List.map
            (fun s -> Printf.sprintf "invariant (block %d, t=%.9g): %s" block time s)

@@ -116,14 +116,6 @@ let add_sharer e d =
     e.sharers_order <- d :: e.sharers_order
   end
 
-let remove_sharer e d =
-  if bit_set e.sharers d then begin
-    let i = d / 8 in
-    Bytes.set e.sharers i
-      (Char.chr (Char.code (Bytes.get e.sharers i) land lnot (1 lsl (d mod 8))));
-    e.sharers_order <- List.filter (fun x -> x <> d) e.sharers_order
-  end
-
 let clear_sharers e =
   Bytes.fill e.sharers 0 (Bytes.length e.sharers) '\000';
   e.sharers_order <- []

@@ -91,6 +91,23 @@ let msg_size = function
   | Home_transfer_ack _ -> 32
   | Home_hint _ -> 32
 
+(** [msg_block m] — the coherence block message [m] concerns. *)
+let msg_block = function
+  | Request { block; _ }
+  | Data_reply { block; _ }
+  | Ack_exclusive { block; _ }
+  | Sc_result { block; _ }
+  | Invalidate { block; _ }
+  | Recall { block; _ }
+  | Writeback { block; _ }
+  | Inval_ack { block; _ }
+  | Downgrade { block; _ }
+  | Downgrade_ack { block; _ }
+  | Home_transfer { block; _ }
+  | Home_transfer_ack { block; _ }
+  | Home_hint { block; _ } ->
+      block
+
 let pp_kind ppf k =
   Format.pp_print_string ppf
     (match k with Read -> "read" | Read_ex -> "read_ex" | Upgrade -> "upgrade" | Sc_upgrade -> "sc_upgrade")

@@ -29,6 +29,7 @@ type access = {
 type t = {
   proc : Sim.Proc.t;
   pcb : E.pcb;
+  st : E.proc;  (** [pcb]'s protocol state, cached for the hit path *)
   ep : Sync.endpoint;
   cfg : Config.t;
   sync : Sync.t;
@@ -72,8 +73,8 @@ let[@inline] charge_cycles h n =
    the direct-downgrade optimisation (Section 4.3.4). *)
 let in_protocol h f =
   flush h;
-  h.pcb.E.in_app := false;
-  let finally () = h.pcb.E.in_app := true in
+  h.st.E.in_app := false;
+  let finally () = h.st.E.in_app := true in
   (try
      let r = f () in
      finally ();
@@ -85,12 +86,13 @@ let in_protocol h f =
 let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
   let pcb = E.attach peng proc in
   let ep = Sync.register sync ~pid:proc.Sim.Proc.pid ~node:proc.Sim.Proc.cpu.Sim.Proc.node_id in
-  let layout = E.layout peng and img = pcb.E.dom.E.img in
+  let layout = E.layout peng and img = pcb.E.st.E.dom.E.img in
   let ck = cfg.Config.checks and on = cfg.Config.checks_enabled in
   let h =
     {
       proc;
       pcb;
+      st = pcb.E.st;
       ep;
       cfg;
       sync;
@@ -100,7 +102,7 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       flag_w64 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W64;
       img;
       data = img.Protocol.Memimg.data;
-      private_tab = pcb.E.private_tab;
+      private_tab = pcb.E.st.E.private_tab;
       chunk_block = layout.Protocol.Layout.chunk_block;
       chunk_shift = layout.Protocol.Layout.chunk_shift;
       shared_lo = cfg.Config.protocol.Protocol.Config.shared_base;
@@ -242,8 +244,8 @@ let[@inline] store_word h ~priv ~shared addr v =
     let off = addr - h.shared_lo in
     if
       Bytes.get h.private_tab h.chunk_block.(off lsr h.chunk_shift) = 'E'
-      && Hashtbl.length h.pcb.E.outstanding = 0
-      && h.pcb.E.watch_blocks == []
+      && Hashtbl.length h.st.E.outstanding = 0
+      && h.st.E.watch_blocks == []
       && h.img.Protocol.Memimg.monitors == []
       && h.on_access == None
     then Bytes.set_int64_le h.data off v
@@ -278,7 +280,7 @@ let work_cycles h n = charge_cycles h n
 let mb h =
   charge_cycles h 9;
   if h.cfg.Config.checks_enabled then in_protocol h (fun () -> E.mb h.pcb)
-  else if h.pcb.E.n_outstanding_stores > 0 then in_protocol h (fun () -> E.mb h.pcb)
+  else if h.st.E.n_outstanding_stores > 0 then in_protocol h (fun () -> E.mb h.pcb)
 
 (* The inline part of a batched check: all lines already in the needed
    state in the private table.  Runs without suspension, so the decision

@@ -217,7 +217,7 @@ let test_base_variant_needs_messages () =
         Sim.Proc.sleep 0.002;
         got := sload pcb a)
   in
-  E.init w.eng ~homes:[ writer_pcb.E.dom.E.dom_id ];
+  E.init w.eng ~homes:[ writer_pcb.E.st.E.dom.E.dom_id ];
   run w;
   Alcotest.(check int64) "read works" 9L !got;
   let st = E.stats (Option.get !reader) in
@@ -240,9 +240,9 @@ let test_direct_downgrade_latency () =
       worker w ~cpu_i:0 (fun pcb ->
           sstore pcb a 5L;
           E.mb pcb;
-          pcb.E.in_app := false;
+          pcb.E.st.E.in_app := false;
           Sim.Proc.sleep 0.050;
-          pcb.E.in_app := true;
+          pcb.E.st.E.in_app := true;
           (* Wake up and poll. *)
           Sim.Proc.work 0.001)
     in
@@ -432,12 +432,12 @@ let test_block_size_granularity () =
   Alcotest.(check int64) "whole block transferred" 4L !got;
   Alcotest.(check int) "single miss for a 256-byte block" 1 !misses;
   (* The same span in the fine region is four separate blocks. *)
-  let b0 = E.block_of_addr w.eng base in
-  Alcotest.(check int) "fine region: 64-byte extents" 64 (E.block_bytes w.eng b0);
-  let bc = E.block_of_addr w.eng a in
-  Alcotest.(check int) "coarse region: 256-byte extents" 256 (E.block_bytes w.eng bc);
+  let b0 = E.block_of_addr w.eng.E.core base in
+  Alcotest.(check int) "fine region: 64-byte extents" 64 (E.block_bytes w.eng.E.core b0);
+  let bc = E.block_of_addr w.eng.E.core a in
+  Alcotest.(check int) "coarse region: 256-byte extents" 256 (E.block_bytes w.eng.E.core bc);
   Alcotest.(check int) "one block covers the four lines" bc
-    (E.block_of_addr w.eng (a + (3 * line)))
+    (E.block_of_addr w.eng.E.core (a + (3 * line)))
 
 let test_directory_sharer_bitmask () =
   let d = P.Directory.create ~home_domain:2 in
@@ -450,9 +450,6 @@ let test_directory_sharer_bitmask () =
     (P.Directory.sharers_list e);
   Alcotest.(check bool) "is_sharer hit" true (P.Directory.is_sharer e 5);
   Alcotest.(check bool) "is_sharer miss" false (P.Directory.is_sharer e 3);
-  P.Directory.remove_sharer e 2;
-  Alcotest.(check (list int)) "removal" [ 0; 5 ] (P.Directory.sharers_list e);
-  Alcotest.(check bool) "mask tracks removal" false (P.Directory.is_sharer e 2);
   P.Directory.clear_sharers e;
   Alcotest.(check bool) "cleared" true (P.Directory.no_sharers e);
   (* The bitset grows: domain ids beyond one word are fine now (64+-node
@@ -639,17 +636,17 @@ let test_batch_defers_invalidation_flags () =
   let _ =
     worker w ~cpu_i:0 (fun pcb ->
         ignore (sload pcb a);
-        block := E.block_of_addr w.eng a;
+        block := E.block_of_addr w.eng.E.core a;
         (* Enter a batch over this block (white-box). *)
-        pcb.E.in_batch <- true;
-        pcb.E.batch_blocks <- [ !block ];
+        pcb.E.st.E.in_batch <- true;
+        pcb.E.st.E.batch_blocks <- [ !block ];
         (* Wait for the remote write to invalidate us. *)
         Sim.Proc.stall (fun () ->
             match E.block_state pcb a with _, P.Ptypes.Invalid -> true | _ -> false);
         value_mid := E.raw_read pcb a Alpha.Insn.W64;
         flag_mid := E.word_is_flag pcb a;
-        pcb.E.in_batch <- false;
-        pcb.E.batch_blocks <- [];
+        pcb.E.st.E.in_batch <- false;
+        pcb.E.st.E.batch_blocks <- [];
         E.poll pcb;
         flag_after := E.word_is_flag pcb a)
   in
@@ -723,7 +720,7 @@ let test_set_home_overlap_later_wins () =
   E.set_home w.eng ~addr:(a + 64) ~len:64 ~domain:0;
   E.init w.eng;
   run w;
-  let home off = E.home_domain_of_block w.eng (E.block_of_addr w.eng (a + off)) in
+  let home off = E.home_domain_of_block w.eng.E.core (E.block_of_addr w.eng.E.core (a + off)) in
   Alcotest.(check int) "start of first range" 1 (home 0);
   Alcotest.(check int) "overlap: later range wins" 0 (home 64);
   Alcotest.(check int) "past the overlap" 1 (home 128);
@@ -764,7 +761,7 @@ let test_migratory_home_transfer () =
   Alcotest.(check bool) "home transferred" true (migrations >= 1);
   Alcotest.(check int) "no transfer in flight" 0 in_flight;
   Alcotest.(check int) "home followed the writer" 1
-    (E.home_domain_of_block w.eng (E.block_of_addr w.eng a));
+    (E.home_domain_of_block w.eng.E.core (E.block_of_addr w.eng.E.core a));
   Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
 
 let test_migratory_transfer_carries_data () =
@@ -778,8 +775,8 @@ let test_migratory_transfer_carries_data () =
      home's own store and a read from node 2 queue behind it. *)
   let w = setup ~homing:P.Config.Migratory ~nodes:4 ~cpus:1 () in
   let a = base + 4096 in
-  let b = E.block_of_addr w.eng a in
-  let entry () = P.Directory.find (E.domain_by_id w.eng 0).E.dir b in
+  let b = E.block_of_addr w.eng.E.core a in
+  let entry () = P.Directory.find (E.domain_by_id w.eng.E.core 0).E.dir b in
   let busy () = match entry () with Some e -> e.P.Directory.busy <> None | None -> false in
   let deferred () =
     match entry () with Some e -> not (Queue.is_empty e.P.Directory.deferred) | None -> false
@@ -813,7 +810,7 @@ let test_migratory_transfer_carries_data () =
   Alcotest.(check int64) "deferred read sees the home's write" 5L !got_reader;
   Alcotest.(check int) "one home transfer" 1 migrations;
   Alcotest.(check int) "no transfer in flight" 0 in_flight;
-  Alcotest.(check int) "home followed the writer" 1 (E.home_domain_of_block w.eng b);
+  Alcotest.(check int) "home followed the writer" 1 (E.home_domain_of_block w.eng.E.core b);
   Alcotest.(check int64) "new home reads the carried copy" 5L !got_writer;
   Alcotest.(check int) "without a read miss" 0 (E.stats writer).E.read_misses;
   Alcotest.(check bool) "new home holds the block Shared" true
@@ -842,6 +839,104 @@ let test_stale_home_bounce () =
   Alcotest.(check int64) "bounced read still returns the data" 77L !got;
   Alcotest.(check bool) "request bounced off the stale home" true (!bounced >= 1);
   Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
+
+(* --- Core alone: no cluster, no simulator --- *)
+
+module Core = P.Core
+
+(* Three SMP domains (one process each), every block homed at domain 0. *)
+let core_setup ?(homing = P.Config.Static) () =
+  let cfg =
+    { P.Config.default with P.Config.homing; migration_threshold = 1; shared_size = 64 * 1024 }
+  in
+  let c = Core.create ~cfg ~nodes:3 in
+  let ps = Array.init 3 (fun i -> Core.attach c ~pid:i ~node:i ~app:true) in
+  Core.init c ~homes:[ 0 ];
+  (c, ps, Core.domain_by_id c 0)
+
+(* Take a domain's outbox: what the step just taken there emitted. *)
+let take d =
+  let out = List.of_seq (Queue.to_seq d.Core.outbox) in
+  Queue.clear d.Core.outbox;
+  out
+
+let costs out = List.filter_map (function Core.Cost c -> Some c | Core.Send _ -> None) out
+let sends out = List.filter_map (function Core.Send (d, m) -> Some (d, m) | Core.Cost _ -> None) out
+let only_send d = match sends (take d) with [ s ] -> s | _ -> Alcotest.fail "expected one send"
+
+let test_core_read_ex_two_sharers () =
+  let c, ps, home = core_setup () in
+  let k = P.Config.default_costs in
+  let b = Core.block_of_addr c base in
+  let serve (d : Core.domain) msg = Core.handle c ps.(d.Core.dom_id) msg in
+  (* Processes 1 and 2 read the block: two remote sharers. *)
+  List.iter
+    (fun p ->
+      ignore (Core.issue c p b P.Ptypes.Read Core.MRead None);
+      serve home (snd (only_send p.Core.dom));
+      Core.handle c p (snd (only_send home));
+      ignore (take p.Core.dom))
+    [ ps.(1); ps.(2) ];
+  ignore (Core.issue c ps.(0) b P.Ptypes.Read_ex Core.MStore None);
+  serve home (snd (only_send home));
+  let out = take home in
+  Alcotest.(check (list (float 0.0))) "request: one handler cost" [ k.P.Config.handler ] (costs out);
+  let invals = sends out in
+  Alcotest.(check (list int)) "two Invalidates, newest sharer first" [ 2; 1 ]
+    (List.map
+       (function
+         | Core.To_domain d, P.Ptypes.Invalidate _ -> d
+         | _ -> Alcotest.fail "expected an Invalidate to a domain")
+       invals);
+  let acks =
+    List.map
+      (fun (dst, inv) ->
+        let d = Core.domain_by_id c (match dst with Core.To_domain d -> d | _ -> -1) in
+        serve d inv;
+        let out = take d in
+        Alcotest.(check (list (float 0.0))) "invalidate cost" [ k.P.Config.inval_apply ] (costs out);
+        match sends out with [ (Core.To_domain 0, ack) ] -> ack | _ -> Alcotest.fail "no ack")
+      invals
+  in
+  serve home (List.hd acks);
+  let out = take home in
+  Alcotest.(check int) "no grant before the second ack" 0 (List.length (sends out));
+  Alcotest.(check (list (float 0.0))) "first ack cost" [ k.P.Config.reply_process ] (costs out);
+  serve home (List.nth acks 1);
+  let out = take home in
+  Alcotest.(check (list (float 0.0))) "second ack cost" [ k.P.Config.reply_process ] (costs out);
+  (match sends out with
+  | [ (Core.To_pid 0, (P.Ptypes.Data_reply { exclusive = true; _ } as reply)) ] ->
+      Core.handle c ps.(0) reply
+  | _ -> Alcotest.fail "expected one exclusive Data_reply to pid 0");
+  Alcotest.(check (list (float 0.0))) "reply cost" [ k.P.Config.reply_process ] (costs (take home));
+  Alcotest.(check (list string)) "coherent without a simulator" []
+    (P.Invariants.check_quiescent c ~dom_backlog:(fun _ -> 0) ~pid_backlog:(fun _ -> 0))
+
+let test_core_stale_home_hint () =
+  let c, ps, home = core_setup ~homing:P.Config.Migratory () in
+  let b = Core.block_of_addr c base in
+  let serve (d : Core.domain) msg = Core.handle c ps.(d.Core.dom_id) msg in
+  (* One exclusive request from domain 1 moves the home there (threshold
+     1): the home invalidates its own copy through its own mailbox,
+     grants, then hands the entry to domain 1. *)
+  ignore (Core.issue c ps.(1) b P.Ptypes.Read_ex Core.MStore None);
+  serve home (snd (only_send ps.(1).Core.dom));
+  serve home (match only_send home with Core.Self 0, inv -> inv | _ -> Alcotest.fail "self");
+  serve home (snd (only_send home));
+  (match sends (take home) with
+  | [ (Core.To_pid 1, _); (Core.To_nic 1, transfer) ] -> Core.apply_transport c transfer
+  | _ -> Alcotest.fail "expected a grant, then the entry's transfer to domain 1");
+  Alcotest.(check int) "home moved" 1 (Core.home_domain_of_block c b);
+  ignore (take ps.(1).Core.dom);
+  (* Domain 2 still believes in the static home. *)
+  ignore (Core.issue c ps.(2) b P.Ptypes.Read Core.MRead None);
+  (match only_send ps.(2).Core.dom with
+  | Core.To_domain 0, req -> serve home req
+  | _ -> Alcotest.fail "request not routed to the static home");
+  match sends (take home) with
+  | [ (Core.To_nic 2, P.Ptypes.Home_hint { home = 1; to_pid = 2; _ }) ] -> ()
+  | _ -> Alcotest.fail "expected a Home_hint naming domain 1"
 
 let suite =
   [
@@ -874,4 +969,7 @@ let suite =
     Alcotest.test_case "migratory transfer carries data" `Quick
       test_migratory_transfer_carries_data;
     Alcotest.test_case "stale home bounce" `Quick test_stale_home_bounce;
+    Alcotest.test_case "core: read-exclusive over two sharers" `Quick
+      test_core_read_ex_two_sharers;
+    Alcotest.test_case "core: stale home hints" `Quick test_core_stale_home_hint;
   ]

@@ -370,7 +370,7 @@ let test_api_bounds_and_slow_paths () =
         raises "store64 across the image end" (fun () -> R.store64 h edge 1L);
         raises "load_int across the image end" (fun () -> R.load_int h edge);
         (* A corrupt private-table byte fails loudly, not as a miss. *)
-        let tab = h.R.pcb.Protocol.Engine.private_tab in
+        let tab = h.R.private_tab in
         let b = Protocol.Layout.block_of_addr (R.layout h) a in
         let saved = Bytes.get tab b in
         Bytes.set tab b 'X';
