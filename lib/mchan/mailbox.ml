@@ -6,15 +6,10 @@
     other's mailboxes — see [Net.poll_node] — which is the paper's "shared
     message queues" mechanism (Section 4.3.2). *)
 
-type 'a t = {
-  owner : int;  (** global process id of the owner *)
-  queue : 'a Queue.t;
-}
+type 'a t = 'a Queue.t
 
-let create ~owner = { owner; queue = Queue.create () }
-
-let owner t = t.owner
-let push t m = Queue.push m t.queue
-let pop t = Queue.take_opt t.queue
-let is_empty t = Queue.is_empty t.queue
-let length t = Queue.length t.queue
+let create () = Queue.create ()
+let push t m = Queue.push m t
+let pop t = Queue.take_opt t
+let is_empty t = Queue.is_empty t
+let length t = Queue.length t

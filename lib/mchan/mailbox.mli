@@ -4,11 +4,7 @@
 
 type 'a t
 
-val create : owner:int -> 'a t
-
-(** [owner t] is the global process id the mailbox belongs to ([-1] for a
-    domain-shared mailbox). *)
-val owner : 'a t -> int
+val create : unit -> 'a t
 
 val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option

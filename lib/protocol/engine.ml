@@ -38,7 +38,7 @@ let check t msg =
   if t.core.cfg.Config.check_invariants then Invariants.check_msg t.core ~time:(now t) msg
 
 let add_box t id =
-  if not (Hashtbl.mem t.boxes id) then Hashtbl.replace t.boxes id (Mchan.Mailbox.create ~owner:id)
+  if not (Hashtbl.mem t.boxes id) then Hashtbl.replace t.boxes id (Mchan.Mailbox.create ())
 
 let create ~cfg ~net =
   let core = Core.create ~cfg ~nodes:(Mchan.Net.config net).Mchan.Net.nodes in
@@ -60,7 +60,7 @@ let attach t (proc : Sim.Proc.t) =
     {
       st;
       sim_proc = proc;
-      mailbox = Mchan.Mailbox.create ~owner:st.pid;
+      mailbox = Mchan.Mailbox.create ();
       dom_box = Hashtbl.find t.boxes st.dom.dom_id;
       eng = t;
     }

@@ -53,7 +53,7 @@ let create ~net ~costs =
   {
     net;
     costs;
-    node_box = Array.init nodes (fun _ -> Mchan.Mailbox.create ~owner:(-1));
+    node_box = Array.init nodes (fun _ -> Mchan.Mailbox.create ());
     order = [];
     pids = [||];
     eps = Hashtbl.create 32;

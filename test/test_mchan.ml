@@ -58,11 +58,10 @@ let test_signal_pulsed_on_arrival () =
   check_f "signal at arrival" 4.0e-6 !pulsed_at
 
 let test_mailbox_fifo () =
-  let mb = Mchan.Mailbox.create ~owner:7 in
+  let mb = Mchan.Mailbox.create () in
   Mchan.Mailbox.push mb 1;
   Mchan.Mailbox.push mb 2;
   Mchan.Mailbox.push mb 3;
-  Alcotest.(check int) "owner" 7 (Mchan.Mailbox.owner mb);
   Alcotest.(check (option int)) "fifo 1" (Some 1) (Mchan.Mailbox.pop mb);
   Alcotest.(check (option int)) "fifo 2" (Some 2) (Mchan.Mailbox.pop mb);
   Alcotest.(check int) "length" 1 (Mchan.Mailbox.length mb);
