@@ -137,7 +137,6 @@ let valid_block t b = b >= 0 && b < Array.length t.block_base
 
 let region t ri = t.regions.(ri)
 let region_name t ri = t.regions.(ri).r_name
-let region_bounds t ri = (t.regions.(ri).r_base, t.regions.(ri).r_size)
 
 (** [region_matching t ~block] is the index of the region whose block
     size best matches a [?granularity] allocation hint: an exact match

@@ -70,7 +70,7 @@ let qcheck_no_boundary_split =
       let t = layout_of specs in
       let ok = ref true in
       for ri = 0 to L.n_regions t - 1 do
-        let r_base, r_size = L.region_bounds t ri in
+        let { L.r_base; r_size; _ } = L.region t ri in
         (* First and last byte of the region must map to blocks wholly
            inside it. *)
         let b0 = L.block_of_addr t r_base and b1 = L.block_of_addr t (r_base + r_size - 1) in
