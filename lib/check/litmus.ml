@@ -59,11 +59,8 @@ let config ?(tweak = no_tweak) ~model ~schedule () =
 let default_deadline = 5.0e-3
 
 let spin h addr =
-  while R.load_int h addr <> 1 do
-    R.work_cycles h 30;
-    R.flush h;
-    Sim.Proc.work 1e-7
-  done
+  ignore (R.spin_until h addr Alpha.Insn.W64 (fun v -> v = 1L));
+  R.disarm h
 
 type outcome = {
   violations : string list;

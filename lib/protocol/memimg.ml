@@ -18,6 +18,7 @@ type t = {
   base : int;
   data : Bytes.t;
   mutable monitors : monitor list;
+  mutable breaks : int;  (** monitors cleared; reset by the shell's wake-up *)
 }
 
 let create ~layout =
@@ -26,6 +27,7 @@ let create ~layout =
     base = Layout.base layout;
     data = Bytes.make (Layout.size layout) '\000';
     monitors = [];
+    breaks = 0;
   }
 
 let block_of t addr = Layout.block_of_addr t.layout addr
@@ -49,7 +51,10 @@ let read t addr (w : Alpha.Insn.width) =
 let break_monitors t ~block ~pid =
   match t.monitors with
   | [] -> ()
-  | ms -> t.monitors <- List.filter (fun m -> m.mon_block <> block || m.mon_pid = pid) ms
+  | ms ->
+      let kept = List.filter (fun m -> m.mon_block <> block || m.mon_pid = pid) ms in
+      t.breaks <- t.breaks + List.length ms - List.length kept;
+      t.monitors <- kept
 
 let write ?(pid = -1) t addr (w : Alpha.Insn.width) v =
   check t addr (Alpha.Insn.bytes_of_width w);
@@ -77,12 +82,15 @@ let monitor_armed t ~pid addr =
   let block = block_of t addr in
   List.exists (fun m -> m.mon_pid = pid && m.mon_block = block) t.monitors
 
+(** [disarm t ~pid] drops [pid]'s monitor, if any: a reservation left
+    armed sends every store to the image down the slow path. *)
+let disarm t ~pid = t.monitors <- List.filter (fun m -> m.mon_pid <> pid) t.monitors
+
 (** [sc t ~pid addr w v] performs a store-conditional: succeeds iff
     [pid]'s monitor on the block is still armed.  Always disarms. *)
 let sc t ~pid addr w v =
-  let block = block_of t addr in
-  let armed = List.exists (fun m -> m.mon_pid = pid && m.mon_block = block) t.monitors in
-  t.monitors <- List.filter (fun m -> m.mon_pid <> pid) t.monitors;
+  let armed = monitor_armed t ~pid addr in
+  disarm t ~pid;
   if armed then write ~pid t addr w v;
   armed
 

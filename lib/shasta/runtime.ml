@@ -371,6 +371,26 @@ let atomic_add h addr delta =
   in
   attempt ()
 
+(** [spin_until h addr w ok] — the LL/SC spin on a cached copy: LL the
+    word at [addr] and return its value [v] once [ok v]; otherwise poll,
+    then stall until this process's LL monitor on the block is broken
+    (DESIGN §6).  Returns with the reservation armed. *)
+let spin_until h addr w ok =
+  let rec round () =
+    let v = load_locked h addr w in
+    if ok v then v
+    else begin
+      charge_cycles h h.cfg.Config.checks.Config.poll_cycles;
+      flush h;
+      E.stall_until h.pcb ~bucket:`Read (fun () ->
+          not (Protocol.Memimg.monitor_armed h.img ~pid:(pid h) addr));
+      round ()
+    end
+  in
+  round ()
+
+let disarm h = Protocol.Memimg.disarm h.img ~pid:(pid h)
+
 (** [sm_lock h addr] — acquire a spin lock at shared address [addr] with
     LL/SC, exactly the Figure 1 loop (with the optional prefetch-
     exclusive of Section 3.1.2 controlled by [prefetch]).  Ends with the
@@ -381,21 +401,11 @@ let sm_lock ?(prefetch = false) h addr =
         charge_cycles h 2;
         in_protocol h (fun () -> E.prefetch_excl h.pcb addr)
       end;
-      let pause = ref 2.0e-7 in
-      let rec try_again () =
-        if load_locked h addr Alpha.Insn.W32 <> 0L then begin
-          (* Lock taken: spin, polling (the loop's inserted poll).  The
-             pause backs off to bound the simulator's event rate; the
-             added wake latency is well under the protocol round trip. *)
-          charge_cycles h h.cfg.Config.checks.Config.poll_cycles;
-          flush h;
-          Sim.Proc.work !pause;
-          pause := Float.min (2.0 *. !pause) 2.0e-6;
-          try_again ()
-        end
-        else if not (store_conditional h addr Alpha.Insn.W32 1L) then try_again ()
+      let rec acquire () =
+        ignore (spin_until h addr Alpha.Insn.W32 (fun v -> v = 0L));
+        if not (store_conditional h addr Alpha.Insn.W32 1L) then acquire ()
       in
-      try_again ();
+      acquire ();
       mb h)
 
 (** [sm_unlock h addr] — release: MB then an ordinary store of zero. *)
@@ -418,17 +428,8 @@ let sm_barrier h ~addr ~parties =
         mb h
       end
       else begin
-        let pause = ref 3.0e-7 in
-        let rec spin () =
-          if load64 h gen_addr = my_gen then begin
-            charge_cycles h h.cfg.Config.checks.Config.poll_cycles;
-            flush h;
-            Sim.Proc.work !pause;
-            pause := Float.min (2.0 *. !pause) 2.0e-6;
-            spin ()
-          end
-        in
-        spin ()
+        ignore (spin_until h gen_addr Alpha.Insn.W64 (fun v -> v <> my_gen));
+        disarm h
       end)
 
 (* --- blocking (for the OS layer) --- *)
@@ -440,10 +441,10 @@ let block_for h dt =
   h.blocked_time <- h.blocked_time +. dt;
   in_protocol h (fun () -> Sim.Proc.sleep dt)
 
-(** [block_until h pred] — block until [pred] holds (checked when the
-    process is explicitly woken). *)
+(** [wakeup h] — make a process parked in [block] runnable again. *)
 let wakeup h = Sim.Proc.wakeup h.proc
 
+(** [block h] — release the CPU until [wakeup]; counted as blocked. *)
 let block h =
   let eng = Mchan.Net.engine (E.net h.peng) in
   let t0 = Sim.Engine.now eng in

@@ -148,8 +148,7 @@ let handle t ~cur ~node msg =
   | Proceed { barrier; to_pid; gen } ->
       Hashtbl.replace (endpoint t to_pid).reached_gen barrier gen
 
-(** [service t ~node] drains the node's sync mailbox; returns CPU seconds
-    consumed.  Called from the poll hook. *)
+(* Drain the node's sync mailbox; returns the CPU seconds consumed. *)
 let service_slow t ~node =
   let start = Sim.Engine.now (Mchan.Net.engine t.net) in
   let cur = ref start in
@@ -163,7 +162,8 @@ let service_slow t ~node =
   drain ();
   !cur -. start
 
-(* Idle polls must not pay the drain's closure and ref allocations. *)
+(** [service t ~node] — the poll hook: drains the node's sync mailbox and
+    returns CPU seconds consumed.  Idle polls skip the allocating drain. *)
 let service t ~node =
   if Mchan.Mailbox.is_empty t.node_box.(node) then 0.0 else service_slow t ~node
 
