@@ -15,6 +15,12 @@ let spec flag parse s = try parse s with Invalid_argument msg -> usage_error fla
 let at_least flag lo v =
   if v < lo then usage_error flag (Printf.sprintf "must be at least %d, got %d" lo v) else v
 
+(** [positive flag v] is the float [v], or a {!usage_error} unless it is
+    finite and above 0. *)
+let positive flag v =
+  if Float.is_finite v && v > 0.0 then v
+  else usage_error flag (Printf.sprintf "must be a finite number above 0, got %g" v)
+
 (** [in_range flag lo hi v] is [v], or a {!usage_error} outside
     [\[lo, hi\]]. *)
 let in_range flag lo hi v =

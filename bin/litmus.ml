@@ -50,6 +50,7 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "litmus [options]";
+  seeds := Cli.at_least "--seeds" 0 !seeds;
   let pick scenarios =
     match !only with
     | "" -> scenarios

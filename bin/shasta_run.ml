@@ -112,7 +112,7 @@ let () =
                 ("migratory", Protocol.Config.Migratory);
               ]
               !migration;
-          migration_threshold = !migration_threshold;
+          migration_threshold = Cli.at_least "--migration-threshold" 1 !migration_threshold;
         };
       parallel;
     }

@@ -67,7 +67,7 @@ let () =
       arrival = Cli.spec "--arrival" A.of_spec !arrival;
       clients = Cli.at_least "--clients" 1 !clients;
       window = Cli.at_least "--window" 1 !window;
-      duration = !duration;
+      duration = Cli.positive "--duration" !duration;
       scan_share = !scan_share;
       admission = Cli.spec "--admission" Load.Admission.of_spec !admission;
       server_cpus = List.init servers (fun i -> 1 + i);
@@ -92,12 +92,12 @@ let () =
     if not ok then exit 1
   end
   else begin
-    let rates =
-      try List.map float_of_string (String.split_on_char ',' !sweep)
-      with _ ->
-        Printf.eprintf "--sweep expects comma-separated rates\n";
-        exit 2
+    let rate s =
+      match float_of_string_opt s with
+      | Some r -> Cli.spec "--sweep" (fun r -> A.validate (A.Poisson { rate = r }); r) r
+      | None -> Cli.usage_error "--sweep" (Printf.sprintf "not a rate: %S" s)
     in
+    let rates = List.map rate (String.split_on_char ',' !sweep) in
     let points = S.sweep ~cluster_cfg ~cfg rates in
     Format.printf "%a" S.pp_sweep points;
     let all_ok = List.for_all (fun p -> p.S.sp_outcome.S.ok && p.S.sp_outcome.S.drained) points in
