@@ -28,11 +28,7 @@ and t = {
 
 let now t = Sim.Engine.now (Mchan.Net.engine t.net)
 
-(* Engine-local forms of Core's state-table read and the layout's block
-   lookup, both on the IR-mode access path: the dev profile compiles
-   with -opaque, so a call into another module is never inlined. *)
-let tab_get tab b = st_of_char (Bytes.get tab b)
-let block_of p addr = Layout.block_of_addr p.eng.core.layout addr
+let block_of p addr = block_of_addr p.eng.core addr
 
 let check t msg =
   if t.core.cfg.Config.check_invariants then Invariants.check_msg t.core ~time:(now t) msg
@@ -535,10 +531,6 @@ let prefetch_excl p addr =
       match shared with
       | Ptypes.Exclusive | Ptypes.Pending -> ()
       | Ptypes.Shared | Ptypes.Invalid -> ignore (issue p b (store_request shared) MPrefetch))
-
-(** [word_is_flag pcb addr] — used by the API-mode runtime to emulate the
-    inline value comparison. *)
-let word_is_flag p addr = Memimg.word_is_flag p.st.dom.img ~flag32:p.eng.core.cfg.Config.flag32 addr
 
 (* --- accessors --- *)
 

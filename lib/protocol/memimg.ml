@@ -159,12 +159,6 @@ let write_block t ~block data =
       Bytes.blit data 0 t.data dst_off len;
       if changed then break_monitors t ~block ~pid:(-1)
 
-(** [word_is_flag t ~flag32 addr] tests whether the aligned 4-byte word
-    at [addr] currently holds the flag value. *)
-let word_is_flag t ~flag32 addr =
-  let off = addr - t.base in
-  Bytes.get_int32_le t.data (off land lnot 3) = flag32
-
 (** [blit_out t ~addr ~len buf off] — copy raw image bytes out (used by
     the OS layer for syscall buffers after validation). *)
 let blit_out t ~addr ~len buf off =

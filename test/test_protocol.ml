@@ -633,6 +633,7 @@ let test_batch_defers_invalidation_flags () =
   let block = ref 0 in
   let value_mid = ref 0L and flag_mid = ref true in
   let flag_after = ref false in
+  let flag = P.Config.flag_value w.eng.E.core.P.Core.cfg Alpha.Insn.W32 in
   let _ =
     worker w ~cpu_i:0 (fun pcb ->
         ignore (sload pcb a);
@@ -644,11 +645,11 @@ let test_batch_defers_invalidation_flags () =
         Sim.Proc.stall (fun () ->
             match E.block_state pcb a with _, P.Ptypes.Invalid -> true | _ -> false);
         value_mid := E.raw_read pcb a Alpha.Insn.W64;
-        flag_mid := E.word_is_flag pcb a;
+        flag_mid := E.raw_read pcb a Alpha.Insn.W32 = flag;
         pcb.E.st.E.in_batch <- false;
         pcb.E.st.E.batch_blocks <- [];
         E.poll pcb;
-        flag_after := E.word_is_flag pcb a)
+        flag_after := E.raw_read pcb a Alpha.Insn.W32 = flag)
   in
   let _ =
     worker w ~cpu_i:2 (fun pcb ->
