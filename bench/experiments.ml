@@ -213,7 +213,7 @@ let skeleton ~procedures ~mix =
   let shared_loads, shared_stores, private_accesses, alu, n_fp = mix in
   let body i =
     let open Alpha.Asm in
-    let shared_base = Rewrite.Instrument.default_options.Rewrite.Instrument.shared_base in
+    let shared_base = Protocol.Config.default.Protocol.Config.shared_base in
     List.concat
       [
         [ li t8 (Int64.of_int (shared_base + (i * 4096))); li t9 64L ];

@@ -31,7 +31,7 @@ let flag_fill =
   Test.make ~name:"invalid-flag fill x64 blocks"
     (Staged.stage (fun () ->
          for b = 0 to 63 do
-           Protocol.Memimg.write_flags img ~flag32:0xDEADBEEFl ~block:b
+           Protocol.Memimg.write_flags img ~block:b
          done))
 
 let layout_lookup =

@@ -21,7 +21,6 @@ type sc_outcome =
   | Handled of bool  (** protocol performed (or failed) the conditional store *)
 
 type t = {
-  hz : float;  (** processor frequency, for converting cycles to seconds *)
   load : int -> Insn.width -> int64;  (** raw load *)
   store : int -> Insn.width -> int64 -> unit;  (** raw store *)
   load_check : int64 -> int -> Insn.width -> int64;
@@ -71,7 +70,7 @@ let is_sync_proc n =
 (** An in-process runtime with one flat memory image and no coherence;
     useful for unit-testing the interpreter and for "standard SMP"
     baseline measurements.  [size] bytes of zeroed memory. *)
-let flat ?(hz = Sim.Units.default_cpu_hz) ?(charge = fun _ -> ()) ~size () =
+let flat ?(charge = fun _ -> ()) ~size () =
   let mem = Bytes.make size '\000' in
   let load addr (w : Insn.width) =
     match w with
@@ -86,7 +85,6 @@ let flat ?(hz = Sim.Units.default_cpu_hz) ?(charge = fun _ -> ()) ~size () =
   (* Uniprocessor LL/SC: succeeds unless an intervening SC cleared it. *)
   let lock_flag = ref false in
   {
-    hz;
     load;
     store;
     load_check = (fun value _addr _w -> value);

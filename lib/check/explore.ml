@@ -212,9 +212,3 @@ let exhaustive ?(max_runs = 200) ?(max_depth = 8) scenario =
     prefix := next (depth - 1)
   done;
   result_of t ~complete:(!prefix = None && not !truncated) ~truncated:!truncated
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d runs, %d classes, depth %d%s%s" s.s_runs s.s_classes s.s_choice_points
-    (if s.s_complete then ", complete" else "")
-    (if s.s_truncated then ", truncated" else "")

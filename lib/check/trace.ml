@@ -2,7 +2,8 @@
     {!Shasta.Runtime} and decide whether they are explainable by a
     sequentially-consistent interleaving.
 
-    Two witness searches over the per-process program orders:
+    One witness search over the per-process program orders, asked two
+    questions:
 
     - {e SC per location} (coherence): for every shared address in
       isolation there must be an interleaving of the per-process access
@@ -13,7 +14,7 @@
     - {e full SC}: one interleaving over all addresses at once.  Only
       demanded of [Sc]-model runs; an [Rc] trace may legally have none.
 
-    Both searches over-approximate in one deliberate direction — an
+    Both questions over-approximate in one deliberate direction — an
     extra interleaving can only mask a violation, never invent one — so
     a [No_witness] verdict is always a real violation, while running out
     of budget is reported as nothing at all. *)
@@ -80,58 +81,26 @@ let rows evs =
 
 type verdict = Witness | No_witness | Out_of_budget
 
-(* DFS over index vectors for one location: [value] is the current
-   content; loads must match it, stores replace it.  Memoised on
-   (indices, value). *)
-let explain_location ~max_states per =
+(* DFS over index vectors: the state is each process's position plus
+   the value of every address the rows touch (initially 0); loads must
+   match it, stores replace it.  Memoised on the positions and the
+   whole valuation, one slot per address, so two different memories
+   never share a key. *)
+let explain ~max_states per =
   let n = Array.length per in
   let idx = Array.make n 0 in
+  let slot = Hashtbl.create 16 in
+  Array.iter
+    (Array.iter (fun e ->
+         if not (Hashtbl.mem slot e.ev_addr) then Hashtbl.add slot e.ev_addr (Hashtbl.length slot)))
+    per;
+  let mem = Array.make (Hashtbl.length slot) 0L in
   let visited = Hashtbl.create 997 in
   let states = ref 0 in
   let exception Found in
   let exception Budget in
-  let rec go value =
-    let key = (Array.to_list idx, value) in
-    if not (Hashtbl.mem visited key) then begin
-      incr states;
-      if !states > max_states then raise Budget;
-      Hashtbl.add visited key ();
-      let all_done = ref true in
-      for i = 0 to n - 1 do
-        if idx.(i) < Array.length per.(i) then begin
-          all_done := false;
-          let e = per.(i).(idx.(i)) in
-          idx.(i) <- idx.(i) + 1;
-          (if e.ev_store then go e.ev_value
-           else if e.ev_value = value then go value);
-          idx.(i) <- idx.(i) - 1
-        end
-      done;
-      if !all_done then raise Found
-    end
-  in
-  try
-    go 0L;
-    No_witness
-  with
-  | Found -> Witness
-  | Budget -> Out_of_budget
-
-(* DFS over index vectors for the whole trace: the state carries a full
-   memory valuation, hashed (order-independently) into the memo key. *)
-let explain_full ~max_states per =
-  let n = Array.length per in
-  let idx = Array.make n 0 in
-  let mem : (int, int64) Hashtbl.t = Hashtbl.create 64 in
-  let visited = Hashtbl.create 997 in
-  let states = ref 0 in
-  let exception Found in
-  let exception Budget in
-  let mem_key () =
-    Hashtbl.fold (fun a v acc -> acc lxor (Hashtbl.hash (a, v) * 0x9E3779B1)) mem 0
-  in
   let rec go () =
-    let key = (Array.to_list idx, mem_key ()) in
+    let key = (Array.to_list idx, Array.to_list mem) in
     if not (Hashtbl.mem visited key) then begin
       incr states;
       if !states > max_states then raise Budget;
@@ -141,18 +110,15 @@ let explain_full ~max_states per =
         if idx.(i) < Array.length per.(i) then begin
           all_done := false;
           let e = per.(i).(idx.(i)) in
+          let a = Hashtbl.find slot e.ev_addr in
           idx.(i) <- idx.(i) + 1;
           (if e.ev_store then begin
-             let old = Hashtbl.find_opt mem e.ev_addr in
-             Hashtbl.replace mem e.ev_addr e.ev_value;
+             let old = mem.(a) in
+             mem.(a) <- e.ev_value;
              go ();
-             match old with
-             | Some v -> Hashtbl.replace mem e.ev_addr v
-             | None -> Hashtbl.remove mem e.ev_addr
+             mem.(a) <- old
            end
-           else
-             let cur = Option.value (Hashtbl.find_opt mem e.ev_addr) ~default:0L in
-             if cur = e.ev_value then go ());
+           else if mem.(a) = e.ev_value then go ());
           idx.(i) <- idx.(i) - 1
         end
       done;
@@ -166,11 +132,12 @@ let explain_full ~max_states per =
   | Found -> Witness
   | Budget -> Out_of_budget
 
-(** [check ?full ?max_states t] — the violations the recorded trace
-    proves (empty = explainable, or search budget exhausted, which never
-    convicts).  [full] additionally demands one global SC witness; only
-    ask that of [Sc]-model runs. *)
-let check ?(full = false) ?(max_states = 200_000) t =
+(** [check ?full t] — the violations the recorded trace proves (empty =
+    explainable, or search budget exhausted, which never convicts).
+    [full] additionally demands one global SC witness; only ask that of
+    [Sc]-model runs.  Each per-location search may visit 200,000
+    states, the global one 400,000. *)
+let check ?(full = false) t =
   let evs = events t in
   let violations = ref [] in
   let seen = Hashtbl.create 64 in
@@ -187,7 +154,7 @@ let check ?(full = false) ?(max_states = 200_000) t =
   List.iter
     (fun addr ->
       let ops = List.filter (fun e -> e.ev_addr = addr) evs in
-      match explain_location ~max_states (rows ops) with
+      match explain ~max_states:200_000 (rows ops) with
       | Witness | Out_of_budget -> ()
       | No_witness ->
           violations :=
@@ -196,7 +163,7 @@ let check ?(full = false) ?(max_states = 200_000) t =
             :: !violations)
     addrs;
   if full then begin
-    match explain_full ~max_states:(2 * max_states) (rows evs) with
+    match explain ~max_states:400_000 (rows evs) with
     | Witness | Out_of_budget -> ()
     | No_witness ->
         violations :=

@@ -28,7 +28,6 @@ type t = int array
 
 let make n = Array.make n 0
 let copy = Array.copy
-let get (v : t) i = v.(i)
 
 (** Pointwise maximum (a fresh clock). *)
 let join (a : t) (b : t) = Array.init (Array.length a) (fun i -> max a.(i) b.(i))

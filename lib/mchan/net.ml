@@ -54,8 +54,7 @@ type t = {
           raw perfectly-reliable path with zero transport overhead *)
 }
 
-let create ?(plan = Fault.Plan.empty) ?(reliable_cfg = Reliable.default_config)
-    ?(schedule = Sim.Engine.Fifo) config =
+let create ?(plan = Fault.Plan.empty) ?(schedule = Sim.Engine.Fifo) config =
   if config.nodes <= 0 || config.cpus_per_node <= 0 then invalid_arg "Net.create";
   let engine = Sim.Engine.create ~schedule () in
   let next_pid = ref 0 in
@@ -102,7 +101,7 @@ let create ?(plan = Fault.Plan.empty) ?(reliable_cfg = Reliable.default_config)
       Sim.Engine.at engine ~label:t.msg_label.(dst_node) arrival (fun () -> k arrival)
     in
     let pulse node = Sim.Signal.pulse t.node_signal.(node) in
-    t.reliable <- Some (Reliable.create ~engine ~plan ~cfg:reliable_cfg ~phys ~pulse)
+    t.reliable <- Some (Reliable.create ~engine ~plan ~phys ~pulse)
   end;
   t
 

@@ -27,7 +27,6 @@ type t
 
 val create :
   ?plan:Fault.Plan.t ->
-  ?reliable_cfg:Reliable.config ->
   ?schedule:Sim.Engine.schedule ->
   config ->
   t

@@ -14,53 +14,45 @@
     discarded, and the retransmit machinery repairs the gap when the
     node recovers. *)
 
-type config = {
-  timeout : float;
-  backoff : float;
-  rto_cap : float;
-  max_retries : int;
-  ack_size : int;
-  header_size : int;
-}
-
 (* The base timeout covers a Memory Channel round trip (2 x 4 us) plus
    transmit occupancy with ample slack; a premature retransmission is
-   only duplicate traffic, never an error, so erring low is safe. *)
-let default_config =
-  {
-    timeout = 60.0e-6;
-    backoff = 2.0;
-    rto_cap = 2.0e-3;
-    max_retries = 30;
-    ack_size = 16;
-    header_size = 8;
-  }
+   only duplicate traffic, never an error, so erring low is safe.  The
+   per-attempt RTO doubles up to [rto_cap]; a frame still unacked after
+   [max_retries] transmissions raises [Link_failed].  A data frame
+   carries [header_size] bytes of sequence number and checksum; an ack
+   frame is [ack_size] bytes on the wire. *)
+let timeout = 60.0e-6
+let backoff = 2.0
+let rto_cap = 2.0e-3
+let max_retries = 30
+let ack_size = 16
+let header_size = 8
 
 exception Link_failed of { src : int; dst : int; seq : int; attempts : int }
 
-type link_stats = {
-  s_data_sent : Sim.Stats.counter;
-  s_retransmits : Sim.Stats.counter;
-  s_acks_sent : Sim.Stats.counter;
-  s_inj_dropped : Sim.Stats.counter;
-  s_inj_duplicated : Sim.Stats.counter;
-  s_inj_corrupted : Sim.Stats.counter;
-  s_inj_delayed : Sim.Stats.counter;
-  s_dup_suppressed : Sim.Stats.counter;
-  s_outage_dropped : Sim.Stats.counter;
+type totals = {
+  mutable data_sent : int;
+  mutable retransmits : int;
+  mutable acks_sent : int;
+  mutable inj_dropped : int;
+  mutable inj_duplicated : int;
+  mutable inj_corrupted : int;
+  mutable inj_delayed : int;
+  mutable dup_suppressed : int;
+  mutable outage_dropped : int;
 }
 
-let fresh_stats () =
+let zero () =
   {
-    s_data_sent = Sim.Stats.counter ();
-    s_retransmits = Sim.Stats.counter ();
-    s_acks_sent = Sim.Stats.counter ();
-    s_inj_dropped = Sim.Stats.counter ();
-    s_inj_duplicated = Sim.Stats.counter ();
-    s_inj_corrupted = Sim.Stats.counter ();
-    s_inj_delayed = Sim.Stats.counter ();
-    s_dup_suppressed = Sim.Stats.counter ();
-    s_outage_dropped = Sim.Stats.counter ();
+    data_sent = 0;
+    retransmits = 0;
+    acks_sent = 0;
+    inj_dropped = 0;
+    inj_duplicated = 0;
+    inj_corrupted = 0;
+    inj_delayed = 0;
+    dup_suppressed = 0;
+    outage_dropped = 0;
   }
 
 type frame = {
@@ -85,15 +77,14 @@ type chan = {
 type t = {
   engine : Sim.Engine.t;
   plan : Fault.Plan.t;
-  cfg : config;
   phys : at:float -> src_node:int -> dst_node:int -> size:int -> (float -> unit) -> unit;
   pulse : int -> unit;
   chans : (int * int, chan) Hashtbl.t;
-  stats : (int * int, link_stats) Hashtbl.t;
+  stats : (int * int, totals) Hashtbl.t;
 }
 
-let create ~engine ~plan ~cfg ~phys ~pulse =
-  { engine; plan; cfg; phys; pulse; chans = Hashtbl.create 16; stats = Hashtbl.create 16 }
+let create ~engine ~plan ~phys ~pulse =
+  { engine; plan; phys; pulse; chans = Hashtbl.create 16; stats = Hashtbl.create 16 }
 
 let chan t src dst =
   match Hashtbl.find_opt t.chans (src, dst) with
@@ -117,12 +108,12 @@ let lstats t src dst =
   match Hashtbl.find_opt t.stats (src, dst) with
   | Some s -> s
   | None ->
-      let s = fresh_stats () in
+      let s = zero () in
       Hashtbl.replace t.stats (src, dst) s;
       s
 
-let rto t fr =
-  Float.min (t.cfg.timeout *. (t.cfg.backoff ** float_of_int (fr.f_attempts - 1))) t.cfg.rto_cap
+let rto fr =
+  Float.min (timeout *. (backoff ** float_of_int (fr.f_attempts - 1))) rto_cap
 
 (* Put a frame (or one injected copy of it) on the raw channel and run
    [k] at its possibly-delayed arrival.  Faulted frames still occupy the
@@ -130,19 +121,19 @@ let rto t fr =
 let faulted_phys t ~at ~src ~dst ~size st k =
   match Fault.Plan.decide t.plan ~src ~dst with
   | Fault.Plan.Drop ->
-      Sim.Stats.incr_counter st.s_inj_dropped;
+      st.inj_dropped <- st.inj_dropped + 1;
       t.phys ~at ~src_node:src ~dst_node:dst ~size (fun _ -> ())
   | Fault.Plan.Corrupt ->
       (* The checksum in the frame header catches the damage at the
          receiver, which discards the frame; retransmission repairs it. *)
-      Sim.Stats.incr_counter st.s_inj_corrupted;
+      st.inj_corrupted <- st.inj_corrupted + 1;
       t.phys ~at ~src_node:src ~dst_node:dst ~size (fun _ -> ())
   | Fault.Plan.Duplicate ->
-      Sim.Stats.incr_counter st.s_inj_duplicated;
+      st.inj_duplicated <- st.inj_duplicated + 1;
       t.phys ~at ~src_node:src ~dst_node:dst ~size k;
       t.phys ~at ~src_node:src ~dst_node:dst ~size k
   | Fault.Plan.Delay extra ->
-      Sim.Stats.incr_counter st.s_inj_delayed;
+      st.inj_delayed <- st.inj_delayed + 1;
       t.phys ~at ~src_node:src ~dst_node:dst ~size (fun arr ->
           let label =
             { Sim.Engine.lbl_node = dst; lbl_block = -1; lbl_kind = Sim.Engine.Message }
@@ -153,10 +144,10 @@ let faulted_phys t ~at ~src ~dst ~size st k =
 let send_ack t ch seq ~at =
   (* Acks travel (and are faulted) on the reverse link. *)
   let st = lstats t ch.c_dst ch.c_src in
-  Sim.Stats.incr_counter st.s_acks_sent;
+  st.acks_sent <- st.acks_sent + 1;
   let deliver_ack arr =
     if Fault.Plan.node_down t.plan ~node:ch.c_src ~at:arr then
-      Sim.Stats.incr_counter st.s_outage_dropped
+      st.outage_dropped <- st.outage_dropped + 1
     else
       match Hashtbl.find_opt ch.unacked seq with
       | Some fr ->
@@ -164,31 +155,31 @@ let send_ack t ch seq ~at =
           Hashtbl.remove ch.unacked seq
       | None -> () (* duplicate ack *)
   in
-  faulted_phys t ~at ~src:ch.c_dst ~dst:ch.c_src ~size:t.cfg.ack_size st deliver_ack
+  faulted_phys t ~at ~src:ch.c_dst ~dst:ch.c_src ~size:ack_size st deliver_ack
 
 let rec transmit t ch fr ~at =
   let st = lstats t ch.c_src ch.c_dst in
-  if fr.f_attempts = 0 then Sim.Stats.incr_counter st.s_data_sent
-  else Sim.Stats.incr_counter st.s_retransmits;
+  if fr.f_attempts = 0 then st.data_sent <- st.data_sent + 1
+  else st.retransmits <- st.retransmits + 1;
   fr.f_attempts <- fr.f_attempts + 1;
   fr.f_last_tx <- at;
   if Fault.Plan.node_down t.plan ~node:ch.c_src ~at then
     (* The sending node is stalled: the store to the transmit region
        never happens.  The retransmit timer recovers after the stall. *)
-    Sim.Stats.incr_counter st.s_outage_dropped
+    st.outage_dropped <- st.outage_dropped + 1
   else
-    faulted_phys t ~at ~src:ch.c_src ~dst:ch.c_dst ~size:(fr.f_size + t.cfg.header_size) st
+    faulted_phys t ~at ~src:ch.c_src ~dst:ch.c_dst ~size:(fr.f_size + header_size) st
       (fun arr -> rx t ch fr arr);
   arm_timer t ch ~at
 
 and rx t ch fr arrival =
   let st = lstats t ch.c_src ch.c_dst in
   if Fault.Plan.node_down t.plan ~node:ch.c_dst ~at:arrival then
-    Sim.Stats.incr_counter st.s_outage_dropped
+    st.outage_dropped <- st.outage_dropped + 1
   else begin
     send_ack t ch fr.f_seq ~at:arrival;
     if fr.f_seq < ch.rx_expected || Hashtbl.mem ch.rx_buffer fr.f_seq then
-      Sim.Stats.incr_counter st.s_dup_suppressed
+      st.dup_suppressed <- st.dup_suppressed + 1
     else begin
       Hashtbl.replace ch.rx_buffer fr.f_seq fr;
       let delivered = ref false in
@@ -215,13 +206,13 @@ and arm_timer t ch ~at =
     let label =
       { Sim.Engine.lbl_node = ch.c_src; lbl_block = -1; lbl_kind = Sim.Engine.Timer }
     in
-    Sim.Engine.at t.engine ~label (at +. t.cfg.timeout) (fun () ->
+    Sim.Engine.at t.engine ~label (at +. timeout) (fun () ->
         ch.timer_armed <- false;
         if Hashtbl.length ch.unacked > 0 then begin
           let now = Sim.Engine.now t.engine in
           let due =
             Hashtbl.fold
-              (fun _ fr acc -> if now -. fr.f_last_tx >= rto t fr then fr :: acc else acc)
+              (fun _ fr acc -> if now -. fr.f_last_tx >= rto fr then fr :: acc else acc)
               ch.unacked []
           in
           (* Hashtbl.fold order is unspecified; retransmit in sequence
@@ -229,7 +220,7 @@ and arm_timer t ch ~at =
           let due = List.sort (fun a b -> compare a.f_seq b.f_seq) due in
           List.iter
             (fun fr ->
-              if fr.f_attempts > t.cfg.max_retries then
+              if fr.f_attempts > max_retries then
                 raise
                   (Link_failed
                      { src = ch.c_src; dst = ch.c_dst; seq = fr.f_seq; attempts = fr.f_attempts });
@@ -257,68 +248,25 @@ let send t ~at ~src_node ~dst_node ~size deliver =
 
 (* --- reporting --- *)
 
-type totals = {
-  data_sent : int;
-  retransmits : int;
-  acks_sent : int;
-  inj_dropped : int;
-  inj_duplicated : int;
-  inj_corrupted : int;
-  inj_delayed : int;
-  dup_suppressed : int;
-  outage_dropped : int;
-}
-
-let totals_of st =
-  let v = Sim.Stats.counter_value in
-  {
-    data_sent = v st.s_data_sent;
-    retransmits = v st.s_retransmits;
-    acks_sent = v st.s_acks_sent;
-    inj_dropped = v st.s_inj_dropped;
-    inj_duplicated = v st.s_inj_duplicated;
-    inj_corrupted = v st.s_inj_corrupted;
-    inj_delayed = v st.s_inj_delayed;
-    dup_suppressed = v st.s_dup_suppressed;
-    outage_dropped = v st.s_outage_dropped;
-  }
-
 let per_link t =
-  Hashtbl.fold (fun link st acc -> (link, totals_of st) :: acc) t.stats []
+  Hashtbl.fold (fun link st acc -> (link, st) :: acc) t.stats []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let totals t =
-  List.fold_left
-    (fun acc (_, x) ->
-      {
-        data_sent = acc.data_sent + x.data_sent;
-        retransmits = acc.retransmits + x.retransmits;
-        acks_sent = acc.acks_sent + x.acks_sent;
-        inj_dropped = acc.inj_dropped + x.inj_dropped;
-        inj_duplicated = acc.inj_duplicated + x.inj_duplicated;
-        inj_corrupted = acc.inj_corrupted + x.inj_corrupted;
-        inj_delayed = acc.inj_delayed + x.inj_delayed;
-        dup_suppressed = acc.dup_suppressed + x.dup_suppressed;
-        outage_dropped = acc.outage_dropped + x.outage_dropped;
-      })
-    {
-      data_sent = 0;
-      retransmits = 0;
-      acks_sent = 0;
-      inj_dropped = 0;
-      inj_duplicated = 0;
-      inj_corrupted = 0;
-      inj_delayed = 0;
-      dup_suppressed = 0;
-      outage_dropped = 0;
-    }
-    (per_link t)
-
-let node_outage_drops t node =
-  List.fold_left
-    (fun acc ((src, dst), x) ->
-      if src = node || dst = node then acc + x.outage_dropped else acc)
-    0 (per_link t)
+  let acc = zero () in
+  List.iter
+    (fun (_, x) ->
+      acc.data_sent <- acc.data_sent + x.data_sent;
+      acc.retransmits <- acc.retransmits + x.retransmits;
+      acc.acks_sent <- acc.acks_sent + x.acks_sent;
+      acc.inj_dropped <- acc.inj_dropped + x.inj_dropped;
+      acc.inj_duplicated <- acc.inj_duplicated + x.inj_duplicated;
+      acc.inj_corrupted <- acc.inj_corrupted + x.inj_corrupted;
+      acc.inj_delayed <- acc.inj_delayed + x.inj_delayed;
+      acc.dup_suppressed <- acc.dup_suppressed + x.dup_suppressed;
+      acc.outage_dropped <- acc.outage_dropped + x.outage_dropped)
+    (per_link t);
+  acc
 
 let pp_totals ppf x =
   Format.fprintf ppf

@@ -9,32 +9,21 @@
     it only when the fault plan is non-empty: with no plan the raw path
     is used unchanged and the transport costs nothing. *)
 
-type config = {
-  timeout : float;  (** base retransmit timeout, seconds *)
-  backoff : float;  (** per-attempt RTO multiplier *)
-  rto_cap : float;  (** upper bound on the backed-off RTO *)
-  max_retries : int;  (** transmissions before the link is declared dead *)
-  ack_size : int;  (** wire size of an ack frame, bytes *)
-  header_size : int;  (** seq + checksum bytes added to each data frame *)
-}
-
-val default_config : config
-
-(** Raised when a frame exhausts [max_retries] (e.g. the destination
-    node crashed and never recovered). *)
+(** Raised when a frame's retransmit timer expires after 31
+    transmissions without an ack (e.g. the destination node crashed and
+    never recovered). *)
 exception
   Link_failed of { src : int; dst : int; seq : int; attempts : int }
 
 type t
 
-(** [create ~engine ~plan ~cfg ~phys ~pulse] — [phys ~at ~src_node
+(** [create ~engine ~plan ~phys ~pulse] — [phys ~at ~src_node
     ~dst_node ~size k] must put a frame on the raw channel and run
     [k arrival_time] at its arrival instant; [pulse node] wakes the
     destination node after in-order deliveries. *)
 val create :
   engine:Sim.Engine.t ->
   plan:Fault.Plan.t ->
-  cfg:config ->
   phys:(at:float -> src_node:int -> dst_node:int -> size:int -> (float -> unit) -> unit) ->
   pulse:(int -> unit) ->
   t
@@ -45,29 +34,25 @@ val create :
 val send :
   t -> at:float -> src_node:int -> dst_node:int -> size:int -> (unit -> unit) -> unit
 
-(** Per-link counters (all cumulative).  [data_sent] counts first
-    transmissions; injected faults are counted on the link that carried
-    the faulted frame (acks travel on the reverse link). *)
+(** Per-link counters (all cumulative, updated in place).  [data_sent]
+    counts first transmissions; injected faults are counted on the link
+    that carried the faulted frame (acks travel on the reverse link). *)
 type totals = {
-  data_sent : int;
-  retransmits : int;
-  acks_sent : int;
-  inj_dropped : int;
-  inj_duplicated : int;
-  inj_corrupted : int;
-  inj_delayed : int;
-  dup_suppressed : int;
-  outage_dropped : int;  (** frames discarded because an endpoint node was down *)
+  mutable data_sent : int;
+  mutable retransmits : int;
+  mutable acks_sent : int;
+  mutable inj_dropped : int;
+  mutable inj_duplicated : int;
+  mutable inj_corrupted : int;
+  mutable inj_delayed : int;
+  mutable dup_suppressed : int;
+  mutable outage_dropped : int;  (** frames discarded because an endpoint node was down *)
 }
 
 (** [per_link t] — counters per directed link, sorted by (src, dst). *)
 val per_link : t -> ((int * int) * totals) list
 
-(** [totals t] — cluster-wide sums. *)
+(** [totals t] — cluster-wide sums, in a fresh record. *)
 val totals : t -> totals
-
-(** [node_outage_drops t node] — frames lost at [node] while it was down
-    (either direction). *)
-val node_outage_drops : t -> int -> int
 
 val pp_report : Format.formatter -> t -> unit

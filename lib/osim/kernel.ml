@@ -64,8 +64,6 @@ and t = {
   shm_segs : (int, int * int) Hashtbl.t;  (** segid -> (addr, bytes) *)
   mutable next_seg : int;
   mutable next_slot_rr : int;
-  fork_cpu_cost : float;
-  syscall_entry_cost : float;
   mutable forks : int;
   mutable syscalls : int;
 }
@@ -129,10 +127,6 @@ let slot_loop k slot (h : Shasta.Runtime.t) =
   in
   loop ()
 
-(** [boot cluster ~slot_cpus ()] — create the kernel and its fixed pool
-    of Shasta processes, one per entry of [slot_cpus] (a global processor
-    index each; several slots may share a processor, which is how
-    more-processes-than-processors configurations are built). *)
 let spawn_protocol_process cluster ~cpu =
   ignore
     (Shasta.Cluster.spawn ~serve:false ~priority:1 cluster ~cpu
@@ -141,8 +135,11 @@ let spawn_protocol_process cluster ~cpu =
          h.Shasta.Runtime.proc.Sim.Proc.yield_waiting <- true;
          Sim.Proc.stall (fun () -> false)))
 
-let boot ?(fork_cpu_cost = 80.0e-6) ?(syscall_entry_cost = 4.0e-6)
-    ?(protocol_processes = true) cluster ~slot_cpus () =
+(** [boot cluster ~slot_cpus ()] — create the kernel and its fixed pool
+    of Shasta processes, one per entry of [slot_cpus] (a global processor
+    index each; several slots may share a processor, which is how
+    more-processes-than-processors configurations are built). *)
+let boot ?(protocol_processes = true) cluster ~slot_cpus () =
   let k =
     {
       cluster;
@@ -155,8 +152,6 @@ let boot ?(fork_cpu_cost = 80.0e-6) ?(syscall_entry_cost = 4.0e-6)
       shm_segs = Hashtbl.create 16;
       next_seg = 1;
       next_slot_rr = 0;
-      fork_cpu_cost;
-      syscall_entry_cost;
       forks = 0;
       syscalls = 0;
     }
@@ -244,9 +239,14 @@ let start k ?cpu_hint body =
 
 (* --- system calls (called from process bodies, fiber context) --- *)
 
+(* Simulated CPU time, in seconds, charged for a system call's kernel
+   entry, and for a fork's process creation on top of it. *)
+let syscall_entry_cost = 4.0e-6
+let fork_cpu_cost = 80.0e-6
+
 let syscall_enter ctx =
   ctx.k.syscalls <- ctx.k.syscalls + 1;
-  Shasta.Runtime.work ctx.h ctx.k.syscall_entry_cost
+  Shasta.Runtime.work ctx.h syscall_entry_cost
 
 let getpid ctx = ctx.os.ospid
 
@@ -257,7 +257,7 @@ let getpid ctx = ctx.os.ospid
 let fork ctx ?cpu_hint body =
   syscall_enter ctx;
   ctx.k.forks <- ctx.k.forks + 1;
-  Shasta.Runtime.work ctx.h ctx.k.fork_cpu_cost;
+  Shasta.Runtime.work ctx.h fork_cpu_cost;
   let slot = pick_slot ctx.k ~cpu_hint in
   let os = make_osproc ctx.k ~parent:ctx.os.ospid ~slot:slot.s_index in
   let image = Bytes.copy ctx.h.Shasta.Runtime.private_mem in
@@ -267,8 +267,6 @@ let fork ctx ?cpu_hint body =
   Mchan.Net.send (net ctx.k) ~src_node:src ~dst_node:dst ~size:(Bytes.length image) (fun () ->
       assign ctx.k slot job);
   os.ospid
-
-let exit_process _ctx status = raise (Exit_process status)
 
 (** [wait ctx] — wait for any child to exit; returns [(ospid, status)]. *)
 let rec wait ctx =
@@ -459,12 +457,3 @@ let lseek ctx fd pos =
 let close ctx fd =
   syscall_enter ctx;
   Hashtbl.remove ctx.os.fds fd
-
-(* --- protocol processes (Section 4.3.2) --- *)
-
-(** [spawn_protocol_processes k] — one low-priority process per
-    processor (already done by [boot] unless [protocol_processes:false]). *)
-let spawn_protocol_processes k =
-  for cpu = 0 to Mchan.Net.total_cpus (net k) - 1 do
-    spawn_protocol_process k.cluster ~cpu
-  done

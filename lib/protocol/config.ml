@@ -1,5 +1,5 @@
-(** Protocol configuration: geometry, variant, consistency model, the
-    invalid-flag value, and the software cost model. *)
+(** Protocol configuration: geometry, variant, consistency model and
+    the software cost model. *)
 
 (** Base-Shasta keeps a private copy of shared memory per process and
     exchanges messages even between processes of one node; SMP-Shasta
@@ -65,10 +65,8 @@ type t = {
           [line_size] blocks covering the whole shared segment *)
   shared_base : int;
   shared_size : int;
-  flag32 : int32;  (** the per-4-byte-word invalid flag value (Section 2.2) *)
   costs : costs;
   direct_downgrade : bool;  (** Section 4.3.4 optimisation *)
-  max_outstanding_stores : int;  (** RC store buffer depth before stalling *)
   check_invariants : bool;
       (** cross-check directory vs state tables after every message *)
   homing : homing;  (** dynamic home-reassignment policy *)
@@ -85,10 +83,8 @@ let default =
     regions = [];
     shared_base = 0x4000_0000;
     shared_size = 8 * 1024 * 1024;
-    flag32 = 0xDEADBEEFl;
     costs = default_costs;
     direct_downgrade = true;
-    max_outstanding_stores = 16;
     check_invariants = false;
     homing = Static;
     migration_threshold = 3;
@@ -101,16 +97,14 @@ let layout t =
   | [] -> Layout.uniform ~base:t.shared_base ~size:t.shared_size ~block:t.line_size ()
   | specs -> Layout.create ~base:t.shared_base ~size:t.shared_size specs
 
-let is_shared t addr = addr >= t.shared_base && addr < t.shared_base + t.shared_size
-
-(** [flag_value t w] — what a load of width [w] returns from a word
-    holding the invalid flag: the 32-bit flag sign-extended, or the flag
-    in both halves of a 64-bit word. *)
-let flag_value t (w : Alpha.Insn.width) =
+(** [flag_value w] — what a load of width [w] returns from a word
+    holding the invalid flag {!Memimg.flag32}: the 32-bit flag
+    sign-extended, or the flag in both halves of a 64-bit word. *)
+let flag_value (w : Alpha.Insn.width) =
   match w with
-  | Alpha.Insn.W32 -> Int64.of_int32 t.flag32
+  | Alpha.Insn.W32 -> Int64.of_int32 Memimg.flag32
   | Alpha.Insn.W64 ->
-      let lo = Int64.logand (Int64.of_int32 t.flag32) 0xFFFFFFFFL in
+      let lo = Int64.logand (Int64.of_int32 Memimg.flag32) 0xFFFFFFFFL in
       Int64.logor (Int64.shift_left lo 32) lo
 
 let mb_cost t =

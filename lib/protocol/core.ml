@@ -412,7 +412,7 @@ let init ?homes t =
      Shared copy.  The shard map starts as the static placement; any
      home override naming a non-existent domain is caught here, before
      first use. *)
-  List.iter (fun d -> Memimg.fill_flags d.img ~flag32:t.cfg.Config.flag32) domains;
+  List.iter (fun d -> Memimg.fill_flags d.img) domains;
   let n_blocks = Layout.n_blocks t.layout in
   for b = 0 to n_blocks - 1 do
     if t.static_home.(b) < 0 then t.static_home.(b) <- stripe.(b mod n);
@@ -496,7 +496,7 @@ let replay_recorded_stores ?(owned = false) d b =
 let invalidate_block_data t d b =
   let deferring = List.filter (fun m -> m.in_batch && List.mem b m.batch_blocks) d.members in
   if deferring = [] then begin
-    Memimg.write_flags d.img ~flag32:t.cfg.Config.flag32 ~block:b;
+    Memimg.write_flags d.img ~block:b;
     (* Mutation: the flag writes overrun the block's layout extent by
        one chunk, corrupting whatever the next block holds — exactly the
        failure the per-block-extent invariants must catch. *)
@@ -504,8 +504,7 @@ let invalidate_block_data t d b =
       let spill_addr = Layout.block_base t.layout b + Layout.block_len t.layout b in
       if Layout.contains t.layout spill_addr then begin
         t.mutation_fires <- t.mutation_fires + 1;
-        Memimg.write_flags_range d.img ~flag32:t.cfg.Config.flag32 ~addr:spill_addr
-          ~len:(Layout.chunk t.layout)
+        Memimg.write_flags_range d.img ~addr:spill_addr ~len:(Layout.chunk t.layout)
       end
     end
   end

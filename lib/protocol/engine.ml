@@ -265,7 +265,7 @@ let rec apply_deferred p =
           (fun b ->
             (* Only flag blocks that are still invalid. *)
             if tab_get s.dom.shared_tab b = Ptypes.Invalid then
-              Memimg.write_flags s.dom.img ~flag32:p.eng.core.cfg.Config.flag32 ~block:b)
+              Memimg.write_flags s.dom.img ~block:b)
           blocks;
         wake p.eng s.dom);
     s.watch_blocks <- [];
@@ -335,7 +335,7 @@ let rec load_miss p addr w =
   | Ptypes.Invalid | Ptypes.Pending ->
       ensure_read p addr;
       let v = Memimg.read p.st.dom.img addr w in
-      if v = Config.flag_value p.eng.core.cfg w then load_miss p addr w else v
+      if v = Config.flag_value w then load_miss p addr w else v
 
 (* Ensure the block is writable.  Like [ensure_read], all costs are
    charged before the final state inspection: the caller's store follows
@@ -365,6 +365,9 @@ let ensure_write p addr ~blocking =
   in
   go ()
 
+(** RC store buffer depth before stalling. *)
+let max_outstanding_stores = 16
+
 (** [store_miss pcb addr] — slow path of the inline store check.  Under
     [Sc] the store stalls until all invalidations are acknowledged; under
     [Rc] it is non-blocking, bounded by [max_outstanding_stores]. *)
@@ -373,9 +376,8 @@ let store_miss p addr =
   charge (costs p).Config.miss_entry;
   apply_deferred p;
   let blocking = cfg.Config.model = Config.Sc in
-  if (not blocking) && p.st.n_outstanding_stores >= cfg.Config.max_outstanding_stores then
-    stall_until p ~bucket:`Write (fun () ->
-        p.st.n_outstanding_stores < cfg.Config.max_outstanding_stores);
+  if (not blocking) && p.st.n_outstanding_stores >= max_outstanding_stores then
+    stall_until p ~bucket:`Write (fun () -> p.st.n_outstanding_stores < max_outstanding_stores);
   ensure_write p addr ~blocking
 
 (** Raw memory access used by the runtime for the actual load/store

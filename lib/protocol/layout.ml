@@ -233,17 +233,6 @@ let specs_of_spec ~size spec =
       in
       specs
 
-let of_spec ~base ~size spec = create ~base ~size (specs_of_spec ~size spec)
-
 let spec_help =
   "BLOCK (uniform) or comma-separated [NAME=]SIZE:BLOCK regions; SIZE takes k/m \
    suffixes, '*' (last region) takes the remainder, e.g. 'fine=1m:64,bulk=*:512'"
-
-let pp ppf t =
-  Format.fprintf ppf "layout: %d region(s), %d blocks, chunk %dB@." (n_regions t) (n_blocks t)
-    t.chunk;
-  Array.iter
-    (fun r ->
-      Format.fprintf ppf "  %-10s base 0x%x size %7d block %4d (%d blocks)@." r.r_name r.r_base
-        r.r_size r.r_block r.r_n_blocks)
-    t.regions

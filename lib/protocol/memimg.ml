@@ -94,11 +94,14 @@ let sc t ~pid addr w v =
   if armed then write ~pid t addr w v;
   armed
 
-(** [write_flags_range t ~flag32 ~addr ~len] stores the invalid-flag
-    value into every 4-byte word of [addr, addr+len), breaking monitors
-    on every touched block.  The extent need not respect block
+(** The per-4-byte-word invalid flag value (Section 2.2). *)
+let flag32 = 0xDEADBEEFl
+
+(** [write_flags_range t ~addr ~len] stores the invalid-flag value
+    into every 4-byte word of [addr, addr+len), breaking monitors on
+    every touched block.  The extent need not respect block
     boundaries — the [Wrong_block_extent] mutation relies on that. *)
-let write_flags_range t ~flag32 ~addr ~len =
+let write_flags_range t ~addr ~len =
   check t addr len;
   let off = addr - t.base in
   for w = 0 to (len / 4) - 1 do
@@ -106,19 +109,19 @@ let write_flags_range t ~flag32 ~addr ~len =
   done;
   Layout.iter_range t.layout ~addr ~len (fun b -> break_monitors t ~block:b ~pid:(-1))
 
-(** [write_flags t ~flag32 ~block] stores the invalid-flag value into
-    every 4-byte word of [block] (Section 2.2).  Breaks monitors. *)
-let write_flags t ~flag32 ~block =
-  write_flags_range t ~flag32
+(** [write_flags t ~block] stores the invalid-flag value into every
+    4-byte word of [block] (Section 2.2).  Breaks monitors. *)
+let write_flags t ~block =
+  write_flags_range t
     ~addr:(Layout.block_base t.layout block)
     ~len:(Layout.block_len t.layout block)
 
-(** [fill_flags t ~flag32] stores the invalid-flag value into every
-    4-byte word of the image in one pass: the state {!Core.init} starts
+(** [fill_flags t] stores the invalid-flag value into every 4-byte
+    word of the image in one pass: the state {!Core.init} starts
     every copy from (Section 2.2).  It writes the first word, then
     doubles the filled prefix with [Bytes.blit].  Breaks no monitor, so
     none may be armed. *)
-let fill_flags t ~flag32 =
+let fill_flags t =
   (match t.monitors with [] -> () | _ -> invalid_arg "Memimg.fill_flags: a monitor is armed");
   let len = Bytes.length t.data in
   Bytes.set_int32_le t.data 0 flag32;

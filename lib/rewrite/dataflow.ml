@@ -70,9 +70,12 @@ let join_state (a : state) (b : state) =
   merge a.floats b.floats;
   !changed
 
-(** Transfer function for one instruction, given [shared_base]: an [Li]
-    of an absolute address classifies by which region it falls in. *)
-let transfer ~shared_base (s : state) (insn : Alpha.Insn.t) =
+(** The base of the shared segment, whose addresses the protocol owns. *)
+let shared_base = Protocol.Config.default.Protocol.Config.shared_base
+
+(** Transfer function for one instruction: an [Li] of an absolute
+    address classifies by which region it falls in. *)
+let transfer (s : state) (insn : Alpha.Insn.t) =
   let set r c = if r <> zero then s.ints.(r) <- c in
   let fset f c = if f <> zero then s.floats.(f) <- c in
   match insn with
@@ -117,10 +120,10 @@ let transfer ~shared_base (s : state) (insn : Alpha.Insn.t) =
   | Alpha.Insn.Mb_check | Alpha.Insn.Poll | Alpha.Insn.Prefetch_excl _ | Alpha.Insn.Label _ ->
       ()
 
-(** [analyze ~shared_base cfg] computes, for every instruction index, the
+(** [analyze cfg] computes, for every instruction index, the
     register-class state {e before} that instruction.  Unreachable blocks
     expand from [bottom ()] (all [Private]), so dead code gets no checks. *)
-let analyze ~shared_base (cfg : Cfg.t) =
+let analyze (cfg : Cfg.t) =
   let code = cfg.Cfg.proc.Alpha.Program.code in
   let block_in =
     Cfg.forward cfg ~entry:(entry_state ())
@@ -128,7 +131,7 @@ let analyze ~shared_base (cfg : Cfg.t) =
         let blk = Cfg.block cfg b in
         let s = copy sin in
         for i = blk.Cfg.first to blk.Cfg.last do
-          transfer ~shared_base s code.(i)
+          transfer s code.(i)
         done;
         List.map (fun succ -> (succ, s)) blk.Cfg.succs)
       ~merge:(fun cur s ->
@@ -144,7 +147,7 @@ let analyze ~shared_base (cfg : Cfg.t) =
       let s = match sin with Some sin -> copy sin | None -> bottom () in
       for i = blk.Cfg.first to blk.Cfg.last do
         before.(i) <- copy s;
-        transfer ~shared_base s code.(i)
+        transfer s code.(i)
       done)
     block_in;
   before

@@ -20,13 +20,10 @@
     + [Mb_check] after every memory barrier. *)
 
 type options = {
-  shared_base : int;
   flag_loads : bool;  (** use the invalid-flag technique for load checks *)
   batching : bool;
   polls : bool;
-  transform_ll_sc : bool;
   prefetch_ll_sc : bool;
-  mb_checks : bool;
   granularity_table : bool;
       (** layouts with mixed block sizes: state-table checks are
           preceded by a block-number table lookup (Section 2.1); flag
@@ -39,13 +36,10 @@ type options = {
 
 let default_options =
   {
-    shared_base = 0x4000_0000;
     flag_loads = true;
     batching = true;
     polls = true;
-    transform_ll_sc = true;
     prefetch_ll_sc = true;
-    mb_checks = true;
     granularity_table = false;
     redundant_elim = false;
   }
@@ -149,11 +143,11 @@ let instrument_procedure ~options ~stats (proc : Alpha.Program.procedure) =
   let code = proc.Alpha.Program.code in
   let n = Array.length code in
   let cfg = Cfg.build proc in
-  let before = Dataflow.analyze ~shared_base:options.shared_base cfg in
+  let before = Dataflow.analyze cfg in
   let pre_label = Array.make (n + 1) [] in
   let pre = Array.make n [] in
   let post = Array.make n [] in
-  let pairs = if options.transform_ll_sc then find_llsc_pairs code else [] in
+  let pairs = find_llsc_pairs code in
   let in_llsc_range i = List.exists (fun (a, b, _, _, _, _) -> i > a && i <= b) pairs in
   (* With mixed block sizes a state-table check must first look up the
      block number: [gran off base] is that table-load sequence (or
@@ -213,10 +207,8 @@ let instrument_procedure ~options ~stats (proc : Alpha.Program.procedure) =
     | Alpha.Insn.Sc (w, r, off, base) ->
         pre.(i) <- pre.(i) @ gran off base @ [ Alpha.Insn.Sc_check (w, r, off, base) ]
     | Alpha.Insn.Mb ->
-        if options.mb_checks then begin
-          post.(i) <- post.(i) @ [ Alpha.Insn.Mb_check ];
-          stats.mb_checks_inserted <- stats.mb_checks_inserted + 1
-        end
+        post.(i) <- post.(i) @ [ Alpha.Insn.Mb_check ];
+        stats.mb_checks_inserted <- stats.mb_checks_inserted + 1
     | _ -> ()
   done;
   stats.llsc_pairs <- stats.llsc_pairs + List.length pairs;
@@ -370,10 +362,7 @@ let instrument_procedure ~options ~stats (proc : Alpha.Program.procedure) =
     (* The optimizer may never ship an uncovered access: re-validate. *)
     let scratch = Alpha.Program.create () in
     let p' = Alpha.Program.add_procedure scratch ~name r.Optimize.insns in
-    let rep =
-      Verify.verify_procedure ~shared_base:options.shared_base
-        ~require_llsc:options.transform_ll_sc p'
-    in
+    let rep = Verify.verify_procedure p' in
     (match rep.Verify.r_diags with
     | [] -> ()
     | d :: _ -> raise (Verify.Uncovered_access d));

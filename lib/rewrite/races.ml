@@ -1,7 +1,8 @@
 (** Static Eraser-style race detector over an {!Alpha.Program}.
 
-    SPMD model: [nprocs] threads all run [entry] with the convention
-    [main(a0..a2 = shared/config args, a3 = thread id, a4 = nprocs)].
+    SPMD model: [nprocs] threads all run [main] with the convention
+    [main(a0..a2 = shared/config args, a3 = thread id, a4 = nprocs)];
+    [a0] and [a1] are the shared bases.
     Synchronisation is visible in the instruction stream in two forms —
     the {!Alpha.Runtime} system calls ([sync_lock]/[sync_unlock] with
     the lock id in [a0], [sync_barrier]) and the paper's Figure-1 LL/SC
@@ -311,7 +312,6 @@ let pp_atom ppf a =
 
 type ctx = {
   program : Alpha.Program.t;
-  shared_args : int list;
   entry_states : (string, rstate) Hashtbl.t;
   exit_states : (string, rstate) Hashtbl.t;
   sync_addrs : (abase * int * int, unit) Hashtbl.t;
@@ -354,7 +354,7 @@ let is_sync_addr ctx addr =
 let emit_atom ctx s ~proc ~idx ~write ~width ~insn addr =
   if ctx.collect then
     match addr with
-    | Aff { b = Barg i; tc; lo; hi } when List.mem i ctx.shared_args ->
+    | Aff { b = Barg i; tc; lo; hi } when i = 0 || i = 1 ->
         let acc = { ac_arg = i; ac_tc = tc; ac_lo = lo; ac_hi = hi; ac_width = width } in
         ctx.atoms <-
           {
@@ -619,8 +619,7 @@ let analyze_proc ctx cfgs ~record name =
         ctx.collect <- false
       end
 
-let analyze ?(shared_args = [ 0; 1 ]) ?(entry = "main") ~nprocs ~name
-    (program : Alpha.Program.t) =
+let analyze ~nprocs ~name (program : Alpha.Program.t) =
   let cfgs =
     List.map
       (fun (p : Alpha.Program.procedure) -> (p.Alpha.Program.name, Cfg.build p))
@@ -629,7 +628,6 @@ let analyze ?(shared_args = [ 0; 1 ]) ?(entry = "main") ~nprocs ~name
   let ctx =
     {
       program;
-      shared_args;
       entry_states = Hashtbl.create 8;
       exit_states = Hashtbl.create 8;
       sync_addrs = Hashtbl.create 8;
@@ -639,7 +637,7 @@ let analyze ?(shared_args = [ 0; 1 ]) ?(entry = "main") ~nprocs ~name
       dirty = false;
     }
   in
-  Hashtbl.replace ctx.entry_states entry (entry_rstate ());
+  Hashtbl.replace ctx.entry_states "main" (entry_rstate ());
   (* Joins only widen, and every per-register/lock/phase component sits
      in a finite-height lattice, so this converges; the round cap is a
      pure safety net. *)

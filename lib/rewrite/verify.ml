@@ -212,13 +212,12 @@ type report = {
   r_diags : diag list;
 }
 
-let verify_procedure ?(shared_base = 0x4000_0000) ?(require_llsc = true)
-    (proc : Alpha.Program.procedure) =
+let verify_procedure (proc : Alpha.Program.procedure) =
   let code = proc.Alpha.Program.code in
   let n = Array.length code in
   let cfg = Cfg.build proc in
   let avail, reach = analyze_avail cfg in
-  let classes = Dataflow.analyze ~shared_base cfg in
+  let classes = Dataflow.analyze cfg in
   let accesses = ref 0 in
   let diags = ref [] in
   let diag i reason =
@@ -266,7 +265,7 @@ let verify_procedure ?(shared_base = 0x4000_0000) ?(require_llsc = true)
           need_line i ~store:true ~width:w ~off ~base
       | I.Stf (_, off, base) when not (private_base i base) ->
           need_line i ~store:true ~width:I.W64 ~off ~base
-      | I.Ll (_, _, off, base) when require_llsc ->
+      | I.Ll (_, _, off, base) ->
           incr accesses;
           if
             not
@@ -276,7 +275,7 @@ let verify_procedure ?(shared_base = 0x4000_0000) ?(require_llsc = true)
           then
             let loose = function Ll_ok l -> l.ll_off = off && l.ll_base = base | _ -> false in
             diag i (explain code i ~base ~loose ~full:loose)
-      | I.Sc (w, r, off, base) when require_llsc ->
+      | I.Sc (w, r, off, base) ->
           incr accesses;
           if
             not
@@ -297,18 +296,8 @@ let verify_procedure ?(shared_base = 0x4000_0000) ?(require_llsc = true)
   done;
   { r_name = proc.Alpha.Program.name; r_accesses = !accesses; r_diags = List.rev !diags }
 
-(** [verify ?shared_base ?require_llsc program] — one report per
-    procedure.  [~require_llsc:false] accepts raw [Ll]/[Sc] without
-    checks, for code instrumented with [transform_ll_sc] off. *)
-let verify ?shared_base ?require_llsc (p : Alpha.Program.t) =
-  List.map
-    (fun proc -> verify_procedure ?shared_base ?require_llsc proc)
-    (Alpha.Program.procedures p)
+(** [verify program] — one report per procedure. *)
+let verify (p : Alpha.Program.t) = List.map verify_procedure (Alpha.Program.procedures p)
 
 let diags reports = List.concat_map (fun r -> r.r_diags) reports
 let ok reports = List.for_all (fun r -> r.r_diags = []) reports
-
-(** [check_exn ?shared_base program] — raise {!Uncovered_access} on the
-    first diagnostic (used by the optimizer's re-validation). *)
-let check_exn ?shared_base p =
-  match diags (verify ?shared_base p) with [] -> () | d :: _ -> raise (Uncovered_access d)

@@ -71,18 +71,18 @@ let () =
              region)
     | _ -> None)
 
-(** [alloc t ?align ?granularity bytes] — bump allocator over the shared
+(** [alloc t ?granularity bytes] — bump allocator over the shared
     address space, one cursor per layout region.
 
     [granularity] is a hint in bytes: the allocation is placed in the
     region whose coherence block size is closest to it (exact match
     preferred), so callers ask for fine blocks for locks and task queues
     and coarse blocks for bulk arrays without knowing the layout.
-    Without a hint the first region is used.  The default alignment is
-    the chosen region's block size, so no allocation straddles a
+    Without a hint the first region is used.  The allocation is aligned
+    to the chosen region's block size, so no allocation straddles a
     coherence block it doesn't fully occupy.  Raises {!Out_of_shared}
     when the region's remaining space cannot hold the request. *)
-let alloc ?align ?granularity t bytes =
+let alloc ?granularity t bytes =
   let layout = Protocol.Engine.layout t.peng in
   let ri =
     match granularity with
@@ -91,7 +91,7 @@ let alloc ?align ?granularity t bytes =
   in
   let r = Protocol.Layout.region layout ri in
   let ra = t.allocs.(ri) in
-  let align = match align with Some a -> a | None -> r.Protocol.Layout.r_block in
+  let align = r.Protocol.Layout.r_block in
   let a = (ra.ra_next + align - 1) / align * align in
   if a + bytes > r.Protocol.Layout.r_base + r.Protocol.Layout.r_size then
     raise (Out_of_shared { requested = bytes; region = r.Protocol.Layout.r_name });

@@ -18,7 +18,6 @@ type t = {
   checks_enabled : bool;
       (** charge inline-check overhead in API mode (off = original binary
           on hardware, the baseline of Table 3) *)
-  cpu_hz : float;
   private_mem_size : int;  (** per-process stack/static area, bytes *)
   fault_plan : Fault.Plan.t;
       (** injected network/node faults; the empty plan keeps the raw
@@ -39,22 +38,8 @@ let default =
     protocol = Protocol.Config.default;
     checks = default_check_costs;
     checks_enabled = true;
-    cpu_hz = Sim.Units.default_cpu_hz;
     private_mem_size = 1 lsl 20;
     fault_plan = Fault.Plan.empty;
     schedule = Sim.Engine.Fifo;
     parallel = 1;
   }
-
-(** [uniprocessor] — one processor, checks off: the "standard
-    application" baseline. *)
-let uniprocessor =
-  {
-    default with
-    net = { Mchan.Net.default_config with Mchan.Net.nodes = 1; cpus_per_node = 1 };
-    checks_enabled = false;
-  }
-
-let cycles t n = float_of_int n /. t.cpu_hz
-
-let shared_base t = t.protocol.Protocol.Config.shared_base

@@ -35,8 +35,6 @@ type t = {
   sync : Sync.t;
   peng : E.t;
   private_mem : Bytes.t;
-  flag_w32 : int64;  (** [Protocol.Config.flag_value _ W32], precomputed *)
-  flag_w64 : int64;  (** [Protocol.Config.flag_value _ W64], precomputed *)
   img : Protocol.Memimg.t;  (** this process's domain image, cached *)
   data : Bytes.t;  (** [img]'s bytes, indexed from [shared_lo] *)
   private_tab : Bytes.t;  (** [pcb]'s private state table *)
@@ -61,7 +59,7 @@ let flush_threshold = 2048
 
 let flush h =
   if h.acc_cycles > 0 then begin
-    Sim.Proc.work (Config.cycles h.cfg h.acc_cycles);
+    Sim.Proc.work (float_of_int h.acc_cycles /. Sim.Units.default_cpu_hz);
     h.acc_cycles <- 0
   end
 
@@ -98,8 +96,6 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       sync;
       peng;
       private_mem = Bytes.make cfg.Config.private_mem_size '\000';
-      flag_w32 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W32;
-      flag_w64 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W64;
       img;
       data = img.Protocol.Memimg.data;
       private_tab = pcb.E.st.E.private_tab;
@@ -144,8 +140,11 @@ let is_shared h addr = addr >= h.shared_lo && addr < h.shared_hi
 
 (* The miss-flag bit pattern for a width, without recomputing the 64-bit
    replication per access. *)
-let flag h (w : Alpha.Insn.width) =
-  match w with Alpha.Insn.W32 -> h.flag_w32 | Alpha.Insn.W64 -> h.flag_w64
+let flag_w32 = Protocol.Config.flag_value Alpha.Insn.W32
+let flag_w64 = Protocol.Config.flag_value Alpha.Insn.W64
+
+let flag (w : Alpha.Insn.width) =
+  match w with Alpha.Insn.W32 -> flag_w32 | Alpha.Insn.W64 -> flag_w64
 
 (** [layout h] — the region layout of the shared address space (block
     extents vary by region; consumers must not assume a fixed line). *)
@@ -203,7 +202,7 @@ let[@inline never] out_of_image addr =
 
 let[@inline never] load64_slow h addr v0 =
   let v =
-    if v0 = h.flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
+    if v0 = flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
     else v0
   in
   trace_access h ~store:false addr Alpha.Insn.W64 v;
@@ -223,7 +222,7 @@ let[@inline] load_word h ~priv ~shared addr =
     let off = addr - h.shared_lo in
     let v = Bytes.get_int64_le h.data off in
     match h.on_access with
-    | None when v <> h.flag_w64 -> v
+    | None when v <> flag_w64 -> v
     | None | Some _ -> load64_slow h addr v
   end
 
@@ -484,12 +483,11 @@ let alpha_runtime h =
     if is_shared h addr then E.raw_write h.pcb addr w v else private_write h addr w v
   in
   {
-    Alpha.Runtime.hz = h.cfg.Config.cpu_hz;
-    load = dispatch_read;
+    Alpha.Runtime.load = dispatch_read;
     store = dispatch_write;
     load_check =
       (fun value addr w ->
-        if is_shared h addr && value = flag h w then
+        if is_shared h addr && value = flag w then
           in_protocol h (fun () -> E.load_miss h.pcb addr w)
         else value);
     store_check =

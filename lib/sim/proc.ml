@@ -14,8 +14,7 @@
       holds (a shared-miss wait).  The CPU is held, but the quantum still
       expires, allowing other runnable processes to take over;
     - [block ()]: release the CPU until [wakeup] (a blocking syscall);
-    - [sleep dt]: release the CPU for [dt] seconds;
-    - [yield ()]: requeue behind other runnable processes.
+    - [sleep dt]: release the CPU for [dt] seconds.
 
     A process spin-waiting in [stall] beside a runnable competitor keeps
     the CPU until its quantum ends.  Each CPU has one quantum timer for
@@ -64,7 +63,6 @@ type t = {
       (** Service pending incoming messages; returns CPU seconds consumed. *)
   mutable stall_signal : Signal.t option;
       (** Pulsed when a message arrives for this process's node. *)
-  mutable poll_interval : float;
   mutable yield_waiting : bool;
       (** while signal-waiting in a stall, cede the CPU immediately to any
           runnable process instead of spinning out the quantum (idle
@@ -284,11 +282,9 @@ type _ Effect.t +=
   | Suspend : (unit -> unit) -> unit Effect.t
   | Stall : (unit -> bool) -> unit Effect.t
   | Block : unit Effect.t
-  | Yield : unit Effect.t
 
 let stall pred = Effect.perform (Stall pred)
 let block () = Effect.perform Block
-let yield () = Effect.perform Yield
 
 (* The process whose fiber this domain is running, written at every
    resume.  Domain-local: parallel lanes run fibers on several domains
@@ -344,6 +340,9 @@ let poll p =
     leave p (fun () -> Printexc.raise_with_backtrace e bt);
     assert false (* [leave] ran the raise *)
 
+(** The work-slice length: a process polls for messages this often. *)
+let poll_interval = 2e-6
+
 (* Work [rem] seconds in slices of at most [poll_interval], polling for
    messages after each one and charging the service time; cede the CPU
    at the end of the quantum when another process is runnable.  A slice
@@ -360,8 +359,8 @@ let rec slices p rem =
     else begin
       (* When the quantum has expired but nothing else is runnable, keep
          working in normal poll-sized slices. *)
-      let quantum_cap = if until_quantum > 0.0 then until_quantum else p.poll_interval in
-      let slice = Float.min rem (Float.min p.poll_interval quantum_cap) in
+      let quantum_cap = if until_quantum > 0.0 then until_quantum else poll_interval in
+      let slice = Float.min rem (Float.min poll_interval quantum_cap) in
       let v = p.version in
       if inline p v slice then sliced p v slice rem
       else
@@ -450,17 +449,10 @@ let run_fiber p body =
                   | Some c when c == p -> cpu.current <- None
                   | Some _ | None -> ());
                   dispatch cpu)
-          | Yield ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  p.activity <- Thunk (fun () -> resume p k ());
-                  preempt p)
           | _ -> None);
     }
 
-let default_poll_interval = 2e-6
-
-let spawn ?(priority = 0) ?(name = "proc") ?(poll_interval = default_poll_interval) cpu body =
+let spawn ?(priority = 0) ?(name = "proc") cpu body =
   if priority < 0 || priority >= priority_levels then invalid_arg "Proc.spawn: priority";
   let pid = !(cpu.next_pid) in
   incr cpu.next_pid;
@@ -475,7 +467,6 @@ let spawn ?(priority = 0) ?(name = "proc") ?(poll_interval = default_poll_interv
       version = 0;
       on_poll = (fun _ -> 0.0);
       stall_signal = None;
-      poll_interval;
       yield_waiting = false;
       work_time = 0.0;
       msg_time = 0.0;

@@ -1,14 +1,7 @@
-(** Online statistics: counters, log-spaced histograms, host GC deltas.
+(** Online statistics: log-spaced histograms, host GC deltas.
 
-    Used by the reliable transport to count its traffic, by the load
-    recorder for per-request latency percentiles, and by the benchmark
-    harnesses to report host allocation. *)
-
-type counter = { mutable count : int }
-
-let counter () = { count = 0 }
-let incr_counter c = c.count <- c.count + 1
-let counter_value c = c.count
+    Used by the load recorder for per-request latency percentiles, and
+    by the benchmark harnesses to report host allocation. *)
 
 (** Log-spaced (HDR-style) histogram: bucket boundaries grow
     geometrically, so relative resolution is constant across the whole

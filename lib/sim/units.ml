@@ -1,34 +1,13 @@
-(** Time units and the cycle/time conversions used throughout the simulator.
+(** Time units used throughout the simulator.
 
     All simulated time is expressed in seconds (float).  The prototype
     cluster in the paper uses 300 MHz Alpha 21164 processors, so one cycle
-    is 1/300e6 s; helpers below convert between instruction counts and
-    seconds at that clock rate unless a different frequency is given. *)
+    is 1/300e6 s. *)
 
-type seconds = float
-
-let ns = 1e-9
 let us = 1e-6
-let ms = 1e-3
 
 (** Default processor frequency of the prototype cluster (Hz). *)
 let default_cpu_hz = 300.0e6
 
-(** [cycles ?hz n] is the duration of [n] cycles at frequency [hz]. *)
-let cycles ?(hz = default_cpu_hz) n = float_of_int n /. hz
-
-(** [cycles_f ?hz n] is the duration of a fractional cycle count. *)
-let cycles_f ?(hz = default_cpu_hz) n = n /. hz
-
 (** [to_us t] converts seconds to microseconds (for reporting). *)
 let to_us t = t /. us
-
-(** [to_ms t] converts seconds to milliseconds (for reporting). *)
-let to_ms t = t /. ms
-
-(** [pp_time ppf t] prints a duration with an adaptive unit. *)
-let pp_time ppf t =
-  if Float.abs t >= 1.0 then Format.fprintf ppf "%.3fs" t
-  else if Float.abs t >= ms then Format.fprintf ppf "%.2fms" (to_ms t)
-  else if Float.abs t >= us then Format.fprintf ppf "%.2fus" (to_us t)
-  else Format.fprintf ppf "%.1fns" (t /. ns)

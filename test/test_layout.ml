@@ -114,7 +114,7 @@ let test_spec_parse () =
   | l -> Alcotest.failf "expected 1 region, got %d" (List.length l));
   Alcotest.check_raises "bad block size rejected"
     (Invalid_argument "Layout: region 0 (shared): block size 48 is not a power of two")
-    (fun () -> ignore (L.of_spec ~base ~size "48"));
+    (fun () -> ignore (L.create ~base ~size (L.specs_of_spec ~size "48")));
   List.iter
     (fun (spec, msg) ->
       Alcotest.check_raises spec (Invalid_argument msg) (fun () ->

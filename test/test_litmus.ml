@@ -124,6 +124,19 @@ let test_oracle_store_buffering () =
         (String.length v > 0)
   | l -> Alcotest.failf "expected exactly one global-SC violation, got %d" (List.length l)
 
+(* Two memories that differ must never share a memo key.  The bindings
+   (256, 9246) and (256, 52188) hash alike, so a key that hashes each
+   (addr, value) binding merges the states where x holds one or the
+   other, and prunes the only paths to the witness: P1 stores x then y,
+   P0 stores x, P2 reads y and then P0's x. *)
+let test_oracle_memo_keeps_memories_apart () =
+  let x = 256 and y = 512 and v0 = 9246L and v1 = 52188L in
+  Alcotest.(check int) "the two bindings hash alike" (Hashtbl.hash (x, v0)) (Hashtbl.hash (x, v1));
+  let t =
+    mk_trace [ ev 0 x true v0; ev 1 x true v1; ev 1 y true 1L; ev 2 y false 1L; ev 2 x false v0 ]
+  in
+  Alcotest.(check (list string)) "SC witness found" [] (T.check ~full:true t)
+
 (* --- mutation harness --------------------------------------------- *)
 
 (* Satellite: every seeded protocol bug must fire and be caught, well
@@ -213,4 +226,6 @@ let suite =
       Alcotest.test_case "checker has zero simulation cost" `Quick test_checker_zero_sim_cost;
       Alcotest.test_case "default schedule deterministic" `Quick
         test_default_schedule_deterministic;
+      Alcotest.test_case "oracle memo keeps memories apart" `Quick
+        test_oracle_memo_keeps_memories_apart;
     ]

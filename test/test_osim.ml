@@ -26,9 +26,9 @@ let test_fork_wait () =
   let reaped = ref (-1, -1) in
   let _ =
     K.start k (fun ctx ->
-        let pid = K.fork ctx (fun cctx ->
+        let pid = K.fork ctx (fun _ ->
             child_ran := true;
-            K.exit_process cctx 7)
+            raise (K.Exit_process 7))
         in
         let rp, status = K.wait ctx in
         Alcotest.(check int) "reaped the forked child" pid rp;

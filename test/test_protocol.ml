@@ -633,7 +633,7 @@ let test_batch_defers_invalidation_flags () =
   let block = ref 0 in
   let value_mid = ref 0L and flag_mid = ref true in
   let flag_after = ref false in
-  let flag = P.Config.flag_value w.eng.E.core.P.Core.cfg Alpha.Insn.W32 in
+  let flag = P.Config.flag_value Alpha.Insn.W32 in
   let _ =
     worker w ~cpu_i:0 (fun pcb ->
         ignore (sload pcb a);
@@ -947,7 +947,6 @@ let test_core_stale_home_hint () =
    is armed.  [expect_home] pins the placement itself. *)
 let check_init_memory (c : Core.t) ~expect_home =
   let layout = c.Core.layout in
-  let flag32 = c.Core.cfg.P.Config.flag32 in
   let base = P.Layout.base layout in
   List.iter
     (fun (d : Core.domain) ->
@@ -963,7 +962,7 @@ let check_init_memory (c : Core.t) ~expect_home =
         let st = Bytes.get d.Core.shared_tab b in
         if st <> if at_home then 'S' else 'I' then
           Alcotest.failf "domain %d block %d: shared_tab %c" id b st;
-        let want = if at_home then 0l else flag32 in
+        let want = if at_home then 0l else P.Memimg.flag32 in
         let off = P.Layout.block_base layout b - base in
         for w = 0 to (P.Layout.block_len layout b / 4) - 1 do
           let v = Bytes.get_int32_le img.P.Memimg.data (off + (4 * w)) in
@@ -1016,7 +1015,27 @@ let test_attach_after_init_raises () =
   ignore (P.Memimg.ll home.Core.img ~pid:0 base Alpha.Insn.W64);
   Alcotest.check_raises "fill_flags with a monitor armed"
     (Invalid_argument "Memimg.fill_flags: a monitor is armed") (fun () ->
-      P.Memimg.fill_flags home.Core.img ~flag32:0l)
+      P.Memimg.fill_flags home.Core.img)
+
+(* [Protocol.Core.t] holds no closures, so a whole protocol state can
+   be copied with [Marshal], which raises on a functional value.  After
+   a full LU run on 2x2 the state marshals, and its copy marshals to
+   the same bytes. *)
+let test_core_marshals_after_run () =
+  let cl =
+    Shasta.Cluster.create
+      {
+        Shasta.Config.default with
+        Shasta.Config.net = { Mchan.Net.default_config with Mchan.Net.nodes = 2; cpus_per_node = 2 };
+      }
+  in
+  let _, ok = Apps.Harness.run_spec cl Apps.Lu.spec ~nprocs:4 ~sync:Apps.Harness.Mp ~size:16 () in
+  Alcotest.(check bool) "LU validates" true ok;
+  let core = (Shasta.Cluster.protocol_engine cl).E.core in
+  let bytes = Marshal.to_string core [] in
+  let copy : P.Core.t = Marshal.from_string bytes 0 in
+  Alcotest.(check bool) "the copy marshals to the same bytes" true
+    (String.equal bytes (Marshal.to_string copy []))
 
 let suite =
   [
@@ -1054,4 +1073,5 @@ let suite =
     Alcotest.test_case "core: stale home hints" `Quick test_core_stale_home_hint;
     Alcotest.test_case "core: init lays out every image" `Quick test_init_memory_state;
     Alcotest.test_case "core: attach after init raises" `Quick test_attach_after_init_raises;
+    Alcotest.test_case "core: marshals after a run" `Quick test_core_marshals_after_run;
   ]

@@ -3,7 +3,7 @@
 
 open Alpha
 
-let shared_base = Rewrite.Instrument.default_options.Rewrite.Instrument.shared_base
+let shared_base = Protocol.Config.default.Protocol.Config.shared_base
 
 let instrument ?options prog = Rewrite.Instrument.instrument ?options prog
 

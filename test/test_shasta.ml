@@ -361,7 +361,7 @@ let test_uninstrumented_binary_reads_flags () =
   C.init ~homes:[ 0 ] cl;
   ignore (C.run cl);
   Alcotest.(check int64) "flag value observed"
-    (Protocol.Config.flag_value Cfg.default.Cfg.protocol Alpha.Insn.W64)
+    (Protocol.Config.flag_value Alpha.Insn.W64)
     !seen
 
 let test_instrumented_same_program_reads_correctly () =

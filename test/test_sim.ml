@@ -370,7 +370,7 @@ let test_proc_lone_slices_fire_inline () =
   let _p =
     Proc.spawn cpu (fun () ->
         let w0 = Gc.minor_words () in
-        Proc.work (1000.0 *. Proc.default_poll_interval);
+        Proc.work (1000.0 *. Proc.poll_interval);
         words := Gc.minor_words () -. w0)
   in
   ignore (Engine.run eng);
@@ -396,7 +396,7 @@ let test_proc_poll_exception_escapes () =
       Alcotest.check_raises "escapes Engine.run" Poll_failed (fun () ->
           ignore (Engine.run eng));
       Alcotest.(check bool) "not a process failure" true (p.Proc.failure = None);
-      check_f "raised after the third slice" (3.0 *. Proc.default_poll_interval)
+      check_f "raised after the third slice" (3.0 *. Proc.poll_interval)
         (Engine.now eng))
     [ Engine.Fifo; guided (fun _ -> 0) ]
 

@@ -132,10 +132,7 @@ let test_uncovered_flag_not_adjacent () =
 
 let test_uncovered_llsc () =
   let prog = Asm.(program [ proc "main" [ ll W32 t0 0 a0; halt ] ]) in
-  Alcotest.(check int) "raw LL flagged" 1 (n_diags prog);
-  (* ... unless the caller says LL/SC transformation was off. *)
-  Alcotest.(check bool) "accepted with require_llsc:false" true
-    (V.ok (V.verify ~require_llsc:false prog))
+  Alcotest.(check int) "raw LL flagged" 1 (n_diags prog)
 
 (* --- seeded instrumenter mutations: the validator convicts all --- *)
 
@@ -274,38 +271,25 @@ let test_corpus_bit_identical_with_fewer_check_slots () =
     Apps.Ircorpus.all;
   Alcotest.(check bool) "check slots drop overall" true (!total_opt < !total_base)
 
-(* --- pass interaction: batching x granularity x polls x LL/SC --- *)
+(* --- pass interaction: batching x granularity x polls --- *)
 
-let test_pass_interaction_16_combos () =
+let test_pass_interaction_8_combos () =
   List.iter
     (fun batching ->
       List.iter
         (fun granularity_table ->
           List.iter
             (fun polls ->
+              let options = { Inst.default_options with Inst.batching; granularity_table; polls } in
               List.iter
-                (fun transform_ll_sc ->
-                  let options =
-                    {
-                      Inst.default_options with
-                      Inst.batching;
-                      granularity_table;
-                      polls;
-                      transform_ll_sc;
-                    }
+                (fun (e : Apps.Ircorpus.entry) ->
+                  let prog, _ = instrument ~options e.Apps.Ircorpus.e_program in
+                  let label =
+                    Printf.sprintf "%s batching=%b gran=%b polls=%b" e.Apps.Ircorpus.e_name batching
+                      granularity_table polls
                   in
-                  List.iter
-                    (fun (e : Apps.Ircorpus.entry) ->
-                      let prog, _ = instrument ~options e.Apps.Ircorpus.e_program in
-                      let label =
-                        Printf.sprintf "%s batching=%b gran=%b polls=%b llsc=%b"
-                          e.Apps.Ircorpus.e_name batching granularity_table polls transform_ll_sc
-                      in
-                      Alcotest.(check bool)
-                        label true
-                        (V.ok (V.verify ~require_llsc:transform_ll_sc prog)))
-                    Apps.Ircorpus.all)
-                [ true; false ])
+                  Alcotest.(check bool) label true (V.ok (V.verify prog)))
+                Apps.Ircorpus.all)
             [ true; false ])
         [ true; false ])
     [ true; false ]
@@ -388,7 +372,7 @@ let suite =
     Alcotest.test_case "polls block hoisting" `Quick test_polls_block_hoisting;
     Alcotest.test_case "corpus bit-identical, fewer check slots" `Quick
       test_corpus_bit_identical_with_fewer_check_slots;
-    Alcotest.test_case "pass interaction: 16 combos" `Quick test_pass_interaction_16_combos;
+    Alcotest.test_case "pass interaction: 8 combos" `Quick test_pass_interaction_8_combos;
     Alcotest.test_case "corpus code growth band" `Quick test_corpus_code_growth_band;
     Alcotest.test_case "pp_stats golden" `Quick test_pp_stats_golden;
     Alcotest.test_case "instrumenter mutation miss reported" `Quick test_instrumenter_miss_reported;
