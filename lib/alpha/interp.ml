@@ -85,19 +85,80 @@ let check_alignment addr w =
   let b = Insn.bytes_of_width w in
   if addr land (b - 1) <> 0 then trap "unaligned %d-byte access at 0x%x" b addr
 
+(* The register files.  Integer registers live in a flat [Bytes] store,
+   8 bytes each, and float registers in a flat [float array]; both are
+   read and written only through these closed helpers, which ocamlopt
+   inlines, so a register value stays unboxed from its read to its
+   write.  r31 and f31 read as zero because their slots are never
+   written. *)
+let[@inline] get_reg regs r = Bytes.get_int64_le regs (r lsl 3)
+let[@inline] set_reg regs r v = if r <> 31 then Bytes.set_int64_le regs (r lsl 3) v
+let[@inline] get_freg (fregs : float array) f = fregs.(f)
+let[@inline] set_freg (fregs : float array) f v = if f <> 31 then fregs.(f) <- v
+let[@inline] addr_of regs off base = Int64.to_int (get_reg regs base) + off
+
+let[@inline] eval_operand regs = function
+  | Insn.Reg r -> get_reg regs r
+  | Insn.Imm i -> Int64.of_int i
+
+let[@inline] eval_binop op a b =
+  let open Int64 in
+  match (op : Insn.binop) with
+  | Insn.Add -> add a b
+  | Insn.Sub -> sub a b
+  | Insn.Mul -> mul a b
+  | Insn.And -> logand a b
+  | Insn.Or -> logor a b
+  | Insn.Xor -> logxor a b
+  | Insn.Sll -> shift_left a (to_int b land 63)
+  | Insn.Srl -> shift_right_logical a (to_int b land 63)
+  | Insn.Sra -> shift_right a (to_int b land 63)
+  | Insn.Cmpeq -> if equal a b then 1L else 0L
+  | Insn.Cmplt -> if compare a b < 0 then 1L else 0L
+  | Insn.Cmple -> if compare a b <= 0 then 1L else 0L
+  | Insn.Cmpult -> if unsigned_compare a b < 0 then 1L else 0L
+
+let[@inline] eval_cond c (v : int64) =
+  match (c : Insn.cond) with
+  | Insn.Eq -> v = 0L
+  | Insn.Ne -> v <> 0L
+  | Insn.Lt -> Int64.compare v 0L < 0
+  | Insn.Le -> Int64.compare v 0L <= 0
+  | Insn.Gt -> Int64.compare v 0L > 0
+  | Insn.Ge -> Int64.compare v 0L >= 0
+
+let[@inline] eval_fcond c (a : float) (b : float) =
+  match (c : Insn.cond) with
+  | Insn.Eq -> a = b
+  | Insn.Ne -> a <> b
+  | Insn.Lt -> a < b
+  | Insn.Le -> a <= b
+  | Insn.Gt -> a > b
+  | Insn.Ge -> a >= b
+
+let[@inline] eval_fbinop op x y =
+  match (op : Insn.fbinop) with
+  | Insn.Fadd -> x +. y
+  | Insn.Fsub -> x -. y
+  | Insn.Fmul -> x *. y
+  | Insn.Fdiv -> x /. y
+
+(* Resolve a batch's addresses into [addrs], in entry order. *)
+let rec resolve_batch regs addrs i = function
+  | [] -> ()
+  | e :: rest ->
+      addrs.(i) <- addr_of regs e.Insn.b_off e.Insn.b_base;
+      resolve_batch regs addrs (i + 1) rest
+
 let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~entry
     ?(args = []) () =
-  let regs = Array.make 32 0L in
+  let regs = Bytes.make (32 * 8) '\000' in
   let fregs = Array.make 32 0.0 in
   List.iteri
     (fun i v ->
       if i > 5 then invalid_arg "Interp.run: more than 6 arguments";
-      regs.(16 + i) <- v)
+      set_reg regs (16 + i) v)
     args;
-  let rget r = if r = 31 then 0L else regs.(r) in
-  let rset r v = if r <> 31 then regs.(r) <- v in
-  let fget f = if f = 31 then 0.0 else fregs.(f) in
-  let fset f v = if f <> 31 then fregs.(f) <- v in
   let stats =
     { steps = 0; loads = 0; stores = 0; polls = 0; mbs = 0; ll_sc = 0; check_slots = 0 }
   in
@@ -117,46 +178,9 @@ let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~ent
         Hashtbl.add metas proc.Program.name m;
         m
   in
-  let addr_of off base = Int64.to_int (rget base) + off in
-  let eval_operand = function
-    | Insn.Reg r -> rget r
-    | Insn.Imm i -> Int64.of_int i
-  in
-  let eval_binop op a b =
-    let open Int64 in
-    match (op : Insn.binop) with
-    | Insn.Add -> add a b
-    | Insn.Sub -> sub a b
-    | Insn.Mul -> mul a b
-    | Insn.And -> logand a b
-    | Insn.Or -> logor a b
-    | Insn.Xor -> logxor a b
-    | Insn.Sll -> shift_left a (to_int b land 63)
-    | Insn.Srl -> shift_right_logical a (to_int b land 63)
-    | Insn.Sra -> shift_right a (to_int b land 63)
-    | Insn.Cmpeq -> if equal a b then 1L else 0L
-    | Insn.Cmplt -> if compare a b < 0 then 1L else 0L
-    | Insn.Cmple -> if compare a b <= 0 then 1L else 0L
-    | Insn.Cmpult -> if unsigned_compare a b < 0 then 1L else 0L
-  in
-  let eval_cond c (v : int64) =
-    match (c : Insn.cond) with
-    | Insn.Eq -> v = 0L
-    | Insn.Ne -> v <> 0L
-    | Insn.Lt -> Int64.compare v 0L < 0
-    | Insn.Le -> Int64.compare v 0L <= 0
-    | Insn.Gt -> Int64.compare v 0L > 0
-    | Insn.Ge -> Int64.compare v 0L >= 0
-  in
-  let eval_fcond c (a : float) (b : float) =
-    match (c : Insn.cond) with
-    | Insn.Eq -> a = b
-    | Insn.Ne -> a <> b
-    | Insn.Lt -> a < b
-    | Insn.Le -> a <= b
-    | Insn.Gt -> a > b
-    | Insn.Ge -> a >= b
-  in
+  (* Resolved batch addresses, reused across executions; grown to the
+     longest batch met. *)
+  let batch_addrs = ref (Array.make 8 0) in
   let entry_proc = Program.find program entry in
   let call_stack : frame list ref = ref [] in
   let frame = ref { proc = entry_proc; meta = meta_of entry_proc; pc = 0 } in
@@ -188,24 +212,18 @@ let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~ent
         for i = pc to pc + n - 1 do
           cyc := !cyc + m.m_cost.(i);
           match code.(i) with
-          | Insn.Binop (op, a, b, d) -> rset d (eval_binop op (rget a) (eval_operand b))
-          | Insn.Li (r, v) -> rset r v
-          | Insn.Lif (fr, v) -> fset fr v
+          | Insn.Binop (op, a, b, d) ->
+              set_reg regs d (eval_binop op (get_reg regs a) (eval_operand regs b))
+          | Insn.Li (r, v) -> set_reg regs r v
+          | Insn.Lif (fr, v) -> set_freg fregs fr v
           | Insn.Fbinop (op, a, b, d) ->
-              let x = fget a and y = fget b in
-              let v =
-                match op with
-                | Insn.Fadd -> x +. y
-                | Insn.Fsub -> x -. y
-                | Insn.Fmul -> x *. y
-                | Insn.Fdiv -> x /. y
-              in
-              fset d v
+              set_freg fregs d (eval_fbinop op (get_freg fregs a) (get_freg fregs b))
           | Insn.Fcmp (c, a, b, d) ->
-              rset d (if eval_fcond c (fget a) (fget b) then 1L else 0L)
-          | Insn.Cvt_if (r, fr) -> fset fr (Int64.to_float (rget r))
-          | Insn.Cvt_fi (fr, r) -> rset r (Int64.of_float (fget fr))
-          | Insn.Fmov (a, d) -> fset d (fget a)
+              set_reg regs d
+                (if eval_fcond c (get_freg fregs a) (get_freg fregs b) then 1L else 0L)
+          | Insn.Cvt_if (r, fr) -> set_freg fregs fr (Int64.to_float (get_reg regs r))
+          | Insn.Cvt_fi (fr, r) -> set_reg regs r (Int64.of_float (get_freg fregs fr))
+          | Insn.Fmov (a, d) -> set_freg fregs d (get_freg fregs a)
           | _ -> assert false
         done;
         acc_cycles := !acc_cycles + !cyc;
@@ -221,64 +239,58 @@ let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~ent
       if !acc_cycles >= flush_threshold then flush ();
       f.pc <- pc + 1;
       match insn with
-      | Insn.Binop (op, a, b, d) -> rset d (eval_binop op (rget a) (eval_operand b))
-      | Insn.Li (r, v) -> rset r v
-      | Insn.Lif (fr, v) -> fset fr v
+      | Insn.Binop (op, a, b, d) ->
+          set_reg regs d (eval_binop op (get_reg regs a) (eval_operand regs b))
+      | Insn.Li (r, v) -> set_reg regs r v
+      | Insn.Lif (fr, v) -> set_freg fregs fr v
       | Insn.Ld (w, d, off, b) ->
           stats.loads <- stats.loads + 1;
-          let addr = addr_of off b in
+          let addr = addr_of regs off b in
           check_alignment addr w;
-          rset d (rt.Runtime.load addr w)
+          set_reg regs d (rt.Runtime.load addr w)
       | Insn.St (w, s, off, b) ->
           stats.stores <- stats.stores + 1;
-          let addr = addr_of off b in
+          let addr = addr_of regs off b in
           check_alignment addr w;
-          rt.Runtime.store addr w (rget s)
+          rt.Runtime.store addr w (get_reg regs s)
       | Insn.Ldf (d, off, b) ->
           stats.loads <- stats.loads + 1;
-          let addr = addr_of off b in
+          let addr = addr_of regs off b in
           check_alignment addr Insn.W64;
-          fset d (Int64.float_of_bits (rt.Runtime.load addr Insn.W64))
+          set_freg fregs d (Int64.float_of_bits (rt.Runtime.load addr Insn.W64))
       | Insn.Stf (s, off, b) ->
           stats.stores <- stats.stores + 1;
-          let addr = addr_of off b in
+          let addr = addr_of regs off b in
           check_alignment addr Insn.W64;
-          rt.Runtime.store addr Insn.W64 (Int64.bits_of_float (fget s))
+          rt.Runtime.store addr Insn.W64 (Int64.bits_of_float (get_freg fregs s))
       | Insn.Fbinop (op, a, b, d) ->
-          let x = fget a and y = fget b in
-          let v =
-            match op with
-            | Insn.Fadd -> x +. y
-            | Insn.Fsub -> x -. y
-            | Insn.Fmul -> x *. y
-            | Insn.Fdiv -> x /. y
-          in
-          fset d v
-      | Insn.Fcmp (c, a, b, d) -> rset d (if eval_fcond c (fget a) (fget b) then 1L else 0L)
-      | Insn.Cvt_if (r, fr) -> fset fr (Int64.to_float (rget r))
-      | Insn.Cvt_fi (fr, r) -> rset r (Int64.of_float (fget fr))
-      | Insn.Fmov (a, d) -> fset d (fget a)
+          set_freg fregs d (eval_fbinop op (get_freg fregs a) (get_freg fregs b))
+      | Insn.Fcmp (c, a, b, d) ->
+          set_reg regs d (if eval_fcond c (get_freg fregs a) (get_freg fregs b) then 1L else 0L)
+      | Insn.Cvt_if (r, fr) -> set_freg fregs fr (Int64.to_float (get_reg regs r))
+      | Insn.Cvt_fi (fr, r) -> set_reg regs r (Int64.of_float (get_freg fregs fr))
+      | Insn.Fmov (a, d) -> set_freg fregs d (get_freg fregs a)
       | Insn.Ll (w, d, off, b) ->
           stats.ll_sc <- stats.ll_sc + 1;
-          let addr = addr_of off b in
+          let addr = addr_of regs off b in
           check_alignment addr w;
-          rset d (rt.Runtime.ll addr w)
+          set_reg regs d (rt.Runtime.ll addr w)
       | Insn.Sc (w, s, off, b) -> (
           stats.ll_sc <- stats.ll_sc + 1;
-          let addr = addr_of off b in
+          let addr = addr_of regs off b in
           check_alignment addr w;
           match !sc_override with
           | Some ok ->
               sc_override := None;
-              rset s (if ok then 1L else 0L)
+              set_reg regs s (if ok then 1L else 0L)
           | None ->
-              let ok = rt.Runtime.sc addr w (rget s) in
-              rset s (if ok then 1L else 0L))
+              let ok = rt.Runtime.sc addr w (get_reg regs s) in
+              set_reg regs s (if ok then 1L else 0L))
       | Insn.Mb ->
           stats.mbs <- stats.mbs + 1;
           rt.Runtime.mb ()
       | Insn.Br _ -> f.pc <- m.m_target.(pc)
-      | Insn.Bcond (c, r, _) -> if eval_cond c (rget r) then f.pc <- m.m_target.(pc)
+      | Insn.Bcond (c, r, _) -> if eval_cond c (get_reg regs r) then f.pc <- m.m_target.(pc)
       | Insn.Call name -> (
           let callee =
             match m.m_callee.(pc) with
@@ -301,8 +313,8 @@ let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~ent
                  the runtime accepts it (it may suspend the process, so
                  flush accumulated cycles first), else a trap. *)
               flush ();
-              if not (rt.Runtime.syscall name regs) then
-                raise (Program.Unknown_procedure name))
+              if not (rt.Runtime.syscall name (Array.init 6 (fun i -> get_reg regs (16 + i))))
+              then raise (Program.Unknown_procedure name))
       | Insn.Ret -> (
           match !call_stack with
           | [] -> running := false
@@ -312,26 +324,27 @@ let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~ent
       | Insn.Halt -> running := false
       | Insn.Load_check (w, r, off, b) ->
           flush ();
-          let addr = addr_of off b in
-          rset r (rt.Runtime.load_check (rget r) addr w)
+          (* The inserted flag compare, inline: only a load that
+             returned the flag value calls into the runtime. *)
+          let v = get_reg regs r in
+          if Int64.equal v (rt.Runtime.miss_flag w) then
+            set_reg regs r (rt.Runtime.load_check v (addr_of regs off b) w)
       | Insn.Store_check (w, off, b) ->
           flush ();
-          rt.Runtime.store_check (addr_of off b) w
+          rt.Runtime.store_check (addr_of regs off b) w
       | Insn.Batch_check entries ->
           flush ();
-          let resolved =
-            List.map
-              (fun e ->
-                (addr_of e.Insn.b_off e.Insn.b_base, e.Insn.b_width, e.Insn.b_kind))
-              entries
-          in
-          rt.Runtime.batch_check resolved
+          let n = List.length entries in
+          if Array.length !batch_addrs < n then batch_addrs := Array.make n 0;
+          let addrs = !batch_addrs in
+          resolve_batch regs addrs 0 entries;
+          rt.Runtime.batch_check entries addrs
       | Insn.Ll_check (off, b) ->
           flush ();
-          rt.Runtime.ll_check (addr_of off b)
+          rt.Runtime.ll_check (addr_of regs off b)
       | Insn.Sc_check (w, r, off, b) -> (
           flush ();
-          match rt.Runtime.sc_check (addr_of off b) w (rget r) with
+          match rt.Runtime.sc_check (addr_of regs off b) w (get_reg regs r) with
           | Runtime.Run_in_hardware -> sc_override := None
           | Runtime.Handled ok -> sc_override := Some ok)
       | Insn.Gran_lookup _ ->
@@ -347,10 +360,10 @@ let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~ent
           rt.Runtime.poll ()
       | Insn.Prefetch_excl (off, b) ->
           flush ();
-          rt.Runtime.prefetch_excl (addr_of off b)
+          rt.Runtime.prefetch_excl (addr_of regs off b)
       | Insn.Label _ -> trap "label survived assembly"
       end
     end
   done;
   flush ();
-  { r0 = rget 0; stats }
+  { r0 = get_reg regs 0; stats }

@@ -23,14 +23,20 @@ type sc_outcome =
 type t = {
   load : int -> Insn.width -> int64;  (** raw load *)
   store : int -> Insn.width -> int64 -> unit;  (** raw store *)
+  miss_flag : Insn.width -> int64;
+      (** the value a load of this width returns from an invalid line;
+          the interpreter compares each checked load with it inline *)
   load_check : int64 -> int -> Insn.width -> int64;
-      (** [load_check value addr w]: inline flag comparison after a shared
-          load; on a flag match, distinguishes a real miss (enter protocol,
-          fetch, return the true value) from a false miss. *)
+      (** [load_check value addr w]: called only when a checked load
+          returned [miss_flag w]; distinguishes a real miss (enter
+          protocol, fetch, return the true value) from a false miss. *)
   store_check : int -> Insn.width -> unit;
       (** ensure the line is exclusive before the following store *)
-  batch_check : (int * Insn.width * Insn.access_kind) list -> unit;
-      (** combined check for a run of nearby accesses (Section 2.2/4.1) *)
+  batch_check : Insn.batch_entry list -> int array -> unit;
+      (** [batch_check entries addrs]: combined check for a run of nearby
+          accesses (Section 2.2/4.1); [addrs.(i)] is the resolved
+          address of the [i]th entry.  The interpreter reuses [addrs]
+          across executions, so it may be longer than [entries]. *)
   ll : int -> Insn.width -> int64;  (** raw load-locked (sets the lock flag) *)
   sc : int -> Insn.width -> int64 -> bool;  (** raw store-conditional *)
   ll_check : int -> unit;
@@ -43,13 +49,12 @@ type t = {
   prefetch_excl : int -> unit;  (** non-binding exclusive prefetch *)
   charge : int -> unit;  (** consume [n] cycles of simulated CPU time *)
   syscall : string -> int64 array -> bool;
-      (** [syscall name regs]: a [Call] to a procedure the program does
-          not define is routed here with the live integer register file;
-          [true] means the runtime handled it (a system call — by
-          convention it reads its arguments from [a0..a5] and leaves
-          every register unchanged), [false] traps as an unknown
-          procedure.  The recognised names are the MP synchronisation
-          entry points below. *)
+      (** [syscall name args]: a [Call] to a procedure the program does
+          not define is routed here with the argument registers
+          [a0..a5] as [args.(0..5)]; [true] means the runtime handled
+          it (a system call, which leaves every register unchanged),
+          [false] traps as an unknown procedure.  The recognised names
+          are the MP synchronisation entry points below. *)
 }
 
 (* Synchronisation system calls: SPMD kernels reach the MP lock and
@@ -87,9 +92,12 @@ let flat ?(charge = fun _ -> ()) ~size () =
   {
     load;
     store;
+    (* No line is ever invalid here: any flag will do, and a load that
+       happens to match it is returned as it is. *)
+    miss_flag = (fun _ -> Int64.min_int);
     load_check = (fun value _addr _w -> value);
     store_check = (fun _ _ -> ());
-    batch_check = (fun _ -> ());
+    batch_check = (fun _ _ -> ());
     ll =
       (fun addr w ->
         lock_flag := true;
@@ -109,5 +117,5 @@ let flat ?(charge = fun _ -> ()) ~size () =
     charge;
     (* Uniprocessor synchronisation: a lock is always free, a barrier
        has nobody to wait for. *)
-    syscall = (fun name _regs -> is_sync_proc name);
+    syscall = (fun name _args -> is_sync_proc name);
   }

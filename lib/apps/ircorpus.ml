@@ -557,7 +557,7 @@ let proc_times cl =
     (List.map
        (fun h ->
          let p = h.R.proc in
-         (p.Sim.Proc.work_time, p.Sim.Proc.msg_time))
+         (p.Sim.Proc.times.Sim.Proc.work_time, p.Sim.Proc.times.Sim.Proc.msg_time))
        (C.runtimes cl))
 
 (** [run instrumented entry] — execute an instrumented version of

@@ -68,18 +68,20 @@ let[@inline] charge_cycles h n =
   if h.acc_cycles >= flush_threshold then flush h
 
 (* Protocol routines and system calls set the per-process flag used by
-   the direct-downgrade optimisation (Section 4.3.4). *)
-let in_protocol h f =
+   the direct-downgrade optimisation (Section 4.3.4): [in_protocol h f x]
+   runs [f x] with the flag cleared.  Taking [f]'s argument separately
+   lets a caller pass a known function, such as [E.poll], with no
+   closure built per call. *)
+let in_protocol h f x =
   flush h;
   h.st.E.in_app := false;
-  let finally () = h.st.E.in_app := true in
-  (try
-     let r = f () in
-     finally ();
-     r
-   with e ->
-     finally ();
-     raise e)
+  match f x with
+  | r ->
+      h.st.E.in_app := true;
+      r
+  | exception e ->
+      h.st.E.in_app := true;
+      raise e
 
 let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
   let pcb = E.attach peng proc in
@@ -117,7 +119,15 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
     }
   in
   let node = proc.Sim.Proc.cpu.Sim.Proc.node_id in
-  proc.Sim.Proc.on_poll <- (fun _ -> E.service pcb +. Sync.service sync ~node);
+  proc.Sim.Proc.on_poll <-
+    (fun _ ->
+      (* The sync mailbox is served before the protocol's: the run's
+         event order, and so every simulated result, depends on this
+         order.  An idle sync mailbox adds nothing, so the protocol's
+         time is returned as it is, with no fresh float boxed. *)
+      let sync_s = Sync.service sync ~node in
+      let proto_s = E.service pcb in
+      if sync_s = 0.0 then proto_s else proto_s +. sync_s);
   h
 
 let pid h = h.proc.Sim.Proc.pid
@@ -170,7 +180,7 @@ let[@inline never] store_shared h addr w v =
   (match E.private_state h.pcb addr with
   | Protocol.Ptypes.Exclusive -> ()
   | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-      in_protocol h (fun () -> E.store_miss h.pcb addr));
+      in_protocol h (fun () -> E.store_miss h.pcb addr) ());
   E.raw_write h.pcb addr w v;
   trace_access h ~store:true addr w v
 
@@ -202,7 +212,7 @@ let[@inline never] out_of_image addr =
 
 let[@inline never] load64_slow h addr v0 =
   let v =
-    if v0 = flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
+    if v0 = flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64) ()
     else v0
   in
   trace_access h ~store:false addr Alpha.Insn.W64 v;
@@ -278,20 +288,24 @@ let work_cycles h n = charge_cycles h n
     plus, when running under Shasta, the inserted protocol fence. *)
 let mb h =
   charge_cycles h 9;
-  if h.cfg.Config.checks_enabled then in_protocol h (fun () -> E.mb h.pcb)
-  else if h.st.E.n_outstanding_stores > 0 then in_protocol h (fun () -> E.mb h.pcb)
+  if h.cfg.Config.checks_enabled || h.st.E.n_outstanding_stores > 0 then
+    in_protocol h E.mb h.pcb
 
-(* The inline part of a batched check: all lines already in the needed
-   state in the private table.  Runs without suspension, so the decision
+(* The inline part of a batched check, per access: a private access, or
+   one whose line is already in the needed state in the private table,
+   needs no protocol entry.  It runs without suspension, so the decision
    cannot go stale before the batched code that follows. *)
-let batch_fast_path h accesses =
-  List.for_all
-    (fun (addr, _w, kind) ->
-      match E.private_state h.pcb addr with
-      | Protocol.Ptypes.Exclusive -> true
-      | Protocol.Ptypes.Shared -> kind = Alpha.Insn.Load_acc
-      | Protocol.Ptypes.Invalid | Protocol.Ptypes.Pending -> false)
-    accesses
+let ready h addr (kind : Alpha.Insn.access_kind) =
+  (not (is_shared h addr))
+  ||
+  match E.private_state h.pcb addr with
+  | Protocol.Ptypes.Exclusive -> true
+  | Protocol.Ptypes.Shared -> kind = Alpha.Insn.Load_acc
+  | Protocol.Ptypes.Invalid | Protocol.Ptypes.Pending -> false
+
+let rec all_ready h = function
+  | [] -> true
+  | (addr, _, kind) :: rest -> ready h addr kind && all_ready h rest
 
 (** [batch h accesses] — the combined check for a run of accesses, then
     the accesses themselves.  Like the inserted inline code, the check
@@ -300,26 +314,31 @@ let batch_fast_path h accesses =
 let batch h accesses =
   if h.cfg.Config.checks_enabled then
     charge_cycles h (2 + (2 * List.length accesses));
-  let shared = List.filter (fun (addr, _, _) -> is_shared h addr) accesses in
-  if shared <> [] && not (batch_fast_path h shared) then
-    in_protocol h (fun () -> E.batch h.pcb shared)
+  if not (all_ready h accesses) then
+    in_protocol h
+      (fun () -> E.batch h.pcb (List.filter (fun (addr, _, _) -> is_shared h addr) accesses))
+      ()
 
 (* --- MP synchronisation --- *)
 
-let lock h id = in_protocol h (fun () -> Sync.acquire h.sync h.ep id)
+let lock h id = in_protocol h (fun () -> Sync.acquire h.sync h.ep id) ()
 
 (* Release semantics: a lock release or barrier arrival must make every
    outstanding (non-blocking) store globally performed first, exactly as
    the MB in an LL/SC unlock sequence would. *)
 let unlock h id =
-  in_protocol h (fun () ->
+  in_protocol h
+    (fun () ->
       E.mb h.pcb;
       Sync.release h.sync h.ep id)
+    ()
 
 let barrier h ~id ~parties =
-  in_protocol h (fun () ->
+  in_protocol h
+    (fun () ->
       E.mb h.pcb;
       Sync.barrier h.sync h.ep ~id ~parties)
+    ()
 
 (* --- transparent (shared-memory) synchronisation via LL/SC --- *)
 
@@ -343,7 +362,7 @@ let as_sync h f =
    the access that took effect. *)
 let load_locked h addr w =
   charge_cycles h (3 + 2) (* ll_check + ll *);
-  in_protocol h (fun () -> E.ll_ensure h.pcb addr);
+  in_protocol h (fun () -> E.ll_ensure h.pcb addr) ();
   let v = E.raw_ll h.pcb addr w in
   trace_access h ~store:false addr w v;
   v
@@ -351,7 +370,7 @@ let load_locked h addr w =
 let store_conditional h addr w v =
   charge_cycles h (4 + 2) (* sc_check + sc *);
   let ok =
-    match in_protocol h (fun () -> E.sc_check h.pcb addr w v) with
+    match in_protocol h (fun () -> E.sc_check h.pcb addr w v) () with
     | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr w v
     | Alpha.Runtime.Handled ok -> ok
   in
@@ -398,7 +417,7 @@ let sm_lock ?(prefetch = false) h addr =
   as_sync h (fun () ->
       if prefetch then begin
         charge_cycles h 2;
-        in_protocol h (fun () -> E.prefetch_excl h.pcb addr)
+        in_protocol h (fun () -> E.prefetch_excl h.pcb addr) ()
       end;
       let rec acquire () =
         ignore (spin_until h addr Alpha.Insn.W32 (fun v -> v = 0L));
@@ -433,13 +452,6 @@ let sm_barrier h ~addr ~parties =
 
 (* --- blocking (for the OS layer) --- *)
 
-(** [block_for h dt] — the process is blocked (in a syscall or on I/O)
-    for [dt] seconds; counted in the "blocked" breakdown category. *)
-let block_for h dt =
-  flush h;
-  h.blocked_time <- h.blocked_time +. dt;
-  in_protocol h (fun () -> Sim.Proc.sleep dt)
-
 (** [wakeup h] — make a process parked in [block] runnable again. *)
 let wakeup h = Sim.Proc.wakeup h.proc
 
@@ -448,7 +460,7 @@ let block h =
   let eng = Mchan.Net.engine (E.net h.peng) in
   let t0 = Sim.Engine.now eng in
   flush h;
-  in_protocol h (fun () -> Sim.Proc.block ());
+  in_protocol h Sim.Proc.block ();
   h.blocked_time <- h.blocked_time +. (Sim.Engine.now eng -. t0)
 
 (* --- measurement --- *)
@@ -456,13 +468,13 @@ let block h =
 let breakdown h =
   let st = E.stats h.pcb in
   {
-    Breakdown.task = h.proc.Sim.Proc.work_time;
+    Breakdown.task = h.proc.Sim.Proc.times.Sim.Proc.work_time;
     read = st.E.read_stall;
     write = st.E.write_stall;
     mb = st.E.mb_stall;
     sync = h.ep.Sync.sync_stall;
     blocked = h.blocked_time;
-    msg = h.proc.Sim.Proc.msg_time;
+    msg = h.proc.Sim.Proc.times.Sim.Proc.msg_time;
   }
 
 let pstats h = E.stats h.pcb
@@ -471,6 +483,21 @@ let pstats h = E.stats h.pcb
 let accesses h = h.accesses
 
 (* --- IR mode --- *)
+
+(* A [Batch_check]'s entries from the [i]th on, at the resolved
+   addresses [addrs]: are they all ready, and which of them are shared
+   (the batch miss handler's list, built only on a miss)? *)
+let rec entries_ready h entries addrs i =
+  match entries with
+  | [] -> true
+  | e :: rest -> ready h addrs.(i) e.Alpha.Insn.b_kind && entries_ready h rest addrs (i + 1)
+
+let rec shared_entries h entries addrs i =
+  match entries with
+  | [] -> []
+  | e :: rest ->
+      let addr = addrs.(i) and tl = shared_entries h rest addrs (i + 1) in
+      if is_shared h addr then (addr, e.Alpha.Insn.b_width, e.Alpha.Insn.b_kind) :: tl else tl
 
 (** [alpha_runtime h] — the machine interface for interpreter execution:
     raw accesses hit the node image (or private memory); the pseudo-
@@ -485,10 +512,10 @@ let alpha_runtime h =
   {
     Alpha.Runtime.load = dispatch_read;
     store = dispatch_write;
+    miss_flag = flag;
     load_check =
       (fun value addr w ->
-        if is_shared h addr && value = flag w then
-          in_protocol h (fun () -> E.load_miss h.pcb addr w)
+        if is_shared h addr then in_protocol h (fun () -> E.load_miss h.pcb addr w) ()
         else value);
     store_check =
       (fun addr _w ->
@@ -496,12 +523,11 @@ let alpha_runtime h =
           match E.private_state h.pcb addr with
           | Protocol.Ptypes.Exclusive -> ()
           | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-              in_protocol h (fun () -> E.store_miss h.pcb addr));
+              in_protocol h (fun () -> E.store_miss h.pcb addr) ());
     batch_check =
-      (fun accesses ->
-        let shared = List.filter (fun (a, _, _) -> is_shared h a) accesses in
-        if shared <> [] && not (batch_fast_path h shared) then
-          in_protocol h (fun () -> E.batch h.pcb shared));
+      (fun entries addrs ->
+        if not (entries_ready h entries addrs 0) then
+          in_protocol h (fun () -> E.batch h.pcb (shared_entries h entries addrs 0)) ());
     ll =
       (fun addr w ->
         if is_shared h addr then E.raw_ll h.pcb addr w else private_read h addr w);
@@ -513,23 +539,24 @@ let alpha_runtime h =
           true
         end);
     ll_check =
-      (fun addr -> if is_shared h addr then in_protocol h (fun () -> E.ll_ensure h.pcb addr));
+      (fun addr -> if is_shared h addr then in_protocol h (fun () -> E.ll_ensure h.pcb addr) ());
     sc_check =
       (fun addr w v ->
-        if is_shared h addr then in_protocol h (fun () -> E.sc_check h.pcb addr w v)
+        if is_shared h addr then in_protocol h (fun () -> E.sc_check h.pcb addr w v) ()
         else Alpha.Runtime.Run_in_hardware);
     mb = (fun () -> ());
-    mb_check = (fun () -> in_protocol h (fun () -> E.mb h.pcb));
-    poll = (fun () -> in_protocol h (fun () -> E.poll h.pcb));
+    mb_check = (fun () -> in_protocol h E.mb h.pcb);
+    poll = (fun () -> in_protocol h E.poll h.pcb);
     prefetch_excl =
-      (fun addr -> if is_shared h addr then in_protocol h (fun () -> E.prefetch_excl h.pcb addr));
+      (fun addr ->
+        if is_shared h addr then in_protocol h (fun () -> E.prefetch_excl h.pcb addr) ());
     charge = (fun n -> charge_cycles h n);
     (* MP synchronisation system calls (lock id in a0; barrier id in
        a0, parties in a1) — the IR-mode twin of [lock]/[unlock]/
        [barrier] above, sharing their release/fence semantics. *)
     syscall =
-      (fun name regs ->
-        let a0 = Int64.to_int regs.(16) and a1 = Int64.to_int regs.(17) in
+      (fun name args ->
+        let a0 = Int64.to_int args.(0) and a1 = Int64.to_int args.(1) in
         if name = Alpha.Runtime.sync_lock_proc then begin
           lock h a0;
           true

@@ -13,7 +13,10 @@
     write barrier: moving payloads at every sift level would pay two
     barrier calls per level, while the slot table pays two per push and
     one per pop whatever the heap depth.  Firing an event under the
-    default [Fifo] schedule allocates nothing; a [Guided] schedule
+    default [Fifo] schedule allocates nothing: the clock lives in an
+    all-float record, which OCaml stores flat, so advancing it boxes
+    nothing, and {!now} and {!fire_inline} are inlined so that callers
+    read and pass times unboxed.  A [Guided] schedule
     reuses one array-based tie buffer across fires instead of building
     a list per tie-set.  Because [(time, seq)] keys are unique, the pop
     order is independent of the heap's internal layout.
@@ -268,8 +271,13 @@ type par = {
           window; a cross-lane push below it is a causality violation *)
 }
 
+(* The clock sits in a record of its own: an all-float record is stored
+   flat, so the write on every fire stores a double in place instead of
+   boxing a fresh float into the long-lived engine record. *)
+type clock = { mutable now : float }
+
 type t = {
-  mutable now : float;
+  clock : clock;
   mutable seq : int;
   heap : eheap;
   mutable fired : int;
@@ -336,7 +344,7 @@ let create ?(schedule = Fifo) () =
         S_guided { choose; delays }
   in
   {
-    now = 0.0;
+    clock = { now = 0.0 };
     seq = 0;
     heap = q_create ();
     fired = 0;
@@ -349,10 +357,10 @@ let create ?(schedule = Fifo) () =
     inline_end = 0;
   }
 
-let now t =
+let[@inline] now t =
   match t.par with
-  | None -> t.now
-  | Some _ -> ( match current_lane () with Some l -> l.l_now | None -> t.now)
+  | None -> t.clock.now
+  | Some _ -> ( match current_lane () with Some l -> l.l_now | None -> t.clock.now)
 
 let events_fired t =
   match t.par with
@@ -367,10 +375,10 @@ let pending t =
 (* The sequential push at [(time, seq)]; [jitter] lets a [Guided]
    schedule's delay injection draw for it. *)
 let push_seq t label ~jitter ~seq time f =
-  if time < t.now then
+  if time < t.clock.now then
     raise
       (Past_event
-         { requested = time; now = t.now; fired = t.fired; pending = t.heap.q_size });
+         { requested = time; now = t.clock.now; fired = t.fired; pending = t.heap.q_size });
   let time =
     match t.sched with
     | S_guided { delays = Some (delays, prob, max_delay); _ }
@@ -454,12 +462,12 @@ let after t ?label dt f = at t ?label (now t +. dt) f
     advance exactly as a push and a pop would advance them.  Returns
     [false], changing nothing, when the caller must schedule the event
     instead. *)
-let fire_inline t time =
+let[@inline] fire_inline t time =
   t.fired < t.inline_end
   && time <= t.inline_until
   && (t.heap.q_size = 0 || q_top_time t.heap > time)
   && begin
-       t.now <- time;
+       t.clock.now <- time;
        t.seq <- t.seq + 1;
        t.fired <- t.fired + 1;
        true
@@ -508,7 +516,7 @@ let fire_choice t time n i =
     if j <> i then q_push t.heap ~time ~seq:t.tb_seq.(j) ~label:t.tb_label.(j) t.tb_run.(j);
     t.tb_run.(j) <- nop
   done;
-  t.now <- time;
+  t.clock.now <- time;
   t.fired <- t.fired + 1;
   run ()
 
@@ -521,7 +529,7 @@ let step t =
   else begin
     (match t.sched with
     | S_fifo ->
-        t.now <- q_top_time h;
+        t.clock.now <- q_top_time h;
         t.fired <- t.fired + 1;
         let run = q_take h in
         run ()
@@ -552,11 +560,12 @@ let run ?until ?max_events t =
       t.inline_until <- until_v;
       t.inline_end <- (if budget > max_int - fired0 then max_int else fired0 + budget);
       (* The hot loop: no allocation per event — the deadline check reads
-         the root time directly and firing pops in place. *)
+         the root time directly, firing pops in place and the clock is
+         written unboxed. *)
       (try
          while !continue do
            if h.q_size > 0 && q_top_time h > until_v then begin
-             t.now <- Float.max t.now until_v;
+             t.clock.now <- Float.max t.clock.now until_v;
              reason := Deadline;
              continue := false
            end
@@ -569,7 +578,7 @@ let run ?until ?max_events t =
              continue := false
            end
            else begin
-             t.now <- q_top_time h;
+             t.clock.now <- q_top_time h;
              t.fired <- t.fired + 1;
              let run = q_take h in
              run ()
@@ -582,7 +591,7 @@ let run ?until ?max_events t =
   | S_guided _ ->
       while !continue do
         if h.q_size > 0 && q_top_time h > until_v then begin
-          t.now <- Float.max t.now until_v;
+          t.clock.now <- Float.max t.clock.now until_v;
           reason := Deadline;
           continue := false
         end
@@ -645,7 +654,7 @@ let par_install t ~nodes =
         {
           l_id = i;
           l_heap = q_create ();
-          l_now = t.now;
+          l_now = t.clock.now;
           l_seq = 0;
           l_fired = 0;
           l_out = [];
@@ -659,7 +668,7 @@ let par_install t ~nodes =
     let dst = if label.lbl_node >= 0 && label.lbl_node < nodes then label.lbl_node else 0 in
     lane_push lanes.(dst) ~time ~label run
   done;
-  let p = { p_lanes = lanes; p_window_end = t.now } in
+  let p = { p_lanes = lanes; p_window_end = t.clock.now } in
   t.par <- Some p;
   p
 
@@ -676,7 +685,7 @@ let par_remove t =
       Array.iter
         (fun l ->
           t.fired <- t.fired + l.l_fired;
-          t.now <- Float.max t.now l.l_now;
+          t.clock.now <- Float.max t.clock.now l.l_now;
           let h = l.l_heap in
           while h.q_size > 0 do
             let time = q_top_time h and seq = q_top_seq h and label = q_top_label h in

@@ -51,6 +51,13 @@ type activity =
   | Thunk of (unit -> unit)
   | Stalling of (unit -> bool) * (unit -> unit)
 
+(* A process's CPU-time account.  An all-float record is stored flat,
+   so the slice loop adds to it in place, without boxing. *)
+type times = {
+  mutable work_time : float;  (** seconds spent in [work] slices *)
+  mutable msg_time : float;  (** seconds spent servicing messages at polls *)
+}
+
 type t = {
   pid : int;
   name : string;
@@ -67,10 +74,7 @@ type t = {
       (** while signal-waiting in a stall, cede the CPU immediately to any
           runnable process instead of spinning out the quantum (idle
           server/protocol processes back off, Section 4.3.3) *)
-  mutable work_time : float;
-  mutable msg_time : float;
-  mutable finished_at : float;
-  mutable on_exit : (unit -> unit) list;
+  times : times;
   mutable failure : exn option;
   mutable parked : (unit, unit) Effect.Deep.continuation option;
       (** the fiber, while its [work] slice loop runs in engine events *)
@@ -238,7 +242,7 @@ and stall_step p pred cont =
   else begin
     let service = p.on_poll p in
     if service > 0.0 then begin
-      p.msg_time <- p.msg_time +. service;
+      p.times.msg_time <- p.times.msg_time +. service;
       let v = p.version in
       Engine.after eng ~label:cpu.label service (fun () -> if p.version = v then step p)
     end
@@ -316,7 +320,7 @@ let work_done p =
 
 (* A scheduler wait of [delay] seconds, guarded by version [v], fired in
    place when it would be the engine's very next event anyway. *)
-let inline p v delay =
+let[@inline] inline p v delay =
   let eng = p.cpu.engine in
   p.version = v && Engine.fire_inline eng (Engine.now eng +. delay)
 
@@ -343,54 +347,78 @@ let poll p =
 (** The work-slice length: a process polls for messages this often. *)
 let poll_interval = 2e-6
 
-(* Work [rem] seconds in slices of at most [poll_interval], polling for
-   messages after each one and charging the service time; cede the CPU
-   at the end of the quantum when another process is runnable.  A slice
-   the process was descheduled in is lost and worked again. *)
-let rec slices p rem =
-  if rem <= 1e-15 then work_done p
-  else begin
-    let cpu = p.cpu in
-    let until_quantum = cpu.quantum_deadline -. Engine.now cpu.engine in
-    if until_quantum <= 0.0 && exists_ready cpu then
-      leave p (fun () ->
-          p.activity <- Thunk (fun () -> slices p rem);
-          preempt p)
-    else begin
-      (* When the quantum has expired but nothing else is runnable, keep
-         working in normal poll-sized slices. *)
-      let quantum_cap = if until_quantum > 0.0 then until_quantum else poll_interval in
-      let slice = Float.min rem (Float.min poll_interval quantum_cap) in
-      let v = p.version in
-      if inline p v slice then sliced p v slice rem
-      else
-        schedule p slice
-          (fun () -> if p.version = v then sliced p v slice rem)
-          ~redo:(fun () -> slices p rem)
+(* The slice loop.  Work [rem] seconds in slices of at most
+   [poll_interval], polling for messages after each one and charging the
+   service time; cede the CPU at the end of the quantum when another
+   process is runnable.  A slice the process was descheduled in is lost
+   and worked again.
+
+   The loop stands at a wait of [wait] seconds, begun at version [v]: a
+   work slice when [slice] ([rem] is then the work left before it), else
+   the zero-delay start or a message-service delay.  [elapsed] says the
+   wait is already over, as when its event re-enters the loop.  Each
+   wait fires inline while it can, with the loop's state in unboxed
+   locals; the first that cannot is scheduled, and the loop goes on in
+   its event. *)
+let rec slices p ~v ~wait ~slice ~elapsed rem =
+  let cpu = p.cpu in
+  let v = ref v and wait = ref wait and slice = ref slice and elapsed = ref elapsed in
+  let rem = ref rem and go = ref true in
+  while !go do
+    if !elapsed || inline p !v !wait then begin
+      elapsed := false;
+      let service =
+        if !slice then begin
+          p.times.work_time <- p.times.work_time +. !wait;
+          rem := !rem -. !wait;
+          poll p
+        end
+        else 0.0
+      in
+      if service > 0.0 then begin
+        p.times.msg_time <- p.times.msg_time +. service;
+        wait := service;
+        slice := false
+      end
+      else if !rem <= 1e-15 then begin
+        go := false;
+        work_done p
+      end
+      else begin
+        let until_quantum = cpu.quantum_deadline -. Engine.now cpu.engine in
+        if until_quantum <= 0.0 && exists_ready cpu then begin
+          go := false;
+          let rem = !rem in
+          leave p (fun () ->
+              p.activity <- Thunk (fun () -> resume_slices p rem);
+              preempt p)
+        end
+        else begin
+          (* When the quantum has expired but nothing else is runnable,
+             keep working in normal poll-sized slices. *)
+          let quantum_cap = if until_quantum > 0.0 then until_quantum else poll_interval in
+          wait := Float.min !rem (Float.min poll_interval quantum_cap);
+          slice := true;
+          v := p.version
+        end
+      end
     end
-  end
+    else begin
+      go := false;
+      let v = !v and wait = !wait and slice = !slice and rem = !rem in
+      schedule p wait
+        (fun () -> if p.version = v then slices p ~v ~wait ~slice ~elapsed:true rem)
+        ~redo:(fun () -> resume_slices p rem)
+    end
+  done
 
-and sliced p v slice rem =
-  p.work_time <- p.work_time +. slice;
-  let rem = rem -. slice in
-  let service = poll p in
-  if service > 0.0 then begin
-    p.msg_time <- p.msg_time +. service;
-    wait_then p v service rem
-  end
-  else slices p rem
-
-(* Wait [delay] seconds, then go on working [rem]. *)
-and wait_then p v delay rem =
-  if inline p v delay then slices p rem
-  else
-    let redo () = slices p rem in
-    schedule p delay (fun () -> if p.version = v then redo ()) ~redo
+(* The loop's head: [rem] seconds left, no slice in progress. *)
+and resume_slices p rem = slices p ~v:p.version ~wait:0.0 ~slice:false ~elapsed:true rem
 
 let work dt =
   if dt > 0.0 then begin
     let p = self () in
-    wait_then p p.version 0.0 dt
+    slices p ~v:p.version ~wait:0.0 ~slice:false ~elapsed:false dt
   end
 
 let wakeup p =
@@ -406,12 +434,8 @@ let sleep dt =
 let finish p =
   let cpu = p.cpu in
   p.state <- Finished;
-  p.finished_at <- Engine.now cpu.engine;
   p.version <- p.version + 1;
   (match cpu.current with Some c when c == p -> cpu.current <- None | Some _ | None -> ());
-  let callbacks = List.rev p.on_exit in
-  p.on_exit <- [];
-  List.iter (fun f -> f ()) callbacks;
   dispatch cpu
 
 let schedule_step p =
@@ -468,25 +492,12 @@ let spawn ?(priority = 0) ?(name = "proc") cpu body =
       on_poll = (fun _ -> 0.0);
       stall_signal = None;
       yield_waiting = false;
-      work_time = 0.0;
-      msg_time = 0.0;
-      finished_at = Float.nan;
-      on_exit = [];
+      times = { work_time = 0.0; msg_time = 0.0 };
       failure = None;
       parked = None;
     }
   in
   enqueue_ready p;
   p
-
-(** [join target] blocks the calling process until [target] finishes.
-    Re-raises [target]'s failure, if any, in the caller. *)
-let join target =
-  let caller = self () in
-  if target.state <> Finished then begin
-    target.on_exit <- (fun () -> wakeup caller) :: target.on_exit;
-    block ()
-  end;
-  match target.failure with None -> () | Some e -> raise e
 
 let finished p = p.state = Finished

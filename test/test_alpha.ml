@@ -136,13 +136,144 @@ let test_float_memory () =
   in
   check_r0 "float store/load" 6L (run prog "main")
 
+
+(* Every kind of write to r31 or f31 is dropped: an immediate, a load,
+   an ALU result, a conversion, a float immediate and a float result. *)
 let test_zero_register () =
   let prog =
     Asm.(
       program
-        [ proc "main" [ li zero 99L; mov zero v0; halt ] ])
+        [
+          proc "main"
+            [
+              li zero 99L;
+              li t0 0x100L;
+              li t1 77L;
+              stq t1 0 t0;
+              ldq zero 0 t0;
+              addi t1 1 zero;
+              lif 1 1.5;
+              cvt_fi 1 zero;
+              lif 31 2.5;
+              fadd 1 1 31;
+              ldt 31 0 t0;
+              cvt_fi 31 t2;
+              add t2 zero v0;
+              halt;
+            ];
+        ])
   in
-  check_r0 "r31 ignores writes" 0L (run prog "main")
+  check_r0 "r31 and f31 read zero" 0L (run prog "main")
+
+(* The runtime's side of the interface, seen through a flat runtime with
+   some callbacks replaced. *)
+
+let test_syscall_sees_arguments () =
+  let seen = ref [] in
+  let rt =
+    {
+      (flat ()) with
+      Runtime.syscall =
+        (fun name args ->
+          seen := (name, Array.to_list args) :: !seen;
+          true);
+    }
+  in
+  let prog =
+    Asm.(
+      program
+        [
+          proc "main"
+            [ li a0 7L; li a1 9L; li a5 11L; call Runtime.sync_barrier_proc; li v0 1L; halt ];
+        ])
+  in
+  check_r0 "returns after the call" 1L (Interp.run prog rt ~entry:"main" ());
+  Alcotest.(check (list (pair string (list int64))))
+    "a0..a5"
+    [ (Runtime.sync_barrier_proc, [ 7L; 9L; 0L; 0L; 0L; 11L ]) ]
+    !seen
+
+(* A batch longer than the interpreter's first address buffer (8
+   entries) resolves the same addresses, as do the short batches around
+   it that reuse the grown buffer. *)
+let test_batch_check_addresses () =
+  let seen = ref [] in
+  let rt =
+    {
+      (flat ()) with
+      Runtime.batch_check =
+        (fun entries addrs ->
+          seen := List.mapi (fun i e -> (addrs.(i), e.Insn.b_kind = Insn.Load_acc)) entries :: !seen);
+    }
+  in
+  let entry i =
+    {
+      Insn.b_width = Insn.W64;
+      b_kind = (if i mod 2 = 0 then Insn.Load_acc else Insn.Store_acc);
+      b_off = 8 * i;
+      b_base = (if i < 6 then Asm.a0 else Asm.a1);
+    }
+  in
+  let batch n = Insn.Batch_check (List.init n entry) in
+  let prog =
+    Asm.(program [ proc "main" [ li a0 0x1000L; li a1 0x2000L; batch 3; batch 12; batch 3; halt ] ])
+  in
+  ignore (Interp.run prog rt ~entry:"main" ());
+  let expected n =
+    List.init n (fun i -> ((if i < 6 then 0x1000 else 0x2000) + (8 * i), i mod 2 = 0))
+  in
+  Alcotest.(check (list (list (pair int bool))))
+    "(address, is a load) per entry"
+    [ expected 3; expected 12; expected 3 ]
+    (List.rev !seen)
+
+(* The flag compare is inline: [load_check] runs exactly for the loads
+   that returned [miss_flag] of their width, and its answer replaces the
+   register. *)
+let test_load_check_on_flag_only () =
+  let calls = ref [] in
+  let rt =
+    {
+      (flat ()) with
+      Runtime.miss_flag = (function Insn.W32 -> 0x77L | Insn.W64 -> 0x5A5AL);
+      load_check =
+        (fun v addr _ ->
+          calls := (v, addr) :: !calls;
+          100L);
+    }
+  in
+  let check w r off = Insn.Load_check (w, r, off, Asm.t0) in
+  let prog =
+    Asm.(
+      program
+        [
+          proc "main"
+            [
+              li t0 0x100L;
+              li t1 0x5A5AL;
+              stq t1 0 t0;
+              li t1 0x77L;
+              stq t1 8 t0;
+              ldq t2 0 t0;
+              check Insn.W64 t2 0 (* the 64-bit flag: a call *);
+              ldl t3 8 t0;
+              check Insn.W32 t3 8 (* the 32-bit flag: a call *);
+              ldq t4 8 t0;
+              check Insn.W64 t4 8 (* the 32-bit flag in a 64-bit load: none *);
+              ldq t5 16 t0;
+              check Insn.W64 t5 16 (* zero: none *);
+              add t2 t3 v0;
+              add v0 t4 v0;
+              add v0 t5 v0;
+              halt;
+            ];
+        ])
+  in
+  check_r0 "flagged loads replaced" (Int64.add 200L 0x77L) (Interp.run prog rt ~entry:"main" ());
+  Alcotest.(check (list (pair int64 int)))
+    "load_check calls"
+    [ (0x5A5AL, 0x100); (0x77L, 0x108) ]
+    (List.rev !calls)
 
 let test_llsc_success () =
   (* Figure 1 of the paper: acquire a free lock with LL/SC. *)
@@ -280,6 +411,9 @@ let suite =
     Alcotest.test_case "float ops" `Quick test_float_ops;
     Alcotest.test_case "float memory" `Quick test_float_memory;
     Alcotest.test_case "zero register" `Quick test_zero_register;
+    Alcotest.test_case "syscall sees a0..a5" `Quick test_syscall_sees_arguments;
+    Alcotest.test_case "batch check addresses" `Quick test_batch_check_addresses;
+    Alcotest.test_case "load check on flag only" `Quick test_load_check_on_flag_only;
     Alcotest.test_case "LL/SC acquire" `Quick test_llsc_success;
     Alcotest.test_case "LL sees taken lock" `Quick test_llsc_fail_when_taken;
     Alcotest.test_case "unaligned traps" `Quick test_unaligned_traps;

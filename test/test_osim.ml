@@ -236,7 +236,7 @@ let test_protocol_processes_serve () =
           (* The only process on node 0 blocks (as in a syscall): without
              protocol processes nothing there can serve the remote read
              until it wakes and polls. *)
-          R.block_for ctx.K.h 0.050;
+          R.in_protocol ctx.K.h Sim.Proc.sleep 0.050;
           R.work ctx.K.h 0.002;
           ignore (K.wait ctx))
     in

@@ -409,6 +409,76 @@ let test_api_hits_allocate_nothing () =
     (Printf.sprintf "%.3f minor words per access" per_access)
     true (per_access < 1.0)
 
+(* The IR-mode twin: an instrumented loop whose load check, batch
+   check, store check and back-edge poll all hit.  The raw loads and
+   stores still box one [int64] each through the runtime record, so the
+   bound is per interpreted step rather than zero: 1.0 words a step
+   here, and 6.0 with boxed register values and a closure or list built
+   per check and poll. *)
+let test_ir_hits_allocate_little () =
+  let prog =
+    Alpha.Asm.(
+      program
+        [
+          proc "main"
+            [
+              li v0 0L;
+              label "loop";
+              ldq t0 0 a0;
+              add v0 t0 v0;
+              andi v0 7 t3;
+              slli t3 3 t3;
+              add a0 t3 t3;
+              ldq t1 8 t3;
+              ldq t2 16 t3;
+              add t1 t2 t1;
+              stq t1 24 t3;
+              bne a2 "store" (* a block of its own: a lone store check *);
+              label "store";
+              stq v0 0 a1;
+              subi a2 1 a2;
+              bgt a2 "loop";
+              halt;
+            ];
+        ])
+  in
+  let instrumented, _ = Rewrite.Instrument.instrument prog in
+  let code = (Alpha.Program.find instrumented "main").Alpha.Program.code in
+  List.iter
+    (fun (what, is) ->
+      Alcotest.(check bool) ("instrumented with a " ^ what) true (Array.exists is code))
+    Alpha.Insn.
+      [
+        ("load check", function Load_check _ -> true | _ -> false);
+        ("batch check", function Batch_check _ -> true | _ -> false);
+        ("store check", function Store_check _ -> true | _ -> false);
+        ("poll", function Poll -> true | _ -> false);
+      ];
+  let cl = C.create (small_cfg ~nodes:1 ~cpus:1 ()) in
+  let a = C.alloc cl 128 and b = C.alloc cl 64 in
+  let n = 20_000 in
+  let per_step = ref Float.nan and misses = ref (-1) in
+  let _ =
+    C.spawn cl ~cpu:0 "app" (fun h ->
+        (* Take every line exclusive first. *)
+        List.iter (fun addr -> R.store_int h addr 0) [ a; a + 64; b ];
+        let st = R.pstats h in
+        let m0 = st.Protocol.Engine.read_misses + st.Protocol.Engine.store_misses in
+        let w0 = Gc.minor_words () in
+        let o =
+          R.run_program h instrumented ~entry:"main"
+            ~args:[ Int64.of_int a; Int64.of_int b; Int64.of_int n ]
+            ()
+        in
+        per_step := (Gc.minor_words () -. w0) /. float_of_int o.Alpha.Interp.stats.Alpha.Interp.steps;
+        misses := st.Protocol.Engine.read_misses + st.Protocol.Engine.store_misses - m0)
+  in
+  ignore (C.run cl);
+  Alcotest.(check int) "every check hit" 0 !misses;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per step" !per_step)
+    true (!per_step < 1.5)
+
 (* What the hit path must not skip: the image bounds, the protocol on a
    store to a line held only [Shared], and the trace hook. *)
 let test_api_bounds_and_slow_paths () =
@@ -526,6 +596,7 @@ let suite =
     Alcotest.test_case "checking overhead" `Quick test_checking_overhead;
     Alcotest.test_case "breakdown sane" `Quick test_breakdown_sane;
     Alcotest.test_case "API-mode hits allocate nothing" `Quick test_api_hits_allocate_nothing;
+    Alcotest.test_case "IR-mode hits allocate little" `Quick test_ir_hits_allocate_little;
     Alcotest.test_case "API-mode bounds and slow paths" `Quick test_api_bounds_and_slow_paths;
     Alcotest.test_case "straddling store miss leaves no replay" `Quick
       test_straddling_store_miss_leaves_no_replay;

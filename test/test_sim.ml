@@ -313,7 +313,7 @@ let test_proc_stall_services_messages () =
       Signal.pulse s);
   ignore (Engine.run eng);
   Alcotest.(check bool) "finished" true (Proc.finished p);
-  Alcotest.(check bool) "service time charged" true (p.Proc.msg_time > 0.000029)
+  Alcotest.(check bool) "service time charged" true (p.Proc.times.Proc.msg_time > 0.000029)
 
 let test_proc_priority_preemption () =
   (* A low-priority (protocol) process is preempted as soon as an
@@ -333,36 +333,47 @@ let test_proc_priority_preemption () =
   Alcotest.(check bool) "app ran promptly despite busy protocol proc" true
     (!app_done > 0.0 && !app_done < 0.005)
 
-let test_proc_join () =
+(* A [Fifo] fire allocates nothing: the heap pop, the clock write and
+   an inline fire all work in place.  100k pre-built no-op events fire
+   from the heap, then one event fires 100k more inline; the bound
+   leaves room only for the measurement's own few words; a clock boxed
+   into the engine record costs 2 words a fire. *)
+let test_engine_fires_allocate_nothing () =
+  let n = 100_000 in
   let eng = Engine.create () in
-  let cpu = make_cpu eng in
-  let order = ref [] in
-  let a = Proc.spawn cpu (fun () -> Proc.work 0.002; order := "a" :: !order) in
-  let _b =
-    Proc.spawn cpu (fun () ->
-        Proc.join a;
-        order := "b" :: !order)
-  in
+  let nop () = () in
+  for i = 1 to n do
+    Engine.at eng (float_of_int i) nop
+  done;
+  let w0 = Gc.minor_words () in
   ignore (Engine.run eng);
-  Alcotest.(check (list string)) "join ordering" [ "a"; "b" ] (List.rev !order)
-
-let test_proc_join_propagates_failure () =
-  let eng = Engine.create () in
-  let cpu = make_cpu eng in
-  let a = Proc.spawn cpu (fun () -> failwith "boom") in
-  let caught = ref false in
-  let _b =
-    Proc.spawn cpu (fun () ->
-        try Proc.join a with Failure m -> caught := m = "boom")
-  in
+  let heap_words = Gc.minor_words () -. w0 in
+  let times = Array.init n (fun i -> float_of_int (n + 1 + i)) in
+  let inline_words = ref Float.nan and refused = ref 0 in
+  Engine.at eng (float_of_int n +. 0.5) (fun () ->
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        if not (Engine.fire_inline eng times.(i)) then incr refused
+      done;
+      inline_words := Gc.minor_words () -. w0);
   ignore (Engine.run eng);
-  Alcotest.(check bool) "failure propagated via join" true !caught
+  Alcotest.(check int) "every inline fire taken" 0 !refused;
+  Alcotest.(check int) "events fired" ((2 * n) + 1) (Engine.events_fired eng);
+  check_f "clock at the last inline fire" (float_of_int (2 * n)) (Engine.now eng);
+  List.iter
+    (fun (what, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words for %d fires" what words n)
+        true (words < 64.0))
+    [ ("heap", heap_words); ("inline", !inline_words) ]
 
 (* A lone process's work slices are each the engine's next event, so
    under Fifo they fire inline, with no event closure and no fiber
-   switch.  Allocation is deterministic, so a bound on words per slice
-   catches a change that silently loses the inline path: about 6 words
-   a slice inline, 26 or more through the heap. *)
+   switch, and the slice loop keeps its state unboxed.  Allocation is
+   deterministic, so a bound on words per slice catches a change that
+   silently loses the inline path (26 or more words a slice through the
+   heap) or boxes the loop's floats again (8 words a slice): the loop
+   allocates nothing. *)
 let test_proc_lone_slices_fire_inline () =
   let eng = Engine.create () in
   let cpu = make_cpu eng in
@@ -374,7 +385,7 @@ let test_proc_lone_slices_fire_inline () =
         words := Gc.minor_words () -. w0)
   in
   ignore (Engine.run eng);
-  Alcotest.(check bool) "under 16 words per slice" true (!words /. 1000.0 < 16.0)
+  Alcotest.(check bool) "under 1 word per slice" true (!words /. 1000.0 < 1.0)
 
 (* An exception raised by [on_poll] during a work slice aborts the
    engine run; it is not the process's failure.  Under Fifo the lone
@@ -660,6 +671,7 @@ let suite =
     Alcotest.test_case "heap order" `Quick test_heap_order;
     Alcotest.test_case "heap FIFO ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap releases fired closures" `Quick test_heap_releases_fired_closures;
+    Alcotest.test_case "fires allocate nothing" `Quick test_engine_fires_allocate_nothing;
     Alcotest.test_case "engine run" `Quick test_engine_run;
     Alcotest.test_case "engine deadline" `Quick test_engine_deadline;
     Alcotest.test_case "engine rejects past events" `Quick test_engine_past_rejected;
@@ -676,8 +688,6 @@ let suite =
     Alcotest.test_case "stall wakes on signal" `Quick test_proc_stall_signal;
     Alcotest.test_case "stall services messages" `Quick test_proc_stall_services_messages;
     Alcotest.test_case "priority preemption" `Quick test_proc_priority_preemption;
-    Alcotest.test_case "join" `Quick test_proc_join;
-    Alcotest.test_case "join propagates failure" `Quick test_proc_join_propagates_failure;
     Alcotest.test_case "quantum preempts waiting proc" `Quick test_quantum_wait_preemption;
     Alcotest.test_case "quantum timer re-arms in place" `Quick test_quantum_timer_rearms_in_place;
     Alcotest.test_case "quantum timer tie order" `Quick test_quantum_timer_tie_order;
