@@ -366,7 +366,26 @@ let figure4 () =
     ~headers:[ "application"; "RC ms"; "SC ms"; "SC slowdown"; "SC task/stall/sync/msg %" ]
     rows;
   Printf.printf "(paper: SC loses at most ~10%% across SPLASH-2 — fine-grain coherence\n";
-  Printf.printf " does not depend on the relaxed model, unlike page-based systems)\n"
+  Printf.printf " does not depend on the relaxed model, unlike page-based systems)\n";
+  print_header "Figure 4 (SMP-Shasta, LL/SC sync): 16 processors on 4 nodes x 4, SC vs RC";
+  let rows =
+    List.map
+      (fun spec ->
+        let run model =
+          let cl = cluster ~model () in
+          Apps.Harness.run_spec cl spec ~nprocs:16 ~sync:Apps.Harness.Sm ()
+        in
+        let rc, ok1 = run Protocol.Config.Rc in
+        let sc, ok2 = run Protocol.Config.Sc in
+        [
+          spec.Apps.Harness.name;
+          ms rc;
+          ms sc;
+          (if ok1 && ok2 then Printf.sprintf "%+.1f%%" (100.0 *. ((sc /. rc) -. 1.0)) else "FAIL");
+        ])
+      Apps.Registry.all
+  in
+  print_table ~headers:[ "application"; "RC ms"; "SC ms"; "SC slowdown" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* Table 4 and Figure 5: Oracle DSS-1 scaling and breakdowns           *)

@@ -46,8 +46,9 @@ type miss = {
       (** the request kind on the wire, re-sent verbatim when a bounce
           (a [Home_hint]) reveals the request went to a stale home *)
   mutable m_done : bool;
-  mutable m_sc_ok : bool;
-  m_sc_store : (int * Alpha.Insn.width * int64) option;
+  mutable m_store : (int * Alpha.Insn.width * int64) option;
+      (** [(addr, w, v)]: the store this miss carries, an SC's or an [Sc]
+          store's, until {!handle} performs it with the exclusive grant *)
   mutable m_stores : (int * int * Alpha.Insn.width * int64) list;
       (** [(stamp, addr, w, v)]: stores recorded while the miss was
           outstanding, replayed over arriving data in stamp order
@@ -102,7 +103,7 @@ type proc = {
   mutable deferred_flags : int list;  (** blocks whose flag writes are delayed (Section 4.1) *)
   mutable watch_blocks : int list;  (** post-batch store-reissue watch *)
   mutable reissue : (int * Alpha.Insn.width * int64) list;  (** (addr, w, v) to re-issue *)
-  mutable last_ll : int option;  (** block of the last LL whose line was exclusive *)
+  mutable last_ll : int;  (** block of the last LL whose line was exclusive, or -1 *)
   parked : Ptypes.msg list ref;
       (** replies that arrived ahead of their per-block sequence order *)
   stats : pstats;
@@ -319,7 +320,7 @@ let attach t ~pid ~node ~app =
       deferred_flags = [];
       watch_blocks = [];
       reissue = [];
-      last_ll = None;
+      last_ll = -1;
       parked = ref [];
       stats =
         {
@@ -905,6 +906,14 @@ let handle_inval_ack t home b =
 
 (* --- one step: a message applied where it was delivered --- *)
 
+(* Perform [p]'s miss's carried store, once its domain owns the block. *)
+let write_carried p miss =
+  match miss.m_store with
+  | Some (addr, w, v) ->
+      Memimg.write ~pid:p.pid p.dom.img addr w v;
+      miss.m_store <- None
+  | None -> ()
+
 (** [handle t p msg] — apply [msg] at process [p]'s domain, with [p]
     serving it: a reply or downgrade addressed to [p] (only the requester
     may handle its replies, Section 6.5), or a domain-addressed message,
@@ -949,6 +958,7 @@ let handle t p msg =
          invalidation. *)
       replay_recorded_stores ~owned:exclusive d b;
       with_miss b (fun miss ->
+          if exclusive then write_carried p miss;
           complete miss b (if exclusive then Ptypes.Exclusive else Ptypes.Shared))
   | Ptypes.Ack_exclusive { block = b; _ } ->
       cost d t.cfg.Config.costs.Config.reply_process;
@@ -956,6 +966,7 @@ let handle t p msg =
           (* A sibling's fetch may have overwritten our early-visible
              stores; put them back now that we own the block. *)
           replay_recorded_stores ~owned:true d b;
+          write_carried p miss;
           complete miss b Ptypes.Exclusive)
   | Ptypes.Sc_result { block = b; ok; _ } ->
       cost d t.cfg.Config.costs.Config.reply_process;
@@ -971,14 +982,11 @@ let handle t p msg =
              store or a newly fetched copy of the block since our LL shows
              as a broken hardware monitor: the SC must then fail
              (spuriously, which Alpha allows) rather than complete against
-             a stale LL value. *)
-          miss.m_sc_ok <-
-            ok
-            && (match miss.m_sc_store with
-               | Some (addr, w, v) ->
-                   Memimg.monitor_armed d.img ~pid:p.pid addr
-                   && (Memimg.write ~pid:p.pid d.img addr w v; true)
-               | None -> true);
+             a stale LL value.  A store left carried is the SC's failure. *)
+          (match miss.m_store with
+          | Some (addr, _, _) when ok && Memimg.monitor_armed d.img ~pid:p.pid addr ->
+              write_carried p miss
+          | Some _ | None -> ());
           miss.m_done <- true;
           Hashtbl.remove p.outstanding b)
   | Ptypes.Downgrade { block = b; to_state; from_domain; _ } ->
@@ -988,19 +996,18 @@ let handle t p msg =
   | Ptypes.Home_transfer _ | Ptypes.Home_transfer_ack _ | Ptypes.Home_hint _ ->
       invalid_arg "Core.handle: transfer traffic is applied at the network interface"
 
-(** [issue t p b kind mkind sc_store] — the state part of a miss:
+(** [issue t p b kind mkind store] — the state part of a miss:
     register it, mark both state tables Pending and send the request to
     the home this domain believes in (a wrong guess comes back as a
     bounce with a fresh hint).  Non-blocking. *)
-let issue t p b kind mkind sc_store =
+let issue t p b kind mkind store =
   let miss =
     {
       m_block = b;
       m_kind = mkind;
       m_req = kind;
       m_done = false;
-      m_sc_ok = false;
-      m_sc_store = sc_store;
+      m_store = store;
       m_stores = [];
     }
   in

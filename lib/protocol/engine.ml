@@ -228,8 +228,8 @@ let block_state p addr =
 let private_state p addr = tab_get p.st.private_tab (block_of p addr)
 
 (* Issue a request to the home; non-blocking (caller stalls if desired). *)
-let issue ?sc_store p b kind mkind =
-  let miss = Core.issue p.eng.core p.st b kind mkind sc_store in
+let issue ?store p b kind mkind =
+  let miss = Core.issue p.eng.core p.st b kind mkind store in
   flush p.eng p.st.dom (ref (now p.eng));
   charge (costs p).Config.send;
   miss
@@ -241,11 +241,14 @@ let inspect p b ~busy k =
   | Some miss -> busy miss
   | None -> k (tab_get p.st.private_tab b) (tab_get p.st.dom.shared_tab b)
 
-(* [inspect], after waiting out our own outstanding miss on [b]. *)
-let rec settled p ~bucket b k =
-  inspect p b k ~busy:(fun miss ->
+(* Wait out our own outstanding miss on [b], if any.  Allocates
+   nothing when there is none. *)
+let rec settle p ~bucket b =
+  match Hashtbl.find_opt p.st.outstanding b with
+  | Some miss ->
       wait p ~bucket miss;
-      settled p ~bucket b k)
+      settle p ~bucket b
+  | None -> ()
 
 (* The request that makes a non-exclusive block writable: a Shared copy
    only needs upgrading, anything else needs the data too. *)
@@ -302,18 +305,17 @@ let ensure_read p addr =
   let b = block_of p addr in
   charge (costs p).Config.intra_node_hit;
   let rec go () =
-    settled p ~bucket:`Read b (fun _ shared ->
-        match shared with
-        | Ptypes.Shared | Ptypes.Exclusive ->
-            (* Intra-node resolution: another process of the domain holds
-               the data; just refresh the private table. *)
-            p.st.stats.intra_hits <- p.st.stats.intra_hits + 1;
-            tab_set p.st.private_tab b
-              (if shared = Ptypes.Exclusive then Ptypes.Exclusive else Ptypes.Shared)
-        | Ptypes.Invalid | Ptypes.Pending ->
-            p.st.stats.read_misses <- p.st.stats.read_misses + 1;
-            wait p ~bucket:`Read (issue p b Ptypes.Read MRead);
-            go ())
+    settle p ~bucket:`Read b;
+    match tab_get p.st.dom.shared_tab b with
+    | (Ptypes.Shared | Ptypes.Exclusive) as shared ->
+        (* Intra-node resolution: another process of the domain holds
+           the data; just refresh the private table. *)
+        p.st.stats.intra_hits <- p.st.stats.intra_hits + 1;
+        tab_set p.st.private_tab b shared
+    | Ptypes.Invalid | Ptypes.Pending ->
+        p.st.stats.read_misses <- p.st.stats.read_misses + 1;
+        wait p ~bucket:`Read (issue p b Ptypes.Read MRead);
+        go ()
   in
   go ()
 
@@ -337,54 +339,39 @@ let rec load_miss p addr w =
       let v = Memimg.read p.st.dom.img addr w in
       if v = Config.flag_value w then load_miss p addr w else v
 
-(* Ensure the block is writable.  Like [ensure_read], all costs are
-   charged before the final state inspection: the caller's store follows
-   with no intervening suspension, so the exclusivity decision cannot go
-   stale (the Section 2.3 race).  A blocking (SC) store stalls on the
-   miss and re-inspects; a non-blocking one only needs a miss outstanding
-   — [raw_write] records the store for replay. *)
-let ensure_write p addr ~blocking =
-  let b = block_of p addr in
-  charge (costs p).Config.intra_node_hit;
-  let rec go () =
-    inspect p b ~busy:stall (fun _ shared ->
-        match shared with
-        | Ptypes.Exclusive ->
-            p.st.stats.intra_hits <- p.st.stats.intra_hits + 1;
-            tab_set p.st.private_tab b Ptypes.Exclusive
-        | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
-            (* Pending means a recall of our exclusive copy, or a
-               sibling's miss, is in flight: go through the home. *)
-            p.st.stats.store_misses <- p.st.stats.store_misses + 1;
-            stall (issue p b (store_request shared) MStore))
-  and stall miss =
-    if blocking then begin
-      wait p ~bucket:`Write miss;
-      go ()
-    end
-  in
-  go ()
-
-(** RC store buffer depth before stalling. *)
+(** Store buffer depth before stalling ([Rc]: an [Sc] store waits). *)
 let max_outstanding_stores = 16
 
-(** [store_miss pcb addr] — slow path of the inline store check.  Under
-    [Sc] the store stalls until all invalidations are acknowledged; under
-    [Rc] it is non-blocking, bounded by [max_outstanding_stores]. *)
+(** [store_miss pcb addr] — slow path of the inline store check: make the
+    block writable, or a miss outstanding on it, bounded by
+    [max_outstanding_stores].  Like [ensure_read], all costs are charged
+    before the final state inspection: the caller's store follows with no
+    intervening suspension, so the decision cannot go stale (the Section
+    2.3 race).  A store that finds a miss outstanding rides it:
+    [raw_write] records it, or, under [Sc], carries it to the grant. *)
 let store_miss p addr =
-  let cfg = p.eng.core.cfg in
+  let b = block_of p addr in
   charge (costs p).Config.miss_entry;
   apply_deferred p;
-  let blocking = cfg.Config.model = Config.Sc in
-  if (not blocking) && p.st.n_outstanding_stores >= max_outstanding_stores then
+  if p.st.n_outstanding_stores >= max_outstanding_stores then
     stall_until p ~bucket:`Write (fun () -> p.st.n_outstanding_stores < max_outstanding_stores);
-  ensure_write p addr ~blocking
+  charge (costs p).Config.intra_node_hit;
+  inspect p b ~busy:ignore (fun _ shared ->
+      match shared with
+      | Ptypes.Exclusive ->
+          p.st.stats.intra_hits <- p.st.stats.intra_hits + 1;
+          tab_set p.st.private_tab b Ptypes.Exclusive
+      | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
+          (* Pending means a recall of our exclusive copy, or a
+             sibling's miss, is in flight: go through the home. *)
+          p.st.stats.store_misses <- p.st.stats.store_misses + 1;
+          ignore (issue p b (store_request shared) MStore))
 
 (** Raw memory access used by the runtime for the actual load/store
     instructions.  Stores are intercepted: while a miss is outstanding on
-    the block, the store is recorded for replay over the arriving data;
-    after a batch, stores to since-downgraded lines are recorded for
-    reissue (Section 4.1). *)
+    the block, the store is recorded for replay over the arriving data
+    ([Rc]) or carried to the grant ([Sc]); after a batch, stores to
+    since-downgraded lines are recorded for reissue (Section 4.1). *)
 let raw_read p addr w = Memimg.read p.st.dom.img addr w
 
 (** Region copies for OS syscall buffers (post-validation DMA). *)
@@ -402,25 +389,41 @@ let raw_sc p addr w v =
   wake p.eng p.st.dom;
   ok
 
+(* An [Sc] store on a block with our own miss outstanding rides the
+   miss: Core performs it at the grant.  The wait runs with [in_app]
+   cleared, so a recall can downgrade us directly meanwhile. *)
+let carry p miss addr w v =
+  let in_app = !(p.st.in_app) in
+  miss.m_store <- Some (addr, w, v);
+  p.st.in_app := false;
+  wait p ~bucket:`Write miss;
+  p.st.in_app := in_app
+
 let raw_write p addr w v =
   let s = p.st in
   let b = block_of p addr in
   (* The dominant case — no miss outstanding, no watched blocks — must
      not hash or allocate.  A store is bound-checked before it is
-     recorded: a recorded store that does not fit the image would be
-     replayed, and fail again, when the reply arrives. *)
-  (if Hashtbl.length s.outstanding > 0 || s.watch_blocks <> [] then begin
-     Memimg.check s.dom.img addr (Alpha.Insn.bytes_of_width w);
+     recorded or carried: one that does not fit the image would fail
+     again when the reply arrives. *)
+  let carried =
+    (Hashtbl.length s.outstanding > 0 || s.watch_blocks <> [])
+    &&
+    (Memimg.check s.dom.img addr (Alpha.Insn.bytes_of_width w);
      match Hashtbl.find_opt s.outstanding b with
-     | Some miss ->
-         (* In a block the domain owns, the store is performed at once. *)
-         if tab_get s.dom.shared_tab b <> Ptypes.Exclusive then record_store s.dom miss addr w v
+     | Some miss when tab_get s.dom.shared_tab b <> Ptypes.Exclusive ->
+         if p.eng.core.cfg.Config.model = Config.Sc then (carry p miss addr w v; true)
+         else (record_store s.dom miss addr w v; false)
+     | Some _ -> false (* in a block the domain owns, performed at once *)
      | None ->
          if List.mem b s.watch_blocks && tab_get s.dom.shared_tab b <> Ptypes.Exclusive then
-           s.reissue <- (addr, w, v) :: s.reissue
-   end);
-  Memimg.write ~pid:s.pid s.dom.img addr w v;
-  wake p.eng s.dom
+           s.reissue <- (addr, w, v) :: s.reissue;
+         false)
+  in
+  if not carried then begin
+    Memimg.write ~pid:s.pid s.dom.img addr w v;
+    wake p.eng s.dom
+  end
 
 (** [mb pcb] — the protocol part of a memory barrier: complete all
     outstanding (non-blocking) stores and service pending invalidations. *)
@@ -488,42 +491,41 @@ let batch p accesses =
     the block is waited out before the LL path is decided. *)
 let ll_ensure p addr =
   apply_deferred p;
-  let b = block_of p addr in
-  settled p ~bucket:`Read b (fun private_s shared ->
-      match (shared, private_s) with
-      | (Ptypes.Invalid | Ptypes.Pending), _ ->
-          charge (costs p).Config.miss_entry;
-          ensure_read p addr
-      | (Ptypes.Shared | Ptypes.Exclusive), (Ptypes.Invalid | Ptypes.Pending) ->
-          tab_set p.st.private_tab b
-            (if shared = Ptypes.Exclusive then Ptypes.Exclusive else Ptypes.Shared)
-      | (Ptypes.Shared | Ptypes.Exclusive), (Ptypes.Shared | Ptypes.Exclusive) -> ());
-  p.st.last_ll <- (if private_state p addr = Ptypes.Exclusive then Some b else None)
+  let s = p.st and b = block_of p addr in
+  settle p ~bucket:`Read b;
+  (match (tab_get s.dom.shared_tab b, tab_get s.private_tab b) with
+  | (Ptypes.Invalid | Ptypes.Pending), _ ->
+      charge (costs p).Config.miss_entry;
+      ensure_read p addr
+  | ((Ptypes.Shared | Ptypes.Exclusive) as shared), (Ptypes.Invalid | Ptypes.Pending) ->
+      tab_set s.private_tab b shared
+  | (Ptypes.Shared | Ptypes.Exclusive), (Ptypes.Shared | Ptypes.Exclusive) -> ());
+  s.last_ll <- (if tab_get s.private_tab b = Ptypes.Exclusive then b else -1)
 
 (** [sc_check pcb addr w v] — inline code before a store-conditional. *)
 let sc_check p addr w v =
   apply_deferred p;
-  let b = block_of p addr in
-  settled p ~bucket:`Write b (fun private_s shared ->
-      match (private_s, shared) with
-      | Ptypes.Exclusive, _ when p.st.last_ll = Some b ->
-          (* Fast path: run the SC in hardware; the memory-image monitor
-             decides success. *)
-          Alpha.Runtime.Run_in_hardware
-      | _, Ptypes.Exclusive ->
-          tab_set p.st.private_tab b Ptypes.Exclusive;
-          Alpha.Runtime.Run_in_hardware
-      | _, Ptypes.Shared ->
-          p.st.stats.sc_misses <- p.st.stats.sc_misses + 1;
-          charge (costs p).Config.miss_entry;
-          let miss = issue p b Ptypes.Sc_upgrade MSc ~sc_store:(addr, w, v) in
-          wait p ~bucket:`Write miss;
-          Alpha.Runtime.Handled miss.m_sc_ok
-      | _, (Ptypes.Invalid | Ptypes.Pending) ->
-          (* The line was lost since the LL: the SC fails without any
-             protocol traffic. *)
-          p.st.stats.sc_misses <- p.st.stats.sc_misses + 1;
-          Alpha.Runtime.Handled false)
+  let s = p.st and b = block_of p addr in
+  settle p ~bucket:`Write b;
+  match (tab_get s.private_tab b, tab_get s.dom.shared_tab b) with
+  | Ptypes.Exclusive, _ when s.last_ll = b ->
+      (* Fast path: run the SC in hardware; the memory-image monitor
+         decides success. *)
+      Alpha.Runtime.Run_in_hardware
+  | _, Ptypes.Exclusive ->
+      tab_set s.private_tab b Ptypes.Exclusive;
+      Alpha.Runtime.Run_in_hardware
+  | _, Ptypes.Shared ->
+      s.stats.sc_misses <- s.stats.sc_misses + 1;
+      charge (costs p).Config.miss_entry;
+      let miss = issue p b Ptypes.Sc_upgrade MSc ~store:(addr, w, v) in
+      wait p ~bucket:`Write miss;
+      Alpha.Runtime.Handled (Option.is_none miss.m_store)
+  | _, (Ptypes.Invalid | Ptypes.Pending) ->
+      (* The line was lost since the LL: the SC fails without any
+         protocol traffic. *)
+      s.stats.sc_misses <- s.stats.sc_misses + 1;
+      Alpha.Runtime.Handled false
 
 (** [prefetch_excl pcb addr] — non-binding exclusive prefetch inserted
     before LL/SC loops (Section 3.1.2). *)

@@ -65,12 +65,31 @@ let write ?(pid = -1) t addr (w : Alpha.Insn.width) v =
   | Alpha.Insn.W32 -> Bytes.set_int32_le t.data off (Int64.to_int32 v)
   | Alpha.Insn.W64 -> Bytes.set_int64_le t.data off v
 
+(* Is [pid]'s monitor armed on [block]?  A closure-free scan. *)
+let rec armed ms ~pid ~block =
+  match ms with
+  | [] -> false
+  | m :: rest -> (m.mon_pid = pid && m.mon_block = block) || armed rest ~pid ~block
+
+(* [ms] without [pid]'s monitor; a process has at most one.  Returns
+   [ms] itself when [pid] has none, and copies only the monitors ahead
+   of its one. *)
+let rec without ms ~pid =
+  match ms with
+  | [] -> ms
+  | m :: rest ->
+      if m.mon_pid = pid then rest
+      else
+        let rest' = without rest ~pid in
+        if rest' == rest then ms else m :: rest'
+
 (** [ll t ~pid addr w] performs a load-locked: reads and arms [pid]'s
-    monitor on the block. *)
+    monitor on the block.  Re-arming an armed monitor, as a spin on a
+    taken lock does, leaves the list as it is. *)
 let ll t ~pid addr w =
   let block = block_of t addr in
-  t.monitors <-
-    { mon_pid = pid; mon_block = block } :: List.filter (fun m -> m.mon_pid <> pid) t.monitors;
+  if not (armed t.monitors ~pid ~block) then
+    t.monitors <- { mon_pid = pid; mon_block = block } :: without t.monitors ~pid;
   read t addr w
 
 (** [monitor_armed t ~pid addr] — is [pid]'s LL monitor still armed on
@@ -78,13 +97,11 @@ let ll t ~pid addr w =
     granted by the home: if an intervening data write or invalidation
     broke the monitor, the SC fails spuriously (which the Alpha
     architecture permits) rather than complete against stale data. *)
-let monitor_armed t ~pid addr =
-  let block = block_of t addr in
-  List.exists (fun m -> m.mon_pid = pid && m.mon_block = block) t.monitors
+let monitor_armed t ~pid addr = armed t.monitors ~pid ~block:(block_of t addr)
 
 (** [disarm t ~pid] drops [pid]'s monitor, if any: a reservation left
     armed sends every store to the image down the slow path. *)
-let disarm t ~pid = t.monitors <- List.filter (fun m -> m.mon_pid <> pid) t.monitors
+let disarm t ~pid = t.monitors <- without t.monitors ~pid
 
 (** [sc t ~pid addr w v] performs a store-conditional: succeeds iff
     [pid]'s monitor on the block is still armed.  Always disarms. *)

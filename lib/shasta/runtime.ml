@@ -509,6 +509,8 @@ let alpha_runtime h =
   let dispatch_write addr w v =
     if is_shared h addr then E.raw_write h.pcb addr w v else private_write h addr w v
   in
+  (* Applied once here, so an LL check builds no closure. *)
+  let ll_ensure = E.ll_ensure h.pcb in
   {
     Alpha.Runtime.load = dispatch_read;
     store = dispatch_write;
@@ -539,7 +541,7 @@ let alpha_runtime h =
           true
         end);
     ll_check =
-      (fun addr -> if is_shared h addr then in_protocol h (fun () -> E.ll_ensure h.pcb addr) ());
+      (fun addr -> if is_shared h addr then in_protocol h ll_ensure addr);
     sc_check =
       (fun addr w v ->
         if is_shared h addr then in_protocol h (fun () -> E.sc_check h.pcb addr w v) ()

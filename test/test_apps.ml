@@ -5,7 +5,7 @@
 module Cfg = Shasta.Config
 open Apps
 
-let cluster ?(nodes = 2) ?(cpus = 2) ?(line = 64) () =
+let cluster ?(nodes = 2) ?(cpus = 2) ?(line = 64) ?(model = Protocol.Config.Rc) () =
   Shasta.Cluster.create
     {
       Cfg.default with
@@ -15,6 +15,7 @@ let cluster ?(nodes = 2) ?(cpus = 2) ?(line = 64) () =
           Protocol.Config.default with
           Protocol.Config.shared_size = 4 * 1024 * 1024;
           line_size = line;
+          model;
         };
     }
 
@@ -59,6 +60,23 @@ let test_lu_layouts_differ () =
     (Printf.sprintf "contiguous layout sends fewer messages (%d < %d)" contig plain)
     true (contig < plain)
 
+(* SMP-Shasta under [Sc] with LL/SC sync, at the application's default
+   size, within an event budget: an [Sc] store that waits for its miss
+   and then inspects its line again livelocks both shapes. *)
+let test_sc_sm_sync spec ~nodes ~cpus ~budget () =
+  let cl = cluster ~nodes ~cpus ~model:Protocol.Config.Sc () in
+  let finish = Harness.start cl spec ~nprocs:(nodes * cpus) ~sync:Harness.Sm () in
+  Shasta.Cluster.init cl;
+  let stop = Sim.Engine.run ~max_events:budget (Shasta.Cluster.sim cl) in
+  Alcotest.(check bool)
+    (Printf.sprintf "quiescent within %d events (%d fired)" budget
+       (Sim.Engine.events_fired (Shasta.Cluster.sim cl)))
+    true (stop = Sim.Engine.Quiescent);
+  let elapsed, ok = finish () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s validates (%.2fms simulated)" spec.Harness.name (1000.0 *. elapsed))
+    true ok
+
 let suite =
   [
     Alcotest.test_case "LU validates" `Quick (test_app Lu.spec ~size:32);
@@ -85,4 +103,8 @@ let suite =
     Alcotest.test_case "speedup positive" `Quick test_speedup_positive;
     Alcotest.test_case "deterministic" `Quick test_determinism;
     Alcotest.test_case "LU layouts differ" `Quick test_lu_layouts_differ;
+    Alcotest.test_case "LU on 2x4 with SM sync under Sc" `Quick
+      (test_sc_sm_sync Lu.spec ~nodes:2 ~cpus:4 ~budget:1_500_000);
+    Alcotest.test_case "Water-Sp on 4x4 with SM sync under Sc" `Quick
+      (test_sc_sm_sync Water.spec_spatial ~nodes:4 ~cpus:4 ~budget:2_500_000);
   ]

@@ -133,6 +133,27 @@ let test_sm_lock_mutual_exclusion () =
   Alcotest.(check int) "LL/SC lock protected all increments" (4 * iters)
     (Int64.to_int (read_valid cl counter))
 
+(* Run [cl] to quiescence within [budget] fired events, so that a
+   livelock fails the test instead of running on; then re-raise any
+   worker failure. *)
+let run_within cl budget =
+  C.init cl;
+  let stop = Sim.Engine.run ~max_events:budget (C.sim cl) in
+  Alcotest.(check bool)
+    (Printf.sprintf "quiescent within %d events (%d fired)" budget
+       (Sim.Engine.events_fired (C.sim cl)))
+    true (stop = Sim.Engine.Quiescent);
+  C.run cl
+
+(* Protocol requests issued by every process of [cl]. *)
+let requests cl =
+  List.fold_left
+    (fun n h ->
+      let st = R.pstats h in
+      n + st.Protocol.Engine.read_misses + st.Protocol.Engine.store_misses
+      + st.Protocol.Engine.sc_misses)
+    0 (C.runtimes cl)
+
 (* Eight LL/SC lockers on 2 nodes x 4 CPUs.  Phase 1 is a node-mate
    handoff on node 0 alone: the lock's block stays exclusive at the
    node, so the holder's releasing store is a hardware hit that sends no
@@ -140,9 +161,12 @@ let test_sm_lock_mutual_exclusion () =
    works for 200 us while the other seven wait.  Under [Rc] each release
    is a non-blocking store that a node-mate may see before its own miss
    completes; replaying such a recorded store after a sibling has taken
-   the lock once let two holders in. *)
-let test_sm_lock_contended_handoff () =
-  let cl = C.create (small_cfg ~nodes:2 ~cpus:4 ()) in
+   the lock once let two holders in.  Under [Sc] the releasing store
+   waits for its miss, and must be performed at the grant: inspecting
+   the line again after the grant livelocks.  Returns the protocol
+   requests per acquire. *)
+let sm_lock_contended_handoff ~model ~budget =
+  let cl = C.create (small_cfg ~nodes:2 ~cpus:4 ~model ()) in
   let la = C.alloc cl 64 and lb = C.alloc cl 64 and counter = C.alloc cl 64 in
   let iters = 5 and phase2 = 1e-3 and hold = 200e-6 in
   let inside = ref 0 and overlaps = ref 0 and acquires = ref 0 in
@@ -195,7 +219,7 @@ let test_sm_lock_contended_handoff () =
                     else short ()))
            done))
   done;
-  ignore (C.run cl);
+  ignore (run_within cl budget);
   Alcotest.(check int) "the node-mate release was a hardware hit" 0 !release_misses;
   Alcotest.(check int) "every acquire completed" (1 + (3 * iters) + (8 * iters)) !acquires;
   Alcotest.(check int) "no two holders at once" 0 !overlaps;
@@ -217,7 +241,17 @@ let test_sm_lock_contended_handoff () =
   Alcotest.(check bool)
     (Printf.sprintf "the seven waiters fired %d events in 200 us" (!window - alone))
     true
-    (!window - alone <= 2 * 7)
+    (!window - alone <= 2 * 7);
+  float_of_int (requests cl) /. float_of_int !acquires
+
+let test_sm_lock_contended_handoff () =
+  ignore (sm_lock_contended_handoff ~model:Protocol.Config.Rc ~budget:20_000)
+
+let test_sm_lock_contended_handoff_sc () =
+  let per_acquire = sm_lock_contended_handoff ~model:Protocol.Config.Sc ~budget:20_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f protocol requests per acquire" per_acquire)
+    true (per_acquire <= 3.0)
 
 let test_sm_barrier () =
   let cl = C.create (small_cfg ()) in
@@ -383,6 +417,36 @@ let test_instrumented_same_program_reads_correctly () =
   ignore (C.run cl);
   Alcotest.(check int64) "instrumented binary sees the real value" 77L !seen
 
+(* The instrumented Figure 1 lock on 2x4 under [Sc]: every releasing
+   store and every counter store that misses rides its own miss to the
+   grant.  A store that instead waited for its miss and inspected the
+   line again livelocks the eight processes. *)
+let test_instrumented_lock_sc () =
+  List.iter
+    (fun (name, options) ->
+      let instrumented, _ = Rewrite.Instrument.instrument ~options lock_counter_program in
+      let cl = C.create (small_cfg ~nodes:2 ~cpus:4 ~model:Protocol.Config.Sc ()) in
+      let lockw = C.alloc cl 64 and counter = C.alloc cl 64 in
+      let iters = 15 in
+      for c = 0 to 7 do
+        ignore
+          (C.spawn cl ~cpu:c "cpu" (fun h ->
+               ignore
+                 (R.run_program h instrumented ~entry:"main"
+                    ~args:[ Int64.of_int lockw; Int64.of_int counter; Int64.of_int iters ]
+                    ())))
+      done;
+      ignore (run_within cl 600_000);
+      Alcotest.(check int)
+        (name ^ ": shared counter fully incremented")
+        (8 * iters)
+        (Int64.to_int (read_valid cl counter)))
+    [
+      ("default", Rewrite.Instrument.default_options);
+      ( "redundant_elim",
+        { Rewrite.Instrument.default_options with Rewrite.Instrument.redundant_elim = true } );
+    ]
+
 (* The API-mode hit path is the inline check itself: on a line already
    held exclusive, a load/store pair must not allocate.  The bound
    leaves room for the periodic flush of batched cycles into
@@ -478,6 +542,58 @@ let test_ir_hits_allocate_little () =
   Alcotest.(check bool)
     (Printf.sprintf "%.3f minor words per step" !per_step)
     true (!per_step < 1.5)
+
+(* The LL/SC twin: an instrumented fetch-and-add loop on a line held
+   exclusive, so every LL check and SC check takes its hit path and
+   every SC runs in hardware.  The LL and SC box their [int64]s, the
+   runtime's SC check builds its protocol-entry closure, and each SC's
+   disarm makes the next LL cons a monitor; the protocol's LL and SC
+   checks build no closure, option or list. *)
+let test_ir_llsc_hits_allocate_little () =
+  let prog =
+    Alpha.Asm.(
+      program
+        [
+          proc "main"
+            [
+              label "loop";
+              ll W64 t0 0 a0;
+              addi t0 1 t0;
+              sc W64 t0 0 a0;
+              beq t0 "loop";
+              subi a2 1 a2;
+              bgt a2 "loop";
+              halt;
+            ];
+        ])
+  in
+  let instrumented, stats = Rewrite.Instrument.instrument prog in
+  Alcotest.(check bool) "LL/SC pair recognised" true (stats.Rewrite.Instrument.llsc_pairs >= 1);
+  let cl = C.create (small_cfg ~nodes:1 ~cpus:1 ()) in
+  let a = C.alloc cl 64 in
+  let n = 20_000 in
+  let per_step = ref Float.nan and misses = ref (-1) and sum = ref 0 in
+  let _ =
+    C.spawn cl ~cpu:0 "app" (fun h ->
+        R.store_int h a 0;
+        let st = R.pstats h in
+        let m0 = st.Protocol.Engine.read_misses + st.Protocol.Engine.store_misses in
+        let w0 = Gc.minor_words () in
+        let o =
+          R.run_program h instrumented ~entry:"main" ~args:[ Int64.of_int a; 0L; Int64.of_int n ] ()
+        in
+        per_step := (Gc.minor_words () -. w0) /. float_of_int o.Alpha.Interp.stats.Alpha.Interp.steps;
+        misses :=
+          st.Protocol.Engine.read_misses + st.Protocol.Engine.store_misses
+          + st.Protocol.Engine.sc_misses - m0;
+        sum := R.load_int h a)
+  in
+  ignore (C.run cl);
+  Alcotest.(check int) "every increment landed" n !sum;
+  Alcotest.(check int) "every check hit" 0 !misses;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per step" !per_step)
+    true (!per_step < 4.0)
 
 (* What the hit path must not skip: the image bounds, the protocol on a
    store to a line held only [Shared], and the trace hook. *)
@@ -606,4 +722,9 @@ let suite =
       test_uninstrumented_binary_reads_flags;
     Alcotest.test_case "instrumented read correct" `Quick
       test_instrumented_same_program_reads_correctly;
+    Alcotest.test_case "SM lock contended handoff under Sc" `Quick
+      test_sm_lock_contended_handoff_sc;
+    Alcotest.test_case "instrumented lock under Sc" `Quick test_instrumented_lock_sc;
+    Alcotest.test_case "IR-mode LL/SC hits allocate little" `Quick
+      test_ir_llsc_hits_allocate_little;
   ]
