@@ -32,21 +32,13 @@ let s2 = 11
 let s3 = 12
 let s4 = 13
 let s5 = 14
-let fp = 15
 let a0 = 16
 let a1 = 17
 let a2 = 18
 let a3 = 19
 let a4 = 20
-let a5 = 21
 let t8 = 22
 let t9 = 23
-let t10 = 24
-let t11 = 25
-let ra = 26
-let t12 = 27
-let at = 28
-let gp = 29
 let sp = 30
 let zero = 31
 
@@ -56,32 +48,19 @@ let lif f v = Lif (f, v)
 let mov src dst = Binop (Add, src, Imm 0, dst)
 let add a b d = Binop (Add, a, Reg b, d)
 let addi a i d = Binop (Add, a, Imm i, d)
-let sub a b d = Binop (Sub, a, Reg b, d)
 let subi a i d = Binop (Sub, a, Imm i, d)
-let mul a b d = Binop (Mul, a, Reg b, d)
 let muli a i d = Binop (Mul, a, Imm i, d)
-let and_ a b d = Binop (And, a, Reg b, d)
 let andi a i d = Binop (And, a, Imm i, d)
-let or_ a b d = Binop (Or, a, Reg b, d)
-let xor a b d = Binop (Xor, a, Reg b, d)
 let slli a i d = Binop (Sll, a, Imm i, d)
-let srli a i d = Binop (Srl, a, Imm i, d)
-let cmpeq a b d = Binop (Cmpeq, a, Reg b, d)
-let cmplt a b d = Binop (Cmplt, a, Reg b, d)
 let cmplti a i d = Binop (Cmplt, a, Imm i, d)
-let cmple a b d = Binop (Cmple, a, Reg b, d)
-let ld w d off b = Ld (w, d, off, b)
 let ldl d off b = Ld (W32, d, off, b)
 let ldq d off b = Ld (W64, d, off, b)
-let st w s off b = St (w, s, off, b)
 let stl s off b = St (W32, s, off, b)
 let stq s off b = St (W64, s, off, b)
 let ldt d off b = Ldf (d, off, b)
 let stt s off b = Stf (s, off, b)
 let fadd a b d = Fbinop (Fadd, a, b, d)
-let fsub a b d = Fbinop (Fsub, a, b, d)
 let fmul a b d = Fbinop (Fmul, a, b, d)
-let fdiv a b d = Fbinop (Fdiv, a, b, d)
 let fcmp c a b d = Fcmp (c, a, b, d)
 let cvt_if r f = Cvt_if (r, f)
 let cvt_fi f r = Cvt_fi (f, r)
@@ -92,10 +71,7 @@ let mb = Mb
 let br l = Br l
 let beq r l = Bcond (Eq, r, l)
 let bne r l = Bcond (Ne, r, l)
-let blt r l = Bcond (Lt, r, l)
-let ble r l = Bcond (Le, r, l)
 let bgt r l = Bcond (Gt, r, l)
-let bge r l = Bcond (Ge, r, l)
 let call p = Call p
 let ret = Ret
 let halt = Halt

@@ -94,17 +94,6 @@ type t =
   | Prefetch_excl of int * reg  (** non-binding exclusive prefetch before LL/SC loops *)
   | Label of label  (** no-op marker; assembled away into indices *)
 
-(** [is_pseudo i] is true for rewriter-inserted instructions; used to
-    check that original binaries contain none and to compute code-size
-    growth. *)
-let is_pseudo = function
-  | Load_check _ | Store_check _ | Batch_check _ | Ll_check _ | Sc_check _ | Gran_lookup _
-  | Mb_check | Poll | Prefetch_excl _ ->
-      true
-  | Binop _ | Li _ | Lif _ | Ld _ | St _ | Ldf _ | Stf _ | Fbinop _ | Fcmp _ | Cvt_if _
-  | Cvt_fi _ | Fmov _ | Ll _ | Sc _ | Mb | Br _ | Bcond _ | Call _ | Ret | Halt | Label _ ->
-      false
-
 (** Static size of an instruction in equivalent 32-bit Alpha instruction
     slots.  Pseudo-instructions expand to the inline code sequences the
     paper describes: ~3 slots for a flag-technique load check, ~7 for a

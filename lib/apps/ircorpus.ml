@@ -378,8 +378,6 @@ let all =
         ]);
   ]
 
-let find name = List.find (fun e -> e.e_name = name) all
-
 (* --- SPMD sync corpus --- *)
 
 (** Kernels in {!sync} are SPMD: every thread runs [main(a0 = shared

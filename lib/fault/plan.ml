@@ -63,8 +63,6 @@ let is_empty t =
   && List.for_all (fun (_, lf) -> lf = no_faults) t.links
   && t.outages = []
 
-let seed t = t.seed
-
 let faults_for t ~src ~dst =
   match List.assoc_opt (src, dst) t.links with Some lf -> lf | None -> t.default
 

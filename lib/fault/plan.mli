@@ -57,8 +57,6 @@ val create :
   unit ->
   t
 
-val seed : t -> int
-
 (** [decide t ~src ~dst] draws the next verdict for a frame on the
     [src -> dst] link. *)
 val decide : t -> src:int -> dst:int -> action

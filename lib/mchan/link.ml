@@ -11,12 +11,9 @@
 type t = {
   bandwidth : float;  (** bytes per second *)
   mutable busy_until : float;
-  mutable messages : int;
-  mutable bytes : int;
-  mutable occupancy : float;  (** total seconds the link has been busy *)
 }
 
-let create ~bandwidth = { bandwidth; busy_until = 0.0; messages = 0; bytes = 0; occupancy = 0.0 }
+let create ~bandwidth = { bandwidth; busy_until = 0.0 }
 
 (** [transmit t ~now ~size] reserves the link for a [size]-byte message
     injected at [now]; returns the time the last byte leaves the link. *)
@@ -24,11 +21,4 @@ let transmit t ~now ~size =
   let start = Float.max now t.busy_until in
   let xfer = float_of_int size /. t.bandwidth in
   t.busy_until <- start +. xfer;
-  t.messages <- t.messages + 1;
-  t.bytes <- t.bytes + size;
-  t.occupancy <- t.occupancy +. xfer;
   t.busy_until
-
-let messages t = t.messages
-let bytes t = t.bytes
-let occupancy t = t.occupancy

@@ -9,9 +9,3 @@ val create : bandwidth:float -> t
 (** [transmit t ~now ~size] reserves the link for a [size]-byte message
     injected at [now]; returns the time the last byte leaves. *)
 val transmit : t -> now:float -> size:int -> float
-
-val messages : t -> int
-val bytes : t -> int
-
-(** [occupancy t] is the total time the link has been busy. *)
-val occupancy : t -> float

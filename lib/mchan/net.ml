@@ -109,7 +109,6 @@ let reliable t = t.reliable
 
 let engine t = t.engine
 let config t = t.config
-let cpu t ~node ~cpu = t.cpus.(node).(cpu)
 let node_signal t node = t.node_signal.(node)
 let total_cpus t = t.config.nodes * t.config.cpus_per_node
 

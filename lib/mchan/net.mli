@@ -37,7 +37,6 @@ val reliable : t -> Reliable.t option
 
 val engine : t -> Sim.Engine.t
 val config : t -> config
-val cpu : t -> node:int -> cpu:int -> Sim.Proc.cpu
 val node_signal : t -> int -> Sim.Signal.t
 val total_cpus : t -> int
 

@@ -75,14 +75,6 @@ let touch_cache t ~node ~now f =
       t.remote_fetches <- t.remote_fetches + 1;
       true
 
-(** [coherent_at t ~node ~now f] — does the node currently see [f]'s
-    latest version?  (The paper's OLTP restriction: not guaranteed.) *)
-let coherent_at t ~node ~now f =
-  let key = (node, f.name) in
-  match Hashtbl.find_opt t.caches key with
-  | Some c -> c.c_version = f.version || now -. c.fetched_at >= t.staleness_window
-  | None -> true
-
 let read_cost t n = t.read_base_cost +. (float_of_int n *. t.per_byte_cost)
 let write_cost t n = t.read_base_cost +. (float_of_int n *. t.per_byte_cost)
 
@@ -106,5 +98,3 @@ let pwrite t f ~pos src off len =
   if pos + len > f.size then f.size <- pos + len;
   f.version <- f.version + 1;
   ignore t
-
-let size f = f.size

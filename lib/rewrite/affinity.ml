@@ -125,17 +125,6 @@ let classify ~(binding : binding) (atoms : Races.atom list) =
 let report ~bindings (r : Races.report) =
   List.map (fun b -> classify ~binding:b r.Races.rep_atoms) bindings
 
-(** Hints as layout specs, ready for {!Protocol.Config.regions}. *)
-let suggested_specs hints =
-  List.map
-    (fun h ->
-      {
-        Protocol.Layout.rs_name = h.h_region;
-        Protocol.Layout.rs_size = h.h_size;
-        Protocol.Layout.rs_block = h.h_suggest;
-      })
-    hints
-
 let homing_name = function
   | Protocol.Config.Static -> "static"
   | Protocol.Config.Migratory -> "migratory"

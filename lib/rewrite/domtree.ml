@@ -54,9 +54,6 @@ let build (cfg : Cfg.t) =
   done;
   { preds; idom }
 
-let reachable t b = t.idom.(b) <> -1
-let idom t b = if b = 0 || t.idom.(b) = -1 then None else Some t.idom.(b)
-
 (** [dominates t a b] — every path from entry to block [b] passes
     through block [a] (reflexive). *)
 let dominates t a b =

@@ -367,11 +367,6 @@ let events_fired t =
   | None -> t.fired
   | Some p -> Array.fold_left (fun acc l -> acc + l.l_fired) t.fired p.p_lanes
 
-let pending t =
-  match t.par with
-  | None -> t.heap.q_size
-  | Some p -> Array.fold_left (fun acc l -> acc + l.l_heap.q_size) t.heap.q_size p.p_lanes
-
 (* The sequential push at [(time, seq)]; [jitter] lets a [Guided]
    schedule's delay injection draw for it. *)
 let push_seq t label ~jitter ~seq time f =

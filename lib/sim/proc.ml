@@ -122,8 +122,6 @@ let make_cpu ~engine ~node_id ~cpu_global_id ~quantum ~switch_cost next_pid =
     timer_first_seq = 0;
   }
 
-let now p = Engine.now p.cpu.engine
-
 let pick_ready cpu =
   let rec go i =
     if i >= priority_levels then None

@@ -15,8 +15,6 @@ val int : t -> int -> int
 (** [float t bound] is uniform in [0, bound). *)
 val float : t -> float -> float
 
-val bool : t -> bool
-
 (** [exponential t ~mean] samples an exponential inter-arrival time. *)
 val exponential : t -> mean:float -> float
 

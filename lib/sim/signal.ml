@@ -11,12 +11,9 @@ type t = {
       (** footprint stamped on waiter wake-up events (a per-node signal
           passes its node so a Guided explorer can classify the wake) *)
   mutable waiters : (unit -> unit) list;
-  mutable pulses : int;
 }
 
-let create ?(label = Engine.no_label) engine = { engine; label; waiters = []; pulses = 0 }
-
-let pulses t = t.pulses
+let create ?(label = Engine.no_label) engine = { engine; label; waiters = [] }
 
 (** [wait t f] registers [f] to be called (as an event at the pulse time)
     on the next pulse. *)
@@ -26,7 +23,6 @@ let wait t f = t.waiters <- f :: t.waiters
     during the pulse (e.g. a woken process immediately waiting again) are
     kept for the next pulse. *)
 let pulse_here t =
-  t.pulses <- t.pulses + 1;
   match t.waiters with
   | [] -> ()
   | ws ->

@@ -91,22 +91,6 @@ let log_percentile h p =
     end
   end
 
-(** [log_merge dst src] — add [src]'s counts into [dst]; both must have
-    been created with the same [lo]/[hi]/[per_decade]. *)
-let log_merge dst src =
-  if
-    dst.l_lo <> src.l_lo
-    || dst.l_per_decade <> src.l_per_decade
-    || Array.length dst.l_bins <> Array.length src.l_bins
-  then invalid_arg "Stats.log_merge: shape mismatch";
-  Array.iteri (fun i n -> dst.l_bins.(i) <- dst.l_bins.(i) + n) src.l_bins;
-  dst.l_under <- dst.l_under + src.l_under;
-  dst.l_over <- dst.l_over + src.l_over;
-  dst.l_count <- dst.l_count + src.l_count;
-  dst.l_sum <- dst.l_sum +. src.l_sum;
-  if src.l_min < dst.l_min then dst.l_min <- src.l_min;
-  if src.l_max > dst.l_max then dst.l_max <- src.l_max
-
 (** [log_nonzero h] — the sparse bucket contents as [(index, count)]
     pairs (index -1 is the underflow bin, [Array.length] the overflow
     bin), for serialisation and bit-identical comparison of runs. *)

@@ -19,7 +19,7 @@ let test_arith () =
             [
               li t0 6L;
               li t1 7L;
-              mul t0 t1 v0;
+              Insn.Binop (Mul, t0, Reg t1, v0);
               addi v0 100 v0;
               subi v0 2 v0;
               halt;
@@ -184,7 +184,7 @@ let test_syscall_sees_arguments () =
       program
         [
           proc "main"
-            [ li a0 7L; li a1 9L; li a5 11L; call Runtime.sync_barrier_proc; li v0 1L; halt ];
+            [ li a0 7L; li a1 9L; li 21 (* a5 *) 11L; call Runtime.sync_barrier_proc; li v0 1L; halt ];
         ])
   in
   check_r0 "returns after the call" 1L (Interp.run prog rt ~entry:"main" ());
@@ -365,7 +365,7 @@ let test_charge_accounting () =
   let prog =
     Asm.(
       program
-        [ proc "main" [ li t0 5L; addi t0 3 t0; mul t0 t0 v0; halt ] ])
+        [ proc "main" [ li t0 5L; addi t0 3 t0; Insn.Binop (Mul, t0, Reg t0, v0); halt ] ])
   in
   let outcome = Interp.run prog rt ~entry:"main" () in
   Alcotest.(check int64) "result" 64L outcome.Interp.r0;

@@ -1,5 +1,5 @@
-(* Tests for the DPOR explorer stack: the vector-clock/happens-before
-   module (property-tested against a naive oracle), the reduction itself
+(* Tests for the DPOR explorer stack: the Foata levels and class
+   signatures (property-tested against a naive oracle), the reduction itself
    (complete fixed points on every litmus scenario, with run counts an
    order of magnitude under the bounded-exhaustive driver's), preemption
    bounding on the minidb two-transaction scenario the exhaustive driver
@@ -13,28 +13,6 @@ module E = Check.Explore
 module D = Check.Dpor
 module L = Check.Litmus
 module M = Check.Mutation
-
-(* --- vector-clock properties -------------------------------------- *)
-
-let arb_clock =
-  QCheck.(array_of_size (Gen.return 5) small_nat)
-
-let test_join_commutative =
-  QCheck.Test.make ~name:"vclock join commutative" ~count:200
-    QCheck.(pair arb_clock arb_clock)
-    (fun (a, b) -> V.join a b = V.join b a)
-
-let test_join_associative =
-  QCheck.Test.make ~name:"vclock join associative" ~count:200
-    QCheck.(triple arb_clock arb_clock arb_clock)
-    (fun (a, b, c) -> V.join (V.join a b) c = V.join a (V.join b c))
-
-let test_join_upper_bound =
-  QCheck.Test.make ~name:"vclock join is an upper bound" ~count:200
-    QCheck.(pair arb_clock arb_clock)
-    (fun (a, b) ->
-      let j = V.join a b in
-      V.leq a j && V.leq b j)
 
 (* --- random label traces ------------------------------------------ *)
 
@@ -77,39 +55,42 @@ let naive_hb (labels : SE.label array) =
   done;
   r
 
-let test_hb_matches_oracle =
-  QCheck.Test.make ~name:"vclock hb agrees with the O(n^2) closure oracle"
+(* An event's Foata level is one above the deepest of its
+   happens-before predecessors, or 1 if it has none. *)
+let test_foata_levels_match_oracle =
+  QCheck.Test.make ~name:"foata levels agree with the O(n^3) closure oracle"
     ~count:300 (arb_trace ())
     (fun ls ->
       let labels = Array.of_list ls in
-      let n = Array.length labels in
-      let tr = V.of_trace labels in
+      let levels = V.foata_levels labels in
       let oracle = naive_hb labels in
       let ok = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if V.hb tr i j <> oracle.(i).(j) then ok := false
-        done
-      done;
+      Array.iteri
+        (fun j lvl ->
+          let deepest = ref 0 in
+          for i = 0 to j - 1 do
+            if oracle.(i).(j) then deepest := max !deepest levels.(i)
+          done;
+          if lvl <> !deepest + 1 then ok := false)
+        levels;
       !ok)
 
-(* Appending events to a trace never rewrites history: happens-before
-   among the existing events is unchanged (clock monotonicity under
-   append). *)
-let test_hb_monotone_under_append =
-  QCheck.Test.make ~name:"hb among prefix events stable under append"
-    ~count:200
-    QCheck.(pair (arb_trace ~max_len:16 ()) (arb_trace ~max_len:8 ()))
-    (fun (prefix, suffix) ->
-      let p = Array.of_list prefix in
-      let full = Array.of_list (prefix @ suffix) in
-      let tp = V.of_trace p and tf = V.of_trace full in
-      let n = Array.length p in
+(* Swapping two adjacent independent events stays in the trace's
+   equivalence class, so its signature is unchanged. *)
+let test_signature_stable_under_swap =
+  QCheck.Test.make ~name:"class signature stable under independent swaps"
+    ~count:300 (arb_trace ())
+    (fun ls ->
+      let labels = Array.of_list ls in
+      let sig0 = V.class_signature labels in
       let ok = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if V.hb tp i j <> V.hb tf i j then ok := false
-        done
+      for i = 0 to Array.length labels - 2 do
+        if not (SE.dependent labels.(i) labels.(i + 1)) then begin
+          let swapped = Array.copy labels in
+          swapped.(i) <- labels.(i + 1);
+          swapped.(i + 1) <- labels.(i);
+          if V.class_signature swapped <> sig0 then ok := false
+        end
       done;
       !ok)
 
@@ -276,11 +257,8 @@ let test_dpor_finds_and_replays () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest test_join_commutative;
-    QCheck_alcotest.to_alcotest test_join_associative;
-    QCheck_alcotest.to_alcotest test_join_upper_bound;
-    QCheck_alcotest.to_alcotest test_hb_matches_oracle;
-    QCheck_alcotest.to_alcotest test_hb_monotone_under_append;
+    QCheck_alcotest.to_alcotest test_foata_levels_match_oracle;
+    QCheck_alcotest.to_alcotest test_signature_stable_under_swap;
     Alcotest.test_case "dpor litmus fixed points, 10x under exhaustive" `Slow
       test_dpor_litmus_fixed_point;
     Alcotest.test_case "dpor completes minidb-txn2 under preemption bound"

@@ -15,6 +15,7 @@ module R = Shasta.Runtime
 (* barrier(a4 = [count; gen], a5 = parties): sense-reversing central
    barrier; uses t9-t12 only. *)
 let barrier_proc =
+  let a5 = 21 and t10 = 24 and t11 = 25 and t12 = 27 in
   Alpha.Asm.(
     proc "barrier"
       [
@@ -25,7 +26,7 @@ let barrier_proc =
         mov t10 t12;
         sc W64 t10 0 a4;
         beq t10 "retry";
-        sub t12 a5 t11;
+        Alpha.Insn.Binop (Sub, t12, Reg a5, t11);
         bne t11 "wait";
         (* Last arriver: reset the count, publish the next generation. *)
         stq zero 0 a4;
@@ -38,7 +39,7 @@ let barrier_proc =
         label "wait";
         label "spin";
         ldq t10 8 a4;
-        sub t10 t9 t11;
+        Alpha.Insn.Binop (Sub, t10, Reg t9, t11);
         beq t11 "spin";
         label "done";
         ret;
@@ -61,7 +62,7 @@ let stencil_program =
             label "row";
             (* skip cells of the wrong parity *)
             andi s0 1 t0;
-            sub t0 s3 t0;
+            Alpha.Insn.Binop (Sub, t0, Reg s3, t0);
             bne t0 "next";
             (* t1 = a[i-1], t2 = a[i+1]; a[i] = (t1 + t2) / 2 *)
             slli s0 3 t3;
@@ -69,12 +70,12 @@ let stencil_program =
             ldq t1 (-8) t3;
             ldq t2 8 t3;
             add t1 t2 t1;
-            srli t1 1 t1;
+            Alpha.Insn.Binop (Srl, t1, Imm 1, t1);
             stq t1 0 t3;
             label "next";
             addi s0 1 s0;
-            sub s0 a2 t0;
-            blt t0 "row";
+            Alpha.Insn.Binop (Sub, s0, Reg a2, t0);
+            Alpha.Insn.Bcond (Lt, t0, "row");
             call "barrier";
             addi s3 1 s3;
             cmplti s3 2 t0;

@@ -198,18 +198,6 @@ let test_read_into_shared_buffer_validated () =
   run cl;
   Alcotest.(check int) "validated shared-buffer read" 31337 !got
 
-let test_vfs_staleness_window () =
-  let vfs = Osim.Vfs.create ~staleness_window:1.0 () in
-  let f = Osim.Vfs.create_file vfs "x" in
-  Osim.Vfs.pwrite vfs f ~pos:0 (Bytes.make 8 'a') 0 8;
-  (* Node 1 caches at t=0. *)
-  ignore (Osim.Vfs.touch_cache vfs ~node:1 ~now:0.0 f);
-  Osim.Vfs.pwrite vfs f ~pos:0 (Bytes.make 8 'b') 0 8;
-  Alcotest.(check bool) "node 1 may be stale inside the window" false
-    (Osim.Vfs.coherent_at vfs ~node:1 ~now:0.5 f);
-  Alcotest.(check bool) "window expiry restores coherence" true
-    (Osim.Vfs.coherent_at vfs ~node:1 ~now:1.5 f)
-
 let test_protocol_processes_serve () =
   (* With protocol processes installed, a request to a node whose only
      application process sleeps is still served promptly (Section 4.3.2). *)
@@ -266,6 +254,5 @@ let suite =
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip_private_buffer;
     Alcotest.test_case "shared-buffer read validated" `Quick
       test_read_into_shared_buffer_validated;
-    Alcotest.test_case "vfs staleness window" `Quick test_vfs_staleness_window;
     Alcotest.test_case "protocol processes serve" `Quick test_protocol_processes_serve;
   ]

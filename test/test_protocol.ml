@@ -580,7 +580,7 @@ let test_random_stress_convergence () =
           pcbs := pcb :: !pcbs;
           for op = 1 to 200 do
             let i = Sim.Rng.int rng nwords in
-            if Sim.Rng.bool rng then
+            if Sim.Rng.int rng 2 = 1 then
               sstore pcb (addr i) (Int64.of_int ((c * 1_000_000) + op))
             else ignore (sload pcb (addr i));
             Sim.Proc.work 1e-6

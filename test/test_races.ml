@@ -200,7 +200,7 @@ let test_batch_mutation_convicted () =
   (* A pure run lengthened by one must draw a "swallowed" (or, at the
      procedure edge, "overrun") violation, plus the length disagreement
      with the validator's own re-derivation. *)
-  let e = I.find "water-nsq" in
+  let e = List.find (fun e -> e.I.e_name = "water-nsq") I.all in
   let prog = instrument e.I.e_program in
   let convicted = ref 0 in
   List.iter
@@ -276,13 +276,6 @@ let test_affinity_fine_stencil () =
   Alcotest.(check int) "stride" 8 hot.Rewrite.Affinity.h_stride;
   Alcotest.(check int) "suggest clamps to min block" Protocol.Layout.min_block hot.Rewrite.Affinity.h_suggest
 
-let test_affinity_specs_feed_config () =
-  (* The suggested specs must be a legal layout: build one. *)
-  let hs = hints "fs-twin" in
-  let specs = Rewrite.Affinity.suggested_specs hs in
-  let layout = Protocol.Layout.create ~base:0x4000_0000 ~size:(128 * 1024) specs in
-  Alcotest.(check int) "two regions" 2 (Protocol.Layout.n_regions layout)
-
 let suite =
   [
     Alcotest.test_case "sync kernels run to predicted r0s" `Slow test_sync_kernels_run;
@@ -298,5 +291,4 @@ let suite =
     Alcotest.test_case "affinity: false sharing" `Quick test_affinity_false_sharing;
     Alcotest.test_case "affinity: migratory" `Quick test_affinity_migratory;
     Alcotest.test_case "affinity: stencil fine stride" `Quick test_affinity_fine_stencil;
-    Alcotest.test_case "affinity: specs feed a layout" `Quick test_affinity_specs_feed_config;
   ]

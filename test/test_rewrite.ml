@@ -27,7 +27,7 @@ let test_private_not_checked () =
       program
         [
           proc "main"
-            [ ldq t0 0 sp; stq t0 8 sp; ldq t1 0 gp; stq t1 16 gp; halt ];
+            [ ldq t0 0 sp; stq t0 8 sp; ldq t1 0 29 (* gp *); stq t1 16 29; halt ];
         ])
   in
   let prog', stats = instrument prog in
@@ -498,12 +498,12 @@ let qcheck_idom_is_dominator =
       let blocks = List.init nb Fun.id in
       List.for_all
         (fun b ->
-          Domtree.reachable t b = reach.(b)
+          Domtree.dominates t b b = reach.(b)
           && ((not reach.(b))
              || List.filter (fun a -> Domtree.dominates t a b) blocks = dom.(b)
-                && (match Domtree.idom t b with
-                   | None -> b = 0
-                   | Some d -> d <> b && List.mem d dom.(b))))
+                &&
+                let d = t.Domtree.idom.(b) in
+                if b = 0 then d = 0 else d <> b && List.mem d dom.(b)))
         blocks)
 
 (* A trivial lattice: the solver's [Some] blocks are its reachable set. *)
