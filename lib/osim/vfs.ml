@@ -1,10 +1,10 @@
-(** A common file system across the cluster, approximated the way the
-    paper does (Section 4.2): the same file system is mounted on every
-    node "via NFS", so accesses from different nodes are {e not} kept
-    strictly coherent — each node has an attribute/data cache with a
-    staleness window.  This is sufficient for decision-support workloads
-    (mostly reads) and is exactly why transaction-processing runs are
-    limited to one node, as in the paper.
+(** A common file system across the cluster.  The paper (Section 4.2)
+    mounts the same file system on every node "via NFS", whose caches
+    may serve stale data, and keeps transaction processing on one node
+    for that reason.  This model is simpler and coherent: each node has
+    a cache entry per file, refetched from the server whenever the
+    file's version has changed and otherwise after {!cache_lifetime}, so
+    every read sees the latest write.  NFS staleness is not modelled.
 
     Cost model calibrated to Table 2's "standard application" column:
     an [open] costs ~58 us, a [read] ~12 us plus ~5.5 ns/byte. *)
@@ -21,7 +21,6 @@ type cached = { mutable c_version : int; mutable fetched_at : float }
 type t = {
   files : (string, file) Hashtbl.t;
   caches : (int * string, cached) Hashtbl.t;  (** (node, file) -> cache state *)
-  staleness_window : float;  (** how long a node may serve stale data *)
   open_cost : float;
   read_base_cost : float;
   per_byte_cost : float;
@@ -29,11 +28,14 @@ type t = {
   mutable remote_fetches : int;
 }
 
-let create ?(staleness_window = 1.0) () =
+(** How long a node serves an unchanged file from its cache before it
+    asks the server again, in seconds. *)
+let cache_lifetime = 1.0
+
+let create () =
   {
     files = Hashtbl.create 64;
     caches = Hashtbl.create 256;
-    staleness_window;
     open_cost = 58.0e-6;
     read_base_cost = 12.0e-6;
     per_byte_cost = 5.5e-9;
@@ -58,13 +60,14 @@ let ensure_capacity f n =
     f.data <- d
   end
 
-(** [touch_cache t ~node ~now f] — refresh the node's cache entry if its
-    staleness window expired; returns [true] when the access had to go to
-    the server (the cache was cold or stale). *)
+(** [touch_cache t ~node ~now f] — refresh the node's cache entry when
+    the file changed since it was fetched or {!cache_lifetime} has
+    passed; returns [true] when the access had to go to the server (the
+    cache was cold or out of date). *)
 let touch_cache t ~node ~now f =
   let key = (node, f.name) in
   match Hashtbl.find_opt t.caches key with
-  | Some c when now -. c.fetched_at < t.staleness_window && c.c_version = f.version -> false
+  | Some c when now -. c.fetched_at < cache_lifetime && c.c_version = f.version -> false
   | Some c ->
       c.c_version <- f.version;
       c.fetched_at <- now;
@@ -91,7 +94,7 @@ let pread f ~pos ~len buf off =
   n
 
 (** [pwrite t f ~pos src off len] — write into the file, bumping its
-    version (invalidating other nodes' caches after their window). *)
+    version, so every node's next {!touch_cache} of it refetches. *)
 let pwrite t f ~pos src off len =
   ensure_capacity f (pos + len);
   Bytes.blit src off f.data pos len;

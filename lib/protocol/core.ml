@@ -95,7 +95,7 @@ type proc = {
           with one are default homes *)
   dom : domain;
   private_tab : Bytes.t;
-  outstanding : (int, miss) Hashtbl.t;
+  outstanding : miss Ptypes.Itbl.t;
   mutable n_outstanding_stores : int;
   in_app : bool ref;  (** false while in protocol/syscalls: enables direct downgrade *)
   mutable in_batch : bool;
@@ -116,16 +116,16 @@ and domain = {
   shared_tab : Bytes.t;  (** node-level state, one byte per block *)
   mutable members : proc list;
   dir : Directory.t;
-  pending_local : (int, local_txn) Hashtbl.t;
+  pending_local : local_txn Ptypes.Itbl.t;
       (** recalls waiting for intra-node private-table downgrades *)
-  applied_seq : (int, int) Hashtbl.t;
+  applied_seq : int Ptypes.Itbl.t;
       (** per block: how many home-originated ordered messages were applied *)
   parked_dom : Ptypes.msg list ref;
       (** invalidations/recalls that arrived ahead of sequence order *)
   mutable n_parked : int;  (** messages in [parked_dom] and every member's [parked] *)
   mutable stores_recorded : int;
       (** stamps the members' recorded stores, so a replay keeps their order *)
-  home_hint : (int, int) Hashtbl.t;
+  home_hint : int Ptypes.Itbl.t;
       (** this domain's (possibly stale) view of migrated homes: blocks
           absent from the table are assumed to live at their static home.
           Updated by [Home_hint] bounces and by the domain's own
@@ -154,8 +154,8 @@ and t = {
   cfg : Config.t;
   layout : Layout.t;  (** region layout; all state tables are per block *)
   mutable domains : domain list;  (** most-recent first; use [domain_by_id] *)
-  domain_tbl : (int, domain) Hashtbl.t;
-  procs : (int, proc) Hashtbl.t;
+  domain_tbl : domain Ptypes.Ids.t;
+  procs : proc Ptypes.Ids.t;
   static_home : int array;
       (** per block: where it starts — a {!set_home} override, or -1
           until [init] stripes it over the home domains *)
@@ -165,7 +165,7 @@ and t = {
           a transfer is initiated (the entry may still be in flight:
           [transfers] says so).  Domains route by their own hints, not by
           this array — only arrival-side checks may consult it. *)
-  transfers : (int, transfer) Hashtbl.t;
+  transfers : transfer Ptypes.Itbl.t;
       (** blocks whose directory entry currently lives in the transport *)
   rstats : rstat array array;
       (** per-region protocol traffic counters, sharded by the node that
@@ -218,7 +218,7 @@ let msg_seq = function
       seq
   | _ -> 0
 
-let seq_expected d b = 1 + Option.value (Hashtbl.find_opt d.applied_seq b) ~default:0
+let seq_expected d b = 1 + Option.value (Ptypes.Itbl.find_opt d.applied_seq b) ~default:0
 
 let in_seq_order d msg =
   let s = msg_seq msg in
@@ -227,7 +227,7 @@ let in_seq_order d msg =
 let consume_seq d msg =
   if msg_seq msg > 0 then
     let b = Ptypes.msg_block msg in
-    Hashtbl.replace d.applied_seq b (seq_expected d b)
+    Ptypes.Itbl.replace d.applied_seq b (seq_expected d b)
 
 let zero_rstat _ =
   { r_read_misses = 0; r_store_misses = 0; r_invals = 0; r_recalls = 0; r_data_bytes = 0 }
@@ -241,12 +241,12 @@ let fresh_domain t ~node ~id =
       shared_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
       members = [];
       dir = Directory.create ~home_domain:id;
-      pending_local = Hashtbl.create 16;
-      applied_seq = Hashtbl.create 64;
+      pending_local = Ptypes.Itbl.create 16;
+      applied_seq = Ptypes.Itbl.create 64;
       parked_dom = ref [];
       n_parked = 0;
       stores_recorded = 0;
-      home_hint = Hashtbl.create 16;
+      home_hint = Ptypes.Itbl.create 16;
       homes_in = 0;
       homes_out = 0;
       dom_bounces = 0;
@@ -254,7 +254,7 @@ let fresh_domain t ~node ~id =
     }
   in
   t.domains <- d :: t.domains;
-  Hashtbl.replace t.domain_tbl id d;
+  Ptypes.Ids.replace t.domain_tbl id d;
   d
 
 (** [create ~cfg ~nodes] — the protocol state for a cluster of [nodes]
@@ -268,11 +268,11 @@ let create ~cfg ~nodes =
       cfg;
       layout;
       domains = [];
-      domain_tbl = Hashtbl.create 32;
-      procs = Hashtbl.create 64;
+      domain_tbl = Ptypes.Ids.create ();
+      procs = Ptypes.Ids.create ();
       static_home = Array.make n_blocks (-1);
       home = Array.make n_blocks (-1);
-      transfers = Hashtbl.create 16;
+      transfers = Ptypes.Itbl.create 16;
       migrations = 0;
       transfer_acks = 0;
       bounces = 0;
@@ -293,7 +293,7 @@ let create ~cfg ~nodes =
   | Config.Base -> ());
   t
 
-let domain_by_id t id = Hashtbl.find t.domain_tbl id
+let domain_by_id t id = Ptypes.Ids.find t.domain_tbl id
 
 (** [attach t ~pid ~node ~app] registers process [pid] on [node]: in
     Base-Shasta it gets a coherence domain of its own, in SMP-Shasta it
@@ -312,7 +312,7 @@ let attach t ~pid ~node ~app =
       app;
       dom;
       private_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
-      outstanding = Hashtbl.create 8;
+      outstanding = Ptypes.Itbl.create 8;
       n_outstanding_stores = 0;
       in_app = ref true;
       in_batch = false;
@@ -341,7 +341,7 @@ let attach t ~pid ~node ~app =
     }
   in
   dom.members <- p :: dom.members;
-  Hashtbl.replace t.procs pid p;
+  Ptypes.Ids.replace t.procs pid p;
   p
 
 let block_of_addr t addr = Layout.block_of_addr t.layout addr
@@ -356,7 +356,7 @@ let home_domain_of_block t b = t.home.(b)
 (* A domain's own view of the home map: its sparse hint table over the
    static placement.  May be stale — a request routed here can bounce. *)
 let hinted_home t d b =
-  match Hashtbl.find_opt d.home_hint b with Some h -> h | None -> t.static_home.(b)
+  match Ptypes.Itbl.find_opt d.home_hint b with Some h -> h | None -> t.static_home.(b)
 
 (** [set_home t ~addr ~len ~domain] — the "home placement optimisation"
     used for FMM, LU-Contiguous and Ocean (Section 6.4): blocks in
@@ -456,7 +456,7 @@ let record_store d miss addr w v =
 let drop_recorded_stores d b =
   List.iter
     (fun m ->
-      match Hashtbl.find_opt m.outstanding b with
+      match Ptypes.Itbl.find_opt m.outstanding b with
       | Some miss -> miss.m_stores <- []
       | None -> ())
     d.members
@@ -477,7 +477,7 @@ let replay_recorded_stores ?(owned = false) d b =
   let stores = ref [] in
   List.iter
     (fun m ->
-      match Hashtbl.find_opt m.outstanding b with
+      match Ptypes.Itbl.find_opt m.outstanding b with
       | Some ({ m_stores = _ :: _; _ } as miss) ->
           List.iter (fun (stamp, addr, w, v) -> stores := (stamp, m.pid, addr, w, v) :: !stores)
             miss.m_stores
@@ -527,7 +527,7 @@ let apply_transport t msg =
   match msg with
   | Ptypes.Home_transfer { block = b; owner; sharers; seqs; data; from_domain } ->
       let d =
-        match Hashtbl.find_opt t.transfers b with
+        match Ptypes.Itbl.find_opt t.transfers b with
         | Some tr -> domain_by_id t tr.tr_to
         | None -> invalid_arg "Home_transfer for a block not in flight"
       in
@@ -547,19 +547,19 @@ let apply_transport t msg =
               tab_set d.shared_tab b Ptypes.Shared;
               if not (Directory.is_sharer e d.dom_id) then Directory.add_sharer e d.dom_id)
       | None -> ());
-      Hashtbl.remove t.transfers b;
-      Hashtbl.replace d.home_hint b d.dom_id;
+      Ptypes.Itbl.remove t.transfers b;
+      Ptypes.Itbl.replace d.home_hint b d.dom_id;
       d.homes_in <- d.homes_in + 1;
       t.migrations <- t.migrations + 1;
       cost d t.cfg.Config.costs.Config.handler;
       send d (To_nic from_domain) (Ptypes.Home_transfer_ack { block = b; from_domain = d.dom_id })
   | Ptypes.Home_transfer_ack _ -> t.transfer_acks <- t.transfer_acks + 1
   | Ptypes.Home_hint { block = b; home = h; to_pid } -> (
-      let p = Hashtbl.find t.procs to_pid in
-      Hashtbl.replace p.dom.home_hint b h;
+      let p = Ptypes.Ids.find t.procs to_pid in
+      Ptypes.Itbl.replace p.dom.home_hint b h;
       p.dom.dom_bounces <- p.dom.dom_bounces + 1;
       p.stats.bounces <- p.stats.bounces + 1;
-      match Hashtbl.find_opt p.outstanding b with
+      match Ptypes.Itbl.find_opt p.outstanding b with
       | Some miss when not miss.m_done ->
           (* Re-issue the bounced request to the hinted home.  The hinted
              home may itself still see the entry in flight and bounce
@@ -649,7 +649,7 @@ let apply_recall t d ~servicer b ~to_shared ~home_domain =
     d.members;
   if !pending = 0 then complete_recall t d b ~to_shared ~home_domain
   else
-    Hashtbl.replace d.pending_local b
+    Ptypes.Itbl.replace d.pending_local b
       { lt_awaiting = !pending; lt_to_shared = to_shared; lt_home = home_domain }
 
 (* --- the home side --- *)
@@ -661,7 +661,7 @@ let reply home entry ~dom ~pid mk = send home (To_pid pid) (mk (Directory.stamp 
 let rec handle_request t home msg =
   match msg with
   | Ptypes.Request { kind = _; block = b; from_domain; from_pid }
-    when t.home.(b) <> home.dom_id || Hashtbl.mem t.transfers b ->
+    when t.home.(b) <> home.dom_id || Ptypes.Itbl.mem t.transfers b ->
       (* Stale or in-flight home: bounce with a forwarding hint, before
          any directory lookup — allocating an entry here would duplicate
          state the real home holds.  Unreachable under [Static] homing:
@@ -674,7 +674,7 @@ let rec handle_request t home msg =
          we gave it away would otherwise send the requester on a walk
          down the whole chain of past homes, one bounce per hop. *)
       let hint =
-        match Hashtbl.find_opt t.transfers b with
+        match Ptypes.Itbl.find_opt t.transfers b with
         | Some tr -> tr.tr_to  (* in flight: point at where it will land *)
         | None -> t.home.(b)
       in
@@ -837,7 +837,7 @@ and maybe_migrate t home b =
           when e.Directory.busy = None
                && Queue.is_empty e.Directory.deferred
                && t.home.(b) = home.dom_id
-               && not (Hashtbl.mem t.transfers b) ->
+               && not (Ptypes.Itbl.mem t.transfers b) ->
             e.Directory.want_home <- None;
             initiate_transfer t home b ~dst
         | _ -> ())
@@ -849,7 +849,7 @@ and initiate_transfer t home b ~dst =
      travel with the entry (the home is always a sharer then). *)
   let data = if owner = None then Some (Memimg.read_block home.img ~block:b) else None in
   Directory.remove home.dir b;
-  Hashtbl.replace t.transfers b { tr_from = home.dom_id; tr_to = dst };
+  Ptypes.Itbl.replace t.transfers b { tr_from = home.dom_id; tr_to = dst };
   t.home.(b) <- dst;
   (* Leave this domain's own routing hint pointing at itself: once the
      entry has moved on several times, "ask me and get bounced locally"
@@ -926,10 +926,12 @@ let handle t p msg =
     tab_set d.shared_tab b s;
     tab_set p.private_tab b s;
     miss.m_done <- true;
-    Hashtbl.remove p.outstanding b;
+    Ptypes.Itbl.remove p.outstanding b;
     if miss.m_kind = MStore then p.n_outstanding_stores <- p.n_outstanding_stores - 1
   in
-  let with_miss b f = match Hashtbl.find_opt p.outstanding b with None -> () | Some m -> f m in
+  let with_miss b f =
+    match Ptypes.Itbl.find_opt p.outstanding b with None -> () | Some m -> f m
+  in
   match msg with
   | Ptypes.Request _ -> handle_request t d msg
   | Ptypes.Invalidate { block = b; home_domain; seq = _ } -> apply_invalidate t d ~home_domain b
@@ -942,12 +944,12 @@ let handle t p msg =
       cost d t.cfg.Config.costs.Config.reply_process;
       handle_inval_ack t d b
   | Ptypes.Downgrade_ack { block = b; _ } -> (
-      match Hashtbl.find_opt d.pending_local b with
+      match Ptypes.Itbl.find_opt d.pending_local b with
       | None -> ()
       | Some lt ->
           lt.lt_awaiting <- lt.lt_awaiting - 1;
           if lt.lt_awaiting = 0 then begin
-            Hashtbl.remove d.pending_local b;
+            Ptypes.Itbl.remove d.pending_local b;
             complete_recall t d b ~to_shared:lt.lt_to_shared ~home_domain:lt.lt_home
           end)
   | Ptypes.Data_reply { block = b; data; exclusive; _ } ->
@@ -988,7 +990,7 @@ let handle t p msg =
               write_carried p miss
           | Some _ | None -> ());
           miss.m_done <- true;
-          Hashtbl.remove p.outstanding b)
+          Ptypes.Itbl.remove p.outstanding b)
   | Ptypes.Downgrade { block = b; to_state; from_domain; _ } ->
       cost d t.cfg.Config.costs.Config.downgrade_apply;
       tab_set p.private_tab b to_state;
@@ -1013,8 +1015,8 @@ let issue t p b kind mkind store =
   in
   (* Every caller checks [outstanding] first: a second miss on the block
      would orphan the first one's waiter. *)
-  assert (not (Hashtbl.mem p.outstanding b));
-  Hashtbl.replace p.outstanding b miss;
+  assert (not (Ptypes.Itbl.mem p.outstanding b));
+  Ptypes.Itbl.replace p.outstanding b miss;
   (let r = t.rstats.(p.dom.dom_node).(Layout.block_region t.layout b) in
    match mkind with
    | MRead -> r.r_read_misses <- r.r_read_misses + 1

@@ -31,7 +31,7 @@ type entry = {
           list representation so simulated timing is unchanged *)
   mutable busy : txn option;
   deferred : Ptypes.msg Queue.t;
-  next_seq : (Ptypes.domain_id, int) Hashtbl.t;
+  next_seq : int Ptypes.Itbl.t;
       (** next sequence number per destination domain (see {!Ptypes.msg}) *)
   (* Home-reassignment policy observations (Config.homing): *)
   mutable last_excl : Ptypes.domain_id;  (** last exclusive requester, -1 = none *)
@@ -40,7 +40,7 @@ type entry = {
       (** policy verdict, consumed when the entry next goes quiescent *)
 }
 
-type t = { entries : (Ptypes.block_id, entry) Hashtbl.t; home_domain : Ptypes.domain_id }
+type t = { entries : entry Ptypes.Itbl.t; home_domain : Ptypes.domain_id }
 
 (* The sharer set is a growable bitset (one bit per domain), so the only
    cap on domain ids is a sanity bound — 64-node and larger clusters
@@ -53,7 +53,7 @@ let check_domain d =
 
 let create ~home_domain =
   check_domain home_domain;
-  { entries = Hashtbl.create 1024; home_domain }
+  { entries = Ptypes.Itbl.create 1024; home_domain }
 
 (* --- sharer bitset --- *)
 
@@ -74,7 +74,7 @@ let bit_set bs d =
 (** New entries are born with the home domain as the only sharer: the
     home's memory image is initialised with valid (zero) data. *)
 let entry t block =
-  match Hashtbl.find_opt t.entries block with
+  match Ptypes.Itbl.find_opt t.entries block with
   | Some e -> e
   | None ->
       let e =
@@ -85,21 +85,21 @@ let entry t block =
           sharers_order = [ t.home_domain ];
           busy = None;
           deferred = Queue.create ();
-          next_seq = Hashtbl.create 4;
+          next_seq = Ptypes.Itbl.create 4;
           last_excl = -1;
           excl_streak = 0;
           want_home = None;
         }
       in
-      Hashtbl.replace t.entries block e;
+      Ptypes.Itbl.replace t.entries block e;
       e
 
 (** [find t block] is the entry for [block], without allocating one —
     the invariant checker must be able to look without perturbing. *)
-let find t block = Hashtbl.find_opt t.entries block
+let find t block = Ptypes.Itbl.find_opt t.entries block
 
 (** [iter_entries f t] applies [f] to every allocated entry. *)
-let iter_entries f t = Hashtbl.iter (fun _ e -> f e) t.entries
+let iter_entries f t = Ptypes.Itbl.iter (fun _ e -> f e) t.entries
 
 let is_sharer e d = bit_set e.sharers d
 
@@ -131,8 +131,8 @@ let sharers_list e = e.sharers_order
 (** [stamp e d] allocates the next sequence number for messages from this
     entry's home to domain [d]. *)
 let stamp e d =
-  let n = Option.value (Hashtbl.find_opt e.next_seq d) ~default:1 in
-  Hashtbl.replace e.next_seq d (n + 1);
+  let n = Option.value (Ptypes.Itbl.find_opt e.next_seq d) ~default:1 in
+  Ptypes.Itbl.replace e.next_seq d (n + 1);
   n
 
 (* --- entry transfer (sharded directory) --- *)
@@ -143,12 +143,12 @@ let stamp e d =
 let export e =
   if e.busy <> None || not (Queue.is_empty e.deferred) then
     invalid_arg "Directory.export: entry not quiescent";
-  let seqs = Hashtbl.fold (fun d n acc -> (d, n) :: acc) e.next_seq [] in
+  let seqs = Ptypes.Itbl.fold (fun d n acc -> (d, n) :: acc) e.next_seq [] in
   (e.owner, e.sharers_order, List.sort compare seqs)
 
 (** [remove t block] — drop the entry after exporting it; the block's
     directory state now lives in the transport. *)
-let remove t block = Hashtbl.remove t.entries block
+let remove t block = Ptypes.Itbl.remove t.entries block
 
 (** [install t ~block ~owner ~sharers ~seqs] — rebuild a transferred
     entry at its new home.  [sharers] is most-recently-added first, as
@@ -156,7 +156,7 @@ let remove t block = Hashtbl.remove t.entries block
     home stopped, so receivers' in-order apply logic never notices the
     move. *)
 let install t ~block ~owner ~sharers ~seqs =
-  if Hashtbl.mem t.entries block then
+  if Ptypes.Itbl.mem t.entries block then
     invalid_arg (Printf.sprintf "Directory.install: entry for block %d already present" block);
   List.iter check_domain sharers;
   let e =
@@ -167,12 +167,12 @@ let install t ~block ~owner ~sharers ~seqs =
       sharers_order = sharers;
       busy = None;
       deferred = Queue.create ();
-      next_seq = Hashtbl.create (max 4 (List.length seqs));
+      next_seq = Ptypes.Itbl.create (max 4 (List.length seqs));
       last_excl = -1;
       excl_streak = 0;
       want_home = None;
     }
   in
-  List.iter (fun (d, n) -> Hashtbl.replace e.next_seq d n) seqs;
-  Hashtbl.replace t.entries block e;
+  List.iter (fun (d, n) -> Ptypes.Itbl.replace e.next_seq d n) seqs;
+  Ptypes.Itbl.replace t.entries block e;
   e

@@ -22,8 +22,8 @@ type pcb = {
 and t = {
   core : Core.t;
   net : Mchan.Net.t;
-  pcbs : (int, pcb) Hashtbl.t;
-  boxes : (int, mailbox) Hashtbl.t;  (** domain mailboxes, by domain id *)
+  pcbs : pcb Ptypes.Ids.t;
+  boxes : mailbox Ptypes.Ids.t;  (** domain mailboxes, by domain id *)
 }
 
 let now t = Sim.Engine.now (Mchan.Net.engine t.net)
@@ -34,11 +34,11 @@ let check t msg =
   if t.core.cfg.Config.check_invariants then Invariants.check_msg t.core ~time:(now t) msg
 
 let add_box t id =
-  if not (Hashtbl.mem t.boxes id) then Hashtbl.replace t.boxes id (Mchan.Mailbox.create ())
+  if not (Ptypes.Ids.mem t.boxes id) then Ptypes.Ids.replace t.boxes id (Mchan.Mailbox.create ())
 
 let create ~cfg ~net =
   let core = Core.create ~cfg ~nodes:(Mchan.Net.config net).Mchan.Net.nodes in
-  let t = { core; net; pcbs = Hashtbl.create 64; boxes = Hashtbl.create 32 } in
+  let t = { core; net; pcbs = Ptypes.Ids.create (); boxes = Ptypes.Ids.create () } in
   List.iter (fun d -> add_box t d.dom_id) core.domains;
   t
 
@@ -57,11 +57,11 @@ let attach t (proc : Sim.Proc.t) =
       st;
       sim_proc = proc;
       mailbox = Mchan.Mailbox.create ();
-      dom_box = Hashtbl.find t.boxes st.dom.dom_id;
+      dom_box = Ptypes.Ids.find t.boxes st.dom.dom_id;
       eng = t;
     }
   in
-  Hashtbl.replace t.pcbs st.pid pcb;
+  Ptypes.Ids.replace t.pcbs st.pid pcb;
   proc.Sim.Proc.stall_signal <- Some (Mchan.Net.node_signal t.net node);
   pcb
 
@@ -98,13 +98,13 @@ let rec flush t d cur =
   while not (Queue.is_empty d.outbox) do
     match Queue.take d.outbox with
     | Cost c -> cur := !cur +. c
-    | Send (Self id, msg) -> Mchan.Mailbox.push (Hashtbl.find t.boxes id) msg
+    | Send (Self id, msg) -> Mchan.Mailbox.push (Ptypes.Ids.find t.boxes id) msg
     | Send (To_domain id, msg) ->
-        let dst = domain_by_id t.core id and box = Hashtbl.find t.boxes id in
+        let dst = domain_by_id t.core id and box = Ptypes.Ids.find t.boxes id in
         net_send t ~from_node ~at:!cur ~dst_node:dst.dom_node msg (fun () ->
             Mchan.Mailbox.push box msg)
     | Send (To_pid pid, msg) ->
-        let p = Hashtbl.find t.pcbs pid in
+        let p = Ptypes.Ids.find t.pcbs pid in
         net_send t ~from_node ~at:!cur ~dst_node:p.st.dom.dom_node msg (fun () ->
             Mchan.Mailbox.push p.mailbox msg)
     | Send (To_nic id, msg) ->
@@ -123,14 +123,21 @@ and transport t d msg =
 
 (* Apply the messages of [parked] that are now in sequence order, then
    take one message from [box], parking it if it is early.  Returns
-   whether anything moved. *)
+   whether anything moved.  Nothing is parked in the common case, which
+   allocates nothing. *)
 let serve_queue d parked box apply =
-  let ready, rest = List.partition (in_seq_order d) !parked in
-  if ready <> [] then begin
-    parked := rest;
-    d.n_parked <- d.n_parked - List.length ready;
-    List.iter apply ready
-  end;
+  let applied =
+    match !parked with
+    | [] -> false
+    | ps -> (
+        match List.partition (in_seq_order d) ps with
+        | [], _ -> false
+        | ready, rest ->
+            parked := rest;
+            d.n_parked <- d.n_parked - List.length ready;
+            List.iter apply ready;
+            true)
+  in
   match Mchan.Mailbox.pop box with
   | Some msg ->
       if in_seq_order d msg then apply msg
@@ -139,7 +146,7 @@ let serve_queue d parked box apply =
         d.n_parked <- d.n_parked + 1
       end;
       true
-  | None -> ready <> []
+  | None -> applied
 
 let service_slow p =
   let t = p.eng and d = p.st.dom in
@@ -173,7 +180,7 @@ let service_slow p =
            m != p.st
            && !(m.parked) != []
            && List.exists (in_seq_order d) !(m.parked)
-           && (Hashtbl.find t.pcbs m.pid).sim_proc.Sim.Proc.state = Sim.Proc.Waiting)
+           && (Ptypes.Ids.find t.pcbs m.pid).sim_proc.Sim.Proc.state = Sim.Proc.Waiting)
          d.members
   then Sim.Signal.pulse (Mchan.Net.node_signal t.net d.dom_node);
   !cur -. start
@@ -237,14 +244,14 @@ let issue ?store p b kind mkind =
 (* Our own outstanding miss on block [b] goes to [busy]; otherwise [k]
    inspects the block's (private, shared) state. *)
 let inspect p b ~busy k =
-  match Hashtbl.find_opt p.st.outstanding b with
+  match Ptypes.Itbl.find_opt p.st.outstanding b with
   | Some miss -> busy miss
   | None -> k (tab_get p.st.private_tab b) (tab_get p.st.dom.shared_tab b)
 
 (* Wait out our own outstanding miss on [b], if any.  Allocates
    nothing when there is none. *)
 let rec settle p ~bucket b =
-  match Hashtbl.find_opt p.st.outstanding b with
+  match Ptypes.Itbl.find_opt p.st.outstanding b with
   | Some miss ->
       wait p ~bucket miss;
       settle p ~bucket b
@@ -407,10 +414,10 @@ let raw_write p addr w v =
      recorded or carried: one that does not fit the image would fail
      again when the reply arrives. *)
   let carried =
-    (Hashtbl.length s.outstanding > 0 || s.watch_blocks <> [])
+    (Ptypes.Itbl.length s.outstanding > 0 || s.watch_blocks <> [])
     &&
     (Memimg.check s.dom.img addr (Alpha.Insn.bytes_of_width w);
-     match Hashtbl.find_opt s.outstanding b with
+     match Ptypes.Itbl.find_opt s.outstanding b with
      | Some miss when tab_get s.dom.shared_tab b <> Ptypes.Exclusive ->
          if p.eng.core.cfg.Config.model = Config.Sc then (carry p miss addr w v; true)
          else (record_store s.dom miss addr w v; false)
@@ -553,13 +560,13 @@ let legal_transients t = t.core.legal_transients
     messages still waiting in the mailboxes. *)
 let check_quiescent t =
   Invariants.check_quiescent t.core
-    ~dom_backlog:(fun id -> Mchan.Mailbox.length (Hashtbl.find t.boxes id))
-    ~pid_backlog:(fun pid -> Mchan.Mailbox.length (Hashtbl.find t.pcbs pid).mailbox)
+    ~dom_backlog:(fun id -> Mchan.Mailbox.length (Ptypes.Ids.find t.boxes id))
+    ~pid_backlog:(fun pid -> Mchan.Mailbox.length (Ptypes.Ids.find t.pcbs pid).mailbox)
 
 (** [(migrations, bounces, in_flight)] — completed home transfers,
     requests bounced off a stale or in-flight home, and transfers whose
     entry is still in the transport (0 at quiescence). *)
-let migration_stats t = (t.core.migrations, t.core.bounces, Hashtbl.length t.core.transfers)
+let migration_stats t = (t.core.migrations, t.core.bounces, Ptypes.Itbl.length t.core.transfers)
 
 (** Per-node [(entries received, entries given away, bounces taken)],
     for the cluster's per-node report. *)

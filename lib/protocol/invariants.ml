@@ -48,17 +48,17 @@ let () =
    entry is mid-transfer is never quiet — the entry lives in the
    transport; the home lookup chases the current home. *)
 let block_quiet t b =
-  (not (Hashtbl.mem t.transfers b))
+  (not (Ptypes.Itbl.mem t.transfers b))
   && (let home = domain_by_id t (home_domain_of_block t b) in
      match Directory.find home.dir b with
      | Some e -> e.Directory.busy = None && Queue.is_empty e.Directory.deferred
      | None -> true)
   && List.for_all
        (fun d ->
-         (not (Hashtbl.mem d.pending_local b))
+         (not (Ptypes.Itbl.mem d.pending_local b))
          && List.for_all
               (fun m ->
-                (not (Hashtbl.mem m.outstanding b))
+                (not (Ptypes.Itbl.mem m.outstanding b))
                 && (not (List.mem b m.deferred_flags))
                 && (not (List.mem b m.watch_blocks))
                 && not
@@ -119,7 +119,7 @@ let check_block t b =
      not in flight — mid-transfer the entry lives in the transport and
      there is nothing at any home to cross-check against.  The lookup
      chases the block's current home, wherever migration put it. *)
-  (if Hashtbl.mem t.transfers b then ()
+  (if Ptypes.Itbl.mem t.transfers b then ()
    else
   let home = domain_by_id t (home_domain_of_block t b) in
   match Directory.find home.dir b with
@@ -148,7 +148,7 @@ let check_block t b =
               | Ptypes.Exclusive | Ptypes.Pending -> ()
               | (Ptypes.Shared | Ptypes.Invalid)
                 when List.exists
-                       (fun m -> Hashtbl.mem m.outstanding b)
+                       (fun m -> Ptypes.Itbl.mem m.outstanding b)
                        (domain_by_id t o).members ->
                   (* Legal transient: the grant is in flight (the owner's
                      miss on this block is still outstanding) while the
@@ -207,7 +207,7 @@ let check_msg t ~time msg =
 let check_quiescent t ~dom_backlog ~pid_backlog =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  Hashtbl.iter
+  Ptypes.Itbl.iter
     (fun b tr ->
       err "block %d: home transfer dom%d -> dom%d still in flight" b tr.tr_from tr.tr_to)
     t.transfers;
@@ -219,8 +219,8 @@ let check_quiescent t ~dom_backlog ~pid_backlog =
       if n > 0 then err "dom%d: %d unserviced domain messages" d.dom_id n;
       if !(d.parked_dom) <> [] then
         err "dom%d: %d parked domain messages" d.dom_id (List.length !(d.parked_dom));
-      if Hashtbl.length d.pending_local > 0 then
-        err "dom%d: %d incomplete local recalls" d.dom_id (Hashtbl.length d.pending_local);
+      if Ptypes.Itbl.length d.pending_local > 0 then
+        err "dom%d: %d incomplete local recalls" d.dom_id (Ptypes.Itbl.length d.pending_local);
       Directory.iter_entries
         (fun e ->
           if not (Layout.valid_block t.layout e.Directory.block) then
@@ -244,7 +244,9 @@ let check_quiescent t ~dom_backlog ~pid_backlog =
           let n = pid_backlog m.pid in
           if n > 0 then err "pid%d: %d unserviced replies" m.pid n;
           if !(m.parked) <> [] then err "pid%d: %d parked replies" m.pid (List.length !(m.parked));
-          Hashtbl.iter (fun b _ -> err "pid%d: outstanding miss on block %d" m.pid b) m.outstanding;
+          Ptypes.Itbl.iter
+            (fun b _ -> err "pid%d: outstanding miss on block %d" m.pid b)
+            m.outstanding;
           if m.n_outstanding_stores <> 0 then
             err "pid%d: %d outstanding stores" m.pid m.n_outstanding_stores)
         d.members)

@@ -18,6 +18,39 @@ type domain_id = int
 type line_id = int
 type block_id = int
 
+(** The protocol's tables keyed by ints: blocks, domains, locks,
+    barriers.  The hash is written in OCaml ([Int.hash] calls the C
+    [caml_hash]) and equality is [Int.equal], not the polymorphic
+    compare, so a lookup calls no C.  Iteration follows the hash, so no
+    result may depend on it. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(** A table keyed by small dense ids (process and domain ids): an array
+    grown on demand, [None] where no id is registered.  [find] raises
+    [Not_found] for an absent id, as [Hashtbl.find] does. *)
+module Ids = struct
+  type 'a t = { mutable slots : 'a option array }
+
+  let create () = { slots = [||] }
+  let find_opt t i = if i >= 0 && i < Array.length t.slots then t.slots.(i) else None
+  let find t i = match find_opt t i with Some x -> x | None -> raise Not_found
+  let mem t i = Option.is_some (find_opt t i)
+
+  let replace t i x =
+    let n = Array.length t.slots in
+    if i >= n then begin
+      let slots = Array.make (max (i + 1) (2 * n)) None in
+      Array.blit t.slots 0 slots 0 n;
+      t.slots <- slots
+    end;
+    t.slots.(i) <- Some x
+end
+
 (** Protocol messages.  Requests, acknowledgements and writebacks are
     addressed to a {e domain} (any process of the domain may service
     them); replies and intra-node downgrades are addressed to a specific

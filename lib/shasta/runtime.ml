@@ -50,6 +50,9 @@ type t = {
   mutable acc_cycles : int;
   mutable blocked_time : float;
   mutable accesses : int;  (** shared loads+stores issued in API mode *)
+  mutable sc_addr : int;  (** the operands {!sc_check} hands to [E.sc_check] *)
+  mutable sc_w : Alpha.Insn.width;
+  mutable sc_v : int64;
   mutable on_access : (access -> unit) option;
       (** trace hook over API-mode shared accesses (incl. LL/SC);
           [None] (the default) costs nothing *)
@@ -83,6 +86,16 @@ let in_protocol h f x =
       h.st.E.in_app := true;
       raise e
 
+(* The SC check under [in_protocol], with no closure built per SC: the
+   operands wait in the handle for the known function [sc_pending]. *)
+let sc_pending h = E.sc_check h.pcb h.sc_addr h.sc_w h.sc_v
+
+let sc_check h addr w v =
+  h.sc_addr <- addr;
+  h.sc_w <- w;
+  h.sc_v <- v;
+  in_protocol h sc_pending h
+
 let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
   let pcb = E.attach peng proc in
   let ep = Sync.register sync ~pid:proc.Sim.Proc.pid ~node:proc.Sim.Proc.cpu.Sim.Proc.node_id in
@@ -115,6 +128,9 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       acc_cycles = 0;
       blocked_time = 0.0;
       accesses = 0;
+      sc_addr = 0;
+      sc_w = Alpha.Insn.W64;
+      sc_v = 0L;
       on_access = None;
     }
   in
@@ -253,7 +269,7 @@ let[@inline] store_word h ~priv ~shared addr v =
     let off = addr - h.shared_lo in
     if
       Bytes.get h.private_tab h.chunk_block.(off lsr h.chunk_shift) = 'E'
-      && Hashtbl.length h.st.E.outstanding = 0
+      && Protocol.Ptypes.Itbl.length h.st.E.outstanding = 0
       && h.st.E.watch_blocks == []
       && h.img.Protocol.Memimg.monitors == []
       && h.on_access == None
@@ -370,7 +386,7 @@ let load_locked h addr w =
 let store_conditional h addr w v =
   charge_cycles h (4 + 2) (* sc_check + sc *);
   let ok =
-    match in_protocol h (fun () -> E.sc_check h.pcb addr w v) () with
+    match sc_check h addr w v with
     | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr w v
     | Alpha.Runtime.Handled ok -> ok
   in
@@ -544,7 +560,7 @@ let alpha_runtime h =
       (fun addr -> if is_shared h addr then in_protocol h ll_ensure addr);
     sc_check =
       (fun addr w v ->
-        if is_shared h addr then in_protocol h (fun () -> E.sc_check h.pcb addr w v) ()
+        if is_shared h addr then sc_check h addr w v
         else Alpha.Runtime.Run_in_hardware);
     mb = (fun () -> ());
     mb_check = (fun () -> in_protocol h E.mb h.pcb);

@@ -12,6 +12,9 @@
     Channel model as the coherence protocol and are serviced from a
     per-node mailbox by whichever local process polls first. *)
 
+module Itbl = Protocol.Ptypes.Itbl
+module Ids = Protocol.Ptypes.Ids
+
 type msg =
   | Acquire of { lock : int; from : int }
   | Release of { lock : int }
@@ -26,9 +29,9 @@ type barrier_state = { mutable gen : int; mutable arrived : int list }
 type endpoint = {
   ep_pid : int;
   ep_node : int;
-  granted : (int, unit) Hashtbl.t;
-  reached_gen : (int, int) Hashtbl.t;  (** barrier -> last generation passed *)
-  mutable next_gen : (int, int) Hashtbl.t;
+  granted : unit Itbl.t;
+  reached_gen : int Itbl.t;  (** barrier -> last generation passed *)
+  next_gen : int Itbl.t;
   mutable sync_stall : float;  (** accumulated synchronisation stall time *)
 }
 
@@ -38,13 +41,13 @@ type t = {
   node_box : msg Mchan.Mailbox.t array;
   mutable order : int list;  (** registration order (most recent first) *)
   mutable pids : int array;  (** [order] reversed, rebuilt on register *)
-  eps : (int, endpoint) Hashtbl.t;
+  eps : endpoint Ids.t;
   (* Lock and barrier state tables are sharded by the manager's node:
      a given id's state lives in its manager node's table, so in
      parallel mode each table is only ever grown and mutated by that
      node's lane. *)
-  locks : (int, lock_state) Hashtbl.t array;
-  barriers : (int, barrier_state) Hashtbl.t array;
+  locks : lock_state Itbl.t array;
+  barriers : barrier_state Itbl.t array;
   messages_by_node : int array;  (** per sending node; accessor sums *)
 }
 
@@ -56,9 +59,9 @@ let create ~net ~costs =
     node_box = Array.init nodes (fun _ -> Mchan.Mailbox.create ());
     order = [];
     pids = [||];
-    eps = Hashtbl.create 32;
-    locks = Array.init nodes (fun _ -> Hashtbl.create 16);
-    barriers = Array.init nodes (fun _ -> Hashtbl.create 8);
+    eps = Ids.create ();
+    locks = Array.init nodes (fun _ -> Itbl.create 16);
+    barriers = Array.init nodes (fun _ -> Itbl.create 8);
     messages_by_node = Array.make nodes 0;
   }
 
@@ -67,18 +70,18 @@ let register t ~pid ~node =
     {
       ep_pid = pid;
       ep_node = node;
-      granted = Hashtbl.create 8;
-      reached_gen = Hashtbl.create 8;
-      next_gen = Hashtbl.create 8;
+      granted = Itbl.create 8;
+      reached_gen = Itbl.create 8;
+      next_gen = Itbl.create 8;
       sync_stall = 0.0;
     }
   in
-  Hashtbl.replace t.eps pid ep;
+  Ids.replace t.eps pid ep;
   t.order <- pid :: t.order;
   t.pids <- Array.of_list (List.rev t.order);
   ep
 
-let endpoint t pid = Hashtbl.find t.eps pid
+let endpoint t pid = Ids.find t.eps pid
 
 (** Managers are assigned round-robin over registration order. *)
 let manager_of t id = t.pids.(id mod Array.length t.pids)
@@ -88,20 +91,20 @@ let manager_of t id = t.pids.(id mod Array.length t.pids)
    the manager's own fast path). *)
 let lock_state t ~node l =
   let tbl = t.locks.(node) in
-  match Hashtbl.find_opt tbl l with
+  match Itbl.find_opt tbl l with
   | Some s -> s
   | None ->
       let s = { taken = false; waiters = Queue.create () } in
-      Hashtbl.replace tbl l s;
+      Itbl.replace tbl l s;
       s
 
 let barrier_state t ~node b =
   let tbl = t.barriers.(node) in
-  match Hashtbl.find_opt tbl b with
+  match Itbl.find_opt tbl b with
   | Some s -> s
   | None ->
       let s = { gen = 0; arrived = [] } in
-      Hashtbl.replace tbl b s;
+      Itbl.replace tbl b s;
       s
 
 let send t ~cur ~from_node msg ~to_node =
@@ -131,7 +134,7 @@ let handle t ~cur ~node msg =
           let ep = endpoint t next in
           send t ~cur ~from_node:node (Grant { lock; to_pid = next }) ~to_node:ep.ep_node
       | None -> s.taken <- false)
-  | Grant { lock; to_pid } -> Hashtbl.replace (endpoint t to_pid).granted lock ()
+  | Grant { lock; to_pid } -> Itbl.replace (endpoint t to_pid).granted lock ()
   | Arrive { barrier; from; parties } ->
       let s = barrier_state t ~node barrier in
       s.arrived <- from :: s.arrived;
@@ -146,7 +149,7 @@ let handle t ~cur ~node msg =
         s.arrived <- []
       end
   | Proceed { barrier; to_pid; gen } ->
-      Hashtbl.replace (endpoint t to_pid).reached_gen barrier gen
+      Itbl.replace (endpoint t to_pid).reached_gen barrier gen
 
 (* Drain the node's sync mailbox; returns the CPU seconds consumed. *)
 let service_slow t ~node =
@@ -190,8 +193,8 @@ let acquire t ep lock =
       (Acquire { lock; from = ep.ep_pid })
       ~to_node:(endpoint t mgr).ep_node;
     Sim.Proc.work t.costs.Protocol.Config.send;
-    stall_sync ep t.net (fun () -> Hashtbl.mem ep.granted lock);
-    Hashtbl.remove ep.granted lock
+    stall_sync ep t.net (fun () -> Itbl.mem ep.granted lock);
+    Itbl.remove ep.granted lock
   end
 
 let release t ep lock =
@@ -208,8 +211,8 @@ let release t ep lock =
 
 (** [barrier t ep ~id ~parties] — centralised sense-reversing barrier. *)
 let barrier t ep ~id ~parties =
-  let gen = Option.value (Hashtbl.find_opt ep.next_gen id) ~default:1 in
-  Hashtbl.replace ep.next_gen id (gen + 1);
+  let gen = Option.value (Itbl.find_opt ep.next_gen id) ~default:1 in
+  Itbl.replace ep.next_gen id (gen + 1);
   let mgr = manager_of t id in
   let cur = ref (Sim.Engine.now (Mchan.Net.engine t.net)) in
   send t ~cur ~from_node:ep.ep_node
@@ -217,6 +220,6 @@ let barrier t ep ~id ~parties =
     ~to_node:(endpoint t mgr).ep_node;
   Sim.Proc.work t.costs.Protocol.Config.send;
   stall_sync ep t.net (fun () ->
-      Option.value (Hashtbl.find_opt ep.reached_gen id) ~default:0 >= gen)
+      Option.value (Itbl.find_opt ep.reached_gen id) ~default:0 >= gen)
 
 let messages t = Array.fold_left ( + ) 0 t.messages_by_node

@@ -21,13 +21,22 @@
     a list per tie-set.  Because [(time, seq)] keys are unique, the pop
     order is independent of the heap's internal layout.
 
+    Under the sequential [Fifo] schedule, an {!at} or {!after} for the
+    current instant skips the heap: it appends to the {e instant ring},
+    a reused FIFO of [(seq, label, thunk)].  Everything in the ring is
+    due at [now] and was appended in increasing [seq], so its head is
+    its minimum, and the next event is the ring's head unless the heap
+    root is also due at [now] with a smaller [seq] (an {!at_seq} event).
+    The pop order is exactly [(time, seq)], as with the heap alone.
+
     {!fire_inline} lets the code that is running an event fire the next
     one in place, skipping the heap, when that event would be popped
     next anyway: inside a sequential [Fifo] {!run}, within its deadline
-    and event budget, and strictly before every pending event.  The
-    clock, the sequence counter and the fired count advance as for a
-    pop, so an inline fire is indistinguishable from a heap fire.
-    [Proc.work] uses it for a process's own work slices.
+    and event budget, with the instant ring empty, and strictly before
+    every pending event.  The clock, the sequence counter and the fired
+    count advance as for a pop, so an inline fire is indistinguishable
+    from a heap fire.  [Proc.work] uses it for a process's own work
+    slices.
 
     The [schedule] chosen at [create] controls how same-time ties are
     broken.  [Fifo] (the default) fires ties in insertion order and is
@@ -235,6 +244,51 @@ let q_take h =
   end;
   run
 
+(* --- the instant ring --- *)
+
+(* The events due at the current instant, in [seq] order, as a ring
+   whose capacity is a power of two: entry [k] of [r_len] sits at
+   [(r_head + k) land (capacity - 1)].  A taken entry's thunk is
+   cleared, as in the heap. *)
+type ring = {
+  mutable r_seq : int array;
+  mutable r_label : label array;
+  mutable r_run : (unit -> unit) array;
+  mutable r_head : int;
+  mutable r_len : int;
+}
+
+let r_create () = { r_seq = [||]; r_label = [||]; r_run = [||]; r_head = 0; r_len = 0 }
+
+(* Only called when full: unroll the entries to the front of arrays
+   twice the size. *)
+let r_grow r =
+  let cap = Array.length r.r_seq in
+  let cap' = if cap = 0 then 64 else cap * 2 in
+  let at i = (r.r_head + i) land (cap - 1) in
+  r.r_seq <- Array.init cap' (fun i -> if i < cap then r.r_seq.(at i) else 0);
+  r.r_label <- Array.init cap' (fun i -> if i < cap then r.r_label.(at i) else no_label);
+  r.r_run <- Array.init cap' (fun i -> if i < cap then r.r_run.(at i) else nop);
+  r.r_head <- 0
+
+let r_push r ~seq ~label run =
+  if r.r_len = Array.length r.r_seq then r_grow r;
+  let i = (r.r_head + r.r_len) land (Array.length r.r_seq - 1) in
+  r.r_seq.(i) <- seq;
+  r.r_label.(i) <- label;
+  r.r_run.(i) <- run;
+  r.r_len <- r.r_len + 1
+
+(* Remove the head entry and return its run thunk; callers check
+   [r_len > 0] first. *)
+let r_take r =
+  let i = r.r_head in
+  let run = r.r_run.(i) in
+  r.r_run.(i) <- nop;
+  r.r_head <- (i + 1) land (Array.length r.r_run - 1);
+  r.r_len <- r.r_len - 1;
+  run
+
 (* --- per-node lanes for the conservative parallel mode --- *)
 
 (* An event scheduled from one lane onto another; buffered on the source
@@ -280,6 +334,7 @@ type t = {
   clock : clock;
   mutable seq : int;
   heap : eheap;
+  instant : ring;  (** [Fifo] events due at [now]; empty before the clock moves *)
   mutable fired : int;
   sched : sched_state;
   (* The tie buffer, reused across fires: same-time entries are popped
@@ -347,6 +402,7 @@ let create ?(schedule = Fifo) () =
     clock = { now = 0.0 };
     seq = 0;
     heap = q_create ();
+    instant = r_create ();
     fired = 0;
     sched;
     tb_seq = [||];
@@ -373,7 +429,12 @@ let push_seq t label ~jitter ~seq time f =
   if time < t.clock.now then
     raise
       (Past_event
-         { requested = time; now = t.clock.now; fired = t.fired; pending = t.heap.q_size });
+         {
+           requested = time;
+           now = t.clock.now;
+           fired = t.fired;
+           pending = t.heap.q_size + t.instant.r_len;
+         });
   let time =
     match t.sched with
     | S_guided { delays = Some (delays, prob, max_delay); _ }
@@ -437,11 +498,14 @@ let at_seq t ?(label = no_label) ?(jitter = true) ~seq time f =
 (** [at t ?label time f] schedules [f] to fire at absolute [time].
     Requires [time >= now t].  [label] (default: unknown) declares the
     event's dependency footprint for {!Guided} exploration and names the
-    owning lane in parallel mode. *)
+    owning lane in parallel mode.  Under a sequential [Fifo] schedule an
+    event for [now] goes to the instant ring. *)
 let at t ?(label = no_label) time f =
   match t.par with
   | None ->
-      push_seq t label ~jitter:true ~seq:t.seq time f;
+      (match t.sched with
+      | S_fifo when time = t.clock.now -> r_push t.instant ~seq:t.seq ~label f
+      | S_fifo | S_guided _ -> push_seq t label ~jitter:true ~seq:t.seq time f);
       t.seq <- t.seq + 1
   | Some _ -> at_seq t ~label ~seq:(take_seq t) time f
 
@@ -452,13 +516,15 @@ let after t ?label dt f = at t ?label (now t +. dt) f
 (** [fire_inline t time] fires, in place, an event at [time] whose
     action the caller is about to run itself — provided it would be the
     very next event to fire anyway: inside a sequential [Fifo] {!run},
-    not past its deadline or event budget, and strictly before every
-    pending event.  The clock, the sequence counter and [events_fired]
-    advance exactly as a push and a pop would advance them.  Returns
+    not past its deadline or event budget, with the instant ring empty,
+    and strictly before every pending event.  The clock, the sequence
+    counter and [events_fired] advance exactly as a push and a pop would
+    advance them.  Returns
     [false], changing nothing, when the caller must schedule the event
     instead. *)
 let[@inline] fire_inline t time =
   t.fired < t.inline_end
+  && t.instant.r_len = 0
   && time <= t.inline_until
   && (t.heap.q_size = 0 || q_top_time t.heap > time)
   && begin
@@ -515,28 +581,47 @@ let fire_choice t time n i =
   t.fired <- t.fired + 1;
   run ()
 
+(* Fire the [Fifo] schedule's next event, the smaller by [(time, seq)]
+   of the instant ring's head and the heap root; one of them exists.
+   The ring's head is due at [now], which no heap entry precedes. *)
+let[@inline] fire_next t =
+  let h = t.heap and r = t.instant in
+  t.fired <- t.fired + 1;
+  if
+    r.r_len > 0
+    && (h.q_size = 0 || q_top_time h > t.clock.now || q_top_seq h > r.r_seq.(r.r_head))
+  then
+    let run = r_take r in
+    run ()
+  else begin
+    t.clock.now <- q_top_time h;
+    let run = q_take h in
+    run ()
+  end
+
 (** [step t] fires one pending event — the earliest, with same-time ties
-    broken by the schedule policy.  Returns [false] when the event heap
-    is empty. *)
+    broken by the schedule policy.  Returns [false] when no event is
+    pending. *)
 let step t =
   let h = t.heap in
-  if h.q_size = 0 then false
-  else begin
-    (match t.sched with
-    | S_fifo ->
-        t.clock.now <- q_top_time h;
-        t.fired <- t.fired + 1;
-        let run = q_take h in
-        run ()
-    | S_guided { choose = f; _ } ->
+  match t.sched with
+  | S_fifo ->
+      if h.q_size = 0 && t.instant.r_len = 0 then false
+      else begin
+        fire_next t;
+        true
+      end
+  | S_guided { choose = f; _ } ->
+      if h.q_size = 0 then false
+      else begin
         let time, n = pop_ties t in
         let cands =
           Array.init n (fun j -> { ch_label = t.tb_label.(j); ch_seq = t.tb_seq.(j) })
         in
         let i = f cands in
-        fire_choice t time n (if i < 0 || i >= n then 0 else i));
-    true
-  end
+        fire_choice t time n (if i < 0 || i >= n then 0 else i);
+        true
+      end
 
 (** [run ?until ?max_events t] fires events until the heap is empty, the
     clock passes [until], or [max_events] have fired.  Returns the reason
@@ -547,7 +632,7 @@ let run ?until ?max_events t =
   let fired0 = t.fired in
   let until_v = match until with None -> Float.infinity | Some d -> d in
   let budget = match max_events with None -> max_int | Some m -> m in
-  let h = t.heap in
+  let h = t.heap and r = t.instant in
   let reason = ref Quiescent in
   let continue = ref true in
   (match t.sched with
@@ -555,11 +640,15 @@ let run ?until ?max_events t =
       t.inline_until <- until_v;
       t.inline_end <- (if budget > max_int - fired0 then max_int else fired0 + budget);
       (* The hot loop: no allocation per event — the deadline check reads
-         the root time directly, firing pops in place and the clock is
-         written unboxed. *)
+         the next event's time directly (the clock itself while the
+         instant ring is not empty), firing pops in place and the clock
+         is written unboxed. *)
       (try
          while !continue do
-           if h.q_size > 0 && q_top_time h > until_v then begin
+           if
+             if r.r_len > 0 then t.clock.now > until_v
+             else h.q_size > 0 && q_top_time h > until_v
+           then begin
              t.clock.now <- Float.max t.clock.now until_v;
              reason := Deadline;
              continue := false
@@ -568,16 +657,11 @@ let run ?until ?max_events t =
              reason := Event_budget;
              continue := false
            end
-           else if h.q_size = 0 then begin
+           else if h.q_size = 0 && r.r_len = 0 then begin
              reason := Quiescent;
              continue := false
            end
-           else begin
-             t.clock.now <- q_top_time h;
-             t.fired <- t.fired + 1;
-             let run = q_take h in
-             run ()
-           end
+           else fire_next t
          done
        with e ->
          t.inline_end <- 0;
@@ -636,9 +720,10 @@ let lane_run l ~window_end ~until =
 
 (** [par_install t ~nodes] splits the event store into [nodes] per-node
     lanes, routing every pending event to its label's lane (unlabeled
-    events go to lane 0).  Requires the [Fifo] schedule: a [Guided]
-    chooser orders same-time ties globally, which has no meaning once
-    the tie-set is split across lanes. *)
+    events go to lane 0); the instant ring is spilled into the heap
+    first, and stays empty while the lanes run.  Requires the [Fifo]
+    schedule: a [Guided] chooser orders same-time ties globally, which
+    has no meaning once the tie-set is split across lanes. *)
 let par_install t ~nodes =
   (match t.par with Some _ -> invalid_arg "Engine.par_install: already parallel" | None -> ());
   (match t.sched with
@@ -656,7 +741,11 @@ let par_install t ~nodes =
           l_out_pulses = [];
         })
   in
-  let h = t.heap in
+  let h = t.heap and r = t.instant in
+  while r.r_len > 0 do
+    let seq = r.r_seq.(r.r_head) and label = r.r_label.(r.r_head) in
+    q_push h ~time:t.clock.now ~seq ~label (r_take r)
+  done;
   while h.q_size > 0 do
     let time = q_top_time h and label = q_top_label h in
     let run = q_take h in

@@ -226,6 +226,8 @@ and step p =
   | Thunk f -> f ()
   | Stalling (pred, cont) -> stall_step p pred cont
 
+(* [p.activity] holds [Stalling (pred, cont)], which is how [step] got
+   here; every branch that waits again leaves it in place. *)
 and stall_step p pred cont =
   let cpu = p.cpu in
   let eng = cpu.engine in
@@ -249,7 +251,6 @@ and stall_step p pred cont =
          release it entirely and come back through the ready queue when a
          message arrives.  With no competitor it keeps spinning below, so
          it reacts to arrivals without paying a context switch. *)
-      p.activity <- Stalling (pred, cont);
       p.state <- Waiting;
       let v = p.version in
       (match cpu.current with Some c when c == p -> cpu.current <- None | Some _ | None -> ());
@@ -261,14 +262,12 @@ and stall_step p pred cont =
     end
     else if (not p.yield_waiting) && exists_ready cpu && Engine.now eng >= cpu.quantum_deadline
     then begin
-      p.activity <- Stalling (pred, cont);
       preempt p
     end
     else begin
       (* Nothing to service: spin-wait for the next message arrival.  If
          another process is runnable, also give up the CPU when the
          quantum ends. *)
-      p.activity <- Stalling (pred, cont);
       p.state <- Waiting;
       let v = p.version in
       (match p.stall_signal with

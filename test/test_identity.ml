@@ -442,7 +442,9 @@ let first_tie = Sim.Engine.Guided { choose = (fun _ -> 0); jitter = None }
 
 let snapshot cl =
   let eng = C.sim cl in
-  (Int64.bits_of_float (C.now cl), Sim.Engine.events_fired eng, eng.Sim.Engine.heap.Sim.Engine.q_size)
+  ( Int64.bits_of_float (C.now cl),
+    Sim.Engine.events_fired eng,
+    eng.Sim.Engine.heap.Sim.Engine.q_size + eng.Sim.Engine.instant.Sim.Engine.r_len )
 
 let staged app schedule stop =
   let cl = cluster ~schedule () in

@@ -3,9 +3,9 @@
 
 open Sim
 
-(* Events still queued: the heap's size (these tests run no parallel
-   lanes). *)
-let queued eng = eng.Engine.heap.Engine.q_size
+(* Events still queued: the heap's size plus the instant ring's (these
+   tests run no parallel lanes). *)
+let queued eng = eng.Engine.heap.Engine.q_size + eng.Engine.instant.Engine.r_len
 
 let check_f = Alcotest.(check (float 1e-12))
 
@@ -646,6 +646,92 @@ let qcheck_heap_interleaved =
       in
       ok && !max_pending > 128)
 
+(* The instant ring against a reference model.  Events fired by a run
+   schedule more at random: [at] for the same instant and later ones,
+   [after 0.0], [at_seq] with a sequence number taken earlier (older
+   than what the ring holds, so a heap root due now can precede the
+   ring's head), and [fire_inline] attempts.  Every fire, in the heap,
+   the ring or inline, must be the (time, seq) minimum of the live
+   entries, an inline attempt must succeed exactly when its own
+   (time, seq) is that minimum, and the ring may hold a thunk only in a
+   live slot.  A few [step]s (where no inline fire is taken) precede the
+   run. *)
+let qcheck_instant_ring =
+  QCheck.Test.make ~name:"instant ring keeps (time, seq) order" ~count:300
+    QCheck.(pair small_nat (int_bound 5))
+    (fun (seed, nsteps) ->
+      let rng = Random.State.make [| seed |] in
+      let eng = Engine.create () in
+      let pending = ref [] and pool = ref [] and next_id = ref 0 and ok = ref true in
+      let in_run = ref false in
+      let first () = List.fold_left min (infinity, max_int, -1) !pending in
+      let ring_clean () =
+        let r = eng.Engine.instant in
+        let live =
+          Array.fold_left (fun n f -> if f == Engine.nop then n else n + 1) 0 r.Engine.r_run
+        in
+        live = r.Engine.r_len
+      in
+      let rec add ?seq time =
+        let id = !next_id in
+        incr next_id;
+        let s =
+          match seq with
+          | Some s ->
+              Engine.at_seq eng ~seq:s time (fire id);
+              s
+          | None ->
+              let s = eng.Engine.seq in
+              Engine.at eng time (fire id);
+              s
+        in
+        pending := (time, s, id) :: !pending
+      and fire id () =
+        let time, _, id' = first () in
+        ok := !ok && id = id' && Engine.now eng = time;
+        pending := List.filter (fun (_, _, i) -> i <> id) !pending;
+        for _ = 1 to Random.State.int rng 4 do
+          if !next_id < 400 then
+            let now = Engine.now eng in
+            match Random.State.int rng 6 with
+            | 0 -> add now
+            | 1 ->
+                let id = add_model now in
+                Engine.after eng 0.0 (fire id)
+            | 2 -> add (now +. float_of_int (1 + Random.State.int rng 3))
+            | 3 -> pool := Engine.take_seq eng :: !pool
+            | 4 -> (
+                match !pool with
+                | s :: rest ->
+                    pool := rest;
+                    add ~seq:s (if Random.State.bool rng then now else now +. 1.0)
+                | [] -> ())
+            | _ ->
+                let time = now +. float_of_int (Random.State.int rng 2) in
+                let t0, s0, _ = first () in
+                let s = eng.Engine.seq in
+                let expect = !in_run && (time < t0 || (time = t0 && s < s0)) in
+                let got = Engine.fire_inline eng time in
+                ok := !ok && got = expect && ((not got) || Engine.now eng = time)
+        done;
+        ok := !ok && ring_clean ()
+      (* The model entry of an event the caller schedules itself. *)
+      and add_model time =
+        let id = !next_id in
+        incr next_id;
+        pending := (time, eng.Engine.seq, id) :: !pending;
+        id
+      in
+      for i = 0 to 5 do
+        add (float_of_int (i mod 3))
+      done;
+      for _ = 1 to nsteps do
+        ignore (Engine.step eng)
+      done;
+      in_run := true;
+      ignore (Engine.run eng);
+      !ok && !pending = [] && queued eng = 0 && ring_clean () && !next_id > 6)
+
 let suite =
   [
     Alcotest.test_case "heap order" `Quick test_heap_order;
@@ -681,4 +767,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_heap_sorted;
     QCheck_alcotest.to_alcotest qcheck_heap_stable_reference;
     QCheck_alcotest.to_alcotest qcheck_heap_interleaved;
+    QCheck_alcotest.to_alcotest qcheck_instant_ring;
   ]
