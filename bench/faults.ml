@@ -17,50 +17,41 @@ let cluster plan =
         { Protocol.Config.default with Protocol.Config.shared_size = 4 * 1024 * 1024 };
     }
 
+(* Simulated time and the transport's [sent; retx; acks]: on the raw
+   channel every remote message is one first transmission. *)
 let measure spec ~size plan =
   let cl = cluster plan in
   let elapsed, ok = Apps.Harness.run_spec cl spec ~nprocs:4 ~sync:Apps.Harness.Mp ~size () in
   if not ok then failwith (spec.Apps.Harness.name ^ " failed to validate");
-  let tot =
+  let counts =
     match Shasta.Cluster.reliable cl with
-    | None ->
-        {
-          Mchan.Reliable.data_sent = Mchan.Net.remote_messages cl.Shasta.Cluster.net;
-          retransmits = 0;
-          acks_sent = 0;
-          inj_dropped = 0;
-          inj_duplicated = 0;
-          inj_corrupted = 0;
-          inj_delayed = 0;
-          dup_suppressed = 0;
-          outage_dropped = 0;
-        }
-    | Some r -> Mchan.Reliable.totals r
+    | None -> [ Mchan.Net.remote_messages cl.Shasta.Cluster.net; 0; 0 ]
+    | Some r ->
+        let x = Mchan.Reliable.totals r in
+        Mchan.Reliable.[ x.data_sent; x.retransmits; x.acks_sent ]
   in
-  (elapsed, tot)
+  (elapsed, Sim.Stats.ints counts)
 
 let drop_rates = [ 0.01; 0.02; 0.05; 0.10; 0.20 ]
 
 let run_faults () =
-  Printf.printf "\n== Reliable transport: slowdown vs injected drop rate (4 procs, 2 nodes) ==\n";
+  Support.print_header "Reliable transport: slowdown vs injected drop rate (4 procs, 2 nodes)";
   List.iter
     (fun (spec, size) ->
-      let base, base_tot = measure spec ~size Plan.empty in
-      Printf.printf "%s (size %d):\n" spec.Apps.Harness.name size;
-      Printf.printf
-        "  drop  0.0%%: %8.3f ms   slowdown 1.00x   msgs %6d   retx      0   acks      0\n"
-        (1000.0 *. base) base_tot.Mchan.Reliable.data_sent;
-      List.iter
-        (fun drop ->
-          let plan =
-            Plan.create ~seed:11
-              ~default:{ Plan.no_faults with Plan.drop }
-              ()
-          in
-          let t, tot = measure spec ~size plan in
-          Printf.printf
-            "  drop %4.1f%%: %8.3f ms   slowdown %.2fx   msgs %6d   retx %6d   acks %6d\n"
-            (100.0 *. drop) (1000.0 *. t) (t /. base) tot.Mchan.Reliable.data_sent
-            tot.Mchan.Reliable.retransmits tot.Mchan.Reliable.acks_sent)
-        drop_rates)
+      let plan drop =
+        if drop = 0.0 then Plan.empty
+        else Plan.create ~seed:11 ~default:{ Plan.no_faults with Plan.drop } ()
+      in
+      let runs = List.map (fun d -> (d, measure spec ~size (plan d))) (0.0 :: drop_rates) in
+      let base = fst (List.assoc 0.0 runs) in
+      let row (drop, (t, counts)) =
+        let slow = Sim.Stats.[ Float (1e3 *. t); Float (t /. base) ] in
+        (Printf.sprintf "%.1f" (100.0 *. drop), slow @ counts)
+      in
+      Format.printf "@.%a" Sim.Stats.pp_table
+        {
+          Sim.Stats.title = Printf.sprintf "%s (size %d)" spec.Apps.Harness.name size;
+          columns = [ "drop_pct"; "elapsed_ms"; "slowdown"; "msgs"; "retx"; "acks" ];
+          rows = List.map row runs;
+        })
     [ (Apps.Lu.spec, 32); (Apps.Ocean.spec, 18) ]

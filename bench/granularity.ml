@@ -175,8 +175,8 @@ let ocean_sweep ?check_invariants ?size ~shared () =
      the bulk region carries the data. *)
   match List.rev results with
   | (_, _, cl) :: _ ->
-      Printf.printf "\nmixed layout, per region:\n";
-      Format.printf "%a" C.pp_layout_report cl
+      Format.printf "@.%a" Sim.Stats.pp_table
+        { (C.region_table cl) with Sim.Stats.title = "mixed layout, per region" }
   | [] -> ()
 
 (* --- code-size cost of the table lookup (Section 2.1) --- *)

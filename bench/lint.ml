@@ -40,7 +40,7 @@ let region_stat (r : I.spmd_result) name =
   with Not_found -> failwith ("lint bench: no region " ^ name)
 
 let static_hints ~nprocs ~hot_block (e : I.entry) =
-  let r = Rewrite.Races.analyze ~nprocs ~name:e.I.e_name e.I.e_program in
+  let r = Rewrite.Races.analyze ~nprocs e.I.e_program in
   Rewrite.Affinity.report
     ~bindings:
       [
@@ -133,7 +133,7 @@ let run_lint_with ~iters ~out_file () =
     hmig.I.s_migrations (1000.0 *. hstatic.I.s_elapsed) (1000.0 *. hmig.I.s_elapsed)
     (if mdb_agree then "AGREE" else "DISAGREE");
 
-  Support.emit_json ~file:out_file ~bench:"lint"
+  Load.Json.emit ~file:out_file ~bench:"lint"
     ~meta:[ ("nodes", Load.Json.Int nodes); ("nprocs", Load.Json.Int nprocs); ("iters", Load.Json.Int iters) ]
     [
       ( "fs_twin",

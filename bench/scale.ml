@@ -43,19 +43,22 @@ let run_point spec ~seq nprocs =
     p_ok = ok;
   }
 
-let point_json p =
-  J.Obj
-    [
-      ("app", J.Str p.p_app);
-      ("procs", J.Int p.p_procs);
-      ("nodes", J.Int p.p_nodes);
-      ("elapsed_ms", J.Float (1000.0 *. p.p_elapsed));
-      ("speedup", J.Float p.p_speedup);
-      ("events", J.Int p.p_events);
-      ("events_per_sec", J.Float (float_of_int p.p_events /. Float.max 1e-9 p.p_wall));
-      ("wall_s", J.Float p.p_wall);
-      ("validated", J.Bool p.p_ok);
-    ]
+(* The points as one table: printed, and the [points] of the JSON file. *)
+let points_table points =
+  let row p =
+    let per_s = float_of_int p.p_events /. Float.max 1e-9 p.p_wall in
+    ( p.p_app,
+      Sim.Stats.
+        [ Int p.p_procs; Int p.p_nodes; Float (1000.0 *. p.p_elapsed); Float p.p_speedup;
+          Int p.p_events; Float per_s; Float p.p_wall; Str (string_of_bool p.p_ok) ] )
+  in
+  {
+    Sim.Stats.title = "points";
+    columns =
+      [ "app"; "procs"; "nodes"; "elapsed_ms"; "speedup"; "events"; "events_per_s"; "wall_s";
+        "validated" ];
+    rows = List.map row points;
+  }
 
 (* --- migrating-data microbenchmark ---------------------------------- *)
 
@@ -118,12 +121,10 @@ let migratory_micro ~pairs ~blocks_per_pair ~laps ~inner ~homing =
              done
            done))
   done;
-  let t0 = Unix.gettimeofday () in
   let elapsed = C.run cl in
-  let wall = Unix.gettimeofday () -. t0 in
   let quiet = Protocol.Engine.check_quiescent (C.protocol_engine cl) in
   let migrations, bounces, in_flight = C.migration_stats cl in
-  (elapsed, wall, migrations, bounces, in_flight, quiet)
+  (elapsed, migrations, bounces, in_flight, quiet)
 
 (* --- 64-node invariant smoke ---------------------------------------- *)
 
@@ -157,39 +158,27 @@ let run_scale_at ~procs_list ~laps ~file () =
       (fun (spec, seq) -> List.map (run_point spec ~seq) procs_list)
       seqs
   in
-  Support.print_table
-    ~headers:[ "application"; "procs"; "nodes"; "sim ms"; "speedup"; "Mev/s"; "ok" ]
-    (List.map
-       (fun p ->
-         [
-           p.p_app;
-           string_of_int p.p_procs;
-           string_of_int p.p_nodes;
-           Support.ms p.p_elapsed;
-           Printf.sprintf "%.2f" p.p_speedup;
-           Printf.sprintf "%.2f" (float_of_int p.p_events /. Float.max 1e-9 p.p_wall /. 1e6);
-           (if p.p_ok then "yes" else "NO");
-         ])
-       points);
+  let table = points_table points in
+  Format.printf "%a" Sim.Stats.pp_table table;
   let failures = ref [] in
   let note fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter (fun p -> if not p.p_ok then note "%s@%d failed validation" p.p_app p.p_procs) points;
 
   Support.print_header "Migrating-data microbenchmark: static vs migratory homes (16 nodes)";
-  let micro ~homing =
-    migratory_micro ~pairs:8 ~blocks_per_pair:8 ~laps ~inner:8 ~homing
+  let micro homing = migratory_micro ~pairs:8 ~blocks_per_pair:8 ~laps ~inner:8 ~homing in
+  let ((s_el, s_mig, _, _, s_quiet) as s) = micro Protocol.Config.Static in
+  let ((m_el, m_mig, _, m_fly, m_quiet) as m) = micro Protocol.Config.Migratory in
+  let row name (el, mig, bnc, fly, quiet) =
+    (name, Sim.Stats.(Float (1000.0 *. el) :: ints [ mig; bnc; fly; List.length quiet ]))
   in
-  let s_el, s_wall, s_mig, s_bnc, s_fly, s_quiet = micro ~homing:Protocol.Config.Static in
-  let m_el, m_wall, m_mig, m_bnc, m_fly, m_quiet = micro ~homing:Protocol.Config.Migratory in
-  ignore (s_wall, m_wall);
-  Support.print_table
-    ~headers:[ "homes"; "sim ms"; "migrations"; "bounces"; "in flight"; "violations" ]
-    [
-      [ "static"; Support.ms s_el; string_of_int s_mig; string_of_int s_bnc;
-        string_of_int s_fly; string_of_int (List.length s_quiet) ];
-      [ "migratory"; Support.ms m_el; string_of_int m_mig; string_of_int m_bnc;
-        string_of_int m_fly; string_of_int (List.length m_quiet) ];
-    ];
+  let micro_table =
+    {
+      Sim.Stats.title = "micro";
+      columns = [ "homes"; "elapsed_ms"; "migrations"; "bounces"; "in_flight"; "violations" ];
+      rows = [ row "static" s; row "migratory" m ];
+    }
+  in
+  Format.printf "%a" Sim.Stats.pp_table micro_table;
   Printf.printf "migratory vs static: %+.1f%%\n" (100.0 *. ((m_el /. s_el) -. 1.0));
   List.iter (fun v -> note "micro static: %s" v) s_quiet;
   List.iter (fun v -> note "micro migratory: %s" v) m_quiet;
@@ -224,18 +213,11 @@ let run_scale_at ~procs_list ~laps ~file () =
     ~headers:[ "application"; "faults"; "sim ms"; "violations"; "ok" ]
     smoke_rows;
 
-  Support.emit_json ~file ~bench:"scale"
+  J.emit ~file ~bench:"scale"
     ~meta:[ ("procs", J.List (List.map (fun p -> J.Int p) procs_list)) ]
     [
-      ("points", J.List (List.map point_json points));
-      ( "micro",
-        J.Obj
-          [
-            ("static_ms", J.Float (1000.0 *. s_el));
-            ("migratory_ms", J.Float (1000.0 *. m_el));
-            ("migrations", J.Int m_mig);
-            ("bounces", J.Int m_bnc);
-          ] );
+      ("points", J.of_table table);
+      ("micro", J.of_table micro_table);
       ("failures", J.List (List.map (fun s -> J.Str s) (List.rev !failures)));
     ];
   if !failures <> [] then begin

@@ -33,24 +33,26 @@ type point = {
 
 let events_per_sec p = float_of_int p.s_events /. Float.max 1e-9 p.s_wall
 
-let point_json p =
-  J.Obj
-    [
-      ("name", J.Str p.s_name);
-      ("procs", J.Int p.s_procs);
-      ("nodes", J.Int p.s_nodes);
-      ("domains", J.Int p.s_domains);
-      ("elapsed_ms", J.Float (1000.0 *. p.s_elapsed));
-      ("events", J.Int p.s_events);
-      ("events_per_sec", J.Float (events_per_sec p));
-      ("wall_s", J.Float p.s_wall);
-      ("validated", J.Bool p.s_ok);
-      ("gc_minor_words", J.Float p.s_gc.Sim.Stats.gc_minor_words);
-      ("gc_major_words", J.Float p.s_gc.Sim.Stats.gc_major_words);
-      ("gc_minor_collections", J.Int p.s_gc.Sim.Stats.gc_minor_collections);
-      ("gc_major_collections", J.Int p.s_gc.Sim.Stats.gc_major_collections);
-      ("gc_compactions", J.Int p.s_gc.Sim.Stats.gc_compactions);
-    ]
+(* The points as one table: printed, and the [points] of the JSON file. *)
+let table points =
+  let row p =
+    let g = p.s_gc in
+    ( p.s_name,
+      Sim.Stats.(
+        ints [ p.s_procs; p.s_nodes; p.s_domains ]
+        @ [ Float (1e3 *. p.s_elapsed); Int p.s_events; Float (events_per_sec p); Float p.s_wall ]
+        @ ints
+            [ int_of_float g.gc_minor_words; int_of_float g.gc_major_words;
+              g.gc_minor_collections; g.gc_major_collections; g.gc_compactions ]
+        @ [ Str (string_of_bool p.s_ok) ]) )
+  in
+  {
+    Sim.Stats.title = "points";
+    columns =
+      [ "name"; "procs"; "nodes"; "domains"; "elapsed_ms"; "events"; "events_per_s"; "wall_s";
+        "minor_words"; "major_words"; "minor_gcs"; "major_gcs"; "compactions"; "validated" ];
+    rows = List.map row points;
+  }
 
 (* One timed application run.  Parallel points run on one-cpu nodes (one
    event lane per node) and are swept for coherence after the run: the
@@ -188,29 +190,7 @@ let run_api_hits () =
     s_gc = gc;
   }
 
-let print_points points =
-  Support.print_table
-    ~headers:
-      [ "bench"; "procs"; "nodes"; "dom"; "events"; "ev/s (M)"; "wall s"; "minor Mw"; "ok" ]
-    (List.map
-       (fun p ->
-         [
-           p.s_name;
-           string_of_int p.s_procs;
-           string_of_int p.s_nodes;
-           string_of_int p.s_domains;
-           string_of_int p.s_events;
-           Printf.sprintf "%.3f" (events_per_sec p /. 1e6);
-           Printf.sprintf "%.2f" p.s_wall;
-           Printf.sprintf "%.1f" (p.s_gc.Sim.Stats.gc_minor_words /. 1e6);
-           (if p.s_ok then "yes" else "NO");
-         ])
-       points)
-
-let emit ~file ~bench points =
-  Support.emit_json ~file ~bench
-    ~meta:[ ("host_domains", J.Int (Domain.recommended_domain_count ())) ]
-    [ ("points", J.List (List.map point_json points)) ]
+let emit ~file ~bench t = J.emit ~file ~bench [ ("points", J.of_table t) ]
 
 let find name points = List.find (fun p -> p.s_name = name) points
 
@@ -243,7 +223,8 @@ let run_speed () =
   in
   let interp = run_interp () in
   let points = seq_points @ par_points @ [ interp ] in
-  print_points points;
+  let t = table points in
+  Format.printf "%a" Sim.Stats.pp_table t;
   (let p1 = find "LU@16n-par1" points
    and p4 = find "LU@16n-par4" points in
    Printf.printf "parallel 4-domain wall vs sequential: %.2fx (%d host cores)\n"
@@ -253,7 +234,7 @@ let run_speed () =
     (fun p ->
       if not p.s_ok then failwith ("speed: " ^ p.s_name ^ " failed validation"))
     points;
-  emit ~file:"BENCH_speed.json" ~bench:"speed" points
+  emit ~file:"BENCH_speed.json" ~bench:"speed" t
 
 (* CI regression floors: the committed BENCH_speed.json baseline
    (recorded on the 1-core container this repo grows in) measured the
@@ -294,8 +275,9 @@ let run_speed_smoke () =
   let hits = run_api_hits () in
   let interp = run_interp () in
   let points = points @ [ serve; hits; interp ] in
-  print_points points;
-  emit ~file:"BENCH_speed_smoke.json" ~bench:"speed_smoke" points;
+  let t = table points in
+  Format.printf "%a" Sim.Stats.pp_table t;
+  emit ~file:"BENCH_speed_smoke.json" ~bench:"speed_smoke" t;
   let failed = ref false in
   List.iter
     (fun (name, floor) ->

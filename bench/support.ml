@@ -31,39 +31,15 @@ let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
 
 (* --- table printing --- *)
 
-let rule width = String.make width '-'
-
 let print_header title =
-  Printf.printf "\n%s\n%s\n" title (rule (String.length title))
+  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
 
-(** [print_table ~headers rows] — fixed-width aligned text table. *)
+(** [print_table ~headers rows] — preformatted text rows, the first cell
+    of each its key, through the one table printer {!Sim.Stats.pp_table}. *)
 let print_table ~headers rows =
-  let cols = List.length headers in
-  let widths = Array.make cols 0 in
-  List.iteri (fun i h -> widths.(i) <- String.length h) headers;
-  List.iter
-    (fun row ->
-      List.iteri (fun i cell -> if String.length cell > widths.(i) then widths.(i) <- String.length cell) row)
-    rows;
-  let print_row row =
-    List.iteri
-      (fun i cell ->
-        if i = 0 then Printf.printf "%-*s" widths.(i) cell
-        else Printf.printf "  %*s" widths.(i) cell)
-      row;
-    print_newline ()
-  in
-  print_row headers;
-  Printf.printf "%s\n" (rule (Array.fold_left ( + ) (2 * (cols - 1)) widths));
-  List.iter print_row rows
-
-(* --- machine-readable output --- *)
-
-(** [emit_json ~file ~bench ?meta fields] — write a benchmark result as
-    a deterministic JSON document, tagged with the bench name so
-    trajectory files are self-describing.  The envelope itself lives in
-    {!Load.Json.emit} so non-bench producers (the lint CLI) share it. *)
-let emit_json ~file ~bench ?meta fields = Load.Json.emit ~file ~bench ?meta fields
+  let row cells = (List.hd cells, List.map (fun s -> Sim.Stats.Str s) (List.tl cells)) in
+  Format.printf "%a" Sim.Stats.pp_table
+    { Sim.Stats.title = ""; columns = headers; rows = List.map row rows }
 
 let us t = Printf.sprintf "%.2f" (Sim.Units.to_us t)
 let ms t = Printf.sprintf "%.2f" (1000.0 *. t)

@@ -185,7 +185,7 @@ let races_mode ~nprocs () =
   let failures = ref 0 in
   let rows = ref [] in
   let scan name ~nprocs prog =
-    let r = Rewrite.Races.analyze ~nprocs ~name prog in
+    let r = Rewrite.Races.analyze ~nprocs prog in
     let nraces = List.length r.Rewrite.Races.rep_races in
     rows :=
       Load.Json.Obj
@@ -300,7 +300,7 @@ let affinity_mode ~nprocs () =
   List.iter
     (fun (e : Apps.Ircorpus.entry) ->
       let name = e.Apps.Ircorpus.e_name in
-      let r = Rewrite.Races.analyze ~nprocs ~name e.Apps.Ircorpus.e_program in
+      let r = Rewrite.Races.analyze ~nprocs e.Apps.Ircorpus.e_program in
       let hints = Rewrite.Affinity.report ~bindings r in
       out "%s:\n" name;
       List.iter (fun h -> out "  %s\n" (Format.asprintf "%a" Rewrite.Affinity.pp_hint h)) hints;

@@ -15,13 +15,12 @@ let () =
   let model = ref "rc" in
   let checks = ref true in
   let line = ref 64 in
-  let stats = ref false in
+  let metrics = ref false in
   let faults = ref "" in
   let granularity = ref "" in
   let migration = ref "static" in
   let migration_threshold = ref Protocol.Config.default.Protocol.Config.migration_threshold in
   let parallel = ref 1 in
-  let gc_stats = ref false in
   let spec_list =
     String.concat ", " (List.map (fun s -> s.Apps.Harness.name) Apps.Registry.all)
   in
@@ -37,7 +36,9 @@ let () =
       ("--model", Arg.Set_string model, " consistency: rc | sc");
       ("--no-checks", Arg.Clear checks, " run as the original binary (no inline checks)");
       ("--line", Arg.Set_int line, " coherence line size in bytes");
-      ("--stats", Arg.Set stats, " print per-process protocol statistics");
+      ( "--metrics",
+        Arg.Set metrics,
+        " print every metrics table: nodes, regions, pids, transport, engine and host GC" );
       ( "--faults",
         Arg.Set_string faults,
         " fault plan, e.g. \"seed=42,drop=0.05,delay=0.1:2e-5,stall=1@0.001:0.0005\"" );
@@ -53,7 +54,6 @@ let () =
       ( "--parallel",
         Arg.Set_int parallel,
         " event-loop domains (conservative parallel mode; 1 = sequential)" );
-      ("--gc-stats", Arg.Set gc_stats, " report host GC allocation for the run");
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_run [options]";
@@ -119,15 +119,12 @@ let () =
   in
   let cl = Shasta.Cluster.create cfg in
   let size = if size = 0 then None else Some size in
-  let gc_mark = Sim.Stats.gc_mark () in
-  let host_t0 = Unix.gettimeofday () in
   (* The application's own setup is the size check: it allocates and
      rejects sizes it cannot run before the cluster starts. *)
   let run =
     Cli.spec "--size" (fun size -> Apps.Harness.start cl spec ~nprocs:procs ~sync ?size ()) size
   in
   let elapsed, ok = run () in
-  let host_wall = Unix.gettimeofday () -. host_t0 in
   Printf.printf "%s: %d procs, %s sync: %.3f ms simulated, validated: %b\n"
     spec.Apps.Harness.name procs
     (match sync with Apps.Harness.Sm -> "LL/SC" | Apps.Harness.Mp -> "MP")
@@ -135,32 +132,11 @@ let () =
   Format.printf "breakdown: %a@." Shasta.Breakdown.pp
     (let b = Shasta.Cluster.total_breakdown cl in
      Shasta.Breakdown.normalize ~against:b b);
-  Format.printf "%a" Shasta.Cluster.pp_fault_report cl;
   (let migrations, bounces, in_flight = Shasta.Cluster.migration_stats cl in
-   if migrations + bounces + in_flight > 0 then begin
+   if migrations + bounces + in_flight > 0 then
      Printf.printf "migration: %d home transfers, %d bounced requests, %d in flight\n"
-       migrations bounces in_flight;
-     Format.printf "%a" Shasta.Cluster.pp_node_report cl
-   end);
-  if parallel > 1 || !gc_stats then begin
-    let fired = Sim.Engine.events_fired (Shasta.Cluster.sim cl) in
-    Printf.printf "events: %d fired, %.0f events/sec host (%.2f s host wall, %d domains)\n"
-      fired
-      (float_of_int fired /. Float.max host_wall 1e-9)
-      host_wall parallel
-  end;
-  if !gc_stats then Format.printf "gc: %a@." Sim.Stats.pp_gc_delta (Sim.Stats.gc_delta gc_mark);
-  if !stats || !granularity <> "" then
-    Format.printf "%a" Shasta.Cluster.pp_layout_report cl;
-  if !stats then
-    List.iter
-      (fun h ->
-        let s = Protocol.Engine.stats h.Shasta.Runtime.pcb in
-        Printf.printf
-          "pid %2d: read misses %6d  store misses %6d  sc %4d  intra %6d  false %3d  msgs %7d  downgrades %d/%d\n"
-          (Shasta.Runtime.pid h) s.Protocol.Engine.read_misses s.Protocol.Engine.store_misses
-          s.Protocol.Engine.sc_misses s.Protocol.Engine.intra_hits s.Protocol.Engine.false_misses
-          s.Protocol.Engine.messages_handled s.Protocol.Engine.downgrades_direct
-          s.Protocol.Engine.downgrades_msg)
-      (Shasta.Cluster.runtimes cl);
+       migrations bounces in_flight);
+  let print = Format.printf "@.%a" Sim.Stats.pp_table in
+  if !metrics then List.iter print (Shasta.Cluster.tables cl)
+  else Option.iter (fun r -> print (Mchan.Reliable.table r)) (Shasta.Cluster.reliable cl);
   if not ok then exit 1

@@ -25,7 +25,7 @@ let () =
   let faults = ref "" in
   let sweep = ref "" in
   let json_out = ref "" in
-  let breakdown = ref false in
+  let metrics = ref false in
   let args =
     [
       ("--arrival", Arg.Set_string arrival, " arrival process: " ^ A.spec_help);
@@ -45,7 +45,9 @@ let () =
         Arg.Set_string sweep,
         " comma-separated offered rates; runs a saturation sweep instead of one point" );
       ("--json", Arg.Set_string json_out, " write the machine-readable report to this file");
-      ("--node-breakdown", Arg.Set breakdown, " print per-node time breakdowns");
+      ( "--metrics",
+        Arg.Set metrics,
+        " print every metrics table: the sweep, then each point's cluster tables" );
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_serve [options]";
@@ -73,23 +75,31 @@ let () =
       server_cpus = List.init servers (fun i -> 1 + i);
     }
   in
-  let report_outcome (o : S.outcome) =
-    Format.printf "%a" Load.Recorder.pp o.S.recorder;
-    Format.printf "validated: %b  drained: %b  (%.1f ms simulated)@." o.S.ok o.S.drained
-      (1000.0 *. o.S.elapsed);
-    Format.printf "%a" Shasta.Cluster.pp_fault_report o.S.cluster;
-    if !breakdown then Format.printf "%a" Shasta.Cluster.pp_node_report o.S.cluster;
-    o.S.ok && o.S.drained
+  let print = Format.printf "@.%a" Sim.Stats.pp_table in
+  let print_clusters points =
+    List.iter
+      (fun p ->
+        Format.printf "@.-- %.0f req/s --@." p.S.sp_rate;
+        List.iter print (Shasta.Cluster.tables p.S.sp_outcome.S.cluster))
+      points
   in
   if !sweep = "" then begin
     let o = S.run ~cluster_cfg cfg in
-    let ok = report_outcome o in
+    let point = { S.sp_rate = A.mean_rate cfg.S.arrival; sp_outcome = o } in
+    Format.printf "%a" Load.Recorder.pp o.S.recorder;
+    Format.printf "validated: %b  drained: %b  (%.1f ms simulated)@." o.S.ok o.S.drained
+      (1000.0 *. o.S.elapsed);
+    if !metrics then begin
+      print (S.sweep_table [ point ]);
+      print_clusters [ point ]
+    end
+    else
+      Option.iter (fun r -> print (Mchan.Reliable.table r)) (Shasta.Cluster.reliable o.S.cluster);
     if !json_out <> "" then begin
-      Load.Json.write_file !json_out
-        (S.sweep_json ~cfg [ { S.sp_rate = A.mean_rate cfg.S.arrival; sp_outcome = o } ]);
+      Load.Json.write_file !json_out (S.sweep_json ~cfg [ point ]);
       Printf.printf "wrote %s\n" !json_out
     end;
-    if not ok then exit 1
+    if not (o.S.ok && o.S.drained) then exit 1
   end
   else begin
     let rate s =
@@ -99,15 +109,10 @@ let () =
     in
     let rates = List.map rate (String.split_on_char ',' !sweep) in
     let points = S.sweep ~cluster_cfg ~cfg rates in
-    Format.printf "%a" S.pp_sweep points;
+    print (S.sweep_table points);
     let all_ok = List.for_all (fun p -> p.S.sp_outcome.S.ok && p.S.sp_outcome.S.drained) points in
     Format.printf "all points validated and drained: %b@." all_ok;
-    if !breakdown then
-      List.iter
-        (fun p ->
-          Format.printf "-- %.0f req/s --@." p.S.sp_rate;
-          Format.printf "%a" Shasta.Cluster.pp_node_report p.S.sp_outcome.S.cluster)
-        points;
+    if !metrics then print_clusters points;
     if !json_out <> "" then begin
       Load.Json.write_file !json_out (S.sweep_json ~cfg points);
       Printf.printf "wrote %s\n" !json_out

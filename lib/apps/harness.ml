@@ -82,13 +82,13 @@ let barrier t h = function
 
 (* Shared arrays of 8-byte elements. *)
 
-type farray = { base : int; len : int }
+type farray = { base : int }
 
 (** [alloc_farray t ?granularity len] — shared array of [len] 8-byte
     elements.  [granularity] places it in the layout region with the
     closest block size: bulk arrays want coarse blocks (fewer misses on
     streaming scans), contended per-element arrays want fine ones. *)
-let alloc_farray ?granularity t len = { base = C.alloc ?granularity t.cluster (8 * len); len }
+let alloc_farray ?granularity t len = { base = C.alloc ?granularity t.cluster (8 * len) }
 
 let fget h a i = R.load_float h (a.base + (8 * i))
 

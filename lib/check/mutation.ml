@@ -308,7 +308,7 @@ let sync ?(nprocs = 4) () =
     trials = site_trials apply_smutation;
     (* The name only labels the detector's report. *)
     convicts =
-      (fun prog -> (Rewrite.Races.analyze ~nprocs ~name:"mutant" prog).Rewrite.Races.rep_races <> []);
+      (fun prog -> (Rewrite.Races.analyze ~nprocs prog).Rewrite.Races.rep_races <> []);
     wording =
       {
         checker = "the race detector in ";

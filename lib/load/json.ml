@@ -78,11 +78,23 @@ let write_file path v =
   output_char oc '\n';
   close_out oc
 
+(** [of_table t] — a {!Sim.Stats.table} as [{"title", "rows"}], one
+    object per row keyed by the table's column names. *)
+let of_table (t : Sim.Stats.table) =
+  let cell : Sim.Stats.cell -> t = function Int n -> Int n | Float x -> Float x | Str s -> Str s in
+  let row (key, cells) = Obj (List.combine t.columns (Str key :: List.map cell cells)) in
+  Obj [ ("title", Str t.title); ("rows", List (List.map row t.rows)) ]
+
 (** [emit ~file ~bench ?meta fields] — the shared report envelope: a
     deterministic JSON document tagged with the producing bench/tool
-    name, so every machine-readable artifact (BENCH_*.json trajectory
-    files, serve reports, lint reports) is self-describing and has the
-    same top-level shape. *)
+    name and its provenance (host core count, OCaml version), so every
+    machine-readable artifact (BENCH_*.json trajectory files, serve
+    reports, lint reports) is self-describing and has the same
+    top-level shape. *)
 let emit ~file ~bench ?(meta = []) fields =
-  write_file file (Obj (("bench", Str bench) :: (meta @ fields)));
+  let cores = Domain.recommended_domain_count () in
+  write_file file
+    (Obj
+       (("bench", Str bench) :: ("host_cores", Int cores) :: ("ocaml", Str Sys.ocaml_version)
+       :: (meta @ fields)));
   Printf.printf "wrote %s\n" file

@@ -327,24 +327,30 @@ let knee points =
     points
   |> Option.map (fun p -> p.sp_rate)
 
-let pp_sweep ppf points =
-  Format.fprintf ppf "%10s %10s %10s %9s %9s %9s %6s %6s %6s %6s@." "offered/s" "accepted/s"
-    "goodput/s" "p50us" "p99us" "p999us" "rej" "drop" "shed" "depth";
-  List.iter
-    (fun { sp_rate = _; sp_outcome = o } ->
-      let r = o.recorder in
-      let w = Recorder.offered_window r in
-      let per_s n = if w <= 0.0 then 0.0 else float_of_int n /. w in
-      let us p = 1.0e6 *. Recorder.percentile r p in
-      Format.fprintf ppf "%10.0f %10.0f %10.0f %9.1f %9.1f %9.1f %6d %6d %6d %6d@."
-        (Recorder.offered_rate r)
-        (per_s (r.Recorder.offered - r.Recorder.rejected - r.Recorder.dropped))
-        (Recorder.goodput r) (us 50.0) (us 99.0) (us 99.9) r.Recorder.rejected
-        r.Recorder.dropped r.Recorder.shed r.Recorder.depth_max)
-    points;
-  match knee points with
-  | Some k -> Format.fprintf ppf "saturation knee at ~%.0f req/s offered@." k
-  | None -> Format.fprintf ppf "no saturation knee within the swept range@."
+(** [sweep_table points] — one row per swept rate; the title names the
+    saturation {!knee}. *)
+let sweep_table points =
+  let row { sp_rate; sp_outcome = { recorder = r; _ } } =
+    let w = Recorder.offered_window r in
+    let accepted = r.Recorder.offered - r.Recorder.rejected - r.Recorder.dropped in
+    ( Printf.sprintf "%.0f" sp_rate,
+      List.map
+        (fun x -> Sim.Stats.Float x)
+        ([ Recorder.offered_rate r; (if w <= 0.0 then 0.0 else float_of_int accepted /. w);
+           Recorder.goodput r ]
+        @ List.map (fun p -> 1.0e6 *. Recorder.percentile r p) [ 50.0; 99.0; 99.9 ])
+      @ Sim.Stats.ints Recorder.[ r.rejected; r.dropped; r.shed; r.depth_max ] )
+  in
+  {
+    Sim.Stats.title =
+      (match knee points with
+      | Some k -> Printf.sprintf "sweep: saturation knee at ~%.0f req/s offered" k
+      | None -> "sweep: no saturation knee within the swept range");
+    columns =
+      [ "rate"; "offered_per_s"; "accepted_per_s"; "goodput_per_s"; "p50_us"; "p99_us";
+        "p999_us"; "rejected"; "dropped"; "shed"; "depth_max" ];
+    rows = List.map row points;
+  }
 
 (** [sweep_fields ~cfg points] — machine-readable sweep rows (the
     payload of [BENCH_serve.json]), as an association list so callers

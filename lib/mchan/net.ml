@@ -38,7 +38,6 @@ type t = {
   cpus : Sim.Proc.cpu array array;  (** indexed by node, then local cpu *)
   node_signal : Sim.Signal.t array;
   tx : Link.t array;
-  next_pid : int ref;
   msg_label : Sim.Engine.label array;
       (** preallocated per-destination-node delivery label (block -1);
           messages about a specific block still build their own label *)
@@ -79,7 +78,6 @@ let create ?(plan = Fault.Plan.empty) ?(schedule = Sim.Engine.Fifo) config =
       cpus;
       node_signal;
       tx;
-      next_pid;
       msg_label =
         Array.init config.nodes (fun n ->
             { Sim.Engine.lbl_node = n; lbl_block = -1; lbl_kind = Sim.Engine.Message });

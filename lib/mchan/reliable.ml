@@ -61,7 +61,6 @@ type frame = {
   f_deliver : unit -> unit;
   mutable f_attempts : int;
   mutable f_last_tx : float;
-  mutable f_acked : bool;
 }
 
 type chan = {
@@ -148,12 +147,7 @@ let send_ack t ch seq ~at =
   let deliver_ack arr =
     if Fault.Plan.node_down t.plan ~node:ch.c_src ~at:arr then
       st.outage_dropped <- st.outage_dropped + 1
-    else
-      match Hashtbl.find_opt ch.unacked seq with
-      | Some fr ->
-          fr.f_acked <- true;
-          Hashtbl.remove ch.unacked seq
-      | None -> () (* duplicate ack *)
+    else Hashtbl.remove ch.unacked seq (* a no-op for a duplicate ack *)
   in
   faulted_phys t ~at ~src:ch.c_dst ~dst:ch.c_src ~size:ack_size st deliver_ack
 
@@ -239,7 +233,6 @@ let send t ~at ~src_node ~dst_node ~size deliver =
       f_deliver = deliver;
       f_attempts = 0;
       f_last_tx = at;
-      f_acked = false;
     }
   in
   ch.tx_next <- ch.tx_next + 1;
@@ -268,15 +261,19 @@ let totals t =
     (per_link t);
   acc
 
-let pp_totals ppf x =
-  Format.fprintf ppf
-    "sent %d  retx %d  acks %d  injected drop/dup/corrupt/delay %d/%d/%d/%d  dup-suppressed %d  outage-drops %d"
-    x.data_sent x.retransmits x.acks_sent x.inj_dropped x.inj_duplicated x.inj_corrupted
-    x.inj_delayed x.dup_suppressed x.outage_dropped
-
-let pp_report ppf t =
-  Format.fprintf ppf "reliable transport (%a):@." Fault.Plan.pp t.plan;
-  List.iter
-    (fun ((src, dst), x) -> Format.fprintf ppf "  link %d->%d: %a@." src dst pp_totals x)
-    (per_link t);
-  Format.fprintf ppf "  total: %a" pp_totals (totals t)
+let table t =
+  let row key x =
+    ( key,
+      Sim.Stats.ints
+        [ x.data_sent; x.retransmits; x.acks_sent; x.inj_dropped; x.inj_duplicated;
+          x.inj_corrupted; x.inj_delayed; x.dup_suppressed; x.outage_dropped ] )
+  in
+  {
+    Sim.Stats.title = Format.asprintf "reliable transport (%a)" Fault.Plan.pp t.plan;
+    columns =
+      [ "link"; "sent"; "retx"; "acks"; "inj_drop"; "inj_dup"; "inj_corrupt"; "inj_delay";
+        "dup_suppressed"; "outage_drops" ];
+    rows =
+      List.map (fun ((src, dst), x) -> row (Printf.sprintf "%d->%d" src dst) x) (per_link t)
+      @ [ row "total" (totals t) ];
+  }

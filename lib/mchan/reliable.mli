@@ -49,10 +49,9 @@ type totals = {
   mutable outage_dropped : int;  (** frames discarded because an endpoint node was down *)
 }
 
-(** [per_link t] — counters per directed link, sorted by (src, dst). *)
-val per_link : t -> ((int * int) * totals) list
-
 (** [totals t] — cluster-wide sums, in a fresh record. *)
 val totals : t -> totals
 
-val pp_report : Format.formatter -> t -> unit
+(** [table t] — one row per directed link, sorted by (src, dst), then a
+    [total] row holding {!totals}; the title names the fault plan. *)
+val table : t -> Sim.Stats.table

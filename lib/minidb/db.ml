@@ -18,9 +18,7 @@ module R = Shasta.Runtime
 module K = Osim.Kernel
 
 type t = {
-  k : K.t;
   file : string;
-  pages : int;
   rows_per_page : int;
   page_bytes : int;
   buf : Buffer.t;
@@ -71,9 +69,7 @@ let create (ctx : K.ctx) ~pages ~rows_per_page ~nframes =
   in
   let db =
     {
-      k = ctx.K.k;
       file = "table.dat";
-      pages;
       rows_per_page;
       page_bytes;
       buf;

@@ -40,7 +40,6 @@ type mutation =
       (** an invalidation writes flag words one chunk past its block *)
 
 type miss = {
-  m_block : int;
   m_kind : miss_kind;
   m_req : Ptypes.req_kind;
       (** the request kind on the wire, re-sent verbatim when a bounce
@@ -1005,7 +1004,6 @@ let handle t p msg =
 let issue t p b kind mkind store =
   let miss =
     {
-      m_block = b;
       m_kind = mkind;
       m_req = kind;
       m_done = false;

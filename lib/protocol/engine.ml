@@ -569,7 +569,7 @@ let check_quiescent t =
 let migration_stats t = (t.core.migrations, t.core.bounces, Ptypes.Itbl.length t.core.transfers)
 
 (** Per-node [(entries received, entries given away, bounces taken)],
-    for the cluster's per-node report. *)
+    for the cluster's nodes table. *)
 let migration_by_node t =
   let a = Array.make (Array.length t.core.rstats) (0, 0, 0) in
   List.iter
@@ -595,15 +595,38 @@ let region_stats t =
           })
         (zero_rstat ()) t.core.rstats)
 
-(** [pp_layout_report ppf t] — per-region protocol traffic table.  The
-    cluster layer wraps this with allocator fragmentation columns. *)
-let pp_layout_report ppf t =
-  Format.fprintf ppf "%-10s %5s %7s %9s %9s %7s %7s %10s@." "region" "block" "blocks"
-    "read-miss" "store-miss" "invals" "recalls" "data-bytes";
-  Array.iteri
-    (fun ri r ->
-      let reg = Layout.region t.core.layout ri in
-      Format.fprintf ppf "%-10s %5d %7d %9d %9d %7d %7d %10d@." reg.Layout.r_name
-        reg.Layout.r_block reg.Layout.r_n_blocks r.r_read_misses r.r_store_misses r.r_invals
-        r.r_recalls r.r_data_bytes)
-    (region_stats t)
+(** [region_table t] — {!region_stats} with each region's geometry, one
+    row per region.  The cluster layer adds the allocator's columns. *)
+let region_table t =
+  let row ri r =
+    let reg = Layout.region t.core.layout ri in
+    ( reg.Layout.r_name,
+      Sim.Stats.ints
+        [ reg.Layout.r_block; reg.Layout.r_n_blocks; r.r_read_misses; r.r_store_misses;
+          r.r_invals; r.r_recalls; r.r_data_bytes ] )
+  in
+  {
+    Sim.Stats.title = "regions";
+    columns =
+      [ "region"; "block_bytes"; "blocks"; "read_misses"; "store_misses"; "invals"; "recalls";
+        "data_bytes" ];
+    rows = Array.to_list (Array.mapi row (region_stats t));
+  }
+
+(** [pid_table t] — each attached process's {!stats}, in pid order. *)
+let pid_table t =
+  let row p =
+    let s = p.stats in
+    ( string_of_int p.pid,
+      Sim.Stats.ints
+        [ s.read_misses; s.store_misses; s.sc_misses; s.intra_hits; s.false_misses;
+          s.messages_handled; s.downgrades_direct; s.downgrades_msg; s.reissued_stores;
+          s.bounces ] )
+  in
+  {
+    Sim.Stats.title = "protocol per pid";
+    columns =
+      [ "pid"; "read_misses"; "store_misses"; "sc_misses"; "intra_hits"; "false_misses";
+        "messages"; "downgrades_direct"; "downgrades_msg"; "reissued_stores"; "bounces" ];
+    rows = List.filter_map (Option.map row) (Array.to_list t.core.procs.Ptypes.Ids.slots);
+  }

@@ -53,7 +53,6 @@ type hint = {
   h_region : string;
   h_arg : int;
   h_block : int;  (** current block size *)
-  h_size : int;
   h_kind : kind;
   h_suggest : int;  (** suggested block size *)
   h_homing : Protocol.Config.homing option;  (** homing policy hint, if any *)
@@ -110,7 +109,6 @@ let classify ~(binding : binding) (atoms : Races.atom list) =
     h_region = binding.bd_region;
     h_arg = binding.bd_arg;
     h_block = binding.bd_block;
-    h_size = binding.bd_size;
     h_kind = kind;
     h_suggest = suggest;
     h_homing = homing;

@@ -257,7 +257,6 @@ type atom = {
   at_locks : lock list;
   at_phase : phase;
   at_tid : tidc;
-  at_desc : string;
 }
 
 type race = {
@@ -269,8 +268,6 @@ type race = {
 }
 
 type report = {
-  rep_name : string;
-  rep_nprocs : int;
   rep_atoms : atom list;
   rep_unresolved : int;  (** memory accesses whose address did not resolve *)
   rep_races : race list;
@@ -351,7 +348,7 @@ let note_sync_addr ctx addr =
 let is_sync_addr ctx addr =
   match key_of_addr addr with Some k -> Hashtbl.mem ctx.sync_addrs k | None -> false
 
-let emit_atom ctx s ~proc ~idx ~write ~width ~insn addr =
+let emit_atom ctx s ~proc ~idx ~write ~width addr =
   if ctx.collect then
     match addr with
     | Aff { b = Barg i; tc; lo; hi } when i = 0 || i = 1 ->
@@ -365,7 +362,6 @@ let emit_atom ctx s ~proc ~idx ~write ~width ~insn addr =
             at_locks = s.locks;
             at_phase = s.ph;
             at_tid = s.tid;
-            at_desc = Format.asprintf "%a" Alpha.Insn.pp insn;
           }
           :: ctx.atoms
     | Aff _ -> () (* non-shared base: private, absolute, or unshared arg *)
@@ -398,13 +394,13 @@ let transfer ctx ~proc s idx (insn : Alpha.Insn.t) =
   | I.Ld (w, d, off, b) ->
       let addr = addr_of s off b in
       if not (is_sync_addr ctx addr) then
-        emit_atom ctx s ~proc ~idx ~write:false ~width:(I.bytes_of_width w) ~insn addr;
+        emit_atom ctx s ~proc ~idx ~write:false ~width:(I.bytes_of_width w) addr;
       rset s d Unknown;
       true
   | I.Ldf (_, off, b) ->
       let addr = addr_of s off b in
       if not (is_sync_addr ctx addr) then
-        emit_atom ctx s ~proc ~idx ~write:false ~width:8 ~insn addr;
+        emit_atom ctx s ~proc ~idx ~write:false ~width:8 addr;
       true
   | I.St (w, src, off, b) ->
       let addr = addr_of s off b in
@@ -421,12 +417,12 @@ let transfer ctx ~proc s idx (insn : Alpha.Insn.t) =
         | _ -> is_sync_addr ctx addr
       in
       if (not release) && not (is_sync_addr ctx addr) then
-        emit_atom ctx s ~proc ~idx ~write:true ~width:(I.bytes_of_width w) ~insn addr;
+        emit_atom ctx s ~proc ~idx ~write:true ~width:(I.bytes_of_width w) addr;
       true
   | I.Stf (_, off, b) ->
       let addr = addr_of s off b in
       if not (is_sync_addr ctx addr) then
-        emit_atom ctx s ~proc ~idx ~write:true ~width:8 ~insn addr;
+        emit_atom ctx s ~proc ~idx ~write:true ~width:8 addr;
       true
   | I.Ll (_, d, off, b) ->
       note_sync_addr ctx (addr_of s off b);
@@ -619,7 +615,7 @@ let analyze_proc ctx cfgs ~record name =
         ctx.collect <- false
       end
 
-let analyze ~nprocs ~name (program : Alpha.Program.t) =
+let analyze ~nprocs (program : Alpha.Program.t) =
   let cfgs =
     List.map
       (fun (p : Alpha.Program.procedure) -> (p.Alpha.Program.name, Cfg.build p))
@@ -697,8 +693,6 @@ let analyze ~nprocs ~name (program : Alpha.Program.t) =
     done
   done;
   {
-    rep_name = name;
-    rep_nprocs = nprocs;
     rep_atoms = atoms;
     rep_unresolved = ctx.unresolved;
     rep_races = List.rev !races;

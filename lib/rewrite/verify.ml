@@ -207,7 +207,6 @@ let explain (code : I.t array) i ~base ~loose ~full =
 (* --- the validator --- *)
 
 type report = {
-  r_name : string;
   r_accesses : int;  (** shared accesses the validator had to cover *)
   r_diags : diag list;
 }
@@ -294,7 +293,7 @@ let verify_procedure (proc : Alpha.Program.procedure) =
             diag i (explain code i ~base ~loose ~full)
       | _ -> ()
   done;
-  { r_name = proc.Alpha.Program.name; r_accesses = !accesses; r_diags = List.rev !diags }
+  { r_accesses = !accesses; r_diags = List.rev !diags }
 
 (** [verify program] — one report per procedure. *)
 let verify (p : Alpha.Program.t) = List.map verify_procedure (Alpha.Program.procedures p)

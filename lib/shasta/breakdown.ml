@@ -51,16 +51,3 @@ let pp ppf b =
   Format.fprintf ppf
     "task=%.1f%% read=%.1f%% write=%.1f%% mb=%.1f%% sync=%.1f%% blocked=%.1f%% msg=%.1f%%" b.task
     b.read b.write b.mb b.sync b.blocked b.msg
-
-(* --- home-migration counters (sharded directory) --- *)
-
-(** Per-node directory-migration activity: entries this node's domains
-    received, entries they gave away, and requests its processes had
-    bounced off a stale home.  All zero under static homing. *)
-type migration = { mig_in : int; mig_out : int; mig_bounces : int }
-
-let migration_active ms =
-  Array.exists (fun m -> m.mig_in + m.mig_out + m.mig_bounces > 0) ms
-
-let pp_migration ppf m =
-  Format.fprintf ppf "homes +%d/-%d bounces %d" m.mig_in m.mig_out m.mig_bounces

@@ -31,6 +31,8 @@ type t = {
   allocs : region_alloc array;
   mutable initialized : bool;
   mutable started_at : float;
+  mutable host : (float * Sim.Stats.gc_delta) option;
+      (** host CPU seconds and GC delta of the last {!run}, for {!tables} *)
 }
 
 let create cfg =
@@ -55,6 +57,7 @@ let create cfg =
           { ra_next = r.Protocol.Layout.r_base; ra_requested = 0; ra_used = 0; ra_allocs = 0 });
     initialized = false;
     started_at = 0.0;
+    host = None;
   }
 
 let sim t = Mchan.Net.engine t.net
@@ -168,6 +171,7 @@ let check_parallel_config cfg =
     Memory Channel one-way latency as the lookahead window. *)
 let run ?(until = 3600.0) t =
   init t;
+  let cpu0 = Sys.time () and gc0 = Sim.Stats.gc_mark () in
   let domains = t.cfg.Config.parallel in
   if domains > 1 then begin
     check_parallel_config t.cfg;
@@ -177,6 +181,7 @@ let run ?(until = 3600.0) t =
          ~nodes:t.cfg.Config.net.Mchan.Net.nodes)
   end
   else ignore (Sim.Engine.run ~until (sim t));
+  t.host <- Some (Sys.time () -. cpu0, Sim.Stats.gc_delta gc0);
   List.iter
     (fun ((p : Sim.Proc.t), _, _) ->
       match p.Sim.Proc.failure with
@@ -188,33 +193,6 @@ let run ?(until = 3600.0) t =
 (** [reliable t] — the fault-tolerant transport, when a fault plan is
     active ([None] on a perfectly-reliable channel). *)
 let reliable t = Mchan.Net.reliable t.net
-
-(** [pp_fault_report ppf t] — end-of-run per-link fault and retransmit
-    counters; prints nothing without an active fault plan. *)
-let pp_fault_report ppf t =
-  match reliable t with
-  | None -> ()
-  | Some r -> Format.fprintf ppf "%a@." Mchan.Reliable.pp_report r
-
-(** [pp_layout_report ppf t] — per-region coherence counters (misses,
-    invalidations, recalls, data traffic) followed by the shared-heap
-    allocator's fragmentation figures ([frag%] is alignment padding as a
-    share of the bytes consumed). *)
-let pp_layout_report ppf t =
-  Protocol.Engine.pp_layout_report ppf t.peng;
-  let layout = Protocol.Engine.layout t.peng in
-  Format.fprintf ppf "  %-10s %8s %10s %10s %6s@." "region" "allocs" "requested" "used"
-    "frag%";
-  for ri = 0 to Protocol.Layout.n_regions layout - 1 do
-    let r = Protocol.Layout.region layout ri in
-    let ra = t.allocs.(ri) in
-    let frag =
-      if ra.ra_used = 0 then 0.0
-      else 100.0 *. float_of_int (ra.ra_used - ra.ra_requested) /. float_of_int ra.ra_used
-    in
-    Format.fprintf ppf "  %-10s %8d %10d %10d %5.1f%%@." r.Protocol.Layout.r_name ra.ra_allocs
-      ra.ra_requested ra.ra_used frag
-  done
 
 let runtimes t = List.rev_map (fun (_, h, _) -> h) t.procs
 
@@ -249,24 +227,70 @@ let per_node_breakdowns t =
     bounced, transfers still in flight); all zero under static homing. *)
 let migration_stats t = Protocol.Engine.migration_stats t.peng
 
-(** [migration_by_node t] — per-node home-migration counters. *)
-let migration_by_node t =
-  Array.map
-    (fun (mig_in, mig_out, mig_bounces) -> { Breakdown.mig_in; mig_out; mig_bounces })
-    (Protocol.Engine.migration_by_node t.peng)
+(** [region_table t] — per-region protocol traffic
+    ({!Protocol.Engine.region_table}) with the shared-heap allocator's
+    figures; [frag_pct] is alignment padding as a share of the bytes
+    consumed. *)
+let region_table t =
+  let r = Protocol.Engine.region_table t.peng in
+  let row ri (key, cells) =
+    let ra = t.allocs.(ri) in
+    let padding = float_of_int (ra.ra_used - ra.ra_requested) in
+    let frag = if ra.ra_used = 0 then 0.0 else 100.0 *. padding /. float_of_int ra.ra_used in
+    (key, cells @ Sim.Stats.(ints [ ra.ra_allocs; ra.ra_requested; ra.ra_used ] @ [ Float frag ]))
+  in
+  {
+    r with
+    Sim.Stats.columns =
+      r.Sim.Stats.columns @ [ "allocs"; "requested_bytes"; "used_bytes"; "frag_pct" ];
+    rows = List.mapi row r.Sim.Stats.rows;
+  }
 
-(** [pp_node_report ppf t] — one line of busy/stall/message time per
-    node; under an active migration policy each line also carries that
-    node's home-migration counters (omitted when all zero, so static
-    runs print exactly as before). *)
-let pp_node_report ppf t =
-  let migs = migration_by_node t in
-  let show_migs = Breakdown.migration_active migs in
-  Array.iteri
-    (fun n b ->
-      Format.fprintf ppf "  node %d: task %.3fms read %.3fms write %.3fms sync %.3fms blocked %.3fms msg %.3fms"
-        n (1e3 *. b.Breakdown.task) (1e3 *. b.Breakdown.read) (1e3 *. b.Breakdown.write)
-        (1e3 *. b.Breakdown.sync) (1e3 *. b.Breakdown.blocked) (1e3 *. b.Breakdown.msg);
-      if show_migs then Format.fprintf ppf " %a" Breakdown.pp_migration migs.(n);
-      Format.fprintf ppf "@.")
-    (per_node_breakdowns t)
+(** [tables t] — the run's metrics, one {!Sim.Stats.table} each:
+    per-node time breakdowns (with each node's home-migration counters
+    when any is non-zero), {!region_table}, per-pid protocol counters,
+    the reliable transport when a fault plan is active, and the
+    engine's event count with the host CPU time and GC delta of the
+    last {!run}. *)
+let tables t =
+  let migs = Protocol.Engine.migration_by_node t.peng in
+  let show_migs = Array.exists (fun (i, o, b) -> i + o + b > 0) migs in
+  let node n (b : Breakdown.t) =
+    let i, o, bn = migs.(n) in
+    let ms = List.map (fun x -> Sim.Stats.Float (1e3 *. x)) in
+    ( string_of_int n,
+      ms [ b.task; b.read; b.write; b.mb; b.sync; b.blocked; b.msg ]
+      @ if show_migs then Sim.Stats.ints [ i; o; bn ] else [] )
+  in
+  let nodes =
+    {
+      Sim.Stats.title = "nodes";
+      columns =
+        [ "node"; "task_ms"; "read_ms"; "write_ms"; "mb_ms"; "sync_ms"; "blocked_ms"; "msg_ms" ]
+        @ if show_migs then [ "homes_in"; "homes_out"; "bounces" ] else [];
+      rows = Array.to_list (Array.mapi node (per_node_breakdowns t));
+    }
+  in
+  let fired = Sim.Engine.events_fired (sim t) in
+  let host_columns, host_cells =
+    match t.host with
+    | None -> ([], [])
+    | Some (cpu, (g : Sim.Stats.gc_delta)) ->
+        ( [ "host_cpu_s"; "events_per_s"; "minor_words"; "promoted_words"; "major_words";
+            "minor_gcs"; "major_gcs"; "compactions" ],
+          Sim.Stats.(
+            [ Float cpu; Float (float_of_int fired /. Float.max cpu 1e-9) ]
+            @ ints
+                (List.map int_of_float [ g.gc_minor_words; g.gc_promoted_words; g.gc_major_words ]
+                @ [ g.gc_minor_collections; g.gc_major_collections; g.gc_compactions ])) )
+  in
+  let engine =
+    {
+      Sim.Stats.title = "engine";
+      columns = "run" :: "events" :: host_columns;
+      rows = [ ("total", Sim.Stats.Int fired :: host_cells) ];
+    }
+  in
+  [ nodes; region_table t; Protocol.Engine.pid_table t.peng ]
+  @ Option.to_list (Option.map Mchan.Reliable.table (reliable t))
+  @ [ engine ]

@@ -21,7 +21,6 @@ type access = {
   acc_pid : int;
   acc_time : float;
   acc_addr : int;
-  acc_width : Alpha.Insn.width;
   acc_store : bool;
   acc_value : int64;
 }
@@ -149,7 +148,7 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
 let pid h = h.proc.Sim.Proc.pid
 let node h = h.proc.Sim.Proc.cpu.Sim.Proc.node_id
 
-let trace_access h ~store addr w v =
+let trace_access h ~store addr v =
   match h.on_access with
   | None -> ()
   | Some f ->
@@ -158,7 +157,6 @@ let trace_access h ~store addr w v =
           acc_pid = pid h;
           acc_time = Sim.Engine.now (Mchan.Net.engine (E.net h.peng));
           acc_addr = addr;
-          acc_width = w;
           acc_store = store;
           acc_value = v;
         }
@@ -198,7 +196,7 @@ let[@inline never] store_shared h addr w v =
   | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
       in_protocol h (fun () -> E.store_miss h.pcb addr) ());
   E.raw_write h.pcb addr w v;
-  trace_access h ~store:true addr w v
+  trace_access h ~store:true addr v
 
 (** [store h addr w v] — a checked shared store of either width. *)
 let store h addr w v =
@@ -231,7 +229,7 @@ let[@inline never] load64_slow h addr v0 =
     if v0 = flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64) ()
     else v0
   in
-  trace_access h ~store:false addr Alpha.Insn.W64 v;
+  trace_access h ~store:false addr v;
   v
 
 (* [priv]/[shared]: the cycles charged for a private and a shared
@@ -380,7 +378,7 @@ let load_locked h addr w =
   charge_cycles h (3 + 2) (* ll_check + ll *);
   in_protocol h (fun () -> E.ll_ensure h.pcb addr) ();
   let v = E.raw_ll h.pcb addr w in
-  trace_access h ~store:false addr w v;
+  trace_access h ~store:false addr v;
   v
 
 let store_conditional h addr w v =
@@ -390,7 +388,7 @@ let store_conditional h addr w v =
     | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr w v
     | Alpha.Runtime.Handled ok -> ok
   in
-  if ok then trace_access h ~store:true addr w v;
+  if ok then trace_access h ~store:true addr v;
   ok
 
 (** [atomic_add h addr delta] — LL/SC fetch-and-add through the full

@@ -1,7 +1,9 @@
-(** Online statistics: log-spaced histograms, host GC deltas.
+(** Online statistics: log-spaced histograms, host GC deltas, and the
+    report table every layer's metrics leave the library through.
 
-    Used by the load recorder for per-request latency percentiles, and
-    by the benchmark harnesses to report host allocation. *)
+    Used by the load recorder for per-request latency percentiles, by
+    the benchmark harnesses to report host allocation, and by the CLIs'
+    [--metrics] reports. *)
 
 (** Log-spaced (HDR-style) histogram: bucket boundaries grow
     geometrically, so relative resolution is constant across the whole
@@ -103,7 +105,7 @@ let log_nonzero h =
   if h.l_under > 0 then acc := (-1, h.l_under) :: !acc;
   !acc
 
-(* --- host GC accounting (for the speed benches and --gc-stats) --- *)
+(* --- host GC accounting (for the speed benches and --metrics) --- *)
 
 (** Host-side allocation between two marks: how much real memory churn a
     simulation run cost, reported alongside events/sec so allocation
@@ -130,8 +132,35 @@ let gc_delta (a : Gc.stat) =
     gc_compactions = b.Gc.compactions - a.Gc.compactions;
   }
 
-let pp_gc_delta ppf d =
-  Format.fprintf ppf
-    "minor %.1f Mw, major %.1f Mw, promoted %.1f Mw, collections %d minor / %d major, %d compactions"
-    (d.gc_minor_words /. 1e6) (d.gc_major_words /. 1e6) (d.gc_promoted_words /. 1e6)
-    d.gc_minor_collections d.gc_major_collections d.gc_compactions
+(* --- report tables --- *)
+
+type cell = Int of int | Float of float | Str of string
+
+(** A report table.  Counters live in each layer's typed records; a
+    layer builds its tables from them at report time, and one printer
+    ({!pp_table}) and one JSON encoder ([Load.Json.of_table]) show every
+    table.  [columns] names the key column, then each cell, with units
+    in the name ([task_ms], [data_bytes]); a row is its key (a node,
+    link, region, pid or rate) and one cell per remaining column. *)
+type table = { title : string; columns : string list; rows : (string * cell list) list }
+
+let ints = List.map (fun n -> Int n)
+
+(** [pp_table ppf t] — the title (when not empty), then a fixed-width
+    aligned text table: key column left-aligned, cells right-aligned,
+    floats to three decimals. *)
+let pp_table ppf t =
+  let text = function Int n -> string_of_int n | Float x -> Printf.sprintf "%.3f" x | Str s -> s in
+  let lines = t.columns :: List.map (fun (key, cells) -> key :: List.map text cells) t.rows in
+  let widths = Array.make (List.length t.columns) 0 in
+  List.iter (List.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s))) lines;
+  let print_line line =
+    let cell i s = Format.fprintf ppf (if i = 0 then "%-*s" else "  %*s") widths.(i) s in
+    List.iteri cell line;
+    Format.fprintf ppf "@."
+  in
+  if t.title <> "" then Format.fprintf ppf "%s@." t.title;
+  print_line t.columns;
+  let rule = Array.fold_left ( + ) (2 * (Array.length widths - 1)) widths in
+  Format.fprintf ppf "%s@." (String.make rule '-');
+  List.iter print_line (List.tl lines)

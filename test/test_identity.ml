@@ -280,8 +280,8 @@ let affinity_bindings =
     { Rewrite.Affinity.bd_arg = 1; bd_region = "bulk"; bd_block = 512; bd_size = 64 * 1024 };
   ]
 
-let render_races buf name ~nprocs prog =
-  let r = Rewrite.Races.analyze ~nprocs ~name prog in
+let render_races buf ~nprocs prog =
+  let r = Rewrite.Races.analyze ~nprocs prog in
   Buffer.add_string buf
     (Printf.sprintf "  races@%d atoms=%d unresolved=%d races=%d\n" nprocs
        (List.length r.Rewrite.Races.rep_atoms)
@@ -321,7 +321,7 @@ let render_rewrite () =
         ("default", Rewrite.Instrument.default_options);
         ("rce", { Rewrite.Instrument.default_options with Rewrite.Instrument.redundant_elim = true });
       ];
-    let r = render_races buf name ~nprocs prog in
+    let r = render_races buf ~nprocs prog in
     List.iter
       (fun h -> Buffer.add_string buf (Format.asprintf "  hint %a\n" Rewrite.Affinity.pp_hint h))
       (Rewrite.Affinity.report ~bindings:affinity_bindings r)
@@ -357,7 +357,7 @@ let render_rewrite () =
             let prog, _, _ = Check.Mutation.apply_smutation m ~site e.Apps.Ircorpus.e_program in
             Buffer.add_string buf
               (Printf.sprintf "mutant %s %s site %d\n" e.Apps.Ircorpus.e_name label site);
-            ignore (render_races buf e.Apps.Ircorpus.e_name ~nprocs:4 prog)
+            ignore (render_races buf ~nprocs:4 prog)
           done)
         Check.Mutation.all_smutations)
     Apps.Ircorpus.sync;

@@ -53,7 +53,7 @@ let test_sync_kernels_deterministic () =
 (* --- exoneration: zero false positives --- *)
 
 let analyze ?(nprocs = 4) (e : I.entry) =
-  Rewrite.Races.analyze ~nprocs ~name:e.I.e_name e.I.e_program
+  Rewrite.Races.analyze ~nprocs e.I.e_program
 
 let test_sync_exonerated () =
   List.iter
@@ -118,7 +118,7 @@ let test_llsc_lock_exonerated () =
             ];
         ])
   in
-  let r = Rewrite.Races.analyze ~nprocs:4 ~name:"llsc-lock" prog in
+  let r = Rewrite.Races.analyze ~nprocs:4 prog in
   Alcotest.(check bool) "counter atoms collected" true (r.Rewrite.Races.rep_atoms <> []);
   Alcotest.(check int) "no races" 0 (List.length r.Rewrite.Races.rep_races)
 
@@ -132,7 +132,7 @@ let test_unprotected_counter_convicted () =
             [ label "outer"; ldq t1 0 a1; addi t1 1 t1; stq t1 0 a1; subi a2 1 a2; bgt a2 "outer"; halt ];
         ])
   in
-  let r = Rewrite.Races.analyze ~nprocs:2 ~name:"unlocked" prog in
+  let r = Rewrite.Races.analyze ~nprocs:2 prog in
   Alcotest.(check bool) "race reported" true (r.Rewrite.Races.rep_races <> [])
 
 (* --- conviction: every seeded sync mutation draws a race report --- *)
@@ -159,7 +159,7 @@ let test_every_drop_lock_site_convicted () =
   for site = 0 to nsites - 1 do
     let prog', fired, _ = Check.Mutation.apply_smutation Check.Mutation.Drop_lock ~site e.I.e_program in
     Alcotest.(check bool) "site fired" true fired;
-    let r = Rewrite.Races.analyze ~nprocs:4 ~name:"mdb-sync" prog' in
+    let r = Rewrite.Races.analyze ~nprocs:4 prog' in
     Alcotest.(check bool)
       (Printf.sprintf "drop-lock site %d convicted" site)
       true

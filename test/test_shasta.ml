@@ -322,6 +322,104 @@ let test_breakdown_sane () =
   Alcotest.(check bool) "write stall occurred" true (b.Shasta.Breakdown.write >= 0.0);
   Alcotest.(check bool) "total positive" true (Shasta.Breakdown.total b > 0.0)
 
+(* --- metrics tables --- *)
+
+(* Every column of [C.tables] is read from a typed record: its sums must
+   give back the records they were built from. *)
+let test_metrics_tables_sum_to_records () =
+  let cfg =
+    { (small_cfg ()) with Cfg.fault_plan = Fault.Plan.of_spec "seed=42,drop=0.05" }
+  in
+  let cl = C.create cfg in
+  let _, ok =
+    Apps.Harness.run_spec cl (Apps.Registry.find "LU") ~nprocs:4 ~sync:Apps.Harness.Mp
+      ~size:16 ()
+  in
+  Alcotest.(check bool) "LU validated" true ok;
+  let tables = C.tables cl in
+  let table prefix =
+    List.find (fun t -> String.starts_with ~prefix t.Sim.Stats.title) tables
+  in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun (key, cells) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s row %s has one cell per column" t.Sim.Stats.title key)
+            (List.length t.Sim.Stats.columns - 1)
+            (List.length cells))
+        t.Sim.Stats.rows)
+    tables;
+  let column t name =
+    let rec index i = function
+      | c :: _ when c = name -> i
+      | _ :: rest -> index (i + 1) rest
+      | [] -> Alcotest.failf "%s has no column %s" t.Sim.Stats.title name
+    in
+    let i = index (-1) t.Sim.Stats.columns in
+    List.map (fun (_, cells) -> List.nth cells i) t.Sim.Stats.rows
+  in
+  let ints t name =
+    List.map
+      (function
+        | Sim.Stats.Int n -> n | _ -> Alcotest.failf "%s: %s is not an int" t.Sim.Stats.title name)
+      (column t name)
+  in
+  let sum_ms t name =
+    List.fold_left
+      (fun acc c ->
+        match c with Sim.Stats.Float x -> acc +. x | _ -> Alcotest.failf "%s is not a float" name)
+      0.0 (column t name)
+  in
+  let sum = List.fold_left ( + ) 0 in
+  let b = C.total_breakdown cl and nodes = table "nodes" in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (float 1e-9)) ("nodes " ^ name) (1e3 *. v) (sum_ms nodes name))
+    Shasta.Breakdown.
+      [
+        ("task_ms", b.task); ("read_ms", b.read); ("write_ms", b.write); ("mb_ms", b.mb);
+        ("sync_ms", b.sync); ("blocked_ms", b.blocked); ("msg_ms", b.msg);
+      ];
+  Alcotest.(check bool) "task time present" true (b.Shasta.Breakdown.task > 0.0);
+  let pid_reads =
+    List.map (fun h -> (Protocol.Engine.stats h.R.pcb).Protocol.Engine.read_misses) (C.runtimes cl)
+  in
+  Alcotest.(check bool) "read misses present" true (sum pid_reads > 0);
+  let regions = table "regions" in
+  Alcotest.(check int) "region read misses = pids' read_misses" (sum pid_reads)
+    (sum (ints regions "read_misses"));
+  let rs = Array.to_list (Protocol.Engine.region_stats (C.protocol_engine cl)) in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (list int)) ("regions " ^ name) (List.map f rs) (ints regions name))
+    Protocol.Engine.
+      [
+        ("read_misses", fun r -> r.r_read_misses); ("store_misses", fun r -> r.r_store_misses);
+        ("invals", fun r -> r.r_invals); ("recalls", fun r -> r.r_recalls);
+        ("data_bytes", fun r -> r.r_data_bytes);
+      ];
+  Alcotest.(check int) "pid table read misses = pids' read_misses" (sum pid_reads)
+    (sum (ints (table "protocol per pid") "read_misses"));
+  let transport = table "reliable transport" in
+  let x = Mchan.Reliable.totals (Option.get (C.reliable cl)) in
+  List.iter
+    (fun (name, v) ->
+      let keyed = List.combine (List.map fst transport.Sim.Stats.rows) (ints transport name) in
+      let links = List.filter (fun (k, _) -> k <> "total") keyed in
+      Alcotest.(check int) ("transport total row " ^ name) v (List.assoc "total" keyed);
+      Alcotest.(check int) ("transport links sum " ^ name) v (sum (List.map snd links)))
+    Mchan.Reliable.
+      [
+        ("sent", x.data_sent); ("retx", x.retransmits); ("acks", x.acks_sent);
+        ("inj_drop", x.inj_dropped); ("inj_dup", x.inj_duplicated);
+        ("inj_corrupt", x.inj_corrupted); ("inj_delay", x.inj_delayed);
+        ("dup_suppressed", x.dup_suppressed); ("outage_drops", x.outage_dropped);
+      ];
+  Alcotest.(check bool) "frames retransmitted" true (x.Mchan.Reliable.retransmits > 0);
+  Alcotest.(check (list int)) "engine events" [ Sim.Engine.events_fired (C.sim cl) ]
+    (ints (table "engine") "events")
+
 (* --- IR mode: transparent execution of instrumented binaries --- *)
 
 let lock_counter_program =
@@ -711,6 +809,8 @@ let suite =
     Alcotest.test_case "SM lock contended handoff" `Quick test_sm_lock_contended_handoff;
     Alcotest.test_case "checking overhead" `Quick test_checking_overhead;
     Alcotest.test_case "breakdown sane" `Quick test_breakdown_sane;
+    Alcotest.test_case "metrics tables sum to their records" `Quick
+      test_metrics_tables_sum_to_records;
     Alcotest.test_case "API-mode hits allocate nothing" `Quick test_api_hits_allocate_nothing;
     Alcotest.test_case "IR-mode hits allocate little" `Quick test_ir_hits_allocate_little;
     Alcotest.test_case "API-mode bounds and slow paths" `Quick test_api_bounds_and_slow_paths;
