@@ -35,7 +35,6 @@ let measure spec ~size plan =
 let drop_rates = [ 0.01; 0.02; 0.05; 0.10; 0.20 ]
 
 let run_faults () =
-  Support.print_header "Reliable transport: slowdown vs injected drop rate (4 procs, 2 nodes)";
   List.iter
     (fun (spec, size) ->
       let plan drop =
@@ -48,9 +47,12 @@ let run_faults () =
         let slow = Sim.Stats.[ Float (1e3 *. t); Float (t /. base) ] in
         (Printf.sprintf "%.1f" (100.0 *. drop), slow @ counts)
       in
-      Format.printf "@.%a" Sim.Stats.pp_table
+      Support.print
         {
-          Sim.Stats.title = Printf.sprintf "%s (size %d)" spec.Apps.Harness.name size;
+          Sim.Stats.title =
+            Printf.sprintf
+              "Reliable transport: slowdown vs injected drop rate, %s (size %d, 4 procs, 2 nodes)"
+              spec.Apps.Harness.name size;
           columns = [ "drop_pct"; "elapsed_ms"; "slowdown"; "msgs"; "retx"; "acks" ];
           rows = List.map row runs;
         })

@@ -48,14 +48,6 @@ let mixed ~shared =
 
 (* --- false-sharing + streaming micro --- *)
 
-type micro_result = {
-  mr_elapsed : float;
-  mr_read_misses : int;
-  mr_store_misses : int;
-  mr_invals : int;
-  mr_data_bytes : int;
-}
-
 (* Each processor read-modify-writes its own word (spaced 64 B apart:
    distinct blocks under a fine layout, one ping-ponging block under a
    coarse one — every neighbour's store invalidates this copy, so the
@@ -91,17 +83,21 @@ let run_micro ?check_invariants ~regions ~shared ~nprocs ~iters ~bulk_words () =
            if !sum < 0 then failwith "unreachable"))
   done;
   let elapsed = C.run cl in
-  let totals = E.region_stats (C.protocol_engine cl) in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 totals in
-  {
-    mr_elapsed = elapsed;
-    mr_read_misses = sum (fun r -> r.E.r_read_misses);
-    mr_store_misses = sum (fun r -> r.E.r_store_misses);
-    mr_invals = sum (fun r -> r.E.r_invals);
-    mr_data_bytes = sum (fun r -> r.E.r_data_bytes);
-  }
+  (elapsed, E.region_stats (C.protocol_engine cl))
 
-let micro_table ?check_invariants ~shared ~nprocs ~iters ~bulk_words () =
+(* A layout's time and summed region counters, as one table row. *)
+let layout_row name elapsed totals =
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 totals in
+  ( name,
+    Sim.Stats.Float (1000.0 *. elapsed)
+    :: Sim.Stats.ints
+         [ sum (fun r -> r.E.r_read_misses); sum (fun r -> r.E.r_store_misses);
+           sum (fun r -> r.E.r_invals); sum (fun r -> r.E.r_data_bytes) ] )
+
+let layout_columns =
+  [ "layout"; "elapsed_ms"; "read_misses"; "store_misses"; "invals"; "data_bytes" ]
+
+let micro_table ~title ?check_invariants ~shared ~nprocs ~iters ~bulk_words () =
   let layouts =
     [
       ("uniform 64", uniform 64 ~shared);
@@ -110,20 +106,19 @@ let micro_table ?check_invariants ~shared ~nprocs ~iters ~bulk_words () =
       ("mixed 64/512", mixed ~shared);
     ]
   in
-  Support.print_table
-    ~headers:[ "layout"; "time ms"; "read-miss"; "store-miss"; "invals"; "data KB" ]
-    (List.map
-       (fun (name, regions) ->
-         let r = run_micro ?check_invariants ~regions ~shared ~nprocs ~iters ~bulk_words () in
-         [
-           name;
-           Printf.sprintf "%.2f" (1000.0 *. r.mr_elapsed);
-           string_of_int r.mr_read_misses;
-           string_of_int r.mr_store_misses;
-           string_of_int r.mr_invals;
-           string_of_int (r.mr_data_bytes / 1024);
-         ])
-       layouts)
+  Support.print
+    {
+      Sim.Stats.title;
+      columns = layout_columns;
+      rows =
+        List.map
+          (fun (name, regions) ->
+            let elapsed, totals =
+              run_micro ?check_invariants ~regions ~shared ~nprocs ~iters ~bulk_words ()
+            in
+            layout_row name elapsed totals)
+          layouts;
+    }
 
 (* --- SPLASH kernel sweep --- *)
 
@@ -155,28 +150,22 @@ let ocean_sweep ?check_invariants ?size ~shared () =
         (name, elapsed, cl))
       layouts
   in
-  Support.print_table
-    ~headers:[ "layout"; "time ms"; "read-miss"; "store-miss"; "invals"; "data KB" ]
-    (List.map
-       (fun (name, elapsed, cl) ->
-         let totals = E.region_stats (C.protocol_engine cl) in
-         let sum f = Array.fold_left (fun acc r -> acc + f r) 0 totals in
-         [
-           name;
-           Printf.sprintf "%.2f" (1000.0 *. elapsed);
-           string_of_int (sum (fun r -> r.E.r_read_misses));
-           string_of_int (sum (fun r -> r.E.r_store_misses));
-           string_of_int (sum (fun r -> r.E.r_invals));
-           string_of_int (sum (fun r -> r.E.r_data_bytes) / 1024);
-         ])
-       results);
+  Support.print
+    {
+      Sim.Stats.title = "Variable granularity: Ocean across layouts (8 procs)";
+      columns = layout_columns;
+      rows =
+        List.map
+          (fun (name, elapsed, cl) ->
+            layout_row name elapsed (E.region_stats (C.protocol_engine cl)))
+          results;
+    };
   (* The per-region breakdown for the mixed run: the point of the
      exercise is that the fine region absorbs the invalidations while
      the bulk region carries the data. *)
   match List.rev results with
   | (_, _, cl) :: _ ->
-      Format.printf "@.%a" Sim.Stats.pp_table
-        { (C.region_table cl) with Sim.Stats.title = "mixed layout, per region" }
+      Support.print { (C.region_table cl) with Sim.Stats.title = "mixed layout, per region" }
   | [] -> ()
 
 (* --- code-size cost of the table lookup (Section 2.1) --- *)
@@ -195,9 +184,8 @@ let code_growth_delta () =
     s_table.Rewrite.Instrument.gran_lookups
 
 let run_granularity () =
-  Support.print_header "Variable granularity: false sharing vs bulk transfer (8 procs)";
-  micro_table ~shared:(2 * 1024 * 1024) ~nprocs:8 ~iters:200 ~bulk_words:8192 ();
-  Support.print_header "Variable granularity: Ocean across layouts (8 procs)";
+  micro_table ~title:"Variable granularity: false sharing vs bulk transfer (8 procs)"
+    ~shared:(2 * 1024 * 1024) ~nprocs:8 ~iters:200 ~bulk_words:8192 ();
   ocean_sweep ~shared:(2 * 1024 * 1024) ();
   print_newline ();
   code_growth_delta ()
@@ -205,15 +193,19 @@ let run_granularity () =
 (** CI smoke: small inputs, invariant checker on — a layout bug aborts
     the run with a [Coherence_violation] rather than a skewed number. *)
 let run_granularity_smoke () =
-  Support.print_header "Granularity smoke (checked)";
-  micro_table ~check_invariants:true ~shared:(256 * 1024) ~nprocs:8 ~iters:50 ~bulk_words:1024 ();
-  Support.print_header "Ocean smoke (checked, uniform 64 + mixed)";
+  micro_table ~title:"Granularity smoke (checked)" ~check_invariants:true ~shared:(256 * 1024)
+    ~nprocs:8 ~iters:50 ~bulk_words:1024 ();
   let shared = 256 * 1024 in
-  List.iter
-    (fun (name, regions) ->
-      let elapsed, cl = ocean_run ~check_invariants:true ~size:18 ~regions ~shared () in
-      let violations = E.check_quiescent (C.protocol_engine cl) in
-      if violations <> [] then
-        failwith (Printf.sprintf "%s: %s" name (String.concat "; " violations));
-      Printf.printf "%-14s %.2f ms  (invariants + quiescence clean)\n" name (1000.0 *. elapsed))
-    [ ("uniform 64", uniform 64 ~shared); ("mixed 64/512", mixed ~shared) ]
+  let row (name, regions) =
+    let elapsed, cl = ocean_run ~check_invariants:true ~size:18 ~regions ~shared () in
+    let violations = E.check_quiescent (C.protocol_engine cl) in
+    if violations <> [] then
+      failwith (Printf.sprintf "%s: %s" name (String.concat "; " violations));
+    (name, [ Sim.Stats.Float (1000.0 *. elapsed) ])
+  in
+  Support.print
+    {
+      Sim.Stats.title = "Ocean smoke (checked, invariants + quiescence clean)";
+      columns = [ "layout"; "elapsed_ms" ];
+      rows = List.map row [ ("uniform 64", uniform 64 ~shared); ("mixed 64/512", mixed ~shared) ];
+    }

@@ -75,20 +75,21 @@ let run_lint_with ~iters ~out_file () =
      the suggested blocks must kill most of them. *)
   let dynamic_fs = st_coarse > 2 * st_fine in
   let fs_agree = static_fs && dynamic_fs in
-  Support.print_header "Affinity lint: fs-twin false-sharing cross-check";
-  Support.print_table
-    ~headers:[ "hot block"; "time ms"; "hot invals"; "hot rd-miss"; "hot st-miss" ]
-    (List.map
-       (fun (label, (r : I.spmd_result)) ->
-         let st = region_stat r "hot" in
-         [
-           label;
-           Printf.sprintf "%.2f" (1000.0 *. r.I.s_elapsed);
-           string_of_int st.Protocol.Engine.r_invals;
-           string_of_int st.Protocol.Engine.r_read_misses;
-           string_of_int st.Protocol.Engine.r_store_misses;
-         ])
-       [ ("512", coarse); (string_of_int suggested, fine) ]);
+  Support.print
+    {
+      Sim.Stats.title = "Affinity lint: fs-twin false-sharing cross-check";
+      columns =
+        [ "hot_block_bytes"; "elapsed_ms"; "hot_invals"; "hot_read_misses"; "hot_store_misses" ];
+      rows =
+        List.map
+          (fun (label, (r : I.spmd_result)) ->
+            let st = region_stat r "hot" in
+            ( label,
+              Sim.Stats.Float (1000.0 *. r.I.s_elapsed)
+              :: Sim.Stats.ints
+                   Protocol.Engine.[ st.r_invals; st.r_read_misses; st.r_store_misses ] ))
+          [ ("512", coarse); (string_of_int suggested, fine) ];
+    };
   Printf.printf "static: %s (suggest %dB)   dynamic: %s (%d -> %d store misses)   %s\n"
     (Rewrite.Affinity.kind_name hint.Rewrite.Affinity.h_kind)
     suggested
@@ -114,18 +115,21 @@ let run_lint_with ~iters ~out_file () =
   let hmig = run_homing Protocol.Config.Migratory in
   let dynamic_mig = hmig.I.s_migrations > 0 in
   let mdb_agree = static_mig && dynamic_mig in
-  Support.print_header "Affinity lint: mdb-sync migratory cross-check";
-  Support.print_table
-    ~headers:[ "homing"; "time ms"; "migrations"; "hot invals" ]
-    (List.map
-       (fun (label, (r : I.spmd_result)) ->
-         [
-           label;
-           Printf.sprintf "%.2f" (1000.0 *. r.I.s_elapsed);
-           string_of_int r.I.s_migrations;
-           string_of_int (region_stat r "hot").Protocol.Engine.r_invals;
-         ])
-       [ ("static", hstatic); ("migratory", hmig) ]);
+  Support.print
+    {
+      Sim.Stats.title = "Affinity lint: mdb-sync migratory cross-check";
+      columns = [ "homing"; "elapsed_ms"; "migrations"; "hot_invals" ];
+      rows =
+        List.map
+          (fun (label, (r : I.spmd_result)) ->
+            ( label,
+              Sim.Stats.
+                [
+                  Float (1000.0 *. r.I.s_elapsed); Int r.I.s_migrations;
+                  Int (region_stat r "hot").Protocol.Engine.r_invals;
+                ] ))
+          [ ("static", hstatic); ("migratory", hmig) ];
+    };
   Printf.printf "static: %s   dynamic: %d migrations, %.2f -> %.2f ms   %s\n"
     (match mhint.Rewrite.Affinity.h_homing with
     | Some h -> "homing=" ^ Rewrite.Affinity.homing_name h

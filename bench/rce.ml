@@ -5,7 +5,6 @@
    may only remove work, never change results. *)
 
 let run_rce () =
-  Support.print_header "redundant-check elimination (IR corpus, 1 processor)";
   let base_opts = Rewrite.Instrument.default_options in
   let opt_opts = { base_opts with Rewrite.Instrument.redundant_elim = true } in
   let rows =
@@ -15,37 +14,36 @@ let run_rce () =
         let prog_o, st_o = Rewrite.Instrument.instrument ~options:opt_opts e.Apps.Ircorpus.e_program in
         let rb = Apps.Ircorpus.run prog_b e in
         let ro = Apps.Ircorpus.run prog_o e in
-        let identical =
-          rb.Apps.Ircorpus.r0 = ro.Apps.Ircorpus.r0 && rb.Apps.Ircorpus.image = ro.Apps.Ircorpus.image
-        in
-        if not identical then
+        if not Apps.Ircorpus.(rb.r0 = ro.r0 && rb.image = ro.image) then
           failwith (e.Apps.Ircorpus.e_name ^ ": optimized run diverged from the baseline");
         let slots_b = rb.Apps.Ircorpus.check_slots and slots_o = ro.Apps.Ircorpus.check_slots in
-        let delta =
+        let saved =
           if slots_b = 0 then 0.0 else float_of_int (slots_b - slots_o) /. float_of_int slots_b
         in
-        [
-          e.Apps.Ircorpus.e_name;
-          string_of_int st_b.Rewrite.Instrument.new_slots;
-          string_of_int st_o.Rewrite.Instrument.new_slots;
-          string_of_int st_o.Rewrite.Instrument.checks_eliminated;
-          string_of_int st_o.Rewrite.Instrument.checks_hoisted;
-          string_of_int slots_b;
-          string_of_int slots_o;
-          Support.pct delta;
-          Support.us rb.Apps.Ircorpus.elapsed;
-          Support.us ro.Apps.Ircorpus.elapsed;
-          (if identical then "yes" else "NO");
-        ])
+        ( e.Apps.Ircorpus.e_name,
+          Sim.Stats.(
+            ints
+              [
+                st_b.Rewrite.Instrument.new_slots; st_o.Rewrite.Instrument.new_slots;
+                st_o.Rewrite.Instrument.checks_eliminated; st_o.Rewrite.Instrument.checks_hoisted;
+                slots_b; slots_o;
+              ]
+            @ [
+                Float (100.0 *. saved); Float (Sim.Units.to_us rb.Apps.Ircorpus.elapsed);
+                Float (Sim.Units.to_us ro.Apps.Ircorpus.elapsed);
+              ]) ))
       Apps.Ircorpus.all
   in
-  Support.print_table
-    ~headers:
-      [
-        "kernel"; "slots"; "slots(opt)"; "elim"; "hoist"; "chk-slots"; "chk-slots(opt)";
-        "saved"; "us"; "us(opt)"; "identical";
-      ]
-    rows;
+  Support.print
+    {
+      Sim.Stats.title = "redundant-check elimination (IR corpus, 1 processor)";
+      columns =
+        [
+          "kernel"; "slots"; "slots_opt"; "eliminated"; "hoisted"; "check_slots"; "check_slots_opt";
+          "saved_pct"; "elapsed_us"; "elapsed_opt_us";
+        ];
+      rows;
+    };
   Printf.printf
     "\nstatic slots shrink with redundant_elim; executed check slots drop on every\n\
      kernel with an eliminated check, and results stay bit-identical.\n"

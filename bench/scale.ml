@@ -44,7 +44,7 @@ let run_point spec ~seq nprocs =
   }
 
 (* The points as one table: printed, and the [points] of the JSON file. *)
-let points_table points =
+let points_table ~title points =
   let row p =
     let per_s = float_of_int p.p_events /. Float.max 1e-9 p.p_wall in
     ( p.p_app,
@@ -53,7 +53,7 @@ let points_table points =
           Int p.p_events; Float per_s; Float p.p_wall; Str (string_of_bool p.p_ok) ] )
   in
   {
-    Sim.Stats.title = "points";
+    Sim.Stats.title;
     columns =
       [ "app"; "procs"; "nodes"; "elapsed_ms"; "speedup"; "events"; "events_per_s"; "wall_s";
         "validated" ];
@@ -142,9 +142,6 @@ let smoke_run ~plan_spec spec =
 let scale_apps = [ "LU"; "Water-Nsq" ]
 
 let run_scale_at ~procs_list ~laps ~file () =
-  Support.print_header
-    (Printf.sprintf "Figure 3 extended: speedups to %d processors (sharded directory)"
-       (List.fold_left max 1 procs_list));
   let specs = List.map Apps.Registry.find scale_apps in
   let seqs =
     List.map
@@ -158,13 +155,17 @@ let run_scale_at ~procs_list ~laps ~file () =
       (fun (spec, seq) -> List.map (run_point spec ~seq) procs_list)
       seqs
   in
-  let table = points_table points in
-  Format.printf "%a" Sim.Stats.pp_table table;
+  let table =
+    points_table points
+      ~title:
+        (Printf.sprintf "Figure 3 extended: speedups to %d processors (sharded directory)"
+           (List.fold_left max 1 procs_list))
+  in
+  Support.print table;
   let failures = ref [] in
   let note fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter (fun p -> if not p.p_ok then note "%s@%d failed validation" p.p_app p.p_procs) points;
 
-  Support.print_header "Migrating-data microbenchmark: static vs migratory homes (16 nodes)";
   let micro homing = migratory_micro ~pairs:8 ~blocks_per_pair:8 ~laps ~inner:8 ~homing in
   let ((s_el, s_mig, _, _, s_quiet) as s) = micro Protocol.Config.Static in
   let ((m_el, m_mig, _, m_fly, m_quiet) as m) = micro Protocol.Config.Migratory in
@@ -173,12 +174,12 @@ let run_scale_at ~procs_list ~laps ~file () =
   in
   let micro_table =
     {
-      Sim.Stats.title = "micro";
+      Sim.Stats.title = "Migrating-data microbenchmark: static vs migratory homes (16 nodes)";
       columns = [ "homes"; "elapsed_ms"; "migrations"; "bounces"; "in_flight"; "violations" ];
       rows = [ row "static" s; row "migratory" m ];
     }
   in
-  Format.printf "%a" Sim.Stats.pp_table micro_table;
+  Support.print micro_table;
   Printf.printf "migratory vs static: %+.1f%%\n" (100.0 *. ((m_el /. s_el) -. 1.0));
   List.iter (fun v -> note "micro static: %s" v) s_quiet;
   List.iter (fun v -> note "micro migratory: %s" v) m_quiet;
@@ -188,7 +189,6 @@ let run_scale_at ~procs_list ~laps ~file () =
   if m_el >= s_el then note "migratory (%.3f ms) did not beat static (%.3f ms)"
       (1000.0 *. m_el) (1000.0 *. s_el);
 
-  Support.print_header "64-node smoke: invariants on, with and without faults";
   let fault_spec = "seed=7,drop=0.02,delay=0.05:2e-5" in
   let smoke_rows =
     List.concat_map
@@ -199,19 +199,21 @@ let run_scale_at ~procs_list ~laps ~file () =
             let elapsed, ok, quiet = smoke_run ~plan_spec spec in
             if not ok then note "smoke %s (faults=%S) failed validation" name plan_spec;
             List.iter (fun v -> note "smoke %s: %s" name v) quiet;
-            [
-              name;
-              (if plan_spec = "" then "none" else plan_spec);
-              Support.ms elapsed;
-              string_of_int (List.length quiet);
-              (if ok then "yes" else "NO");
-            ])
+            ( name,
+              Sim.Stats.
+                [
+                  Str (if plan_spec = "" then "none" else plan_spec); Float (1000.0 *. elapsed);
+                  Int (List.length quiet); Support.validated ok;
+                ] ))
           [ ""; fault_spec ])
       smoke_apps
   in
-  Support.print_table
-    ~headers:[ "application"; "faults"; "sim ms"; "violations"; "ok" ]
-    smoke_rows;
+  Support.print
+    {
+      Sim.Stats.title = "64-node smoke: invariants on, with and without faults";
+      columns = [ "application"; "faults"; "elapsed_ms"; "violations"; "validated" ];
+      rows = smoke_rows;
+    };
 
   J.emit ~file ~bench:"scale"
     ~meta:[ ("procs", J.List (List.map (fun p -> J.Int p) procs_list)) ]

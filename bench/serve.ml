@@ -32,18 +32,16 @@ let check_points points =
     points
 
 let run_serve () =
-  Support.print_header "serve: open-loop saturation sweep (minidb, 2 nodes x 4 cpus, 6 servers)";
   let cfg = { S.default_config with S.duration = sweep_duration } in
   let points = S.sweep ~cfg sweep_rates in
-  Format.printf "%a" Sim.Stats.pp_table (S.sweep_table points);
+  Support.print (S.sweep_table points);
   check_points points;
   J.emit ~file:"BENCH_serve.json" ~bench:"serve" (S.sweep_fields ~cfg points)
 
 let run_serve_smoke () =
-  Support.print_header "serve_smoke: short fixed-seed serving check";
   let cfg = { S.default_config with S.duration = 0.02 } in
   let points = S.sweep ~cfg [ 4_000.0; 48_000.0 ] in
-  Format.printf "%a" Sim.Stats.pp_table (S.sweep_table points);
+  Support.print (S.sweep_table points);
   check_points points;
   let low = List.hd points in
   let g = Load.Recorder.goodput low.S.sp_outcome.S.recorder in

@@ -34,7 +34,7 @@ type point = {
 let events_per_sec p = float_of_int p.s_events /. Float.max 1e-9 p.s_wall
 
 (* The points as one table: printed, and the [points] of the JSON file. *)
-let table points =
+let table ~title points =
   let row p =
     let g = p.s_gc in
     ( p.s_name,
@@ -47,7 +47,7 @@ let table points =
         @ [ Str (string_of_bool p.s_ok) ]) )
   in
   {
-    Sim.Stats.title = "points";
+    Sim.Stats.title;
     columns =
       [ "name"; "procs"; "nodes"; "domains"; "elapsed_ms"; "events"; "events_per_s"; "wall_s";
         "minor_words"; "major_words"; "minor_gcs"; "major_gcs"; "compactions"; "validated" ];
@@ -195,7 +195,6 @@ let emit ~file ~bench t = J.emit ~file ~bench [ ("points", J.of_table t) ]
 let find name points = List.find (fun p -> p.s_name = name) points
 
 let run_speed () =
-  Support.print_header "simulator throughput (events per host second)";
   let lu = Apps.Registry.find "LU" in
   let wnsq = Apps.Registry.find "Water-Nsq" in
   let seq_points =
@@ -223,8 +222,8 @@ let run_speed () =
   in
   let interp = run_interp () in
   let points = seq_points @ par_points @ [ interp ] in
-  let t = table points in
-  Format.printf "%a" Sim.Stats.pp_table t;
+  let t = table ~title:"simulator throughput (events per host second)" points in
+  Support.print t;
   (let p1 = find "LU@16n-par1" points
    and p4 = find "LU@16n-par4" points in
    Printf.printf "parallel 4-domain wall vs sequential: %.2fx (%d host cores)\n"
@@ -262,7 +261,6 @@ let smoke_floor =
   ]
 
 let run_speed_smoke () =
-  Support.print_header "simulator throughput smoke (CI regression gate)";
   let points =
     List.map
       (fun (app, nprocs) ->
@@ -275,8 +273,8 @@ let run_speed_smoke () =
   let hits = run_api_hits () in
   let interp = run_interp () in
   let points = points @ [ serve; hits; interp ] in
-  let t = table points in
-  Format.printf "%a" Sim.Stats.pp_table t;
+  let t = table ~title:"simulator throughput smoke (CI regression gate)" points in
+  Support.print t;
   emit ~file:"BENCH_speed_smoke.json" ~bench:"speed_smoke" t;
   let failed = ref false in
   List.iter

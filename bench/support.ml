@@ -29,21 +29,24 @@ let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
         };
     }
 
-(* --- table printing --- *)
+(* --- tables --- *)
 
-let print_header title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
+let print t = Format.printf "@.%a" Sim.Stats.pp_table t
 
-(** [print_table ~headers rows] — preformatted text rows, the first cell
-    of each its key, through the one table printer {!Sim.Stats.pp_table}. *)
-let print_table ~headers rows =
-  let row cells = (List.hd cells, List.map (fun s -> Sim.Stats.Str s) (List.tl cells)) in
-  Format.printf "%a" Sim.Stats.pp_table
-    { Sim.Stats.title = ""; columns = headers; rows = List.map row rows }
+(** A run's own validation, as a table's [validated] cell. *)
+let validated ok = Sim.Stats.Str (string_of_bool ok)
 
-let us t = Printf.sprintf "%.2f" (Sim.Units.to_us t)
-let ms t = Printf.sprintf "%.2f" (1000.0 *. t)
-let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
+(** [failures tables] — "title: row" for each row whose [validated]
+    cell is false. *)
+let failures tables =
+  List.concat_map
+    (fun (t : Sim.Stats.table) ->
+      match List.find_index (( = ) "validated") t.columns with
+      | None -> []
+      | Some i ->
+          let failed (_, cells) = List.nth cells (i - 1) = validated false in
+          List.map (fun (key, _) -> t.title ^ ": " ^ key) (List.filter failed t.rows))
+    tables
 
 (** Simulated-time measurement of a repeated fiber operation: runs
     [iters] rounds of [f] in process [cpu] after [setup], returning the

@@ -75,14 +75,17 @@ let () =
       fmt
   in
   let stats_line ~driver ~scenario (st : Check.Explore.stats) =
+    let bound = if !pbound >= 0 then [ ("preemption_bound", Load.Json.Int !pbound) ] else [] in
     Buffer.add_string artifact
-      (Printf.sprintf
-         "{\"driver\":%S,\"scenario\":%S,\"runs\":%d,\"classes\":%d,\"choice_points\":%d,\"complete\":%b,\"truncated\":%b%s}\n"
-         driver scenario st.Check.Explore.s_runs st.Check.Explore.s_classes
-         st.Check.Explore.s_choice_points st.Check.Explore.s_complete
-         st.Check.Explore.s_truncated
-         (if !pbound >= 0 then Printf.sprintf ",\"preemption_bound\":%d" !pbound
-          else ""))
+      (Load.Json.(
+         to_string
+           (Obj
+              ([ ("driver", Str driver); ("scenario", Str scenario);
+                 ("runs", Int st.s_runs); ("classes", Int st.s_classes);
+                 ("choice_points", Int st.s_choice_points); ("complete", Bool st.s_complete);
+                 ("truncated", Bool st.s_truncated) ]
+              @ bound)))
+      ^ "\n")
   in
   (* One driver over the picked scenarios: a stats line each, then an ok
      line (with [status] of the stats) or every failing schedule; under

@@ -92,22 +92,14 @@ let lint_targets () =
     Apps.Ircorpus.all
   @ List.map (fun (n, _, p) -> (n, p)) demo_programs
 
-(* Accumulate report text (what was printed) and structured results
-   (what --lint-report emits inside the shared JSON envelope). *)
-let report_buf = Buffer.create 1024
+(* Accumulate structured results (what --lint-report emits inside the
+   shared JSON envelope). *)
 let json_fields : (string * Load.Json.t) list ref = ref []
 let add_json key v = json_fields := (key, v) :: !json_fields
 
-let out fmt =
-  Printf.ksprintf
-    (fun s ->
-      Buffer.add_string report_buf s;
-      print_string s)
-    fmt
-
 let verify_mode ~options () =
   let mode = if options.Rewrite.Instrument.redundant_elim then "optimized" else "default" in
-  out "translation validation (%s options)\n\n" mode;
+  Printf.printf "translation validation (%s options)\n\n" mode;
   let failures = ref 0 in
   let rows = ref [] in
   List.iter
@@ -131,15 +123,18 @@ let verify_mode ~options () =
         :: !rows;
       match ds with
       | [] ->
-          out "%-12s OK    %3d shared accesses covered" name accesses;
+          Printf.printf "%-12s OK    %3d shared accesses covered" name accesses;
           if options.Rewrite.Instrument.redundant_elim then
-            out "  (%d checks eliminated, %d hoisted)" stats.Rewrite.Instrument.checks_eliminated
+            Printf.printf "  (%d checks eliminated, %d hoisted)"
+              stats.Rewrite.Instrument.checks_eliminated
               stats.Rewrite.Instrument.checks_hoisted;
-          out "\n"
+          Printf.printf "\n"
       | ds ->
           incr failures;
-          out "%-12s FAIL  %d uncovered of %d accesses\n" name (List.length ds) accesses;
-          List.iter (fun d -> out "    %s\n" (Format.asprintf "%a" Rewrite.Verify.pp_diag d)) ds)
+          Printf.printf "%-12s FAIL  %d uncovered of %d accesses\n" name (List.length ds) accesses;
+          List.iter
+            (fun d -> Printf.printf "    %s\n" (Format.asprintf "%a" Rewrite.Verify.pp_diag d))
+            ds)
     (lint_targets ());
   add_json ("verify_" ^ mode) (Load.Json.List (List.rev !rows));
   !failures
@@ -149,7 +144,9 @@ let verify_mode ~options () =
    tail naming the family by [noun].  Returns the failure count. *)
 let conviction ~key ~noun family =
   let reports = Check.Mutation.sweep family in
-  List.iter (fun r -> out "%s\n" (Format.asprintf "%a" (Check.Mutation.pp_report family) r)) reports;
+  List.iter
+    (fun r -> Printf.printf "%s\n" (Format.asprintf "%a" (Check.Mutation.pp_report family) r))
+    reports;
   add_json key
     (Load.Json.List
        (List.map
@@ -162,16 +159,16 @@ let conviction ~key ~noun family =
               ])
           reports));
   if Check.Mutation.all_caught reports then begin
-    out "\nall %d %s mutations caught\n" (List.length reports) noun;
+    Printf.printf "\nall %d %s mutations caught\n" (List.length reports) noun;
     0
   end
   else begin
-    out "\nsome %s mutations were MISSED\n" noun;
+    Printf.printf "\nsome %s mutations were MISSED\n" noun;
     1
   end
 
 let mutants_mode () =
-  out "instrumenter-mutation sweep (validator must convict each family)\n\n";
+  Printf.printf "instrumenter-mutation sweep (validator must convict each family)\n\n";
   conviction ~key:"imutants" ~noun:"instrumenter" (Check.Mutation.instrumenter ())
 
 (* --- whole-program static analysis modes (PR 10) --- *)
@@ -181,7 +178,7 @@ let mutants_mode () =
    deployment concurrency of one, and every seeded sync mutation must
    draw a race report. *)
 let races_mode ~nprocs () =
-  out "static race detection (%d threads on the sync corpus)\n\n" nprocs;
+  Printf.printf "static race detection (%d threads on the sync corpus)\n\n" nprocs;
   let failures = ref 0 in
   let rows = ref [] in
   let scan name ~nprocs prog =
@@ -203,13 +200,13 @@ let races_mode ~nprocs () =
       :: !rows;
     if nraces > 0 then begin
       incr failures;
-      out "%-14s FAIL  %d race pair(s) at %d threads\n" name nraces nprocs;
+      Printf.printf "%-14s FAIL  %d race pair(s) at %d threads\n" name nraces nprocs;
       List.iter
-        (fun rc -> out "    %s\n" (Format.asprintf "%a" Rewrite.Races.pp_race rc))
+        (fun rc -> Printf.printf "    %s\n" (Format.asprintf "%a" Rewrite.Races.pp_race rc))
         r.Rewrite.Races.rep_races
     end
     else
-      out "%-14s OK    %3d atoms, %d unresolved, 0 races at %d threads\n" name
+      Printf.printf "%-14s OK    %3d atoms, %d unresolved, 0 races at %d threads\n" name
         (List.length r.Rewrite.Races.rep_atoms)
         r.Rewrite.Races.rep_unresolved nprocs
   in
@@ -220,7 +217,7 @@ let races_mode ~nprocs () =
     (fun (e : Apps.Ircorpus.entry) -> scan e.Apps.Ircorpus.e_name ~nprocs:1 e.Apps.Ircorpus.e_program)
     Apps.Ircorpus.all;
   add_json "races" (Load.Json.List (List.rev !rows));
-  out "\nsync-mutation sweep (race detector must convict each family)\n\n";
+  Printf.printf "\nsync-mutation sweep (race detector must convict each family)\n\n";
   failures := !failures + conviction ~key:"smutants" ~noun:"sync" (Check.Mutation.sync ~nprocs ());
   !failures
 
@@ -228,7 +225,7 @@ let races_mode ~nprocs () =
    raw, instrumented, and instrumented+optimized — then prove the
    validator still has teeth by seeding one batch-boundary corruption. *)
 let batch_mode ~options () =
-  out "batch-safety validation (raw / instrumented / optimized metadata)\n\n";
+  Printf.printf "batch-safety validation (raw / instrumented / optimized metadata)\n\n";
   let failures = ref 0 in
   let rows = ref [] in
   let optimized prog =
@@ -264,18 +261,21 @@ let batch_mode ~options () =
         :: !rows;
       if vs <> [] then begin
         incr failures;
-        out "%-16s FAIL  %d violation(s)\n" name (List.length vs);
-        List.iter (fun v -> out "    %s\n" (Format.asprintf "%a" Rewrite.Batch.pp_violation v)) vs
+        Printf.printf "%-16s FAIL  %d violation(s)\n" name (List.length vs);
+        List.iter
+          (fun v -> Printf.printf "    %s\n" (Format.asprintf "%a" Rewrite.Batch.pp_violation v))
+          vs
       end)
     targets;
-  out "%d metadata tables validated, %d with violations\n" (List.length targets) !failures;
+  Printf.printf "%d metadata tables validated, %d with violations\n" (List.length targets)
+    !failures;
   (* Batch-boundary mutation: lengthen one pure run and demand a
      conviction — a validator that cannot convict proves nothing. *)
   let convicted = Check.Mutation.(all_caught (sweep (batch targets))) in
-  if convicted then out "seeded batch-boundary mutation convicted\n"
+  if convicted then Printf.printf "seeded batch-boundary mutation convicted\n"
   else begin
     incr failures;
-    out "seeded batch-boundary mutation NOT convicted\n"
+    Printf.printf "seeded batch-boundary mutation NOT convicted\n"
   end;
   add_json "batch"
     (Load.Json.Obj
@@ -289,7 +289,7 @@ let batch_mode ~options () =
 (* Static affinity/false-sharing report over the sync corpus, under the
    coarse 512B reference layout the granularity bench starts from. *)
 let affinity_mode ~nprocs () =
-  out "static affinity hints (sync corpus, reference block 512B)\n\n";
+  Printf.printf "static affinity hints (sync corpus, reference block 512B)\n\n";
   let bindings =
     [
       { Rewrite.Affinity.bd_arg = 0; bd_region = "hot"; bd_block = 512; bd_size = 64 * 1024 };
@@ -302,8 +302,10 @@ let affinity_mode ~nprocs () =
       let name = e.Apps.Ircorpus.e_name in
       let r = Rewrite.Races.analyze ~nprocs e.Apps.Ircorpus.e_program in
       let hints = Rewrite.Affinity.report ~bindings r in
-      out "%s:\n" name;
-      List.iter (fun h -> out "  %s\n" (Format.asprintf "%a" Rewrite.Affinity.pp_hint h)) hints;
+      Printf.printf "%s:\n" name;
+      List.iter
+        (fun h -> Printf.printf "  %s\n" (Format.asprintf "%a" Rewrite.Affinity.pp_hint h))
+        hints;
       rows :=
         Load.Json.Obj
           [
@@ -391,7 +393,7 @@ let () =
     let failures = ref 0 in
     let sep = ref false in
     let mode f =
-      if !sep then out "\n";
+      if !sep then Printf.printf "\n";
       sep := true;
       failures := !failures + f ()
     in

@@ -58,6 +58,7 @@ type pstats = {
   mutable read_misses : int;
   mutable store_misses : int;
   mutable sc_misses : int;
+  mutable prefetch_misses : int;
   mutable intra_hits : int;
   mutable false_misses : int;
   mutable downgrades_direct : int;
@@ -142,6 +143,8 @@ and local_txn = { mutable lt_awaiting : int; lt_to_shared : bool; lt_home : int 
 and rstat = {
   mutable r_read_misses : int;
   mutable r_store_misses : int;
+  mutable r_sc_misses : int;
+  mutable r_prefetch_misses : int;
   mutable r_invals : int;
   mutable r_recalls : int;
   mutable r_data_bytes : int;  (** payload bytes moved in data replies/writebacks *)
@@ -229,7 +232,15 @@ let consume_seq d msg =
     Ptypes.Itbl.replace d.applied_seq b (seq_expected d b)
 
 let zero_rstat _ =
-  { r_read_misses = 0; r_store_misses = 0; r_invals = 0; r_recalls = 0; r_data_bytes = 0 }
+  {
+    r_read_misses = 0;
+    r_store_misses = 0;
+    r_sc_misses = 0;
+    r_prefetch_misses = 0;
+    r_invals = 0;
+    r_recalls = 0;
+    r_data_bytes = 0;
+  }
 
 let fresh_domain t ~node ~id =
   let d =
@@ -326,6 +337,7 @@ let attach t ~pid ~node ~app =
           read_misses = 0;
           store_misses = 0;
           sc_misses = 0;
+          prefetch_misses = 0;
           intra_hits = 0;
           false_misses = 0;
           downgrades_direct = 0;
@@ -1015,10 +1027,22 @@ let issue t p b kind mkind store =
      would orphan the first one's waiter. *)
   assert (not (Ptypes.Itbl.mem p.outstanding b));
   Ptypes.Itbl.replace p.outstanding b miss;
-  (let r = t.rstats.(p.dom.dom_node).(Layout.block_region t.layout b) in
+  (* The one count of issued requests, by kind: the per-pid and
+     per-region columns are two views of it. *)
+  (let s = p.stats and r = t.rstats.(p.dom.dom_node).(Layout.block_region t.layout b) in
    match mkind with
-   | MRead -> r.r_read_misses <- r.r_read_misses + 1
-   | MStore | MSc | MPrefetch -> r.r_store_misses <- r.r_store_misses + 1);
+   | MRead ->
+       s.read_misses <- s.read_misses + 1;
+       r.r_read_misses <- r.r_read_misses + 1
+   | MStore ->
+       s.store_misses <- s.store_misses + 1;
+       r.r_store_misses <- r.r_store_misses + 1
+   | MSc ->
+       s.sc_misses <- s.sc_misses + 1;
+       r.r_sc_misses <- r.r_sc_misses + 1
+   | MPrefetch ->
+       s.prefetch_misses <- s.prefetch_misses + 1;
+       r.r_prefetch_misses <- r.r_prefetch_misses + 1);
   if mkind = MStore then p.n_outstanding_stores <- p.n_outstanding_stores + 1;
   (* Only the tables go Pending: the image keeps its contents, so an
      upgrading copy stays readable. *)

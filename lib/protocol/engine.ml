@@ -320,7 +320,6 @@ let ensure_read p addr =
         p.st.stats.intra_hits <- p.st.stats.intra_hits + 1;
         tab_set p.st.private_tab b shared
     | Ptypes.Invalid | Ptypes.Pending ->
-        p.st.stats.read_misses <- p.st.stats.read_misses + 1;
         wait p ~bucket:`Read (issue p b Ptypes.Read MRead);
         go ()
   in
@@ -371,7 +370,6 @@ let store_miss p addr =
       | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
           (* Pending means a recall of our exclusive copy, or a
              sibling's miss, is in flight: go through the home. *)
-          p.st.stats.store_misses <- p.st.stats.store_misses + 1;
           ignore (issue p b (store_request shared) MStore))
 
 (** Raw memory access used by the runtime for the actual load/store
@@ -470,10 +468,8 @@ let batch p accesses =
           | _, Ptypes.Exclusive -> tab_set s.private_tab b Ptypes.Exclusive
           | Alpha.Insn.Load_acc, Ptypes.Shared -> tab_set s.private_tab b Ptypes.Shared
           | Alpha.Insn.Load_acc, (Ptypes.Invalid | Ptypes.Pending) ->
-              s.stats.read_misses <- s.stats.read_misses + 1;
               misses := issue p b Ptypes.Read MRead :: !misses
           | Alpha.Insn.Store_acc, (Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending) ->
-              s.stats.store_misses <- s.stats.store_misses + 1;
               misses := issue p b (store_request shared) MStore :: !misses))
     accesses;
   (match !misses with
@@ -523,7 +519,6 @@ let sc_check p addr w v =
       tab_set s.private_tab b Ptypes.Exclusive;
       Alpha.Runtime.Run_in_hardware
   | _, Ptypes.Shared ->
-      s.stats.sc_misses <- s.stats.sc_misses + 1;
       charge (costs p).Config.miss_entry;
       let miss = issue p b Ptypes.Sc_upgrade MSc ~store:(addr, w, v) in
       wait p ~bucket:`Write miss;
@@ -531,7 +526,6 @@ let sc_check p addr w v =
   | _, (Ptypes.Invalid | Ptypes.Pending) ->
       (* The line was lost since the LL: the SC fails without any
          protocol traffic. *)
-      s.stats.sc_misses <- s.stats.sc_misses + 1;
       Alpha.Runtime.Handled false
 
 (** [prefetch_excl pcb addr] — non-binding exclusive prefetch inserted
@@ -589,6 +583,8 @@ let region_stats t =
           {
             r_read_misses = acc.r_read_misses + r.r_read_misses;
             r_store_misses = acc.r_store_misses + r.r_store_misses;
+            r_sc_misses = acc.r_sc_misses + r.r_sc_misses;
+            r_prefetch_misses = acc.r_prefetch_misses + r.r_prefetch_misses;
             r_invals = acc.r_invals + r.r_invals;
             r_recalls = acc.r_recalls + r.r_recalls;
             r_data_bytes = acc.r_data_bytes + r.r_data_bytes;
@@ -603,13 +599,13 @@ let region_table t =
     ( reg.Layout.r_name,
       Sim.Stats.ints
         [ reg.Layout.r_block; reg.Layout.r_n_blocks; r.r_read_misses; r.r_store_misses;
-          r.r_invals; r.r_recalls; r.r_data_bytes ] )
+          r.r_sc_misses; r.r_prefetch_misses; r.r_invals; r.r_recalls; r.r_data_bytes ] )
   in
   {
     Sim.Stats.title = "regions";
     columns =
-      [ "region"; "block_bytes"; "blocks"; "read_misses"; "store_misses"; "invals"; "recalls";
-        "data_bytes" ];
+      [ "region"; "block_bytes"; "blocks"; "read_misses"; "store_misses"; "sc_misses";
+        "prefetch_misses"; "invals"; "recalls"; "data_bytes" ];
     rows = Array.to_list (Array.mapi row (region_stats t));
   }
 
@@ -619,14 +615,15 @@ let pid_table t =
     let s = p.stats in
     ( string_of_int p.pid,
       Sim.Stats.ints
-        [ s.read_misses; s.store_misses; s.sc_misses; s.intra_hits; s.false_misses;
-          s.messages_handled; s.downgrades_direct; s.downgrades_msg; s.reissued_stores;
-          s.bounces ] )
+        [ s.read_misses; s.store_misses; s.sc_misses; s.prefetch_misses; s.intra_hits;
+          s.false_misses; s.messages_handled; s.downgrades_direct; s.downgrades_msg;
+          s.reissued_stores; s.bounces ] )
   in
   {
     Sim.Stats.title = "protocol per pid";
     columns =
-      [ "pid"; "read_misses"; "store_misses"; "sc_misses"; "intra_hits"; "false_misses";
-        "messages"; "downgrades_direct"; "downgrades_msg"; "reissued_stores"; "bounces" ];
+      [ "pid"; "read_misses"; "store_misses"; "sc_misses"; "prefetch_misses"; "intra_hits";
+        "false_misses"; "messages"; "downgrades_direct"; "downgrades_msg"; "reissued_stores";
+        "bounces" ];
     rows = List.filter_map (Option.map row) (Array.to_list t.core.procs.Ptypes.Ids.slots);
   }

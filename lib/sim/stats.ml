@@ -119,10 +119,12 @@ type gc_delta = {
   gc_compactions : int;
 }
 
-let gc_mark () = Gc.quick_stat ()
+(* [Gc.quick_stat]'s [minor_words] leaves out the current minor heap
+   (OCaml 5.1); [Gc.minor_words] counts it. *)
+let gc_mark () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
 
 let gc_delta (a : Gc.stat) =
-  let b = Gc.quick_stat () in
+  let b = gc_mark () in
   {
     gc_minor_words = b.Gc.minor_words -. a.Gc.minor_words;
     gc_major_words = b.Gc.major_words -. a.Gc.major_words;

@@ -326,6 +326,22 @@ let test_breakdown_sane () =
 
 (* Every column of [C.tables] is read from a typed record: its sums must
    give back the records they were built from. *)
+(* One column of a metrics table, top to bottom. *)
+let column t name =
+  let rec index i = function
+    | c :: _ when c = name -> i
+    | _ :: rest -> index (i + 1) rest
+    | [] -> Alcotest.failf "%s has no column %s" t.Sim.Stats.title name
+  in
+  let i = index (-1) t.Sim.Stats.columns in
+  List.map (fun (_, cells) -> List.nth cells i) t.Sim.Stats.rows
+
+let ints t name =
+  List.map
+    (function
+      | Sim.Stats.Int n -> n | _ -> Alcotest.failf "%s: %s is not an int" t.Sim.Stats.title name)
+    (column t name)
+
 let test_metrics_tables_sum_to_records () =
   let cfg =
     { (small_cfg ()) with Cfg.fault_plan = Fault.Plan.of_spec "seed=42,drop=0.05" }
@@ -350,21 +366,6 @@ let test_metrics_tables_sum_to_records () =
             (List.length cells))
         t.Sim.Stats.rows)
     tables;
-  let column t name =
-    let rec index i = function
-      | c :: _ when c = name -> i
-      | _ :: rest -> index (i + 1) rest
-      | [] -> Alcotest.failf "%s has no column %s" t.Sim.Stats.title name
-    in
-    let i = index (-1) t.Sim.Stats.columns in
-    List.map (fun (_, cells) -> List.nth cells i) t.Sim.Stats.rows
-  in
-  let ints t name =
-    List.map
-      (function
-        | Sim.Stats.Int n -> n | _ -> Alcotest.failf "%s: %s is not an int" t.Sim.Stats.title name)
-      (column t name)
-  in
   let sum_ms t name =
     List.fold_left
       (fun acc c ->
@@ -418,7 +419,39 @@ let test_metrics_tables_sum_to_records () =
       ];
   Alcotest.(check bool) "frames retransmitted" true (x.Mchan.Reliable.retransmits > 0);
   Alcotest.(check (list int)) "engine events" [ Sim.Engine.events_fired (C.sim cl) ]
-    (ints (table "engine") "events")
+    (ints (table "engine") "events");
+  (* Counted through [Gc.minor_words]: [Gc.quick_stat] leaves out the
+     current minor heap, and read 0 for runs this small. *)
+  Alcotest.(check bool) "the run's minor words are counted" true
+    (List.for_all (fun n -> n > 0) (ints (table "engine") "minor_words"))
+
+(* Each issued request is counted once, by kind, where it is issued:
+   the regions and pids tables are two views of that one count.
+   Water-Nsq under LL/SC sync issues reads, stores and SC upgrades. *)
+let test_miss_kinds_agree () =
+  let cfg = small_cfg ~nodes:2 ~cpus:4 () in
+  let cl =
+    C.create
+      {
+        cfg with
+        Cfg.protocol = { cfg.Cfg.protocol with Protocol.Config.shared_size = 8 * 1024 * 1024 };
+      }
+  in
+  let _, ok =
+    Apps.Harness.run_spec cl (Apps.Registry.find "Water-Nsq") ~nprocs:8 ~sync:Apps.Harness.Sm
+      ~size:40 ()
+  in
+  Alcotest.(check bool) "Water-Nsq validated" true ok;
+  let tables = C.tables cl in
+  let sum title kind =
+    List.fold_left ( + ) 0 (ints (List.find (fun t -> t.Sim.Stats.title = title) tables) kind)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check int) (kind ^ ": pids = regions") (sum "regions" kind)
+        (sum "protocol per pid" kind))
+    [ "read_misses"; "store_misses"; "sc_misses"; "prefetch_misses" ];
+  Alcotest.(check bool) "SC upgrades issued" true (sum "regions" "sc_misses" > 0)
 
 (* --- IR mode: transparent execution of instrumented binaries --- *)
 
@@ -811,6 +844,7 @@ let suite =
     Alcotest.test_case "breakdown sane" `Quick test_breakdown_sane;
     Alcotest.test_case "metrics tables sum to their records" `Quick
       test_metrics_tables_sum_to_records;
+    Alcotest.test_case "miss kinds agree by region and pid" `Quick test_miss_kinds_agree;
     Alcotest.test_case "API-mode hits allocate nothing" `Quick test_api_hits_allocate_nothing;
     Alcotest.test_case "IR-mode hits allocate little" `Quick test_ir_hits_allocate_little;
     Alcotest.test_case "API-mode bounds and slow paths" `Quick test_api_bounds_and_slow_paths;
