@@ -154,7 +154,7 @@ let syscall_times ~variant ~checks =
           R.store_int ctx.K.h (buf + (i * 64)) 0
         done;
         let fd0 = K.open_file ctx "bench.dat" in
-        Bytes.fill ctx.K.h.R.private_mem 0 65536 'x';
+        Bytes.fill (R.private_mem ctx.K.h) 0 65536 'x';
         ignore (K.write ctx fd0 ~buf:0 ~len:65536);
         K.close ctx fd0;
         let time f =
@@ -241,9 +241,12 @@ let code_growth_of ~procedures ~mix =
 
 (* One process alone on a one-CPU cluster: Table 3's sequential and
    checked runs, and the base of Figure 3's speedups. *)
+let sequential_runs = Hashtbl.create 32
+
 let sequential ~checks spec =
-  let cl = cluster ~nodes:1 ~cpus:1 ~checks () in
-  Apps.Harness.run_spec cl spec ~nprocs:1 ~sync:Apps.Harness.Mp ()
+  once sequential_runs (checks, spec.Apps.Harness.name) (fun () ->
+      let cl = cluster ~nodes:1 ~cpus:1 ~checks () in
+      Apps.Harness.run_spec cl spec ~nprocs:1 ~sync:Apps.Harness.Mp ())
 
 let oracle_overhead query =
   let run checks =
@@ -367,18 +370,25 @@ let figure4 () =
 (* Table 4 and Figure 5: Oracle DSS-1 scaling and breakdowns           *)
 (* ------------------------------------------------------------------ *)
 
-let dss1_run ~servers ~config =
-  match config with
-  | `Smp ->
-      (* Standard Oracle on one AlphaServer: no Shasta checks, processes
-         share memory through the node's hardware. *)
-      let cfg = W.cluster_config ~nodes:1 ~checks:false () in
-      let placement =
-        { W.root_cpu = 0; daemon_cpu = 0; server_cpus = List.init servers (fun i -> 1 + i) }
-      in
-      W.run_dss ~cfg ~placement ~query:W.Dss1 ()
-  | `Extra -> W.run_dss ~cfg:(W.cluster_config ()) ~placement:(W.placement_extra_proc ~servers) ~query:W.Dss1 ()
-  | `Equal -> W.run_dss ~cfg:(W.cluster_config ()) ~placement:(W.placement_equal ~servers) ~query:W.Dss1 ()
+let dss1_runs = Hashtbl.create 16
+
+let dss1_run ?(direct_downgrade = true) ~servers ~config () =
+  once dss1_runs (direct_downgrade, servers, config) (fun () ->
+      match config with
+      | `Smp ->
+          (* Standard Oracle on one AlphaServer: no Shasta checks, processes
+             share memory through the node's hardware. *)
+          let cfg = W.cluster_config ~nodes:1 ~checks:false ~direct_downgrade () in
+          let placement =
+            { W.root_cpu = 0; daemon_cpu = 0; server_cpus = List.init servers (fun i -> 1 + i) }
+          in
+          W.run_dss ~cfg ~placement ~query:W.Dss1 ()
+      | `Extra ->
+          W.run_dss ~cfg:(W.cluster_config ~direct_downgrade ())
+            ~placement:(W.placement_extra_proc ~servers) ~query:W.Dss1 ()
+      | `Equal ->
+          W.run_dss ~cfg:(W.cluster_config ~direct_downgrade ())
+            ~placement:(W.placement_equal ~servers) ~query:W.Dss1 ())
 
 let table4 () =
   (* The paper's seconds per placement, for 1, 2 and 3 servers. *)
@@ -387,7 +397,7 @@ let table4 () =
       (`Equal, [ 15.40; 19.29; 11.11 ]) ]
   in
   let row i servers =
-    let runs = List.map (fun (config, _) -> dss1_run ~servers ~config) configs in
+    let runs = List.map (fun (config, _) -> dss1_run ~servers ~config ()) configs in
     ( Printf.sprintf "%d server%s" servers (if servers > 1 then "s" else ""),
       List.map (fun o -> Sim.Stats.Float (1000.0 *. o.W.elapsed)) runs
       @ List.map (fun (_, paper) -> Sim.Stats.Float (List.nth paper i)) configs
@@ -401,8 +411,8 @@ let table4 () =
 
 let figure5 () =
   let rows servers =
-    let ex = dss1_run ~servers ~config:`Extra in
-    let eq = dss1_run ~servers ~config:`Equal in
+    let ex = dss1_run ~servers ~config:`Extra () in
+    let eq = dss1_run ~servers ~config:`Equal () in
     let sum o =
       List.fold_left Shasta.Breakdown.add (Shasta.Breakdown.empty ()) o.W.server_breakdowns
     in
@@ -589,31 +599,22 @@ let ablation () =
      it; we can.  A negative elapsed means the timed region never
      completed before the 600-simulated-second cutoff: no time. *)
   let dd on () =
-    let cfg = W.cluster_config ~direct_downgrade:on () in
-    let placement = W.placement_extra_proc ~servers:2 in
-    let t = (W.run_dss ~cfg ~placement ~query:W.Dss1 ()).W.elapsed in
+    let t = (dss1_run ~direct_downgrade:on ~servers:2 ~config:`Extra ()).W.elapsed in
     if t <= 0.0 then nan else t
   in
   (* Home placement (Ocean homes each processor's rows at its domain, so
      a neighbour's boundary fetch is a two-hop miss at the owner instead
-     of a recall through a third-party home). *)
-  let place app on () =
-    let cl = cluster () in
-    fst (Apps.Harness.run_spec ~home_placement:on cl app ~nprocs:8 ~sync:Apps.Harness.Mp ())
+     of a recall through a third-party home), and coherence granularity:
+     one application across line sizes.  Ocean at 64 B with placement on
+     is a row of both. *)
+  let eight_proc_runs = Hashtbl.create 16 in
+  let place ?(line = Protocol.Config.default.Protocol.Config.line_size) app on () =
+    once eight_proc_runs (app.Apps.Harness.name, line, on) (fun () ->
+        fst
+          (Apps.Harness.run_spec ~home_placement:on (cluster ~line ()) app ~nprocs:8
+             ~sync:Apps.Harness.Mp ()))
   in
-  (* Coherence granularity: one application across line sizes. *)
-  let line_sweep line () =
-    let cl =
-      C.create
-        {
-          Shasta.Config.default with
-          Shasta.Config.net = { Mchan.Net.default_config with Mchan.Net.nodes = 4; cpus_per_node = 4 };
-          protocol =
-            { Protocol.Config.default with Protocol.Config.line_size = line; shared_size = 8 * 1024 * 1024 };
-        }
-    in
-    fst (Apps.Harness.run_spec cl Apps.Ocean.spec ~nprocs:8 ~sync:Apps.Harness.Mp ())
-  in
+  let line_sweep line = place ~line Apps.Ocean.spec true in
   (* SC vs RC and Base vs SMP on one kernel. *)
   let variant_run ~variant ~model () =
     let cl = cluster ~variant ~model () in

@@ -137,7 +137,7 @@ let run_lint_with ~iters ~out_file () =
     hmig.I.s_migrations (1000.0 *. hstatic.I.s_elapsed) (1000.0 *. hmig.I.s_elapsed)
     (if mdb_agree then "AGREE" else "DISAGREE");
 
-  Load.Json.emit ~file:out_file ~bench:"lint"
+  Support.emit ~file:out_file ~bench:"lint"
     ~meta:[ ("nodes", Load.Json.Int nodes); ("nprocs", Load.Json.Int nprocs); ("iters", Load.Json.Int iters) ]
     [
       ( "fs_twin",

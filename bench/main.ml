@@ -4,6 +4,8 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- paper   -- all of Section 6, into BENCH_paper.json
      dune exec bench/main.exe -- table1  -- one experiment
+     dune exec bench/main.exe -- --commit ID paper
+                                         -- records ID in every BENCH_*.json
 
    Experiments: paper table1 table2 table3 figure3 figure4 table4 figure5
    mb rewrite_time ablation micro faults checker granularity
@@ -48,7 +50,7 @@ let check tables =
    exactly. *)
 let paper () =
   let tables = List.concat_map (fun (name, f) -> timed name (printed f)) paper_experiments in
-  Load.Json.emit ~file:"BENCH_paper.json" ~bench:"paper"
+  Support.emit ~file:"BENCH_paper.json" ~bench:"paper"
     [ ("tables", Load.Json.List (List.map Load.Json.of_table tables)) ];
   check tables
 
@@ -72,10 +74,21 @@ let experiments =
       ("lint_smoke", Lint.run_lint_smoke);
     ]
 
+(* [--commit ID] anywhere among the experiment names. *)
+let rec take_commit = function
+  | "--commit" :: id :: rest when id <> "" && id.[0] <> '-' ->
+      Support.commit := Some id;
+      take_commit rest
+  | "--commit" :: _ ->
+      prerr_endline "main.exe: --commit: expects a commit id";
+      exit 2
+  | a :: rest -> a :: take_commit rest
+  | [] -> []
+
 let () =
   let args =
     match Array.to_list Sys.argv with
-    | _ :: rest -> List.filter (fun a -> a <> "--") rest
+    | _ :: rest -> take_commit (List.filter (fun a -> a <> "--") rest)
     | [] -> []
   in
   let to_run =

@@ -17,8 +17,13 @@ let heap_push_pop =
 
 let bench_layout = Protocol.Layout.uniform ~base:0 ~size:65536 ~block:64 ()
 
+let bench_image () =
+  Protocol.Memimg.create ~layout:bench_layout
+    ~static_home:(Array.make (Protocol.Layout.n_blocks bench_layout) 0)
+    ~dom:0
+
 let memimg_ops =
-  let img = Protocol.Memimg.create ~layout:bench_layout in
+  let img = bench_image () in
   Test.make ~name:"memory image read+write x64"
     (Staged.stage (fun () ->
          for i = 0 to 63 do
@@ -27,7 +32,7 @@ let memimg_ops =
          done))
 
 let flag_fill =
-  let img = Protocol.Memimg.create ~layout:bench_layout in
+  let img = bench_image () in
   Test.make ~name:"invalid-flag fill x64 blocks"
     (Staged.stage (fun () ->
          for b = 0 to 63 do

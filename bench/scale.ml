@@ -215,7 +215,7 @@ let run_scale_at ~procs_list ~laps ~file () =
       rows = smoke_rows;
     };
 
-  J.emit ~file ~bench:"scale"
+  Support.emit ~file ~bench:"scale"
     ~meta:[ ("procs", J.List (List.map (fun p -> J.Int p) procs_list)) ]
     [
       ("points", J.of_table table);

@@ -36,7 +36,7 @@ let run_serve () =
   let points = S.sweep ~cfg sweep_rates in
   Support.print (S.sweep_table points);
   check_points points;
-  J.emit ~file:"BENCH_serve.json" ~bench:"serve" (S.sweep_fields ~cfg points)
+  Support.emit ~file:"BENCH_serve.json" ~bench:"serve" (S.sweep_fields ~cfg points)
 
 let run_serve_smoke () =
   let cfg = { S.default_config with S.duration = 0.02 } in
@@ -46,7 +46,7 @@ let run_serve_smoke () =
   let low = List.hd points in
   let g = Load.Recorder.goodput low.S.sp_outcome.S.recorder in
   Printf.printf "low-load goodput %.0f req/s (floor %.0f)\n" g smoke_floor;
-  J.emit ~file:"BENCH_serve_smoke.json" ~bench:"serve_smoke"
+  Support.emit ~file:"BENCH_serve_smoke.json" ~bench:"serve_smoke"
     (("goodput_floor", J.Float smoke_floor) :: S.sweep_fields ~cfg points);
   if g < smoke_floor then
     failwith

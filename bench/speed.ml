@@ -190,7 +190,7 @@ let run_api_hits () =
     s_gc = gc;
   }
 
-let emit ~file ~bench t = J.emit ~file ~bench [ ("points", J.of_table t) ]
+let emit ~file ~bench t = Support.emit ~file ~bench [ ("points", J.of_table t) ]
 
 let find name points = List.find (fun p -> p.s_name = name) points
 

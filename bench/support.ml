@@ -6,6 +6,7 @@ module R = Shasta.Runtime
 
 let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
     ?(model = Protocol.Config.Rc) ?(checks = true) ?(direct_downgrade = true)
+    ?(line = Protocol.Config.default.Protocol.Config.line_size)
     ?(shared = 8 * 1024 * 1024) ?(homing = Protocol.Config.Static)
     ?(migration_threshold = Protocol.Config.default.Protocol.Config.migration_threshold)
     ?(invariants = false) ?(plan = Fault.Plan.empty) ?(parallel = 1) () =
@@ -22,12 +23,31 @@ let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
           Protocol.Config.variant;
           model;
           direct_downgrade;
+          line_size = line;
           shared_size = shared;
           homing;
           migration_threshold;
           check_invariants = invariants;
         };
     }
+
+(** The source commit named by [--commit], if any. *)
+let commit = ref None
+
+(** [emit ~file ~bench ?meta fields] — {!Load.Json.emit} with the
+    [--commit] provenance: every BENCH_*.json this harness writes. *)
+let emit ~file ~bench ?meta fields = Load.Json.emit ?commit:!commit ~file ~bench ?meta fields
+
+(** [once tbl key run] — [run ()]'s result, simulated only the first
+    time [key] is asked for: the paper target shares some runs between
+    tables, and a run's result depends only on its configuration. *)
+let once tbl key run =
+  match Hashtbl.find_opt tbl key with
+  | Some r -> r
+  | None ->
+      let r = run () in
+      Hashtbl.add tbl key r;
+      r
 
 (* --- tables --- *)
 

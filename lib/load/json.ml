@@ -85,16 +85,19 @@ let of_table (t : Sim.Stats.table) =
   let row (key, cells) = Obj (List.combine t.columns (Str key :: List.map cell cells)) in
   Obj [ ("title", Str t.title); ("rows", List (List.map row t.rows)) ]
 
-(** [emit ~file ~bench ?meta fields] — the shared report envelope: a
-    deterministic JSON document tagged with the producing bench/tool
-    name and its provenance (host core count, OCaml version), so every
+(** [emit ~file ~bench ?commit ?meta fields] — the shared report
+    envelope: a deterministic JSON document tagged with the producing
+    bench/tool name and its provenance (host core count, OCaml version,
+    and the source commit when the caller names one), so every
     machine-readable artifact (BENCH_*.json trajectory files, serve
     reports, lint reports) is self-describing and has the same
     top-level shape. *)
-let emit ~file ~bench ?(meta = []) fields =
+let emit ~file ~bench ?commit ?(meta = []) fields =
   let cores = Domain.recommended_domain_count () in
+  let commit = match commit with Some c -> [ ("commit", Str c) ] | None -> [] in
   write_file file
     (Obj
-       (("bench", Str bench) :: ("host_cores", Int cores) :: ("ocaml", Str Sys.ocaml_version)
-       :: (meta @ fields)));
+       ((("bench", Str bench) :: ("host_cores", Int cores) :: ("ocaml", Str Sys.ocaml_version)
+        :: commit)
+       @ meta @ fields));
   Printf.printf "wrote %s\n" file

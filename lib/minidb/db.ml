@@ -92,8 +92,8 @@ let create (ctx : K.ctx) ~pages ~rows_per_page ~nframes =
   for p = 0 to pages - 1 do
     for s = 0 to rows_per_page - 1 do
       let r = (p * rows_per_page) + s in
-      Bytes.set_int64_le ctx.K.h.R.private_mem (staging + (s * row_bytes)) (Int64.of_int r);
-      Bytes.set_int64_le ctx.K.h.R.private_mem
+      Bytes.set_int64_le (R.private_mem ctx.K.h) (staging + (s * row_bytes)) (Int64.of_int r);
+      Bytes.set_int64_le (R.private_mem ctx.K.h)
         (staging + (s * row_bytes) + 8)
         (Int64.of_int (balance0 r))
     done;

@@ -96,8 +96,8 @@ let slot_loop k slot (h : Shasta.Runtime.t) =
         slot.s_busy <- true;
         (match job.j_private with
         | Some img ->
-            Bytes.blit img 0 h.Shasta.Runtime.private_mem 0
-              (min (Bytes.length img) (Bytes.length h.Shasta.Runtime.private_mem))
+            let mem = Shasta.Runtime.private_mem h in
+            Bytes.blit img 0 mem 0 (min (Bytes.length img) (Bytes.length mem))
         | None -> ());
         let os = proc k job.j_ospid in
         os.state <- Active;
@@ -260,7 +260,7 @@ let fork ctx ?cpu_hint body =
   Shasta.Runtime.work ctx.h fork_cpu_cost;
   let slot = pick_slot ctx.k ~cpu_hint in
   let os = make_osproc ctx.k ~parent:ctx.os.ospid ~slot:slot.s_index in
-  let image = Bytes.copy ctx.h.Shasta.Runtime.private_mem in
+  let image = Bytes.copy (Shasta.Runtime.private_mem ctx.h) in
   let job = { j_ospid = os.ospid; j_body = body; j_private = Some image } in
   let src = Shasta.Runtime.node ctx.h in
   let dst = node_of_slot ctx.k slot in
@@ -431,7 +431,7 @@ let read ctx fd ~buf ~len =
   if n > 0 then begin
     if Shasta.Runtime.is_shared ctx.h buf then
       Protocol.Engine.raw_blit_in ctx.h.Shasta.Runtime.pcb ~addr:buf tmp 0 n
-    else Bytes.blit tmp 0 ctx.h.Shasta.Runtime.private_mem buf n
+    else Bytes.blit tmp 0 (Shasta.Runtime.private_mem ctx.h) buf n
   end;
   n
 
@@ -445,7 +445,7 @@ let write ctx fd ~buf ~len =
   let tmp = Bytes.create len in
   if Shasta.Runtime.is_shared ctx.h buf then
     Protocol.Engine.raw_blit_out ctx.h.Shasta.Runtime.pcb ~addr:buf ~len tmp 0
-  else Bytes.blit ctx.h.Shasta.Runtime.private_mem buf tmp 0 len;
+  else Bytes.blit (Shasta.Runtime.private_mem ctx.h) buf tmp 0 len;
   Vfs.pwrite vfs st.fd_file ~pos:st.pos tmp 0 len;
   st.pos <- st.pos + len;
   len

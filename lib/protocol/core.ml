@@ -247,7 +247,7 @@ let fresh_domain t ~node ~id =
     {
       dom_id = id;
       dom_node = node;
-      img = Memimg.create ~layout:t.layout;
+      img = Memimg.create ~layout:t.layout ~static_home:t.static_home ~dom:id;
       shared_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
       members = [];
       dir = Directory.create ~home_domain:id;
@@ -387,8 +387,9 @@ let seed_mutation t m =
   t.mutation <- Some m
 
 (** [init ?homes t] finalises setup: picks the home domains (default:
-    every domain), fills every image with the invalid-flag value, then
-    gives each block's home domain a valid zeroed copy. *)
+    every domain) and places every block's home, which holds it Shared.
+    The images hold nothing yet: each grows on first touch, flagged
+    except for zeros at the block's home (see {!Memimg}). *)
 let init ?homes t =
   if t.initialized then invalid_arg "Engine.init: already initialized";
   t.initialized <- true;
@@ -420,30 +421,23 @@ let init ?homes t =
       if Option.is_none (find d) then
         invalid_arg (Printf.sprintf "Engine.init: home domain %d does not exist" d))
     stripe;
-  (* Every copy starts flagged; each block's home then gets a zeroed,
-     Shared copy.  The shard map starts as the static placement; any
-     home override naming a non-existent domain is caught here, before
-     first use. *)
-  List.iter (fun d -> Memimg.fill_flags d.img) domains;
+  (* Each block's home holds it Shared.  The shard map starts as the
+     static placement; any home override naming a non-existent domain
+     is caught here, before first use. *)
   let n_blocks = Layout.n_blocks t.layout in
   for b = 0 to n_blocks - 1 do
     if t.static_home.(b) < 0 then t.static_home.(b) <- stripe.(b mod n);
     match find t.static_home.(b) with
-    | Some home ->
-        Memimg.zero_block home.img ~block:b;
-        tab_set home.shared_tab b Ptypes.Shared
+    | Some home -> tab_set home.shared_tab b Ptypes.Shared
     | None ->
         invalid_arg
           (Printf.sprintf "Engine.init: block %d homed at non-existent domain %d" b
              t.static_home.(b))
   done;
   Array.blit t.static_home 0 t.home 0 n_blocks;
-  (* The images went straight into the major heap.  Run the major-GC
-     slice their allocation calls for here, in set-up: left to the run's
-     first minor collection, it shifted the collector's pacing into the
-     run and slowed it by several percent (EXPERIMENTS, "Bulk image
-     set-up"). *)
-  ignore (Gc.major_slice 0)
+  (* The homes are final, so what an image already holds is laid out
+     again; bytes it gains later are laid out as it grows. *)
+  List.iter (fun d -> Memimg.fill_flags d.img) domains
 
 (* Per-region traffic accounting: payload bytes of every data-carrying
    message, attributed to the block's region and recorded in the sending

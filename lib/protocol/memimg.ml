@@ -9,36 +9,96 @@
     invalidation's flag write.
 
     All extents come from the {!Layout}: a monitor covers one coherence
-    block, whose size depends on the region the address falls in. *)
+    block, whose size depends on the region the address falls in.
 
-type monitor = { mon_pid : int; mon_block : int }
+    An image holds only a prefix of the segment: it starts empty and
+    grows on first touch, by doubling and to a block end.  Bytes it
+    gains read as {!Core.init} would have left them, so a set-up pays
+    for the memory its run touches, and no reader can tell. *)
+
+type monitor = {
+  mon_pid : int;
+  mutable mon_block : int;  (** the monitored block, or -1 when disarmed *)
+}
 
 type t = {
   layout : Layout.t;
   base : int;
-  data : Bytes.t;
-  mutable monitors : monitor list;
+  static_home : int array;
+      (** Core's per-block static home, shared with it: the blocks a
+          fresh extent zeroes instead of flagging *)
+  dom : int;  (** the domain this image belongs to *)
+  mutable data : Bytes.t;
+      (** the segment's first [Bytes.length data] bytes, always ending
+          at a block end; replaced as the image grows *)
+  mutable monitors : monitor array;  (** one reusable slot per pid that ran an LL *)
+  mutable armed : int;  (** armed slots: 0 is the store hit path's test *)
   mutable breaks : int;  (** monitors cleared; reset by the shell's wake-up *)
 }
 
-let create ~layout =
+(** [create ~layout ~static_home ~dom] — domain [dom]'s image, empty:
+    it materializes as it is touched (see {!check}). *)
+let create ~layout ~static_home ~dom =
   {
     layout;
     base = Layout.base layout;
-    data = Bytes.make (Layout.size layout) '\000';
-    monitors = [];
+    static_home;
+    dom;
+    data = Bytes.empty;
+    monitors = [||];
+    armed = 0;
     breaks = 0;
   }
 
 let block_of t addr = Layout.block_of_addr t.layout addr
 
-let in_range t addr width =
-  let off = addr - t.base in
-  off >= 0 && off + width <= Bytes.length t.data
+(** The per-4-byte-word invalid flag value (Section 2.2). *)
+let flag32 = 0xDEADBEEFl
 
-let check t addr width =
-  if not (in_range t addr width) then
-    invalid_arg (Printf.sprintf "Memimg: access at 0x%x outside the image" addr)
+(* Lay out [lo, hi), two block boundaries of the held bytes, as
+   {!Core.init} leaves a copy: the invalid flag in every word, written
+   once and then doubled with [Bytes.blit], except zeros in the blocks
+   whose static home is this domain. *)
+let lay_out t ~lo ~hi =
+  if hi > lo then begin
+    let d = t.data in
+    Bytes.set_int32_le d lo flag32;
+    let filled = ref 4 in
+    while !filled < hi - lo do
+      let n = min !filled (hi - lo - !filled) in
+      Bytes.blit d lo d (lo + !filled) n;
+      filled := !filled + n
+    done;
+    for b = block_of t (t.base + lo) to block_of t (t.base + hi - 1) do
+      if t.static_home.(b) = t.dom then
+        Bytes.fill d (Layout.block_base t.layout b - t.base) (Layout.block_len t.layout b) '\000'
+    done
+  end
+
+(* Grow to hold offset [need - 1]: at least double, then round up to
+   that block's end, never past the segment. *)
+let grow t need =
+  let cap = Bytes.length t.data in
+  let want = min (Layout.size t.layout) (max need (2 * cap)) in
+  let b = block_of t (t.base + want - 1) in
+  let hi = Layout.block_base t.layout b + Layout.block_len t.layout b - t.base in
+  let data = Bytes.create hi in
+  Bytes.blit t.data 0 data 0 cap;
+  t.data <- data;
+  lay_out t ~lo:cap ~hi
+
+let[@inline never] make_room t addr width =
+  let off = addr - t.base in
+  if off < 0 || off + width > Layout.size t.layout then
+    invalid_arg (Printf.sprintf "Memimg: access at 0x%x outside the image" addr);
+  if off + width > Bytes.length t.data then grow t (off + width)
+
+(** [check t addr width] — the one capacity check every accessor makes:
+    [\[addr, addr+width)] must lie in the segment, and the image grows
+    to hold it, its new bytes as {!Core.init} would have left them. *)
+let[@inline] check t addr width =
+  let off = addr - t.base in
+  if off < 0 || off + width > Bytes.length t.data then make_room t addr width
 
 let read t addr (w : Alpha.Insn.width) =
   check t addr (Alpha.Insn.bytes_of_width w);
@@ -49,47 +109,49 @@ let read t addr (w : Alpha.Insn.width) =
 
 (* Clear other processes' monitors on the stored-to block. *)
 let break_monitors t ~block ~pid =
-  match t.monitors with
-  | [] -> ()
-  | ms ->
-      let kept = List.filter (fun m -> m.mon_block <> block || m.mon_pid = pid) ms in
-      t.breaks <- t.breaks + List.length ms - List.length kept;
-      t.monitors <- kept
+  if t.armed > 0 then begin
+    let ms = t.monitors in
+    for i = 0 to Array.length ms - 1 do
+      let m = ms.(i) in
+      if m.mon_block = block && m.mon_pid <> pid then begin
+        m.mon_block <- -1;
+        t.armed <- t.armed - 1;
+        t.breaks <- t.breaks + 1
+      end
+    done
+  end
 
 let write ?(pid = -1) t addr (w : Alpha.Insn.width) v =
   check t addr (Alpha.Insn.bytes_of_width w);
   let off = addr - t.base in
   (* [block_of] is only needed when a monitor could break. *)
-  (match t.monitors with [] -> () | _ -> break_monitors t ~block:(block_of t addr) ~pid);
+  if t.armed > 0 then break_monitors t ~block:(block_of t addr) ~pid;
   match w with
   | Alpha.Insn.W32 -> Bytes.set_int32_le t.data off (Int64.to_int32 v)
   | Alpha.Insn.W64 -> Bytes.set_int64_le t.data off v
 
-(* Is [pid]'s monitor armed on [block]?  A closure-free scan. *)
-let rec armed ms ~pid ~block =
-  match ms with
-  | [] -> false
-  | m :: rest -> (m.mon_pid = pid && m.mon_block = block) || armed rest ~pid ~block
+(* The index of [pid]'s slot in [ms], or -1. *)
+let rec slot_index ms pid i =
+  if i = Array.length ms then -1 else if ms.(i).mon_pid = pid then i else slot_index ms pid (i + 1)
 
-(* [ms] without [pid]'s monitor; a process has at most one.  Returns
-   [ms] itself when [pid] has none, and copies only the monitors ahead
-   of its one. *)
-let rec without ms ~pid =
-  match ms with
-  | [] -> ms
-  | m :: rest ->
-      if m.mon_pid = pid then rest
-      else
-        let rest' = without rest ~pid in
-        if rest' == rest then ms else m :: rest'
+(* [pid]'s slot, made on its first LL and reused from then on, so an
+   LL after an SC allocates nothing. *)
+let slot t pid =
+  let i = slot_index t.monitors pid 0 in
+  if i >= 0 then t.monitors.(i)
+  else begin
+    let m = { mon_pid = pid; mon_block = -1 } in
+    t.monitors <- Array.append t.monitors [| m |];
+    m
+  end
 
 (** [ll t ~pid addr w] performs a load-locked: reads and arms [pid]'s
-    monitor on the block.  Re-arming an armed monitor, as a spin on a
-    taken lock does, leaves the list as it is. *)
+    monitor on the block, moving it off any other block. *)
 let ll t ~pid addr w =
   let block = block_of t addr in
-  if not (armed t.monitors ~pid ~block) then
-    t.monitors <- { mon_pid = pid; mon_block = block } :: without t.monitors ~pid;
+  let m = slot t pid in
+  if m.mon_block < 0 then t.armed <- t.armed + 1;
+  m.mon_block <- block;
   read t addr w
 
 (** [monitor_armed t ~pid addr] — is [pid]'s LL monitor still armed on
@@ -97,11 +159,19 @@ let ll t ~pid addr w =
     granted by the home: if an intervening data write or invalidation
     broke the monitor, the SC fails spuriously (which the Alpha
     architecture permits) rather than complete against stale data. *)
-let monitor_armed t ~pid addr = armed t.monitors ~pid ~block:(block_of t addr)
+let monitor_armed t ~pid addr =
+  let block = block_of t addr in
+  let i = slot_index t.monitors pid 0 in
+  i >= 0 && t.monitors.(i).mon_block = block
 
 (** [disarm t ~pid] drops [pid]'s monitor, if any: a reservation left
     armed sends every store to the image down the slow path. *)
-let disarm t ~pid = t.monitors <- without t.monitors ~pid
+let disarm t ~pid =
+  let i = slot_index t.monitors pid 0 in
+  if i >= 0 && t.monitors.(i).mon_block >= 0 then begin
+    t.monitors.(i).mon_block <- -1;
+    t.armed <- t.armed - 1
+  end
 
 (** [sc t ~pid addr w v] performs a store-conditional: succeeds iff
     [pid]'s monitor on the block is still armed.  Always disarms. *)
@@ -110,9 +180,6 @@ let sc t ~pid addr w v =
   disarm t ~pid;
   if armed then write ~pid t addr w v;
   armed
-
-(** The per-4-byte-word invalid flag value (Section 2.2). *)
-let flag32 = 0xDEADBEEFl
 
 (** [write_flags_range t ~addr ~len] stores the invalid-flag value
     into every 4-byte word of [addr, addr+len), breaking monitors on
@@ -133,31 +200,20 @@ let write_flags t ~block =
     ~addr:(Layout.block_base t.layout block)
     ~len:(Layout.block_len t.layout block)
 
-(** [fill_flags t] stores the invalid-flag value into every 4-byte
-    word of the image in one pass: the state {!Core.init} starts
-    every copy from (Section 2.2).  It writes the first word, then
-    doubles the filled prefix with [Bytes.blit].  Breaks no monitor, so
-    none may be armed. *)
+(** [fill_flags t] lays out every byte the image holds as {!Core.init}
+    leaves a copy: the invalid flag, except zeros in this domain's home
+    blocks (Section 2.2).  [init] calls it once the static homes are
+    final, so bytes touched before then start over.  Breaks no monitor,
+    so none may be armed. *)
 let fill_flags t =
-  (match t.monitors with [] -> () | _ -> invalid_arg "Memimg.fill_flags: a monitor is armed");
-  let len = Bytes.length t.data in
-  Bytes.set_int32_le t.data 0 flag32;
-  let filled = ref 4 in
-  while !filled < len do
-    let n = min !filled (len - !filled) in
-    Bytes.blit t.data 0 t.data !filled n;
-    filled := !filled + n
-  done
-
-(** [zero_block t ~block] zeroes [block]'s extent in place: a home's
-    initial copy, written after {!fill_flags}.  Breaks no monitor. *)
-let zero_block t ~block =
-  Bytes.fill t.data (Layout.block_base t.layout block - t.base) (Layout.block_len t.layout block)
-    '\000'
+  if t.armed > 0 then invalid_arg "Memimg.fill_flags: a monitor is armed";
+  lay_out t ~lo:0 ~hi:(Bytes.length t.data)
 
 (** [read_block t ~block] copies [block]'s extent out of the image. *)
 let read_block t ~block =
-  Bytes.sub t.data (Layout.block_base t.layout block - t.base) (Layout.block_len t.layout block)
+  let addr = Layout.block_base t.layout block and len = Layout.block_len t.layout block in
+  check t addr len;
+  Bytes.sub t.data (addr - t.base) len
 
 (** [write_block t ~block data] copies block data into the image (a fetch
     reply or a writeback).  The monitor is broken only when the content
@@ -171,13 +227,14 @@ let write_block t ~block data =
   if Bytes.length data <> len then
     invalid_arg
       (Printf.sprintf "Memimg.write_block: %d bytes for a %d-byte block" (Bytes.length data) len);
-  let dst_off = Layout.block_base t.layout block - t.base in
-  match t.monitors with
-  | [] -> Bytes.blit data 0 t.data dst_off len
-  | _ ->
-      let changed = not (Bytes.equal data (Bytes.sub t.data dst_off len)) in
-      Bytes.blit data 0 t.data dst_off len;
-      if changed then break_monitors t ~block ~pid:(-1)
+  let addr = Layout.block_base t.layout block in
+  check t addr len;
+  let dst_off = addr - t.base in
+  if t.armed = 0 then Bytes.blit data 0 t.data dst_off len
+  else
+    let changed = not (Bytes.equal data (Bytes.sub t.data dst_off len)) in
+    Bytes.blit data 0 t.data dst_off len;
+    if changed then break_monitors t ~block ~pid:(-1)
 
 (** [blit_out t ~addr ~len buf off] — copy raw image bytes out (used by
     the OS layer for syscall buffers after validation). *)

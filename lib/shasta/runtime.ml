@@ -33,15 +33,14 @@ type t = {
   cfg : Config.t;
   sync : Sync.t;
   peng : E.t;
-  private_mem : Bytes.t;
+  mutable priv : Bytes.t;  (** private memory, empty until first used: see {!private_mem} *)
   img : Protocol.Memimg.t;  (** this process's domain image, cached *)
-  data : Bytes.t;  (** [img]'s bytes, indexed from [shared_lo] *)
   private_tab : Bytes.t;  (** [pcb]'s private state table *)
   chunk_block : int array;  (** the layout's chunk -> block table *)
   chunk_shift : int;
   shared_lo : int;  (** shared-range bounds, cached as immediates *)
   shared_hi : int;
-  last64 : int;  (** the highest address an 8-byte image access may start at *)
+  last64 : int;  (** the highest address an 8-byte shared access may start at *)
   c_access : int;  (** cycles charged per unchecked access *)
   c_load : int;  (** cycles charged per checked load, precomputed *)
   c_store : int;  (** cycles charged per checked store *)
@@ -109,9 +108,8 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       cfg;
       sync;
       peng;
-      private_mem = Bytes.make cfg.Config.private_mem_size '\000';
+      priv = Bytes.empty;
       img;
-      data = img.Protocol.Memimg.data;
       private_tab = pcb.E.st.E.private_tab;
       chunk_block = layout.Protocol.Layout.chunk_block;
       chunk_shift = layout.Protocol.Layout.chunk_shift;
@@ -119,7 +117,9 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       shared_hi =
         cfg.Config.protocol.Protocol.Config.shared_base
         + cfg.Config.protocol.Protocol.Config.shared_size;
-      last64 = img.Protocol.Memimg.base + Bytes.length img.Protocol.Memimg.data - 8;
+      last64 =
+        cfg.Config.protocol.Protocol.Config.shared_base
+        + cfg.Config.protocol.Protocol.Config.shared_size - 8;
       c_access = ck.Config.access_cycles;
       c_load = ck.Config.access_cycles + (if on then ck.Config.load_check_cycles else 0);
       c_store = ck.Config.access_cycles + (if on then ck.Config.store_check_cycles else 0);
@@ -176,15 +176,27 @@ let layout h = E.layout h.peng
 
 (* --- private memory --- *)
 
+let[@inline never] alloc_private h =
+  let m = Bytes.make h.cfg.Config.private_mem_size '\000' in
+  h.priv <- m;
+  m
+
+(** [private_mem h] — [h]'s private memory, all [private_mem_size]
+    bytes of it, zeroed on the first access: a process that never
+    touches private memory never allocates it. *)
+let[@inline] private_mem h =
+  let m = h.priv in
+  if Bytes.length m = 0 then alloc_private h else m
+
 let private_read h addr (w : Alpha.Insn.width) =
   match w with
-  | Alpha.Insn.W32 -> Int64.of_int32 (Bytes.get_int32_le h.private_mem addr)
-  | Alpha.Insn.W64 -> Bytes.get_int64_le h.private_mem addr
+  | Alpha.Insn.W32 -> Int64.of_int32 (Bytes.get_int32_le (private_mem h) addr)
+  | Alpha.Insn.W64 -> Bytes.get_int64_le (private_mem h) addr
 
 let private_write h addr (w : Alpha.Insn.width) v =
   match w with
-  | Alpha.Insn.W32 -> Bytes.set_int32_le h.private_mem addr (Int64.to_int32 v)
-  | Alpha.Insn.W64 -> Bytes.set_int64_le h.private_mem addr v
+  | Alpha.Insn.W32 -> Bytes.set_int32_le (private_mem h) addr (Int64.to_int32 v)
+  | Alpha.Insn.W64 -> Bytes.set_int64_le (private_mem h) addr v
 
 (* --- API mode: the inline-check state machine, in function form --- *)
 
@@ -214,15 +226,20 @@ let store h addr w v =
 
    The array-based workloads do almost all their shared traffic through
    these, so a hit must stay inside this module and never box the word
-   (DESIGN §16): the two primitives below read the image, the private
-   state table and the block lookup from fields cached at [create], and
+   (DESIGN §16): the two primitives below read the private state table
+   and the block lookup from fields cached at [create], and the image's
+   bytes through [h.img], since a growing image replaces them.  They
    hand everything else (a miss, a store that needs the protocol or the
-   engine's store interception, a traced access) to the out-of-line
-   slow paths.  A [store64] does what [store] does at [W64], and shares
-   its slow path. *)
+   engine's store interception, a traced access, an image too small) to
+   the out-of-line slow paths.  A [store64] does what [store] does at
+   [W64], and shares its slow path. *)
 
-let[@inline never] out_of_image addr =
-  invalid_arg (Printf.sprintf "Runtime: access at 0x%x outside the image" addr)
+(* An 8-byte access past what the image holds: grow it, or fail past
+   the segment's end. *)
+let[@inline never] make_room h addr =
+  if addr > h.last64 then
+    invalid_arg (Printf.sprintf "Runtime: access at 0x%x outside the image" addr);
+  Protocol.Memimg.check h.img addr 8
 
 let[@inline never] load64_slow h addr v0 =
   let v =
@@ -238,13 +255,13 @@ let[@inline] load_word h ~priv ~shared addr =
   h.accesses <- h.accesses + 1;
   if not (is_shared h addr) then begin
     charge_cycles h priv;
-    Bytes.get_int64_le h.private_mem addr
+    Bytes.get_int64_le (private_mem h) addr
   end
   else begin
     charge_cycles h shared;
-    if addr > h.last64 then out_of_image addr;
     let off = addr - h.shared_lo in
-    let v = Bytes.get_int64_le h.data off in
+    if off > Bytes.length h.img.Protocol.Memimg.data - 8 then make_room h addr;
+    let v = Bytes.get_int64_le h.img.Protocol.Memimg.data off in
     match h.on_access with
     | None when v <> flag_w64 -> v
     | None | Some _ -> load64_slow h addr v
@@ -259,19 +276,19 @@ let[@inline] store_word h ~priv ~shared addr v =
   h.accesses <- h.accesses + 1;
   if not (is_shared h addr) then begin
     charge_cycles h priv;
-    Bytes.set_int64_le h.private_mem addr v
+    Bytes.set_int64_le (private_mem h) addr v
   end
   else begin
     charge_cycles h shared;
-    if addr > h.last64 then out_of_image addr;
     let off = addr - h.shared_lo in
+    if off > Bytes.length h.img.Protocol.Memimg.data - 8 then make_room h addr;
     if
       Bytes.get h.private_tab h.chunk_block.(off lsr h.chunk_shift) = 'E'
       && Protocol.Ptypes.Itbl.length h.st.E.outstanding = 0
       && h.st.E.watch_blocks == []
-      && h.img.Protocol.Memimg.monitors == []
+      && h.img.Protocol.Memimg.armed = 0
       && h.on_access == None
-    then Bytes.set_int64_le h.data off v
+    then Bytes.set_int64_le h.img.Protocol.Memimg.data off v
     else store_shared h addr Alpha.Insn.W64 v
   end
 

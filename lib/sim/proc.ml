@@ -130,9 +130,10 @@ let pick_ready cpu =
   in
   go 0
 
-let exists_ready ?(below = priority_levels) cpu =
-  let rec go i = i < below && (not (Queue.is_empty cpu.ready.(i)) || go (i + 1)) in
-  go 0
+let rec ready_from (ready : t Queue.t array) i =
+  i < priority_levels && ((not (Queue.is_empty ready.(i))) || ready_from ready (i + 1))
+
+let exists_ready cpu = ready_from cpu.ready 0
 
 let rec dispatch cpu =
   match cpu.current with

@@ -45,16 +45,45 @@ let test_fork_remote_node () =
   let child_saw = ref 0 in
   let _ =
     K.start k ~cpu_hint:0 (fun ctx ->
-        Bytes.set_int64_le ctx.K.h.R.private_mem 128 12345L;
+        Bytes.set_int64_le (R.private_mem ctx.K.h) 128 12345L;
         ignore
           (K.fork ctx ~cpu_hint:2 (fun cctx ->
                child_node := R.node cctx.K.h;
-               child_saw := Int64.to_int (Bytes.get_int64_le cctx.K.h.R.private_mem 128)));
+               child_saw := Int64.to_int (Bytes.get_int64_le (R.private_mem cctx.K.h) 128)));
         ignore (K.wait ctx))
   in
   run cl;
   Alcotest.(check int) "child on node 1" 1 !child_node;
   Alcotest.(check int) "private data copied across" 12345 !child_saw
+
+(* A remote fork ships the parent's whole private memory even when the
+   parent never touched it: the child starts at the same simulated time
+   as a touched parent's child, at least one [private_mem_size] transfer
+   after the fork, and holds every byte. *)
+let test_fork_untouched_private_memory () =
+  let fork_once ~touch =
+    let cl, k = make_kernel () in
+    let delay = ref Float.nan and child_len = ref 0 in
+    let _ =
+      K.start k ~cpu_hint:0 (fun ctx ->
+          if touch then Bytes.set_int64_le (R.private_mem ctx.K.h) 0 1L;
+          let t0 = C.now cl in
+          ignore
+            (K.fork ctx ~cpu_hint:2 (fun cctx ->
+                 delay := C.now cl -. t0;
+                 child_len := Bytes.length (R.private_mem cctx.K.h)));
+          ignore (K.wait ctx))
+    in
+    run cl;
+    (!delay, !child_len)
+  in
+  let untouched, len = fork_once ~touch:false in
+  let touched, _ = fork_once ~touch:true in
+  let size = Cfg.default.Cfg.private_mem_size in
+  Alcotest.(check int) "child holds every private byte" size len;
+  Alcotest.(check (float 0.0)) "same fork time as a touched parent" touched untouched;
+  Alcotest.(check bool) "the whole image crossed the link" true
+    (untouched >= float_of_int size /. Mchan.Net.default_config.Mchan.Net.bandwidth)
 
 let test_getpid_unique () =
   let cl, k = make_kernel () in
@@ -158,11 +187,11 @@ let test_file_roundtrip_private_buffer () =
   let _ =
     K.start k (fun ctx ->
         let fd = K.open_file ctx "data" in
-        Bytes.set_int64_le ctx.K.h.R.private_mem 0 777L;
+        Bytes.set_int64_le (R.private_mem ctx.K.h) 0 777L;
         ignore (K.write ctx fd ~buf:0 ~len:8);
         K.lseek ctx fd 0;
         ignore (K.read ctx fd ~buf:64 ~len:8);
-        got := Bytes.get_int64_le ctx.K.h.R.private_mem 64;
+        got := Bytes.get_int64_le (R.private_mem ctx.K.h) 64;
         K.close ctx fd)
   in
   run cl;
@@ -189,7 +218,7 @@ let test_read_into_shared_buffer_validated () =
         ignore (K.wait ctx);
         (* Now read file data into that shared buffer. *)
         let fd = K.open_file ctx "shared_read" in
-        Bytes.set_int64_le ctx.K.h.R.private_mem 0 31337L;
+        Bytes.set_int64_le (R.private_mem ctx.K.h) 0 31337L;
         ignore (K.write ctx fd ~buf:0 ~len:8);
         K.lseek ctx fd 0;
         ignore (K.read ctx fd ~buf:addr ~len:8);
@@ -245,6 +274,8 @@ let suite =
   [
     Alcotest.test_case "fork/wait" `Quick test_fork_wait;
     Alcotest.test_case "remote fork copies private data" `Quick test_fork_remote_node;
+    Alcotest.test_case "remote fork of untouched private memory" `Quick
+      test_fork_untouched_private_memory;
     Alcotest.test_case "global pids unique" `Quick test_getpid_unique;
     Alcotest.test_case "pid_block/unblock" `Quick test_pid_block_unblock;
     Alcotest.test_case "pid_unblock pending" `Quick test_pid_unblock_pending;

@@ -944,17 +944,16 @@ let test_core_stale_home_hint () =
 (* After [init], every word of every image holds the invalid flag except
    in that domain's own home blocks, which are zero; [shared_tab] reads
    'S' exactly at each block's home and 'I' elsewhere; no LL/SC monitor
-   is armed.  [expect_home] pins the placement itself. *)
+   is armed.  [expect_home] pins the placement itself.  Every word is
+   read through [Memimg.read], which materializes the image, so it spans
+   the layout once all are read. *)
 let check_init_memory (c : Core.t) ~expect_home =
   let layout = c.Core.layout in
-  let base = P.Layout.base layout in
   List.iter
     (fun (d : Core.domain) ->
       let img = d.Core.img in
       let id = d.Core.dom_id in
-      Alcotest.(check int) "image spans the layout" (P.Layout.size layout)
-        (Bytes.length img.P.Memimg.data);
-      Alcotest.(check int) "no monitor armed" 0 (List.length img.P.Memimg.monitors);
+      Alcotest.(check int) "no monitor armed" 0 img.P.Memimg.armed;
       for b = 0 to P.Layout.n_blocks layout - 1 do
         let h = Core.home_domain_of_block c b in
         if h <> expect_home b then Alcotest.failf "block %d homed at %d, expected %d" b h (expect_home b);
@@ -963,13 +962,15 @@ let check_init_memory (c : Core.t) ~expect_home =
         if st <> if at_home then 'S' else 'I' then
           Alcotest.failf "domain %d block %d: shared_tab %c" id b st;
         let want = if at_home then 0l else P.Memimg.flag32 in
-        let off = P.Layout.block_base layout b - base in
+        let addr = P.Layout.block_base layout b in
         for w = 0 to (P.Layout.block_len layout b / 4) - 1 do
-          let v = Bytes.get_int32_le img.P.Memimg.data (off + (4 * w)) in
+          let v = Int64.to_int32 (P.Memimg.read img (addr + (4 * w)) Alpha.Insn.W32) in
           if v <> want then
             Alcotest.failf "domain %d block %d word %d: 0x%lx, expected 0x%lx" id b w v want
         done
-      done)
+      done;
+      Alcotest.(check int) "image spans the layout" (P.Layout.size layout)
+        (Bytes.length img.P.Memimg.data))
     c.Core.domains
 
 (* Three nodes; [attach] one application process per node (SMP: node
@@ -1037,6 +1038,161 @@ let test_core_marshals_after_run () =
   Alcotest.(check bool) "the copy marshals to the same bytes" true
     (String.equal bytes (Marshal.to_string copy []))
 
+(* --- images materialize on first touch --- *)
+
+(* Where an operation lands, resolved against the grown image's
+   capacity when it runs: astride the capacity edge, in the segment's
+   last block, anywhere, or past the segment's end. *)
+type at = Edge of int | Last of int | Any of int | Past of int
+
+type img_op =
+  | Read of Alpha.Insn.width * at
+  | Write of int * Alpha.Insn.width * at * int64
+  | Read_block of at
+  | Write_block of at * char
+  | Flags of at * int
+  | Blit_in of at * int * char
+  | Blit_out of at * int
+  | Ll of int * Alpha.Insn.width * at
+  | Sc of int * Alpha.Insn.width * at * int64
+
+let gen_img_op =
+  let open QCheck.Gen in
+  let width = oneofl [ Alpha.Insn.W32; Alpha.Insn.W64 ] in
+  let pid = int_range 0 2 in
+  let at =
+    frequency
+      [ (4, map (fun k -> Edge k) (int_range (-24) 24)); (2, map (fun k -> Last k) (int_range 1 80));
+        (3, map (fun k -> Any k) (int_range 0 ((64 * 1024 / 4) - 1)));
+        (1, map (fun k -> Past k) (int_range 0 4)) ]
+  in
+  let fill = oneofl [ '\000'; '\xef'; 'a' ] in
+  frequency
+    [ (3, map2 (fun w a -> Read (w, a)) width at);
+      (3, map3 (fun (p, w) a v -> Write (p, w, a, v)) (pair pid width) at (map Int64.of_int nat));
+      (1, map (fun a -> Read_block a) at); (1, map2 (fun a c -> Write_block (a, c)) at fill);
+      (1, map2 (fun a n -> Flags (a, 4 * n)) at (int_range 0 160));
+      (1, map3 (fun a n c -> Blit_in (a, n, c)) at (int_range 0 600) fill);
+      (1, map2 (fun a n -> Blit_out (a, n)) at (int_range 0 600));
+      (2, map3 (fun p w a -> Ll (p, w, a)) pid width at);
+      (2, map3 (fun (p, w) a v -> Sc (p, w, a, v)) (pair pid width) at (map Int64.of_int nat)) ]
+
+type img_case = {
+  ic_variant : P.Config.variant;
+  ic_layout : int;  (** index into [img_layouts] *)
+  ic_domain : int;  (** index into the core's domains *)
+  ic_ops : img_op list;
+}
+
+(* Uniform 64-byte blocks; fine and coarse halves; and a last region of
+   4 KB blocks, so the segment's last block dwarfs a doubling step. *)
+let img_layouts =
+  [| []; mixed_regions;
+     [ { P.Layout.rs_name = "fine"; rs_size = 48 * 1024; rs_block = 64 };
+       { P.Layout.rs_name = "big"; rs_size = 16 * 1024; rs_block = 4096 } ] |]
+
+let img_case_print c =
+  Printf.sprintf "%s layout %d domain %d, %d ops"
+    (match c.ic_variant with P.Config.Smp -> "Smp" | P.Config.Base -> "Base")
+    c.ic_layout c.ic_domain (List.length c.ic_ops)
+
+(* The image of [img]'s domain laid out in full by hand: the invalid flag
+   in every word, zeros in the blocks homed there.  Shares no code with
+   the growth it checks. *)
+let eager_image c (img : P.Memimg.t) =
+  let layout = img.P.Memimg.layout in
+  let data = Bytes.create (P.Layout.size layout) in
+  for w = 0 to (Bytes.length data / 4) - 1 do
+    Bytes.set_int32_le data (4 * w) P.Memimg.flag32
+  done;
+  for b = 0 to P.Layout.n_blocks layout - 1 do
+    if P.Core.home_domain_of_block c b = img.P.Memimg.dom then
+      Bytes.fill data (P.Layout.block_base layout b - base) (P.Layout.block_len layout b) '\000'
+  done;
+  let r = P.Memimg.create ~layout ~static_home:img.P.Memimg.static_home ~dom:img.P.Memimg.dom in
+  r.P.Memimg.data <- data;
+  r
+
+type img_result = V of int64 | B of string | Sc_ok of bool | Unit | Err of string
+
+(* Run [op] on one image; [cap] and [size] place its address. *)
+let run_img_op ~cap ~size img op =
+  let addr = function
+    | Edge k -> base + max 0 (cap + (4 * k))
+    | Last k -> base + size - (4 * k)
+    | Any k -> base + (4 * k)
+    | Past k -> base + size + (4 * k)
+  in
+  let block a =
+    P.Layout.block_of_addr img.P.Memimg.layout (base + min (size - 1) (addr a - base))
+  in
+  try
+    match op with
+    | Read (w, a) -> V (P.Memimg.read img (addr a) w)
+    | Write (pid, w, a, v) -> P.Memimg.write ~pid img (addr a) w v; Unit
+    | Read_block a -> B (Bytes.to_string (P.Memimg.read_block img ~block:(block a)))
+    | Write_block (a, ch) ->
+        let b = block a in
+        P.Memimg.write_block img ~block:b (Bytes.make (P.Layout.block_len img.P.Memimg.layout b) ch);
+        Unit
+    | Flags (a, len) -> P.Memimg.write_flags_range img ~addr:(addr a) ~len; Unit
+    | Blit_in (a, n, ch) -> P.Memimg.blit_in img ~addr:(addr a) (Bytes.make n ch) 0 n; Unit
+    | Blit_out (a, n) ->
+        let buf = Bytes.create n in
+        P.Memimg.blit_out img ~addr:(addr a) ~len:n buf 0;
+        B (Bytes.to_string buf)
+    | Ll (pid, w, a) -> V (P.Memimg.ll img ~pid (addr a) w)
+    | Sc (pid, w, a, v) -> Sc_ok (P.Memimg.sc img ~pid (addr a) w v)
+  with Invalid_argument m -> Err m
+
+let qcheck_lazy_image_matches_eager =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (((v, l), d), ops) -> { ic_variant = v; ic_layout = l; ic_domain = d; ic_ops = ops })
+        (pair
+           (pair (pair (oneofl [ P.Config.Smp; P.Config.Base ]) (int_range 0 2)) (int_range 0 3))
+           (list_size (int_range 1 40) gen_img_op)))
+  in
+  QCheck.Test.make ~name:"a lazily grown image matches an eager one" ~count:300
+    (QCheck.make ~print:img_case_print gen) (fun case ->
+      let cfg =
+        { P.Config.default with P.Config.variant = case.ic_variant;
+          regions = img_layouts.(case.ic_layout); shared_size = 64 * 1024 }
+      in
+      let c = P.Core.create ~cfg ~nodes:3 in
+      for i = 0 to 2 do
+        ignore (P.Core.attach c ~pid:(10 + i) ~node:i ~app:true)
+      done;
+      ignore (P.Core.attach c ~pid:20 ~node:0 ~app:false);
+      P.Core.init c;
+      let domains = List.rev c.P.Core.domains in
+      let img = (List.nth domains (case.ic_domain mod List.length domains)).P.Core.img in
+      let reference = eager_image c img in
+      let size = P.Layout.size c.P.Core.layout in
+      List.iteri
+        (fun i op ->
+          let cap = Bytes.length img.P.Memimg.data in
+          let got = run_img_op ~cap ~size img op in
+          let want = run_img_op ~cap ~size reference op in
+          if got <> want then QCheck.Test.fail_reportf "op %d: the results differ" i;
+          let cap = Bytes.length img.P.Memimg.data in
+          let layout = c.P.Core.layout in
+          if cap > size
+             || (cap < size
+                && P.Layout.block_base layout (P.Layout.block_of_addr layout (base + cap)) <> base + cap)
+          then QCheck.Test.fail_reportf "op %d: capacity %d is not a block end" i cap;
+          if img.P.Memimg.armed <> reference.P.Memimg.armed
+             || img.P.Memimg.breaks <> reference.P.Memimg.breaks
+          then QCheck.Test.fail_reportf "op %d: the monitors differ" i)
+        case.ic_ops;
+      for w = 0 to (size / 4) - 1 do
+        let a = base + (4 * w) in
+        if P.Memimg.read img a Alpha.Insn.W32 <> P.Memimg.read reference a Alpha.Insn.W32 then
+          QCheck.Test.fail_reportf "word at 0x%x differs" a
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "read migration" `Quick test_read_migration;
@@ -1074,4 +1230,5 @@ let suite =
     Alcotest.test_case "core: init lays out every image" `Quick test_init_memory_state;
     Alcotest.test_case "core: attach after init raises" `Quick test_attach_after_init_raises;
     Alcotest.test_case "core: marshals after a run" `Quick test_core_marshals_after_run;
+    QCheck_alcotest.to_alcotest qcheck_lazy_image_matches_eager;
   ]
