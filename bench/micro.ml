@@ -17,10 +17,11 @@ let heap_push_pop =
 
 let bench_layout = Protocol.Layout.uniform ~base:0 ~size:65536 ~block:64 ()
 
+(* Every block homed at domain 0, the image's own. *)
 let bench_image () =
-  Protocol.Memimg.create ~layout:bench_layout
-    ~static_home:(Array.make (Protocol.Layout.n_blocks bench_layout) 0)
-    ~dom:0
+  let homes = Protocol.Homes.create () in
+  Protocol.Homes.place homes [| 0 |];
+  Protocol.Memimg.create ~layout:bench_layout ~homes ~dom:0
 
 let memimg_ops =
   let img = bench_image () in

@@ -37,3 +37,12 @@ let choice flag options s =
       usage_error flag
         (Printf.sprintf "unknown value %S (expected %s)" s
            (String.concat " | " (List.map fst options)))
+
+(** [writable flag path] checks, before anything runs, that [path] can
+    be opened for writing, or makes a {!usage_error} of the reason.  An
+    existing file is left as it was; one the check creates is removed. *)
+let writable flag path =
+  let existed = Sys.file_exists path in
+  (try close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path)
+   with Sys_error msg -> usage_error flag msg);
+  if not existed then Sys.remove path

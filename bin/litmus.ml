@@ -51,6 +51,7 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "litmus [options]";
   seeds := Cli.at_least "--seeds" 0 !seeds;
+  if !out <> "" then Cli.writable "--out" !out;
   let pick scenarios =
     match !only with
     | "" -> scenarios

@@ -373,6 +373,7 @@ let () =
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_instrument [options]";
+  if !lint_report <> "" then Cli.writable "--lint-report" !lint_report;
   let options =
     {
       Rewrite.Instrument.default_options with

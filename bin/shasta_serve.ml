@@ -58,6 +58,13 @@ let () =
   let cpus = Cli.at_least "--cpus" 1 !cpus in
   (* Cpu 0 hosts the root process and the database daemons; servers
      take cpus 1.., one each. *)
+  if nodes * cpus < 2 then
+    Cli.usage_error "--cpus"
+      (Printf.sprintf
+         "%d node x %d CPU leaves no CPU for the server workers (CPU 0 hosts the root and \
+          the database daemons)"
+         nodes cpus);
+  if !json_out <> "" then Cli.writable "--json" !json_out;
   let servers = Cli.in_range "--servers" 1 ((nodes * cpus) - 1) !servers in
   let cluster_cfg = S.cluster_config ~nodes ~cpus_per_node:cpus ~fault_plan:plan () in
   if not (!scan_share >= 0.0 && !scan_share <= 1.0) then

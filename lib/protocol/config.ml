@@ -90,8 +90,8 @@ let default =
     migration_threshold = 3;
   }
 
-(** [layout t] compiles the region list into the per-chunk lookup
-    table; an empty [regions] is one uniform region at [line_size]. *)
+(** [layout t] places the region list in the shared segment; an empty
+    [regions] is one uniform region at [line_size]. *)
 let layout t =
   match t.regions with
   | [] -> Layout.uniform ~base:t.shared_base ~size:t.shared_size ~block:t.line_size ()

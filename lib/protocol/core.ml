@@ -21,7 +21,15 @@
     and its outgoing [(destination, message)] pairs to that domain's
     [outbox].  Time
     and the network are not modelled here: {!Engine} drains the outbox,
-    charging each cost and sending each message at its running cursor. *)
+    charging each cost and sending each message at its running cursor.
+
+    Nothing here is sized by the segment.  A block's static home is a
+    rule ({!Homes}): its last {!set_home} override, else the stripe
+    [init] fixes; blocks that migration moved sit in a sparse table.
+    The per-block state tables grow with the blocks a run writes, and a
+    byte past a table's end reads as [init] leaves it (see
+    {!shared_state}), so [create], [attach] and [init] cost the same at
+    64 KB and at 64 MB. *)
 
 type miss_kind = MRead | MStore | MSc | MPrefetch
 
@@ -94,7 +102,8 @@ type proc = {
       (** an application process, not a protocol server: only domains
           with one are default homes *)
   dom : domain;
-  private_tab : Bytes.t;
+  mutable private_tab : Bytes.t;
+      (** one byte per block, grown with use: see {!private_state} *)
   outstanding : miss Ptypes.Itbl.t;
   mutable n_outstanding_stores : int;
   in_app : bool ref;  (** false while in protocol/syscalls: enables direct downgrade *)
@@ -113,7 +122,9 @@ and domain = {
   dom_id : int;
   dom_node : int;
   img : Memimg.t;
-  shared_tab : Bytes.t;  (** node-level state, one byte per block *)
+  mutable shared_tab : Bytes.t;
+      (** node-level state, one byte per block, grown with use: see
+          {!shared_state} *)
   mutable members : proc list;
   dir : Directory.t;
   pending_local : local_txn Ptypes.Itbl.t;
@@ -158,15 +169,16 @@ and t = {
   mutable domains : domain list;  (** most-recent first; use [domain_by_id] *)
   domain_tbl : domain Ptypes.Ids.t;
   procs : proc Ptypes.Ids.t;
-  static_home : int array;
-      (** per block: where it starts — a {!set_home} override, or -1
-          until [init] stripes it over the home domains *)
-  home : int array;
-      (** authoritative per-block home — the sharded directory map.
-          Filled at [init] from the static placement; updated the moment
-          a transfer is initiated (the entry may still be in flight:
-          [transfers] says so).  Domains route by their own hints, not by
-          this array — only arrival-side checks may consult it. *)
+  homes : Homes.t;
+      (** where each block starts: the {!set_home} overrides, else the
+          stripe [init] fixes; shared with every image *)
+  moved : int Ptypes.Itbl.t;
+      (** blocks whose home migration moved, at their current home —
+          with [homes], the authoritative sharded directory map.
+          Updated the moment a transfer is initiated (the entry may
+          still be in flight: [transfers] says so).  Domains route by
+          their own hints, not by this table — only arrival-side checks
+          may consult it. *)
   transfers : transfer Ptypes.Itbl.t;
       (** blocks whose directory entry currently lives in the transport *)
   rstats : rstat array array;
@@ -201,8 +213,51 @@ let st_of_char = function
   | 'P' -> Ptypes.Pending
   | c -> invalid_arg (Printf.sprintf "bad state char %c" c)
 
-let tab_get tab block = st_of_char (Bytes.get tab block)
-let tab_set tab block s = Bytes.set tab block (st_char s)
+(* The state tables hold only the blocks a run has touched: each grows,
+   by doubling, up to the highest block written, never past the layout.
+   A byte beyond a table's end reads as [init] leaves it: Shared at the
+   block's static home once the homes are placed, Invalid elsewhere and
+   in every private table. *)
+
+let grown tab ~b ~n_blocks =
+  let len = Bytes.length tab in
+  let fresh = Bytes.make (min n_blocks (max (b + 1) (2 * len))) 'I' in
+  Bytes.blit tab 0 fresh 0 len;
+  fresh
+
+(* Mark Shared the blocks [lo..hi-1] of [d]'s table that [init] places
+   at [d]. *)
+let place_shared d ~lo ~hi =
+  let homes = d.img.Memimg.homes in
+  if Homes.placed homes then
+    Homes.iter_homed homes ~dom:d.dom_id ~lo ~hi (fun b ->
+        Bytes.set d.shared_tab b (st_char Ptypes.Shared))
+
+(** [shared_state d b] — domain [d]'s state for block [b]. *)
+let shared_state d b =
+  if b < Bytes.length d.shared_tab then st_of_char (Bytes.get d.shared_tab b)
+  else if Homes.placed d.img.Memimg.homes && Homes.static_home d.img.Memimg.homes b = d.dom_id
+  then Ptypes.Shared
+  else Ptypes.Invalid
+
+let set_shared d b s =
+  let len = Bytes.length d.shared_tab in
+  if b >= len then begin
+    d.shared_tab <- grown d.shared_tab ~b ~n_blocks:(Layout.n_blocks d.img.Memimg.layout);
+    place_shared d ~lo:len ~hi:(Bytes.length d.shared_tab)
+  end;
+  Bytes.set d.shared_tab b (st_char s)
+
+(** [private_state p b] — process [p]'s private state for block [b]. *)
+let private_state p b =
+  if b < Bytes.length p.private_tab then st_of_char (Bytes.get p.private_tab b)
+  else Ptypes.Invalid
+
+let set_private p b s =
+  if b >= Bytes.length p.private_tab then
+    p.private_tab <- grown p.private_tab ~b ~n_blocks:(Layout.n_blocks p.dom.img.Memimg.layout);
+  Bytes.set p.private_tab b (st_char s)
+
 let cost d c = Queue.add (Cost c) d.outbox
 let send d dst msg = Queue.add (Send (dst, msg)) d.outbox
 
@@ -247,8 +302,8 @@ let fresh_domain t ~node ~id =
     {
       dom_id = id;
       dom_node = node;
-      img = Memimg.create ~layout:t.layout ~static_home:t.static_home ~dom:id;
-      shared_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
+      img = Memimg.create ~layout:t.layout ~homes:t.homes ~dom:id;
+      shared_tab = Bytes.empty;
       members = [];
       dir = Directory.create ~home_domain:id;
       pending_local = Ptypes.Itbl.create 16;
@@ -272,7 +327,6 @@ let fresh_domain t ~node ~id =
     per-process ones by {!attach}. *)
 let create ~cfg ~nodes =
   let layout = Config.layout cfg in
-  let n_blocks = Layout.n_blocks layout in
   let t =
     {
       cfg;
@@ -280,8 +334,8 @@ let create ~cfg ~nodes =
       domains = [];
       domain_tbl = Ptypes.Ids.create ();
       procs = Ptypes.Ids.create ();
-      static_home = Array.make n_blocks (-1);
-      home = Array.make n_blocks (-1);
+      homes = Homes.create ();
+      moved = Ptypes.Itbl.create 16;
       transfers = Ptypes.Itbl.create 16;
       migrations = 0;
       transfer_acks = 0;
@@ -321,7 +375,7 @@ let attach t ~pid ~node ~app =
       pid;
       app;
       dom;
-      private_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
+      private_tab = Bytes.empty;
       outstanding = Ptypes.Itbl.create 8;
       n_outstanding_stores = 0;
       in_app = ref true;
@@ -362,12 +416,20 @@ let block_of_addr t addr = Layout.block_of_addr t.layout addr
     land.  Authoritative — an omniscient view only arrival-side checks
     and the invariant checker may use; request routing goes through each
     domain's own {!hinted_home}. *)
-let home_domain_of_block t b = t.home.(b)
+let home_domain_of_block t b =
+  (* [moved] is empty unless homes migrate: skip hashing then. *)
+  if Ptypes.Itbl.length t.moved = 0 then Homes.static_home t.homes b
+  else
+    match Ptypes.Itbl.find_opt t.moved b with
+    | Some h -> h
+    | None -> Homes.static_home t.homes b
 
 (* A domain's own view of the home map: its sparse hint table over the
    static placement.  May be stale — a request routed here can bounce. *)
 let hinted_home t d b =
-  match Ptypes.Itbl.find_opt d.home_hint b with Some h -> h | None -> t.static_home.(b)
+  match Ptypes.Itbl.find_opt d.home_hint b with
+  | Some h -> h
+  | None -> Homes.static_home t.homes b
 
 (** [set_home t ~addr ~len ~domain] — the "home placement optimisation"
     used for FMM, LU-Contiguous and Ocean (Section 6.4): blocks in
@@ -378,7 +440,11 @@ let set_home t ~addr ~len ~domain =
   if t.initialized then invalid_arg "set_home after init";
   if domain < 0 || domain >= Directory.max_domains then
     invalid_arg (Printf.sprintf "set_home: domain %d outside 0..%d" domain (Directory.max_domains - 1));
-  Layout.iter_range t.layout ~addr ~len (fun b -> t.static_home.(b) <- domain)
+  if len > 0 then
+    Homes.set t.homes
+      ~first:(Layout.block_of_addr t.layout addr)
+      ~last:(Layout.block_of_addr t.layout (addr + len - 1))
+      ~domain
 
 (** [seed_mutation t m] plants the seeded bug [m], for the mutation
     harness.  Must precede [init]. *)
@@ -421,23 +487,23 @@ let init ?homes t =
       if Option.is_none (find d) then
         invalid_arg (Printf.sprintf "Engine.init: home domain %d does not exist" d))
     stripe;
-  (* Each block's home holds it Shared.  The shard map starts as the
-     static placement; any home override naming a non-existent domain
-     is caught here, before first use. *)
-  let n_blocks = Layout.n_blocks t.layout in
-  for b = 0 to n_blocks - 1 do
-    if t.static_home.(b) < 0 then t.static_home.(b) <- stripe.(b mod n);
-    match find t.static_home.(b) with
-    | Some home -> tab_set home.shared_tab b Ptypes.Shared
-    | None ->
+  (* Each block's home holds it Shared: the stripe and the overrides
+     are the rule, so no block is visited.  A home override naming a
+     non-existent domain is caught here, before first use. *)
+  List.iter
+    (fun (first, _, domain) ->
+      if Option.is_none (find domain) then
         invalid_arg
-          (Printf.sprintf "Engine.init: block %d homed at non-existent domain %d" b
-             t.static_home.(b))
-  done;
-  Array.blit t.static_home 0 t.home 0 n_blocks;
-  (* The homes are final, so what an image already holds is laid out
-     again; bytes it gains later are laid out as it grows. *)
-  List.iter (fun d -> Memimg.fill_flags d.img) domains
+          (Printf.sprintf "Engine.init: block %d homed at non-existent domain %d" first domain))
+    (Homes.overrides t.homes);
+  Homes.place t.homes stripe;
+  (* The homes are final, so what a table or an image already holds is
+     laid out again; what they gain later is laid out as they grow. *)
+  List.iter
+    (fun d ->
+      place_shared d ~lo:0 ~hi:(Bytes.length d.shared_tab);
+      Memimg.fill_flags d.img)
+    domains
 
 (* Per-region traffic accounting: payload bytes of every data-carrying
    message, attributed to the block's region and recorded in the sending
@@ -544,12 +610,12 @@ let apply_transport t msg =
              current; otherwise (I, or P with its own miss still in
              flight) the carried copy is installed and the domain joins
              the sharer set. *)
-          match tab_get d.shared_tab b with
+          match shared_state d b with
           | Ptypes.Shared | Ptypes.Exclusive -> ()
           | Ptypes.Invalid | Ptypes.Pending ->
               Memimg.write_block d.img ~block:b bytes;
               replay_recorded_stores d b;
-              tab_set d.shared_tab b Ptypes.Shared;
+              set_shared d b Ptypes.Shared;
               if not (Directory.is_sharer e d.dom_id) then Directory.add_sharer e d.dom_id)
       | None -> ());
       Ptypes.Itbl.remove t.transfers b;
@@ -590,8 +656,8 @@ let apply_invalidate t d ~home_domain b =
   r.r_invals <- r.r_invals + 1;
   if not skip_apply then begin
     invalidate_block_data t d b;
-    tab_set d.shared_tab b Ptypes.Invalid;
-    List.iter (fun m -> tab_set m.private_tab b Ptypes.Invalid) d.members
+    set_shared d b Ptypes.Invalid;
+    List.iter (fun m -> set_private m b Ptypes.Invalid) d.members
   end;
   cost d t.cfg.Config.costs.Config.inval_apply;
   if not skip_ack then
@@ -602,17 +668,17 @@ let complete_recall t d b ~to_shared ~home_domain =
   let keep_private = t.mutation = Some Keep_private_on_recall in
   let data = Memimg.read_block d.img ~block:b in
   if to_shared then begin
-    tab_set d.shared_tab b Ptypes.Shared;
+    set_shared d b Ptypes.Shared;
     if not keep_private then
       List.iter
         (fun m ->
-          if tab_get m.private_tab b = Ptypes.Exclusive then tab_set m.private_tab b Ptypes.Shared)
+          if private_state m b = Ptypes.Exclusive then set_private m b Ptypes.Shared)
         d.members
   end
   else begin
     invalidate_block_data t d b;
-    tab_set d.shared_tab b Ptypes.Invalid;
-    if not keep_private then List.iter (fun m -> tab_set m.private_tab b Ptypes.Invalid) d.members
+    set_shared d b Ptypes.Invalid;
+    if not keep_private then List.iter (fun m -> set_private m b Ptypes.Invalid) d.members
   end;
   send d (To_domain home_domain) (Ptypes.Writeback { block = b; data; from_domain = d.dom_id })
 
@@ -624,7 +690,7 @@ let apply_recall t d ~servicer b ~to_shared ~home_domain =
   let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
   r.r_recalls <- r.r_recalls + 1;
   (* Block intra-node exclusive grants while the recall is in flight. *)
-  tab_set d.shared_tab b Ptypes.Pending;
+  set_shared d b Ptypes.Pending;
   if t.mutation = Some Keep_private_on_recall then begin
     (* Mutation: skip every private-state-table downgrade — the
        members' stale Exclusive/Shared entries survive the recall
@@ -637,10 +703,10 @@ let apply_recall t d ~servicer b ~to_shared ~home_domain =
   let pending = ref 0 in
   List.iter
     (fun m ->
-      if m.pid = servicer then tab_set m.private_tab b to_state
-      else if tab_get m.private_tab b = Ptypes.Exclusive then begin
+      if m.pid = servicer then set_private m b to_state
+      else if private_state m b = Ptypes.Exclusive then begin
         if t.cfg.Config.direct_downgrade && not !(m.in_app) then begin
-          tab_set m.private_tab b to_state;
+          set_private m b to_state;
           m.stats.downgrades_direct <- m.stats.downgrades_direct + 1;
           cost d t.cfg.Config.costs.Config.downgrade_apply
         end
@@ -666,7 +732,7 @@ let reply home entry ~dom ~pid mk = send home (To_pid pid) (mk (Directory.stamp 
 let rec handle_request t home msg =
   match msg with
   | Ptypes.Request { kind = _; block = b; from_domain; from_pid }
-    when t.home.(b) <> home.dom_id || Ptypes.Itbl.mem t.transfers b ->
+    when home_domain_of_block t b <> home.dom_id || Ptypes.Itbl.mem t.transfers b ->
       (* Stale or in-flight home: bounce with a forwarding hint, before
          any directory lookup — allocating an entry here would duplicate
          state the real home holds.  Unreachable under [Static] homing:
@@ -681,7 +747,7 @@ let rec handle_request t home msg =
       let hint =
         match Ptypes.Itbl.find_opt t.transfers b with
         | Some tr -> tr.tr_to  (* in flight: point at where it will land *)
-        | None -> t.home.(b)
+        | None -> home_domain_of_block t b
       in
       send home (To_nic from_domain) (Ptypes.Home_hint { block = b; home = hint; to_pid = from_pid })
   | Ptypes.Request { kind; block = b; from_domain; from_pid } -> (
@@ -841,7 +907,7 @@ and maybe_migrate t home b =
         | Some dst
           when e.Directory.busy = None
                && Queue.is_empty e.Directory.deferred
-               && t.home.(b) = home.dom_id
+               && home_domain_of_block t b = home.dom_id
                && not (Ptypes.Itbl.mem t.transfers b) ->
             e.Directory.want_home <- None;
             initiate_transfer t home b ~dst
@@ -855,7 +921,7 @@ and initiate_transfer t home b ~dst =
   let data = if owner = None then Some (Memimg.read_block home.img ~block:b) else None in
   Directory.remove home.dir b;
   Ptypes.Itbl.replace t.transfers b { tr_from = home.dom_id; tr_to = dst };
-  t.home.(b) <- dst;
+  Ptypes.Itbl.replace t.moved b dst;
   (* Leave this domain's own routing hint pointing at itself: once the
      entry has moved on several times, "ask me and get bounced locally"
      is a cheaper start than chasing the one-hop-forward note a
@@ -886,7 +952,7 @@ let handle_writeback t home b data ~from_domain =
               data
             end
           in
-          tab_set home.shared_tab b Ptypes.Shared;
+          set_shared home b Ptypes.Shared;
           entry.Directory.owner <- None;
           Directory.clear_sharers entry;
           List.iter (Directory.add_sharer entry)
@@ -928,8 +994,8 @@ let handle t p msg =
   let d = p.dom in
   (* The miss is satisfied: both state tables take the granted state. *)
   let complete miss b s =
-    tab_set d.shared_tab b s;
-    tab_set p.private_tab b s;
+    set_shared d b s;
+    set_private p b s;
     miss.m_done <- true;
     Ptypes.Itbl.remove p.outstanding b;
     if miss.m_kind = MStore then p.n_outstanding_stores <- p.n_outstanding_stores - 1
@@ -982,8 +1048,8 @@ let handle t p msg =
             (* The home granted exclusivity either way.  The copy the
                domain held already carries the recorded stores. *)
             drop_recorded_stores d b;
-            tab_set d.shared_tab b Ptypes.Exclusive;
-            tab_set p.private_tab b Ptypes.Exclusive
+            set_shared d b Ptypes.Exclusive;
+            set_private p b Ptypes.Exclusive
           end;
           (* The grant proves no *remote* write intervened, but a sibling's
              store or a newly fetched copy of the block since our LL shows
@@ -998,7 +1064,7 @@ let handle t p msg =
           Ptypes.Itbl.remove p.outstanding b)
   | Ptypes.Downgrade { block = b; to_state; from_domain; _ } ->
       cost d t.cfg.Config.costs.Config.downgrade_apply;
-      tab_set p.private_tab b to_state;
+      set_private p b to_state;
       send d (To_domain from_domain) (Ptypes.Downgrade_ack { block = b; from_pid = p.pid })
   | Ptypes.Home_transfer _ | Ptypes.Home_transfer_ack _ | Ptypes.Home_hint _ ->
       invalid_arg "Core.handle: transfer traffic is applied at the network interface"
@@ -1040,8 +1106,8 @@ let issue t p b kind mkind store =
   if mkind = MStore then p.n_outstanding_stores <- p.n_outstanding_stores + 1;
   (* Only the tables go Pending: the image keeps its contents, so an
      upgrading copy stays readable. *)
-  tab_set p.dom.shared_tab b Ptypes.Pending;
-  tab_set p.private_tab b Ptypes.Pending;
+  set_shared p.dom b Ptypes.Pending;
+  set_private p b Ptypes.Pending;
   send p.dom
     (To_domain (hinted_home t p.dom b))
     (Ptypes.Request { kind; block = b; from_domain = p.dom.dom_id; from_pid = p.pid });

@@ -227,12 +227,12 @@ let wait p ~bucket miss = stall_until p ~bucket (fun () -> miss.m_done)
     the coherence block covering [addr]. *)
 let block_state p addr =
   let b = block_of p addr in
-  (tab_get p.st.private_tab b, tab_get p.st.dom.shared_tab b)
+  (private_state p.st b, shared_state p.st.dom b)
 
-(** [private_state pcb addr] — just the private-table state of the block
+(** [private_state_at pcb addr] — just the private-table state of the block
     covering [addr]; the allocation-free form of [fst (block_state ...)]
     for the inline-check fast paths. *)
-let private_state p addr = tab_get p.st.private_tab (block_of p addr)
+let private_state_at p addr = private_state p.st (block_of p addr)
 
 (* Issue a request to the home; non-blocking (caller stalls if desired). *)
 let issue ?store p b kind mkind =
@@ -246,7 +246,7 @@ let issue ?store p b kind mkind =
 let inspect p b ~busy k =
   match Ptypes.Itbl.find_opt p.st.outstanding b with
   | Some miss -> busy miss
-  | None -> k (tab_get p.st.private_tab b) (tab_get p.st.dom.shared_tab b)
+  | None -> k (private_state p.st b) (shared_state p.st.dom b)
 
 (* Wait out our own outstanding miss on [b], if any.  Allocates
    nothing when there is none. *)
@@ -274,7 +274,7 @@ let rec apply_deferred p =
         List.iter
           (fun b ->
             (* Only flag blocks that are still invalid. *)
-            if tab_get s.dom.shared_tab b = Ptypes.Invalid then
+            if shared_state s.dom b = Ptypes.Invalid then
               Memimg.write_flags s.dom.img ~block:b)
           blocks;
         wake p.eng s.dom);
@@ -293,9 +293,9 @@ let rec apply_deferred p =
 
 and reissue_store p addr w v =
   let b = block_of p addr in
-  match tab_get p.st.dom.shared_tab b with
+  match shared_state p.st.dom b with
   | Ptypes.Exclusive ->
-      tab_set p.st.private_tab b Ptypes.Exclusive;
+      set_private p.st b Ptypes.Exclusive;
       Memimg.write ~pid:p.st.pid p.st.dom.img addr w v
   | shared ->
       inspect p b
@@ -313,12 +313,12 @@ let ensure_read p addr =
   charge (costs p).Config.intra_node_hit;
   let rec go () =
     settle p ~bucket:`Read b;
-    match tab_get p.st.dom.shared_tab b with
+    match shared_state p.st.dom b with
     | (Ptypes.Shared | Ptypes.Exclusive) as shared ->
         (* Intra-node resolution: another process of the domain holds
            the data; just refresh the private table. *)
         p.st.stats.intra_hits <- p.st.stats.intra_hits + 1;
-        tab_set p.st.private_tab b shared
+        set_private p.st b shared
     | Ptypes.Invalid | Ptypes.Pending ->
         wait p ~bucket:`Read (issue p b Ptypes.Read MRead);
         go ()
@@ -366,7 +366,7 @@ let store_miss p addr =
       match shared with
       | Ptypes.Exclusive ->
           p.st.stats.intra_hits <- p.st.stats.intra_hits + 1;
-          tab_set p.st.private_tab b Ptypes.Exclusive
+          set_private p.st b Ptypes.Exclusive
       | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
           (* Pending means a recall of our exclusive copy, or a
              sibling's miss, is in flight: go through the home. *)
@@ -416,12 +416,12 @@ let raw_write p addr w v =
     &&
     (Memimg.check s.dom.img addr (Alpha.Insn.bytes_of_width w);
      match Ptypes.Itbl.find_opt s.outstanding b with
-     | Some miss when tab_get s.dom.shared_tab b <> Ptypes.Exclusive ->
+     | Some miss when shared_state s.dom b <> Ptypes.Exclusive ->
          if p.eng.core.cfg.Config.model = Config.Sc then (carry p miss addr w v; true)
          else (record_store s.dom miss addr w v; false)
      | Some _ -> false (* in a block the domain owns, performed at once *)
      | None ->
-         if List.mem b s.watch_blocks && tab_get s.dom.shared_tab b <> Ptypes.Exclusive then
+         if List.mem b s.watch_blocks && shared_state s.dom b <> Ptypes.Exclusive then
            s.reissue <- (addr, w, v) :: s.reissue;
          false)
   in
@@ -465,8 +465,8 @@ let batch p accesses =
         ~busy:(fun miss -> misses := miss :: !misses)
         (fun _ shared ->
           match (kind, shared) with
-          | _, Ptypes.Exclusive -> tab_set s.private_tab b Ptypes.Exclusive
-          | Alpha.Insn.Load_acc, Ptypes.Shared -> tab_set s.private_tab b Ptypes.Shared
+          | _, Ptypes.Exclusive -> set_private s b Ptypes.Exclusive
+          | Alpha.Insn.Load_acc, Ptypes.Shared -> set_private s b Ptypes.Shared
           | Alpha.Insn.Load_acc, (Ptypes.Invalid | Ptypes.Pending) ->
               misses := issue p b Ptypes.Read MRead :: !misses
           | Alpha.Insn.Store_acc, (Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending) ->
@@ -496,27 +496,27 @@ let ll_ensure p addr =
   apply_deferred p;
   let s = p.st and b = block_of p addr in
   settle p ~bucket:`Read b;
-  (match (tab_get s.dom.shared_tab b, tab_get s.private_tab b) with
+  (match (shared_state s.dom b, private_state s b) with
   | (Ptypes.Invalid | Ptypes.Pending), _ ->
       charge (costs p).Config.miss_entry;
       ensure_read p addr
   | ((Ptypes.Shared | Ptypes.Exclusive) as shared), (Ptypes.Invalid | Ptypes.Pending) ->
-      tab_set s.private_tab b shared
+      set_private s b shared
   | (Ptypes.Shared | Ptypes.Exclusive), (Ptypes.Shared | Ptypes.Exclusive) -> ());
-  s.last_ll <- (if tab_get s.private_tab b = Ptypes.Exclusive then b else -1)
+  s.last_ll <- (if private_state s b = Ptypes.Exclusive then b else -1)
 
 (** [sc_check pcb addr w v] — inline code before a store-conditional. *)
 let sc_check p addr w v =
   apply_deferred p;
   let s = p.st and b = block_of p addr in
   settle p ~bucket:`Write b;
-  match (tab_get s.private_tab b, tab_get s.dom.shared_tab b) with
+  match (private_state s b, shared_state s.dom b) with
   | Ptypes.Exclusive, _ when s.last_ll = b ->
       (* Fast path: run the SC in hardware; the memory-image monitor
          decides success. *)
       Alpha.Runtime.Run_in_hardware
   | _, Ptypes.Exclusive ->
-      tab_set s.private_tab b Ptypes.Exclusive;
+      set_private s b Ptypes.Exclusive;
       Alpha.Runtime.Run_in_hardware
   | _, Ptypes.Shared ->
       charge (costs p).Config.miss_entry;

@@ -3,12 +3,12 @@
     Shasta supports a different coherence granularity for different
     ranges of the shared address space: the region table below carves
     the shared segment into an ordered list of {e regions}, each with
-    its own power-of-two block size, and compiles it into the paper's
-    per-chunk block-number table — one entry per [chunk] bytes of
-    shared space mapping an address to its [(block_id, block_base,
-    block_len)] triple.  The inline miss check and every protocol
-    entry therefore stay O(1) with no division, whatever the mix of
-    granularities.
+    its own power-of-two block size.  The paper compiles such a list
+    into a per-chunk block-number table; here every lookup is computed
+    from the region list instead: find the region (regions are few and
+    ordered, and a uniform layout has one), then shift.  Nothing is
+    sized by the segment, so a layout costs the same at 64 KB and at
+    64 MB, and every lookup stays O(regions) with no division.
 
     Block ids are dense, 0 .. [n_blocks]-1, in address order; with a
     single uniform 64-byte region they coincide bit-for-bit with the
@@ -33,13 +33,13 @@ type region = {
 type t = {
   base : int;
   size : int;
-  chunk : int;  (** table granularity: the smallest block size present *)
-  chunk_shift : int;
-  regions : region array;
-  chunk_block : int array;  (** per-chunk -> block id *)
-  block_base : int array;  (** per-block -> first byte address *)
-  block_len : int array;  (** per-block -> length in bytes *)
-  block_region : int array;  (** per-block -> region index *)
+  chunk : int;  (** the smallest block size present *)
+  regions : region array;  (** in address order, so in block-id order too *)
+  n_blocks : int;
+  shift : int;
+      (** log2 of the block size when one region covers the segment, so
+          that a block id is [(addr - base) lsr shift]; -1 for a mixed
+          layout *)
 }
 
 let bad fmt = Printf.ksprintf invalid_arg fmt
@@ -63,8 +63,8 @@ let validate_spec i { rs_name; rs_size; rs_block } =
     bad "Layout: region %d (%s): size %d is not a positive multiple of block %d" i rs_name
       rs_size rs_block
 
-(** [create ~base ~size specs] compiles an ordered region list into the
-    lookup tables.  The regions must tile [base, base+size) exactly. *)
+(** [create ~base ~size specs] places an ordered region list in the
+    segment.  The regions must tile [base, base+size) exactly. *)
 let create ~base ~size specs =
   if specs = [] then bad "Layout: empty region list";
   List.iteri validate_spec specs;
@@ -72,12 +72,6 @@ let create ~base ~size specs =
   if total <> size then
     bad "Layout: regions cover %d bytes but the shared segment is %d" total size;
   let chunk = List.fold_left (fun a s -> min a s.rs_block) max_int specs in
-  let chunk_shift = log2 chunk in
-  let n_blocks = List.fold_left (fun a s -> a + (s.rs_size / s.rs_block)) 0 specs in
-  let block_base = Array.make n_blocks 0 in
-  let block_len = Array.make n_blocks 0 in
-  let block_region = Array.make n_blocks 0 in
-  let chunk_block = Array.make (size / chunk) 0 in
   let cur = ref base and blk = ref 0 in
   let regions =
     Array.of_list
@@ -99,20 +93,8 @@ let create ~base ~size specs =
            r)
          specs)
   in
-  Array.iteri
-    (fun ri r ->
-      for b = 0 to r.r_n_blocks - 1 do
-        let id = r.r_first_block + b in
-        block_base.(id) <- r.r_base + (b * r.r_block);
-        block_len.(id) <- r.r_block;
-        block_region.(id) <- ri;
-        let c0 = (block_base.(id) - base) lsr chunk_shift in
-        for c = c0 to c0 + (r.r_block lsr chunk_shift) - 1 do
-          chunk_block.(c) <- id
-        done
-      done)
-    regions;
-  { base; size; chunk; chunk_shift; regions; chunk_block; block_base; block_len; block_region }
+  let shift = if Array.length regions = 1 then regions.(0).r_shift else -1 in
+  { base; size; chunk; regions; n_blocks = !blk; shift }
 
 let uniform ?(name = "shared") ~base ~size ~block () =
   create ~base ~size [ { rs_name = name; rs_size = size; rs_block = block } ]
@@ -120,20 +102,47 @@ let uniform ?(name = "shared") ~base ~size ~block () =
 let base t = t.base
 let size t = t.size
 let chunk t = t.chunk
-let n_blocks t = Array.length t.block_base
+let n_blocks t = t.n_blocks
 let n_regions t = Array.length t.regions
 let contains t addr = addr >= t.base && addr < t.base + t.size
+
+(* The index of the last region whose first address is at most [addr]
+   (or whose first block id is at most [b]): a backward scan, as
+   regions are few. *)
+let region_of_addr t addr =
+  let i = ref (Array.length t.regions - 1) in
+  while (Array.unsafe_get t.regions !i).r_base > addr do
+    decr i
+  done;
+  !i
+
+let region_of_block t b =
+  let i = ref (Array.length t.regions - 1) in
+  while (Array.unsafe_get t.regions !i).r_first_block > b do
+    decr i
+  done;
+  !i
 
 let block_of_addr t addr =
   let off = addr - t.base in
   if off < 0 || off >= t.size then
     bad "address 0x%x outside the shared region" addr;
-  t.chunk_block.(off lsr t.chunk_shift)
+  if t.shift >= 0 then off lsr t.shift
+  else
+    let r = t.regions.(region_of_addr t addr) in
+    r.r_first_block + ((addr - r.r_base) lsr r.r_shift)
 
-let block_base t b = t.block_base.(b)
-let block_len t b = t.block_len.(b)
-let block_region t b = t.block_region.(b)
-let valid_block t b = b >= 0 && b < Array.length t.block_base
+let valid_block t b = b >= 0 && b < t.n_blocks
+
+let block_region t b =
+  if not (valid_block t b) then bad "Layout: block %d outside 0..%d" b (t.n_blocks - 1);
+  region_of_block t b
+
+let block_base t b =
+  let r = t.regions.(block_region t b) in
+  r.r_base + ((b - r.r_first_block) lsl r.r_shift)
+
+let block_len t b = t.regions.(block_region t b).r_block
 
 let region t ri = t.regions.(ri)
 let region_name t ri = t.regions.(ri).r_name

@@ -13,8 +13,10 @@
 
     An image holds only a prefix of the segment: it starts empty and
     grows on first touch, by doubling and to a block end.  Bytes it
-    gains read as {!Core.init} would have left them, so a set-up pays
-    for the memory its run touches, and no reader can tell. *)
+    gains read as {!Core.init} would have left them — the invalid flag,
+    except zeros in the blocks Core's home rule ({!Homes}) places at
+    this image's domain — so a set-up pays for the memory its run
+    touches, and no reader can tell. *)
 
 type monitor = {
   mon_pid : int;
@@ -24,9 +26,9 @@ type monitor = {
 type t = {
   layout : Layout.t;
   base : int;
-  static_home : int array;
-      (** Core's per-block static home, shared with it: the blocks a
-          fresh extent zeroes instead of flagging *)
+  homes : Homes.t;
+      (** Core's home rule, shared with it: the blocks a fresh extent
+          zeroes instead of flagging *)
   dom : int;  (** the domain this image belongs to *)
   mutable data : Bytes.t;
       (** the segment's first [Bytes.length data] bytes, always ending
@@ -36,13 +38,13 @@ type t = {
   mutable breaks : int;  (** monitors cleared; reset by the shell's wake-up *)
 }
 
-(** [create ~layout ~static_home ~dom] — domain [dom]'s image, empty:
-    it materializes as it is touched (see {!check}). *)
-let create ~layout ~static_home ~dom =
+(** [create ~layout ~homes ~dom] — domain [dom]'s image, empty: it
+    materializes as it is touched (see {!check}). *)
+let create ~layout ~homes ~dom =
   {
     layout;
     base = Layout.base layout;
-    static_home;
+    homes;
     dom;
     data = Bytes.empty;
     monitors = [||];
@@ -69,10 +71,11 @@ let lay_out t ~lo ~hi =
       Bytes.blit d lo d (lo + !filled) n;
       filled := !filled + n
     done;
-    for b = block_of t (t.base + lo) to block_of t (t.base + hi - 1) do
-      if t.static_home.(b) = t.dom then
-        Bytes.fill d (Layout.block_base t.layout b - t.base) (Layout.block_len t.layout b) '\000'
-    done
+    Homes.iter_homed t.homes ~dom:t.dom
+      ~lo:(block_of t (t.base + lo))
+      ~hi:(block_of t (t.base + hi - 1) + 1)
+      (fun b ->
+        Bytes.fill d (Layout.block_base t.layout b - t.base) (Layout.block_len t.layout b) '\000')
   end
 
 (* Grow to hold offset [need - 1]: at least double, then round up to

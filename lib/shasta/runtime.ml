@@ -35,9 +35,10 @@ type t = {
   peng : E.t;
   mutable priv : Bytes.t;  (** private memory, empty until first used: see {!private_mem} *)
   img : Protocol.Memimg.t;  (** this process's domain image, cached *)
-  private_tab : Bytes.t;  (** [pcb]'s private state table *)
-  chunk_block : int array;  (** the layout's chunk -> block table *)
-  chunk_shift : int;
+  layout : Protocol.Layout.t;
+  block_shift : int;
+      (** log2 of the block size when one region covers the segment, so
+          a block id is [off lsr block_shift]; -1 for a mixed layout *)
   shared_lo : int;  (** shared-range bounds, cached as immediates *)
   shared_hi : int;
   last64 : int;  (** the highest address an 8-byte shared access may start at *)
@@ -110,9 +111,8 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       peng;
       priv = Bytes.empty;
       img;
-      private_tab = pcb.E.st.E.private_tab;
-      chunk_block = layout.Protocol.Layout.chunk_block;
-      chunk_shift = layout.Protocol.Layout.chunk_shift;
+      layout;
+      block_shift = layout.Protocol.Layout.shift;
       shared_lo = cfg.Config.protocol.Protocol.Config.shared_base;
       shared_hi =
         cfg.Config.protocol.Protocol.Config.shared_base
@@ -172,7 +172,7 @@ let flag (w : Alpha.Insn.width) =
 
 (** [layout h] — the region layout of the shared address space (block
     extents vary by region; consumers must not assume a fixed line). *)
-let layout h = E.layout h.peng
+let layout h = h.layout
 
 (* --- private memory --- *)
 
@@ -203,7 +203,7 @@ let private_write h addr (w : Alpha.Insn.width) v =
 (* A shared store after its charge: the protocol when the line is not
    exclusive, then the raw write the engine may intercept. *)
 let[@inline never] store_shared h addr w v =
-  (match E.private_state h.pcb addr with
+  (match E.private_state_at h.pcb addr with
   | Protocol.Ptypes.Exclusive -> ()
   | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
       in_protocol h (fun () -> E.store_miss h.pcb addr) ());
@@ -226,9 +226,10 @@ let store h addr w v =
 
    The array-based workloads do almost all their shared traffic through
    these, so a hit must stay inside this module and never box the word
-   (DESIGN §16): the two primitives below read the private state table
-   and the block lookup from fields cached at [create], and the image's
-   bytes through [h.img], since a growing image replaces them.  They
+   (DESIGN §16): the two primitives below compute the block with a
+   shift cached at [create] (for a uniform layout), and read the
+   private state table through [h.st] and the image's bytes through
+   [h.img], since both grow by replacement.  They
    hand everything else (a miss, a store that needs the protocol or the
    engine's store interception, a traced access, an image too small) to
    the out-of-line slow paths.  A [store64] does what [store] does at
@@ -240,6 +241,9 @@ let[@inline never] make_room h addr =
   if addr > h.last64 then
     invalid_arg (Printf.sprintf "Runtime: access at 0x%x outside the image" addr);
   Protocol.Memimg.check h.img addr 8
+
+(* The block of a shared address in a layout of several regions. *)
+let[@inline never] mixed_block h addr = Protocol.Layout.block_of_addr h.layout addr
 
 let[@inline never] load64_slow h addr v0 =
   let v =
@@ -269,9 +273,10 @@ let[@inline] load_word h ~priv ~shared addr =
 
 (* A hit needs the line exclusive in the private table ('E' is
    [E.st_char Exclusive]; any other byte, a corrupt one included, takes
-   the slow path, which decodes it), and the raw write must be one the
-   engine would not intercept: no miss outstanding, no block watched, no
-   LL monitor armed. *)
+   the slow path, which decodes it, and so does a block past the
+   table's end, which is Invalid there), and the raw write must be one
+   the engine would not intercept: no miss outstanding, no block
+   watched, no LL monitor armed. *)
 let[@inline] store_word h ~priv ~shared addr v =
   h.accesses <- h.accesses + 1;
   if not (is_shared h addr) then begin
@@ -283,7 +288,9 @@ let[@inline] store_word h ~priv ~shared addr v =
     let off = addr - h.shared_lo in
     if off > Bytes.length h.img.Protocol.Memimg.data - 8 then make_room h addr;
     if
-      Bytes.get h.private_tab h.chunk_block.(off lsr h.chunk_shift) = 'E'
+      (let b = if h.block_shift >= 0 then off lsr h.block_shift else mixed_block h addr in
+       let tab = h.st.E.private_tab in
+       b < Bytes.length tab && Bytes.unsafe_get tab b = 'E')
       && Protocol.Ptypes.Itbl.length h.st.E.outstanding = 0
       && h.st.E.watch_blocks == []
       && h.img.Protocol.Memimg.armed = 0
@@ -329,7 +336,7 @@ let mb h =
 let ready h addr (kind : Alpha.Insn.access_kind) =
   (not (is_shared h addr))
   ||
-  match E.private_state h.pcb addr with
+  match E.private_state_at h.pcb addr with
   | Protocol.Ptypes.Exclusive -> true
   | Protocol.Ptypes.Shared -> kind = Alpha.Insn.Load_acc
   | Protocol.Ptypes.Invalid | Protocol.Ptypes.Pending -> false
@@ -553,7 +560,7 @@ let alpha_runtime h =
     store_check =
       (fun addr _w ->
         if is_shared h addr then
-          match E.private_state h.pcb addr with
+          match E.private_state_at h.pcb addr with
           | Protocol.Ptypes.Exclusive -> ()
           | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
               in_protocol h (fun () -> E.store_miss h.pcb addr) ());

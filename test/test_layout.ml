@@ -10,7 +10,10 @@
    - the blocks tile the segment exactly — no gaps, no overlap;
    - a region boundary never splits a block;
    - with a single uniform 64-byte region, block_of_addr is
-     bit-identical to the historical fixed-line map (addr - base) / 64. *)
+     bit-identical to the historical fixed-line map (addr - base) / 64;
+   - over 1-6 regions, the lookups computed from the region list agree
+     with the paper's per-chunk block-number table, rebuilt here as an
+     oracle, and an address outside the segment raises. *)
 
 module L = Protocol.Layout
 
@@ -93,6 +96,84 @@ let qcheck_uniform64_pin =
       && L.block_len t b = 64
       && L.n_blocks t = lines)
 
+(* The per-chunk tabulation the layout used to build, rebuilt here as an
+   oracle for the arithmetic lookups: one entry per chunk (the smallest
+   block size) naming its block, and per block its base, length and
+   region, filled by walking the regions in order. *)
+type oracle = {
+  o_chunk : int;
+  o_chunk_block : int array;
+  o_base : int array;
+  o_len : int array;
+  o_region : int array;
+}
+
+let oracle_of specs =
+  let chunk = List.fold_left (fun a s -> min a s.L.rs_block) max_int specs in
+  let size = List.fold_left (fun a s -> a + s.L.rs_size) 0 specs in
+  let n = List.fold_left (fun a s -> a + (s.L.rs_size / s.L.rs_block)) 0 specs in
+  let o =
+    {
+      o_chunk = chunk;
+      o_chunk_block = Array.make (size / chunk) (-1);
+      o_base = Array.make n 0;
+      o_len = Array.make n 0;
+      o_region = Array.make n 0;
+    }
+  in
+  let addr = ref base and id = ref 0 in
+  List.iteri
+    (fun ri s ->
+      for _ = 1 to s.L.rs_size / s.L.rs_block do
+        o.o_base.(!id) <- !addr;
+        o.o_len.(!id) <- s.L.rs_block;
+        o.o_region.(!id) <- ri;
+        for c = 0 to (s.L.rs_block / chunk) - 1 do
+          o.o_chunk_block.(((!addr - base) / chunk) + c) <- !id
+        done;
+        addr := !addr + s.L.rs_block;
+        incr id
+      done)
+    specs;
+  o
+
+let spec_gen6 =
+  QCheck.Gen.(
+    let region =
+      let* shift = int_range 5 12 in
+      let* mult = int_range 1 8 in
+      return { L.rs_name = "r"; rs_size = mult lsl shift; rs_block = 1 lsl shift }
+    in
+    let* n = int_range 1 6 in
+    list_size (return n) region)
+
+let qcheck_matches_tabulation =
+  QCheck.Test.make ~name:"arithmetic lookups match the per-chunk tabulation" ~count:300
+    (QCheck.make
+       ~print:(fun (specs, _) -> print_specs specs)
+       QCheck.Gen.(pair spec_gen6 (list_size (return 64) nat)))
+    (fun (specs, picks) ->
+      let t = layout_of specs and o = oracle_of specs in
+      let size = L.size t in
+      let expect addr =
+        let b = o.o_chunk_block.((addr - base) / o.o_chunk) in
+        L.block_of_addr t addr = b
+        && L.block_base t b = o.o_base.(b)
+        && L.block_len t b = o.o_len.(b)
+        && L.block_region t b = o.o_region.(b)
+      in
+      let raises f x = match f x with _ -> false | exception Invalid_argument _ -> true in
+      (* Every block's first and last byte, then random addresses. *)
+      let boundaries =
+        Array.for_all (fun lo -> expect lo) o.o_base
+        && Array.for_all2 (fun lo len -> expect (lo + len - 1)) o.o_base o.o_len
+      in
+      boundaries
+      && List.for_all (fun k -> expect (base + (k mod size))) picks
+      && L.n_blocks t = Array.length o.o_base
+      && List.for_all (raises (L.block_of_addr t)) [ base - 1; base + size; base + size + 4096 ]
+      && List.for_all (raises (L.block_base t)) [ -1; L.n_blocks t ])
+
 (* Spec-string parser: the CLI syntax round-trips into the same layout. *)
 let test_spec_parse () =
   let size = 1024 * 1024 in
@@ -131,5 +212,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_exact_tiling;
     QCheck_alcotest.to_alcotest qcheck_no_boundary_split;
     QCheck_alcotest.to_alcotest qcheck_uniform64_pin;
+    QCheck_alcotest.to_alcotest qcheck_matches_tabulation;
     Alcotest.test_case "spec string parsing" `Quick test_spec_parse;
   ]

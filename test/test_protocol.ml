@@ -727,6 +727,43 @@ let test_set_home_overlap_later_wins () =
   Alcotest.(check int) "past the overlap" 1 (home 128);
   Alcotest.(check int) "end of first range" 1 (home 192)
 
+(* The home rule against the per-block placement it replaced: an array
+   written range by range in call order, the uncovered blocks then
+   striped.  Random ranges overlap, nest and touch; a lookup between
+   calls folds the ranges made so far, so later ones merge into sorted
+   ranges already built. *)
+let qcheck_home_rule_matches_placement =
+  let n = 200 in
+  let range = QCheck.Gen.(map3 (fun a len d -> (a, min (n - 1) (a + len), d))
+      (int_range 0 (n - 1)) (int_range 0 60) (int_range 0 4)) in
+  QCheck.Test.make ~name:"home rule matches a per-block placement" ~count:300
+    (QCheck.make QCheck.Gen.(pair (list_size (int_range 0 20) range) (int_range 0 20)))
+    (fun (ranges, probe_at) ->
+      let h = P.Homes.create () and placed = Array.make n (-1) in
+      List.iteri
+        (fun i (first, last, domain) ->
+          if i = probe_at then ignore (P.Homes.static_home h 0);
+          P.Homes.set h ~first ~last ~domain;
+          for b = first to last do
+            placed.(b) <- domain
+          done)
+        ranges;
+      let stripe = [| 2; 0; 3 |] in
+      let before = Array.init n (P.Homes.static_home h) in
+      P.Homes.place h stripe;
+      let want b = if placed.(b) >= 0 then placed.(b) else stripe.(b mod 3) in
+      let homed dom lo hi =
+        let acc = ref [] in
+        P.Homes.iter_homed h ~dom ~lo ~hi (fun b -> acc := b :: !acc);
+        List.rev !acc
+      in
+      Array.for_all2 ( = ) before placed
+      && List.for_all (fun b -> P.Homes.static_home h b = want b) (List.init n Fun.id)
+      && List.for_all
+           (fun (dom, lo, hi) ->
+             homed dom lo hi = List.filter (fun b -> want b = dom) (List.init (hi - lo) (( + ) lo)))
+           [ (0, 0, n); (2, 17, 150); (3, 99, 100); (4, 5, n) ])
+
 let test_set_home_after_init_raises () =
   let w = setup () in
   let _ = worker w ~cpu_i:0 (fun _ -> ()) in
@@ -942,26 +979,36 @@ let test_core_stale_home_hint () =
 (* --- init's memory state, read back directly --- *)
 
 (* After [init], every word of every image holds the invalid flag except
-   in that domain's own home blocks, which are zero; [shared_tab] reads
-   'S' exactly at each block's home and 'I' elsewhere; no LL/SC monitor
-   is armed.  [expect_home] pins the placement itself.  Every word is
-   read through [Memimg.read], which materializes the image, so it spans
-   the layout once all are read. *)
+   in that domain's own home blocks, which are zero; [Core.shared_state]
+   reads Shared exactly at each block's home and Invalid elsewhere, both
+   past the end of the (empty) table and once the table has grown over
+   every block; no LL/SC monitor is armed.  [expect_home] pins the
+   placement itself.  Every word is read through [Memimg.read], which
+   materializes the image, so it spans the layout once all are read. *)
 let check_init_memory (c : Core.t) ~expect_home =
   let layout = c.Core.layout in
+  let last = P.Layout.n_blocks layout - 1 in
   List.iter
     (fun (d : Core.domain) ->
       let img = d.Core.img in
       let id = d.Core.dom_id in
       Alcotest.(check int) "no monitor armed" 0 img.P.Memimg.armed;
-      for b = 0 to P.Layout.n_blocks layout - 1 do
-        let h = Core.home_domain_of_block c b in
-        if h <> expect_home b then Alcotest.failf "block %d homed at %d, expected %d" b h (expect_home b);
-        let at_home = h = id in
-        let st = Bytes.get d.Core.shared_tab b in
-        if st <> if at_home then 'S' else 'I' then
-          Alcotest.failf "domain %d block %d: shared_tab %c" id b st;
-        let want = if at_home then 0l else P.Memimg.flag32 in
+      let check_states when_ =
+        for b = 0 to last do
+          let h = Core.home_domain_of_block c b in
+          if h <> expect_home b then
+            Alcotest.failf "block %d homed at %d, expected %d" b h (expect_home b);
+          let st = Core.shared_state d b in
+          if st <> if h = id then P.Ptypes.Shared else P.Ptypes.Invalid then
+            Alcotest.failf "domain %d block %d %s: shared state %c" id b when_ (Core.st_char st)
+        done
+      in
+      check_states "past the table";
+      Core.set_shared d last (Core.shared_state d last);
+      Alcotest.(check int) "the table spans the layout" (last + 1) (Bytes.length d.Core.shared_tab);
+      check_states "in the grown table";
+      for b = 0 to last do
+        let want = if Core.home_domain_of_block c b = id then 0l else P.Memimg.flag32 in
         let addr = P.Layout.block_base layout b in
         for w = 0 to (P.Layout.block_len layout b / 4) - 1 do
           let v = Int64.to_int32 (P.Memimg.read img (addr + (4 * w)) Alpha.Insn.W32) in
@@ -1109,7 +1156,7 @@ let eager_image c (img : P.Memimg.t) =
     if P.Core.home_domain_of_block c b = img.P.Memimg.dom then
       Bytes.fill data (P.Layout.block_base layout b - base) (P.Layout.block_len layout b) '\000'
   done;
-  let r = P.Memimg.create ~layout ~static_home:img.P.Memimg.static_home ~dom:img.P.Memimg.dom in
+  let r = P.Memimg.create ~layout ~homes:img.P.Memimg.homes ~dom:img.P.Memimg.dom in
   r.P.Memimg.data <- data;
   r
 
@@ -1218,6 +1265,7 @@ let suite =
       test_batch_defers_invalidation_flags;
     Alcotest.test_case "batch store reissue" `Quick test_batch_store_reissue;
     Alcotest.test_case "set_home overlap: later wins" `Quick test_set_home_overlap_later_wins;
+    QCheck_alcotest.to_alcotest qcheck_home_rule_matches_placement;
     Alcotest.test_case "set_home after init raises" `Quick test_set_home_after_init_raises;
     Alcotest.test_case "set_home rejects bad domain" `Quick test_set_home_domain_out_of_range;
     Alcotest.test_case "migratory home transfer" `Quick test_migratory_home_transfer;

@@ -773,12 +773,12 @@ let test_api_bounds_and_slow_paths () =
         raises "store64 across the image end" (fun () -> R.store64 h edge 1L);
         raises "load_int across the image end" (fun () -> R.load_int h edge);
         (* A corrupt private-table byte fails loudly, not as a miss. *)
-        let tab = h.R.private_tab in
+        let st = h.R.st in
         let b = Protocol.Layout.block_of_addr (R.layout h) a in
-        let saved = Bytes.get tab b in
-        Bytes.set tab b 'X';
+        let saved = Protocol.Core.private_state st b in
+        Bytes.set st.Protocol.Core.private_tab b 'X';
         raises "store64 on a corrupt state" (fun () -> R.store64 h a 1L);
-        Bytes.set tab b saved)
+        Protocol.Core.set_private st b saved)
   in
   C.init ~homes:[ 0 ] cl;
   ignore (C.run cl);
@@ -831,6 +831,84 @@ let test_straddling_store_miss_leaves_no_replay () =
   Alcotest.(check (list string)) "quiescent" []
     (Protocol.Engine.check_quiescent (C.protocol_engine cl))
 
+(* --- set-up follows the run, not the segment --- *)
+
+(* A 4x4 cluster with 16 spawned processes and [init] run, the segment
+   [size] bytes, and one home override of 1 KB near the segment's end
+   at the domain of [home_cpu]'s process.  Returns the cluster and the
+   override's address. *)
+let setup_cluster ~variant ~size ~home_cpu =
+  let cfg =
+    {
+      Cfg.default with
+      Cfg.net = { Mchan.Net.default_config with Mchan.Net.nodes = 4; cpus_per_node = 4 };
+      protocol = { Protocol.Config.default with Protocol.Config.variant; shared_size = size };
+    }
+  in
+  let cl = C.create cfg in
+  for c = 0 to 15 do
+    ignore (C.spawn cl ~cpu:c "idle" ignore)
+  done;
+  let addr = cfg.Cfg.protocol.Protocol.Config.shared_base + size - 4096 in
+  let home_h = List.nth (C.runtimes cl) home_cpu in
+  let domain = home_h.R.st.Protocol.Engine.dom.Protocol.Engine.dom_id in
+  Protocol.Engine.set_home (C.protocol_engine cl) ~addr ~len:1024 ~domain;
+  C.init cl;
+  (cl, addr, domain)
+
+(* The live heap, in bytes, with [setup]'s result still reachable. *)
+let live_with setup =
+  let kept = setup () in
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words * (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity kept);
+  live
+
+(* Set-up allocates nothing sized by the segment: the live heap of a
+   cluster at a 64 MB segment is within 256 KB of one at 64 KB (a
+   per-block table would cost about a megabyte per table at 64 MB).  The
+   override near the end reads Shared at its home and Invalid elsewhere
+   through [block_state], before and after an image grows over it. *)
+let test_setup_follows_run () =
+  List.iter
+    (fun variant ->
+      let name = match variant with Protocol.Config.Smp -> "Smp" | Protocol.Config.Base -> "Base" in
+      let small = live_with (fun () -> setup_cluster ~variant ~size:(64 * 1024) ~home_cpu:9) in
+      let big = live_with (fun () -> setup_cluster ~variant ~size:(64 * 1024 * 1024) ~home_cpu:9) in
+      if abs (big - small) >= 256 * 1024 then
+        Alcotest.failf "%s: live heap %d B at 64 MB against %d B at 64 KB" name big small;
+      let cl, addr, home = setup_cluster ~variant ~size:(64 * 1024 * 1024) ~home_cpu:9 in
+      let check when_ =
+        List.iter
+          (fun h ->
+            let st = h.R.st in
+            let priv, shared = Protocol.Engine.block_state h.R.pcb addr in
+            let want =
+              if st.Protocol.Engine.dom.Protocol.Engine.dom_id = home then Protocol.Ptypes.Shared
+              else Protocol.Ptypes.Invalid
+            in
+            if priv <> Protocol.Ptypes.Invalid || shared <> want then
+              Alcotest.failf "%s pid %d %s: (%c, %c), expected (I, %c)" name st.Protocol.Engine.pid
+                when_ (Protocol.Core.st_char priv) (Protocol.Core.st_char shared)
+                (Protocol.Core.st_char want))
+          (C.runtimes cl)
+      in
+      check "after init";
+      (* Grow the home's image and one other over the override: the
+         home reads zeros, the other the invalid flag. *)
+      List.iter
+        (fun cpu ->
+          let h = List.nth (C.runtimes cl) cpu in
+          let v = Protocol.Engine.raw_read h.R.pcb addr Alpha.Insn.W64 in
+          let at_home = h.R.st.Protocol.Engine.dom.Protocol.Engine.dom_id = home in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s cpu %d reads" name cpu)
+            (if at_home then 0L else R.flag Alpha.Insn.W64)
+            v)
+        [ 9; 0 ];
+      check "after the images grew")
+    [ Protocol.Config.Smp; Protocol.Config.Base ]
+
 let suite =
   [
     Alcotest.test_case "cross-node store/load" `Quick test_cross_node_store_load;
@@ -861,4 +939,5 @@ let suite =
     Alcotest.test_case "instrumented lock under Sc" `Quick test_instrumented_lock_sc;
     Alcotest.test_case "IR-mode LL/SC hits allocate little" `Quick
       test_ir_llsc_hits_allocate_little;
+    Alcotest.test_case "set-up follows the run, not the segment" `Quick test_setup_follows_run;
   ]
