@@ -50,8 +50,7 @@ let check tables =
    exactly. *)
 let paper () =
   let tables = List.concat_map (fun (name, f) -> timed name (printed f)) paper_experiments in
-  Support.emit ~file:"BENCH_paper.json" ~bench:"paper"
-    [ ("tables", Load.Json.List (List.map Load.Json.of_table tables)) ];
+  Support.emit ~file:"BENCH_paper.json" ~bench:"paper" [ Load.Json.tables tables ];
   check tables
 
 let experiments =

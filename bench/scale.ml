@@ -11,10 +11,6 @@ module C = Shasta.Cluster
 module R = Shasta.Runtime
 module J = Load.Json
 
-(* Node-major placement as in the paper: up to 4 processors share one
-   SMP node, beyond that the node count grows. *)
-let shape nprocs = if nprocs <= 4 then (1, nprocs) else ((nprocs + 3) / 4, 4)
-
 type point = {
   p_app : string;
   p_procs : int;
@@ -27,7 +23,7 @@ type point = {
 }
 
 let run_point spec ~seq nprocs =
-  let nodes, cpus = shape nprocs in
+  let nodes, cpus = Support.shape nprocs in
   let cl = Support.cluster ~nodes ~cpus () in
   let t0 = Unix.gettimeofday () in
   let elapsed, ok = Apps.Harness.run_spec cl spec ~nprocs ~sync:Apps.Harness.Mp () in

@@ -36,7 +36,8 @@ let run_serve () =
   let points = S.sweep ~cfg sweep_rates in
   Support.print (S.sweep_table points);
   check_points points;
-  Support.emit ~file:"BENCH_serve.json" ~bench:"serve" (S.sweep_fields ~cfg points)
+  Support.emit ~file:"BENCH_serve.json" ~bench:"serve" ~meta:(S.meta ~cfg points)
+    [ J.tables (S.tables points) ]
 
 let run_serve_smoke () =
   let cfg = { S.default_config with S.duration = 0.02 } in
@@ -47,7 +48,8 @@ let run_serve_smoke () =
   let g = Load.Recorder.goodput low.S.sp_outcome.S.recorder in
   Printf.printf "low-load goodput %.0f req/s (floor %.0f)\n" g smoke_floor;
   Support.emit ~file:"BENCH_serve_smoke.json" ~bench:"serve_smoke"
-    (("goodput_floor", J.Float smoke_floor) :: S.sweep_fields ~cfg points);
+    ~meta:(("goodput_floor", J.Float smoke_floor) :: S.meta ~cfg points)
+    [ J.tables (S.tables points) ];
   if g < smoke_floor then
     failwith
       (Printf.sprintf "serve_smoke: low-load goodput %.0f req/s below floor %.0f" g smoke_floor)

@@ -16,9 +16,6 @@ module R = Shasta.Runtime
 module E = Protocol.Engine
 module J = Load.Json
 
-(* Node-major placement, as in bench/scale.ml. *)
-let shape nprocs = if nprocs <= 4 then (1, nprocs) else ((nprocs + 3) / 4, 4)
-
 type point = {
   s_name : string;
   s_procs : int;
@@ -202,7 +199,7 @@ let run_speed () =
       (fun spec ->
         List.map
           (fun nprocs ->
-            let nodes, cpus = shape nprocs in
+            let nodes, cpus = Support.shape nprocs in
             run_app spec ~nprocs ~nodes ~cpus)
           [ 1; 16 ])
       [ lu; wnsq ]
@@ -265,7 +262,7 @@ let run_speed_smoke () =
     List.map
       (fun (app, nprocs) ->
         let spec = Apps.Registry.find app in
-        let nodes, cpus = shape nprocs in
+        let nodes, cpus = Support.shape nprocs in
         run_app spec ~nprocs ~nodes ~cpus)
       [ ("LU", 1); ("LU", 4); ("Water-Nsq", 4) ]
   in

@@ -31,6 +31,10 @@ let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
         };
     }
 
+(** [shape nprocs] — node-major placement as in the paper: up to 4
+    processors share one SMP node, beyond that the node count grows. *)
+let shape nprocs = if nprocs <= 4 then (1, nprocs) else ((nprocs + 3) / 4, 4)
+
 (** The source commit named by [--commit], if any. *)
 let commit = ref None
 

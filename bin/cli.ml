@@ -46,3 +46,7 @@ let writable flag path =
   (try close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path)
    with Sys_error msg -> usage_error flag msg);
   if not existed then Sys.remove path
+
+(** [print t] — one report table on stdout after a blank line: the
+    {!Sim.Stats.pp_table} layout every tool prints. *)
+let print t = Format.printf "@.%a" Sim.Stats.pp_table t

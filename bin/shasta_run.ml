@@ -129,14 +129,13 @@ let () =
     spec.Apps.Harness.name procs
     (match sync with Apps.Harness.Sm -> "LL/SC" | Apps.Harness.Mp -> "MP")
     (1000.0 *. elapsed) ok;
-  Format.printf "breakdown: %a@." Shasta.Breakdown.pp
-    (let b = Shasta.Cluster.total_breakdown cl in
-     Shasta.Breakdown.normalize ~against:b b);
   (let migrations, bounces, in_flight = Shasta.Cluster.migration_stats cl in
    if migrations + bounces + in_flight > 0 then
      Printf.printf "migration: %d home transfers, %d bounced requests, %d in flight\n"
        migrations bounces in_flight);
-  let print = Format.printf "@.%a" Sim.Stats.pp_table in
-  if !metrics then List.iter print (Shasta.Cluster.tables cl)
-  else Option.iter (fun r -> print (Mchan.Reliable.table r)) (Shasta.Cluster.reliable cl);
+  Cli.print
+    (Shasta.Breakdown.table ~title:"breakdown" ~key:"processes"
+       [ ("all", Shasta.Cluster.total_breakdown cl) ]);
+  if !metrics then List.iter Cli.print (Shasta.Cluster.tables cl)
+  else Option.iter (fun r -> Cli.print (Mchan.Reliable.table r)) (Shasta.Cluster.reliable cl);
   if not ok then exit 1

@@ -5,8 +5,12 @@
        --duration 0.05 --admission queue:256:0.02
      dune exec bin/shasta_serve.exe -- --sweep 10000,20000,40000,80000,160000
 
-   Same seed => bit-identical latency histograms (the --json report can
-   be diffed byte for byte). *)
+   Prints the serving tables (one point: requests, latency and outcomes;
+   a sweep: the sweep and outcomes); --json writes every table,
+   histogram bins and queue-depth series included, in the shared
+   BENCH_*.json envelope.  Same seed => bit-identical latency histograms
+   (the --json report can be diffed byte for byte, bar the envelope's
+   host fields). *)
 
 module S = Load.Serve
 module A = Load.Arrival
@@ -82,47 +86,45 @@ let () =
       server_cpus = List.init servers (fun i -> 1 + i);
     }
   in
-  let print = Format.printf "@.%a" Sim.Stats.pp_table in
   let print_clusters points =
     List.iter
       (fun p ->
         Format.printf "@.-- %.0f req/s --@." p.S.sp_rate;
-        List.iter print (Shasta.Cluster.tables p.S.sp_outcome.S.cluster))
+        List.iter Cli.print (Shasta.Cluster.tables p.S.sp_outcome.S.cluster))
       points
   in
+  let points =
+    if !sweep = "" then
+      [ { S.sp_rate = A.mean_rate cfg.S.arrival; sp_outcome = S.run ~cluster_cfg cfg } ]
+    else
+      let rate s =
+        match float_of_string_opt s with
+        | Some r -> Cli.spec "--sweep" (fun r -> A.validate (A.Poisson { rate = r }); r) r
+        | None -> Cli.usage_error "--sweep" (Printf.sprintf "not a rate: %S" s)
+      in
+      S.sweep ~cluster_cfg ~cfg (List.map rate (String.split_on_char ',' !sweep))
+  in
   if !sweep = "" then begin
-    let o = S.run ~cluster_cfg cfg in
-    let point = { S.sp_rate = A.mean_rate cfg.S.arrival; sp_outcome = o } in
-    Format.printf "%a" Load.Recorder.pp o.S.recorder;
-    Format.printf "validated: %b  drained: %b  (%.1f ms simulated)@." o.S.ok o.S.drained
-      (1000.0 *. o.S.elapsed);
+    let p = List.hd points in
+    List.iter Cli.print
+      (Load.Recorder.tables ~key:"rate" [ (S.rate_key p, p.S.sp_outcome.S.recorder) ]);
+    Cli.print (S.outcome_table points);
     if !metrics then begin
-      print (S.sweep_table [ point ]);
-      print_clusters [ point ]
+      Cli.print (S.sweep_table points);
+      print_clusters points
     end
     else
-      Option.iter (fun r -> print (Mchan.Reliable.table r)) (Shasta.Cluster.reliable o.S.cluster);
-    if !json_out <> "" then begin
-      Load.Json.write_file !json_out (S.sweep_json ~cfg [ point ]);
-      Printf.printf "wrote %s\n" !json_out
-    end;
-    if not (o.S.ok && o.S.drained) then exit 1
+      Option.iter
+        (fun r -> Cli.print (Mchan.Reliable.table r))
+        (Shasta.Cluster.reliable p.S.sp_outcome.S.cluster)
   end
   else begin
-    let rate s =
-      match float_of_string_opt s with
-      | Some r -> Cli.spec "--sweep" (fun r -> A.validate (A.Poisson { rate = r }); r) r
-      | None -> Cli.usage_error "--sweep" (Printf.sprintf "not a rate: %S" s)
-    in
-    let rates = List.map rate (String.split_on_char ',' !sweep) in
-    let points = S.sweep ~cluster_cfg ~cfg rates in
-    print (S.sweep_table points);
-    let all_ok = List.for_all (fun p -> p.S.sp_outcome.S.ok && p.S.sp_outcome.S.drained) points in
-    Format.printf "all points validated and drained: %b@." all_ok;
-    if !metrics then print_clusters points;
-    if !json_out <> "" then begin
-      Load.Json.write_file !json_out (S.sweep_json ~cfg points);
-      Printf.printf "wrote %s\n" !json_out
-    end;
-    if not all_ok then exit 1
-  end
+    Cli.print (S.sweep_table points);
+    Cli.print (S.outcome_table points);
+    if !metrics then print_clusters points
+  end;
+  if !json_out <> "" then
+    Load.Json.emit ~file:!json_out ~bench:"serve" ~meta:(S.meta ~cfg points)
+      [ Load.Json.tables (S.tables points) ];
+  if not (List.for_all (fun p -> p.S.sp_outcome.S.ok && p.S.sp_outcome.S.drained) points) then
+    exit 1

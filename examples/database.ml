@@ -23,12 +23,9 @@ let () =
       ~query:W.Dss1 ()
   in
   show "3 servers (one remote node)" three;
-  Printf.printf "\nper-server time breakdowns (3-server run):\n";
-  List.iteri
-    (fun i b ->
-      Format.printf "  server %d: %a@." i Shasta.Breakdown.pp
-        (Shasta.Breakdown.normalize ~against:b b))
-    three.W.server_breakdowns;
+  Format.printf "@.%a" Sim.Stats.pp_table
+    (Shasta.Breakdown.table ~title:"per-server time breakdowns (3-server run)" ~key:"server"
+       (List.mapi (fun i b -> (string_of_int i, b)) three.W.server_breakdowns));
   Printf.printf "\nOLTP (TPC-B-style) on one node, 2 clients x 50 transactions\n\n";
   let oltp =
     W.run_oltp ~cfg:(W.cluster_config ~nodes:1 ())

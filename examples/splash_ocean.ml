@@ -29,5 +29,6 @@ let () =
     (1000.0 *. tsm) (t1 /. tsm) oks;
   Printf.printf "\nThe transparent (LL/SC) barriers cost more because every barrier\n";
   Printf.printf "atomically increments a shared counter through the protocol:\n";
-  Format.printf "  MP    %a@." Shasta.Breakdown.pp (Shasta.Breakdown.normalize ~against:bmp bmp);
-  Format.printf "  LL/SC %a@." Shasta.Breakdown.pp (Shasta.Breakdown.normalize ~against:bsm bsm)
+  Format.printf "@.%a" Sim.Stats.pp_table
+    (Shasta.Breakdown.table ~title:"time breakdowns, 4 procs" ~key:"sync"
+       [ ("MP", bmp); ("LL/SC", bsm) ])

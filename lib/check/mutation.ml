@@ -11,26 +11,20 @@
 
 (* --- the one conviction sweep --- *)
 
-(** How a family's report lines read. *)
-type wording = {
-  checker : string;  (** what convicts, printed before the target *)
-  noun : string;  (** what a trial is: ["run"], ["site"] *)
-  width : int;  (** label column *)
-  missed_fired : string;  (** why a miss that fired was a miss *)
-  missed_unfired : string;  (** ... and one that never fired *)
-}
-
 (** A family of seeded mutations.  [trials m target k] hands [k] every
     trial of mutation [m] on [target], in order: [Some o] when the
     mutation fired in that trial, [o] being what [convicts] judges, and
     [None] when it did not.  [convicts] is a field so a test can
-    substitute its own checker. *)
+    substitute its own checker.  [title] names the family and what
+    convicts it, [noun] what one trial is (["run"], ["site"]); both
+    label the family's {!table}. *)
 type ('m, 't, 'o) family = {
   mutations : ('m * string) list;
   targets : (string * 't) list;
   trials : 'm -> 't -> ('o option -> unit) -> unit;
   convicts : 'o -> bool;
-  wording : wording;
+  title : string;
+  noun : string;
 }
 
 type report = {
@@ -78,16 +72,24 @@ let sweep f =
 
 let all_caught reports = List.for_all (fun r -> r.caught <> None) reports
 
-let pp_report f ppf r =
-  let w = f.wording in
-  match r.caught with
-  | Some (target, trial) ->
-      Format.fprintf ppf "%-*s caught by %s%s at %s %d (%d %s%s)" w.width r.label w.checker
-        target w.noun trial r.spent w.noun
-        (if r.spent = 1 then "" else "s")
-  | None ->
-      Format.fprintf ppf "%-*s MISSED after %d %ss (%s)" w.width r.label r.spent w.noun
-        (if r.fired then w.missed_fired else w.missed_unfired)
+(** [table family reports] — one row per mutation: its verdict
+    ([caught], or [MISSED] with whether the bug ever fired), the target
+    and trial of the conviction, and the trials spent. *)
+let table f reports =
+  let row r =
+    ( r.label,
+      match r.caught with
+      | Some (target, trial) -> Sim.Stats.[ Str "caught"; Str target; Int trial; Int r.spent ]
+      | None ->
+          Sim.Stats.
+            [ Str (if r.fired then "MISSED (fired)" else "MISSED (never fired)"); Str "-"; Str "-";
+              Int r.spent ] )
+  in
+  {
+    Sim.Stats.title = f.title;
+    columns = [ "mutation"; "verdict"; "target"; f.noun; "trials" ];
+    rows = List.map row reports;
+  }
 
 (* --- protocol mutations ---
 
@@ -119,14 +121,8 @@ let protocol ~explore ?(scenarios = Litmus.all) () =
                k (if o.Litmus.mutation_fired > 0 then Some o else None);
                o.Litmus.violations)));
     convicts = (fun o -> o.Litmus.violations <> []);
-    wording =
-      {
-        checker = "";
-        noun = "run";
-        width = 24;
-        missed_fired = "bug fired but was never detected";
-        missed_unfired = "bug never even fired";
-      };
+    title = "protocol mutations (convicted by the litmus checking layers)";
+    noun = "run";
   }
 
 (* --- program-rewrite mutations ---
@@ -233,14 +229,8 @@ let instrumenter ?(options = Rewrite.Instrument.default_options) () =
         Apps.Ircorpus.all;
     trials = site_trials apply_imutation;
     convicts = (fun prog -> not (Rewrite.Verify.ok (Rewrite.Verify.verify prog)));
-    wording =
-      {
-        checker = "the validator in ";
-        noun = "site";
-        width = 18;
-        missed_fired = "mutation fired but drew no diagnostic";
-        missed_unfired = "mutation never fired";
-      };
+    title = "instrumenter mutations (convicted by the translation validator)";
+    noun = "site";
   }
 
 (* --- sync (race) mutations ---
@@ -309,14 +299,8 @@ let sync ?(nprocs = 4) () =
     (* The name only labels the detector's report. *)
     convicts =
       (fun prog -> (Rewrite.Races.analyze ~nprocs prog).Rewrite.Races.rep_races <> []);
-    wording =
-      {
-        checker = "the race detector in ";
-        noun = "site";
-        width = 20;
-        missed_fired = "mutation fired but drew no race report";
-        missed_unfired = "mutation never fired";
-      };
+    title = "sync mutations (convicted by the race detector)";
+    noun = "site";
   }
 
 (* --- batch-boundary mutation ---
@@ -362,12 +346,6 @@ let batch targets =
           (fun p -> k (Option.map (fun (_, meta) -> (p, meta)) (swallow_dispatch p)))
           (Alpha.Program.procedures prog));
     convicts = (fun (p, meta) -> Rewrite.Batch.validate_meta p meta <> []);
-    wording =
-      {
-        checker = "the batch validator in ";
-        noun = "procedure";
-        width = 18;
-        missed_fired = "mutation fired but drew no violation";
-        missed_unfired = "mutation never fired";
-      };
+    title = "batch-boundary mutation (convicted by the batch validator)";
+    noun = "procedure";
   }

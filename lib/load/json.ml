@@ -85,6 +85,10 @@ let of_table (t : Sim.Stats.table) =
   let row (key, cells) = Obj (List.combine t.columns (Str key :: List.map cell cells)) in
   Obj [ ("title", Str t.title); ("rows", List (List.map row t.rows)) ]
 
+(** [tables ts] — the ["tables"] field of a report: each table through
+    {!of_table}. *)
+let tables ts = ("tables", List (List.map of_table ts))
+
 (** [emit ~file ~bench ?commit ?meta fields] — the shared report
     envelope: a deterministic JSON document tagged with the producing
     bench/tool name and its provenance (host core count, OCaml version,

@@ -327,13 +327,17 @@ let knee points =
     points
   |> Option.map (fun p -> p.sp_rate)
 
+(** [rate_key p] — a point's row key in every report table: its
+    offered rate. *)
+let rate_key p = Printf.sprintf "%.0f" p.sp_rate
+
 (** [sweep_table points] — one row per swept rate; the title names the
     saturation {!knee}. *)
 let sweep_table points =
-  let row { sp_rate; sp_outcome = { recorder = r; _ } } =
+  let row ({ sp_outcome = { recorder = r; _ }; _ } as p) =
     let w = Recorder.offered_window r in
     let accepted = r.Recorder.offered - r.Recorder.rejected - r.Recorder.dropped in
-    ( Printf.sprintf "%.0f" sp_rate,
+    ( rate_key p,
       List.map
         (fun x -> Sim.Stats.Float x)
         ([ Recorder.offered_rate r; (if w <= 0.0 then 0.0 else float_of_int accepted /. w);
@@ -352,33 +356,40 @@ let sweep_table points =
     rows = List.map row points;
   }
 
-(** [sweep_fields ~cfg points] — machine-readable sweep rows (the
-    payload of [BENCH_serve.json]), as an association list so callers
-    can prepend their own envelope fields. *)
-let sweep_fields ~cfg points =
-    [
-      ("seed", Json.Int cfg.seed);
-      ("arrival", Json.Str (Arrival.to_spec cfg.arrival));
-      ("admission", Json.Str (Admission.to_spec cfg.admission));
-      ("clients", Json.Int cfg.clients);
-      ("window", Json.Int cfg.window);
-      ("duration_s", Json.Float cfg.duration);
-      ("servers", Json.Int (List.length cfg.server_cpus));
-      ( "knee_offered_rate",
-        match knee points with Some k -> Json.Float k | None -> Json.Null );
-      ( "points",
-        Json.List
-          (List.map
-             (fun { sp_rate; sp_outcome = o } ->
-               match Recorder.to_json o.recorder with
-               | Json.Obj fields ->
-                   Json.Obj
-                     (("rate", Json.Float sp_rate)
-                     :: ("ok", Json.Bool o.ok)
-                     :: ("drained", Json.Bool o.drained)
-                     :: fields)
-               | j -> j)
-             points) );
-    ]
+(** [outcome_table points] — whether each point validated and drained,
+    and its simulated length. *)
+let outcome_table points =
+  let row p =
+    let o = p.sp_outcome in
+    ( rate_key p,
+      Sim.Stats.
+        [ Str (string_of_bool o.ok); Str (string_of_bool o.drained); Float (1e3 *. o.elapsed) ] )
+  in
+  {
+    Sim.Stats.title = "outcomes";
+    columns = [ "rate"; "validated"; "drained"; "simulated_ms" ];
+    rows = List.map row points;
+  }
 
-let sweep_json ~cfg points = Json.Obj (sweep_fields ~cfg points)
+(** [tables points] — a sweep's whole report, every row keyed by the
+    offered rate: {!sweep_table}, {!outcome_table}, then the recorders'
+    {!Recorder.tables} and {!Recorder.series} (the payload of
+    [BENCH_serve.json] and of [shasta_serve --json]). *)
+let tables points =
+  let runs = List.map (fun p -> (rate_key p, p.sp_outcome.recorder)) points in
+  (sweep_table points :: outcome_table points :: Recorder.tables ~key:"rate" runs)
+  @ Recorder.series ~key:"rate" runs
+
+(** [meta ~cfg points] — what a report's envelope carries besides its
+    tables: the run parameters and the {!knee} as a number. *)
+let meta ~cfg points =
+  [
+    ("seed", Json.Int cfg.seed);
+    ("arrival", Json.Str (Arrival.to_spec cfg.arrival));
+    ("admission", Json.Str (Admission.to_spec cfg.admission));
+    ("clients", Json.Int cfg.clients);
+    ("window", Json.Int cfg.window);
+    ("duration_s", Json.Float cfg.duration);
+    ("servers", Json.Int (List.length cfg.server_cpus));
+    ("knee_offered_rate", match knee points with Some k -> Json.Float k | None -> Json.Null);
+  ]

@@ -126,9 +126,3 @@ let report ~bindings (r : Races.report) =
 let homing_name = function
   | Protocol.Config.Static -> "static"
   | Protocol.Config.Migratory -> "migratory"
-
-let pp_hint ppf h =
-  Format.fprintf ppf "%-10s a%d block %4d -> %4d  %-13s %dr/%dw stride %d%s%s" h.h_region
-    h.h_arg h.h_block h.h_suggest (kind_name h.h_kind) h.h_reads h.h_writes h.h_stride
-    (if h.h_locked_writes > 0 then Printf.sprintf " (%d locked)" h.h_locked_writes else "")
-    (match h.h_homing with None -> "" | Some hm -> " homing=" ^ homing_name hm)

@@ -47,7 +47,19 @@ let scale k b =
     total (the Figure 4/5 presentation, where one bar is 100%). *)
 let normalize ~against b = scale (100.0 /. total against) b
 
-let pp ppf b =
-  Format.fprintf ppf
-    "task=%.1f%% read=%.1f%% write=%.1f%% mb=%.1f%% sync=%.1f%% blocked=%.1f%% msg=%.1f%%" b.task
-    b.read b.write b.mb b.sync b.blocked b.msg
+(** [table ~title ~key rows] — one row per named breakdown, keyed in
+    column [key], each category a percentage of that row's own total. *)
+let table ~title ~key rows =
+  let row (name, b) =
+    let b = normalize ~against:b b in
+    ( name,
+      List.map
+        (fun x -> Sim.Stats.Float x)
+        [ b.task; b.read; b.write; b.mb; b.sync; b.blocked; b.msg ] )
+  in
+  {
+    Sim.Stats.title;
+    columns =
+      [ key; "task_pct"; "read_pct"; "write_pct"; "mb_pct"; "sync_pct"; "blocked_pct"; "msg_pct" ];
+    rows = List.map row rows;
+  }

@@ -280,6 +280,14 @@ let affinity_bindings =
     { Rewrite.Affinity.bd_arg = 1; bd_region = "bulk"; bd_block = 512; bd_size = 64 * 1024 };
   ]
 
+(* One affinity hint on one line. *)
+let pp_hint ppf (h : Rewrite.Affinity.hint) =
+  let open Rewrite.Affinity in
+  Format.fprintf ppf "%-10s a%d block %4d -> %4d  %-13s %dr/%dw stride %d%s%s" h.h_region
+    h.h_arg h.h_block h.h_suggest (kind_name h.h_kind) h.h_reads h.h_writes h.h_stride
+    (if h.h_locked_writes > 0 then Printf.sprintf " (%d locked)" h.h_locked_writes else "")
+    (match h.h_homing with None -> "" | Some hm -> " homing=" ^ homing_name hm)
+
 let render_races buf ~nprocs prog =
   let r = Rewrite.Races.analyze ~nprocs prog in
   Buffer.add_string buf
@@ -323,7 +331,7 @@ let render_rewrite () =
       ];
     let r = render_races buf ~nprocs prog in
     List.iter
-      (fun h -> Buffer.add_string buf (Format.asprintf "  hint %a\n" Rewrite.Affinity.pp_hint h))
+      (fun h -> Buffer.add_string buf (Format.asprintf "  hint %a\n" pp_hint h))
       (Rewrite.Affinity.report ~bindings:affinity_bindings r)
   in
   List.iter (kernel ~nprocs:1) Apps.Ircorpus.all;

@@ -118,7 +118,12 @@ let small_cfg =
     server_cpus = [ 1; 2; 5 ];
   }
 
-let report o = J.to_string (Rec.to_json o.S.recorder)
+(* Every recorder table of a run, histogram bins and the queue-depth
+   series included, as JSON. *)
+let report o =
+  let runs = [ ("run", o.S.recorder) ] in
+  J.to_string
+    (J.List (List.map J.of_table (Rec.tables ~key:"run" runs @ Rec.series ~key:"run" runs)))
 
 let check_accounting (r : Rec.t) =
   Alcotest.(check int) "every request resolved" r.Rec.offered (Rec.resolved r)
