@@ -180,9 +180,9 @@ let races_mode ~nprocs () =
     @ [ mutations ],
     missed + List.length (List.filter (fun (_, _, r) -> r.Rewrite.Races.rep_races <> []) results) )
 
-(* Validate every dispatch-metadata table the interpreter would build —
-   raw, instrumented, and instrumented+optimized — then prove the
-   validator still has teeth by seeding one batch-boundary corruption. *)
+(* Validate every decoded form the interpreter would build — raw,
+   instrumented, and instrumented+optimized — then prove the validator
+   still has teeth by seeding the decoded-form corruptions. *)
 let batch_mode ~options () =
   let optimized prog =
     fst
@@ -206,8 +206,9 @@ let batch_mode ~options () =
   let results =
     List.map (fun (name, prog) -> (name, Rewrite.Batch.validate_program prog)) targets
   in
-  (* Batch-boundary mutation: lengthen one pure run and demand a
-     conviction — a validator that cannot convict proves nothing. *)
+  (* Decoded-form mutations: lengthen one pure run, move one register
+     operand past the file, and demand a conviction of each — a
+     validator that cannot convict proves nothing. *)
   let mutation, missed = conviction (Check.Mutation.batch targets) in
   ( ({
        Sim.Stats.title = "batch-safety validation (raw / instrumented / optimized metadata)";
@@ -281,7 +282,7 @@ let () =
       ("--optimize", Arg.Set optimize, " like --verify, with redundant_elim on (reports eliminated/hoisted)");
       ("--mutants", Arg.Set mutants, " sweep seeded instrumenter mutations; the validator must catch all");
       ("--races", Arg.Set races, " static race detection over the corpus + seeded sync mutations");
-      ("--batch-verify", Arg.Set batch_verify, " validate the interpreter's batch-dispatch metadata");
+      ("--batch-verify", Arg.Set batch_verify, " validate the interpreter's decoded form and tables");
       ("--affinity", Arg.Set affinity, " static affinity/false-sharing hints for the sync corpus");
       ("--nprocs", Arg.Set_int nprocs, "N SPMD thread count for --races/--affinity (default 4)");
       ("--lint-report", Arg.Set_string lint_report, "FILE write a JSON report (shared BENCH envelope) to FILE");

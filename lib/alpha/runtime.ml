@@ -21,8 +21,14 @@ type sc_outcome =
   | Handled of bool  (** protocol performed (or failed) the conditional store *)
 
 type t = {
-  load : int -> Insn.width -> int64;  (** raw load *)
-  store : int -> Insn.width -> int64 -> unit;  (** raw store *)
+  load : int -> Insn.width -> Bytes.t -> int -> unit;
+      (** [load addr w dst off]: the raw load, its value sign-extended to
+          64 bits and written in native byte order to the 8 bytes of
+          [dst] at [off].  The interpreter passes its register file, so
+          no word is boxed on the way. *)
+  store : int -> Insn.width -> Bytes.t -> int -> unit;
+      (** [store addr w src off]: the raw store of the word held at [off]
+          of [src], in native byte order (its low 4 bytes at [W32]) *)
   miss_flag : Insn.width -> int64;
       (** the value a load of this width returns from an invalid line;
           the interpreter compares each checked load with it inline *)
@@ -77,12 +83,12 @@ let is_sync_proc n =
     baseline measurements.  [size] bytes of zeroed memory. *)
 let flat ?(charge = fun _ -> ()) ~size () =
   let mem = Bytes.make size '\000' in
-  let load addr (w : Insn.width) =
+  let read addr (w : Insn.width) =
     match w with
     | Insn.W32 -> Int64.of_int32 (Bytes.get_int32_le mem addr)
     | Insn.W64 -> Bytes.get_int64_le mem addr
   in
-  let store addr (w : Insn.width) v =
+  let write addr (w : Insn.width) v =
     match w with
     | Insn.W32 -> Bytes.set_int32_le mem addr (Int64.to_int32 v)
     | Insn.W64 -> Bytes.set_int64_le mem addr v
@@ -90,8 +96,8 @@ let flat ?(charge = fun _ -> ()) ~size () =
   (* Uniprocessor LL/SC: succeeds unless an intervening SC cleared it. *)
   let lock_flag = ref false in
   {
-    load;
-    store;
+    load = (fun addr w dst off -> Bytes.set_int64_ne dst off (read addr w));
+    store = (fun addr w src off -> write addr w (Bytes.get_int64_ne src off));
     (* No line is ever invalid here: any flag will do, and a load that
        happens to match it is returned as it is. *)
     miss_flag = (fun _ -> Int64.min_int);
@@ -101,12 +107,12 @@ let flat ?(charge = fun _ -> ()) ~size () =
     ll =
       (fun addr w ->
         lock_flag := true;
-        load addr w);
+        read addr w);
     sc =
       (fun addr w v ->
         let ok = !lock_flag in
         lock_flag := false;
-        if ok then store addr w v;
+        if ok then write addr w v;
         ok);
     ll_check = (fun _ -> ());
     sc_check = (fun _ _ _ -> Run_in_hardware);

@@ -303,49 +303,66 @@ let sync ?(nprocs = 4) () =
     noun = "site";
   }
 
-(* --- batch-boundary mutation ---
+(* --- decoded-form mutations ---
 
-   One seeded corruption of the interpreter's dispatch metadata: a pure
-   run lengthened by one instruction, so the batched main loop would
-   execute the dispatch point that follows it — a poll, a check, a
-   memory access — as if it were register arithmetic.  The batch-safety
-   validator ({!Rewrite.Batch}) must convict it. *)
+   Seeded corruptions of the interpreter's decoded form, each of which
+   the validator ({!Rewrite.Batch}) must convict:
+   - batch-boundary: a pure run lengthened by one instruction, so the
+     batched main loop would execute the dispatch point that follows
+     it — a poll, a check, a memory access — as if it were register
+     arithmetic;
+   - register-past-file: a register operand moved past the register
+     file, which the loop would read or write unchecked. *)
 
-(** [swallow_dispatch proc] — [proc]'s freshly built metadata with its
+type dmutation = Batch_boundary | Register_past_file
+
+(** [swallow_dispatch proc] — [proc]'s freshly decoded form with its
     first extensible pure run grown by one, or [None] when the
     procedure has no pure run followed by another instruction. *)
 let swallow_dispatch (proc : Alpha.Program.procedure) =
-  let m = Alpha.Interp.build_meta proc in
+  let m = Alpha.Interp.decode proc in
   let n = Array.length proc.Alpha.Program.code in
   let pure = Array.copy m.Alpha.Interp.m_pure in
-  let site = ref None in
-  (try
-     for pc = 0 to n - 1 do
-       if !site = None && pure.(pc) > 0 && pc + pure.(pc) < n then begin
-         site := Some pc;
-         pure.(pc) <- pure.(pc) + 1;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  match !site with
+  match List.find_opt (fun pc -> pure.(pc) > 0 && pc + pure.(pc) < n) (List.init n Fun.id) with
   | None -> None
-  | Some pc -> Some (pc, { m with Alpha.Interp.m_pure = pure })
+  | Some pc ->
+      pure.(pc) <- pure.(pc) + 1;
+      Some (pc, { m with Alpha.Interp.m_pure = pure })
 
-(** [batch targets] — the batch-boundary mutation over named programs;
-    a program's trials are its procedures, one firing where
-    {!swallow_dispatch} finds a run to grow, and convicting when the
-    validator reports a violation of the grown metadata. *)
+(** [register_past_file proc] — [proc]'s freshly decoded form with the
+    destination of its first load-immediate moved one slot past the
+    register file, or [None] when it has no load-immediate. *)
+let register_past_file (proc : Alpha.Program.procedure) =
+  let m = Alpha.Interp.decode proc in
+  let ops = Array.copy m.Alpha.Interp.m_ops in
+  List.find_map
+    (fun pc ->
+      match ops.(pc) with
+      | Alpha.Interp.Li (_, v) ->
+          ops.(pc) <- Alpha.Interp.Li (Alpha.Interp.sink + 1, v);
+          Some (pc, { m with Alpha.Interp.m_ops = ops })
+      | _ -> None)
+    (List.init (Array.length ops) Fun.id)
+
+(** [batch targets] — the decoded-form mutations over named programs; a
+    program's trials are its procedures, one firing where the mutation
+    finds a site, and convicting when the validator reports a violation
+    of the corrupted form. *)
 let batch targets =
   {
-    mutations = [ ((), "batch-boundary") ];
+    mutations = [ (Batch_boundary, "batch-boundary"); (Register_past_file, "register-past-file") ];
     targets;
     trials =
-      (fun () prog k ->
+      (fun mu prog k ->
+        let seed =
+          match mu with
+          | Batch_boundary -> swallow_dispatch
+          | Register_past_file -> register_past_file
+        in
         List.iter
-          (fun p -> k (Option.map (fun (_, meta) -> (p, meta)) (swallow_dispatch p)))
+          (fun p -> k (Option.map (fun (_, meta) -> (p, meta)) (seed p)))
           (Alpha.Program.procedures prog));
     convicts = (fun (p, meta) -> Rewrite.Batch.validate_meta p meta <> []);
-    title = "batch-boundary mutation (convicted by the batch validator)";
+    title = "decoded-form mutations (convicted by the batch validator)";
     noun = "procedure";
   }

@@ -61,7 +61,7 @@ let flush_threshold = 2048
 
 let flush h =
   if h.acc_cycles > 0 then begin
-    Sim.Proc.work (float_of_int h.acc_cycles /. Sim.Units.default_cpu_hz);
+    Sim.Proc.work_on h.proc (float_of_int h.acc_cycles /. Sim.Units.default_cpu_hz);
     h.acc_cycles <- 0
   end
 
@@ -188,12 +188,12 @@ let[@inline] private_mem h =
   let m = h.priv in
   if Bytes.length m = 0 then alloc_private h else m
 
-let private_read h addr (w : Alpha.Insn.width) =
+let[@inline] private_read h addr (w : Alpha.Insn.width) =
   match w with
   | Alpha.Insn.W32 -> Int64.of_int32 (Bytes.get_int32_le (private_mem h) addr)
   | Alpha.Insn.W64 -> Bytes.get_int64_le (private_mem h) addr
 
-let private_write h addr (w : Alpha.Insn.width) v =
+let[@inline] private_write h addr (w : Alpha.Insn.width) v =
   match w with
   | Alpha.Insn.W32 -> Bytes.set_int32_le (private_mem h) addr (Int64.to_int32 v)
   | Alpha.Insn.W64 -> Bytes.set_int64_le (private_mem h) addr v
@@ -317,8 +317,8 @@ let work h seconds =
     (* Residual checking overhead on private data and polls, folded into
        compute time as a small multiplier; the dominant overheads are the
        per-shared-access charges above. *)
-    Sim.Proc.work (seconds *. 1.02)
-  else Sim.Proc.work seconds
+    Sim.Proc.work_on h.proc (seconds *. 1.02)
+  else Sim.Proc.work_on h.proc seconds
 
 let work_cycles h n = charge_cycles h n
 
@@ -537,21 +537,53 @@ let rec shared_entries h entries addrs i =
       let addr = addrs.(i) and tl = shared_entries h rest addrs (i + 1) in
       if is_shared h addr then (addr, e.Alpha.Insn.b_width, e.Alpha.Insn.b_kind) :: tl else tl
 
+(* The raw accesses of interpreted code, each in one call (DESIGN §16).
+   A shared access inside the held image hits it in place; a store does
+   so only when the engine would not intercept it: no miss outstanding,
+   no block watched after a batch, no LL monitor armed and no monitor
+   break waiting to wake the node.  Anything else takes the engine's
+   [raw_read]/[raw_write].  The word moves between the image and the
+   interpreter's register file [regs] at byte [r], never boxed on a
+   hit. *)
+let ir_load h addr (w : Alpha.Insn.width) regs r =
+  if is_shared h addr then begin
+    let data = h.img.Protocol.Memimg.data and off = addr - h.shared_lo in
+    match w with
+    | Alpha.Insn.W64 when off <= Bytes.length data - 8 ->
+        Bytes.set_int64_ne regs r (Bytes.get_int64_le data off)
+    | Alpha.Insn.W32 when off <= Bytes.length data - 4 ->
+        Bytes.set_int64_ne regs r (Int64.of_int32 (Bytes.get_int32_le data off))
+    | Alpha.Insn.W64 | Alpha.Insn.W32 -> Bytes.set_int64_ne regs r (E.raw_read h.pcb addr w)
+  end
+  else Bytes.set_int64_ne regs r (private_read h addr w)
+
+let ir_store h addr (w : Alpha.Insn.width) regs r =
+  if is_shared h addr then begin
+    let img = h.img in
+    let data = img.Protocol.Memimg.data and off = addr - h.shared_lo in
+    if
+      off <= Bytes.length data - Alpha.Insn.bytes_of_width w
+      && Protocol.Ptypes.Itbl.length h.st.E.outstanding = 0
+      && h.st.E.watch_blocks == []
+      && img.Protocol.Memimg.armed = 0
+      && img.Protocol.Memimg.breaks = 0
+    then
+      match w with
+      | Alpha.Insn.W64 -> Bytes.set_int64_le data off (Bytes.get_int64_ne regs r)
+      | Alpha.Insn.W32 -> Bytes.set_int32_le data off (Int64.to_int32 (Bytes.get_int64_ne regs r))
+    else E.raw_write h.pcb addr w (Bytes.get_int64_ne regs r)
+  end
+  else private_write h addr w (Bytes.get_int64_ne regs r)
+
 (** [alpha_runtime h] — the machine interface for interpreter execution:
     raw accesses hit the node image (or private memory); the pseudo-
     instruction callbacks enter the protocol. *)
 let alpha_runtime h =
-  let dispatch_read addr w =
-    if is_shared h addr then E.raw_read h.pcb addr w else private_read h addr w
-  in
-  let dispatch_write addr w v =
-    if is_shared h addr then E.raw_write h.pcb addr w v else private_write h addr w v
-  in
   (* Applied once here, so an LL check builds no closure. *)
   let ll_ensure = E.ll_ensure h.pcb in
   {
-    Alpha.Runtime.load = dispatch_read;
-    store = dispatch_write;
+    Alpha.Runtime.load = ir_load h;
+    store = ir_store h;
     miss_flag = flag;
     load_check =
       (fun value addr w ->

@@ -413,11 +413,11 @@ let rec slices p ~v ~wait ~slice ~elapsed rem =
 (* The loop's head: [rem] seconds left, no slice in progress. *)
 and resume_slices p rem = slices p ~v:p.version ~wait:0.0 ~slice:false ~elapsed:true rem
 
-let work dt =
-  if dt > 0.0 then begin
-    let p = self () in
-    slices p ~v:p.version ~wait:0.0 ~slice:false ~elapsed:false dt
-  end
+(** [work_on p dt] — [work dt] for a caller that holds [p], the
+    running process: no lookup of who is running. *)
+let work_on p dt = if dt > 0.0 then slices p ~v:p.version ~wait:0.0 ~slice:false ~elapsed:false dt
+
+let work dt = if dt > 0.0 then work_on (self ()) dt
 
 let wakeup p =
   match p.state with

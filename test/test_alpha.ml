@@ -337,6 +337,48 @@ let test_step_budget () =
      Alcotest.(check bool) "budget message" true
        (String.length m > 0 && String.sub m 0 4 = "step"))
 
+(* The loop reads and writes the register files unchecked, so a
+   register outside 0..31 must be refused when its procedure is
+   decoded: a [Trap] before the procedure's first step (its store never
+   runs, no cycle is charged past the caller's), not a read past the
+   register file.  In a callee, the caller's steps up to the call run. *)
+let test_register_range_checked () =
+  let bad =
+    Insn.
+      [
+        Binop (Add, 32, Reg 1, 0); Binop (Add, 1, Reg (-1), 0); Li (40, 1L); Fmov (0, 32);
+        Ld (W64, 1, 0, 32);
+        Batch_check [ { b_width = W64; b_kind = Load_acc; b_off = 0; b_base = 33 } ];
+      ]
+  in
+  List.iter
+    (fun insn ->
+      let stores = ref 0 and charged = ref 0 in
+      let rt =
+        {
+          (Runtime.flat ~size:4096 ~charge:(fun n -> charged := !charged + n) ()) with
+          Runtime.store = (fun _ _ _ _ -> incr stores);
+        }
+      in
+      let name = Format.asprintf "%a" Insn.pp insn in
+      let refused prog =
+        match Interp.run prog rt ~entry:"main" () with
+        | _ -> Alcotest.failf "%s ran" name
+        | exception Interp.Trap _ -> ()
+      in
+      refused Asm.(program [ proc "main" [ li t0 0x100L; stq t0 0 t0; insn; halt ] ]);
+      Alcotest.(check (pair int int)) (name ^ ": refused before the first step") (0, 0)
+        (!stores, !charged);
+      refused
+        Asm.(
+          program
+            [
+              proc "main" [ li t0 0x100L; stq t0 0 t0; call "helper"; halt ];
+              proc "helper" [ stq t0 8 t0; insn; ret ];
+            ]);
+      Alcotest.(check int) (name ^ ": the callee's store never runs") 1 !stores)
+    bad
+
 let test_unknown_label_rejected () =
   (try
      ignore Asm.(program [ proc "main" [ br "nowhere" ] ]);
@@ -418,6 +460,7 @@ let suite =
     Alcotest.test_case "LL sees taken lock" `Quick test_llsc_fail_when_taken;
     Alcotest.test_case "unaligned traps" `Quick test_unaligned_traps;
     Alcotest.test_case "step budget traps" `Quick test_step_budget;
+    Alcotest.test_case "register range checked at decode" `Quick test_register_range_checked;
     Alcotest.test_case "unknown label rejected" `Quick test_unknown_label_rejected;
     Alcotest.test_case "duplicate label rejected" `Quick test_duplicate_label_rejected;
     Alcotest.test_case "program size in slots" `Quick test_program_size;

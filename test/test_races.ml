@@ -223,6 +223,27 @@ let test_batch_mutation_convicted () =
     (Alpha.Program.procedures prog);
   Alcotest.(check bool) "at least one procedure mutated" true (!convicted > 0)
 
+(* A decoded register operand moved past the register file must draw an
+   "operand" violation: the loop would index the file unchecked. *)
+let test_operand_mutation_convicted () =
+  let e = List.find (fun e -> e.I.e_name = "water-nsq") I.all in
+  let prog = instrument e.I.e_program in
+  let convicted = ref 0 in
+  List.iter
+    (fun (p : Alpha.Program.procedure) ->
+      match Check.Mutation.register_past_file p with
+      | None -> ()
+      | Some (pc, meta) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s operand at %d convicted" p.Alpha.Program.name pc)
+            true
+            (List.exists
+               (fun v -> v.Rewrite.Batch.v_kind = "operand" && v.Rewrite.Batch.v_index = pc)
+               (Rewrite.Batch.validate_meta p meta));
+          incr convicted)
+    (Alpha.Program.procedures prog);
+  Alcotest.(check bool) "at least one procedure mutated" true (!convicted > 0)
+
 (* --- affinity lint --- *)
 
 let bindings ~block =
@@ -288,6 +309,7 @@ let suite =
     Alcotest.test_case "every drop-lock site convicted" `Quick test_every_drop_lock_site_convicted;
     Alcotest.test_case "batch validator clean on corpus" `Quick test_batch_validator_clean;
     Alcotest.test_case "batch mutation convicted" `Quick test_batch_mutation_convicted;
+    Alcotest.test_case "operand mutation convicted" `Quick test_operand_mutation_convicted;
     Alcotest.test_case "affinity: false sharing" `Quick test_affinity_false_sharing;
     Alcotest.test_case "affinity: migratory" `Quick test_affinity_migratory;
     Alcotest.test_case "affinity: stencil fine stride" `Quick test_affinity_fine_stencil;
