@@ -15,8 +15,10 @@
      and the migratory run must actually engage (home transfers > 0),
      confirming the record really is handed around the cluster.
 
-   Both comparisons, with the agreement verdicts, land in
-   BENCH_lint.json via the shared envelope. *)
+   Each cross-check is one table row: the static hint, the dynamic
+   counters under both configurations, the dynamic verdict and their
+   agreement.  Both tables are printed and land in BENCH_lint.json
+   under "tables". *)
 
 module I = Apps.Ircorpus
 module L = Protocol.Layout
@@ -75,27 +77,29 @@ let run_lint_with ~iters ~out_file () =
      the suggested blocks must kill most of them. *)
   let dynamic_fs = st_coarse > 2 * st_fine in
   let fs_agree = static_fs && dynamic_fs in
-  Support.print
+  let rd_coarse = (region_stat coarse "hot").Protocol.Engine.r_read_misses in
+  let rd_fine = (region_stat fine "hot").Protocol.Engine.r_read_misses in
+  let fs_table =
     {
       Sim.Stats.title = "Affinity lint: fs-twin false-sharing cross-check";
       columns =
-        [ "hot_block_bytes"; "elapsed_ms"; "hot_invals"; "hot_read_misses"; "hot_store_misses" ];
+        [ "kernel"; "static_kind"; "static_suggest"; "store_misses_coarse"; "store_misses_fine";
+          "invals_coarse"; "invals_fine"; "read_misses_coarse"; "read_misses_fine";
+          "elapsed_coarse_ms"; "elapsed_fine_ms"; "dynamic"; "agree" ];
       rows =
-        List.map
-          (fun (label, (r : I.spmd_result)) ->
-            let st = region_stat r "hot" in
-            ( label,
-              Sim.Stats.Float (1000.0 *. r.I.s_elapsed)
-              :: Sim.Stats.ints
-                   Protocol.Engine.[ st.r_invals; st.r_read_misses; st.r_store_misses ] ))
-          [ ("512", coarse); (string_of_int suggested, fine) ];
-    };
-  Printf.printf "static: %s (suggest %dB)   dynamic: %s (%d -> %d store misses)   %s\n"
-    (Rewrite.Affinity.kind_name hint.Rewrite.Affinity.h_kind)
-    suggested
-    (if dynamic_fs then "false sharing confirmed" else "no false sharing seen")
-    st_coarse st_fine
-    (if fs_agree then "AGREE" else "DISAGREE");
+        [
+          ( "fs-twin",
+            Sim.Stats.(
+              Str (Rewrite.Affinity.kind_name hint.Rewrite.Affinity.h_kind)
+              :: ints [ suggested; st_coarse; st_fine; inv_coarse; inv_fine; rd_coarse; rd_fine ]
+              @ [
+                  Float (1000.0 *. coarse.I.s_elapsed); Float (1000.0 *. fine.I.s_elapsed);
+                  Str (if dynamic_fs then "false-sharing" else "none");
+                  Str (string_of_bool fs_agree);
+                ]) );
+        ];
+    }
+  in
 
   (* --- mdb-sync: migratory homing --- *)
   let mdb = I.find_sync "mdb-sync" in
@@ -115,58 +119,38 @@ let run_lint_with ~iters ~out_file () =
   let hmig = run_homing Protocol.Config.Migratory in
   let dynamic_mig = hmig.I.s_migrations > 0 in
   let mdb_agree = static_mig && dynamic_mig in
-  Support.print
+  let mdb_table =
     {
       Sim.Stats.title = "Affinity lint: mdb-sync migratory cross-check";
-      columns = [ "homing"; "elapsed_ms"; "migrations"; "hot_invals" ];
+      columns =
+        [ "kernel"; "static_homing"; "migrations_static"; "migrations_migratory";
+          "invals_static"; "invals_migratory"; "elapsed_static_ms"; "elapsed_migratory_ms";
+          "dynamic"; "agree" ];
       rows =
-        List.map
-          (fun (label, (r : I.spmd_result)) ->
-            ( label,
-              Sim.Stats.
-                [
-                  Float (1000.0 *. r.I.s_elapsed); Int r.I.s_migrations;
-                  Int (region_stat r "hot").Protocol.Engine.r_invals;
-                ] ))
-          [ ("static", hstatic); ("migratory", hmig) ];
-    };
-  Printf.printf "static: %s   dynamic: %d migrations, %.2f -> %.2f ms   %s\n"
-    (match mhint.Rewrite.Affinity.h_homing with
-    | Some h -> "homing=" ^ Rewrite.Affinity.homing_name h
-    | None -> "no homing hint")
-    hmig.I.s_migrations (1000.0 *. hstatic.I.s_elapsed) (1000.0 *. hmig.I.s_elapsed)
-    (if mdb_agree then "AGREE" else "DISAGREE");
-
+        [
+          ( "mdb-sync",
+            Sim.Stats.(
+              Str
+                (match mhint.Rewrite.Affinity.h_homing with
+                | Some h -> Rewrite.Affinity.homing_name h
+                | None -> "none")
+              :: ints
+                   [ hstatic.I.s_migrations; hmig.I.s_migrations;
+                     (region_stat hstatic "hot").Protocol.Engine.r_invals;
+                     (region_stat hmig "hot").Protocol.Engine.r_invals ]
+              @ [
+                  Float (1000.0 *. hstatic.I.s_elapsed); Float (1000.0 *. hmig.I.s_elapsed);
+                  Str (if dynamic_mig then "migratory" else "none");
+                  Str (string_of_bool mdb_agree);
+                ]) );
+        ];
+    }
+  in
+  let tables = [ fs_table; mdb_table ] in
+  List.iter Support.print tables;
   Support.emit ~file:out_file ~bench:"lint"
     ~meta:[ ("nodes", Load.Json.Int nodes); ("nprocs", Load.Json.Int nprocs); ("iters", Load.Json.Int iters) ]
-    [
-      ( "fs_twin",
-        Load.Json.Obj
-          [
-            ("static_kind", Load.Json.Str (Rewrite.Affinity.kind_name hint.Rewrite.Affinity.h_kind));
-            ("static_suggest", Load.Json.Int suggested);
-            ("store_misses_coarse", Load.Json.Int st_coarse);
-            ("store_misses_fine", Load.Json.Int st_fine);
-            ("invals_coarse", Load.Json.Int inv_coarse);
-            ("invals_fine", Load.Json.Int inv_fine);
-            ("elapsed_coarse_ms", Load.Json.Float (1000.0 *. coarse.I.s_elapsed));
-            ("elapsed_fine_ms", Load.Json.Float (1000.0 *. fine.I.s_elapsed));
-            ("agree", Load.Json.Bool fs_agree);
-          ] );
-      ( "mdb_sync",
-        Load.Json.Obj
-          [
-            ( "static_homing",
-              match mhint.Rewrite.Affinity.h_homing with
-              | None -> Load.Json.Null
-              | Some h -> Load.Json.Str (Rewrite.Affinity.homing_name h) );
-            ("migrations_static", Load.Json.Int hstatic.I.s_migrations);
-            ("migrations_migratory", Load.Json.Int hmig.I.s_migrations);
-            ("elapsed_static_ms", Load.Json.Float (1000.0 *. hstatic.I.s_elapsed));
-            ("elapsed_migratory_ms", Load.Json.Float (1000.0 *. hmig.I.s_elapsed));
-            ("agree", Load.Json.Bool mdb_agree);
-          ] );
-    ];
+    [ Load.Json.tables tables ];
   if not (fs_agree && mdb_agree) then failwith "lint bench: static and dynamic verdicts disagree"
 
 let run_lint () = run_lint_with ~iters:200 ~out_file:"BENCH_lint.json" ()
