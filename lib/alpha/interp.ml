@@ -389,9 +389,7 @@ let run ?(max_steps = 1_000_000_000) (program : Program.t) (rt : Runtime.t) ~ent
               else rt.Runtime.sc addr w (get_reg regs s)
             in
             set_reg regs d (if ok then 1L else 0L)
-        | Mb ->
-            stats.mbs <- stats.mbs + 1;
-            rt.Runtime.mb ()
+        | Mb -> stats.mbs <- stats.mbs + 1
         | Br -> pc := Array.unsafe_get m.m_target i
         | Bcond (c, r) -> if eval_cond c (get_reg regs r) then pc := Array.unsafe_get m.m_target i
         | Call name -> (

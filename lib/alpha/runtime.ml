@@ -49,8 +49,7 @@ type t = {
       (** before LL: fetch the line if invalid/pending; remember its state *)
   sc_check : int -> Insn.width -> int64 -> sc_outcome;
       (** before SC: decide hardware vs protocol path (Section 3.1.2) *)
-  mb : unit -> unit;  (** raw hardware memory barrier *)
-  mb_check : unit -> unit;  (** protocol fence inserted after MB *)
+  mb_check : unit -> unit;  (** protocol fence inserted after MB, itself only cycles *)
   poll : unit -> unit;  (** service incoming protocol messages *)
   prefetch_excl : int -> unit;  (** non-binding exclusive prefetch *)
   charge : int -> unit;  (** consume [n] cycles of simulated CPU time *)
@@ -116,7 +115,6 @@ let flat ?(charge = fun _ -> ()) ~size () =
         ok);
     ll_check = (fun _ -> ());
     sc_check = (fun _ _ _ -> Run_in_hardware);
-    mb = (fun () -> ());
     mb_check = (fun () -> ());
     poll = (fun () -> ());
     prefetch_excl = (fun _ -> ());

@@ -140,17 +140,7 @@ let explain ~max_states per =
 let check ?(full = false) t =
   let evs = events t in
   let violations = ref [] in
-  let seen = Hashtbl.create 64 in
-  let addrs =
-    List.filter
-      (fun a ->
-        if Hashtbl.mem seen a then false
-        else begin
-          Hashtbl.add seen a ();
-          true
-        end)
-      (List.map (fun e -> e.ev_addr) evs)
-  in
+  let addrs = List.sort_uniq compare (List.map (fun e -> e.ev_addr) evs) in
   List.iter
     (fun addr ->
       let ops = List.filter (fun e -> e.ev_addr = addr) evs in

@@ -41,7 +41,6 @@ type t = {
           a block id is [off lsr block_shift]; -1 for a mixed layout *)
   shared_lo : int;  (** shared-range bounds, cached as immediates *)
   shared_hi : int;
-  last64 : int;  (** the highest address an 8-byte shared access may start at *)
   c_access : int;  (** cycles charged per unchecked access *)
   c_load : int;  (** cycles charged per checked load, precomputed *)
   c_store : int;  (** cycles charged per checked store *)
@@ -49,12 +48,13 @@ type t = {
   mutable acc_cycles : int;
   mutable blocked_time : float;
   mutable accesses : int;  (** shared loads+stores issued in API mode *)
-  mutable sc_addr : int;  (** the operands {!sc_check} hands to [E.sc_check] *)
-  mutable sc_w : Alpha.Insn.width;
-  mutable sc_v : int64;
+  mutable op_addr : int;  (** the operands the store, LL and SC checks hand to the engine *)
+  mutable op_w : Alpha.Insn.width;
+  mutable op_v : int64;
   mutable on_access : (access -> unit) option;
-      (** trace hook over API-mode shared accesses (incl. LL/SC);
-          [None] (the default) costs nothing *)
+      (** trace hook over shared accesses, API-mode and interpreted
+          alike (incl. LL/SC); [None] (the default) costs one field
+          test per access *)
 }
 
 let flush_threshold = 2048
@@ -85,16 +85,6 @@ let in_protocol h f x =
       h.st.E.in_app := true;
       raise e
 
-(* The SC check under [in_protocol], with no closure built per SC: the
-   operands wait in the handle for the known function [sc_pending]. *)
-let sc_pending h = E.sc_check h.pcb h.sc_addr h.sc_w h.sc_v
-
-let sc_check h addr w v =
-  h.sc_addr <- addr;
-  h.sc_w <- w;
-  h.sc_v <- v;
-  in_protocol h sc_pending h
-
 let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
   let pcb = E.attach peng proc in
   let ep = Sync.register sync ~pid:proc.Sim.Proc.pid ~node:proc.Sim.Proc.cpu.Sim.Proc.node_id in
@@ -117,9 +107,6 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       shared_hi =
         cfg.Config.protocol.Protocol.Config.shared_base
         + cfg.Config.protocol.Protocol.Config.shared_size;
-      last64 =
-        cfg.Config.protocol.Protocol.Config.shared_base
-        + cfg.Config.protocol.Protocol.Config.shared_size - 8;
       c_access = ck.Config.access_cycles;
       c_load = ck.Config.access_cycles + (if on then ck.Config.load_check_cycles else 0);
       c_store = ck.Config.access_cycles + (if on then ck.Config.store_check_cycles else 0);
@@ -127,9 +114,9 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       acc_cycles = 0;
       blocked_time = 0.0;
       accesses = 0;
-      sc_addr = 0;
-      sc_w = Alpha.Insn.W64;
-      sc_v = 0L;
+      op_addr = 0;
+      op_w = Alpha.Insn.W64;
+      op_v = 0L;
       on_access = None;
     }
   in
@@ -198,17 +185,85 @@ let[@inline] private_write h addr (w : Alpha.Insn.width) v =
   | Alpha.Insn.W32 -> Bytes.set_int32_le (private_mem h) addr (Int64.to_int32 v)
   | Alpha.Insn.W64 -> Bytes.set_int64_le (private_mem h) addr v
 
-(* --- API mode: the inline-check state machine, in function form --- *)
+(* --- the access path (DESIGN §16) ---
 
-(* A shared store after its charge: the protocol when the line is not
-   exclusive, then the raw write the engine may intercept. *)
-let[@inline never] store_shared h addr w v =
-  (match E.private_state_at h.pcb addr with
+   API mode and [alpha_runtime] are built from these pieces.  Only the
+   raw accesses off the hit path call the trace hook, and every hit
+   tests [on_access = None], so a traced access always comes here. *)
+
+(* Would [E.raw_write] only write the image?  Not while a miss is
+   outstanding, a block is watched after a batch, an LL monitor is
+   armed or a trace hook is set.  No monitor break is ever pending when
+   a fiber runs (DESIGN §16), so there is no test for one. *)
+let[@inline] in_place h =
+  Protocol.Ptypes.Itbl.length h.st.E.outstanding = 0
+  && h.st.E.watch_blocks == []
+  && h.img.Protocol.Memimg.armed = 0
+  && h.on_access == None
+
+(* The load check's miss entry, for a load that returned the flag. *)
+let[@inline never] load_miss h addr w =
+  let v = in_protocol h (fun () -> E.load_miss h.pcb addr w) () in
+  trace_access h ~store:false addr v;
+  v
+
+(* A raw load that returned the flag is traced by the [load_miss] that
+   follows it. *)
+let[@inline never] load_raw h addr w =
+  let v = E.raw_read h.pcb addr w in
+  if v <> flag w then trace_access h ~store:false addr v;
+  v
+
+(* The store, LL and SC checks build no closure: their operands wait in
+   the handle for a known function. *)
+let store_pending h = E.store_miss h.pcb h.op_addr
+let ll_pending h = E.ll_ensure h.pcb h.op_addr
+let sc_pending h = E.sc_check h.pcb h.op_addr h.op_w h.op_v
+
+let store_check h addr =
+  match E.private_state_at h.pcb addr with
   | Protocol.Ptypes.Exclusive -> ()
   | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-      in_protocol h (fun () -> E.store_miss h.pcb addr) ());
+      h.op_addr <- addr;
+      in_protocol h store_pending h
+
+let[@inline never] store_raw h addr w v =
   E.raw_write h.pcb addr w v;
   trace_access h ~store:true addr v
+
+let ll_check h addr =
+  h.op_addr <- addr;
+  in_protocol h ll_pending h
+
+let ll_raw h addr w =
+  let v = E.raw_ll h.pcb addr w in
+  trace_access h ~store:false addr v;
+  v
+
+(* An SC the protocol performed is traced here, one the hardware
+   performs by [sc_raw]. *)
+let sc_check h addr w v =
+  h.op_addr <- addr;
+  h.op_w <- w;
+  h.op_v <- v;
+  match in_protocol h sc_pending h with
+  | Alpha.Runtime.Handled true as o ->
+      trace_access h ~store:true addr v;
+      o
+  | (Alpha.Runtime.Handled false | Alpha.Runtime.Run_in_hardware) as o -> o
+
+let sc_raw h addr w v =
+  let ok = E.raw_sc h.pcb addr w v in
+  if ok then trace_access h ~store:true addr v;
+  ok
+
+let prefetch_excl h addr = in_protocol h (fun () -> E.prefetch_excl h.pcb addr) ()
+
+(* --- API mode: the inline-check state machine, in function form --- *)
+
+let[@inline never] store_shared h addr w v =
+  store_check h addr;
+  store_raw h addr w v
 
 (** [store h addr w v] — a checked shared store of either width. *)
 let store h addr w v =
@@ -237,21 +292,16 @@ let store h addr w v =
 
 (* An 8-byte access past what the image holds: grow it, or fail past
    the segment's end. *)
-let[@inline never] make_room h addr =
-  if addr > h.last64 then
-    invalid_arg (Printf.sprintf "Runtime: access at 0x%x outside the image" addr);
-  Protocol.Memimg.check h.img addr 8
+let[@inline never] make_room h addr = Protocol.Memimg.check h.img addr 8
 
 (* The block of a shared address in a layout of several regions. *)
 let[@inline never] mixed_block h addr = Protocol.Layout.block_of_addr h.layout addr
 
-let[@inline never] load64_slow h addr v0 =
-  let v =
-    if v0 = flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64) ()
-    else v0
-  in
-  trace_access h ~store:false addr v;
-  v
+(* A shared load off the hit path, as the inserted code runs it: the raw
+   load, then the load check when it returned the flag. *)
+let[@inline never] load64_slow h addr =
+  let v = load_raw h addr Alpha.Insn.W64 in
+  if v = flag_w64 then load_miss h addr Alpha.Insn.W64 else v
 
 (* [priv]/[shared]: the cycles charged for a private and a shared
    access. *)
@@ -266,17 +316,13 @@ let[@inline] load_word h ~priv ~shared addr =
     let off = addr - h.shared_lo in
     if off > Bytes.length h.img.Protocol.Memimg.data - 8 then make_room h addr;
     let v = Bytes.get_int64_le h.img.Protocol.Memimg.data off in
-    match h.on_access with
-    | None when v <> flag_w64 -> v
-    | None | Some _ -> load64_slow h addr v
+    if v <> flag_w64 && h.on_access == None then v else load64_slow h addr
   end
 
 (* A hit needs the line exclusive in the private table ('E' is
    [E.st_char Exclusive]; any other byte, a corrupt one included, takes
    the slow path, which decodes it, and so does a block past the
-   table's end, which is Invalid there), and the raw write must be one
-   the engine would not intercept: no miss outstanding, no block
-   watched, no LL monitor armed. *)
+   table's end, which is Invalid there), and a raw write [in_place]. *)
 let[@inline] store_word h ~priv ~shared addr v =
   h.accesses <- h.accesses + 1;
   if not (is_shared h addr) then begin
@@ -291,10 +337,7 @@ let[@inline] store_word h ~priv ~shared addr v =
       (let b = if h.block_shift >= 0 then off lsr h.block_shift else mixed_block h addr in
        let tab = h.st.E.private_tab in
        b < Bytes.length tab && Bytes.unsafe_get tab b = 'E')
-      && Protocol.Ptypes.Itbl.length h.st.E.outstanding = 0
-      && h.st.E.watch_blocks == []
-      && h.img.Protocol.Memimg.armed = 0
-      && h.on_access == None
+      && in_place h
     then Bytes.set_int64_le h.img.Protocol.Memimg.data off v
     else store_shared h addr Alpha.Insn.W64 v
   end
@@ -400,20 +443,14 @@ let as_sync h f =
    the access that took effect. *)
 let load_locked h addr w =
   charge_cycles h (3 + 2) (* ll_check + ll *);
-  in_protocol h (fun () -> E.ll_ensure h.pcb addr) ();
-  let v = E.raw_ll h.pcb addr w in
-  trace_access h ~store:false addr v;
-  v
+  ll_check h addr;
+  ll_raw h addr w
 
 let store_conditional h addr w v =
   charge_cycles h (4 + 2) (* sc_check + sc *);
-  let ok =
-    match sc_check h addr w v with
-    | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr w v
-    | Alpha.Runtime.Handled ok -> ok
-  in
-  if ok then trace_access h ~store:true addr v;
-  ok
+  match sc_check h addr w v with
+  | Alpha.Runtime.Run_in_hardware -> sc_raw h addr w v
+  | Alpha.Runtime.Handled ok -> ok
 
 (** [atomic_add h addr delta] — LL/SC fetch-and-add through the full
     transparent path (inline checks, prefetch-free).  Returns the old
@@ -455,7 +492,7 @@ let sm_lock ?(prefetch = false) h addr =
   as_sync h (fun () ->
       if prefetch then begin
         charge_cycles h 2;
-        in_protocol h (fun () -> E.prefetch_excl h.pcb addr) ()
+        prefetch_excl h addr
       end;
       let rec acquire () =
         ignore (spin_until h addr Alpha.Insn.W32 (fun v -> v = 0L));
@@ -538,40 +575,31 @@ let rec shared_entries h entries addrs i =
       if is_shared h addr then (addr, e.Alpha.Insn.b_width, e.Alpha.Insn.b_kind) :: tl else tl
 
 (* The raw accesses of interpreted code, each in one call (DESIGN §16).
-   A shared access inside the held image hits it in place; a store does
-   so only when the engine would not intercept it: no miss outstanding,
-   no block watched after a batch, no LL monitor armed and no monitor
-   break waiting to wake the node.  Anything else takes the engine's
-   [raw_read]/[raw_write].  The word moves between the image and the
-   interpreter's register file [regs] at byte [r], never boxed on a
+   An untraced shared access inside the held image hits it in place, a
+   store only when it is [in_place]; anything else takes the access
+   path's [load_raw]/[store_raw].  The word moves between the image and
+   the interpreter's register file [regs] at byte [r], never boxed on a
    hit. *)
 let ir_load h addr (w : Alpha.Insn.width) regs r =
   if is_shared h addr then begin
     let data = h.img.Protocol.Memimg.data and off = addr - h.shared_lo in
     match w with
-    | Alpha.Insn.W64 when off <= Bytes.length data - 8 ->
+    | Alpha.Insn.W64 when off <= Bytes.length data - 8 && h.on_access == None ->
         Bytes.set_int64_ne regs r (Bytes.get_int64_le data off)
-    | Alpha.Insn.W32 when off <= Bytes.length data - 4 ->
+    | Alpha.Insn.W32 when off <= Bytes.length data - 4 && h.on_access == None ->
         Bytes.set_int64_ne regs r (Int64.of_int32 (Bytes.get_int32_le data off))
-    | Alpha.Insn.W64 | Alpha.Insn.W32 -> Bytes.set_int64_ne regs r (E.raw_read h.pcb addr w)
+    | Alpha.Insn.W64 | Alpha.Insn.W32 -> Bytes.set_int64_ne regs r (load_raw h addr w)
   end
   else Bytes.set_int64_ne regs r (private_read h addr w)
 
 let ir_store h addr (w : Alpha.Insn.width) regs r =
   if is_shared h addr then begin
-    let img = h.img in
-    let data = img.Protocol.Memimg.data and off = addr - h.shared_lo in
-    if
-      off <= Bytes.length data - Alpha.Insn.bytes_of_width w
-      && Protocol.Ptypes.Itbl.length h.st.E.outstanding = 0
-      && h.st.E.watch_blocks == []
-      && img.Protocol.Memimg.armed = 0
-      && img.Protocol.Memimg.breaks = 0
-    then
+    let data = h.img.Protocol.Memimg.data and off = addr - h.shared_lo in
+    if off <= Bytes.length data - Alpha.Insn.bytes_of_width w && in_place h then
       match w with
       | Alpha.Insn.W64 -> Bytes.set_int64_le data off (Bytes.get_int64_ne regs r)
       | Alpha.Insn.W32 -> Bytes.set_int32_le data off (Int64.to_int32 (Bytes.get_int64_ne regs r))
-    else E.raw_write h.pcb addr w (Bytes.get_int64_ne regs r)
+    else store_raw h addr w (Bytes.get_int64_ne regs r)
   end
   else private_write h addr w (Bytes.get_int64_ne regs r)
 
@@ -579,49 +607,32 @@ let ir_store h addr (w : Alpha.Insn.width) regs r =
     raw accesses hit the node image (or private memory); the pseudo-
     instruction callbacks enter the protocol. *)
 let alpha_runtime h =
-  (* Applied once here, so an LL check builds no closure. *)
-  let ll_ensure = E.ll_ensure h.pcb in
   {
     Alpha.Runtime.load = ir_load h;
     store = ir_store h;
     miss_flag = flag;
-    load_check =
-      (fun value addr w ->
-        if is_shared h addr then in_protocol h (fun () -> E.load_miss h.pcb addr w) ()
-        else value);
-    store_check =
-      (fun addr _w ->
-        if is_shared h addr then
-          match E.private_state_at h.pcb addr with
-          | Protocol.Ptypes.Exclusive -> ()
-          | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-              in_protocol h (fun () -> E.store_miss h.pcb addr) ());
+    load_check = (fun value addr w -> if is_shared h addr then load_miss h addr w else value);
+    store_check = (fun addr _w -> if is_shared h addr then store_check h addr);
     batch_check =
       (fun entries addrs ->
         if not (entries_ready h entries addrs 0) then
           in_protocol h (fun () -> E.batch h.pcb (shared_entries h entries addrs 0)) ());
-    ll =
-      (fun addr w ->
-        if is_shared h addr then E.raw_ll h.pcb addr w else private_read h addr w);
+    ll = (fun addr w -> if is_shared h addr then ll_raw h addr w else private_read h addr w);
     sc =
       (fun addr w v ->
-        if is_shared h addr then E.raw_sc h.pcb addr w v
+        if is_shared h addr then sc_raw h addr w v
         else begin
           private_write h addr w v;
           true
         end);
-    ll_check =
-      (fun addr -> if is_shared h addr then in_protocol h ll_ensure addr);
+    ll_check = (fun addr -> if is_shared h addr then ll_check h addr);
     sc_check =
       (fun addr w v ->
         if is_shared h addr then sc_check h addr w v
         else Alpha.Runtime.Run_in_hardware);
-    mb = (fun () -> ());
     mb_check = (fun () -> in_protocol h E.mb h.pcb);
     poll = (fun () -> in_protocol h E.poll h.pcb);
-    prefetch_excl =
-      (fun addr ->
-        if is_shared h addr then in_protocol h (fun () -> E.prefetch_excl h.pcb addr) ());
+    prefetch_excl = (fun addr -> if is_shared h addr then prefetch_excl h addr);
     charge = (fun n -> charge_cycles h n);
     (* MP synchronisation system calls (lock id in a0; barrier id in
        a0, parties in a1) — the IR-mode twin of [lock]/[unlock]/
@@ -629,19 +640,10 @@ let alpha_runtime h =
     syscall =
       (fun name args ->
         let a0 = Int64.to_int args.(0) and a1 = Int64.to_int args.(1) in
-        if name = Alpha.Runtime.sync_lock_proc then begin
-          lock h a0;
-          true
-        end
-        else if name = Alpha.Runtime.sync_unlock_proc then begin
-          unlock h a0;
-          true
-        end
-        else if name = Alpha.Runtime.sync_barrier_proc then begin
-          barrier h ~id:a0 ~parties:a1;
-          true
-        end
-        else false);
+        if name = Alpha.Runtime.sync_lock_proc then lock h a0
+        else if name = Alpha.Runtime.sync_unlock_proc then unlock h a0
+        else if name = Alpha.Runtime.sync_barrier_proc then barrier h ~id:a0 ~parties:a1;
+        Alpha.Runtime.is_sync_proc name);
   }
 
 (** [run_program h program ~entry ?args ()] — execute an (instrumented)

@@ -831,6 +831,24 @@ let test_ir_store_hits_allocate_nothing () =
         ((long -. short) /. 20_000.0)
   | _ -> assert false
 
+(* main(a0 = counter, a2 = iterations): an LL/SC fetch-and-add loop. *)
+let fetch_add_program =
+  Alpha.Asm.(
+    program
+      [
+        proc "main"
+          [
+            label "loop";
+            ll W64 t0 0 a0;
+            addi t0 1 t0;
+            sc W64 t0 0 a0;
+            beq t0 "loop";
+            subi a2 1 a2;
+            bgt a2 "loop";
+            halt;
+          ];
+      ])
+
 (* The LL/SC twin: an instrumented fetch-and-add loop on a line held
    exclusive, so every LL check and SC check takes its hit path and
    every SC runs in hardware.  The LL and SC box their [int64]s, the
@@ -838,24 +856,7 @@ let test_ir_store_hits_allocate_nothing () =
    disarm makes the next LL cons a monitor; the protocol's LL and SC
    checks build no closure, option or list. *)
 let test_ir_llsc_hits_allocate_little () =
-  let prog =
-    Alpha.Asm.(
-      program
-        [
-          proc "main"
-            [
-              label "loop";
-              ll W64 t0 0 a0;
-              addi t0 1 t0;
-              sc W64 t0 0 a0;
-              beq t0 "loop";
-              subi a2 1 a2;
-              bgt a2 "loop";
-              halt;
-            ];
-        ])
-  in
-  let instrumented, stats = Rewrite.Instrument.instrument prog in
+  let instrumented, stats = Rewrite.Instrument.instrument fetch_add_program in
   Alcotest.(check bool) "LL/SC pair recognised" true (stats.Rewrite.Instrument.llsc_pairs >= 1);
   let cl = C.create (small_cfg ~nodes:1 ~cpus:1 ()) in
   let a = C.alloc cl 64 in
@@ -1066,6 +1067,116 @@ let test_setup_follows_run () =
       check "after the images grew")
     [ Protocol.Config.Smp; Protocol.Config.Base ]
 
+(* --- the trace oracle on interpreted code ---
+
+   [traced_spmd] runs [prog]'s [main] on [nprocs] processes of a
+   [nodes] x [cpus] cluster under [model], thread [tid] on processor
+   [tid] with arguments [args tid], as [Apps.Ircorpus.run_spmd] places
+   them, and attaches one [Check.Trace] to every runtime.  [args] gets
+   the cluster first, to allocate.  Returns the trace, each thread's
+   interpreter stats, the cluster and the seeded mutation's fires. *)
+let traced_spmd ?mutation ~nodes ~cpus ~model ~nprocs prog args =
+  let cl =
+    C.create
+      {
+        (small_cfg ~nodes ~cpus ~model ()) with
+        Cfg.protocol =
+          { Protocol.Config.default with Protocol.Config.model; shared_size = 1 lsl 20 };
+      }
+  in
+  Option.iter (Protocol.Engine.seed_mutation (C.protocol_engine cl)) mutation;
+  let args = args cl and tr = Check.Trace.create () and stats = ref [] in
+  for tid = 0 to nprocs - 1 do
+    Check.Trace.attach tr
+      (C.spawn cl ~cpu:tid (Printf.sprintf "t%d" tid) (fun h ->
+           let o = R.run_program h prog ~entry:"main" ~args:(args tid) () in
+           stats := o.Alpha.Interp.stats :: !stats))
+  done;
+  ignore (C.run cl);
+  Alcotest.(check int) "every thread finished" nprocs (List.length !stats);
+  (tr, !stats, cl, Protocol.Engine.mutation_fires (C.protocol_engine cl))
+
+let sum_stats f stats = List.fold_left (fun n s -> n + f s) 0 stats
+
+(* A sync-corpus kernel as [run_spmd] lays it out: a hot allocation at
+   [a0], a bulk one at [a1]. *)
+let traced_sync_kernel ?mutation ~nodes ~cpus ~model (e : Apps.Ircorpus.entry) =
+  let prog = fst (Rewrite.Instrument.instrument e.Apps.Ircorpus.e_program) in
+  let words = e.Apps.Ircorpus.e_mem_words in
+  traced_spmd ?mutation ~nodes ~cpus ~model ~nprocs:4 prog (fun cl ->
+      let hot = C.alloc cl (8 * words) in
+      let bulk = C.alloc cl ((8 * words) + 64) in
+      fun tid -> List.map Int64.of_int [ hot; bulk; e.Apps.Ircorpus.e_iters; tid; 4 ])
+
+let models = [ ("Rc", Protocol.Config.Rc); ("Sc", Protocol.Config.Sc) ]
+
+(* Every shared access of an interpreted sync kernel is traced, once,
+   and the oracle finds each run coherent (and SC under [Sc]). *)
+let test_trace_sync_kernels () =
+  List.iter
+    (fun (e : Apps.Ircorpus.entry) ->
+      List.iter
+        (fun (nodes, cpus) ->
+          List.iter
+            (fun (mname, model) ->
+              let what = Printf.sprintf "%s on %dx%d %s" e.Apps.Ircorpus.e_name nodes cpus mname in
+              let tr, stats, _, _ = traced_sync_kernel ~nodes ~cpus ~model e in
+              Alcotest.(check int) (what ^ ": traced = shared loads + stores + LL/SCs")
+                (sum_stats
+                   (fun s -> s.Alpha.Interp.loads + s.Alpha.Interp.stores + s.Alpha.Interp.ll_sc)
+                   stats)
+                (Check.Trace.length tr);
+              Alcotest.(check (list string)) (what ^ ": oracle") []
+                (Check.Trace.check ~full:(model = Protocol.Config.Sc) tr))
+            models)
+        [ (2, 2); (4, 1) ])
+    Apps.Ircorpus.sync
+
+(* An interpreted LL/SC fetch-and-add on 2x2: each LL is traced as a
+   load, each successful SC as a store, whether it ran in hardware or
+   the protocol performed it as an SC upgrade. *)
+let test_trace_interpreted_llsc () =
+  let instrumented, _ = Rewrite.Instrument.instrument fetch_add_program in
+  let iters = 25 in
+  List.iter
+    (fun (mname, model) ->
+      let counter = ref 0 in
+      let tr, stats, cl, _ =
+        traced_spmd ~nodes:2 ~cpus:2 ~model ~nprocs:4 instrumented (fun cl ->
+            counter := C.alloc cl 64;
+            fun _ -> [ Int64.of_int !counter; 0L; Int64.of_int iters ])
+      in
+      let evs = Check.Trace.events tr in
+      let scs = List.length (List.filter (fun e -> e.Check.Trace.ev_store) evs) in
+      let lls = List.length evs - scs in
+      Alcotest.(check int) (mname ^ ": final counter") (4 * iters)
+        (Int64.to_int (read_valid cl !counter));
+      Alcotest.(check int) (mname ^ ": traced SCs = successful SCs") (4 * iters) scs;
+      (* One LL per SC attempt, so the LLs are half the LL/SCs. *)
+      Alcotest.(check int) (mname ^ ": traced LLs")
+        (sum_stats (fun s -> s.Alpha.Interp.ll_sc) stats / 2)
+        lls;
+      Alcotest.(check bool) (mname ^ ": some SC took the protocol") true
+        (List.exists (fun h -> (R.pstats h).Protocol.Engine.sc_misses > 0) (C.runtimes cl));
+      Alcotest.(check (list string)) (mname ^ ": oracle") []
+        (Check.Trace.check ~full:(model = Protocol.Config.Sc) tr))
+    models
+
+(* The oracle bites on interpreted code: with a recalled owner keeping
+   its private copy, stencil-sync's strip words lose coherence. *)
+let test_trace_convicts_interpreted () =
+  let tr, _, _, fires =
+    traced_sync_kernel ~mutation:Protocol.Engine.Keep_private_on_recall ~nodes:4 ~cpus:1
+      ~model:Protocol.Config.Rc (Apps.Ircorpus.find_sync "stencil-sync")
+  in
+  Alcotest.(check bool) "the mutation fired" true (fires > 0);
+  Alcotest.(check (list string)) "violations"
+    [
+      "trace: addr 0x40000010 has no per-location SC witness (36 events)";
+      "trace: addr 0x40000018 has no per-location SC witness (36 events)";
+    ]
+    (Check.Trace.check tr)
+
 let suite =
   [
     Alcotest.test_case "cross-node store/load" `Quick test_cross_node_store_load;
@@ -1102,4 +1213,8 @@ let suite =
     Alcotest.test_case "IR-mode LL/SC hits allocate little" `Quick
       test_ir_llsc_hits_allocate_little;
     Alcotest.test_case "set-up follows the run, not the segment" `Quick test_setup_follows_run;
+    Alcotest.test_case "trace oracle on interpreted sync kernels" `Quick test_trace_sync_kernels;
+    Alcotest.test_case "trace oracle on interpreted LL/SC" `Quick test_trace_interpreted_llsc;
+    Alcotest.test_case "trace oracle convicts on interpreted code" `Quick
+      test_trace_convicts_interpreted;
   ]
