@@ -11,6 +11,18 @@ let usage_error flag msg =
     turning its [Invalid_argument] into a {!usage_error}. *)
 let spec flag parse s = try parse s with Invalid_argument msg -> usage_error flag msg
 
+(** [faults ~nodes s] — the [--faults] plan of spec [s] (none for [""])
+    for a cluster of [nodes] nodes, or a {!usage_error}. *)
+let faults ~nodes s =
+  if s = "" then Fault.Plan.empty
+  else
+    spec "--faults"
+      (fun s ->
+        let plan = Fault.Plan.of_spec s in
+        Fault.Plan.check_nodes plan ~nodes;
+        plan)
+      s
+
 (** [at_least flag lo v] is [v], or a {!usage_error} when [v < lo]. *)
 let at_least flag lo v =
   if v < lo then usage_error flag (Printf.sprintf "must be at least %d, got %d" lo v) else v

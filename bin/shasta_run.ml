@@ -64,9 +64,7 @@ let () =
   let size = Cli.at_least "--size" 0 !size in
   let sync = Cli.choice "--sync" [ ("mp", Apps.Harness.Mp); ("sm", Apps.Harness.Sm) ] !sync in
   let parallel = Cli.at_least "--parallel" 1 !parallel in
-  let plan =
-    if !faults = "" then Fault.Plan.empty else Cli.spec "--faults" Fault.Plan.of_spec !faults
-  in
+  let plan = Cli.faults ~nodes !faults in
   let shared_size = 8 * 1024 * 1024 in
   let regions =
     if !granularity = "" then []

@@ -55,11 +55,9 @@ let () =
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_serve [options]";
-  let plan =
-    if !faults = "" then Fault.Plan.empty else Cli.spec "--faults" Fault.Plan.of_spec !faults
-  in
   let nodes = Cli.at_least "--nodes" 1 !nodes in
   let cpus = Cli.at_least "--cpus" 1 !cpus in
+  let plan = Cli.faults ~nodes !faults in
   (* Cpu 0 hosts the root process and the database daemons; servers
      take cpus 1.., one each. *)
   if nodes * cpus < 2 then

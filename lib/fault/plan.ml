@@ -95,6 +95,13 @@ let decide t ~src ~dst =
 let node_down t ~node ~at =
   List.exists (fun o -> o.node = node && at >= o.from_t && at < o.until_t) t.outages
 
+let check_nodes t ~nodes =
+  List.iter
+    (fun n ->
+      if n < 0 || n >= nodes then
+        invalid_arg (Printf.sprintf "Plan: node %d is not in the cluster (nodes 0..%d)" n (nodes - 1)))
+    (List.map (fun o -> o.node) t.outages @ List.concat_map (fun ((s, d), _) -> [ s; d ]) t.links)
+
 (* --- spec parsing --- *)
 
 let bad fmt = Printf.ksprintf invalid_arg ("Plan.of_spec: " ^^ fmt)

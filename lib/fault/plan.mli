@@ -64,6 +64,10 @@ val decide : t -> src:int -> dst:int -> action
 (** [node_down t ~node ~at] — is the node inside an outage window? *)
 val node_down : t -> node:int -> at:float -> bool
 
+(** [check_nodes t ~nodes] raises [Invalid_argument] when an outage or a
+    link of [t] names a node outside [0 .. nodes-1]. *)
+val check_nodes : t -> nodes:int -> unit
+
 (** Parse a command-line spec: comma-separated entries among
     [seed=N], [drop=P], [dup=P], [corrupt=P], [delay=P] or
     [delay=P:MAX_SECONDS], [stall=NODE\@AT:DURATION], [crash=NODE\@AT],

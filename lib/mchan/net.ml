@@ -55,6 +55,7 @@ type t = {
 
 let create ?(plan = Fault.Plan.empty) ?(schedule = Sim.Engine.Fifo) config =
   if config.nodes <= 0 || config.cpus_per_node <= 0 then invalid_arg "Net.create";
+  Fault.Plan.check_nodes plan ~nodes:config.nodes;
   let engine = Sim.Engine.create ~schedule () in
   let next_pid = ref 0 in
   let cpus =

@@ -238,6 +238,16 @@ let test_crash_ends_in_link_failed () =
         true
         (now > 0.05 && now < 0.06)
 
+(* A plan that names a node the cluster lacks is refused where it is
+   installed, before anything runs, rather than never firing. *)
+let test_plan_names_missing_node () =
+  List.iter
+    (fun (spec, node) ->
+      Alcotest.check_raises spec
+        (Invalid_argument (Printf.sprintf "Plan: node %d is not in the cluster (nodes 0..1)" node))
+        (fun () -> ignore (cluster ~plan:(Plan.of_spec spec) ())))
+    [ ("crash=2@0.001", 2); ("stall=5@0.001:0.001", 5); ("link=0-3:drop=0.5", 3) ]
+
 (* The transparent LL/SC path must also survive injected faults. *)
 let test_sm_sync_survives_faults () =
   let plan =
@@ -264,4 +274,5 @@ let suite =
     Alcotest.test_case "invariant checker under faults" `Quick test_invariant_checker_under_faults;
     Alcotest.test_case "SM sync survives faults" `Quick test_sm_sync_survives_faults;
     Alcotest.test_case "crash ends in Link_failed" `Quick test_crash_ends_in_link_failed;
+    Alcotest.test_case "plan naming a missing node refused" `Quick test_plan_names_missing_node;
   ]
