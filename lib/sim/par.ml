@@ -38,10 +38,10 @@
     permutations of causally-concurrent ties (merged cross events carry
     fresh sequence numbers, so a same-time local/cross pair may resolve
     in either order — the class of reorderings a seeded [Guided]
-    schedule explores).  The merge order is deterministic and independent of the
-    worker count, so any two parallel runs of the same configuration
-    agree bit-for-bit; the test suite cross-validates both properties
-    against sequential runs. *)
+    schedule explores).  Runs at different worker counts can differ:
+    Water-Nsq ran 0.27732881 s on two domains and 0.27732481 s on four,
+    one lookahead apart.  The tests check each parallel elapsed time to
+    within a relative 1e-3 of the sequential run's. *)
 
 type shared = {
   m : Mutex.t;

@@ -11,8 +11,8 @@
     schedule; [lookahead] is the minimum cross-node latency (the 4 µs
     Memory Channel one-way latency by default).  On return — normal or
     exceptional — the engine is folded back to sequential form, so
-    [Engine.run]/[Engine.step] can be used afterwards.  Results are
-    bit-identical across worker counts. *)
+    [Engine.run]/[Engine.step] can be used afterwards.  Elapsed time
+    agrees with a sequential run's to a relative 1e-3, not bit-for-bit. *)
 val run :
   ?until:float ->
   ?lookahead:float ->
